@@ -1,0 +1,197 @@
+package jobqueue
+
+import (
+	"context"
+	"fmt"
+)
+
+// Result is what a completed job produces. Identical submissions share
+// one Result through the content-addressed cache.
+type Result struct {
+	// StateHash is the hex SHA-256 of the final snapshot's canonical
+	// encoding — the bit-exact identity of the end state. Empty for
+	// sweep jobs, which aggregate many runs.
+	StateHash string `json:"stateHash,omitempty"`
+	// Stats holds the single-run metrics (sim and chaos jobs).
+	Stats *RunStats `json:"stats,omitempty"`
+	// Sweep holds the deployment-sweep table (sweep jobs).
+	Sweep *DeploymentSweepResult `json:"sweep,omitempty"`
+	// Chaos holds the final per-fault-class counters (chaos jobs).
+	Chaos map[string]uint64 `json:"chaos,omitempty"`
+	// Violations counts invariant-oracle findings on Check jobs (a
+	// non-zero count fails the job, but the tally is still reported).
+	Violations int `json:"violations,omitempty"`
+	// WallSeconds is the worker wall time of the underlying run. Cache
+	// hits report the original run's time.
+	WallSeconds float64 `json:"wallSeconds"`
+	// Events is the number of engine events the run executed.
+	Events uint64 `json:"events,omitempty"`
+	// AllocsPerEvent is heap objects allocated per executed event,
+	// measured with perf.AllocMeter. With several workers active the
+	// global allocation counter interleaves runs, so treat it as an
+	// approximation under load; with one worker it is exact.
+	AllocsPerEvent float64 `json:"allocsPerEvent,omitempty"`
+	// Resumed reports that the run continued from a drain checkpoint.
+	Resumed bool `json:"resumed,omitempty"`
+}
+
+// EventType classifies job lifecycle events.
+type EventType string
+
+const (
+	EventQueued    EventType = "queued"
+	EventStarted   EventType = "started"
+	EventProgress  EventType = "progress"
+	EventSuspended EventType = "suspended"
+	EventDone      EventType = "done"
+	EventFailed    EventType = "failed"
+	EventCancelled EventType = "cancelled"
+	EventDeadline  EventType = "deadline_exceeded"
+)
+
+// Event is one entry of a job's event stream. The server forwards these
+// verbatim over SSE.
+type Event struct {
+	Type EventType `json:"type"`
+	// JobID identifies the job the event belongs to.
+	JobID string `json:"jobId"`
+	// SimT and Horizon describe progress in simulated seconds; Fraction
+	// is SimT/Horizon (progress events).
+	SimT     float64 `json:"simT,omitempty"`
+	Horizon  float64 `json:"horizon,omitempty"`
+	Fraction float64 `json:"fraction,omitempty"`
+	// Working is the working-node count at the sample (progress events).
+	Working int `json:"working,omitempty"`
+	// Error carries the failure message (failed events).
+	Error string `json:"error,omitempty"`
+	// Result carries the outcome (done events).
+	Result *Result `json:"result,omitempty"`
+}
+
+// DroppedEvents reports how many events were discarded because a
+// subscriber's buffer was full.
+func (j *Job) DroppedEvents() uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.dropped
+}
+
+// subscriberBuffer bounds each subscriber's backlog. A slow consumer
+// loses intermediate progress events rather than stalling the worker;
+// terminal events are delivered with a blocking send only if the channel
+// still has room, so even they are best-effort per subscriber (the
+// job's final state is always available via State/Result).
+const subscriberBuffer = 64
+
+// Subscribe returns a channel of the job's events plus a cancel
+// function. The current state is replayed as a first synthetic event so
+// late subscribers see a consistent stream; the channel is closed after
+// a terminal event (done/failed/suspended) or on cancel.
+func (j *Job) Subscribe() (<-chan Event, func()) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	ch := make(chan Event, subscriberBuffer)
+	ch <- j.snapshotEventLocked()
+	if j.state.Terminal() {
+		close(ch)
+		return ch, func() {}
+	}
+	id := j.nextSub
+	j.nextSub++
+	j.subs[id] = ch
+	return ch, func() {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if _, ok := j.subs[id]; ok { // not yet closed by a terminal event
+			delete(j.subs, id)
+			close(ch)
+		}
+	}
+}
+
+// Wait blocks until the job reaches a terminal state and returns its
+// result. Failed jobs return their error, suspended jobs an error
+// explaining that the job will resume after a restart.
+func (j *Job) Wait(ctx context.Context) (*Result, error) {
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-j.ctx.Done(): // cancelled by finish, once the state is terminal
+	}
+	switch j.State() {
+	case StateDone:
+		return j.Result(), nil
+	case StateSuspended:
+		return nil, fmt.Errorf("jobqueue: job %s suspended by shutdown; resumes after restart", j.ID)
+	default:
+		return nil, j.Err()
+	}
+}
+
+// snapshotEventLocked renders the current state as an event.
+func (j *Job) snapshotEventLocked() Event {
+	ev := Event{JobID: j.ID, SimT: j.simT, Horizon: j.Spec.Horizon, Working: j.working}
+	if j.Spec.Horizon > 0 {
+		ev.Fraction = j.simT / j.Spec.Horizon
+	}
+	switch j.state {
+	case StateQueued:
+		ev.Type = EventQueued
+	case StateRunning:
+		if j.startedAt.IsZero() || j.simT == 0 {
+			ev.Type = EventStarted
+		} else {
+			ev.Type = EventProgress
+		}
+	case StateDone:
+		ev.Type = EventDone
+		ev.Result = j.result
+	case StateFailed:
+		ev.Type = EventFailed
+	case StateSuspended:
+		ev.Type = EventSuspended
+	case StateCancelled:
+		ev.Type = EventCancelled
+	case StateDeadline:
+		ev.Type = EventDeadline
+	}
+	if j.err != nil { // set by the failed, cancelled and deadline transitions only
+		ev.Error = j.err.Error()
+	}
+	return ev
+}
+
+// publishLocked fans ev out to subscribers, dropping it per subscriber
+// when the buffer is full. Terminal events also close the channels.
+func (j *Job) publishLocked(ev Event, terminal bool) {
+	for id, ch := range j.subs {
+		select {
+		case ch <- ev:
+		default:
+			j.dropped++
+		}
+		if terminal {
+			delete(j.subs, id)
+			close(ch)
+		}
+	}
+}
+
+// progressStride is the minimum horizon fraction between emitted
+// progress events, so a long run does not flood subscribers with every
+// 25-second coverage sample.
+const progressStride = 0.01
+
+func (j *Job) observeProgress(simT float64, working int) {
+	j.mu.Lock()
+	prev := j.simT
+	j.simT = simT
+	j.working = working
+	h := j.Spec.Horizon
+	if h > 0 && (simT-prev) >= progressStride*h {
+		ev := Event{Type: EventProgress, JobID: j.ID, SimT: simT, Horizon: h,
+			Fraction: simT / h, Working: working}
+		j.publishLocked(ev, false)
+	}
+	j.mu.Unlock()
+}

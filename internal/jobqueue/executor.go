@@ -1,0 +1,281 @@
+package jobqueue
+
+import (
+	"fmt"
+	"runtime/debug"
+	"time"
+
+	"peas/internal/checkpoint"
+	"peas/internal/experiment"
+	"peas/internal/node"
+	"peas/internal/oracle"
+	"peas/internal/perf"
+	"peas/internal/sim"
+)
+
+func (p *Pool) worker() {
+	defer p.wg.Done()
+	for {
+		// Prefer quitting over picking up more queued work, so a drain
+		// leaves not-yet-started jobs persisted instead of racing them
+		// against the deadline.
+		select {
+		case <-p.quit:
+			return
+		default:
+		}
+		select {
+		case <-p.quit:
+			return
+		case job := <-p.queue:
+			p.execute(job)
+		}
+	}
+}
+
+// execute runs one job end to end on the calling worker goroutine: run,
+// classify what came back, settle.
+func (p *Pool) execute(job *Job) {
+	p.mu.Lock()
+	p.queued--
+	p.mu.Unlock()
+	p.running.Add(1)
+	defer p.running.Add(-1)
+
+	if p.cfg.BeforeRun != nil {
+		p.cfg.BeforeRun(job)
+	}
+	dequeued := time.Now()
+	if !job.beginRun(dequeued) {
+		// Cancelled or deadline-killed while queued: the stop path settles
+		// the job; the queue slot just carried a husk.
+		return
+	}
+	enqueued, _, _ := job.Times()
+	p.queueWait.Observe(dequeued.Sub(enqueued).Seconds())
+
+	res, snap, err := p.runGuarded(job)
+	wall := time.Since(dequeued).Seconds()
+	p.runDur.Observe(wall)
+	if res != nil {
+		res.WallSeconds = wall
+		p.counters.Add("runs_executed", 1)
+	}
+	p.settle(job, p.classify(job, res, snap, err))
+}
+
+// classify maps what a run returned, and the stop cause recorded against
+// the job, onto its ending. A completed result always wins: a cancel that
+// lands after the last event is a no-op, not a retroactive kill. The
+// suspended rows share one rule — the spec is still on disk, so a restart
+// re-runs the job, so the client must not be told it failed.
+func (p *Pool) classify(job *Job, res *Result, snap *checkpoint.Snapshot, err error) outcome {
+	cause := job.stopCause()
+	preempted := snap != nil || err == errPreempted
+	if preempted && cause == CauseWatchdog {
+		p.counters.Add("watchdog_preemptions", 1)
+	}
+	suspended := outcome{state: StateSuspended, counter: "jobs_suspended", files: filesKeepSpec}
+	switch {
+	case res != nil:
+		return outcome{state: StateDone, counter: "jobs_completed", res: res}
+	case preempted && (cause == CauseCancel || cause == CauseDeadline):
+		// Stopped mid-run. With a checkpoint in hand, park it under the
+		// content key so a resubmission of the same spec resumes
+		// bit-exactly instead of starting over; without one (chaos run, no
+		// state dir, the injected hang probe) the work is simply dropped.
+		o := stopOutcome(job, cause)
+		if snap != nil {
+			o.files, o.park = filesPark, &parked{id: job.ID, snap: snap}
+		}
+		return o
+	case snap != nil:
+		// Drain checkpoint, or a stalled run the watchdog preempted with
+		// one: persist it beside the spec so a restart resumes the job.
+		suspended.files, suspended.snap = filesCheckpoint, snap
+		return suspended
+	case err == errAbortRestartable,
+		err == errPreempted && cause == CauseWatchdog && p.cfg.StateDir != "" && !job.Spec.Hang:
+		// Interrupted by a drain, or stalled, with nothing to capture: the
+		// persisted spec lets Recover restart it from scratch.
+		return suspended
+	case err == errPreempted && cause == CauseWatchdog:
+		err = fmt.Errorf("jobqueue: job %s preempted by watchdog: no event progress within %s", job.ID, p.cfg.StallWindow)
+	case err == nil:
+		// runGuarded returned neither result, snapshot nor error — only
+		// reachable through a bug; fail loudly rather than wedge waiters.
+		err = fmt.Errorf("jobqueue: job %s produced no outcome", job.ID)
+	}
+	return outcome{state: StateFailed, counter: "jobs_failed", err: err}
+}
+
+// runGuarded dispatches the job to its executor behind a panic
+// barrier. A panicking run — a simulation bug, a poisoned spec, the
+// injected Spec.Panic fault — must cost exactly one job, not the
+// worker goroutine (an unrecovered panic would kill the whole daemon):
+// the job fails with the stack in its error, and the pool keeps
+// serving.
+func (p *Pool) runGuarded(job *Job) (res *Result, snap *checkpoint.Snapshot, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.counters.Add("jobs_panicked", 1)
+			res, snap = nil, nil
+			err = fmt.Errorf("jobqueue: job panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	if job.Spec.Panic {
+		panic("injected panic (spec.panic): crash-soak panic-isolation probe")
+	}
+	if job.Spec.Hang {
+		return p.hangProbe(job)
+	}
+	if job.Spec.Kind == KindSweep {
+		res, err = p.executeSweep(job)
+		return res, nil, err
+	}
+	return p.executeRun(job)
+}
+
+// hangProbe is the injected stall fault: the worker occupies its slot
+// making no event progress — the supervisor's heartbeat never advances —
+// until the watchdog (or a cancel/deadline/drain) stops it. It models
+// the recoverable half of "stuck worker": model code that still reaches
+// the cooperative poll boundary without progressing. A callback that
+// never yields at all cannot be preempted in-process — the watchdog can
+// only detect it (see DESIGN.md §15).
+func (p *Pool) hangProbe(job *Job) (*Result, *checkpoint.Snapshot, error) {
+	super := &sim.Supervisor{}
+	job.attachSupervisor(super)
+	for !super.Stop.Load() {
+		if p.drainStop.Load() {
+			return nil, nil, errAbortRestartable
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return nil, nil, errPreempted
+}
+
+// executeRun performs a sim or chaos job. It returns a non-nil snapshot
+// when the run was suspended at a drain checkpoint instead of finishing.
+func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
+	spec := job.Spec
+	cfg := spec.RunConfig()
+
+	// job.resume was set before the job was queued and is never written
+	// again, so the channel hand-off orders this read after it.
+	cfg.Resume = job.resume
+
+	var (
+		eng     *sim.Engine
+		checker *oracle.Checker
+		aborted bool
+		snap    *checkpoint.Snapshot // where a drain or a preemption stopped the run
+	)
+	cfg.OnNetwork = func(net *node.Network) {
+		eng = net.Engine
+		if spec.Check {
+			checker = oracle.Attach(net, oracle.DefaultConfig())
+		}
+	}
+	// The supervisor is the cancel/deadline/watchdog control surface of
+	// the run: the engine heartbeats through it and honors its stop flag
+	// at the next poll boundary.
+	super := &sim.Supervisor{}
+	job.attachSupervisor(super)
+	cfg.Supervisor = super
+	checkpointable := p.cfg.StateDir != "" && spec.Kind != KindChaos
+	cfg.OnSample = func(t float64, working int, _ []float64) {
+		job.observeProgress(t, working)
+		// Non-checkpointable runs stop cooperatively at a coverage
+		// sample when a drain passes its deadline; checkpointable runs
+		// wait for the next capture boundary so they resume cleanly.
+		if !checkpointable && p.drainStop.Load() && eng != nil {
+			aborted = true
+			eng.Stop()
+		}
+	}
+	if checkpointable {
+		cfg.CheckpointEvery = p.cfg.CheckpointEvery
+		cfg.OnCheckpoint = func(s *checkpoint.Snapshot) bool {
+			if !p.drainStop.Load() {
+				return false
+			}
+			snap = s
+			return true
+		}
+		// A supervisor preemption captures at the stop point, so the
+		// interrupted work is parked or suspended, never discarded.
+		cfg.OnPreempt = func(s *checkpoint.Snapshot) { snap = s }
+	}
+
+	var meter perf.AllocMeter
+	meter.Start()
+	stats, err := p.cfg.Run(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	allocs := meter.Allocs()
+	if snap != nil {
+		return nil, snap, nil
+	}
+	if stats.Preempted {
+		// Preempted but nothing to capture (chaos or no state dir).
+		return nil, nil, errPreempted
+	}
+	if aborted {
+		if p.cfg.StateDir != "" {
+			// The spec file is still on disk; Recover restarts the job
+			// from scratch (chaos state cannot checkpoint).
+			return nil, nil, errAbortRestartable
+		}
+		return nil, nil, fmt.Errorf("jobqueue: job aborted by shutdown before completion")
+	}
+
+	res := &Result{Stats: stats, Chaos: stats.Chaos, Resumed: job.resume != nil}
+	if stats.FinalState != nil {
+		res.StateHash = stats.FinalState.StateHashHex()
+	}
+	if eng != nil {
+		res.Events = eng.Executed()
+		if res.Events > 0 {
+			res.AllocsPerEvent = float64(allocs) / float64(res.Events)
+		}
+		p.counters.Add("engine_events", res.Events)
+		p.counters.Add("heap_allocs", allocs)
+	}
+	if checker != nil {
+		res.Violations = len(checker.Violations()) + checker.Dropped()
+		if cerr := checker.Err(); cerr != nil {
+			return nil, nil, fmt.Errorf("jobqueue: invariant oracle: %w", cerr)
+		}
+	}
+	return res, nil, nil
+}
+
+// errAbortRestartable marks a chaos run interrupted by a drain whose
+// spec remains persisted; execute maps it to the suspended state.
+var errAbortRestartable = fmt.Errorf("jobqueue: aborted by shutdown; restartable from spec")
+
+// errPreempted marks a run stopped by its supervisor without a
+// checkpoint to show for it; execute maps it to a terminal state by the
+// job's recorded stop cause.
+var errPreempted = fmt.Errorf("jobqueue: preempted by supervisor")
+
+// executeSweep performs a sweep job via the §5.2 deployment sweep.
+// Sweeps aggregate many runs, so they report no single StateHash and do
+// not participate in drain checkpointing — a drain waits for them.
+func (p *Pool) executeSweep(job *Job) (*Result, error) {
+	spec := job.Spec
+	res, err := experiment.DeploymentSweep(experiment.Options{
+		Runs:        spec.Sweep.Runs,
+		Seed:        spec.Network.Seed,
+		Deployments: spec.Sweep.Deployments,
+		Forwarding:  spec.Forwarding,
+		// One sweep cell at a time: concurrency is the pool's job.
+		Parallel: 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Sweep: res}, nil
+}

@@ -59,69 +59,6 @@ const (
 	CauseWatchdog CancelCause = "watchdog"
 )
 
-// Result is what a completed job produces. Identical submissions share
-// one Result through the content-addressed cache.
-type Result struct {
-	// StateHash is the hex SHA-256 of the final snapshot's canonical
-	// encoding — the bit-exact identity of the end state. Empty for
-	// sweep jobs, which aggregate many runs.
-	StateHash string `json:"stateHash,omitempty"`
-	// Stats holds the single-run metrics (sim and chaos jobs).
-	Stats *RunStats `json:"stats,omitempty"`
-	// Sweep holds the deployment-sweep table (sweep jobs).
-	Sweep *DeploymentSweepResult `json:"sweep,omitempty"`
-	// Chaos holds the final per-fault-class counters (chaos jobs).
-	Chaos map[string]uint64 `json:"chaos,omitempty"`
-	// Violations counts invariant-oracle findings on Check jobs (a
-	// non-zero count fails the job, but the tally is still reported).
-	Violations int `json:"violations,omitempty"`
-	// WallSeconds is the worker wall time of the underlying run. Cache
-	// hits report the original run's time.
-	WallSeconds float64 `json:"wallSeconds"`
-	// Events is the number of engine events the run executed.
-	Events uint64 `json:"events,omitempty"`
-	// AllocsPerEvent is heap objects allocated per executed event,
-	// measured with perf.AllocMeter. With several workers active the
-	// global allocation counter interleaves runs, so treat it as an
-	// approximation under load; with one worker it is exact.
-	AllocsPerEvent float64 `json:"allocsPerEvent,omitempty"`
-	// Resumed reports that the run continued from a drain checkpoint.
-	Resumed bool `json:"resumed,omitempty"`
-}
-
-// EventType classifies job lifecycle events.
-type EventType string
-
-const (
-	EventQueued    EventType = "queued"
-	EventStarted   EventType = "started"
-	EventProgress  EventType = "progress"
-	EventSuspended EventType = "suspended"
-	EventDone      EventType = "done"
-	EventFailed    EventType = "failed"
-	EventCancelled EventType = "cancelled"
-	EventDeadline  EventType = "deadline_exceeded"
-)
-
-// Event is one entry of a job's event stream. The server forwards these
-// verbatim over SSE.
-type Event struct {
-	Type EventType `json:"type"`
-	// JobID identifies the job the event belongs to.
-	JobID string `json:"jobId"`
-	// SimT and Horizon describe progress in simulated seconds; Fraction
-	// is SimT/Horizon (progress events).
-	SimT     float64 `json:"simT,omitempty"`
-	Horizon  float64 `json:"horizon,omitempty"`
-	Fraction float64 `json:"fraction,omitempty"`
-	// Working is the working-node count at the sample (progress events).
-	Working int `json:"working,omitempty"`
-	// Error carries the failure message (failed events).
-	Error string `json:"error,omitempty"`
-	// Result carries the outcome (done events).
-	Result *Result `json:"result,omitempty"`
-}
-
 // Job is one tracked submission. All exported accessors are safe for
 // concurrent use; the worker pool mutates it through the unexported
 // methods under the job's own lock.
@@ -254,9 +191,6 @@ func (j *Job) Times() (enqueued, started, finished time.Time) {
 func (j *Job) QueueWait() (time.Duration, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.enqueuedAt.IsZero() {
-		return 0, false
-	}
 	if j.startedAt.IsZero() {
 		if j.state == StateQueued {
 			return time.Since(j.enqueuedAt), false
@@ -266,147 +200,14 @@ func (j *Job) QueueWait() (time.Duration, bool) {
 	return j.startedAt.Sub(j.enqueuedAt), true
 }
 
-// DroppedEvents reports how many events were discarded because a
-// subscriber's buffer was full.
-func (j *Job) DroppedEvents() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
-}
-
-// subscriberBuffer bounds each subscriber's backlog. A slow consumer
-// loses intermediate progress events rather than stalling the worker;
-// terminal events are delivered with a blocking send only if the channel
-// still has room, so even they are best-effort per subscriber (the
-// job's final state is always available via State/Result).
-const subscriberBuffer = 64
-
-// Subscribe returns a channel of the job's events plus a cancel
-// function. The current state is replayed as a first synthetic event so
-// late subscribers see a consistent stream; the channel is closed after
-// a terminal event (done/failed/suspended) or on cancel.
-func (j *Job) Subscribe() (<-chan Event, func()) {
-	j.mu.Lock()
-	ch := make(chan Event, subscriberBuffer)
-	ch <- j.snapshotEventLocked()
-	terminal := j.state.Terminal()
-	var id int
-	if terminal {
-		close(ch)
-	} else {
-		id = j.nextSub
-		j.nextSub++
-		j.subs[id] = ch
-	}
-	j.mu.Unlock()
-
-	cancel := func() {
-		j.mu.Lock()
-		if c, ok := j.subs[id]; ok && c == ch {
-			delete(j.subs, id)
-			close(c)
-		}
-		j.mu.Unlock()
-	}
-	if terminal {
-		cancel = func() {}
-	}
-	return ch, cancel
-}
-
-// Wait blocks until the job reaches a terminal state and returns its
-// result. Failed jobs return their error, suspended jobs an error
-// explaining that the job will resume after a restart.
-func (j *Job) Wait(ctx context.Context) (*Result, error) {
-	ch, cancel := j.Subscribe()
-	defer cancel()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case _, ok := <-ch:
-			if !ok {
-				// Stream closed on a terminal event; fall through to
-				// read the final state below.
-			} else {
-				continue
-			}
-		}
-		switch j.State() {
-		case StateDone:
-			return j.Result(), nil
-		case StateFailed, StateCancelled, StateDeadline:
-			return nil, j.Err()
-		case StateSuspended:
-			return nil, fmt.Errorf("jobqueue: job %s suspended by shutdown; resumes after restart", j.ID)
-		default:
-			return nil, fmt.Errorf("jobqueue: job %s event stream closed in state %s", j.ID, j.State())
-		}
-	}
-}
-
-// snapshotEventLocked renders the current state as an event.
-func (j *Job) snapshotEventLocked() Event {
-	ev := Event{JobID: j.ID, SimT: j.simT, Horizon: j.Spec.Horizon, Working: j.working}
-	if j.Spec.Horizon > 0 {
-		ev.Fraction = j.simT / j.Spec.Horizon
-	}
-	switch j.state {
-	case StateQueued:
-		ev.Type = EventQueued
-	case StateRunning:
-		if j.startedAt.IsZero() || j.simT == 0 {
-			ev.Type = EventStarted
-		} else {
-			ev.Type = EventProgress
-		}
-	case StateDone:
-		ev.Type = EventDone
-		ev.Result = j.result
-	case StateFailed:
-		ev.Type = EventFailed
-		if j.err != nil {
-			ev.Error = j.err.Error()
-		}
-	case StateSuspended:
-		ev.Type = EventSuspended
-	case StateCancelled:
-		ev.Type = EventCancelled
-		if j.err != nil {
-			ev.Error = j.err.Error()
-		}
-	case StateDeadline:
-		ev.Type = EventDeadline
-		if j.err != nil {
-			ev.Error = j.err.Error()
-		}
-	}
-	return ev
-}
-
-// publishLocked fans ev out to subscribers, dropping it per subscriber
-// when the buffer is full. Terminal events also close the channels.
-func (j *Job) publishLocked(ev Event, terminal bool) {
-	for id, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			j.dropped++
-		}
-		if terminal {
-			delete(j.subs, id)
-			close(ch)
-		}
-	}
-}
-
 // beginRun claims a queued job for execution. It returns false when the
-// job is no longer claimable — cancelled or deadline-killed while it sat
-// in the queue — in which case the worker must skip it.
+// job is no longer claimable — a cancel or deadline stop was recorded
+// while it sat in the queue — in which case the worker must skip it: the
+// queue slot just carried a husk the stop path settles.
 func (j *Job) beginRun(now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.state != StateQueued || j.cancelCause != "" {
 		return false
 	}
 	j.state = StateRunning
@@ -429,24 +230,21 @@ func (j *Job) attachSupervisor(s *sim.Supervisor) {
 	j.mu.Unlock()
 }
 
-// requestStop records a stop request. Queued jobs transition to their
-// terminal state immediately (queuedTerminal true — the caller must then
-// release pool-level bookkeeping); running jobs get the cause recorded
-// and their supervisor flagged, and reach the terminal state when the
-// worker acknowledges. The first cause wins; requests on terminal or
-// already-stopping jobs report effective false.
-func (j *Job) requestStop(cause CancelCause, now time.Time) (queuedTerminal, effective bool) {
+// requestStop records a stop request. The first cause wins; requests on
+// terminal or already-stopping jobs report effective false. A job still
+// queued can no longer be claimed by a worker once the cause is recorded
+// (queued true — the caller settles it at once); a running job gets its
+// supervisor flagged and is settled when the worker acknowledges.
+func (j *Job) requestStop(cause CancelCause) (queued, effective bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() || j.cancelCause != "" {
 		return false, false
 	}
+	j.cancelCause = cause
 	if j.state == StateQueued {
-		j.cancelCause = cause
-		j.terminalStopLocked(cause, now)
 		return true, true
 	}
-	j.cancelCause = cause
 	if j.super != nil {
 		j.super.Stop.Store(true)
 	}
@@ -483,90 +281,32 @@ func (j *Job) checkStall(now time.Time, window time.Duration) bool {
 	return true
 }
 
-// terminalStopLocked finalizes a cancel/deadline stop: state, error,
-// terminal event, lifecycle-context cancellation.
-func (j *Job) terminalStopLocked(cause CancelCause, now time.Time) {
-	switch cause {
-	case CauseDeadline:
-		j.state = StateDeadline
-		j.err = fmt.Errorf("jobqueue: job %s exceeded its %gs deadline", j.ID, j.Spec.DeadlineSeconds)
-		j.finishedAt = now
-		j.publishLocked(Event{Type: EventDeadline, JobID: j.ID, SimT: j.simT, Error: j.err.Error()}, true)
+// finish is the one terminal transition: state, outcome, finish instant,
+// terminal event (rendered by the same mapping late subscribers replay),
+// lifecycle-context cancellation. Every path that ends a job — cache hit,
+// worker acknowledgement, queued stop, rolled-back admission — calls it
+// once; should two ever race (a stop landing on a job whose admission is
+// being rolled back), the first wins and the job keeps one terminal state.
+func (j *Job) finish(state State, res *Result, err error, now time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return
+	}
+	j.state, j.result, j.err, j.finishedAt = state, res, err, now
+	j.publishLocked(j.snapshotEventLocked(), true)
+	// context.Cause never reports nil once a context is cancelled, so the
+	// non-error terminal states get distinct causes of their own.
+	switch {
+	case err != nil:
+		j.ctxCancel(err)
+	case state == StateSuspended:
+		j.ctxCancel(errJobSuspended)
 	default:
-		j.state = StateCancelled
-		j.err = fmt.Errorf("jobqueue: job %s cancelled", j.ID)
-		j.finishedAt = now
-		j.publishLocked(Event{Type: EventCancelled, JobID: j.ID, SimT: j.simT, Error: j.err.Error()}, true)
+		j.ctxCancel(errJobFinished)
 	}
-	j.ctxCancel(j.err)
 }
 
-// markCancelled and markDeadline are the worker-side acknowledgements of
-// a stop: the run has been preempted (and any snapshot parked), so the
-// job reaches its terminal state.
-func (j *Job) markCancelled(now time.Time) {
-	j.mu.Lock()
-	j.terminalStopLocked(CauseCancel, now)
-	j.mu.Unlock()
-}
-
-func (j *Job) markDeadline(now time.Time) {
-	j.mu.Lock()
-	j.terminalStopLocked(CauseDeadline, now)
-	j.mu.Unlock()
-}
-
-// progressStride is the minimum horizon fraction between emitted
-// progress events, so a long run does not flood subscribers with every
-// 25-second coverage sample.
-const progressStride = 0.01
-
-func (j *Job) observeProgress(simT float64, working int) {
-	j.mu.Lock()
-	prev := j.simT
-	j.simT = simT
-	j.working = working
-	h := j.Spec.Horizon
-	if h > 0 && (simT-prev) >= progressStride*h {
-		ev := Event{Type: EventProgress, JobID: j.ID, SimT: simT, Horizon: h,
-			Fraction: simT / h, Working: working}
-		j.publishLocked(ev, false)
-	}
-	j.mu.Unlock()
-}
-
-func (j *Job) markDone(res *Result, now time.Time) {
-	j.mu.Lock()
-	j.state = StateDone
-	j.result = res
-	j.finishedAt = now
-	j.publishLocked(Event{Type: EventDone, JobID: j.ID, Result: res}, true)
-	j.ctxCancel(errJobFinished)
-	j.mu.Unlock()
-}
-
-func (j *Job) markFailed(err error, now time.Time) {
-	j.mu.Lock()
-	j.state = StateFailed
-	j.err = err
-	j.finishedAt = now
-	j.publishLocked(Event{Type: EventFailed, JobID: j.ID, Error: err.Error()}, true)
-	j.ctxCancel(err)
-	j.mu.Unlock()
-}
-
-func (j *Job) markSuspended(now time.Time) {
-	j.mu.Lock()
-	j.state = StateSuspended
-	j.finishedAt = now
-	j.publishLocked(Event{Type: EventSuspended, JobID: j.ID, SimT: j.simT}, true)
-	j.ctxCancel(errJobSuspended)
-	j.mu.Unlock()
-}
-
-// errJobFinished and errJobSuspended are the lifecycle-context causes of
-// the non-error terminal states (context.Cause never reports nil once a
-// context is cancelled, so each terminal state gets a distinct cause).
 var (
 	errJobFinished  = fmt.Errorf("jobqueue: job finished")
 	errJobSuspended = fmt.Errorf("jobqueue: job suspended")

@@ -43,19 +43,10 @@ type specFile struct {
 	Key  string `json:"key"`
 	Spec *Spec  `json:"spec"`
 	// Parked marks the pair as a cancelled/deadline-killed run's leftover
-	// checkpoint: Recover loads it into the parked index (claimable by a
+	// checkpoint: Recover makes the key parked (claimable by a
 	// resubmission of the same spec) instead of re-enqueueing the job —
 	// a cancelled job must never resurrect as runnable work.
 	Parked bool `json:"parked,omitempty"`
-}
-
-// fsys returns the filesystem the store runs on (the real one unless a
-// test injected a fault layer).
-func (p *Pool) fsys() durable.FS {
-	if p.cfg.FS != nil {
-		return p.cfg.FS
-	}
-	return durable.OS{}
 }
 
 func (p *Pool) specPath(id string) string {
@@ -66,28 +57,27 @@ func (p *Pool) ckptPath(id string) string {
 	return filepath.Join(p.cfg.StateDir, id+".ckpt")
 }
 
-// persistSpec durably records an admitted job for crash recovery. A
-// no-op without a state dir. Submit calls it before the job becomes
-// runnable, so a failure here rolls the admission back instead of
-// accepting work that could be silently lost.
-func (p *Pool) persistSpec(job *Job) error {
+// writeSpec durably records a job's spec file: plain at admission (for
+// crash recovery), Parked when a preempted run's checkpoint is filed
+// for a later claim. A no-op without a state dir.
+func (p *Pool) writeSpec(job *Job, parked bool) error {
 	if p.cfg.StateDir == "" {
 		return nil
 	}
-	data, err := json.Marshal(specFile{ID: job.ID, Key: job.Key, Spec: job.Spec})
+	data, err := json.Marshal(specFile{ID: job.ID, Key: job.Key, Spec: job.Spec, Parked: parked})
 	if err != nil {
 		return err
 	}
-	return durable.WriteFile(p.fsys(), p.specPath(job.ID), data)
+	return durable.WriteFile(p.cfg.FS, p.specPath(job.ID), data)
 }
 
-// persistSnapshot durably writes a drain checkpoint next to the job's
-// spec.
+// persistSnapshot durably writes a checkpoint next to the job's spec. A
+// no-op without a state dir.
 func (p *Pool) persistSnapshot(job *Job, snap *checkpoint.Snapshot) error {
 	if p.cfg.StateDir == "" {
-		return fmt.Errorf("no state dir configured")
+		return nil
 	}
-	return durable.WriteFile(p.fsys(), p.ckptPath(job.ID), snap.EncodeBytes())
+	return durable.WriteFile(p.cfg.FS, p.ckptPath(job.ID), snap.EncodeBytes())
 }
 
 // persistPark rewrites a preempted job's spec with the Parked marker and
@@ -96,17 +86,10 @@ func (p *Pool) persistSnapshot(job *Job, snap *checkpoint.Snapshot) error {
 // plain spec + checkpoint pair — which Recover treats as an ordinary
 // resumable job, never a half-parked one.
 func (p *Pool) persistPark(job *Job, snap *checkpoint.Snapshot) error {
-	if p.cfg.StateDir == "" {
-		return nil
-	}
 	if err := p.persistSnapshot(job, snap); err != nil {
 		return err
 	}
-	data, err := json.Marshal(specFile{ID: job.ID, Key: job.Key, Spec: job.Spec, Parked: true})
-	if err != nil {
-		return err
-	}
-	return durable.WriteFile(p.fsys(), p.specPath(job.ID), data)
+	return p.writeSpec(job, true)
 }
 
 // removeJobFiles clears a completed job's persisted state.
@@ -114,17 +97,18 @@ func (p *Pool) removeJobFiles(id string) {
 	if p.cfg.StateDir == "" {
 		return
 	}
-	fsys := p.fsys()
-	_ = fsys.Remove(p.specPath(id))
-	_ = fsys.Remove(p.ckptPath(id))
+	_ = p.cfg.FS.Remove(p.specPath(id))
+	_ = p.cfg.FS.Remove(p.ckptPath(id))
 }
 
 // quarantine moves one damaged state file into StateDir/quarantine,
-// preserving its name. Crash-only policy: damaged data is set aside
+// preserving its name, and counts it (jobs_quarantined for a spec,
+// checkpoints_quarantined for a checkpoint). Crash-only policy: damaged data is set aside
 // for inspection — never deleted, never parsed, never allowed to block
 // recovery of the healthy files around it.
-func (p *Pool) quarantine(name string) {
-	fsys := p.fsys()
+func (p *Pool) quarantine(name, counter string) {
+	p.counters.Add(counter, 1)
+	fsys := p.cfg.FS
 	qdir := filepath.Join(p.cfg.StateDir, QuarantineDir)
 	if err := fsys.MkdirAll(qdir); err != nil {
 		p.counters.Add("quarantine_errors", 1)
@@ -156,7 +140,7 @@ func (p *Pool) Recover() (int, error) {
 	if p.cfg.StateDir == "" {
 		return 0, nil
 	}
-	fsys := p.fsys()
+	fsys := p.cfg.FS
 	entries, err := fsys.ReadDir(p.cfg.StateDir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
@@ -193,8 +177,7 @@ func (p *Pool) Recover() (int, error) {
 	// set them aside rather than leaking them forever.
 	for id := range ckpts {
 		if !specs[id] {
-			p.quarantine(id + ".ckpt")
-			p.counters.Add("checkpoints_quarantined", 1)
+			p.quarantine(id+".ckpt", "checkpoints_quarantined")
 			delete(ckpts, id)
 		}
 	}
@@ -207,12 +190,10 @@ func (p *Pool) Recover() (int, error) {
 			// Damaged spec: the job cannot be reconstructed. Quarantine
 			// it (and its checkpoint — meaningless without the spec) and
 			// keep booting.
-			p.quarantine(id + ".spec.json")
+			p.quarantine(id+".spec.json", "jobs_quarantined")
 			if ckpts[id] {
-				p.quarantine(id + ".ckpt")
-				p.counters.Add("checkpoints_quarantined", 1)
+				p.quarantine(id+".ckpt", "checkpoints_quarantined")
 			}
-			p.counters.Add("jobs_quarantined", 1)
 			continue
 		}
 		key := sf.Spec.Key()
@@ -226,73 +207,59 @@ func (p *Pool) Recover() (int, error) {
 			if cerr != nil {
 				// Damaged checkpoint, healthy spec: the resume is lost
 				// but the job is not — restart it from scratch.
-				p.quarantine(id + ".ckpt")
-				p.counters.Add("checkpoints_quarantined", 1)
+				p.quarantine(id+".ckpt", "checkpoints_quarantined")
 				snap = nil
 			}
 		}
 
-		if sf.Parked {
-			// A cancelled/deadline-killed run's parked checkpoint: load
-			// it into the claim index, never the run queue. A parked
-			// spec whose checkpoint was lost has nothing left to claim.
-			if snap == nil {
-				p.quarantine(id + ".spec.json")
-				p.counters.Add("jobs_quarantined", 1)
-				continue
-			}
-			dup := false
-			var evicted []string
-			p.mu.Lock()
-			if _, ok := p.parked[key]; ok {
-				dup = true
-			} else {
-				p.parked[key] = &parkedEntry{id: id, snap: snap}
-				p.parkedSeq = append(p.parkedSeq, key)
-				for len(p.parkedSeq) > p.cfg.CacheCap {
-					old := p.parkedSeq[0]
-					p.parkedSeq = p.parkedSeq[1:]
-					if ent, ok := p.parked[old]; ok {
-						evicted = append(evicted, ent.id)
-						delete(p.parked, old)
-					}
-				}
-			}
-			p.mu.Unlock()
-			if dup {
-				p.removeJobFiles(id)
-			} else {
-				p.counters.Add("jobs_parked_recovered", 1)
-			}
-			for _, eid := range evicted {
-				p.counters.Add("parked_evicted", 1)
-				p.removeJobFiles(eid)
-			}
+		if sf.Parked && snap == nil {
+			// A parked spec whose checkpoint was lost has nothing left to
+			// claim.
+			p.quarantine(id+".spec.json", "jobs_quarantined")
 			continue
 		}
 
 		p.mu.Lock()
-		if !p.accepting || p.queued >= p.cfg.QueueDepth {
+		e := p.keys[key]
+		switch {
+		case e != nil && (sf.Parked || e.state != keyParked):
+			// The key already has a state this file cannot add to: an
+			// earlier file of the same spec is active or parked (or, when
+			// Recover runs on a live pool, its result is cached).
 			p.mu.Unlock()
-			break // remaining files stay for the next restart
-		}
-		if _, dup := p.inflight[key]; dup {
-			p.mu.Unlock()
-			p.counters.Add("jobs_recovered_dup", 1)
+			if !sf.Parked {
+				p.counters.Add("jobs_recovered_dup", 1)
+			}
 			p.removeJobFiles(id)
-			continue
+		case sf.Parked:
+			// A cancelled/deadline-killed run's parked checkpoint: the key
+			// becomes parked (claimable), never active — a cancelled job
+			// must not resurrect as runnable work.
+			e = &entry{key: key}
+			p.keys[key] = e
+			evicted := p.parkLocked(e, parked{id: id, snap: snap})
+			p.mu.Unlock()
+			p.counters.Add("jobs_parked_recovered", 1)
+			p.dropPark(evicted)
+		case !p.accepting || p.queued >= p.cfg.QueueDepth:
+			p.mu.Unlock()
+			return recovered, nil // remaining files stay for the next restart
+		default:
+			job, claimed := p.admitLocked(id, key, sf.Spec, time.Now())
+			if snap != nil {
+				job.resume = snap
+			}
+			p.order = append(p.order, job)
+			p.mu.Unlock()
+			if claimed != nil {
+				// A crash between a claim's new spec and the removal of
+				// the parked pair left both on disk; finish the removal.
+				p.removeJobFiles(claimed.id)
+			}
+			p.counters.Add("jobs_recovered", 1)
+			p.queue <- job
+			recovered++
 		}
-		job := newJob(id, key, sf.Spec, time.Now())
-		job.resume = snap
-		p.jobs[id] = job
-		p.order = append(p.order, id)
-		p.inflight[key] = job
-		p.queued++
-		p.mu.Unlock()
-
-		p.counters.Add("jobs_recovered", 1)
-		p.queue <- job
-		recovered++
 	}
 	return recovered, nil
 }
@@ -301,7 +268,7 @@ func (p *Pool) Recover() (int, error) {
 // durable frame; any failure means the file is damaged and must be
 // quarantined by the caller.
 func (p *Pool) readSpecFile(id string) (*specFile, error) {
-	payload, err := durable.ReadFile(p.fsys(), p.specPath(id))
+	payload, err := durable.ReadFile(p.cfg.FS, p.specPath(id))
 	if err != nil {
 		return nil, err
 	}
