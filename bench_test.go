@@ -1,7 +1,7 @@
-// Benchmarks regenerating the paper's evaluation. One benchmark per
-// figure/table runs a single-seed sweep (the paper averages 5 seeds; use
-// cmd/peas-bench for the full version) and reports the resulting rows via
-// b.Log, plus micro-benchmarks for the hot simulator paths.
+// Benchmarks regenerating the paper's evaluation: BenchmarkExperiments
+// runs each experiment at one seed per point (the paper averages 5 seeds;
+// use cmd/peas-bench for the full version) and reports the resulting rows
+// via b.Log, plus micro-benchmarks for the hot simulator paths.
 //
 //	go test -bench=. -benchmem
 package peas_test
@@ -16,144 +16,27 @@ import (
 	"peas/internal/stats"
 )
 
-func quickSweep() peas.SweepOptions {
-	opts := peas.DefaultSweepOptions()
-	opts.Runs = 1
-	return opts
-}
-
-func BenchmarkFig9CoverageLifetime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := peas.DeploymentSweep(quickSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Fig9())
-		}
-	}
-}
-
-func BenchmarkFig10DeliveryLifetime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := peas.DeploymentSweep(quickSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Fig10())
-		}
-	}
-}
-
-func BenchmarkFig11Wakeups(b *testing.B) {
-	opts := quickSweep()
-	opts.Forwarding = false // wakeup counting does not need the workload
-	for i := 0; i < b.N; i++ {
-		res, err := peas.DeploymentSweep(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Fig11())
-		}
-	}
-}
-
-func BenchmarkTable1EnergyOverhead(b *testing.B) {
-	opts := quickSweep()
-	opts.Forwarding = false
-	for i := 0; i < b.N; i++ {
-		res, err := peas.DeploymentSweep(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Table1())
-		}
-	}
-}
-
-func BenchmarkFig12CoverageUnderFailures(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := peas.FailureSweep(quickSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Fig12())
-		}
-	}
-}
-
-func BenchmarkFig13DeliveryUnderFailures(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := peas.FailureSweep(quickSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Fig13())
-		}
-	}
-}
-
-func BenchmarkFig14WakeupsUnderFailures(b *testing.B) {
-	opts := quickSweep()
-	opts.Forwarding = false
-	for i := 0; i < b.N; i++ {
-		res, err := peas.FailureSweep(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Fig14())
-		}
-	}
-}
-
-func BenchmarkEstimatorStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := peas.EstimatorStudy(int64(i + 1))
-		if i == 0 {
-			b.Logf("\n%s", tbl)
-		}
-	}
-}
-
-func BenchmarkConnectivityStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := peas.ConnectivityStudy(2, int64(i+1))
-		if i == 0 {
-			b.Logf("\n%s", tbl)
-		}
-	}
-}
-
-func BenchmarkGapStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := peas.GapStudy(1, int64(i+1))
-		if i == 0 {
-			b.Logf("\n%s", tbl)
-		}
-	}
-}
-
-func BenchmarkLossStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := peas.LossStudy(int64(i + 1))
-		if i == 0 {
-			b.Logf("\n%s", tbl)
-		}
-	}
-}
-
-func BenchmarkTurnoffStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := peas.TurnoffStudy(int64(i + 1))
-		if i == 0 {
-			b.Logf("\n%s", tbl)
-		}
+// BenchmarkExperiments regenerates every experiment of the evaluation,
+// one sub-benchmark per id of peas.Experiments(), at -quick scale with one
+// seed per point. Each iteration runs under a fresh environment, so the
+// figures sharing a sweep each pay for it — select with
+// -bench 'Experiments/fig9$'.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range peas.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				opts := peas.DefaultSweepOptions()
+				opts.Runs = 1
+				opts.Seed = int64(i + 1)
+				tbl, err := e.Run(&peas.ExperimentEnv{Options: opts, Quick: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Logf("\n%s", tbl)
+				}
+			}
+		})
 	}
 }
 
@@ -212,56 +95,6 @@ func BenchmarkExponentialSampling(b *testing.B) {
 		sink += rng.Exp(0.02)
 	}
 	_ = sink
-}
-
-// BenchmarkDeviationAblation regenerates the DESIGN.md §5 ablation table.
-func BenchmarkDeviationAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := peas.DeviationStudy(int64(i + 1))
-		if i == 0 {
-			b.Logf("\n%s", tbl)
-		}
-	}
-}
-
-// BenchmarkThreeD regenerates the §3-footnote 3-D table.
-func BenchmarkThreeD(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := peas.ThreeDStudy(int64(i + 1))
-		if i == 0 {
-			b.Logf("\n%s", tbl)
-		}
-	}
-}
-
-// BenchmarkGrabCheck regenerates the packet-level GRAB cross-validation.
-func BenchmarkGrabCheck(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := peas.GrabCheckStudy(int64(i + 1))
-		if i == 0 {
-			b.Logf("\n%s", tbl)
-		}
-	}
-}
-
-// BenchmarkIrregularity regenerates the §4 attenuation-irregularity table.
-func BenchmarkIrregularity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := peas.IrregularityStudy(int64(i + 1))
-		if i == 0 {
-			b.Logf("\n%s", tbl)
-		}
-	}
-}
-
-// BenchmarkTracking regenerates the mobile-target tracking table.
-func BenchmarkTracking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := peas.TrackingStudy(int64(i + 1))
-		if i == 0 {
-			b.Logf("\n%s", tbl)
-		}
-	}
 }
 
 // BenchmarkNetworkBoot measures deploying and booting a 480-node network

@@ -101,6 +101,19 @@ func TestCLIPeasBench(t *testing.T) {
 	if !strings.Contains(out, `"columns"`) {
 		t.Errorf("json output:\n%s", out)
 	}
+	// Ids match case-insensitively; an unknown one is an error naming the
+	// valid ids, not an empty success.
+	out = runTool(t, bin, "-exp", "DENSITY")
+	if !strings.Contains(out, "Lemma 3.1") {
+		t.Errorf("case-insensitive id:\n%s", out)
+	}
+	unknown, err := exec.Command(bin, "-exp", "fig99").CombinedOutput()
+	if err == nil {
+		t.Errorf("-exp fig99 exited 0:\n%s", unknown)
+	}
+	if !strings.Contains(string(unknown), `unknown experiment "fig99"`) || !strings.Contains(string(unknown), "fig9, fig10") {
+		t.Errorf("-exp fig99 output does not list the valid ids:\n%s", unknown)
+	}
 }
 
 func TestCLIPeasNodeGen(t *testing.T) {

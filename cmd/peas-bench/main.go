@@ -20,9 +20,8 @@
 // Profiling: -cpuprofile and -memprofile write pprof profiles covering
 // the whole invocation (gate or experiments); see DESIGN.md §9.
 //
-// Experiments: fig9 fig10 fig11 table1 fig12 fig13 fig14 estimator
-// connectivity gaps loss turnoff distribution fixedpower rpsweep boot
-// density mesh grabcheck irregularity tracking deviation threed all
+// The experiment ids -exp accepts are those of peas.Experiments(); -h
+// lists them.
 package main
 
 import (
@@ -45,13 +44,20 @@ func main() {
 }
 
 func run() error {
+	experiments := peas.Experiments()
+	var ids []string
+	for _, e := range experiments {
+		ids = append(ids, e.ID)
+	}
+	validIDs := strings.Join(ids, ", ") + ", all"
+
 	var (
-		exp      = flag.String("exp", "all", "experiment id (fig9..fig14, table1, estimator, connectivity, gaps, loss, turnoff, distribution, fixedpower, rpsweep, boot, density, mesh, grabcheck, irregularity, tracking, deviation, threed, all)")
+		exp      = flag.String("exp", "all", "experiment id ("+validIDs+")")
 		runs     = flag.Int("runs", 5, "independent runs per sweep point")
 		seed     = flag.Int64("seed", 1, "root seed")
 		quick    = flag.Bool("quick", false, "coarser sweeps for a fast pass")
 		format   = flag.String("format", "text", "output format: text, csv, json or md")
-		parallel = flag.Int("parallel", 0, "concurrent simulations in sweeps (0 = all CPUs)")
+		parallel = flag.Int("parallel", 0, "concurrent simulations per experiment (0 = all CPUs)")
 
 		baseline  = flag.String("baseline", "", "regression-gate mode: baseline JSON to compare against (or write with -write-baseline)")
 		tolerance = flag.Float64("tolerance", 0.25, "maximum allowed relative regression of a gate work counter")
@@ -113,158 +119,25 @@ func run() error {
 	opts.Runs = *runs
 	opts.Seed = *seed
 	opts.Parallel = *parallel
-	if *quick {
-		opts.Deployments = []int{160, 480, 800}
-		opts.FailureRates = []float64{5.33, 26.66, 48}
-	}
-
-	want := func(ids ...string) bool {
-		if *exp == "all" {
-			return true
-		}
-		for _, id := range ids {
-			if strings.EqualFold(id, *exp) {
-				return true
-			}
-		}
-		return false
-	}
+	env := &peas.ExperimentEnv{Options: opts, Quick: *quick}
 
 	start := time.Now()
-	if want("fig9", "fig10", "fig11", "table1") {
-		res, err := peas.DeploymentSweep(opts)
+	matched := false
+	for _, e := range experiments {
+		if !strings.EqualFold(*exp, "all") && !strings.EqualFold(*exp, e.ID) {
+			continue
+		}
+		matched = true
+		t, err := e.Run(env)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		if want("fig9") {
-			if err := emit(res.Fig9()); err != nil {
-				return err
-			}
-		}
-		if want("fig10") {
-			if err := emit(res.Fig10()); err != nil {
-				return err
-			}
-		}
-		if want("fig11") {
-			if err := emit(res.Fig11()); err != nil {
-				return err
-			}
-		}
-		if want("table1") {
-			if err := emit(res.Table1()); err != nil {
-				return err
-			}
-		}
-	}
-	if want("fig12", "fig13", "fig14") {
-		res, err := peas.FailureSweep(opts)
-		if err != nil {
-			return err
-		}
-		if want("fig12") {
-			if err := emit(res.Fig12()); err != nil {
-				return err
-			}
-		}
-		if want("fig13") {
-			if err := emit(res.Fig13()); err != nil {
-				return err
-			}
-		}
-		if want("fig14") {
-			if err := emit(res.Fig14()); err != nil {
-				return err
-			}
-		}
-	}
-	if want("estimator") {
-		if err := emit(peas.EstimatorStudy(opts.Seed)); err != nil {
+		if err := emit(t); err != nil {
 			return err
 		}
 	}
-	if want("connectivity") {
-		seeds := 5
-		if *quick {
-			seeds = 2
-		}
-		if err := emit(peas.ConnectivityStudy(seeds, opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("gaps") {
-		seeds := 3
-		if *quick {
-			seeds = 1
-		}
-		if err := emit(peas.GapStudy(seeds, opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("loss") {
-		if err := emit(peas.LossStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("turnoff") {
-		if err := emit(peas.TurnoffStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("distribution") {
-		if err := emit(peas.DeploymentDistributionStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("fixedpower") {
-		if err := emit(peas.FixedPowerStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("rpsweep") {
-		if err := emit(peas.RpSweepStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("boot") {
-		if err := emit(peas.BootStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("mesh") {
-		if err := emit(peas.MeshStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("grabcheck") {
-		if err := emit(peas.GrabCheckStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("irregularity") {
-		if err := emit(peas.IrregularityStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("tracking") {
-		if err := emit(peas.TrackingStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("deviation") {
-		if err := emit(peas.DeviationStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("threed") {
-		if err := emit(peas.ThreeDStudy(opts.Seed)); err != nil {
-			return err
-		}
-	}
-	if want("density") {
-		if err := emit(peas.DensityStudy(opts.Seed)); err != nil {
-			return err
-		}
+	if !matched {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", *exp, validIDs)
 	}
 	fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Millisecond))
 	return nil

@@ -132,7 +132,7 @@ func TestFailureSweepShape(t *testing.T) {
 }
 
 func TestEstimatorStudyAccuracyImprovesWithK(t *testing.T) {
-	tbl := EstimatorStudy(1)
+	tbl := runExperiment(t, quickEnv(0), "estimator")
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -189,7 +189,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestTurnoffStudyReducesWorkers(t *testing.T) {
-	tbl := TurnoffStudy(1)
+	tbl := runExperiment(t, quickEnv(0), "turnoff")
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

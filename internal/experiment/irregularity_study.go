@@ -7,7 +7,7 @@ import (
 	"peas/internal/stats"
 )
 
-// IrregularityStudy reproduces §4's attenuation-irregularity claim:
+// irregularityStudy reproduces §4's attenuation-irregularity claim:
 // "working nodes in areas with poorer signal reception can be denser than
 // those in other areas. We believe that this is desirable because it is
 // only with more working nodes in such areas that the same level of
@@ -16,44 +16,45 @@ import (
 // For each irregularity degree, the study correlates each working node's
 // local reception quality with the local working density: a negative
 // correlation confirms poor-reception areas end up denser.
-func IrregularityStudy(rootSeed int64) *Table {
+func irregularityStudy(e *Env) (*Table, error) {
 	t := &Table{
 		Caption: "§4: signal-attenuation irregularity vs. worker placement (480 nodes, t=800 s)",
 		Headers: []string{"irregularity", "mean-working", "corr(quality, density)", "density poor/good"},
 	}
-	for _, irr := range []float64{0, 0.2, 0.4} {
-		var workers float64
-		var corrs []float64
-		var ratios []float64
-		const runs = 3
-		for r := 0; r < runs; r++ {
-			cfg := node.DefaultConfig(480, derivedSeed(rootSeed, 980, r))
-			cfg.Radio.Irregularity = irr
-			net, err := node.NewNetwork(cfg)
-			if err != nil {
-				continue
-			}
-			net.Start()
-			net.Run(800)
-			workers += float64(net.WorkingCount())
-			if irr > 0 {
-				c, ratio := qualityDensityCorrelation(net)
-				corrs = append(corrs, c)
-				ratios = append(ratios, ratio)
-			}
+	type result struct{ workers, corr, ratio float64 }
+	degrees := []float64{0, 0.2, 0.4}
+	grid, err := runGrid(len(degrees), 3, e.Parallel, func(c, r int) (result, error) {
+		cfg := node.DefaultConfig(480, derivedSeed(e.Seed, 980, r))
+		cfg.Radio.Irregularity = degrees[c]
+		net, err := node.NewNetwork(cfg)
+		if err != nil {
+			return result{}, err
 		}
+		net.Start()
+		net.Run(800)
+		res := result{workers: float64(net.WorkingCount())}
+		if degrees[c] > 0 {
+			res.corr, res.ratio = qualityDensityCorrelation(net)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for c, irr := range degrees {
 		corrCell, ratioCell := "n/a", "n/a"
-		if len(corrs) > 0 {
-			corrCell = ffloat(stats.Mean(corrs))
-			ratioCell = fmt.Sprintf("%.2f", stats.Mean(ratios))
+		if irr > 0 {
+			corrCell = ffloat(meanOver(grid[c], func(r result) float64 { return r.corr }))
+			ratioCell = fmt.Sprintf("%.2f", meanOver(grid[c], func(r result) float64 { return r.ratio }))
 		}
-		t.AddRow(fmt.Sprintf("%.1f", irr), fmt.Sprintf("%.1f", workers/runs),
+		t.AddRow(fmt.Sprintf("%.1f", irr),
+			fmt.Sprintf("%.1f", meanOver(grid[c], func(r result) float64 { return r.workers })),
 			corrCell, ratioCell)
 	}
 	t.AddNote("negative correlation (and a poor/good density ratio above 1) " +
 		"confirms the paper's prediction: poorer reception shrinks the " +
 		"effective probing range, so PEAS keeps more workers there")
-	return t
+	return t, nil
 }
 
 // qualityDensityCorrelation computes, over the working nodes, the Pearson

@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"peas/internal/stats"
 )
 
 // runGrid executes do(point, run) for every pair on up to parallel worker
-// goroutines and returns the results indexed as [point][run]. Each run is
-// an independent simulation with its own derived seed, so parallel
-// execution is exactly as deterministic as sequential execution. The
-// first error aborts scheduling of remaining work.
-func runGrid(points, runs, parallel int, do func(point, run int) (*RunStats, error)) ([][]*RunStats, error) {
+// goroutines and returns the results indexed as [point][run]. It is the
+// only cases×seeds driver in the package: sweeps and studies alike hand it
+// one independent, individually seeded simulation per cell and fold the
+// returned grid in index order, so parallel execution prints exactly the
+// digits sequential execution does. The first error aborts scheduling of
+// remaining work.
+func runGrid[T any](points, runs, parallel int, do func(point, run int) (T, error)) ([][]T, error) {
 	if parallel <= 0 {
 		parallel = runtime.NumCPU()
 	}
@@ -24,9 +24,9 @@ func runGrid(points, runs, parallel int, do func(point, run int) (*RunStats, err
 		parallel = 1
 	}
 
-	out := make([][]*RunStats, points)
+	out := make([][]T, points)
 	for i := range out {
-		out[i] = make([]*RunStats, runs)
+		out[i] = make([]T, runs)
 	}
 
 	type job struct{ point, run int }
@@ -67,83 +67,13 @@ func runGrid(points, runs, parallel int, do func(point, run int) (*RunStats, err
 	return out, firstErr
 }
 
-// aggregateDeployment folds one deployment point's runs into a mean point
-// with 95% confidence half-widths on the headline metrics.
-func aggregateDeployment(n int, runs []*RunStats) DeploymentPoint {
-	var pt DeploymentPoint
-	pt.N = n
-	var cov4s, delivs []float64
-	count := 0
-	for _, rs := range runs {
-		if rs == nil {
-			continue
-		}
-		count++
-		cov4s = append(cov4s, rs.CoverageLifetime[3])
-		delivs = append(delivs, rs.DeliveryLifetime)
-		for k := 0; k < MaxCoverageK; k++ {
-			pt.CoverageLifetime[k] += rs.CoverageLifetime[k]
-		}
-		pt.DeliveryLifetime += rs.DeliveryLifetime
-		pt.Wakeups += float64(rs.Wakeups)
-		pt.ProtocolEnergy += rs.ProtocolEnergy
-		pt.TotalEnergy += rs.TotalEnergy
-		pt.OverheadRatio += rs.OverheadRatio
-		pt.MeanWorking += rs.MeanWorking
-		pt.FailedFraction += rs.FailedFraction
+// meanOver averages f over one grid row, summing in run order and dividing
+// once: the same floating-point operations, in the same order, as a serial
+// accumulate-then-divide loop.
+func meanOver[T any](runs []T, f func(T) float64) float64 {
+	var sum float64
+	for _, r := range runs {
+		sum += f(r)
 	}
-	if count == 0 {
-		return pt
-	}
-	div := float64(count)
-	for k := 0; k < MaxCoverageK; k++ {
-		pt.CoverageLifetime[k] /= div
-	}
-	pt.DeliveryLifetime /= div
-	pt.Wakeups /= div
-	pt.ProtocolEnergy /= div
-	pt.TotalEnergy /= div
-	pt.OverheadRatio /= div
-	pt.MeanWorking /= div
-	pt.FailedFraction /= div
-	pt.Coverage4CI = stats.CI95(cov4s)
-	pt.DeliveryCI = stats.CI95(delivs)
-	return pt
-}
-
-// aggregateFailure folds one failure-rate point's runs into a mean point.
-func aggregateFailure(rate float64, runs []*RunStats) FailurePoint {
-	var pt FailurePoint
-	pt.RatePer5000 = rate
-	var cov4s, delivs []float64
-	count := 0
-	for _, rs := range runs {
-		if rs == nil {
-			continue
-		}
-		count++
-		cov4s = append(cov4s, rs.CoverageLifetime[3])
-		delivs = append(delivs, rs.DeliveryLifetime)
-		for k := 0; k < MaxCoverageK; k++ {
-			pt.CoverageLifetime[k] += rs.CoverageLifetime[k]
-		}
-		pt.DeliveryLifetime += rs.DeliveryLifetime
-		pt.Wakeups += float64(rs.Wakeups)
-		pt.OverheadRatio += rs.OverheadRatio
-		pt.FailedFraction += rs.FailedFraction
-	}
-	if count == 0 {
-		return pt
-	}
-	div := float64(count)
-	for k := 0; k < MaxCoverageK; k++ {
-		pt.CoverageLifetime[k] /= div
-	}
-	pt.DeliveryLifetime /= div
-	pt.Wakeups /= div
-	pt.OverheadRatio /= div
-	pt.FailedFraction /= div
-	pt.Coverage4CI = stats.CI95(cov4s)
-	pt.DeliveryCI = stats.CI95(delivs)
-	return pt
+	return sum / float64(len(runs))
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -64,16 +65,28 @@ func TestAggregateSkipsNilRuns(t *testing.T) {
 		nil,
 		{DeliveryLifetime: 20, Wakeups: 8},
 	}
-	pt := aggregateDeployment(160, runs)
+	pt := aggregate(runs)
 	if pt.DeliveryLifetime != 15 || pt.Wakeups != 6 {
 		t.Errorf("aggregate %+v", pt)
 	}
-	fp := aggregateFailure(5.33, runs)
-	if fp.DeliveryLifetime != 15 {
-		t.Errorf("failure aggregate %+v", fp)
-	}
-	empty := aggregateDeployment(160, []*RunStats{nil})
+	empty := aggregate([]*RunStats{nil})
 	if empty.DeliveryLifetime != 0 {
 		t.Errorf("empty aggregate %+v", empty)
+	}
+}
+
+// TestDeploymentPointWireShape pins the JSON object jobqueue.Result.Sweep
+// sends per point: PointStats is embedded, and its fields must stay
+// flattened beside N, in this order, not nested under a key of their own.
+func TestDeploymentPointWireShape(t *testing.T) {
+	got, err := json.Marshal(DeploymentPoint{N: 160})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"N":160,"CoverageLifetime":[0,0,0,0,0],"DeliveryLifetime":0,` +
+		`"Wakeups":0,"ProtocolEnergy":0,"TotalEnergy":0,"OverheadRatio":0,` +
+		`"MeanWorking":0,"FailedFraction":0,"Coverage4CI":0,"DeliveryCI":0}`
+	if string(got) != want {
+		t.Errorf("wire shape moved:\n got %s\nwant %s", got, want)
 	}
 }

@@ -246,8 +246,7 @@ func Run(cfg RunConfig) (*RunStats, error) {
 	}
 
 	// Failure injection.
-	injRNG := stats.NewRNG(cfg.Network.Seed ^ 0x5f3759df)
-	inj := failure.NewInjector(net, failure.RatePer5000s(cfg.FailuresPer5000s), injRNG)
+	inj := newInjector(net, cfg.FailuresPer5000s)
 
 	// Forwarding workload.
 	var fw *forward.Harness
@@ -374,4 +373,13 @@ func Run(cfg RunConfig) (*RunStats, error) {
 		res.FinalState = capture()
 	}
 	return res, nil
+}
+
+// newInjector builds net's failure process at the given rate per 5000 s.
+// Its stream is the network seed under a fixed salt, so failure times are
+// reproducible per seed yet independent of the deployment and protocol
+// draws made from the seed itself.
+func newInjector(net *node.Network, per5000 float64) *failure.Injector {
+	return failure.NewInjector(net, failure.RatePer5000s(per5000),
+		stats.NewRNG(net.Config().Seed^0x5f3759df))
 }

@@ -9,9 +9,8 @@ func TestShapeFailures(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Runs = 1
 	opts.FailureRates = []float64{5.33, 16, 26.66, 37.33, 48}
-	res, err := FailureSweep(opts)
-	if err != nil {
-		t.Fatal(err)
+	env := &Env{Options: opts}
+	for _, id := range []string{"fig12", "fig13", "fig14"} {
+		t.Logf("\n%s", runExperiment(t, env, id))
 	}
-	t.Logf("\n%s\n%s\n%s", res.Fig12(), res.Fig13(), res.Fig14())
 }

@@ -9,9 +9,8 @@ func TestShapeQuick(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Runs = 1
 	opts.Forwarding = true
-	res, err := DeploymentSweep(opts)
-	if err != nil {
-		t.Fatal(err)
+	env := &Env{Options: opts}
+	for _, id := range []string{"fig9", "fig10", "fig11", "table1"} {
+		t.Logf("\n%s", runExperiment(t, env, id))
 	}
-	t.Logf("\n%s\n%s\n%s\n%s", res.Fig9(), res.Fig10(), res.Fig11(), res.Table1())
 }

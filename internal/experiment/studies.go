@@ -9,16 +9,15 @@ import (
 	"peas/internal/connectivity"
 	"peas/internal/coverage"
 	"peas/internal/failure"
-	"peas/internal/geom"
 	"peas/internal/node"
 	"peas/internal/stats"
 )
 
-// EstimatorStudy reproduces the §2.2.1 analysis of the aggregate-rate
+// estimatorStudy reproduces the §2.2.1 analysis of the aggregate-rate
 // estimator: for a Poisson probing process of known rate λ, the k-interval
 // estimator λ̂ = k/(t-t0) should be within ~1% of λ with >99% confidence
 // once k >= 16.
-func EstimatorStudy(seed int64) *Table {
+func estimatorStudy(e *Env) (*Table, error) {
 	t := &Table{
 		Caption: "§2.2.1: rate-estimator accuracy vs. window size k (true λ = 0.02/s)",
 		Headers: []string{"k", "mean-rel-err", "p99-rel-err", "windows"},
@@ -27,7 +26,7 @@ func EstimatorStudy(seed int64) *Table {
 		trueRate = 0.02
 		trials   = 2000
 	)
-	rng := stats.NewRNG(seed)
+	rng := stats.NewRNG(e.Seed)
 	for _, k := range []int{4, 8, 16, 32, 64} {
 		errs := make([]float64, 0, trials)
 		for trial := 0; trial < trials; trial++ {
@@ -41,7 +40,7 @@ func EstimatorStudy(seed int64) *Table {
 	t.AddNote("paper: k >= 16 gives <1%% error in the measured mean interval " +
 		"with >99%% confidence; k = 32 chosen for margin. The relative error " +
 		"of one λ̂ window scales as 1/sqrt(k) (CLT).")
-	return t
+	return t, nil
 }
 
 // newPoissonEstimate draws k exponential inter-arrival intervals at rate
@@ -64,30 +63,32 @@ func percentile(xs []float64, p float64) float64 {
 	return sorted[i]
 }
 
-// ConnectivityStudy checks the §3 claims on PEAS equilibria: working-node
+// connectivityStudy checks the §3 claims on PEAS equilibria: working-node
 // separation, the (1+√5)Rp nearest-neighbor bound for interior nodes, and
 // connectivity under Rt >= (1+√5)Rp.
-func ConnectivityStudy(seeds int, rootSeed int64) *Table {
+func connectivityStudy(e *Env) (*Table, error) {
 	t := &Table{
 		Caption: "§3: working-set geometry and asymptotic connectivity",
 		Headers: []string{"seed", "working", "min-pair(m)", "max-nearest(m)", "components@Rt=10"},
 	}
-	bound := connectivity.SeparationBound * 3 // (1+√5)·Rp for Rp = 3
-	connectedRuns := 0
-	var posBuf []geom.Point
-	for s := 0; s < seeds; s++ {
-		cfg := RunConfig{
-			Network: node.DefaultConfig(480, derivedSeed(rootSeed, 200, s)),
-			Horizon: 400, // past the boot transient, before depletion
-		}
-		net, err := node.NewNetwork(cfg.Network)
+	seeds := 5
+	if e.Quick {
+		seeds = 2
+	}
+	grid, err := runGrid(1, seeds, e.Parallel, func(_, s int) (connectivity.Analysis, error) {
+		net, err := node.NewNetwork(node.DefaultConfig(480, derivedSeed(e.Seed, 200, s)))
 		if err != nil {
-			continue
+			return connectivity.Analysis{}, err
 		}
 		net.Start()
-		net.Run(cfg.Horizon)
-		posBuf = net.AppendWorkingPositions(posBuf[:0])
-		a := connectivity.Analyze(net.Field, posBuf, 10)
+		net.Run(400) // past the boot transient, before depletion
+		return connectivity.Analyze(net.Field, net.WorkingPositions(), 10), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	connectedRuns := 0
+	for s, a := range grid[0] {
 		if a.Connected {
 			connectedRuns++
 		}
@@ -95,80 +96,83 @@ func ConnectivityStudy(seeds int, rootSeed int64) *Table {
 			fmt.Sprintf("%.2f", a.MinPairDist), fmt.Sprintf("%.2f", a.MaxNearestDist),
 			fmt.Sprint(a.Components))
 	}
+	bound := connectivity.SeparationBound * 3 // (1+√5)·Rp for Rp = 3
 	t.AddNote("theory: nearest working neighbor within (1+√5)Rp = %.2f m for "+
 		"interior nodes of a dense deployment; Rt = 10 m > %.2f m fails the "+
 		"Theorem 3.1 premise only marginally (10 < 9.71 is false), so the "+
 		"working set should be connected", bound, bound)
 	t.AddNote("%d/%d runs fully connected at Rt = 10 m", connectedRuns, seeds)
-	return t
+	return t, nil
 }
 
-// GapStudy compares monitoring-interruption gaps between PEAS's randomized
+// gapRun is one seed's replacement-gap record under either scheme.
+type gapRun struct {
+	mean, max float64
+	count     int
+	lifetime  float64
+}
+
+// gapStudy compares monitoring-interruption gaps between PEAS's randomized
 // wakeups and the synchronized-sleeping baseline (Figures 4-5): after a
 // worker fails, how long until a replacement takes over?
-func GapStudy(seeds int, rootSeed int64) *Table {
+func gapStudy(e *Env) (*Table, error) {
 	t := &Table{
 		Caption: "§2.1.1 (Figs. 4-5): replacement gaps, PEAS vs. synchronized sleeping",
 		Headers: []string{"scheme", "mean-gap(s)", "max-gap(s)", "gaps", "cov-lifetime(s)"},
 	}
-
-	var peasGaps []float64
-	var peasMax float64
-	peasCount := 0
-	var peasLifetime float64
-	for s := 0; s < seeds; s++ {
-		mean, max, count, lt := peasGapRun(derivedSeed(rootSeed, 300, s))
-		if count > 0 {
-			peasGaps = append(peasGaps, mean)
-			if max > peasMax {
-				peasMax = max
-			}
-			peasCount += count
-		}
-		peasLifetime += lt
+	schemes := []string{"PEAS", "SyncSleep"}
+	seeds := 3
+	if e.Quick {
+		seeds = 1
 	}
-	t.AddRow("PEAS", ffloat(stats.Mean(peasGaps)), ffloat(peasMax),
-		fmt.Sprint(peasCount), fsec(peasLifetime/float64(seeds)))
-
-	var syncMeans []float64
-	var syncMax float64
-	syncCount := 0
-	var syncLifetime float64
-	for s := 0; s < seeds; s++ {
-		cfg := baseline.DefaultConfig(480, derivedSeed(rootSeed, 301, s))
-		cfg.FailureRate = failurePerSecond(32)
+	grid, err := runGrid(len(schemes), seeds, e.Parallel, func(scheme, s int) (gapRun, error) {
+		seed := derivedSeed(e.Seed, 300+scheme, s)
+		if scheme == 0 {
+			return peasGapRun(seed)
+		}
+		cfg := baseline.DefaultConfig(480, seed)
+		cfg.FailureRate = failure.RatePer5000s(32)
 		cfg.Horizon = 12000
 		res := baseline.SyncSleep(cfg)
-		if res.Gaps.Count > 0 {
-			syncMeans = append(syncMeans, res.Gaps.MeanDuration)
-			if res.Gaps.MaxDuration > syncMax {
-				syncMax = res.Gaps.MaxDuration
-			}
-			syncCount += res.Gaps.Count
-		}
-		syncLifetime += res.CoverageLifetime
+		return gapRun{res.Gaps.MeanDuration, res.Gaps.MaxDuration, res.Gaps.Count, res.CoverageLifetime}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.AddRow("SyncSleep", ffloat(stats.Mean(syncMeans)), ffloat(syncMax),
-		fmt.Sprint(syncCount), fsec(syncLifetime/float64(seeds)))
+	for si, scheme := range schemes {
+		var means []float64
+		var max, lifetime float64
+		count := 0
+		for _, g := range grid[si] {
+			if g.count > 0 {
+				means = append(means, g.mean)
+				if g.max > max {
+					max = g.max
+				}
+				count += g.count
+			}
+			lifetime += g.lifetime
+		}
+		t.AddRow(scheme, ffloat(stats.Mean(means)), ffloat(max),
+			fmt.Sprint(count), fsec(lifetime/float64(seeds)))
+	}
 	t.AddNote("PEAS gaps are bounded by the (adaptive) probing interval "+
 		"≈1/λd = %.0f s; synchronized sleeping leaves cells dark until the "+
 		"next round boundary (round length %.0f s)", 1/0.02, 500.0)
-	return t
+	return t, nil
 }
-
-func failurePerSecond(per5000 float64) float64 { return per5000 / 5000 }
 
 // peasGapRun measures replacement gaps in a PEAS run: for a lattice of
 // observation points, a gap is a maximal interval during which a
 // previously covered point has no working node within sensing range while
-// alive nodes remain nearby. Returns (mean, max, count, coverageLifetime).
-func peasGapRun(seed int64) (mean, max float64, count int, lifetime float64) {
+// alive nodes remain nearby.
+func peasGapRun(seed int64) (gapRun, error) {
 	cfg := node.DefaultConfig(480, seed)
 	net, err := node.NewNetwork(cfg)
 	if err != nil {
-		return 0, 0, 0, 0
+		return gapRun{}, err
 	}
-	inj := failure.NewInjector(net, failure.RatePer5000s(32), stats.NewRNG(seed^0x5f3759df))
+	inj := newInjector(net, 32)
 	lattice := coverage.NewLattice(cfg.Field, 5) // 11x11 observation points
 	// The 1 Hz observation loop runs 12000 times per seed; the incremental
 	// engine makes each tick O(observation points) reads instead of a full
@@ -210,89 +214,85 @@ func peasGapRun(seed int64) (mean, max float64, count int, lifetime float64) {
 	inj.Start()
 	net.Run(horizon)
 
+	var max float64
 	for _, g := range gaps {
 		if g > max {
 			max = g
 		}
 	}
-	lifetime, _ = tracker.Lifetime(1, LifetimeThreshold, CoverageSustain)
-	return stats.Mean(gaps), max, len(gaps), lifetime
+	lifetime, _ := tracker.Lifetime(1, LifetimeThreshold, CoverageSustain)
+	return gapRun{stats.Mean(gaps), max, len(gaps), lifetime}, nil
 }
 
-// LossStudy reproduces the §4 loss-compensation experiment: with 1 vs 3
+// lossStudy reproduces the §4 loss-compensation experiment: with 1 vs 3
 // PROBE transmissions per wakeup under increasing packet-loss rates, how
 // many redundant workers appear?
-func LossStudy(rootSeed int64) *Table {
+func lossStudy(e *Env) (*Table, error) {
 	t := &Table{
 		Caption: "§4: multi-PROBE loss compensation (480 nodes, t=600 s)",
 		Headers: []string{"loss-rate", "workers(1 probe)", "workers(3 probes)", "overhead(3)"},
 	}
-	for _, loss := range []float64{0, 0.05, 0.10, 0.20} {
-		w1 := lossRun(rootSeed, loss, 1)
-		w3, overhead := lossRunOverhead(rootSeed, loss, 3)
-		t.AddRow(fmt.Sprintf("%.0f%%", 100*loss), fmt.Sprintf("%.1f", w1),
-			fmt.Sprintf("%.1f", w3), fpct(overhead))
+	losses := []float64{0, 0.05, 0.10, 0.20}
+	// Case 2i+j is loss rate i with 1 (j=0) or 3 (j=1) PROBEs per wakeup.
+	pts, err := sweep(2*len(losses), 3, e.Parallel, func(c, r int) RunConfig {
+		p := [2]int{1, 3}[c%2]
+		cfg := node.DefaultConfig(480, derivedSeed(e.Seed, 400+p, r))
+		cfg.Radio.LossRate = losses[c/2]
+		cfg.Protocol.NumProbes = p
+		return RunConfig{Network: cfg, Horizon: 600}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, loss := range losses {
+		one, three := pts[2*i], pts[2*i+1]
+		t.AddRow(fmt.Sprintf("%.0f%%", 100*loss), fmt.Sprintf("%.1f", one.MeanWorking),
+			fmt.Sprintf("%.1f", three.MeanWorking), fpct(three.OverheadRatio))
 	}
 	t.AddNote("paper: three PROBEs work well against loss rates up to 10%%, " +
 		"with energy overhead still below 1%%")
-	return t
+	return t, nil
 }
 
-func lossRun(rootSeed int64, loss float64, probes int) float64 {
-	w, _ := lossRunOverhead(rootSeed, loss, probes)
-	return w
-}
-
-func lossRunOverhead(rootSeed int64, loss float64, probes int) (meanWorking, overhead float64) {
-	const runs = 3
-	for r := 0; r < runs; r++ {
-		cfg := node.DefaultConfig(480, derivedSeed(rootSeed, 400+probes, r))
-		cfg.Radio.LossRate = loss
-		cfg.Protocol.NumProbes = probes
-		rs, err := Run(RunConfig{Network: cfg, Horizon: 600})
-		if err != nil {
-			continue
-		}
-		meanWorking += rs.MeanWorking
-		overhead += rs.OverheadRatio
-	}
-	return meanWorking / runs, overhead / runs
-}
-
-// TurnoffStudy measures the §4 redundant-worker turn-off extension: the
+// turnoffStudy measures the §4 redundant-worker turn-off extension: the
 // boot-up race promotes some extra workers; with the extension enabled,
 // overlapping workers resolve and the working set shrinks toward the
 // packing bound.
-func TurnoffStudy(rootSeed int64) *Table {
+func turnoffStudy(e *Env) (*Table, error) {
 	t := &Table{
 		Caption: "§4: redundant-worker turn-off extension (480 nodes, t=1200 s)",
 		Headers: []string{"turnoff", "mean-working", "min-pair-dist(m)", "turnoffs"},
 	}
-	var posBuf []geom.Point
-	for _, enabled := range []bool{false, true} {
-		var working, minPair, turnoffs float64
-		const runs = 3
-		for r := 0; r < runs; r++ {
-			cfg := node.DefaultConfig(480, derivedSeed(rootSeed, 500, r))
-			cfg.Protocol.TurnoffEnabled = enabled
-			net, err := node.NewNetwork(cfg)
-			if err != nil {
-				continue
-			}
-			net.Start()
-			net.Run(1200)
-			working += float64(net.WorkingCount())
-			posBuf = net.AppendWorkingPositions(posBuf[:0])
-			a := connectivity.Analyze(net.Field, posBuf, 10)
-			minPair += a.MinPairDist
-			for _, n := range net.Nodes {
-				turnoffs += float64(n.Protocol().Stats().Turnoffs)
-			}
+	type result struct{ working, minPair, turnoffs float64 }
+	cases := []bool{false, true}
+	grid, err := runGrid(len(cases), 3, e.Parallel, func(c, r int) (result, error) {
+		cfg := node.DefaultConfig(480, derivedSeed(e.Seed, 500, r))
+		cfg.Protocol.TurnoffEnabled = cases[c]
+		net, err := node.NewNetwork(cfg)
+		if err != nil {
+			return result{}, err
 		}
-		t.AddRow(fmt.Sprint(enabled), fmt.Sprintf("%.1f", working/runs),
-			fmt.Sprintf("%.2f", minPair/runs), fmt.Sprintf("%.1f", turnoffs/runs))
+		net.Start()
+		net.Run(1200)
+		res := result{
+			working: float64(net.WorkingCount()),
+			minPair: connectivity.Analyze(net.Field, net.WorkingPositions(), 10).MinPairDist,
+		}
+		for _, n := range net.Nodes {
+			res.turnoffs += float64(n.Protocol().Stats().Turnoffs)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for c, enabled := range cases {
+		t.AddRow(fmt.Sprint(enabled),
+			fmt.Sprintf("%.1f", meanOver(grid[c], func(r result) float64 { return r.working })),
+			fmt.Sprintf("%.2f", meanOver(grid[c], func(r result) float64 { return r.minPair })),
+			fmt.Sprintf("%.1f", meanOver(grid[c], func(r result) float64 { return r.turnoffs })))
 	}
 	t.AddNote("the extension lets the longer-working of two mutually audible " +
 		"workers turn the younger off, pushing pair separation toward Rp = 3 m")
-	return t
+	return t, nil
 }

@@ -68,9 +68,9 @@ func derivedSeed(root int64, point, run int) int64 {
 	return r.Int63()
 }
 
-// DeploymentPoint aggregates the runs at one deployment size.
-type DeploymentPoint struct {
-	N int
+// PointStats is the mean of one sweep point's runs, with 95% confidence
+// half-widths on the two headline lifetimes.
+type PointStats struct {
 	// CoverageLifetime[k-1] is the mean K-coverage lifetime.
 	CoverageLifetime [MaxCoverageK]float64
 	DeliveryLifetime float64
@@ -86,6 +86,72 @@ type DeploymentPoint struct {
 	DeliveryCI  float64
 }
 
+// aggregate folds one sweep point's runs into their mean.
+func aggregate(runs []*RunStats) PointStats {
+	var pt PointStats
+	var cov4s, delivs []float64
+	for _, rs := range runs {
+		if rs == nil {
+			continue
+		}
+		cov4s = append(cov4s, rs.CoverageLifetime[3])
+		delivs = append(delivs, rs.DeliveryLifetime)
+		for k := 0; k < MaxCoverageK; k++ {
+			pt.CoverageLifetime[k] += rs.CoverageLifetime[k]
+		}
+		pt.DeliveryLifetime += rs.DeliveryLifetime
+		pt.Wakeups += float64(rs.Wakeups)
+		pt.ProtocolEnergy += rs.ProtocolEnergy
+		pt.TotalEnergy += rs.TotalEnergy
+		pt.OverheadRatio += rs.OverheadRatio
+		pt.MeanWorking += rs.MeanWorking
+		pt.FailedFraction += rs.FailedFraction
+	}
+	if len(cov4s) == 0 {
+		return pt
+	}
+	div := float64(len(cov4s))
+	for k := 0; k < MaxCoverageK; k++ {
+		pt.CoverageLifetime[k] /= div
+	}
+	pt.DeliveryLifetime /= div
+	pt.Wakeups /= div
+	pt.ProtocolEnergy /= div
+	pt.TotalEnergy /= div
+	pt.OverheadRatio /= div
+	pt.MeanWorking /= div
+	pt.FailedFraction /= div
+	pt.Coverage4CI = stats.CI95(cov4s)
+	pt.DeliveryCI = stats.CI95(delivs)
+	return pt
+}
+
+// sweep runs one simulation per (point, run) cell of the grid, configured
+// by cfgFor, and returns one aggregated PointStats per point. The two paper
+// sweeps and every study whose columns are means of RunStats fields share
+// it, so a mean is computed one way.
+func sweep(points, runs, parallel int, cfgFor func(point, run int) RunConfig) ([]PointStats, error) {
+	grid, err := runGrid(points, runs, parallel, func(point, run int) (*RunStats, error) {
+		return Run(cfgFor(point, run))
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PointStats, points)
+	for i := range out {
+		out[i] = aggregate(grid[i])
+	}
+	return out, nil
+}
+
+// DeploymentPoint aggregates the runs at one deployment size. PointStats
+// is embedded so its fields flatten into the point's JSON object, which is
+// the wire shape jobqueue.Result.Sweep sends.
+type DeploymentPoint struct {
+	N int
+	PointStats
+}
+
 // DeploymentSweepResult holds the shared sweep behind Figures 9, 10, 11
 // and Table 1.
 type DeploymentSweepResult struct {
@@ -97,21 +163,19 @@ type DeploymentSweepResult struct {
 // opts.Runs seeds.
 func DeploymentSweep(opts Options) (*DeploymentSweepResult, error) {
 	opts.normalize()
-	grid, err := runGrid(len(opts.Deployments), opts.Runs, opts.Parallel,
-		func(point, run int) (*RunStats, error) {
-			cfg := RunConfig{
-				Network:          node.DefaultConfig(opts.Deployments[point], derivedSeed(opts.Seed, point, run)),
-				FailuresPer5000s: BaseFailuresPer5000,
-				Forwarding:       opts.Forwarding,
-			}
-			return Run(cfg)
-		})
+	pts, err := sweep(len(opts.Deployments), opts.Runs, opts.Parallel, func(point, run int) RunConfig {
+		return RunConfig{
+			Network:          node.DefaultConfig(opts.Deployments[point], derivedSeed(opts.Seed, point, run)),
+			FailuresPer5000s: BaseFailuresPer5000,
+			Forwarding:       opts.Forwarding,
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("deployment sweep: %w", err)
 	}
 	out := &DeploymentSweepResult{}
-	for pi, n := range opts.Deployments {
-		out.Points = append(out.Points, aggregateDeployment(n, grid[pi]))
+	for i, n := range opts.Deployments {
+		out.Points = append(out.Points, DeploymentPoint{N: n, PointStats: pts[i]})
 	}
 	return out, nil
 }
@@ -195,15 +259,8 @@ func (r *DeploymentSweepResult) Table1() *Table {
 
 // FailurePoint aggregates the runs at one failure rate.
 type FailurePoint struct {
-	RatePer5000      float64
-	CoverageLifetime [MaxCoverageK]float64
-	DeliveryLifetime float64
-	Wakeups          float64
-	OverheadRatio    float64
-	FailedFraction   float64
-	// Coverage4CI and DeliveryCI are 95% confidence half-widths.
-	Coverage4CI float64
-	DeliveryCI  float64
+	RatePer5000 float64
+	PointStats
 }
 
 // FailureSweepResult holds the shared sweep behind Figures 12-14.
@@ -215,21 +272,19 @@ type FailureSweepResult struct {
 // failure rates from 5.33 to 48 per 5000 s.
 func FailureSweep(opts Options) (*FailureSweepResult, error) {
 	opts.normalize()
-	grid, err := runGrid(len(opts.FailureRates), opts.Runs, opts.Parallel,
-		func(point, run int) (*RunStats, error) {
-			cfg := RunConfig{
-				Network:          node.DefaultConfig(opts.FailureNodes, derivedSeed(opts.Seed, 100+point, run)),
-				FailuresPer5000s: opts.FailureRates[point],
-				Forwarding:       opts.Forwarding,
-			}
-			return Run(cfg)
-		})
+	pts, err := sweep(len(opts.FailureRates), opts.Runs, opts.Parallel, func(point, run int) RunConfig {
+		return RunConfig{
+			Network:          node.DefaultConfig(opts.FailureNodes, derivedSeed(opts.Seed, 100+point, run)),
+			FailuresPer5000s: opts.FailureRates[point],
+			Forwarding:       opts.Forwarding,
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("failure sweep: %w", err)
 	}
 	out := &FailureSweepResult{}
-	for pi, rate := range opts.FailureRates {
-		out.Points = append(out.Points, aggregateFailure(rate, grid[pi]))
+	for i, rate := range opts.FailureRates {
+		out.Points = append(out.Points, FailurePoint{RatePer5000: rate, PointStats: pts[i]})
 	}
 	return out, nil
 }

@@ -8,7 +8,7 @@ import (
 	"peas/internal/stats"
 )
 
-// ThreeDStudy exercises the paper's §3 footnote — "the model applies to
+// threeDStudy exercises the paper's §3 footnote — "the model applies to
 // three-dimensional as well" — by running the probing rule in a volume:
 // nodes wake sequentially (the regime the §3 analysis assumes), start
 // working iff no worker is within Rp, and we measure the resulting
@@ -18,14 +18,14 @@ import (
 // The 2-D bound (1+√5)·Rp is specific to the planar grid argument, so
 // the 3-D table reports the measured max nearest-worker distance for
 // comparison rather than asserting the planar constant.
-func ThreeDStudy(rootSeed int64) *Table {
+func threeDStudy(e *Env) (*Table, error) {
 	t := &Table{
 		Caption: "§3 footnote: the probing rule in 3-D (25x25x25 m, Rp = 3 m, Rs = Rt = 10 m)",
 		Headers: []string{"nodes", "working", "min-pair(m)", "max-nearest(m)", "1-coverage", "connected@10m"},
 	}
 	box := geom3.NewBox(25, 25, 25)
 	for _, n := range []int{500, 1000, 2000} {
-		res := threeDRun(box, n, derivedSeed(rootSeed, 1200, n))
+		res := threeDRun(box, n, derivedSeed(e.Seed, 1200, n))
 		t.AddRow(fmt.Sprint(n), fmt.Sprint(res.working),
 			fmt.Sprintf("%.2f", res.minPair), fmt.Sprintf("%.2f", res.maxNearest),
 			ffloat(res.coverage), fmt.Sprint(res.connected))
@@ -33,7 +33,7 @@ func ThreeDStudy(rootSeed int64) *Table {
 	t.AddNote("sequential ideal probing, as in the §3 model; in 3-D the same " +
 		"rule yields Rp-separated workers whose 10 m balls cover the volume " +
 		"and whose graph is connected at the 10 m transmitting range")
-	return t
+	return t, nil
 }
 
 type threeDResult struct {

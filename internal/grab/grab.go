@@ -16,7 +16,7 @@
 // carrier sense, collisions and losses. internal/forward remains the
 // default for lifetime sweeps (it is ~20x cheaper); package grab exists
 // to validate that abstraction and to study MAC effects on data traffic
-// (see the grabcheck experiment).
+// (see grabCheckStudy in internal/experiment).
 package grab
 
 import (

@@ -201,6 +201,17 @@ func TestEndToEndSSE(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
+	// A 40-node job can finish before the stream opens, and a late
+	// subscriber is replayed the terminal snapshot alone. So a full-lifetime
+	// job holds the only worker until the subscriber is attached to the
+	// queued job behind it.
+	blocker, err := c.Submit(ctx, &jobqueue.Spec{
+		Network:          node.DefaultConfig(480, 300),
+		FailuresPer5000s: experiment.BaseFailuresPer5000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp, err := c.Submit(ctx, testSpec(301))
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +220,10 @@ func TestEndToEndSSE(t *testing.T) {
 	var final jobqueue.Event
 	err = c.Events(ctx, resp.Job.ID, func(ev jobqueue.Event) bool {
 		switch ev.Type {
+		case jobqueue.EventQueued:
+			if _, err := c.Cancel(ctx, blocker.Job.ID); err != nil {
+				t.Errorf("cancel blocker: %v", err)
+			}
 		case jobqueue.EventProgress:
 			progress++
 		case jobqueue.EventDone, jobqueue.EventFailed:

@@ -80,6 +80,13 @@ type (
 	SweepOptions = experiment.Options
 	// Table is a printable experiment result.
 	Table = experiment.Table
+	// Experiment is one entry of the paper's evaluation: an id, the part
+	// of the paper it reproduces and the function regenerating its Table.
+	Experiment = experiment.Experiment
+	// ExperimentEnv is what an Experiment runs under: SweepOptions, the
+	// Quick switch and the sweeps already computed through it, which the
+	// figures plotting one sweep share.
+	ExperimentEnv = experiment.Env
 	// Point is a position in the field, in meters.
 	Point = geom.Point
 	// Field is a rectangular deployment area.
@@ -281,66 +288,10 @@ func FailureSweep(opts SweepOptions) (*experiment.FailureSweepResult, error) {
 	return experiment.FailureSweep(opts)
 }
 
-// EstimatorStudy reproduces the §2.2.1 estimator-accuracy analysis.
-func EstimatorStudy(seed int64) *Table { return experiment.EstimatorStudy(seed) }
-
-// ConnectivityStudy reproduces the §3 working-set geometry checks.
-func ConnectivityStudy(seeds int, seed int64) *Table {
-	return experiment.ConnectivityStudy(seeds, seed)
-}
-
-// GapStudy compares replacement gaps between PEAS and synchronized
-// sleeping (§2.1.1, Figures 4-5).
-func GapStudy(seeds int, seed int64) *Table { return experiment.GapStudy(seeds, seed) }
-
-// LossStudy reproduces the §4 multi-PROBE loss-compensation experiment.
-func LossStudy(seed int64) *Table { return experiment.LossStudy(seed) }
-
-// TurnoffStudy measures the §4 redundant-worker turn-off extension.
-func TurnoffStudy(seed int64) *Table { return experiment.TurnoffStudy(seed) }
-
-// DeploymentDistributionStudy compares uniform, even and clustered
-// deployments (§4, "Distribution of deployed nodes").
-func DeploymentDistributionStudy(seed int64) *Table {
-	return experiment.DeploymentDistributionStudy(seed)
-}
-
-// FixedPowerStudy compares variable transmission power against the §4
-// fixed-power mode with signal-strength threshold filtering.
-func FixedPowerStudy(seed int64) *Table { return experiment.FixedPowerStudy(seed) }
-
-// RpSweepStudy sweeps the probing range Rp, relating working density and
-// the Theorem 3.1 connectivity condition.
-func RpSweepStudy(seed int64) *Table { return experiment.RpSweepStudy(seed) }
-
-// BootStudy measures boot-up time to 90% 1-coverage as a function of the
-// initial probing rate λ0 (§2.1).
-func BootStudy(seed int64) *Table { return experiment.BootStudy(seed) }
-
-// DensityStudy empirically checks Lemma 3.1's cell-occupancy premise.
-func DensityStudy(seed int64) *Table { return experiment.DensityStudy(seed) }
-
-// MeshStudy measures the GRAB substrate's mesh-width/delivery tradeoff
-// under lossy data hops.
-func MeshStudy(seed int64) *Table { return experiment.MeshStudy(seed) }
-
-// GrabCheckStudy cross-validates packet-level GRAB forwarding against
-// the connectivity-level model used by the lifetime sweeps.
-func GrabCheckStudy(seed int64) *Table { return experiment.GrabCheckStudy(seed) }
-
-// IrregularityStudy reproduces §4's signal-attenuation-irregularity
-// prediction: poorer-reception areas keep denser working sets.
-func IrregularityStudy(seed int64) *Table { return experiment.IrregularityStudy(seed) }
-
-// TrackingStudy measures mobile-target detection quality under failures.
-func TrackingStudy(seed int64) *Table { return experiment.TrackingStudy(seed) }
-
-// DeviationStudy ablates each deviation from a literal paper reading
-// (DESIGN.md §5), demonstrating why each is necessary.
-func DeviationStudy(seed int64) *Table { return experiment.DeviationStudy(seed) }
-
-// ThreeDStudy exercises the §3 footnote: the probing rule in a 3-D volume.
-func ThreeDStudy(seed int64) *Table { return experiment.ThreeDStudy(seed) }
+// Experiments returns every experiment of the evaluation in the order
+// peas-bench prints them: Figures 9-14 and Table 1 of §5, then the §2-§4
+// analyses and the implementation's own cross-checks.
+func Experiments() []Experiment { return experiment.Experiments() }
 
 // DefaultSweepOptions returns the paper's full evaluation setup
 // (deployments 160-800, failure rates 5.33-48 per 5000 s, 5 runs each).

@@ -68,11 +68,24 @@ func TestPublicNetwork(t *testing.T) {
 }
 
 func TestPublicStudies(t *testing.T) {
-	if out := peas.EstimatorStudy(1).String(); !strings.Contains(out, "k") {
-		t.Error("estimator study output empty")
+	env := &peas.ExperimentEnv{Options: peas.DefaultSweepOptions(), Quick: true}
+	want := map[string]string{"estimator": "k", "loss": "loss-rate"}
+	for _, e := range peas.Experiments() {
+		header, ok := want[e.ID]
+		if !ok {
+			continue
+		}
+		delete(want, e.ID)
+		tbl, err := e.Run(env)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if !strings.Contains(tbl.String(), header) {
+			t.Errorf("%s study output empty", e.ID)
+		}
 	}
-	if out := peas.LossStudy(1).String(); !strings.Contains(out, "loss-rate") {
-		t.Error("loss study output empty")
+	if len(want) != 0 {
+		t.Errorf("experiments missing from the public index: %v", want)
 	}
 }
 
