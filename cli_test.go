@@ -42,7 +42,8 @@ func TestCLIPeasSim(t *testing.T) {
 
 	out := runTool(t, bin, "-n", "100", "-horizon", "600",
 		"-trace", traceOut, "-series", seriesOut, "-svg", svgOut)
-	for _, want := range []string{"mean working nodes", "wakeups", "energy overhead"} {
+	for _, want := range []string{"mean working nodes", "wakeups", "energy overhead",
+		"route rebuilds over", "working-set flips"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

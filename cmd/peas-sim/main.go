@@ -267,8 +267,9 @@ func printStats(n int, seed int64, forwarding bool, res *peas.RunStats) {
 			k, res.CoverageLifetime[k-1], res.CoverageDropped[k-1])
 	}
 	if forwarding {
-		fmt.Printf("data delivery lifetime: %.0f s (dropped=%v; %d/%d reports)\n",
-			res.DeliveryLifetime, res.DeliveryDropped, res.ReportsDelivered, res.ReportsGenerated)
+		fmt.Printf("data delivery lifetime: %.0f s (dropped=%v; %d/%d reports; %d route rebuilds over %d working-set flips)\n",
+			res.DeliveryLifetime, res.DeliveryDropped, res.ReportsDelivered, res.ReportsGenerated,
+			res.RouteRebuilds, res.WorkingTransitions)
 	}
 	fmt.Printf("wakeups:               %d\n", res.Wakeups)
 	fmt.Printf("energy overhead:       %.2f J of %.0f J total (%.3f%%)\n",

@@ -104,42 +104,6 @@ func Analyze(field geom.Field, working []geom.Point, rt float64) Analysis {
 	return a
 }
 
-// PathExists reports whether positions a and b are connected through the
-// given relay positions, where every hop (including the first from a and
-// the last to b) must be at most rt. It runs a breadth-first search over
-// the relay set.
-func PathExists(field geom.Field, relays []geom.Point, a, b geom.Point, rt float64) bool {
-	if a.Dist(b) <= rt {
-		return true
-	}
-	if len(relays) == 0 {
-		return false
-	}
-	idx := geom.NewIndex(field, relays, rt)
-	visited := make([]bool, len(relays))
-	queue := make([]int, 0, len(relays))
-	idx.Within(a, rt, func(i int, _ float64) {
-		if !visited[i] {
-			visited[i] = true
-			queue = append(queue, i)
-		}
-	})
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if relays[cur].Dist(b) <= rt {
-			return true
-		}
-		idx.Within(relays[cur], rt, func(j int, _ float64) {
-			if !visited[j] {
-				visited[j] = true
-				queue = append(queue, j)
-			}
-		})
-	}
-	return false
-}
-
 // ShortestPath returns the minimum-hop relay path between a and b through
 // relays with per-hop range rt, as indices into relays. It returns
 // (nil, true) when a reaches b directly and (nil, false) when no path

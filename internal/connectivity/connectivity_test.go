@@ -59,14 +59,19 @@ func TestAnalyzeTwoClusters(t *testing.T) {
 	}
 }
 
+// TestPathExists checks reachability alone: ShortestPath's ok result.
 func TestPathExists(t *testing.T) {
 	f := geom.NewField(50, 50)
 	src, dst := geom.Point{X: 0, Y: 0}, geom.Point{X: 40, Y: 0}
+	pathExists := func(relays []geom.Point, a, b geom.Point) bool {
+		_, ok := ShortestPath(f, relays, a, b, 10)
+		return ok
+	}
 	// Direct: too far without relays.
-	if PathExists(f, nil, src, dst, 10) {
+	if pathExists(nil, src, dst) {
 		t.Error("no relays: path should not exist")
 	}
-	if !PathExists(f, nil, src, geom.Point{X: 5, Y: 0}, 10) {
+	if !pathExists(nil, src, geom.Point{X: 5, Y: 0}) {
 		t.Error("direct reach failed")
 	}
 	// A relay chain at 8 m spacing bridges the gap.
@@ -74,13 +79,13 @@ func TestPathExists(t *testing.T) {
 	for x := 8.0; x < 40; x += 8 {
 		relays = append(relays, geom.Point{X: x, Y: 0})
 	}
-	if !PathExists(f, relays, src, dst, 10) {
+	if !pathExists(relays, src, dst) {
 		t.Error("relay chain: path should exist")
 	}
 	// Break the chain.
 	broken := append([]geom.Point(nil), relays...)
 	broken = append(broken[:2], broken[3:]...) // remove the relay at x=24
-	if PathExists(f, broken, src, dst, 10) {
+	if pathExists(broken, src, dst) {
 		t.Error("broken chain: path should not exist")
 	}
 }
@@ -110,6 +115,31 @@ func TestShortestPathHops(t *testing.T) {
 	}
 }
 
+// reachable floods from a over relays without a spatial index: the
+// independent answer ShortestPath's ok is held to.
+func reachable(relays []geom.Point, a, b geom.Point, rt float64) bool {
+	if a.Dist(b) <= rt {
+		return true
+	}
+	seen := make([]bool, len(relays))
+	frontier := []geom.Point{a}
+	for len(frontier) > 0 {
+		cur := frontier[0]
+		frontier = frontier[1:]
+		for i, p := range relays {
+			if seen[i] || cur.Dist(p) > rt {
+				continue
+			}
+			if p.Dist(b) <= rt {
+				return true
+			}
+			seen[i] = true
+			frontier = append(frontier, p)
+		}
+	}
+	return false
+}
+
 func TestShortestPathHopsAreValid(t *testing.T) {
 	f := geom.NewField(50, 50)
 	rng := stats.NewRNG(11)
@@ -118,6 +148,9 @@ func TestShortestPathHopsAreValid(t *testing.T) {
 		src := geom.Point{X: 1, Y: 1}
 		dst := geom.Point{X: 49, Y: 49}
 		path, ok := ShortestPath(f, relays, src, dst, 10)
+		if want := reachable(relays, src, dst, 10); ok != want {
+			t.Fatalf("trial %d: ShortestPath ok=%v, index-free flood says %v", trial, ok, want)
+		}
 		if !ok {
 			continue
 		}
@@ -130,9 +163,6 @@ func TestShortestPathHopsAreValid(t *testing.T) {
 		}
 		if prev.Dist(dst) > 10+1e-9 {
 			t.Fatalf("last hop too long: %v -> %v", prev, dst)
-		}
-		if !PathExists(f, relays, src, dst, 10) {
-			t.Fatal("ShortestPath found a path PathExists denies")
 		}
 	}
 }

@@ -139,6 +139,15 @@ type RunStats struct {
 	// ReportsGenerated/Delivered are the forwarding totals.
 	ReportsGenerated int
 	ReportsDelivered int
+	// WorkingTransitions counts working-set flips the forwarding harness
+	// saw (nodes entering or leaving Working), and RouteRebuilds the
+	// reports that had to search for a route because of one; the other
+	// 1 - RouteRebuilds/ReportsGenerated of reports reused the previous
+	// route. Both count this process's run only — a resumed run counts
+	// from its resume point, where its first report always rebuilds — and
+	// are in neither the snapshot nor the state hash.
+	WorkingTransitions int `json:",omitempty"`
+	RouteRebuilds      int `json:",omitempty"`
 	// Wakeups is the total probe rounds across all nodes.
 	Wakeups uint64
 	// CoverageSamples is how many periodic coverage observations the run
@@ -363,6 +372,7 @@ func Run(cfg RunConfig) (*RunStats, error) {
 		res.DeliveryLifetime = lt
 		res.DeliveryDropped = dropped
 		res.ReportsGenerated, res.ReportsDelivered = fw.Ratio().Counts()
+		res.WorkingTransitions, res.RouteRebuilds = fw.WorkingTransitions(), fw.RouteRebuilds()
 	}
 	res.PacketsSent, res.PacketsDelivered, res.PacketsCollided, _, _ = net.Medium.Stats()
 	if chaosCtl != nil {

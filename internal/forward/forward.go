@@ -3,8 +3,13 @@
 // (gradient) forwarding protocol running over the working nodes. This
 // package reproduces GRAB's role in the evaluation:
 //
-//   - the sink maintains a hop-count cost field over the current working
-//     set (GRAB's periodically refreshed ADV flood);
+//   - what is maintained between reports is an index of the current
+//     working set (router), updated one node at a time from
+//     Network.OnWorkingChange — the stand-in for GRAB's ADV flood, which
+//     the sink re-issues when topology changes;
+//   - the route itself is a breadth-first search over that index, redone
+//     only for a report that follows a working-set change; any other
+//     report reuses the previous route;
 //   - a report generated at the source is delivered iff a relay path of
 //     working nodes exists from source to sink with per-hop range Rt
 //     (GRAB's forwarding mesh follows decreasing cost, so delivery
@@ -12,11 +17,16 @@
 //   - nodes on the delivery path are charged transmit/receive energy for
 //     the report.
 //
+// The search is rooted at the source, not at the sink as GRAB's cost
+// field is: among equal-length paths the two pick different relays, and
+// which relays are charged is part of every run's state hash.
+//
 // The cumulative success ratio and the 90% data-delivery lifetime match
 // the paper's definitions (§5.2).
 package forward
 
 import (
+	"peas/internal/core"
 	"peas/internal/energy"
 	"peas/internal/geom"
 	"peas/internal/metrics"
@@ -71,25 +81,67 @@ type Harness struct {
 	hops   *metrics.Series
 	rng    *stats.RNG
 	ticker *sim.Ticker
+
+	// txExtra and rxExtra are what relaying one report costs a node over
+	// its idle draw.
+	txExtra, rxExtra float64
+
+	// router mirrors the network's working set; found is its answer for
+	// the set as of the last report, and stale says the set has changed
+	// since. transitions and rebuilds count the two for RunStats.
+	router      *router
+	found       [][]int32
+	stale       bool
+	transitions int
+	rebuilds    int
 }
 
-// NewHarness attaches the workload to net. Call Start before running the
-// simulation.
+// NewHarness attaches the workload to net, subscribing to the network's
+// working-transition hook (chaining any hook already installed). Call
+// Start before running the simulation.
 func NewHarness(cfg Config, net *node.Network) *Harness {
 	if cfg.MeshWidth < 1 {
 		cfg.MeshWidth = 1
 	}
+	netCfg := net.Config()
 	seed := cfg.Seed
 	if seed == 0 {
-		seed = net.Config().Seed ^ 0x9e3779b9
+		seed = netCfg.Seed ^ 0x9e3779b9
 	}
-	return &Harness{
-		cfg:   cfg,
-		net:   net,
-		ratio: metrics.NewRatio("data-success-ratio"),
-		hops:  metrics.NewSeries("delivery-hops"),
-		rng:   stats.NewRNG(seed),
+	positions := make([]geom.Point, len(net.Nodes))
+	for i, n := range net.Nodes {
+		positions[i] = n.Pos()
 	}
+	airtime := float64(cfg.ReportSize) * 8 / netCfg.Radio.BitsPerSecond
+	h := &Harness{
+		cfg:     cfg,
+		net:     net,
+		ratio:   metrics.NewRatio("data-success-ratio"),
+		hops:    metrics.NewSeries("delivery-hops"),
+		rng:     stats.NewRNG(seed),
+		txExtra: (netCfg.Energy.TransmitW - netCfg.Energy.IdleW) * airtime,
+		rxExtra: (netCfg.Energy.ReceiveW - netCfg.Energy.IdleW) * airtime,
+		router:  newRouter(net.Field, positions, cfg.Source, cfg.Sink, cfg.HopRange),
+	}
+	h.syncRouter()
+	prev := net.OnWorkingChange
+	net.OnWorkingChange = func(id core.NodeID, working bool) {
+		h.router.set(int(id), working)
+		h.stale = true
+		h.transitions++
+		if prev != nil {
+			prev(id, working)
+		}
+	}
+	return h
+}
+
+// syncRouter loads the network's current working set into the router, for
+// the two moments the hook does not cover: attaching to a network that is
+// already running, and a checkpoint restore.
+func (h *Harness) syncRouter() {
+	h.router.rebuild(func(id int) bool { return h.net.Nodes[id].Working() })
+	h.stale = true
 }
 
 // Start schedules periodic report generation.
@@ -130,8 +182,11 @@ func (h *Harness) Snapshot() HarnessState {
 
 // Resume overwrites the harness with a captured state and re-arms the
 // report generator at its exact recorded phase. Call it instead of Start
-// when restoring a checkpoint.
+// when restoring a checkpoint, after the network's nodes are restored:
+// restores bypass the working-transition hook, so the router is reloaded
+// from the restored working set here.
 func (h *Harness) Resume(st HarnessState) {
+	h.syncRouter()
 	h.ratio.Restore(st.Generated, st.Succeeded, st.RatioPoints)
 	h.hops.Restore(st.HopsPoints)
 	h.rng.Restore(st.RNG)
@@ -144,56 +199,54 @@ func (h *Harness) Resume(st HarnessState) {
 // working set.
 func (h *Harness) generate() {
 	now := h.net.Engine.Now()
-	working := h.workingNodes()
-	positions := make([]geom.Point, len(working))
-	for i, n := range working {
-		positions[i] = n.Pos()
-	}
-	paths := disjointPaths(h.net.Field, positions, h.cfg.Source, h.cfg.Sink,
-		h.cfg.HopRange, h.cfg.MeshWidth)
-	if len(paths) == 0 {
-		h.ratio.Observe(now, false)
-		return
-	}
+	paths := h.route()
 	// The report is delivered if any mesh path survives the per-hop
-	// losses; energy is spent on every attempted path either way.
-	delivered := false
+	// losses; energy is spent on every attempted path either way, and
+	// every path draws its losses whether or not an earlier one survived.
+	// hops is the length of the first path that got through.
+	hops := 0
 	for _, path := range paths {
-		if pathSurvives(len(path)+1, h.cfg.HopLossRate, h.rng) {
-			delivered = true
+		if pathSurvives(len(path)+1, h.cfg.HopLossRate, h.rng) && hops == 0 {
+			hops = len(path) + 1
 		}
-		h.chargePath(working, path)
+		h.chargePath(path)
 	}
-	h.ratio.Observe(now, delivered)
-	if delivered {
-		h.hops.Record(now, float64(len(paths[0])+1))
+	h.ratio.Observe(now, hops > 0)
+	if hops > 0 {
+		h.hops.Record(now, float64(hops))
 	}
 }
 
-// workingNodes snapshots the alive working nodes.
-func (h *Harness) workingNodes() []*node.Node {
-	out := make([]*node.Node, 0, len(h.net.Nodes)/4)
-	for _, n := range h.net.Nodes {
-		if n.Working() {
-			out = append(out, n)
-		}
+// route returns the mesh paths for the current working set as node ids,
+// searching only if the set changed since the last report. Charging a
+// relay can kill it, which marks the route stale for the next report but
+// leaves this one's paths intact.
+func (h *Harness) route() [][]int32 {
+	if h.stale {
+		h.found = h.router.paths(h.cfg.MeshWidth)
+		h.stale = false
+		h.rebuilds++
 	}
-	return out
+	return h.found
 }
 
 // chargePath debits each relay for one report transmission and reception
 // at the node's radio rates, on top of its idle draw.
-func (h *Harness) chargePath(working []*node.Node, path []int) {
-	cfg := h.net.Config()
-	airtime := float64(h.cfg.ReportSize) * 8 / cfg.Radio.BitsPerSecond
-	txExtra := (cfg.Energy.TransmitW - cfg.Energy.IdleW) * airtime
-	rxExtra := (cfg.Energy.ReceiveW - cfg.Energy.IdleW) * airtime
-	for _, i := range path {
-		n := working[i]
-		h.net.ChargeExtra(n.ID(), energy.DataTransmit, txExtra)
-		h.net.ChargeExtra(n.ID(), energy.DataReceive, rxExtra)
+func (h *Harness) chargePath(path []int32) {
+	for _, id := range path {
+		h.net.ChargeExtra(core.NodeID(id), energy.DataTransmit, h.txExtra)
+		h.net.ChargeExtra(core.NodeID(id), energy.DataReceive, h.rxExtra)
 	}
 }
+
+// WorkingTransitions is how many times a node joined or left the working
+// set since this harness was attached.
+func (h *Harness) WorkingTransitions() int { return h.transitions }
+
+// RouteRebuilds is how many reports searched for a route because the
+// working set had changed since the previous report; the remaining
+// reports reused the previous route.
+func (h *Harness) RouteRebuilds() int { return h.rebuilds }
 
 // Ratio exposes the cumulative success-ratio recorder.
 func (h *Harness) Ratio() *metrics.Ratio { return h.ratio }

@@ -1,67 +1,12 @@
 package forward
 
-import (
-	"peas/internal/connectivity"
-	"peas/internal/geom"
-	"peas/internal/stats"
-)
+import "peas/internal/stats"
 
 // GRAB forwards each report along a mesh of interleaved paths whose width
 // is controlled by the report's credit: more credit widens the mesh,
 // trading energy for delivery robustness on lossy links. This file
 // implements that mechanism at the level the evaluation needs:
-// node-disjoint shortest paths plus per-hop loss sampling.
-
-// disjointPaths returns up to width node-disjoint relay paths from a to b
-// (as indices into relays), computed greedily: shortest path first, then
-// shortest among the remaining relays, and so on. A direct a->b reach
-// yields one empty path.
-func disjointPaths(field geom.Field, relays []geom.Point, a, b geom.Point, rt float64, width int) [][]int {
-	if width < 1 {
-		width = 1
-	}
-	var paths [][]int
-	available := make([]geom.Point, len(relays))
-	copy(available, relays)
-	// index map from the shrinking "available" view back to relays.
-	backing := make([]int, len(relays))
-	for i := range backing {
-		backing[i] = i
-	}
-	for len(paths) < width {
-		path, ok := connectivity.ShortestPath(field, available, a, b, rt)
-		if !ok {
-			break
-		}
-		if path == nil {
-			// Direct reach: one hop, no relays; wider meshes add nothing.
-			paths = append(paths, nil)
-			break
-		}
-		orig := make([]int, len(path))
-		for i, idx := range path {
-			orig[i] = backing[idx]
-		}
-		paths = append(paths, orig)
-
-		// Remove the used relays for node-disjointness.
-		used := make(map[int]bool, len(path))
-		for _, idx := range path {
-			used[idx] = true
-		}
-		var nextAvail []geom.Point
-		var nextBack []int
-		for i := range available {
-			if !used[i] {
-				nextAvail = append(nextAvail, available[i])
-				nextBack = append(nextBack, backing[i])
-			}
-		}
-		available = nextAvail
-		backing = nextBack
-	}
-	return paths
-}
+// node-disjoint shortest paths (router.paths) plus per-hop loss sampling.
 
 // pathSurvives samples per-hop Bernoulli losses for one path. hops is the
 // number of transmissions: len(path relays) + 1.
