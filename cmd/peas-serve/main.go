@@ -60,7 +60,7 @@ func run() error {
 		queue     = flag.Int("queue", 64, "queued-job capacity before submissions get 429")
 		cacheCap  = flag.Int("cache", 1024, "result cache capacity (content-addressed entries)")
 		stateDir  = flag.String("state-dir", "", "persist specs and drain checkpoints here (enables resume across restarts)")
-		ckptEvery = flag.Float64("checkpoint-every", 250, "drain-checkpoint cadence in simulated seconds (with -state-dir)")
+		ckptEvery = flag.Float64("checkpoint-every", 250, "spacing, in simulated seconds, of the boundaries at which a drain past its budget may checkpoint a running job (with -state-dir)")
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for running jobs")
 		watchdog  = flag.Duration("watchdog", 0, "stall window: preempt a running job whose engine makes no event progress for this long (0 = stall detection off; deadlines are always enforced)")
 		durDelay  = flag.Duration("durable-delay", 0, "slow every state-store disk operation by this much (crash-soak test hook: widens the window a SIGKILL can land in)")

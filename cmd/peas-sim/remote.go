@@ -99,7 +99,7 @@ func runRemote(url string, cfg peas.RunConfig, check bool) error {
 	fmt.Printf("state hash:            %s\n", res.StateHash)
 	fmt.Printf("server wall time:      %.3f s", res.WallSeconds)
 	if res.Events > 0 {
-		fmt.Printf(" (%d events, %.3f allocs/event)", res.Events, res.AllocsPerEvent)
+		fmt.Printf(" (%d events)", res.Events)
 	}
 	fmt.Println()
 	printStats(cfg.Network.N, cfg.Network.Seed, cfg.Forwarding, res.Stats)

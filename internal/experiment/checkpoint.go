@@ -82,11 +82,14 @@ func resumeRun(net *node.Network, snap *checkpoint.Snapshot, sample func(),
 	return sampler, nil
 }
 
-// scheduleCheckpoints arms the periodic capture. Due checkpoints defer in
-// quiescenceRetry steps until the radio medium has no frame in flight,
-// then capture and hand the snapshot to onCkpt; a true return stops the
-// run at the capture point.
-func scheduleCheckpoints(net *node.Network, every float64,
+// scheduleCheckpoints arms the periodic checkpoint boundary. A due
+// boundary defers in quiescenceRetry steps until the radio medium has no
+// frame in flight; there, if due is nil or says a snapshot is wanted, it
+// captures and hands the snapshot to onCkpt, and a true return stops the
+// run at the capture point. The tick and retry events are scheduled the
+// same whatever due answers — capture reads state without mutating it —
+// so the predicate cannot move the trajectory or the event count.
+func scheduleCheckpoints(net *node.Network, every float64, due func() bool,
 	capture func() *checkpoint.Snapshot, onCkpt func(*checkpoint.Snapshot) bool) {
 	nominal := net.Engine.Now() + every
 	var tick func()
@@ -95,7 +98,7 @@ func scheduleCheckpoints(net *node.Network, every float64,
 			net.Engine.At(net.Engine.Now()+quiescenceRetry, tick)
 			return
 		}
-		if onCkpt(capture()) {
+		if (due == nil || due()) && onCkpt(capture()) {
 			net.Engine.Stop()
 			return
 		}
@@ -135,6 +138,7 @@ func VerifyCheckpoint(cfg RunConfig) (*VerifyResult, error) {
 	cfg.Trace = nil
 	cfg.CheckpointEvery = 0
 	cfg.OnCheckpoint = nil
+	cfg.CheckpointDue = nil
 	cfg.Resume = nil
 
 	direct := cfg

@@ -1,11 +1,14 @@
 package experiment
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"peas/internal/checkpoint"
 	"peas/internal/node"
+	"peas/internal/sim"
 )
 
 // TestCheckpointResumeVerify is the subsystem's acceptance criterion:
@@ -134,5 +137,106 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	if finalA != goldenFinalHash {
 		t.Errorf("final hash %s does not match committed golden %s", finalA, goldenFinalHash)
+	}
+}
+
+// TestCaptureGateCannotMoveTrajectory pins what the job pool relies on
+// when it arms the checkpoint cadence but asks for no snapshot until a
+// drain: the boundary ticks are engine events, the captures at them are
+// not. One spec runs four ways — a snapshot taken and discarded at every
+// boundary, CheckpointDue always false, CheckpointDue turning true at a
+// seeded boundary where OnCheckpoint stops the run and the snapshot is
+// resumed through the codec, and no cadence at all.
+func TestCaptureGateCannotMoveTrajectory(t *testing.T) {
+	const every = 250.0
+	base := RunConfig{
+		Network:          node.DefaultConfig(160, 5),
+		Horizon:          6000,
+		FailuresPer5000s: BaseFailuresPer5000,
+		Forwarding:       true,
+		CaptureFinal:     true,
+	}
+	run := func(cfg RunConfig) *RunStats {
+		t.Helper()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	discarded := base
+	discarded.CheckpointEvery = every
+	boundaries := 0
+	discarded.OnCheckpoint = func(*checkpoint.Snapshot) bool { boundaries++; return false }
+	a := run(discarded)
+	if boundaries < 10 {
+		t.Fatalf("only %d boundaries in %v s; the comparison needs a populated cadence", boundaries, base.Horizon)
+	}
+
+	never := base
+	never.CheckpointEvery = every
+	never.CheckpointDue = func() bool { return false }
+	calls := 0
+	never.OnCheckpoint = func(*checkpoint.Snapshot) bool { calls++; return false }
+	b := run(never)
+	if calls != 0 {
+		t.Errorf("OnCheckpoint ran %d times under a CheckpointDue that never asked", calls)
+	}
+
+	// The boundary where the drain lands is seeded, then moved on to the
+	// next one that fired at its nominal time: a resumed run re-bases its
+	// cadence on the snapshot time, so a boundary deferred for radio
+	// quiescence would shift the remaining ticks (never the state).
+	rng := rand.New(rand.NewSource(5))
+	flipAt := 1 + rng.Intn(boundaries-2)
+	var (
+		eng  *sim.Engine
+		seen int
+		mid  *checkpoint.Snapshot
+	)
+	stopped := base
+	stopped.CaptureFinal = false
+	stopped.CheckpointEvery = every
+	stopped.OnNetwork = func(net *node.Network) { eng = net.Engine }
+	stopped.CheckpointDue = func() bool {
+		seen++
+		return seen >= flipAt && math.Mod(eng.Now(), every) == 0
+	}
+	stopped.OnCheckpoint = func(s *checkpoint.Snapshot) bool { mid = s; return true }
+	first := run(stopped)
+	if mid == nil {
+		t.Fatalf("no boundary from the %dth on fired at its nominal time", flipAt)
+	}
+	decoded, err := checkpoint.DecodeBytes(mid.EncodeBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := run(RunConfig{
+		Resume:          decoded,
+		CaptureFinal:    true,
+		CheckpointEvery: every,
+		CheckpointDue:   func() bool { return false },
+		OnCheckpoint:    func(*checkpoint.Snapshot) bool { return false },
+	})
+
+	d := run(base)
+
+	want := a.FinalState.StateHashHex()
+	for name, got := range map[string]*RunStats{"never due": b, "stopped and resumed": second, "no cadence": d} {
+		if h := got.FinalState.StateHashHex(); h != want {
+			t.Errorf("%s: final state %s, with captures discarded %s", name, h, want)
+		}
+	}
+	if b.EngineEvents != a.EngineEvents {
+		t.Errorf("never due executed %d events, captures discarded %d", b.EngineEvents, a.EngineEvents)
+	}
+	if sum := first.EngineEvents + second.EngineEvents; sum != a.EngineEvents {
+		t.Errorf("stopped at t=%v and resumed executed %d+%d=%d events, uninterrupted %d",
+			mid.SimTime, first.EngineEvents, second.EngineEvents, sum, a.EngineEvents)
+	}
+	if d.EngineEvents >= a.EngineEvents {
+		t.Errorf("no cadence executed %d events, not fewer than the %d with one: boundary ticks are events",
+			d.EngineEvents, a.EngineEvents)
 	}
 }

@@ -70,13 +70,24 @@ type RunConfig struct {
 	// snapshot is restored).
 	OnNetwork func(net *node.Network)
 
-	// CheckpointEvery, when positive with OnCheckpoint set, captures a
-	// full-state snapshot every that many simulated seconds (deferred by
-	// up to a few milliseconds to the next quiescent radio boundary).
+	// CheckpointEvery, when positive with OnCheckpoint set, arms a
+	// checkpoint boundary every that many simulated seconds (deferred by
+	// up to a few milliseconds to the next quiescent radio boundary). The
+	// boundary ticks are engine events whether or not a snapshot is taken
+	// at them, so the cadence is part of a run's event count — though
+	// never of its state.
 	CheckpointEvery float64
-	// OnCheckpoint receives each periodic snapshot; returning true stops
-	// the run at the capture point.
+	// OnCheckpoint receives the full-state snapshot captured at a
+	// boundary; returning true stops the run at the capture point.
 	OnCheckpoint func(s *checkpoint.Snapshot) (stop bool)
+	// CheckpointDue, when non-nil, is asked at each boundary whether a
+	// snapshot is wanted there; on false the boundary passes with nothing
+	// captured and OnCheckpoint is not called. Nil captures at every
+	// boundary. It is read from the run's goroutine and must not touch
+	// model state. A caller that only ever wants the next boundary after
+	// some outside signal (a drain) sets this instead of paying for a
+	// snapshot per boundary and discarding it.
+	CheckpointDue func() bool
 	// Resume, when non-nil, continues a checkpointed run instead of
 	// booting a fresh one. The snapshot supplies the network
 	// configuration and experiment knobs; Network, FailuresPer5000s,
@@ -148,6 +159,18 @@ type RunStats struct {
 	// are in neither the snapshot nor the state hash.
 	WorkingTransitions int `json:",omitempty"`
 	RouteRebuilds      int `json:",omitempty"`
+	// EngineEvents, EventStructs, HeapSlots and Compactions are the
+	// engine's own account of the run (sim.EngineStats): events executed,
+	// Event structs ever allocated, the event heap's capacity and its
+	// tombstone compactions. Like the two above they describe this
+	// process's run only — a resumed run counts from its resume point —
+	// and are in neither the snapshot nor the state hash. Each engine
+	// counts for itself, so they are exact under any number of
+	// concurrent runs.
+	EngineEvents uint64 `json:",omitempty"`
+	EventStructs uint64 `json:",omitempty"`
+	HeapSlots    int    `json:",omitempty"`
+	Compactions  uint64 `json:",omitempty"`
 	// Wakeups is the total probe rounds across all nodes.
 	Wakeups uint64
 	// CoverageSamples is how many periodic coverage observations the run
@@ -317,7 +340,7 @@ func Run(cfg RunConfig) (*RunStats, error) {
 			workingSeries, sampler, inj, fw)
 	}
 	if cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil {
-		scheduleCheckpoints(net, cfg.CheckpointEvery, capture, cfg.OnCheckpoint)
+		scheduleCheckpoints(net, cfg.CheckpointEvery, cfg.CheckpointDue, capture, cfg.OnCheckpoint)
 	}
 
 	if cfg.Supervisor != nil {
@@ -375,6 +398,9 @@ func Run(cfg RunConfig) (*RunStats, error) {
 		res.WorkingTransitions, res.RouteRebuilds = fw.WorkingTransitions(), fw.RouteRebuilds()
 	}
 	res.PacketsSent, res.PacketsDelivered, res.PacketsCollided, _, _ = net.Medium.Stats()
+	es := net.Engine.Stats()
+	res.EngineEvents, res.EventStructs, res.HeapSlots, res.Compactions =
+		es.Events, es.EventStructs, es.HeapSlots, es.Compactions
 	if chaosCtl != nil {
 		res.Chaos = chaosCtl.Counters().Snapshot()
 	}

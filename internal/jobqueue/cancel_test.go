@@ -150,6 +150,9 @@ func TestCancelRunningParksAndResumes(t *testing.T) {
 	var target atomic.Value // job ID to cancel mid-run ("" disarms)
 	target.Store("")
 	gate := make(chan struct{}, 4)
+	// Events each run segment executed, appended by the one worker and
+	// read after Wait has ordered the reads behind it.
+	var segments []uint64
 	var pool *Pool
 	pool = New(Config{
 		Workers:         1,
@@ -172,7 +175,11 @@ func TestCancelRunningParksAndResumes(t *testing.T) {
 					pool.Cancel(id)
 				}
 			}
-			return experiment.Run(rc)
+			stats, err := experiment.Run(rc)
+			if stats != nil {
+				segments = append(segments, stats.EngineEvents)
+			}
+			return stats, err
 		},
 	})
 	pool.Start()
@@ -222,6 +229,22 @@ func TestCancelRunningParksAndResumes(t *testing.T) {
 	}
 	if got := c.Get("parked_resumed"); got != 1 {
 		t.Errorf("parked_resumed = %d, want 1", got)
+	}
+	// engine_events is what the workers burned: the cancelled segment
+	// counts although it completed no job, and the finished job reports
+	// only the segment that finished it.
+	if len(segments) != 2 || segments[0] == 0 || segments[1] == 0 {
+		t.Fatalf("run segments executed %v events, want two non-empty segments", segments)
+	}
+	if got := c.Get("engine_events"); got != segments[0]+segments[1] {
+		t.Errorf("engine_events = %d, want %d+%d from the parked and the resumed segment",
+			got, segments[0], segments[1])
+	}
+	if got := c.Get("jobs_completed"); got != 1 {
+		t.Errorf("jobs_completed = %d, want 1", got)
+	}
+	if res.Events != segments[1] {
+		t.Errorf("Result.Events = %d, want the resumed segment's %d", res.Events, segments[1])
 	}
 	// The claim re-homed the snapshot: the cancelled job's files are gone.
 	if _, err := os.Stat(filepath.Join(dir, j1.ID+".spec.json")); !os.IsNotExist(err) {

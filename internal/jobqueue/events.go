@@ -12,7 +12,9 @@ type Result struct {
 	// encoding — the bit-exact identity of the end state. Empty for
 	// sweep jobs, which aggregate many runs.
 	StateHash string `json:"stateHash,omitempty"`
-	// Stats holds the single-run metrics (sim and chaos jobs).
+	// Stats holds the single-run metrics (sim and chaos jobs), the
+	// engine's own counters among them. Its FinalState is always nil: the
+	// pool keeps the end state's hash (StateHash), not the state.
 	Stats *RunStats `json:"stats,omitempty"`
 	// Sweep holds the deployment-sweep table (sweep jobs).
 	Sweep *DeploymentSweepResult `json:"sweep,omitempty"`
@@ -24,13 +26,11 @@ type Result struct {
 	// WallSeconds is the worker wall time of the underlying run. Cache
 	// hits report the original run's time.
 	WallSeconds float64 `json:"wallSeconds"`
-	// Events is the number of engine events the run executed.
+	// Events is the number of engine events executed by the segment that
+	// completed the job: the whole run unless Resumed, else the part
+	// after the checkpoint (the engine's event count is not in a
+	// snapshot). The engine_events counter sums every segment.
 	Events uint64 `json:"events,omitempty"`
-	// AllocsPerEvent is heap objects allocated per executed event,
-	// measured with perf.AllocMeter. With several workers active the
-	// global allocation counter interleaves runs, so treat it as an
-	// approximation under load; with one worker it is exact.
-	AllocsPerEvent float64 `json:"allocsPerEvent,omitempty"`
 	// Resumed reports that the run continued from a drain checkpoint.
 	Resumed bool `json:"resumed,omitempty"`
 }

@@ -9,7 +9,6 @@ import (
 	"peas/internal/experiment"
 	"peas/internal/node"
 	"peas/internal/oracle"
-	"peas/internal/perf"
 	"peas/internal/sim"
 )
 
@@ -157,6 +156,9 @@ func (p *Pool) hangProbe(job *Job) (*Result, *checkpoint.Snapshot, error) {
 
 // executeRun performs a sim or chaos job. It returns a non-nil snapshot
 // when the run was suspended at a drain checkpoint instead of finishing.
+// A job must cost what its run costs: nothing here forces a collection or
+// reads process-wide runtime statistics (CI greps for both), and the only
+// snapshot that outlives the call is one a drain or a preemption asked for.
 func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 	spec := job.Spec
 	cfg := spec.RunConfig()
@@ -177,6 +179,17 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 			checker = oracle.Attach(net, oracle.DefaultConfig())
 		}
 	}
+	// The engine's work is counted however the segment ends — completed,
+	// parked, suspended, aborted or panicked — so the counters are what
+	// the workers burned, not what the finished jobs cost.
+	defer func() {
+		if eng != nil {
+			es := eng.Stats()
+			p.counters.Add("engine_events", es.Events)
+			p.counters.Add("engine_event_structs", es.EventStructs)
+			p.counters.Add("engine_compactions", es.Compactions)
+		}
+	}()
 	// The supervisor is the cancel/deadline/watchdog control surface of
 	// the run: the engine heartbeats through it and honors its stop flag
 	// at the next poll boundary.
@@ -195,11 +208,11 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 		}
 	}
 	if checkpointable {
+		// The cadence only marks the boundaries at which a drain past its
+		// budget may stop the run; nothing is captured at one until then.
 		cfg.CheckpointEvery = p.cfg.CheckpointEvery
+		cfg.CheckpointDue = p.drainStop.Load
 		cfg.OnCheckpoint = func(s *checkpoint.Snapshot) bool {
-			if !p.drainStop.Load() {
-				return false
-			}
 			snap = s
 			return true
 		}
@@ -208,13 +221,10 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 		cfg.OnPreempt = func(s *checkpoint.Snapshot) { snap = s }
 	}
 
-	var meter perf.AllocMeter
-	meter.Start()
 	stats, err := p.cfg.Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	allocs := meter.Allocs()
 	if snap != nil {
 		return nil, snap, nil
 	}
@@ -234,14 +244,12 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 	res := &Result{Stats: stats, Chaos: stats.Chaos, Resumed: job.resume != nil}
 	if stats.FinalState != nil {
 		res.StateHash = stats.FinalState.StateHashHex()
+		// Only the hash is ever read again; the result lives as long as
+		// the job table does, and must not pin the whole end state.
+		stats.FinalState = nil
 	}
 	if eng != nil {
 		res.Events = eng.Executed()
-		if res.Events > 0 {
-			res.AllocsPerEvent = float64(allocs) / float64(res.Events)
-		}
-		p.counters.Add("engine_events", res.Events)
-		p.counters.Add("heap_allocs", allocs)
 	}
 	if checker != nil {
 		res.Violations = len(checker.Violations()) + checker.Dropped()

@@ -534,8 +534,6 @@ func (m *keyMachine) finish() {
 // each content key is in exactly one state — the model's — and that the
 // gauges, the bounded populations and the state dir agree with it.
 func TestKeyStateMachineProperty(t *testing.T) {
-	// Every dispatched run pays executeRun's forced GC (the AllocMeter
-	// bracket), which is what bounds the sequence count here.
 	const seed, sequences = 1, 200
 	for s := 0; s < sequences; s++ {
 		m := newKeyMachine(t, seed*1_000_003+int64(s))

@@ -38,8 +38,10 @@ type Config struct {
 	// at admission and drain checkpoints at shutdown, so Recover can
 	// resume interrupted work after a restart.
 	StateDir string
-	// CheckpointEvery is the drain-checkpoint cadence in simulated
-	// seconds (0 = 250). Only meaningful with StateDir.
+	// CheckpointEvery is the spacing in simulated seconds (0 = 250) of the
+	// boundaries at which a drain past its budget may checkpoint a
+	// running job; no snapshot is taken at one before then. Only
+	// meaningful with StateDir.
 	CheckpointEvery float64
 	// FS substitutes the filesystem the state store writes through
 	// (nil = the real one). Tests inject a durable.FaultFS to exercise

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -569,5 +570,61 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 	want := uint64(len(distinct) - cacheCap)
 	if got := pool.Counters().Get("cache_evictions"); got != want {
 		t.Errorf("cache_evictions = %d, want %d", got, want)
+	}
+}
+
+// TestJobCostsNoForcedGCAndRetainsNoSnapshot pins the two things a job
+// must not cost beyond its run: the pool forces no collection around it
+// (runtime.MemStats.NumForcedGC stands still — only this test reads
+// MemStats, production may not), and a finished job keeps its end state's
+// hash, not the state. The never-evicted job table then grows by a job's
+// stats and event history — under 2 KB measured, where one pinned
+// 160-node snapshot of this spec weighed about 70 KB.
+func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
+	const jobs, perJobBytes = 40, 16 << 10
+	pool := New(Config{Workers: 2, QueueDepth: jobs, StateDir: t.TempDir()})
+	pool.Start()
+	defer pool.Shutdown(context.Background())
+
+	specs := make([]*Spec, jobs)
+	for i := range specs {
+		specs[i] = testSpec(int64(700 + i))
+		specs[i].Network.N = 160
+	}
+
+	var before, after, settled runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	handles := make([]*Job, jobs)
+	for i, spec := range specs {
+		s := *spec
+		j, _, err := pool.Submit(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = j
+	}
+	for _, j := range handles {
+		waitResult(t, j)
+	}
+	runtime.ReadMemStats(&after)
+	if forced := after.NumForcedGC - before.NumForcedGC; forced != 0 {
+		t.Errorf("%d forced collections across %d jobs, want 0: something on the job path calls runtime.GC", forced, jobs)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&settled)
+	if grew := int64(settled.HeapAlloc) - int64(before.HeapAlloc); grew > jobs*perJobBytes {
+		t.Errorf("live heap grew %d bytes over %d finished jobs (%d per job), want under %d per job: the job table is pinning run state",
+			grew, jobs, grew/jobs, perJobBytes)
+	}
+
+	for i, j := range handles {
+		res := j.Result()
+		if res.Stats == nil || res.Stats.FinalState != nil {
+			t.Fatalf("job %s: result stats %+v must be present with a nil FinalState", j.ID, res.Stats)
+		}
+		if want := directHash(t, specs[i]); res.StateHash != want {
+			t.Errorf("job %s: StateHash %s, direct run %s", j.ID, res.StateHash, want)
+		}
 	}
 }

@@ -314,8 +314,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE peas_inflight gauge\npeas_inflight %d\n", stats.InFlight)
 	fmt.Fprintf(w, "# TYPE peas_cache_entries gauge\npeas_cache_entries %d\n", stats.CacheEntries)
 	fmt.Fprintf(w, "# TYPE peas_job_wall_seconds_total counter\npeas_job_wall_seconds_total %g\n", stats.WallSecondsTotal)
-	// The shared counter set (jobs, cache, runs, engine events, heap
-	// allocs, fault classes) in stable name order.
+	// The shared counter set (jobs, cache, runs, the engines' own event,
+	// event-struct and compaction counts, fault classes) in stable name
+	// order.
 	names := make([]string, 0, len(stats.Counters))
 	for name := range stats.Counters {
 		names = append(names, name)
@@ -323,11 +324,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	sort.Strings(names)
 	for _, name := range names {
 		fmt.Fprintf(w, "# TYPE peas_%s counter\npeas_%s %d\n", metricName(name), metricName(name), stats.Counters[name])
-	}
-	// Derived: allocations per engine event across all completed runs.
-	if ev := stats.Counters["engine_events"]; ev > 0 {
-		fmt.Fprintf(w, "# TYPE peas_allocs_per_event gauge\npeas_allocs_per_event %g\n",
-			float64(stats.Counters["heap_allocs"])/float64(ev))
 	}
 	// Latency histograms: queue wait (admission to dequeue) and run
 	// duration (worker wall time), the two halves of server-side job

@@ -142,10 +142,17 @@ func TestEndToEndSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"peas_queue_depth", "peas_runs_executed 1", "peas_cache_hits"} {
+	for _, want := range []string{"peas_queue_depth", "peas_runs_executed 1", "peas_cache_hits",
+		"# TYPE peas_engine_events counter", "# TYPE peas_engine_event_structs counter",
+		"# TYPE peas_engine_compactions counter"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+	// Nothing measured through process-wide allocation statistics: such a
+	// figure is wrong with two workers and costs every job a collection.
+	if strings.Contains(metrics, "allocs") {
+		t.Errorf("metrics still carry an allocation figure:\n%s", metrics)
 	}
 }
 

@@ -168,3 +168,48 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatal("callback never ran")
 	}
 }
+
+// TestStatsCountsStructsAtReadTime checks the engine's own account of a
+// run: every Event struct ever allocated is found in the heap or on the
+// free list whenever no callback is running, so Stats can count them
+// without alloc() keeping a tally, and compactions are counted where they
+// happen.
+func TestStatsCountsStructsAtReadTime(t *testing.T) {
+	e := NewEngine()
+	if s := e.Stats(); s != (EngineStats{}) {
+		t.Fatalf("fresh engine reports %+v, want zeros", s)
+	}
+	var far []*Event
+	for i := 0; i < 500; i++ {
+		far = append(far, e.At(1e6+float64(i), func() {}))
+	}
+	for i := 0; i < 10; i++ {
+		e.At(float64(i+1), func() {})
+	}
+	if s := e.Stats(); s.EventStructs != 510 || s.Events != 0 || s.HeapSlots < 510 {
+		t.Fatalf("after scheduling 510 events: %+v", s)
+	}
+	// Cancelling the far-future majority compacts at least once; the
+	// released structs move to the free list and stay counted.
+	for _, ev := range far {
+		e.Cancel(ev)
+	}
+	s := e.Stats()
+	if s.Compactions == 0 || s.EventStructs != 510 {
+		t.Fatalf("after mass cancel: %+v, want a compaction and 510 structs", s)
+	}
+	// The run reuses pooled structs: 10 executions and 100 more
+	// schedule/execute cycles allocate nothing new.
+	e.Run(20)
+	for i := 0; i < 100; i++ {
+		e.Schedule(1, func() {})
+		e.Run(e.Now() + 2)
+	}
+	s = e.Stats()
+	if s.Events != 110 || s.Events != e.Executed() {
+		t.Errorf("Events = %d (Executed %d), want 110", s.Events, e.Executed())
+	}
+	if s.EventStructs != 510 {
+		t.Errorf("EventStructs = %d after pooled reuse, want 510", s.EventStructs)
+	}
+}

@@ -191,6 +191,9 @@ type Engine struct {
 	// event callback. It must be read-only — scheduling, cancelling or
 	// consuming randomness from an observer would perturb the trajectory.
 	OnEvent func(t Time)
+
+	// compacted counts compact() passes; cold, read through Stats.
+	compacted uint64
 }
 
 // NewEngine returns an engine with the clock at zero and an empty schedule.
@@ -224,6 +227,40 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending returns the number of events still scheduled (cancelled events
 // are removed lazily and never counted).
 func (e *Engine) Pending() int { return e.live }
+
+// EngineStats is the engine's own account of the work and memory behind a
+// run. Every field belongs to this engine alone, so the figures are exact
+// however many engines run beside it in the process.
+type EngineStats struct {
+	// Events is the number of events executed (Executed).
+	Events uint64
+	// EventStructs is how many Event structs the engine ever allocated.
+	// Between callbacks every struct is either in the heap (live or
+	// tombstoned) or on the free list, so it is counted at read time.
+	EventStructs uint64
+	// HeapSlots is the capacity of the queue's backing array: the
+	// high-water mark of simultaneously queued events, rounded up by
+	// append's growth and halved again by a shrink after a drain.
+	HeapSlots int
+	// Compactions is how many times cancelled entries came to dominate
+	// the heap and were swept out in one pass.
+	Compactions uint64
+}
+
+// Stats reads the engine's counters. It walks the free list, so call it
+// after a run, not per event; the hot path pays nothing for it.
+func (e *Engine) Stats() EngineStats {
+	structs := uint64(len(e.queue))
+	for ev := e.free; ev != nil; ev = ev.next {
+		structs++
+	}
+	return EngineStats{
+		Events:       e.executed,
+		EventStructs: structs,
+		HeapSlots:    cap(e.queue),
+		Compactions:  e.compacted,
+	}
+}
 
 // alloc takes an event off the free list, or grows the pool.
 func (e *Engine) alloc() *Event {
@@ -344,6 +381,7 @@ func (e *Engine) compact() {
 	}
 	e.queue = kept
 	e.dead = 0
+	e.compacted++
 	for i := (len(kept) - 2) >> 2; i >= 0; i-- {
 		siftDown(kept, i)
 	}
