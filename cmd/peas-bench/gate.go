@@ -6,9 +6,11 @@ package main
 // scenario set: the work counters (engine events executed, packets
 // broadcast, protocol wakeups) and the allocation rate (heap objects
 // allocated per executed event). All are pure functions of (config, seed)
-// — the simulator is single-threaded, so even the allocation count is
-// exactly reproducible — which lets the gate hold allocs/event to a zero
-// regression budget. Wall time is noisier: it is gated with its own, wider
+// — the simulator is single-threaded, so the allocation count of its own
+// code is exactly reproducible — which lets the gate hold the allocation
+// count to a zero regression budget, give or take the couple of objects the
+// runtime itself allocates in the measured window now and then (allocSlack).
+// Wall time is noisier: it is gated with its own, wider
 // tolerance (and CI relaxes it further for shared runners; see
 // .github/workflows/ci.yml), so the hard signal comes from the
 // deterministic metrics.
@@ -35,8 +37,8 @@ type gateMetrics struct {
 	// (or whether) the lattice is sampled, only what each sample costs.
 	CoverageSamples uint64 `json:"coverage_samples"`
 	// Allocs is the number of heap objects allocated during the run
-	// (network construction included); AllocsPerEvent divides it by Events.
-	// Both are deterministic and gated at -allocs-tolerance (default 0).
+	// (network construction included); AllocsPerEvent divides it by Events
+	// for reading. The count is what -allocs-tolerance (default 0) gates.
 	Allocs         uint64  `json:"allocs"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 	// WallNS is gated at -wall-tolerance, separately from the counters.
@@ -150,9 +152,18 @@ func measureGate(quick bool) (*gateBaseline, error) {
 // gateTolerances bundles the per-metric regression budgets.
 type gateTolerances struct {
 	counters float64 // events/packets/wakeups
-	allocs   float64 // allocs-per-event (0 = any increase fails)
+	allocs   float64 // heap objects (0 = any increase beyond allocSlack fails)
 	wall     float64 // wall time (negative = advisory only)
 }
+
+// allocSlack is how many heap objects a scenario may allocate beyond its
+// budget without failing. The model's own count is exact, but the Mallocs
+// delta it is read from also sees the runtime's: about one run in five,
+// the minimum of three repeats still carried one stray object (6120 against
+// a baseline of 6119), which a ratio held to zero tolerance turned into a
+// failure. Comparing the integer with two objects of slack cannot hide a
+// regression: one more allocation per node or per event is hundreds.
+const allocSlack = 2
 
 // runGate measures the scenario set and either writes the baseline file
 // (write=true) or compares against it, returning an error if any gated
@@ -219,7 +230,18 @@ func runGate(path string, tol gateTolerances, write, quick bool) error {
 		check("packets", float64(b.Packets), float64(c.Packets), tol.counters)
 		check("wakeups", float64(b.Wakeups), float64(c.Wakeups), tol.counters)
 		check("coverage-samples", float64(b.CoverageSamples), float64(c.CoverageSamples), tol.counters)
-		check("allocs/event", b.AllocsPerEvent, c.AllocsPerEvent, tol.allocs)
+		if b.Allocs > 0 {
+			limit := uint64(float64(b.Allocs)*(1+tol.allocs)) + allocSlack
+			switch {
+			case c.Allocs > limit:
+				regressions = append(regressions, fmt.Sprintf(
+					"%s allocs: %d -> %d (%.3f -> %.3f per event; limit %d = %+.0f%% and %d objects of runtime slack)",
+					name, b.Allocs, c.Allocs, b.AllocsPerEvent, c.AllocsPerEvent, limit, 100*tol.allocs, allocSlack))
+			case tol.allocs > 0 && float64(c.Allocs) < float64(b.Allocs)*(1-tol.allocs):
+				fmt.Printf("note: %s allocs improved %d -> %d; consider refreshing the baseline\n",
+					name, b.Allocs, c.Allocs)
+			}
+		}
 		if b.WallNS > 0 {
 			ratio := float64(c.WallNS) / float64(b.WallNS)
 			if tol.wall < 0 {
@@ -245,7 +267,7 @@ func runGate(path string, tol gateTolerances, write, quick bool) error {
 		}
 		return fmt.Errorf("%d benchmark metric(s) regressed beyond tolerance", len(regressions))
 	}
-	fmt.Printf("bench gate: OK (%d scenarios vs %s; counters within %.0f%%, allocs/event within %.0f%%, wall within %.0f%%)\n",
-		len(names), path, 100*tol.counters, 100*tol.allocs, 100*tol.wall)
+	fmt.Printf("bench gate: OK (%d scenarios vs %s; counters within %.0f%%, allocs within %.0f%% + %d objects, wall within %.0f%%)\n",
+		len(names), path, 100*tol.counters, 100*tol.allocs, allocSlack, 100*tol.wall)
 	return nil
 }

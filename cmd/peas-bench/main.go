@@ -9,8 +9,9 @@
 //
 // Regression gate (used by CI): runs a fixed deterministic scenario set
 // and compares work counters (engine events, packets, wakeups), the
-// allocation rate (heap objects per executed event, gated at
-// -allocs-tolerance, default 0: any increase fails) and wall time (gated
+// allocation count (heap objects per scenario, gated at
+// -allocs-tolerance, default 0: any increase beyond two objects of runtime
+// slack fails; printed per executed event) and wall time (gated
 // at -wall-tolerance, default 10%; negative makes it advisory) against a
 // committed baseline.
 //
@@ -61,7 +62,7 @@ func run() error {
 
 		baseline  = flag.String("baseline", "", "regression-gate mode: baseline JSON to compare against (or write with -write-baseline)")
 		tolerance = flag.Float64("tolerance", 0.25, "maximum allowed relative regression of a gate work counter")
-		allocsTol = flag.Float64("allocs-tolerance", 0, "maximum allowed relative regression of allocs per event (0 = any increase fails)")
+		allocsTol = flag.Float64("allocs-tolerance", 0, "maximum allowed relative regression of a scenario's heap-object count (0 = any increase beyond two objects of runtime slack fails)")
 		wallTol   = flag.Float64("wall-tolerance", 0.10, "maximum allowed relative wall-time regression (negative = advisory only)")
 		writeBase = flag.Bool("write-baseline", false, "measure the gate scenarios and write -baseline instead of comparing")
 

@@ -95,9 +95,13 @@ type Battery struct {
 	lastT     float64
 	dead      bool
 
-	// byMode accumulates consumed joules per mode for overhead accounting.
-	byMode map[Mode]float64
+	// byMode[m-1] accumulates the joules consumed in mode m, for overhead
+	// accounting — BatteryState.ConsumedByMode's layout.
+	byMode [numModes]float64
 }
+
+// numModes is the number of power modes, Sleep..DataTransmit.
+const numModes = int(DataTransmit)
 
 // NewBattery returns a battery with the given initial charge in joules,
 // starting in Sleep mode at time 0 (PEAS nodes boot asleep).
@@ -107,7 +111,6 @@ func NewBattery(profile Profile, joules float64) *Battery {
 		initial:   joules,
 		remaining: joules,
 		mode:      Sleep,
-		byMode:    make(map[Mode]float64, 4),
 	}
 }
 
@@ -133,7 +136,7 @@ func (b *Battery) settle(now float64) {
 		b.dead = true
 	}
 	b.remaining -= used
-	b.byMode[b.mode] += used
+	b.byMode[b.mode-1] += used
 	b.lastT = now
 }
 
@@ -159,7 +162,10 @@ func (b *Battery) Consumed(now float64) float64 {
 // ConsumedIn settles up to now and returns the joules consumed in mode m.
 func (b *Battery) ConsumedIn(now float64, m Mode) float64 {
 	b.settle(now)
-	return b.byMode[m]
+	if m < Sleep || m > DataTransmit {
+		return 0
+	}
+	return b.byMode[m-1]
 }
 
 // Spend charges an instantaneous amount of energy (e.g. a packet's TX or
@@ -171,13 +177,13 @@ func (b *Battery) Spend(now float64, m Mode, joules float64) bool {
 		return false
 	}
 	if joules >= b.remaining {
-		b.byMode[m] += b.remaining
+		b.byMode[m-1] += b.remaining
 		b.remaining = 0
 		b.dead = true
 		return false
 	}
 	b.remaining -= joules
-	b.byMode[m] += joules
+	b.byMode[m-1] += joules
 	return true
 }
 
@@ -209,22 +215,19 @@ type BatteryState struct {
 	Dead      bool
 	// ConsumedByMode[m-1] is the settled consumption in mode m, in the
 	// Sleep..DataTransmit constant order.
-	ConsumedByMode [6]float64
+	ConsumedByMode [numModes]float64
 }
 
 // Snapshot captures the battery state without settling.
 func (b *Battery) Snapshot() BatteryState {
-	st := BatteryState{
-		Initial:   b.initial,
-		Remaining: b.remaining,
-		Mode:      b.mode,
-		LastT:     b.lastT,
-		Dead:      b.dead,
+	return BatteryState{
+		Initial:        b.initial,
+		Remaining:      b.remaining,
+		Mode:           b.mode,
+		LastT:          b.lastT,
+		Dead:           b.dead,
+		ConsumedByMode: b.byMode,
 	}
-	for m := Sleep; m <= DataTransmit; m++ {
-		st.ConsumedByMode[m-1] = b.byMode[m]
-	}
-	return st
 }
 
 // Restore overwrites the battery with a captured state.
@@ -234,12 +237,7 @@ func (b *Battery) Restore(st BatteryState) {
 	b.mode = st.Mode
 	b.lastT = st.LastT
 	b.dead = st.Dead
-	b.byMode = make(map[Mode]float64, len(st.ConsumedByMode))
-	for m := Sleep; m <= DataTransmit; m++ {
-		if v := st.ConsumedByMode[m-1]; v != 0 {
-			b.byMode[m] = v
-		}
-	}
+	b.byMode = st.ConsumedByMode
 }
 
 // Kill settles consumption and marks the battery dead regardless of

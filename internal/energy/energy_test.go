@@ -179,3 +179,16 @@ func TestDepletionTimeProjection(t *testing.T) {
 		t.Errorf("zero-draw depletion = %v", got)
 	}
 }
+
+// BenchmarkBatteryCharge is the battery's share of a radio event: settle
+// the elapsed drain, then charge one packet to its mode's ledger. It must
+// report 0 allocs/op.
+func BenchmarkBatteryCharge(b *testing.B) {
+	bat := NewBattery(MotesProfile(), 1e12)
+	bat.SetMode(0, Idle)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bat.Spend(float64(i)*0.01, Receive, 0.00012)
+	}
+}

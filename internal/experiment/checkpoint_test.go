@@ -240,3 +240,77 @@ func TestCaptureGateCannotMoveTrajectory(t *testing.T) {
 			d.EngineEvents, a.EngineEvents)
 	}
 }
+
+// TestEventsByKindAddUpAcrossAResume pins the by-kind split of
+// EngineEvents: the four kinds account for every executed event, the
+// engine's near heap is a small part of its slots, and — because the
+// deferral and timer tallies are restored model state while the run
+// reports only their growth — a run stopped at a boundary and resumed
+// reports, over its two segments, exactly the counts of the uninterrupted
+// run.
+func TestEventsByKindAddUpAcrossAResume(t *testing.T) {
+	const every = 250.0
+	cadence := RunConfig{
+		Network:          node.DefaultConfig(120, 3),
+		Horizon:          4000,
+		FailuresPer5000s: BaseFailuresPer5000,
+		Forwarding:       true,
+		CheckpointEvery:  every,
+		CheckpointDue:    func() bool { return false },
+		OnCheckpoint:     func(*checkpoint.Snapshot) bool { return false },
+	}
+	run := func(cfg RunConfig) *RunStats {
+		t.Helper()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := res.DeliveryEvents + res.DeferralEvents + res.TimerEvents + res.OtherEvents; sum != res.EngineEvents {
+			t.Fatalf("kinds add up to %d of %d engine events: %+v", sum, res.EngineEvents, res)
+		}
+		return res
+	}
+	whole := run(cadence)
+	if whole.DeliveryEvents == 0 || whole.DeferralEvents == 0 || whole.TimerEvents == 0 || whole.OtherEvents == 0 {
+		t.Fatalf("a kind is empty: %d deliveries, %d deferrals, %d timers, %d other",
+			whole.DeliveryEvents, whole.DeferralEvents, whole.TimerEvents, whole.OtherEvents)
+	}
+	if whole.OtherEvents*10 > whole.EngineEvents {
+		t.Errorf("%d of %d events are unattributed; the tallies have lost a source", whole.OtherEvents, whole.EngineEvents)
+	}
+	if whole.NearSlots == 0 || whole.NearSlots*2 > whole.HeapSlots {
+		t.Errorf("near heap holds %d of %d slots; the long timers should dominate", whole.NearSlots, whole.HeapSlots)
+	}
+
+	var (
+		eng *sim.Engine
+		mid *checkpoint.Snapshot
+	)
+	stopped := cadence
+	stopped.OnNetwork = func(net *node.Network) { eng = net.Engine }
+	stopped.CheckpointDue = func() bool { return eng.Now() >= 1500 && math.Mod(eng.Now(), every) == 0 }
+	stopped.OnCheckpoint = func(s *checkpoint.Snapshot) bool { mid = s; return true }
+	first := run(stopped)
+	if mid == nil {
+		t.Fatal("no boundary after t=1500 fired at its nominal time")
+	}
+	resumed := cadence
+	resumed.Resume = mid
+	second := run(resumed)
+
+	for _, k := range []struct {
+		name         string
+		first, whole uint64
+		second       uint64
+	}{
+		{"delivery", first.DeliveryEvents, whole.DeliveryEvents, second.DeliveryEvents},
+		{"deferral", first.DeferralEvents, whole.DeferralEvents, second.DeferralEvents},
+		{"timer", first.TimerEvents, whole.TimerEvents, second.TimerEvents},
+		{"other", first.OtherEvents, whole.OtherEvents, second.OtherEvents},
+	} {
+		if k.first == 0 || k.second == 0 || k.first+k.second != k.whole {
+			t.Errorf("%s events: %d before the stop + %d after the resume, %d uninterrupted",
+				k.name, k.first, k.second, k.whole)
+		}
+	}
+}

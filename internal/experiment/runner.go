@@ -171,6 +171,26 @@ type RunStats struct {
 	EventStructs uint64 `json:",omitempty"`
 	HeapSlots    int    `json:",omitempty"`
 	Compactions  uint64 `json:",omitempty"`
+	// NearSlots is the part of HeapSlots the imminent events sift through;
+	// the rest hold the long timers (one wake-up and one depletion
+	// deadline per node) that wait in the engine's far heap.
+	NearSlots int `json:",omitempty"`
+	// DeliveryEvents, DeferralEvents, TimerEvents and OtherEvents split
+	// EngineEvents by who scheduled the event, from tallies the layers
+	// keep anyway — the engine does not classify what it runs. Deliveries
+	// are the radio's delivery events and deferrals its carrier-sense
+	// retries, both counted when scheduled (a run cut at its horizon can
+	// leave Medium.InFlight of them unexecuted). Timers are the PEAS
+	// timers that fired and acted: wake-ups, the PROBE copies after the
+	// first, one probe-window end per wake-up, and REPLY back-offs. Other
+	// is the remainder: coverage and report tickers, failure arrivals,
+	// battery deaths, checkpoint boundaries, and protocol timers that
+	// fired after their node had moved on. Same scope as the fields above:
+	// this process's run, outside the snapshot and the state hash.
+	DeliveryEvents uint64 `json:",omitempty"`
+	DeferralEvents uint64 `json:",omitempty"`
+	TimerEvents    uint64 `json:",omitempty"`
+	OtherEvents    uint64 `json:",omitempty"`
 	// Wakeups is the total probe rounds across all nodes.
 	Wakeups uint64
 	// CoverageSamples is how many periodic coverage observations the run
@@ -346,6 +366,7 @@ func Run(cfg RunConfig) (*RunStats, error) {
 	if cfg.Supervisor != nil {
 		net.Engine.Supervise(cfg.Supervisor)
 	}
+	deferrals0, timers0 := eventSources(net) // non-zero on a resumed run
 	net.Run(horizon)
 	preempted := cfg.Supervisor != nil && net.Engine.Preempted()
 	if preempted && cfg.OnPreempt != nil && cfg.Chaos == nil {
@@ -399,8 +420,15 @@ func Run(cfg RunConfig) (*RunStats, error) {
 	}
 	res.PacketsSent, res.PacketsDelivered, res.PacketsCollided, _, _ = net.Medium.Stats()
 	es := net.Engine.Stats()
-	res.EngineEvents, res.EventStructs, res.HeapSlots, res.Compactions =
-		es.Events, es.EventStructs, es.HeapSlots, es.Compactions
+	res.EngineEvents, res.EventStructs, res.HeapSlots, res.NearSlots, res.Compactions =
+		es.Events, es.EventStructs, es.HeapSlots, es.NearSlots, es.Compactions
+	deferrals, timers := eventSources(net)
+	res.DeliveryEvents = net.Medium.DeliveryEvents()
+	res.DeferralEvents = deferrals - deferrals0
+	res.TimerEvents = timers - timers0
+	if known := res.DeliveryEvents + res.DeferralEvents + res.TimerEvents; known < res.EngineEvents {
+		res.OtherEvents = res.EngineEvents - known
+	}
 	if chaosCtl != nil {
 		res.Chaos = chaosCtl.Counters().Snapshot()
 	}
@@ -409,6 +437,19 @@ func Run(cfg RunConfig) (*RunStats, error) {
 		res.FinalState = capture()
 	}
 	return res, nil
+}
+
+// eventSources reads the tallies behind RunStats.DeferralEvents and
+// TimerEvents. Both are part of the model state a checkpoint restores, so
+// a run reports their growth since it started.
+func eventSources(net *node.Network) (deferrals, timers uint64) {
+	for _, n := range net.Nodes {
+		st := n.Protocol().Stats()
+		// A wake-up timer opens each round, a window-end timer closes it,
+		// and every PROBE but the round's first waits for its own timer.
+		timers += st.Wakeups + st.ProbesSent + st.RepliesSent
+	}
+	return net.Medium.Deferred(), timers
 }
 
 // newInjector builds net's failure process at the given rate per 5000 s.

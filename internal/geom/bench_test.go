@@ -69,3 +69,42 @@ func BenchmarkCountWithin(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkNeighbors is the one-time cost of the neighbour table at the
+// largest deployment the evaluation runs (N = 800, Rp = 3 m).
+func BenchmarkNeighbors(b *testing.B) {
+	idx, _ := benchIndex(800)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx.Neighbors(3)
+	}
+}
+
+// BenchmarkNeighborsRow is what a broadcast pays per sweep once the table
+// exists; BenchmarkWithin2Rp is the same question put to the index.
+func BenchmarkNeighborsRow(b *testing.B) {
+	idx, pts := benchIndex(800)
+	nb := idx.Neighbors(3)
+	sink := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ids, _ := nb.Row(i % len(pts))
+		for _, j := range ids {
+			sink += int(j)
+		}
+	}
+	_ = sink
+}
+
+func BenchmarkWithin2Rp(b *testing.B) {
+	idx, pts := benchIndex(800)
+	sink := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx.Within2(pts[i%len(pts)], 3, func(j int, d2 float64) { sink += j })
+	}
+	_ = sink
+}

@@ -172,3 +172,46 @@ func (idx *Index) CountWithin(center Point, radius float64) int {
 	}
 	return n
 }
+
+// Neighbors is the answer to Within2 for every indexed point at one
+// radius, worked out once: the points never move, so a caller that asks
+// the same question per broadcast can walk a row instead of re-scanning a
+// bucket window. Row i is entries [starts[i], starts[i+1]) of ids and d2 —
+// CSR layout, three flat arrays — and holds exactly the (index, squared
+// distance) pairs Within2(At(i), radius) reports, in the order it reports
+// them, the point itself included.
+type Neighbors struct {
+	radius float64
+	starts []int32
+	ids    []int32
+	d2     []float64
+}
+
+// Neighbors builds the table for radius. It costs two Within2 sweeps per
+// point (count, then fill).
+func (idx *Index) Neighbors(radius float64) *Neighbors {
+	nb := &Neighbors{radius: radius, starts: make([]int32, len(idx.points)+1)}
+	for i, p := range idx.points {
+		nb.starts[i+1] = nb.starts[i] + int32(idx.CountWithin(p, radius))
+	}
+	total := nb.starts[len(idx.points)]
+	nb.ids = make([]int32, 0, total)
+	nb.d2 = make([]float64, 0, total)
+	for _, p := range idx.points {
+		idx.Within2(p, radius, func(j int, d2 float64) {
+			nb.ids = append(nb.ids, int32(j))
+			nb.d2 = append(nb.d2, d2)
+		})
+	}
+	return nb
+}
+
+// Radius returns the radius the table was built for.
+func (nb *Neighbors) Radius() float64 { return nb.radius }
+
+// Row returns point i's neighbours and their squared distances, index for
+// index. The slices alias the table and must not be modified.
+func (nb *Neighbors) Row(i int) (ids []int32, d2 []float64) {
+	lo, hi := nb.starts[i], nb.starts[i+1]
+	return nb.ids[lo:hi], nb.d2[lo:hi]
+}

@@ -338,3 +338,25 @@ func TestProtocolEnergyPositiveAndBounded(t *testing.T) {
 		t.Errorf("protocol energy %v exceeds 5%% of total %v", pe, total)
 	}
 }
+
+// TestRestoreNodesRejectsUnknownBatteryMode: the battery's per-mode ledger
+// is an array indexed by mode, so a snapshot carrying a mode outside
+// Sleep..DataTransmit must be refused where it enters the model, not
+// found by the first charge.
+func TestRestoreNodesRejectsUnknownBatteryMode(t *testing.T) {
+	net, err := NewNetwork(DefaultConfig(10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := net.SnapshotNodes()
+	if err := net.RestoreNodes(states); err != nil {
+		t.Fatalf("a network's own snapshot: %v", err)
+	}
+	for _, mode := range []energy.Mode{0, energy.DataTransmit + 1} {
+		bad := net.SnapshotNodes()
+		bad[4].Battery.Mode = mode
+		if err := net.RestoreNodes(bad); err == nil {
+			t.Errorf("battery mode %d restored without error", int(mode))
+		}
+	}
+}

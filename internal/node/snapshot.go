@@ -58,6 +58,10 @@ func (net *Network) RestoreNodes(states []NodeState) error {
 			len(states), len(net.Nodes))
 	}
 	for i, st := range states {
+		// The mode indexes the battery's per-mode ledger on every charge.
+		if m := st.Battery.Mode; m < energy.Sleep || m > energy.DataTransmit {
+			return fmt.Errorf("node: snapshot node %d has battery mode %d", i, int(m))
+		}
 		n := net.Nodes[i]
 		n.alive = st.Alive
 		n.cause = st.Cause

@@ -209,6 +209,13 @@ type Medium struct {
 	lost      uint64
 	deferred  uint64
 	bytesSent uint64
+	// deliveries counts the delivery events this medium scheduled. Unlike
+	// the counters above it is this process's own tally, not part of the
+	// snapshot: it says where a run's engine events came from.
+	deliveries uint64
+
+	// tables are the neighbour tables built so far, one per query range.
+	tables []*geom.Neighbors
 }
 
 // NewMedium builds a medium over the deployed positions. Receivers are
@@ -259,6 +266,10 @@ func (m *Medium) Stats() (sent, delivered, collided, lost, bytes uint64) {
 
 // Deferred reports how many transmissions carrier sense postponed.
 func (m *Medium) Deferred() uint64 { return m.deferred }
+
+// DeliveryEvents reports how many delivery events the medium has scheduled
+// since it was built (a restore does not carry the count over).
+func (m *Medium) DeliveryEvents() uint64 { return m.deliveries }
 
 // SetFaultInjector installs (or, with nil, removes) the chaos layer's
 // per-delivery fault hook. Runs with an injector installed are still
@@ -374,7 +385,6 @@ func (m *Medium) Broadcast(pkt Packet) {
 		physRange = m.cfg.MaxRange
 	}
 
-	center := m.idx.At(int(pkt.From))
 	end := now + airtime
 	// The transmitter occupies its own channel for the airtime, so its
 	// next carrier-sensed transmission starts after this one ends.
@@ -386,91 +396,140 @@ func (m *Medium) Broadcast(pkt Packet) {
 	if m.quality != nil {
 		queryRange = physRange * (1 + m.cfg.Irregularity)
 	}
-	// Counter updates are batched in locals and flushed once after the
-	// receiver sweep; nothing can observe the medium counters mid-event.
-	var collided, lost uint64
-	// The sweep works on squared distances (Within2) and takes the Sqrt
-	// only for frames that survive the filters. When a distance-derived
-	// quantity feeds a legacy comparison (irregularity, fixed power) the
-	// exact historical arithmetic — Sqrt first, then divide/compare — is
-	// reproduced so trajectories stay bit-identical.
-	m.idx.Within2(center, queryRange, func(i int, d2 float64) {
-		if NodeID(i) == pkt.From {
-			return
+	// The candidates are the sender's row of the neighbour table for this
+	// range — Within2's visit order and squared distances, worked out once
+	// because nothing moves — or, for a range past the handful of tables
+	// kept, the index sweep itself. Counter updates are batched in sw and
+	// flushed once after the sweep; nothing can observe the medium counters
+	// mid-event.
+	sw := sweep{pkt: pkt, airtime: airtime, now: now, end: end, physRange: physRange}
+	if nb := m.neighbors(queryRange); nb != nil {
+		ids, d2 := nb.Row(int(pkt.From))
+		for k, id := range ids {
+			m.receive(&sw, int(id), d2[k])
 		}
-		rcv := m.nodes[i]
-		if rcv == nil || !rcv.Listening() {
-			return
-		}
-		dist := -1.0 // computed lazily from d2
-		if m.quality != nil {
-			// Effective distance at the receiver's area quality.
-			dist = math.Sqrt(d2) / m.quality.at(m.idx.At(i))
-			if dist > physRange {
-				return
-			}
-		}
-		m.sink.SpendRx(NodeID(i), airtime)
+	} else {
+		m.idx.Within2(m.idx.At(int(pkt.From)), queryRange, func(i int, d2 float64) { m.receive(&sw, i, d2) })
+	}
+	m.collided += sw.collided
+	m.lost += sw.lost
+	m.deliveries += sw.deliveries
+}
 
-		corrupted := false
-		if m.cfg.CollisionsEnabled {
-			if m.busyEnd[i] > now {
-				// Overlapping reception: both frames are lost.
-				m.corrupt[i] = true
-				corrupted = true
-				collided++
-			} else {
-				m.corrupt[i] = false
-			}
-			if end > m.busyEnd[i] {
-				m.busyEnd[i] = end
-			}
+// maxNeighborTables bounds the neighbour tables a medium keeps. A PEAS run
+// queries one range (PROBE and REPLY share Rp; irregularity and fixed power
+// each turn it into one other constant), a run with data traffic a second.
+const maxNeighborTables = 4
+
+// neighbors returns the neighbour table for queryRange, building it on the
+// first broadcast at that range, or nil once maxNeighborTables other ranges
+// hold tables.
+func (m *Medium) neighbors(queryRange float64) *geom.Neighbors {
+	for _, nb := range m.tables {
+		if nb.Radius() == queryRange {
+			return nb
 		}
-		if !corrupted && m.cfg.LossRate > 0 && m.rng.Float64() < m.cfg.LossRate {
-			lost++
+	}
+	if len(m.tables) == maxNeighborTables {
+		return nil
+	}
+	nb := m.idx.Neighbors(queryRange)
+	m.tables = append(m.tables, nb)
+	return nb
+}
+
+// sweep is what one transmission's receiver sweep shares between its
+// candidates: the frame, its timing, and the batched counter updates.
+type sweep struct {
+	pkt       Packet
+	airtime   float64
+	now, end  sim.Time
+	physRange float64
+
+	collided, lost, deliveries uint64
+}
+
+// receive is the per-candidate body of a sweep: node i, at squared
+// distance d2 from the transmitter and inside the query range. It works on
+// the squared distance and takes the Sqrt only for frames that survive the
+// filters. When a distance-derived quantity feeds a legacy comparison
+// (irregularity, fixed power) the exact historical arithmetic — Sqrt first,
+// then divide/compare — is reproduced so trajectories stay bit-identical.
+func (m *Medium) receive(sw *sweep, i int, d2 float64) {
+	if NodeID(i) == sw.pkt.From {
+		return
+	}
+	rcv := m.nodes[i]
+	if rcv == nil || !rcv.Listening() {
+		return
+	}
+	dist := -1.0 // computed lazily from d2
+	if m.quality != nil {
+		// Effective distance at the receiver's area quality.
+		dist = math.Sqrt(d2) / m.quality.at(m.idx.At(i))
+		if dist > sw.physRange {
 			return
 		}
-		// Threshold filter under fixed power: the receiver only reacts
-		// to frames whose strength corresponds to the requested range.
-		if m.cfg.FixedPower {
-			if dist < 0 {
-				dist = math.Sqrt(d2)
-			}
-			if dist > pkt.Range {
-				return
-			}
+	}
+	m.sink.SpendRx(NodeID(i), sw.airtime)
+
+	corrupted := false
+	if m.cfg.CollisionsEnabled {
+		if m.busyEnd[i] > sw.now {
+			// Overlapping reception: both frames are lost.
+			m.corrupt[i] = true
+			corrupted = true
+			sw.collided++
+		} else {
+			m.corrupt[i] = false
 		}
-		deliverAt := end
-		copies := 1
-		if m.faults != nil {
-			fd := m.faults.JudgeFrame(pkt.From, NodeID(i))
-			if fd.Drop {
-				return
-			}
-			deliverAt += fd.Delay
-			copies += fd.Copies
+		if sw.end > m.busyEnd[i] {
+			m.busyEnd[i] = sw.end
 		}
+	}
+	if !corrupted && m.cfg.LossRate > 0 && m.rng.Float64() < m.cfg.LossRate {
+		sw.lost++
+		return
+	}
+	// Threshold filter under fixed power: the receiver only reacts
+	// to frames whose strength corresponds to the requested range.
+	if m.cfg.FixedPower {
 		if dist < 0 {
 			dist = math.Sqrt(d2)
 		}
-		d := m.freeDel
-		if d != nil {
-			m.freeDel = d.next
-			d.next = nil
-		} else {
-			d = &delivery{m: m}
+		if dist > sw.pkt.Range {
+			return
 		}
-		d.to = int32(i)
-		d.copies = int32(copies)
-		d.dist = dist
-		d.pkt = pkt
-		for c := 0; c < copies; c++ {
-			m.inflight++
-			m.engine.AtArg(deliverAt, runDelivery, d)
+	}
+	deliverAt := sw.end
+	copies := 1
+	if m.faults != nil {
+		fd := m.faults.JudgeFrame(sw.pkt.From, NodeID(i))
+		if fd.Drop {
+			return
 		}
-	})
-	m.collided += collided
-	m.lost += lost
+		deliverAt += fd.Delay
+		copies += fd.Copies
+	}
+	if dist < 0 {
+		dist = math.Sqrt(d2)
+	}
+	d := m.freeDel
+	if d != nil {
+		m.freeDel = d.next
+		d.next = nil
+	} else {
+		d = &delivery{m: m}
+	}
+	d.to = int32(i)
+	d.copies = int32(copies)
+	d.dist = dist
+	d.pkt = sw.pkt
+	for c := 0; c < copies; c++ {
+		m.inflight++
+		m.engine.AtArg(deliverAt, runDelivery, d)
+	}
+	sw.deliveries += uint64(copies)
 }
 
 func (m *Medium) deliver(i int, pkt Packet, dist float64) {

@@ -47,6 +47,28 @@ func BenchmarkQueueChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkQueueNearFar is the shape of a PEAS run at N = 800: 1600 long
+// timers (a wake-up and a depletion deadline per node) parked in the far
+// heap while every executed event was scheduled 10 ms ahead. The sift each
+// pop pays is the near heap's, not the deployment's; BenchmarkQueueChurn
+// above is the same churn through one deep heap.
+func BenchmarkQueueNearFar(b *testing.B) {
+	e := NewEngine()
+	fn := func(any) {}
+	for i := 0; i < 1600; i++ {
+		e.AtArg(1e9+float64(i), fn, nil)
+	}
+	for i := 0; i < 8; i++ {
+		e.ScheduleArg(0.001*float64(i+1), fn, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ScheduleArg(0.01, fn, nil)
+		e.Step()
+	}
+}
+
 // BenchmarkCancelRearm models the battery-death pattern: a far-future
 // event is cancelled and re-armed over and over, leaving tombstones that
 // only compaction can reclaim.

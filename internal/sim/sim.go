@@ -8,11 +8,12 @@
 // must not retain the engine across goroutines.
 //
 // The scheduler is built for an allocation-free hot path: events live in a
-// free list and are reused, the priority queue is a concrete 4-ary min-heap
-// over small value slots (no container/heap interface boxing), and the
-// AtArg/ScheduleArg variants let callers schedule a shared callback with a
-// pooled argument record instead of a fresh closure. Execution order is
-// exactly the classic (when, seq) order: strictly increasing timestamps,
+// free list and are reused, the priority queue is a pair of concrete 4-ary
+// min-heaps over small value slots (no container/heap interface boxing) —
+// one for imminent events, one for the long timers, see nearWindow — and
+// the AtArg/ScheduleArg variants let callers schedule a shared callback
+// with a pooled argument record instead of a fresh closure. Execution order
+// is exactly the classic (when, seq) order: strictly increasing timestamps,
 // FIFO among simultaneous events.
 package sim
 
@@ -41,10 +42,12 @@ type Event struct {
 	fn   func()
 	afn  func(any)
 	arg  any
-	// queued reports whether the event is still in the heap (live or
-	// lazily cancelled). canceled survives until the struct is reused so
-	// post-run Canceled() reads keep working.
+	// queued reports whether the event is still in a heap (live or lazily
+	// cancelled) and far which of the two, so Cancel can count the tombstone
+	// against the heap that holds it. canceled survives until the struct is
+	// reused so post-run Canceled() reads keep working.
 	queued   bool
+	far      bool
 	canceled bool
 	next     *Event // free-list link
 }
@@ -74,7 +77,10 @@ func (s slot) less(t slot) bool {
 // eventQueue is a 4-ary min-heap ordered by (when, seq). 4-ary beats
 // binary here: sift-down does one comparison row per cache line of slots
 // and the tree is half as deep.
-type eventQueue []slot
+type eventQueue struct {
+	heap []slot
+	dead int // cancelled events still occupying slots
+}
 
 // shrinkMinCap is the capacity below which the queue never reallocates
 // downward; above it, a drain to under a quarter of capacity releases the
@@ -82,7 +88,7 @@ type eventQueue []slot
 const shrinkMinCap = 4096
 
 func (q *eventQueue) push(s slot) {
-	heap := append(*q, s)
+	heap := append(q.heap, s)
 	i := len(heap) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -93,12 +99,12 @@ func (q *eventQueue) push(s slot) {
 		i = p
 	}
 	heap[i] = s
-	*q = heap
+	q.heap = heap
 }
 
 // siftDown restores the heap property for the element at index i, assuming
 // both subtrees below it are already heaps.
-func siftDown(heap eventQueue, i int) {
+func siftDown(heap []slot, i int) {
 	n := len(heap)
 	s := heap[i]
 	for {
@@ -128,7 +134,7 @@ func siftDown(heap eventQueue, i int) {
 // pop removes and returns the minimum slot's event. The caller must know
 // the queue is non-empty.
 func (q *eventQueue) pop() *Event {
-	heap := *q
+	heap := q.heap
 	ev := heap[0].ev
 	n := len(heap) - 1
 	heap[0] = heap[n]
@@ -138,11 +144,11 @@ func (q *eventQueue) pop() *Event {
 		siftDown(heap, 0)
 	}
 	if cap(heap) >= shrinkMinCap && len(heap)*4 <= cap(heap) {
-		smaller := make(eventQueue, len(heap), cap(heap)/2)
+		smaller := make([]slot, len(heap), cap(heap)/2)
 		copy(smaller, heap)
 		heap = smaller
 	}
-	*q = heap
+	q.heap = heap
 	return ev
 }
 
@@ -173,13 +179,26 @@ type Supervisor struct {
 // window — while keeping the common case to one nil check per event.
 const superviseStride = 256
 
+// nearWindow splits the schedule in two: an event due within nearWindow
+// seconds of the clock at scheduling time goes to the near heap, anything
+// later to the far heap. A PEAS run holds two long timers per node (the
+// next wake-up, the battery-depletion deadline) while nearly everything it
+// executes — radio deliveries, carrier-sense retries, probe windows — was
+// scheduled milliseconds ahead; keeping the long timers out of the heap
+// those events sift through makes an event cost what is imminent, not what
+// is deployed. The value only moves work between the heaps: execution order
+// is the (when, seq) order whatever it is, so it is not configurable.
+const nearWindow Time = 1
+
 // Engine is the discrete-event simulator core.
 type Engine struct {
-	now       Time
-	seq       uint64
-	queue     eventQueue
-	live      int // queued events not yet cancelled
-	dead      int // cancelled events still occupying heap slots
+	now Time
+	seq uint64
+	// near and far together hold the schedule; the next event to run is the
+	// lesser of the two heads. A slot stays in the heap it was pushed to.
+	near, far eventQueue
+	window    Time // nearWindow; equivalence tests force other values
+	live      int  // queued events not yet cancelled
 	free      *Event
 	executed  uint64
 	stopped   bool
@@ -198,7 +217,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and an empty schedule.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{window: nearWindow}
 }
 
 // Now returns the current simulation time.
@@ -214,10 +233,12 @@ func (e *Engine) SetNow(t Time) {
 	if e.live > 0 {
 		panic("sim: SetNow with a non-empty schedule")
 	}
-	for len(e.queue) > 0 {
-		e.release(e.queue.pop())
+	for _, q := range [...]*eventQueue{&e.near, &e.far} {
+		for len(q.heap) > 0 {
+			e.release(q.pop())
+		}
+		q.dead = 0
 	}
-	e.dead = 0
 	e.now = t
 }
 
@@ -238,10 +259,13 @@ type EngineStats struct {
 	// Between callbacks every struct is either in the heap (live or
 	// tombstoned) or on the free list, so it is counted at read time.
 	EventStructs uint64
-	// HeapSlots is the capacity of the queue's backing array: the
+	// HeapSlots is the capacity of the two heaps' backing arrays: the
 	// high-water mark of simultaneously queued events, rounded up by
 	// append's growth and halved again by a shrink after a drain.
 	HeapSlots int
+	// NearSlots is the near heap's part of HeapSlots — the slots the
+	// imminent events sift through; the rest hold the long timers.
+	NearSlots int
 	// Compactions is how many times cancelled entries came to dominate
 	// the heap and were swept out in one pass.
 	Compactions uint64
@@ -250,14 +274,15 @@ type EngineStats struct {
 // Stats reads the engine's counters. It walks the free list, so call it
 // after a run, not per event; the hot path pays nothing for it.
 func (e *Engine) Stats() EngineStats {
-	structs := uint64(len(e.queue))
+	structs := uint64(len(e.near.heap) + len(e.far.heap))
 	for ev := e.free; ev != nil; ev = ev.next {
 		structs++
 	}
 	return EngineStats{
 		Events:       e.executed,
 		EventStructs: structs,
-		HeapSlots:    cap(e.queue),
+		HeapSlots:    cap(e.near.heap) + cap(e.far.heap),
+		NearSlots:    cap(e.near.heap),
 		Compactions:  e.compacted,
 	}
 }
@@ -299,7 +324,12 @@ func (e *Engine) schedule(when Time, fn func(), afn func(any), arg any) *Event {
 	ev.fn = fn
 	ev.afn = afn
 	ev.arg = arg
-	e.queue.push(slot{when: when, seq: e.seq, ev: ev})
+	ev.far = when-e.now > e.window
+	if ev.far {
+		e.far.push(slot{when: when, seq: e.seq, ev: ev})
+	} else {
+		e.near.push(slot{when: when, seq: e.seq, ev: ev})
+	}
 	e.live++
 	return ev
 }
@@ -351,40 +381,82 @@ func (e *Engine) Cancel(ev *Event) {
 	ev.arg = nil
 	if ev.queued {
 		e.live--
-		e.dead++
+		q := &e.near
+		if ev.far {
+			q = &e.far
+		}
+		q.dead++
 		// Cancelled entries are usually dropped lazily when they surface
 		// at the queue head, but a model that keeps re-arming far-future
 		// timers (battery-depletion deadlines move on every packet) would
 		// grow the heap with tombstones that never surface. Compact once
 		// they dominate: release their structs and re-heapify the rest.
-		if e.dead >= 64 && e.dead*2 >= len(e.queue) {
-			e.compact()
+		// Each heap counts its own, so the far heap's tombstones never
+		// re-heapify the near one.
+		if q.dead >= 64 && q.dead*2 >= len(q.heap) {
+			e.compact(q)
 		}
 	}
 }
 
-// compact removes every cancelled entry from the heap in one pass and
-// restores the heap property bottom-up. Pop order is unaffected: it is
-// determined by the strict (when, seq) total order, not the heap layout.
-func (e *Engine) compact() {
-	q := e.queue
-	kept := q[:0]
-	for _, s := range q {
+// compact removes every cancelled entry from q in one pass and restores
+// the heap property bottom-up. Pop order is unaffected: it is determined
+// by the strict (when, seq) total order, not the heap layout.
+func (e *Engine) compact(q *eventQueue) {
+	kept := q.heap[:0]
+	for _, s := range q.heap {
 		if s.ev.canceled {
 			e.release(s.ev)
 		} else {
 			kept = append(kept, s)
 		}
 	}
-	for i := len(kept); i < len(q); i++ {
-		q[i] = slot{}
+	for i := len(kept); i < len(q.heap); i++ {
+		q.heap[i] = slot{}
 	}
-	e.queue = kept
-	e.dead = 0
+	q.heap = kept
+	q.dead = 0
 	e.compacted++
 	for i := (len(kept) - 2) >> 2; i >= 0; i-- {
 		siftDown(kept, i)
 	}
+}
+
+// head returns the heap whose head slot is the lesser under slot.less —
+// exactly the head one merged heap would have — or nil when both are empty.
+func (e *Engine) head() *eventQueue {
+	near, far := e.near.heap, e.far.heap
+	if len(far) > 0 && (len(near) == 0 || far[0].less(near[0])) {
+		return &e.far
+	}
+	if len(near) == 0 {
+		return nil
+	}
+	return &e.near
+}
+
+// drop discards the tombstone that has surfaced at q's head.
+func (e *Engine) drop(q *eventQueue) {
+	e.release(q.pop())
+	q.dead--
+}
+
+// execute pops q's head, advances the clock to it and runs its callback.
+func (e *Engine) execute(q *eventQueue) {
+	ev := q.pop()
+	e.live--
+	when := ev.when
+	e.now = when
+	e.executed++
+	if e.OnEvent != nil {
+		e.OnEvent(when)
+	}
+	if ev.afn != nil {
+		ev.afn(ev.arg)
+	} else if ev.fn != nil {
+		ev.fn()
+	}
+	e.release(ev)
 }
 
 // Stop makes the current Run call return after the executing event
@@ -409,37 +481,29 @@ func (e *Engine) Preempted() bool { return e.preempted }
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	e.preempted = false
-	for len(e.queue) > 0 && !e.stopped {
-		ev := e.queue[0].ev
-		if ev.canceled {
-			e.release(e.queue.pop())
-			e.dead--
-			continue
-		}
-		if ev.when > until {
+	for !e.stopped {
+		q := e.head()
+		if q == nil {
 			break
 		}
-		e.queue.pop()
-		e.live--
-		when := ev.when
-		e.now = when
-		e.executed++
-		if e.super != nil && e.executed%superviseStride == 0 {
-			e.super.Beat.Store(e.executed)
+		if q.heap[0].ev.canceled {
+			e.drop(q)
+			continue
+		}
+		if q.heap[0].when > until {
+			break
+		}
+		// Polled before the callback, counting the event about to run: a
+		// Beat that stops moving then names the event a wedged callback
+		// is stuck in.
+		if n := e.executed + 1; e.super != nil && n%superviseStride == 0 {
+			e.super.Beat.Store(n)
 			if e.super.Stop.Load() {
 				e.stopped = true
 				e.preempted = true
 			}
 		}
-		if e.OnEvent != nil {
-			e.OnEvent(when)
-		}
-		if ev.afn != nil {
-			ev.afn(ev.arg)
-		} else if ev.fn != nil {
-			ev.fn()
-		}
-		e.release(ev)
+		e.execute(q)
 	}
 	// A supervisor preemption freezes the clock at the stop point so a
 	// checkpoint captured afterwards is stamped with the preemption time;
@@ -451,28 +515,16 @@ func (e *Engine) Run(until Time) {
 
 // Step executes exactly one event and reports whether one was available.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.queue[0].ev
-		if ev.canceled {
-			e.release(e.queue.pop())
-			e.dead--
+	for {
+		q := e.head()
+		if q == nil {
+			return false
+		}
+		if q.heap[0].ev.canceled {
+			e.drop(q)
 			continue
 		}
-		e.queue.pop()
-		e.live--
-		when := ev.when
-		e.now = when
-		e.executed++
-		if e.OnEvent != nil {
-			e.OnEvent(when)
-		}
-		if ev.afn != nil {
-			ev.afn(ev.arg)
-		} else if ev.fn != nil {
-			ev.fn()
-		}
-		e.release(ev)
+		e.execute(q)
 		return true
 	}
-	return false
 }
