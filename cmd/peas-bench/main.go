@@ -7,19 +7,8 @@
 //	peas-bench -exp fig9        # one experiment
 //	peas-bench -runs 1 -quick   # fast pass (1 run/point, coarser sweeps)
 //
-// Regression gate (used by CI): runs a fixed deterministic scenario set
-// and compares work counters (engine events, packets, wakeups), the
-// allocation count (heap objects per scenario, gated at
-// -allocs-tolerance, default 0: any increase beyond two objects of runtime
-// slack fails; printed per executed event) and wall time (gated
-// at -wall-tolerance, default 10%; negative makes it advisory) against a
-// committed baseline.
-//
-//	peas-bench -quick -baseline BENCH_baseline.json -write-baseline
-//	peas-bench -quick -baseline BENCH_baseline.json -tolerance 0.25
-//
 // Profiling: -cpuprofile and -memprofile write pprof profiles covering
-// the whole invocation (gate or experiments); see DESIGN.md §9.
+// the whole invocation; see DESIGN.md §9.
 //
 // The experiment ids -exp accepts are those of peas.Experiments(); -h
 // lists them.
@@ -29,12 +18,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
 	"peas"
 	"peas/internal/buildinfo"
-	"peas/internal/perf"
 )
 
 func main() {
@@ -60,12 +50,6 @@ func run() error {
 		format   = flag.String("format", "text", "output format: text, csv, json or md")
 		parallel = flag.Int("parallel", 0, "concurrent simulations per experiment (0 = all CPUs)")
 
-		baseline  = flag.String("baseline", "", "regression-gate mode: baseline JSON to compare against (or write with -write-baseline)")
-		tolerance = flag.Float64("tolerance", 0.25, "maximum allowed relative regression of a gate work counter")
-		allocsTol = flag.Float64("allocs-tolerance", 0, "maximum allowed relative regression of a scenario's heap-object count (0 = any increase beyond two objects of runtime slack fails)")
-		wallTol   = flag.Float64("wall-tolerance", 0.10, "maximum allowed relative wall-time regression (negative = advisory only)")
-		writeBase = flag.Bool("write-baseline", false, "measure the gate scenarios and write -baseline instead of comparing")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -77,27 +61,37 @@ func run() error {
 	}
 
 	if *cpuProfile != "" {
-		stop, err := perf.StartCPUProfile(*cpuProfile)
+		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			return err
 		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
 		defer func() {
-			if err := stop(); err != nil {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "peas-bench:", err)
 			}
 		}()
 	}
 	if *memProfile != "" {
+		// The "allocs" profile rather than "heap": cumulative allocation
+		// sites show up even after their objects die.
 		defer func() {
-			if err := perf.WriteHeapProfile(*memProfile); err != nil {
+			f, err := os.Create(*memProfile)
+			if err == nil {
+				runtime.GC()
+				err = pprof.Lookup("allocs").WriteTo(f, 0)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "peas-bench:", err)
 			}
 		}()
-	}
-
-	if *baseline != "" {
-		tol := gateTolerances{counters: *tolerance, allocs: *allocsTol, wall: *wallTol}
-		return runGate(*baseline, tol, *writeBase, *quick)
 	}
 
 	emit := func(t *peas.Table) error {

@@ -118,6 +118,44 @@ func TestBatteryKill(t *testing.T) {
 	}
 }
 
+// TestBatteryDrainsToDeathInMode is the mode-drain life cycle the live
+// runtime's battery emulation leans on: exact linear drain, a projection
+// that moves with the mode, and death at zero by drain alone (no Spend, no
+// Kill), under the paper's profile and under a custom one.
+func TestBatteryDrainsToDeathInMode(t *testing.T) {
+	b := NewBattery(MotesProfile(), 1.2)
+	b.SetMode(0, Idle)
+	if got := b.DepletionTime(0); got != 100 {
+		t.Errorf("1.2 J idle depletion projected at %v, want 100", got)
+	}
+	if got := b.Remaining(50); got != 0.6 {
+		t.Errorf("remaining after 50 s idle = %v, want 0.6", got)
+	}
+	b.SetMode(50, Sleep)
+	if got := b.DepletionTime(50); got != 50+0.6/0.00003 {
+		t.Errorf("sleep depletion projected at %v, want %v", got, 50+0.6/0.00003)
+	}
+
+	d := NewBattery(MotesProfile(), 0.012) // one second of idle life
+	d.SetMode(0, Idle)
+	if got := d.Remaining(2); got != 0 || !d.Dead() {
+		t.Errorf("drained past empty: remaining = %v, dead = %v; want 0, true", got, d.Dead())
+	}
+	d.SetMode(3, Sleep)
+	if !d.Dead() || d.DepletionTime(3) != 3 {
+		t.Error("a drained battery must stay dead and deplete now")
+	}
+	if got := d.Consumed(3); got != 0.012 {
+		t.Errorf("consumed = %v, want the whole 0.012 J charge", got)
+	}
+
+	c := NewBattery(Profile{IdleW: 1, SleepW: 0.5, ReceiveW: 1, TransmitW: 2}, 10)
+	c.SetMode(0, Idle)
+	if got := c.DepletionTime(0); got != 10 {
+		t.Errorf("custom profile depletion at %v, want 10", got)
+	}
+}
+
 func TestBatteryTimeNeverRewinds(t *testing.T) {
 	b := NewBattery(MotesProfile(), 10)
 	b.SetMode(100, Idle)

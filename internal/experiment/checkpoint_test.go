@@ -81,62 +81,141 @@ func TestPeriodicCapturesDoNotPerturb(t *testing.T) {
 	}
 }
 
-// goldenFinalHash pins the end state of the reference run below on amd64.
-// It detects unintended trajectory changes: any edit to the RNG, the
-// event ordering, or the model physics shows up here. Update it
-// deliberately when such a change is intended (run the test with -v to
-// see the new hash).
+// goldenFinalHash pins the end state of the first goldenRuns row on
+// amd64. It detects unintended trajectory changes: any edit to the RNG,
+// the event ordering, or the model physics shows up here.
 const goldenFinalHash = "2faa254f39768f3548902c755fdc6ae83defa121c1e3fdccaf1cdf6a2686c3d1"
 
-// TestGoldenDeterminism runs one fixed configuration twice and asserts
-// the full state hash matches at every sample point and at the end; on
-// amd64 the final hash must also equal the committed golden value.
-// Cross-architecture the trajectory may legitimately differ (Go permits
-// fused multiply-add contraction, and libm kernels are
-// architecture-specific), so only the two-run equality is asserted
-// elsewhere.
+// goldenRun is one pinned run: its configuration, the exact work it
+// counts, the hash of the state it ends in and the heap objects it may
+// allocate.
+type goldenRun struct {
+	name string
+	cfg  RunConfig
+	// counts is engine events executed, packets broadcast, probe rounds
+	// and coverage observations: pure functions of cfg, held exactly.
+	counts [4]uint64
+	// hash is the end-state StateHash, compared on amd64 only.
+	hash string
+	// allocs is the heap objects one whole run allocates, network
+	// construction included. The model runs on one goroutine, so its own
+	// count is exact; goldenAllocSlack covers the runtime's.
+	allocs uint64
+}
+
+// goldenAllocSlack is how far above its budget a row's allocation count
+// may read: the Mallocs delta testing.AllocsPerRun takes also sees the
+// odd object the runtime allocates for itself. One more allocation per
+// node, per wake-up or per event is hundreds to thousands.
+const goldenAllocSlack = 2
+
+// goldenRuns is the table TestGoldenDeterminism holds. The first row
+// samples the state hash every 500 simulated seconds as well; the other
+// three are the paper's base scenario at three deployment sizes (protocol
+// only, with forwarding, with forwarding under 26.66 failures per
+// 5000 s). Horizons are explicit, never the deployment-proportional
+// default, so the work counted is pinned.
+//
+// To re-pin after an intended trajectory or allocation change, run
+// `go test -run TestGoldenDeterminism -v -count=3 ./internal/experiment/`
+// and copy the row each subtest logs, taking the lowest allocation count
+// logged (a run can read an object or two high; see goldenAllocSlack).
+func goldenRuns() []goldenRun {
+	base := func(n int, seed int64, horizon, failures float64, forwarding bool) RunConfig {
+		return RunConfig{
+			Network:          node.DefaultConfig(n, seed),
+			Horizon:          horizon,
+			FailuresPer5000s: failures,
+			Forwarding:       forwarding,
+		}
+	}
+	sampled := base(60, 42, 2000, 10, true)
+	sampled.CheckpointEvery = 500
+	return []goldenRun{
+		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 2055},
+		{"protocol-160", base(160, 1, 1500, 0, false), [4]uint64{15646, 5998, 1239, 61},
+			"6253205caf9d9c9f7087fd00d654eca8af40ab1c8fe31acd507df283914443b6", 5810},
+		{"baseline-320", base(320, 2, 1200, BaseFailuresPer5000, true), [4]uint64{18650, 6791, 1327, 49},
+			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 9794},
+		{"failures-480", base(480, 3, 1000, 26.66, true), [4]uint64{20549, 7423, 1416, 41},
+			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 13662},
+	}
+}
+
+// TestGoldenDeterminism runs each goldenRuns row twice and asserts the
+// work counters, the state hash at every sample point and the end-state
+// hash agree across the two runs and with the row; then it holds the
+// row's whole-run allocation count to its budget. The hashes are compared
+// with the committed values on amd64 only: cross-architecture the
+// trajectory may legitimately differ (Go permits fused multiply-add
+// contraction, and libm kernels are architecture-specific), so elsewhere
+// only the two-run equality and the allocation budget are asserted.
 func TestGoldenDeterminism(t *testing.T) {
-	run := func() (mids []string, final string) {
-		cfg := RunConfig{
-			Network:          node.DefaultConfig(60, 42),
-			Horizon:          2000,
-			FailuresPer5000s: 10,
-			Forwarding:       true,
-			CaptureFinal:     true,
-			CheckpointEvery:  500,
-			OnCheckpoint: func(s *checkpoint.Snapshot) bool {
-				mids = append(mids, s.StateHashHex())
-				return false
-			},
-		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mids, res.FinalState.StateHashHex()
+	counts := func(r *RunStats) [4]uint64 {
+		return [4]uint64{r.EngineEvents, r.PacketsSent, r.Wakeups, uint64(r.CoverageSamples)}
 	}
-	midsA, finalA := run()
-	midsB, finalB := run()
-	if len(midsA) == 0 {
-		t.Fatal("no mid-run samples captured")
-	}
-	if len(midsA) != len(midsB) {
-		t.Fatalf("sample count differs across runs: %d vs %d", len(midsA), len(midsB))
-	}
-	for i := range midsA {
-		if midsA[i] != midsB[i] {
-			t.Errorf("sample %d differs across identical runs: %s vs %s", i, midsA[i], midsB[i])
-		}
-	}
-	if finalA != finalB {
-		t.Errorf("final state differs across identical runs: %s vs %s", finalA, finalB)
-	}
-	t.Logf("final state hash: %s", finalA)
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden hash is pinned on amd64; running on %s", runtime.GOARCH)
-	}
-	if finalA != goldenFinalHash {
-		t.Errorf("final hash %s does not match committed golden %s", finalA, goldenFinalHash)
+	for _, g := range goldenRuns() {
+		t.Run(g.name, func(t *testing.T) {
+			run := func() (res *RunStats, mids []string) {
+				cfg := g.cfg
+				cfg.CaptureFinal = true
+				if cfg.CheckpointEvery > 0 {
+					cfg.OnCheckpoint = func(s *checkpoint.Snapshot) bool {
+						mids = append(mids, s.StateHashHex())
+						return false
+					}
+				}
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, mids
+			}
+			a, midsA := run()
+			b, midsB := run()
+			if (g.cfg.CheckpointEvery > 0) != (len(midsA) > 0) {
+				t.Fatalf("%d mid-run samples captured at CheckpointEvery=%v", len(midsA), g.cfg.CheckpointEvery)
+			}
+			if len(midsA) != len(midsB) {
+				t.Fatalf("sample count differs across runs: %d vs %d", len(midsA), len(midsB))
+			}
+			for i := range midsA {
+				if midsA[i] != midsB[i] {
+					t.Errorf("sample %d differs across identical runs: %s vs %s", i, midsA[i], midsB[i])
+				}
+			}
+			got := goldenRun{counts: counts(a), hash: a.FinalState.StateHashHex()}
+			if again := b.FinalState.StateHashHex(); again != got.hash {
+				t.Errorf("final state differs across identical runs: %s vs %s", got.hash, again)
+			}
+			if again := counts(b); again != got.counts {
+				t.Errorf("events/packets/wakeups/samples differ across identical runs: %v vs %v", got.counts, again)
+			}
+
+			// The budgeted run is the plain one: no end-state capture and,
+			// with no OnCheckpoint, no sampling cadence. AllocsPerRun warms
+			// up once and pins GOMAXPROCS to 1.
+			got.allocs = uint64(testing.AllocsPerRun(1, func() {
+				if _, err := Run(g.cfg); err != nil {
+					t.Error(err)
+				}
+			}))
+			t.Logf("row: {%q, …, [4]uint64{%d, %d, %d, %d}, %q, %d}", g.name,
+				got.counts[0], got.counts[1], got.counts[2], got.counts[3], got.hash, got.allocs)
+
+			if got.counts != g.counts {
+				t.Errorf("events/packets/wakeups/samples = %v, golden row has %v", got.counts, g.counts)
+			}
+			if got.allocs > g.allocs+goldenAllocSlack {
+				t.Errorf("one run allocated %d heap objects, budget %d + %d of runtime slack", got.allocs, g.allocs, goldenAllocSlack)
+			}
+			if runtime.GOARCH != "amd64" {
+				t.Skipf("golden hashes are pinned on amd64; running on %s", runtime.GOARCH)
+			}
+			if got.hash != g.hash {
+				t.Errorf("final hash %s does not match committed golden %s", got.hash, g.hash)
+			}
+		})
 	}
 }
 

@@ -20,13 +20,29 @@ import (
 	"peas/internal/experiment"
 )
 
-// memFS is a durable.FS that keeps file names (not contents) in memory:
-// the property test runs thousands of admissions and must not fsync a real
-// disk for each, but it does check which state files exist after every
-// step.
+// memFS is a durable.FS held in memory: files with their contents and
+// the directories MkdirAll made. The property test runs thousands of
+// admissions and the torn-write sweep thousands of recoveries; neither
+// needs a disk, only the state files an OS directory would hold after the
+// same calls (TestMemFSMatchesOS holds it to that). Syncs are no-ops:
+// nothing here is ever lost.
 type memFS struct {
 	mu    sync.Mutex
-	files map[string]bool
+	files map[string][]byte
+	dirs  map[string]bool
+}
+
+func newMemFS() *memFS {
+	return &memFS{files: map[string][]byte{}, dirs: map[string]bool{}}
+}
+
+func notExist(op, name string) error {
+	return &fs.PathError{Op: op, Path: name, Err: fs.ErrNotExist}
+}
+
+// hasDir reports whether dir exists; the root always does.
+func (m *memFS) hasDir(dir string) bool {
+	return m.dirs[dir] || dir == filepath.Dir(dir)
 }
 
 type memFile struct {
@@ -34,34 +50,103 @@ type memFile struct {
 	name string
 }
 
-func (f *memFile) Write(p []byte) (int, error) { return len(p), nil }
-func (f *memFile) Sync() error                 { return nil }
-func (f *memFile) Close() error {
+func (f *memFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	f.fs.files[f.name] = true
+	f.fs.files[f.name] = append(f.fs.files[f.name], p...)
+	return len(p), nil
+}
+func (f *memFile) Sync() error  { return nil }
+func (f *memFile) Close() error { return nil }
+
+type memEntry struct {
+	name string
+	dir  bool
+}
+
+func (e memEntry) Name() string { return e.name }
+func (e memEntry) IsDir() bool  { return e.dir }
+func (e memEntry) Type() fs.FileMode {
+	if e.dir {
+		return fs.ModeDir
+	}
+	return 0
+}
+func (e memEntry) Info() (fs.FileInfo, error) { return nil, errors.New("memFS: no file info") }
+
+func (m *memFS) SyncDir(string) error { return nil }
+
+func (m *memFS) MkdirAll(dir string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for d := filepath.Clean(dir); !m.hasDir(d); d = filepath.Dir(d) {
+		m.dirs[d] = true
+	}
 	return nil
 }
 
-func (m *memFS) MkdirAll(string) error                    { return nil }
-func (m *memFS) SyncDir(string) error                     { return nil }
-func (m *memFS) ReadFile(string) ([]byte, error)          { return nil, fs.ErrNotExist }
-func (m *memFS) ReadDir(string) ([]fs.DirEntry, error)    { return nil, nil }
-func (m *memFS) Create(name string) (durable.File, error) { return &memFile{m, name}, nil }
-
-func (m *memFS) Rename(oldpath, newpath string) error {
+func (m *memFS) Create(name string) (durable.File, error) {
+	name = filepath.Clean(name)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if !m.hasDir(filepath.Dir(name)) {
+		return nil, notExist("open", name)
+	}
+	m.files[name] = nil
+	return &memFile{m, name}, nil
+}
+
+func (m *memFS) ReadFile(name string) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	data, ok := m.files[filepath.Clean(name)]
+	if !ok {
+		return nil, notExist("open", name)
+	}
+	return append([]byte{}, data...), nil
+}
+
+func (m *memFS) ReadDir(dir string) ([]fs.DirEntry, error) {
+	dir = filepath.Clean(dir)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.hasDir(dir) {
+		return nil, notExist("open", dir)
+	}
+	var out []fs.DirEntry
+	for name := range m.files {
+		if filepath.Dir(name) == dir {
+			out = append(out, memEntry{filepath.Base(name), false})
+		}
+	}
+	for name := range m.dirs {
+		if filepath.Dir(name) == dir {
+			out = append(out, memEntry{filepath.Base(name), true})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
+	return out, nil
+}
+
+func (m *memFS) Rename(oldpath, newpath string) error {
+	oldpath, newpath = filepath.Clean(oldpath), filepath.Clean(newpath)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	data, ok := m.files[oldpath]
+	if !ok || !m.hasDir(filepath.Dir(newpath)) {
+		return notExist("rename", oldpath)
+	}
 	delete(m.files, oldpath)
-	m.files[newpath] = true
+	m.files[newpath] = data
 	return nil
 }
 
 func (m *memFS) Remove(name string) error {
+	name = filepath.Clean(name)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.files[name] {
-		return fs.ErrNotExist
+	if _, ok := m.files[name]; !ok {
+		return notExist("remove", name)
 	}
 	delete(m.files, name)
 	return nil
@@ -77,6 +162,98 @@ func (m *memFS) names() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestMemFSMatchesOS tests the fake before the sweep and the property
+// test trust it: the operations persistSpec, persistCheckpoint,
+// quarantine and Recover issue — and the ways they fail on a missing file
+// or directory — run through memFS and through durable.OS on a temp dir,
+// and every result and every directory listing must be the same.
+func TestMemFSMatchesOS(t *testing.T) {
+	drive := func(fsys durable.FS, dir string) []string {
+		var log []string
+		class := func(err error) string {
+			switch {
+			case err == nil:
+				return "ok"
+			case errors.Is(err, fs.ErrNotExist):
+				return "not-exist"
+			case errors.Is(err, durable.ErrCorrupt):
+				return "corrupt"
+			}
+			return "error: " + err.Error()
+		}
+		list := func(sub string) string {
+			entries, err := fsys.ReadDir(filepath.Join(dir, sub))
+			if err != nil {
+				return class(err)
+			}
+			var names []string
+			for _, ent := range entries {
+				name := ent.Name()
+				if ent.IsDir() {
+					name += "/"
+				}
+				names = append(names, name)
+			}
+			return "[" + strings.Join(names, " ") + "]"
+		}
+		step := func(what string, err error) {
+			log = append(log, fmt.Sprintf("%s: %s; . = %s, %s = %s", what, class(err), list(""), QuarantineDir, list(QuarantineDir)))
+		}
+		at := func(name string) string { return filepath.Join(dir, name) }
+		read := func(name string) {
+			payload, err := durable.ReadFile(fsys, at(name))
+			step(fmt.Sprintf("read %s = %q", name, payload), err)
+		}
+
+		step("fresh state dir", nil)
+		_, err := fsys.Create(at("j-1.spec.json.tmp"))
+		step("create in a missing dir", err)
+		step("write spec", durable.WriteFile(fsys, at("j-1.spec.json"), []byte("spec")))
+		step("write ckpt", durable.WriteFile(fsys, at("j-1.ckpt"), []byte("ckpt")))
+		step("rewrite spec", durable.WriteFile(fsys, at("j-1.spec.json"), []byte("parked spec")))
+		read("j-1.spec.json")
+		read("j-1.ckpt")
+		read("j-2.spec.json")
+
+		// A torn write: the temporary exists, holds a prefix, and was
+		// never renamed; a torn file in place reads as corrupt.
+		f, err := fsys.Create(at("j-2.spec.json.tmp"))
+		if err == nil {
+			_, err = f.Write(durable.Frame([]byte("torn"))[:10])
+			f.Close()
+		}
+		step("torn tmp", err)
+		step("rename tmp into place", fsys.Rename(at("j-2.spec.json.tmp"), at("j-2.spec.json")))
+		read("j-2.spec.json")
+
+		q := filepath.Join(QuarantineDir, "j-2.spec.json")
+		step("quarantine before mkdir", fsys.Rename(at("j-2.spec.json"), at(q)))
+		step("mkdir quarantine", fsys.MkdirAll(at(QuarantineDir)))
+		step("mkdir quarantine again", fsys.MkdirAll(at(QuarantineDir)))
+		step("quarantine", fsys.Rename(at("j-2.spec.json"), at(q)))
+		step("quarantine twice", fsys.Rename(at("j-2.spec.json"), at(q)))
+		step("sync dirs", errors.Join(fsys.SyncDir(at(QuarantineDir)), fsys.SyncDir(dir)))
+		read(q)
+
+		step("remove spec", fsys.Remove(at("j-1.spec.json")))
+		step("remove ckpt", fsys.Remove(at("j-1.ckpt")))
+		step("remove ckpt again", fsys.Remove(at("j-1.ckpt")))
+		return log
+	}
+
+	want := strings.Join(drive(durable.OS{}, filepath.Join(t.TempDir(), "state")), "\n")
+	got := strings.Join(drive(newMemFS(), "/state"), "\n")
+	if got != want {
+		t.Fatalf("memFS and durable.OS diverge\nmemFS:\n%s\nOS:\n%s", got, want)
+	}
+	// The script's own sanity: it reached the states it was written for.
+	for _, frag := range []string{"not-exist", "corrupt", "[j-1.ckpt j-1.spec.json]", "[j-2.spec.json]", `"parked spec"`, "remove ckpt again: not-exist; . = [quarantine/]"} {
+		if !strings.Contains(want, frag) {
+			t.Errorf("script never produced %q:\n%s", frag, want)
+		}
+	}
 }
 
 // The reference model of TestKeyStateMachineProperty.
@@ -143,7 +320,7 @@ type keyMachine struct {
 }
 
 func newKeyMachine(t *testing.T, seed int64) *keyMachine {
-	m := &keyMachine{t: t, rng: rand.New(rand.NewSource(seed)), mem: &memFS{files: map[string]bool{}}}
+	m := &keyMachine{t: t, rng: rand.New(rand.NewSource(seed)), mem: newMemFS()}
 	m.ffs = durable.NewFaultFS(m.mem)
 	for k := 0; k < propKeys; k++ {
 		spec := testSpec(int64(k))

@@ -72,12 +72,19 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 }
 
-// recoverInto runs Recover on a fresh, un-started pool over dir and
-// returns the pool plus the recovered count. The torn-write sweep calls
-// it thousands of times; not starting workers keeps each call cheap.
+// recoverInto runs Recover on a fresh, un-started pool over dir on the
+// real filesystem and returns the pool plus the recovered count.
 func recoverInto(t *testing.T, dir string, depth int) (*Pool, int) {
 	t.Helper()
-	pool := New(Config{Workers: 1, QueueDepth: depth, StateDir: dir, CheckpointEvery: 200})
+	return recoverOn(t, nil, dir, depth)
+}
+
+// recoverOn is recoverInto over fsys (nil = the real filesystem). The
+// torn-write sweep calls it thousands of times; not starting workers
+// keeps each call cheap.
+func recoverOn(t *testing.T, fsys durable.FS, dir string, depth int) (*Pool, int) {
+	t.Helper()
+	pool := New(Config{Workers: 1, QueueDepth: depth, StateDir: dir, CheckpointEvery: 200, FS: fsys})
 	n, err := pool.Recover()
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -92,6 +99,12 @@ func recoverInto(t *testing.T, dir string, depth int) (*Pool, int) {
 // recovered (healthy or restartable spec) or quarantined (damaged
 // spec), with damaged checkpoints quarantined separately and the job
 // restarted from its spec.
+//
+// The pair is written by the production path on a real disk; the
+// thousands of damaged copies are recovered on a memFS, because what is
+// swept is Recover's reading of the bytes, not the disk under them
+// (TestTornWriteRecoveredRunsFinish and the other Recover tests keep the
+// real rename/fsync path driven).
 func TestTornWriteSweep(t *testing.T) {
 	srcDir, id, _ := buildDrainState(t)
 	specName, ckptName := id+".spec.json", id+".ckpt"
@@ -104,34 +117,26 @@ func TestTornWriteSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := t.TempDir()
-	caseNo := 0
+	const dir = "/state"
 	runCase := func(t *testing.T, spec, ckpt []byte, specDamaged bool) {
 		t.Helper()
-		caseNo++
-		dir := filepath.Join(base, fmt.Sprintf("c%06d", caseNo))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, specName), spec, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, ckptName), ckpt, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		pool, n := recoverInto(t, dir, 4)
+		mem := newMemFS()
+		mem.dirs[dir] = true
+		mem.files[filepath.Join(dir, specName)] = spec
+		mem.files[filepath.Join(dir, ckptName)] = ckpt
+		pool, n := recoverOn(t, mem, dir, 4)
 		quarJobs := pool.Counters().Get("jobs_quarantined")
+		quarantined := func(name string) bool {
+			_, in := mem.files[filepath.Join(dir, QuarantineDir, name)]
+			_, left := mem.files[filepath.Join(dir, name)]
+			return in && !left
+		}
 		if specDamaged {
 			if n != 0 || quarJobs != 1 {
 				t.Fatalf("damaged spec: recovered=%d quarantined=%d, want 0/1", n, quarJobs)
 			}
-			for _, name := range []string{specName, ckptName} {
-				if _, err := os.Stat(filepath.Join(dir, QuarantineDir, name)); err != nil {
-					t.Fatalf("damaged spec: %s not quarantined: %v", name, err)
-				}
-				if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-					t.Fatalf("damaged spec: %s left in state dir", name)
-				}
+			if !quarantined(specName) || !quarantined(ckptName) {
+				t.Fatalf("damaged spec: pair not moved to quarantine; files: %v", mem.names())
 			}
 		} else {
 			// Spec healthy, checkpoint damaged: the job must still come
@@ -142,8 +147,8 @@ func TestTornWriteSweep(t *testing.T) {
 			if got := pool.Counters().Get("checkpoints_quarantined"); got != 1 {
 				t.Fatalf("damaged ckpt: checkpoints_quarantined = %d, want 1", got)
 			}
-			if _, err := os.Stat(filepath.Join(dir, QuarantineDir, ckptName)); err != nil {
-				t.Fatalf("damaged ckpt not quarantined: %v", err)
+			if !quarantined(ckptName) || quarantined(specName) {
+				t.Fatalf("damaged ckpt: want only the checkpoint quarantined; files: %v", mem.names())
 			}
 			j, ok := pool.Get(id)
 			if !ok {
@@ -157,55 +162,36 @@ func TestTornWriteSweep(t *testing.T) {
 			}
 		}
 	}
+	flipped := func(data []byte, off int) []byte {
+		mutated := append([]byte(nil), data...)
+		mutated[off] ^= 0x10
+		return mutated
+	}
 
+	// Every offset of both files, with and without -short: the whole of
+	// each — frame header, codec magic, payload, trailer — is covered.
 	t.Run("spec-truncations", func(t *testing.T) {
-		for _, n := range sweepOffsets(len(specData)) {
+		for n := range specData {
 			runCase(t, specData[:n], ckptData, true)
 		}
 	})
 	t.Run("spec-bitflips", func(t *testing.T) {
-		for _, off := range sweepOffsets(len(specData)) {
-			mutated := append([]byte(nil), specData...)
-			mutated[off] ^= 0x10
-			runCase(t, mutated, ckptData, true)
+		for off := range specData {
+			runCase(t, flipped(specData, off), ckptData, true)
 		}
 	})
 	t.Run("ckpt-truncations", func(t *testing.T) {
-		for _, n := range sweepOffsets(len(ckptData)) {
+		for n := range ckptData {
 			runCase(t, specData, ckptData[:n], false)
 		}
 	})
 	t.Run("ckpt-bitflips", func(t *testing.T) {
 		// The durable frame's CRC catches any flip before the snapshot
-		// codec ever parses; sweep every offset so the whole file —
-		// header, codec magic, payload, trailer — is covered.
-		for _, off := range sweepOffsets(len(ckptData)) {
-			mutated := append([]byte(nil), ckptData...)
-			mutated[off] ^= 0x10
-			runCase(t, specData, mutated, false)
+		// codec ever parses.
+		for off := range ckptData {
+			runCase(t, specData, flipped(ckptData, off), false)
 		}
 	})
-}
-
-// sweepOffsets enumerates every offset in [0, n) — the full byte-level
-// sweep the durability claim is stated over. Under -short the interior
-// is strided (keeping the first 64 and last 32 bytes dense, which
-// crosses every frame-header and codec boundary) so race-enabled CI
-// stays fast without giving up edge coverage.
-func sweepOffsets(n int) []int {
-	offs := make([]int, 0, n)
-	if !testing.Short() {
-		for i := 0; i < n; i++ {
-			offs = append(offs, i)
-		}
-		return offs
-	}
-	for i := 0; i < n; i++ {
-		if i < 64 || i >= n-32 || i%17 == 0 {
-			offs = append(offs, i)
-		}
-	}
-	return offs
 }
 
 // TestTornWriteRecoveredRunsFinish closes the loop on the sweep: after

@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"peas/internal/client"
-	"peas/internal/experiment"
 	"peas/internal/jobqueue"
 	"peas/internal/server/api"
 	"peas/internal/stats"
@@ -169,25 +165,8 @@ func SoakKill9(ctx context.Context, kc Kill9Config) (*Kill9Report, error) {
 	ledger := newHashLedger()
 	rep := &Kill9Report{KeyMultisetHash: KeyMultisetHash(items)}
 
-	// Reference pass: ground-truth hashes for the long jobs, computed
-	// in-process before any server runs, so a recovered run that
-	// diverges is caught against an independent witness.
-	for _, it := range items {
-		if !it.Long {
-			continue
-		}
-		if _, ok := ledger.hashFor(it.Key); ok {
-			continue
-		}
-		st, err := experiment.Run(it.Spec.RunConfig())
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: reference run: %w", err)
-		}
-		if st.FinalState == nil {
-			return nil, fmt.Errorf("loadgen: reference run captured no final state")
-		}
-		ledger.observe(it.Key, st.FinalState.StateHashHex(), false)
-		rep.ReferenceKeys++
+	if rep.ReferenceKeys, err = referenceHashes(items, ledger); err != nil {
+		return nil, err
 	}
 	logf(kc.Log, "kill9: plan %d items (%d distinct, %d panic), %d reference hashes, seed %d",
 		len(items), distinctKeys(items), len(panicKeys), rep.ReferenceKeys, kc.KillSeed)
@@ -227,28 +206,11 @@ func SoakKill9(ctx context.Context, kc Kill9Config) (*Kill9Report, error) {
 			res.BootRecovered, res.BootQuarantined, res.ResumedDone, res.RestartedDone)
 	}
 
-	if entries, err := os.ReadDir(kc.Server.StateDir); err == nil {
-		for _, ent := range entries {
-			if ent.IsDir() {
-				continue // quarantine/ is kept for inspection by design
-			}
-			name := ent.Name()
-			if strings.HasSuffix(name, ".spec.json") || strings.HasSuffix(name, ".ckpt") || strings.HasSuffix(name, ".tmp") {
-				rep.LeftoverStateFiles++
-			}
-		}
-	}
+	specs, ckpts, tmps := censusStateDir(kc.Server.StateDir)
+	rep.LeftoverStateFiles = specs + ckpts + tmps
 
-	_, mismatches, _ := ledger.stats()
-	rep.HashMismatches = mismatches
-	for _, it := range items {
-		if it.Panic {
-			continue // designed to fail: never produces a hash
-		}
-		if _, ok := ledger.hashFor(it.Key); !ok {
-			rep.UnresolvedKeys++
-		}
-	}
+	_, rep.HashMismatches, _ = ledger.stats()
+	rep.UnresolvedKeys = unresolvedKeys(items, ledger)
 
 	rep.evaluate()
 	return rep, nil
@@ -460,37 +422,9 @@ func awaitAnyJobRunning(ctx context.Context, c *client.Client, timeout time.Dura
 func awaitCheckpointFiles(ctx context.Context, dir string, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) && ctx.Err() == nil {
-		if m, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(m) > 0 {
-			return
-		}
-		if m, _ := filepath.Glob(filepath.Join(dir, "*.spec.json")); len(m) == 0 {
+		if specs, ckpts, _ := censusStateDir(dir); ckpts > 0 || specs == 0 {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// censusStateDir counts the persisted state files in dir at one
-// instant: complete spec files, complete checkpoints, and in-flight
-// durable-write temporaries. Subdirectories (quarantine/) are skipped.
-func censusStateDir(dir string) (specs, ckpts, tmps int) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, 0, 0
-	}
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		name := ent.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			tmps++
-		case strings.HasSuffix(name, ".spec.json"):
-			specs++
-		case strings.HasSuffix(name, ".ckpt"):
-			ckpts++
-		}
-	}
-	return specs, ckpts, tmps
 }

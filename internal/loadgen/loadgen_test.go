@@ -3,6 +3,8 @@ package loadgen
 import (
 	"context"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -168,9 +170,6 @@ func TestRunClosedLoop(t *testing.T) {
 	if !rep.Pass {
 		t.Errorf("report failed its SLO: %+v", rep.Assertions)
 	}
-	if rep.E2ELatency.Count != 24 || rep.E2ELatency.P99Seconds <= 0 {
-		t.Errorf("e2e latency summary incomplete: %+v", rep.E2ELatency)
-	}
 
 	// Reproducibility over the wire: a second run of the same mix
 	// reports the identical key multiset hash.
@@ -213,14 +212,12 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 }
 
-// TestReportEvaluate pins the SLO gate logic itself: lost jobs,
-// duplicate-rate drift and latency bounds each flip Pass.
+// TestReportEvaluate pins the SLO gate logic itself: lost jobs and
+// duplicate-rate drift each flip Pass.
 func TestReportEvaluate(t *testing.T) {
 	base := Report{
 		Submitted: 10, Done: 10,
 		PlannedDuplicateRate: 0.3, ObservedDuplicateRate: 0.3,
-		SubmitLatency: LatencySummary{P99Seconds: 0.01},
-		E2ELatency:    LatencySummary{P99Seconds: 0.5},
 	}
 
 	r := base
@@ -255,15 +252,34 @@ func TestReportEvaluate(t *testing.T) {
 	if r.Pass {
 		t.Error("0.1 duplicate-rate drift passed a 0.05 tolerance")
 	}
+}
 
-	r = base
-	r.evaluate(SLO{MaxE2EP99Seconds: 0.1})
-	if r.Pass {
-		t.Error("e2e p99 0.5s passed a 0.1s bound")
+// TestSoakAccountingHelpers pins the two things both soaks count the
+// same way: an unresolved key is reported once however many plan items
+// share it (panic jobs never), and a state-dir census sees durable-write
+// temporaries but not the quarantine directory.
+func TestSoakAccountingHelpers(t *testing.T) {
+	items := []Item{
+		{Key: "lost"}, {Key: "lost", Duplicate: true},
+		{Key: "done"}, {Key: "boom", Panic: true},
 	}
-	r = base
-	r.evaluate(SLO{MaxE2EP99Seconds: 1.0, MaxSubmitP99Seconds: 0.1})
-	if !r.Pass {
-		t.Errorf("in-bound latencies failed: %+v", r.Assertions)
+	ledger := newHashLedger()
+	ledger.observe("done", "h", false)
+	if got := unresolvedKeys(items, ledger); got != 1 {
+		t.Errorf("unresolvedKeys = %d, want 1 (one distinct non-panic key without a hash)", got)
+	}
+
+	dir := t.TempDir()
+	for _, name := range []string{"a.spec.json", "b.spec.json", "a.ckpt", "b.ckpt.tmp", "quarantine/c.spec.json"} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if specs, ckpts, tmps := censusStateDir(dir); specs != 2 || ckpts != 1 || tmps != 1 {
+		t.Errorf("census = %d specs, %d ckpts, %d tmps; want 2, 1, 1", specs, ckpts, tmps)
 	}
 }

@@ -3,20 +3,13 @@ package loadgen
 import (
 	"fmt"
 	"math"
-
-	"peas/internal/metrics"
 )
 
-// SLO is the pass/fail contract a load run is gated on. Zero-valued
-// latency bounds are disabled; the duplicate-rate tolerance defaults
-// to 0.02 absolute.
+// SLO is the pass/fail contract a load run is gated on: accounting,
+// hash consistency and hygiene. Speed is not its business — latency and
+// throughput are measured by benchmark/run.sh. The duplicate-rate
+// tolerance defaults to 0.02 absolute.
 type SLO struct {
-	// MaxSubmitP99Seconds bounds the 99th-percentile submit latency
-	// (request to 2xx/terminal response, including retries).
-	MaxSubmitP99Seconds float64 `json:"maxSubmitP99Seconds,omitempty"`
-	// MaxE2EP99Seconds bounds the 99th-percentile end-to-end latency
-	// (submit to observed terminal state).
-	MaxE2EP99Seconds float64 `json:"maxE2EP99Seconds,omitempty"`
 	// DuplicateRateTolerance is the allowed absolute deviation between
 	// the observed coalesced+cached rate and the planned duplicate rate.
 	DuplicateRateTolerance float64 `json:"duplicateRateTolerance,omitempty"`
@@ -36,28 +29,6 @@ func (s SLO) withDefaults() SLO {
 		s.DuplicateRateTolerance = 0.02
 	}
 	return s
-}
-
-// LatencySummary is the HDR-histogram digest the report carries.
-type LatencySummary struct {
-	Count       uint64  `json:"count"`
-	MeanSeconds float64 `json:"meanSeconds"`
-	P50Seconds  float64 `json:"p50Seconds"`
-	P90Seconds  float64 `json:"p90Seconds"`
-	P99Seconds  float64 `json:"p99Seconds"`
-	MaxSeconds  float64 `json:"maxSeconds"`
-}
-
-func summarize(h *metrics.Histogram) LatencySummary {
-	qs := h.Quantiles(0.50, 0.90, 0.99)
-	return LatencySummary{
-		Count:       h.Count(),
-		MeanSeconds: h.Mean(),
-		P50Seconds:  qs[0],
-		P90Seconds:  qs[1],
-		P99Seconds:  qs[2],
-		MaxSeconds:  h.Max(),
-	}
 }
 
 // Assertion is one pass/fail SLO check with its evidence.
@@ -136,11 +107,7 @@ type Report struct {
 	FinalInFlight    int `json:"finalInFlight"`
 	FinalQueueDepth  int `json:"finalQueueDepth"`
 
-	// Latency and throughput.
-	WallSeconds          float64        `json:"wallSeconds"`
-	ThroughputJobsPerSec float64        `json:"throughputJobsPerSec"`
-	SubmitLatency        LatencySummary `json:"submitLatency"`
-	E2ELatency           LatencySummary `json:"e2eLatency"`
+	WallSeconds float64 `json:"wallSeconds"`
 
 	Assertions []Assertion `json:"assertions"`
 	Pass       bool        `json:"pass"`
@@ -208,15 +175,6 @@ func (r *Report) evaluate(slo SLO) {
 	add("duplicate-rate", dev <= slo.DuplicateRateTolerance,
 		"observed coalesced+cached rate %.4f vs planned %.4f (|Δ|=%.4f, tol %.4f)",
 		r.ObservedDuplicateRate, r.PlannedDuplicateRate, dev, slo.DuplicateRateTolerance)
-
-	if slo.MaxSubmitP99Seconds > 0 {
-		add("submit-p99", r.SubmitLatency.P99Seconds <= slo.MaxSubmitP99Seconds,
-			"p99 %.4fs vs bound %.4fs", r.SubmitLatency.P99Seconds, slo.MaxSubmitP99Seconds)
-	}
-	if slo.MaxE2EP99Seconds > 0 {
-		add("e2e-p99", r.E2ELatency.P99Seconds <= slo.MaxE2EP99Seconds,
-			"p99 %.4fs vs bound %.4fs", r.E2ELatency.P99Seconds, slo.MaxE2EP99Seconds)
-	}
 
 	r.Pass = true
 	for _, a := range r.Assertions {

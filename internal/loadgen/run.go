@@ -11,7 +11,6 @@ import (
 
 	"peas/internal/client"
 	"peas/internal/jobqueue"
-	"peas/internal/metrics"
 	"peas/internal/server/api"
 )
 
@@ -133,20 +132,14 @@ type collector struct {
 
 	suspendedKeys []string
 
-	submitLat *metrics.Histogram
-	e2eLat    *metrics.Histogram
-	ledger    *hashLedger
+	ledger *hashLedger
 }
 
 func newCollector(ledger *hashLedger) *collector {
 	if ledger == nil {
 		ledger = newHashLedger()
 	}
-	return &collector{
-		submitLat: metrics.NewHistogram(),
-		e2eLat:    metrics.NewHistogram(),
-		ledger:    ledger,
-	}
+	return &collector{ledger: ledger}
 }
 
 func (c *collector) addRetry() {
@@ -294,7 +287,7 @@ func (r *runner) runOpen(ctx context.Context, items []Item) {
 
 // do executes one planned submission end to end: submit (with bounded
 // 429 retries), then follow the job to a terminal state over SSE or by
-// polling, recording latencies, the outcome class and the StateHash.
+// polling, recording the outcome class and the StateHash.
 func (r *runner) do(ctx context.Context, it Item) {
 	jctx, cancel := context.WithTimeout(ctx, r.cfg.JobTimeout)
 	defer cancel()
@@ -308,7 +301,6 @@ func (r *runner) do(ctx context.Context, it Item) {
 		}
 	}
 
-	t0 := time.Now()
 	resp, err := r.c.SubmitWithRetry(jctx, it.Spec, pol)
 	if err != nil {
 		var retryable *client.RetryableError
@@ -331,11 +323,9 @@ func (r *runner) do(ctx context.Context, it Item) {
 		}
 		return
 	}
-	r.col.submitLat.Observe(time.Since(t0).Seconds())
 	r.col.outcome(resp.Outcome)
 
 	if resp.Outcome == jobqueue.OutcomeCached {
-		r.col.e2eLat.Observe(time.Since(t0).Seconds())
 		r.col.terminal(jobqueue.StateDone, it, "")
 		if res := resp.Job.Result; res != nil {
 			r.col.ledger.observe(it.Key, res.StateHash, res.Resumed)
@@ -367,11 +357,8 @@ func (r *runner) do(ctx context.Context, it Item) {
 		if info == nil || !info.State.Terminal() {
 			return false
 		}
-		if info.State == jobqueue.StateDone {
-			r.col.e2eLat.Observe(time.Since(t0).Seconds())
-			if info.Result != nil {
-				r.col.ledger.observe(it.Key, info.Result.StateHash, info.Result.Resumed)
-			}
+		if info.State == jobqueue.StateDone && info.Result != nil {
+			r.col.ledger.observe(it.Key, info.Result.StateHash, info.Result.Resumed)
 		}
 		r.col.terminal(info.State, it, info.Error)
 		return true
@@ -479,18 +466,13 @@ func (r *runner) report(items []Item, wall time.Duration, precached map[string]s
 		DeadlineExceeded: col.deadlineExceeded,
 		DeadlineRejected: col.deadlineRejected,
 
-		WallSeconds:   wall.Seconds(),
-		SubmitLatency: summarize(col.submitLat),
-		E2ELatency:    summarize(col.e2eLat),
+		WallSeconds: wall.Seconds(),
 	}
 	if rep.Jobs > 0 {
 		rep.PlannedDuplicateRate = float64(expected) / float64(rep.Jobs)
 	}
 	if submitted > 0 {
 		rep.ObservedDuplicateRate = float64(col.coalesced+col.cached) / float64(submitted)
-	}
-	if wall > 0 {
-		rep.ThroughputJobsPerSec = float64(col.done) / wall.Seconds()
 	}
 	return rep
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -215,8 +214,9 @@ type SoakReport struct {
 	RecoveredFails int `json:"recoveredFails"`
 	HashMismatches int `json:"hashMismatches"`
 	UnresolvedKeys int `json:"unresolvedKeys"`
-	// LeftoverStateFiles counts persisted job files after the final
-	// graceful stop; anything non-zero means a job was abandoned.
+	// LeftoverStateFiles counts persisted job files (specs, checkpoints
+	// and durable-write temporaries) after the final graceful stop;
+	// anything non-zero means a job was abandoned.
 	LeftoverStateFiles int `json:"leftoverStateFiles"`
 
 	FinalReport *Report     `json:"finalReport"`
@@ -243,6 +243,49 @@ func logf(w io.Writer, format string, args ...any) {
 	}
 }
 
+// referenceHashes computes the long jobs' ground-truth hashes in-process,
+// before any server runs, and records them in the ledger. A resumed or
+// recovered job that diverges from an uninterrupted run of the same spec
+// is then caught as a ledger mismatch against an independent witness, not
+// silently self-consistent. It returns how many keys it hashed.
+func referenceHashes(items []Item, ledger *hashLedger) (int, error) {
+	keys := 0
+	for _, it := range items {
+		if !it.Long {
+			continue
+		}
+		if _, ok := ledger.hashFor(it.Key); ok {
+			continue
+		}
+		st, err := experiment.Run(it.Spec.RunConfig())
+		if err != nil {
+			return keys, fmt.Errorf("loadgen: reference run: %w", err)
+		}
+		if st.FinalState == nil {
+			return keys, fmt.Errorf("loadgen: reference run captured no final state")
+		}
+		ledger.observe(it.Key, st.FinalState.StateHashHex(), false)
+		keys++
+	}
+	return keys, nil
+}
+
+// unresolvedKeys counts the distinct plan keys the ledger holds no hash
+// for once every cycle has run: jobs that never reached done anywhere.
+// Panic jobs are designed to fail — they never produce a hash.
+func unresolvedKeys(items []Item, ledger *hashLedger) int {
+	unresolved := make(map[string]struct{})
+	for _, it := range items {
+		if it.Panic {
+			continue
+		}
+		if _, ok := ledger.hashFor(it.Key); !ok {
+			unresolved[it.Key] = struct{}{}
+		}
+	}
+	return len(unresolved)
+}
+
 // Soak runs the drain/restart soak: cycles of the same seeded plan
 // against a managed peas-serve, each non-final cycle SIGTERMed while
 // its long jobs run (forcing checkpoint-suspend), each next cycle
@@ -259,26 +302,8 @@ func Soak(ctx context.Context, sc SoakConfig) (*SoakReport, error) {
 	ledger := newHashLedger()
 	rep := &SoakReport{KeyMultisetHash: KeyMultisetHash(items)}
 
-	// Reference pass: compute the long jobs' ground-truth hashes
-	// in-process, before any server runs. A resumed job that diverges
-	// from an uninterrupted run of the same spec is then caught as a
-	// ledger mismatch, not silently self-consistent.
-	for _, it := range items {
-		if !it.Long {
-			continue
-		}
-		if _, ok := ledger.hashFor(it.Key); ok {
-			continue
-		}
-		stats, err := experiment.Run(it.Spec.RunConfig())
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: reference run: %w", err)
-		}
-		if stats.FinalState == nil {
-			return nil, fmt.Errorf("loadgen: reference run captured no final state")
-		}
-		ledger.observe(it.Key, stats.FinalState.StateHashHex(), false)
-		rep.ReferenceKeys++
+	if rep.ReferenceKeys, err = referenceHashes(items, ledger); err != nil {
+		return nil, err
 	}
 	logf(sc.Log, "soak: plan %d items (%d distinct keys), %d reference hashes",
 		len(items), distinctKeys(items), rep.ReferenceKeys)
@@ -306,28 +331,12 @@ func Soak(ctx context.Context, sc SoakConfig) (*SoakReport, error) {
 			cycle, res.Submitted, res.Done, res.Suspended, res.Interrupted, res.Recovered, res.ResumedDone)
 	}
 
-	// Count abandoned persisted jobs after the final graceful stop.
-	if entries, err := os.ReadDir(stateDir); err == nil {
-		for _, ent := range entries {
-			if strings.HasSuffix(ent.Name(), ".spec.json") || strings.HasSuffix(ent.Name(), ".ckpt") {
-				rep.LeftoverStateFiles++
-			}
-		}
-	}
+	// Anything persisted after the final graceful stop was abandoned.
+	specs, ckpts, tmps := censusStateDir(stateDir)
+	rep.LeftoverStateFiles = specs + ckpts + tmps
 
-	_, mismatches, _ := ledger.stats()
-	rep.HashMismatches = mismatches
-	unresolved := make(map[string]struct{})
-	for _, it := range items {
-		// Panic jobs are designed to fail — they never produce a hash.
-		if it.Panic {
-			continue
-		}
-		if _, ok := ledger.hashFor(it.Key); !ok {
-			unresolved[it.Key] = struct{}{}
-		}
-	}
-	rep.UnresolvedKeys = len(unresolved)
+	_, rep.HashMismatches, _ = ledger.stats()
+	rep.UnresolvedKeys = unresolvedKeys(items, ledger)
 
 	rep.evaluate(sc)
 	return rep, nil
@@ -539,10 +548,28 @@ func awaitLongJobsRunning(ctx context.Context, c *client.Client, items []Item, r
 	}
 }
 
-// stateDirGlob lists the persisted job files in a state dir (exposed
-// for the binary's diagnostics).
-func stateDirGlob(dir string) []string {
-	spec, _ := filepath.Glob(filepath.Join(dir, "*.spec.json"))
-	ckpt, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	return append(spec, ckpt...)
+// censusStateDir counts the persisted state files in dir at one
+// instant: complete spec files, complete checkpoints, and in-flight
+// durable-write temporaries. Subdirectories (quarantine/, kept for
+// inspection by design) are skipped.
+func censusStateDir(dir string) (specs, ckpts, tmps int) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, 0, 0
+	}
+	for _, ent := range entries {
+		if ent.IsDir() {
+			continue
+		}
+		name := ent.Name()
+		switch {
+		case strings.HasSuffix(name, ".tmp"):
+			tmps++
+		case strings.HasSuffix(name, ".spec.json"):
+			specs++
+		case strings.HasSuffix(name, ".ckpt"):
+			ckpts++
+		}
+	}
+	return specs, ckpts, tmps
 }

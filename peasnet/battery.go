@@ -1,6 +1,7 @@
 package peasnet
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -20,78 +21,50 @@ type BatteryConfig struct {
 	Profile energy.Profile
 }
 
-// virtualBattery tracks mode-based drain in protocol time.
-type virtualBattery struct {
-	mu        sync.Mutex
-	profile   energy.Profile
-	remaining float64
-	mode      energy.Mode
-	lastT     float64 // protocol seconds
-	dead      bool
+// battery is the simulator's energy.Battery on the live runtime's
+// protocol clock. The model — drain, depletion projection, death at zero —
+// is the one every simulated figure rests on; the mutex is all a live node
+// adds, because BatteryRemaining is called from outside the event loop.
+type battery struct {
+	mu sync.Mutex
+	b  *energy.Battery
 }
 
-func newVirtualBattery(cfg BatteryConfig) *virtualBattery {
+func newBattery(cfg BatteryConfig) *battery {
 	profile := cfg.Profile
 	if profile == (energy.Profile{}) {
 		profile = energy.MotesProfile()
 	}
-	return &virtualBattery{
-		profile:   profile,
-		remaining: cfg.Joules,
-		mode:      energy.Sleep,
-	}
+	return &battery{b: energy.NewBattery(profile, cfg.Joules)}
 }
 
 // setMode settles drain up to protocol time now and switches modes. It
-// returns the projected protocol-time instant of depletion (or a negative
-// value when the battery never depletes in the new mode).
-func (b *virtualBattery) setMode(now float64, m energy.Mode) (depleteAt float64, dead bool) {
+// returns the projected protocol-time instant of depletion in the new mode
+// (energy.Battery.DepletionTime: now for a dead battery, the largest float
+// for a mode that draws nothing) and whether the battery is dead.
+func (b *battery) setMode(now float64, m energy.Mode) (depleteAt float64, dead bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.settle(now)
-	b.mode = m
-	if b.dead {
-		return now, true
-	}
-	p := b.profile.Power(m)
-	if p <= 0 {
-		return -1, false
-	}
-	return now + b.remaining/p, false
-}
-
-func (b *virtualBattery) settle(now float64) {
-	if b.dead || now <= b.lastT {
-		if now > b.lastT {
-			b.lastT = now
-		}
-		return
-	}
-	used := b.profile.Power(b.mode) * (now - b.lastT)
-	if used >= b.remaining {
-		b.remaining = 0
-		b.dead = true
-	} else {
-		b.remaining -= used
-	}
-	b.lastT = now
+	b.b.SetMode(now, m)
+	return b.b.DepletionTime(now), b.b.Dead()
 }
 
 // rebase positions the drain clock at protocol time t without settling —
 // a restored node's battery must not be charged for the downtime its
 // clock skipped over.
-func (b *virtualBattery) rebase(t float64) {
+func (b *battery) rebase(t float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.lastT = t
+	st := b.b.Snapshot()
+	st.LastT = t
+	b.b.Restore(st)
 }
 
 // remainingAt settles and returns the remaining charge.
-func (b *virtualBattery) remainingAt(now float64) float64 {
+func (b *battery) remainingAt(now float64) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.settle(now)
-	return b.remaining
+	return b.b.Remaining(now)
 }
 
 // protocolMode maps a protocol state to a battery mode.
@@ -123,12 +96,14 @@ func (n *Node) armBatteryWatch() {
 			n.depletionTimer.Stop()
 			n.depletionTimer = nil
 		}
-		if n.stopped || depleteAt < 0 || s == core.Dead {
+		// No timer for a depletion further off than a time.Duration can
+		// hold, which includes the never of a mode that draws nothing.
+		realDelay := (depleteAt - now) / n.scale * float64(time.Second)
+		if n.stopped || realDelay >= math.MaxInt64 || s == core.Dead {
 			n.mu.Unlock()
 			return
 		}
-		realDelay := time.Duration((depleteAt - now) / n.scale * float64(time.Second))
-		n.depletionTimer = time.AfterFunc(realDelay, n.failDepleted)
+		n.depletionTimer = time.AfterFunc(time.Duration(realDelay), n.failDepleted)
 		n.mu.Unlock()
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestVirtualBatteryDrain(t *testing.T) {
-	b := newVirtualBattery(BatteryConfig{Joules: 1.2})
+	b := newBattery(BatteryConfig{Joules: 1.2})
 	// 50 protocol seconds in idle: 0.6 J.
 	depleteAt, dead := b.setMode(0, energy.Idle)
 	if dead {
@@ -30,7 +30,7 @@ func TestVirtualBatteryDrain(t *testing.T) {
 }
 
 func TestVirtualBatteryDepletes(t *testing.T) {
-	b := newVirtualBattery(BatteryConfig{Joules: 0.012})
+	b := newBattery(BatteryConfig{Joules: 0.012})
 	b.setMode(0, energy.Idle) // 1 second of life
 	if got := b.remainingAt(2); got != 0 {
 		t.Errorf("remaining = %v after depletion", got)
@@ -43,7 +43,7 @@ func TestVirtualBatteryDepletes(t *testing.T) {
 
 func TestVirtualBatteryCustomProfile(t *testing.T) {
 	p := energy.Profile{IdleW: 1, SleepW: 0.5, ReceiveW: 1, TransmitW: 2}
-	b := newVirtualBattery(BatteryConfig{Joules: 10, Profile: p})
+	b := newBattery(BatteryConfig{Joules: 10, Profile: p})
 	if at, _ := b.setMode(0, energy.Idle); at != 10 {
 		t.Errorf("custom profile depletion at %v, want 10", at)
 	}
@@ -87,6 +87,32 @@ func TestLiveNodeDiesOnDepletion(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("node never depleted; state=%v", n.State())
+}
+
+// TestZeroDrawModeNeverDepletes: a mode that draws nothing projects its
+// depletion at the largest float; the node must arm no timer for it
+// rather than one whose delay overflowed.
+func TestZeroDrawModeNeverDepletes(t *testing.T) {
+	tr := NewInMemory()
+	defer func() { _ = tr.Close() }()
+	proto := core.DefaultConfig()
+	proto.InitialRate = 1e-6 // asleep for the whole test
+	n, err := NewNode(Config{
+		ID: 3, Pos: geom.Point{X: 1, Y: 1}, Protocol: proto, TimeScale: 1000,
+		Battery: &BatteryConfig{Joules: 1, Profile: energy.Profile{IdleW: 0.012, ReceiveW: 0.012, TransmitW: 0.06}},
+	}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	n.Start()
+	time.Sleep(50 * time.Millisecond)
+	if st := n.State(); st != core.Sleeping {
+		t.Fatalf("state = %v after 50 protocol seconds asleep at zero draw, want sleeping", st)
+	}
+	if rem, _ := n.BatteryRemaining(); rem != 1 {
+		t.Errorf("remaining = %v, want the full 1 J", rem)
+	}
 }
 
 func TestBatteryRemainingDisabled(t *testing.T) {

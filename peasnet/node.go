@@ -58,7 +58,7 @@ type Node struct {
 	listening atomic.Bool
 	state     atomic.Int32
 
-	battery        *virtualBattery
+	battery        *battery
 	onBatteryState func(s core.State)
 	depletionTimer *time.Timer
 
@@ -98,7 +98,7 @@ func NewNode(cfg Config, transport Transport) (*Node, error) {
 	}
 	n.proto = core.New(core.NodeID(cfg.ID), cfg.Protocol, n)
 	if cfg.Battery != nil {
-		n.battery = newVirtualBattery(*cfg.Battery)
+		n.battery = newBattery(*cfg.Battery)
 		n.armBatteryWatch()
 	}
 	err := transport.Register(cfg.ID, cfg.Pos, n.listening.Load, func(frame []byte, dist float64) {
