@@ -192,7 +192,7 @@ func (p *Protocol) enter(s State) {
 	}
 	p.state = s
 	p.stateSince = now
-	p.gen++ // every pending timer below is now invalid ...
+	p.gen++                 // every pending timer below is now invalid ...
 	p.timers = p.timers[:0] // ... so the serializable records go too
 	p.replyPending = false
 	p.platform.SetState(s)

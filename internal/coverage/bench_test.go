@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"testing"
+	"time"
 
 	"peas/internal/geom"
 	"peas/internal/stats"
@@ -73,6 +74,26 @@ func BenchmarkLegacyFraction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = lat.Fraction(working, benchRadius, benchMaxK)
+	}
+}
+
+// TestCoverageBuildBytes pins what a run's coverage build allocates: the
+// lattice and the footprints of an 800-node deployment at 1 m spacing. A
+// footprint is one span per lattice row, not one index per covered point,
+// and each lattice axis is stored once, not once per point.
+func TestCoverageBuildBytes(t *testing.T) {
+	const budget = 640 << 10
+	field := geom.NewField(50, 50)
+	sensors := geom.UniformDeploy(field, 800, stats.NewRNG(1))
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewIncremental(NewLattice(field, 1), sensors, benchRadius, benchMaxK)
+		}
+	})
+	got := res.AllocedBytesPerOp()
+	t.Logf("coverage build: %d B/op, %d allocs/op, %v/op", got, res.AllocsPerOp(), time.Duration(res.NsPerOp()))
+	if got > budget {
+		t.Errorf("coverage build allocates %d bytes, budget %d", got, budget)
 	}
 }
 

@@ -15,10 +15,11 @@ import (
 type Lattice struct {
 	field   geom.Field
 	spacing float64
-	points  []geom.Point
-	cols    int     // lattice points per row (row-major layout)
-	rows    int
-	counts  []int32 // Fraction scratch, reused across samples
+	// The points are laid out row-major. Every row repeats the same
+	// accumulated x sequence, so the lattice keeps one copy of each axis:
+	// point i is (xs[i%len(xs)], ys[i/len(xs)]).
+	xs, ys []float64
+	counts []int32 // Fraction scratch, reused across samples
 }
 
 // NewLattice builds a sampling lattice with the given spacing in meters.
@@ -26,38 +27,49 @@ func NewLattice(field geom.Field, spacing float64) *Lattice {
 	if spacing <= 0 {
 		spacing = 1
 	}
-	var pts []geom.Point
-	cols := 0
-	rows := 0
-	for y := 0.0; y <= field.Height; y += spacing {
-		n := 0
-		for x := 0.0; x <= field.Width; x += spacing {
-			pts = append(pts, geom.Point{X: x, Y: y})
-			n++
+	axis := func(length float64) []float64 {
+		coords := make([]float64, 0, max(int(length/spacing)+2, 0))
+		for c := 0.0; c <= length; c += spacing {
+			coords = append(coords, c)
 		}
-		cols = n
-		rows++
+		return coords
 	}
-	return &Lattice{field: field, spacing: spacing, points: pts, cols: cols, rows: rows}
+	return &Lattice{field: field, spacing: spacing, xs: axis(field.Width), ys: axis(field.Height)}
 }
 
 // Len returns the number of sample points.
-func (l *Lattice) Len() int { return len(l.points) }
+func (l *Lattice) Len() int { return len(l.xs) * len(l.ys) }
 
 // Point returns sample point i.
-func (l *Lattice) Point(i int) geom.Point { return l.points[i] }
+func (l *Lattice) Point(i int) geom.Point { return l.at(i%len(l.xs), i/len(l.xs)) }
+
+// at returns the lattice point in column col of row row.
+func (l *Lattice) at(col, row int) geom.Point { return geom.Point{X: l.xs[col], Y: l.ys[row]} }
+
+// window returns the columns c0..c1 and rows r0..r1 of the lattice points
+// a disk of the given radius around s could cover, clamped to the lattice.
+// Lattice coordinates are accumulated sums, so the range is padded by one
+// cell each way to absorb any accumulation drift; callers decide
+// membership with the exact Dist2 test.
+func (l *Lattice) window(s geom.Point, radius float64) (c0, c1, r0, r1 int) {
+	c0 = max(int((s.X-radius)/l.spacing)-1, 0)
+	c1 = min(int((s.X+radius)/l.spacing)+1, len(l.xs)-1)
+	r0 = max(int((s.Y-radius)/l.spacing)-1, 0)
+	r1 = min(int((s.Y+radius)/l.spacing)+1, len(l.ys)-1)
+	return c0, c1, r0, r1
+}
 
 // CoveredMask returns, for each sample point, whether at least one of the
 // given sensors covers it with the given radius.
 func (l *Lattice) CoveredMask(sensors []geom.Point, radius float64) []bool {
-	mask := make([]bool, len(l.points))
+	mask := make([]bool, l.Len())
 	if len(sensors) == 0 {
 		return mask
 	}
 	idx := geom.NewIndex(l.field, sensors, radius)
-	for i, p := range l.points {
+	for i := range mask {
 		found := false
-		idx.Within(p, radius, func(int, float64) { found = true })
+		idx.Within(l.Point(i), radius, func(int, float64) { found = true })
 		mask[i] = found
 	}
 	return mask
@@ -78,41 +90,23 @@ func (l *Lattice) Fraction(sensors []geom.Point, radius float64, maxK int) []flo
 		maxK = 1
 	}
 	out := make([]float64, maxK)
-	if len(l.points) == 0 {
+	n := l.Len()
+	if n == 0 {
 		return out
 	}
 	if l.counts == nil {
-		l.counts = make([]int32, len(l.points))
+		l.counts = make([]int32, n)
 	}
 	counts := l.counts
 	clear(counts)
 	if len(sensors) > 0 && radius >= 0 {
 		r2 := radius * radius
 		for _, s := range sensors {
-			// Conservative candidate window: lattice coordinates are
-			// accumulated sums, so pad the index range by one cell to
-			// absorb any accumulation drift; the exact Dist2 test below
-			// decides membership.
-			c0 := int((s.X-radius)/l.spacing) - 1
-			c1 := int((s.X+radius)/l.spacing) + 1
-			r0 := int((s.Y-radius)/l.spacing) - 1
-			r1 := int((s.Y+radius)/l.spacing) + 1
-			if c0 < 0 {
-				c0 = 0
-			}
-			if r0 < 0 {
-				r0 = 0
-			}
-			if c1 >= l.cols {
-				c1 = l.cols - 1
-			}
-			if r1 >= l.rows {
-				r1 = l.rows - 1
-			}
+			c0, c1, r0, r1 := l.window(s, radius)
 			for row := r0; row <= r1; row++ {
-				base := row * l.cols
+				base := row * len(l.xs)
 				for col := c0; col <= c1; col++ {
-					if l.points[base+col].Dist2(s) <= r2 {
+					if l.at(col, row).Dist2(s) <= r2 {
 						counts[base+col]++
 					}
 				}
@@ -129,7 +123,7 @@ func (l *Lattice) Fraction(sensors []geom.Point, radius float64, maxK int) []flo
 		}
 	}
 	for k := range out {
-		out[k] /= float64(len(l.points))
+		out[k] /= float64(n)
 	}
 	return out
 }

@@ -26,10 +26,10 @@ type Incremental struct {
 	lat  *Lattice
 	maxK int
 
-	// Footprints in CSR layout: sensor i covers lattice points
-	// idxs[offs[i]:offs[i+1]].
-	offs []int32
-	idxs []int32
+	// Footprints in CSR layout: sensor i covers the point runs
+	// spans[offs[i]:offs[i+1]], at most one per lattice row.
+	offs  []int32
+	spans []span
 
 	// counts[p] is the number of stamped sensors covering lattice point p.
 	counts []int32
@@ -40,6 +40,12 @@ type Incremental struct {
 	working    []bool
 	numWorking int
 }
+
+// span is one sensor's footprint within one lattice row: the n lattice
+// points from index base on. Within a row a disk's members are one
+// contiguous column range: along the row Dist2 first falls and then rises,
+// because every floating-point operation in it is monotone.
+type span struct{ base, n int32 }
 
 // NewIncremental builds the engine for a fixed set of sensor positions
 // sampled on lat with the given sensing radius, tracking coverage degrees
@@ -53,44 +59,45 @@ func NewIncremental(lat *Lattice, sensors []geom.Point, radius float64, maxK int
 		lat:     lat,
 		maxK:    maxK,
 		offs:    make([]int32, len(sensors)+1),
-		counts:  make([]int32, len(lat.points)),
+		counts:  make([]int32, lat.Len()),
 		hist:    make([]int64, maxK+1),
 		working: make([]bool, len(sensors)),
 	}
-	inc.hist[0] = int64(len(lat.points))
-	if len(lat.points) == 0 || radius < 0 {
+	inc.hist[0] = int64(lat.Len())
+	if lat.Len() == 0 || radius < 0 {
 		return inc
 	}
+	// A sensor has at most one span per candidate row, so the span table
+	// is sized by one pass over the windows and filled by the next.
+	rows := 0
+	for _, s := range sensors {
+		_, _, r0, r1 := lat.window(s, radius)
+		rows += max(r1-r0+1, 0)
+	}
+	inc.spans = make([]span, 0, rows)
 	r2 := radius * radius
 	for i, s := range sensors {
-		// The candidate window and the exact membership test replicate
-		// Lattice.Fraction's stamping loop verbatim, so the footprint is
-		// precisely the point set that loop would visit and count.
-		c0 := int((s.X-radius)/lat.spacing) - 1
-		c1 := int((s.X+radius)/lat.spacing) + 1
-		r0 := int((s.Y-radius)/lat.spacing) - 1
-		r1 := int((s.Y+radius)/lat.spacing) + 1
-		if c0 < 0 {
-			c0 = 0
-		}
-		if r0 < 0 {
-			r0 = 0
-		}
-		if c1 >= lat.cols {
-			c1 = lat.cols - 1
-		}
-		if r1 >= lat.rows {
-			r1 = lat.rows - 1
-		}
+		// The candidate window and the exact membership test are
+		// Lattice.Fraction's, so the footprint is precisely the point set
+		// that loop would visit and count.
+		c0, c1, r0, r1 := lat.window(s, radius)
 		for row := r0; row <= r1; row++ {
-			base := row * lat.cols
+			first, n := 0, 0
 			for col := c0; col <= c1; col++ {
-				if lat.points[base+col].Dist2(s) <= r2 {
-					inc.idxs = append(inc.idxs, int32(base+col))
+				if lat.at(col, row).Dist2(s) <= r2 {
+					if n == 0 {
+						first = col
+					}
+					n++
+				} else if n > 0 {
+					break // the row's members are contiguous: the run is over
 				}
 			}
+			if n > 0 {
+				inc.spans = append(inc.spans, span{base: int32(row*len(lat.xs) + first), n: int32(n)})
+			}
 		}
-		inc.offs[i+1] = int32(len(inc.idxs))
+		inc.offs[i+1] = int32(len(inc.spans))
 	}
 	return inc
 }
@@ -109,7 +116,11 @@ func (inc *Incremental) WorkingCount() int { return inc.numWorking }
 
 // FootprintLen returns the number of lattice points sensor i covers.
 func (inc *Incremental) FootprintLen(i int) int {
-	return int(inc.offs[i+1] - inc.offs[i])
+	n := 0
+	for _, s := range inc.spans[inc.offs[i]:inc.offs[i+1]] {
+		n += int(s.n)
+	}
+	return n
 }
 
 // Set transitions sensor i into (working=true) or out of (working=false)
@@ -123,25 +134,29 @@ func (inc *Incremental) Set(i int, working bool) {
 	}
 	inc.working[i] = working
 	maxK := int32(inc.maxK)
-	foot := inc.idxs[inc.offs[i]:inc.offs[i+1]]
+	spans := inc.spans[inc.offs[i]:inc.offs[i+1]]
 	if working {
 		inc.numWorking++
-		for _, p := range foot {
-			c := inc.counts[p]
-			inc.counts[p] = c + 1
-			if c < maxK {
-				inc.hist[c]--
-				inc.hist[c+1]++
+		for _, s := range spans {
+			run := inc.counts[s.base : s.base+s.n]
+			for j, c := range run {
+				run[j] = c + 1
+				if c < maxK {
+					inc.hist[c]--
+					inc.hist[c+1]++
+				}
 			}
 		}
 	} else {
 		inc.numWorking--
-		for _, p := range foot {
-			c := inc.counts[p]
-			inc.counts[p] = c - 1
-			if c <= maxK {
-				inc.hist[c]--
-				inc.hist[c-1]++
+		for _, s := range spans {
+			run := inc.counts[s.base : s.base+s.n]
+			for j, c := range run {
+				run[j] = c - 1
+				if c <= maxK {
+					inc.hist[c]--
+					inc.hist[c-1]++
+				}
 			}
 		}
 	}
@@ -154,7 +169,7 @@ func (inc *Incremental) Rebuild(workingAt func(i int) bool) {
 	clear(inc.counts)
 	clear(inc.hist)
 	clear(inc.working)
-	inc.hist[0] = int64(len(inc.lat.points))
+	inc.hist[0] = int64(len(inc.counts))
 	inc.numWorking = 0
 	for i := range inc.working {
 		if workingAt(i) {
@@ -173,7 +188,7 @@ func (inc *Incremental) FractionInto(out []float64) []float64 {
 		out = make([]float64, inc.maxK)
 	}
 	out = out[:inc.maxK]
-	n := len(inc.lat.points)
+	n := len(inc.counts)
 	if n == 0 {
 		for k := range out {
 			out[k] = 0
@@ -205,7 +220,7 @@ func (inc *Incremental) FractionK(k int) float64 {
 	if k > inc.maxK {
 		panic(fmt.Sprintf("coverage: FractionK(%d) beyond tracked maxK=%d", k, inc.maxK))
 	}
-	n := len(inc.lat.points)
+	n := len(inc.counts)
 	if n == 0 {
 		return 0
 	}

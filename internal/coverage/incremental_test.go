@@ -108,27 +108,43 @@ func TestIncrementalChurnDifferential(t *testing.T) {
 	}
 }
 
-// TestIncrementalFootprintsMatchStamping checks the precomputed CSR
-// footprints: summing footprint lengths over a working set must equal the
-// total stamp count the legacy path performs, and every footprint must be
-// exactly the point set within the radius.
+// TestIncrementalFootprintsMatchStamping checks the precomputed row spans:
+// every footprint must be exactly the point set within the radius, found
+// by testing every lattice point — which is what makes stopping a row's
+// scan at its first miss exact. The fractional spacing and the sensors on
+// and past the field edge exercise the accumulated coordinates and the
+// clamped windows.
 func TestIncrementalFootprintsMatchStamping(t *testing.T) {
 	rng := stats.NewRNG(3)
 	field := geom.NewField(30, 20)
-	lat := NewLattice(field, 1)
-	const radius = 7.0
-	sensors := geom.UniformDeploy(field, 25, rng)
-	inc := NewIncremental(lat, sensors, radius, 3)
-	r2 := radius * radius
-	for i, s := range sensors {
-		want := 0
-		for p := 0; p < lat.Len(); p++ {
-			if lat.Point(p).Dist2(s) <= r2 {
-				want++
+	for _, spacing := range []float64{1, 0.7} {
+		lat := NewLattice(field, spacing)
+		const radius = 7.0
+		sensors := append(geom.UniformDeploy(field, 25, rng),
+			geom.Point{X: 0, Y: 0}, geom.Point{X: 30, Y: 20}, geom.Point{X: -3, Y: 10}, geom.Point{X: 15, Y: 26})
+		inc := NewIncremental(lat, sensors, radius, 3)
+		r2 := radius * radius
+		for i, s := range sensors {
+			got := make([]bool, lat.Len())
+			for _, sp := range inc.spans[inc.offs[i]:inc.offs[i+1]] {
+				for p := sp.base; p < sp.base+sp.n; p++ {
+					got[p] = true
+				}
 			}
-		}
-		if got := inc.FootprintLen(i); got != want {
-			t.Errorf("sensor %d: footprint %d points, brute force %d", i, got, want)
+			want := 0
+			for p := range got {
+				in := lat.Point(p).Dist2(s) <= r2
+				if in {
+					want++
+				}
+				if got[p] != in {
+					t.Fatalf("spacing %v sensor %d at %v: point %d %v in footprint %v, within radius %v",
+						spacing, i, s, p, lat.Point(p), got[p], in)
+				}
+			}
+			if n := inc.FootprintLen(i); n != want {
+				t.Errorf("spacing %v sensor %d: FootprintLen %d, brute force %d", spacing, i, n, want)
+			}
 		}
 	}
 }

@@ -87,13 +87,14 @@ func (p *Pool) Submit(spec *Spec) (*Job, Outcome, error) {
 		p.counters.Add("jobs_coalesced", 1)
 		return primary, OutcomeCoalesced, nil
 	case e != nil && e.state == keyCached:
-		res := e.res
+		// The job is born done: nobody else can hold it before it is
+		// listed, so it is finished first and enters the table terminal.
 		job := newJob(p.nextIDLocked(), key, spec, now)
-		p.jobs[job.ID] = job
-		p.order = append(p.order, job)
+		job.finish(StateDone, e.res, nil, now)
+		p.listLocked(job)
+		p.retireLocked(job)
 		p.mu.Unlock()
 		p.counters.Add("cache_hits", 1)
-		job.finish(StateDone, res, nil, now)
 		return job, OutcomeCached, nil
 	}
 	p.counters.Add("cache_misses", 1)
@@ -109,16 +110,17 @@ func (p *Pool) Submit(spec *Spec) (*Job, Outcome, error) {
 	// recoverable: once a worker can dequeue the job, a crash has to find
 	// its spec on disk, so a persistence failure rolls the admission back
 	// and rejects with *PersistError instead of accepting work that a
-	// crash would silently lose. Coalesced submissions may have attached
-	// during the unlocked persist window; settling the job as failed
-	// resolves them, and the key falls back to the park it had claimed.
+	// crash would silently lose. The job leaves the table first, so it is
+	// never retained. Coalesced submissions may have attached during the
+	// unlocked persist window; settling the job as failed resolves them,
+	// and the key falls back to the park it had claimed.
 	if err := p.writeSpec(job, false); err != nil {
 		perr := &PersistError{Err: err}
-		p.settle(job, outcome{state: StateFailed, counter: "persist_errors", err: perr, park: claimed})
 		p.mu.Lock()
-		delete(p.jobs, job.ID)
+		p.forgetLocked(job)
 		p.queued--
 		p.mu.Unlock()
+		p.settle(job, outcome{state: StateFailed, counter: "persist_errors", err: perr, park: claimed})
 		return nil, "", perr
 	}
 	if claimed != nil {
@@ -132,9 +134,6 @@ func (p *Pool) Submit(spec *Spec) (*Job, Outcome, error) {
 		p.removeJobFiles(claimed.id)
 		p.counters.Add("parked_resumed", 1)
 	}
-	p.mu.Lock()
-	p.order = append(p.order, job)
-	p.mu.Unlock()
 	p.queue <- job // cannot block: queued < QueueDepth is checked under mu
 	return job, OutcomeAccepted, nil
 }
@@ -147,23 +146,23 @@ func (p *Pool) nextIDLocked() string {
 
 // admitLocked registers a new active job under p.mu — job table, key
 // table, one queue slot — for Submit (a fresh ID) and Recover (the ID on
-// disk) alike; the caller lists it in p.order once it is runnable. The
-// key must be absent or parked. A parked checkpoint from a cancelled or
-// deadline-killed run of this exact spec is claimed here: the new job
-// resumes where the preempted one stopped instead of restarting, and the
-// claim is returned so the caller can re-home or restore it. Determinism
-// makes the splice invisible — the final StateHash is the uninterrupted
-// run's.
+// disk) alike. The key must be absent or parked. A parked checkpoint from
+// a cancelled or deadline-killed run of this exact spec is claimed here:
+// the new job resumes where the preempted one stopped instead of
+// restarting, and the claim is returned so the caller can re-home or
+// restore it. Determinism makes the splice invisible — the final
+// StateHash is the uninterrupted run's.
 func (p *Pool) admitLocked(id, key string, spec *Spec, now time.Time) (job *Job, claimed *parked) {
 	job = newJob(id, key, spec, now)
-	p.jobs[id] = job
+	p.listLocked(job)
 	p.queued++
 	e := p.keys[key]
 	if e == nil {
 		e = &entry{key: key}
 		p.keys[key] = e
 	} else {
-		p.parkedKeys.remove(e)
+		p.parkedKeys.remove(e.elem)
+		e.elem = nil
 		pk := e.park
 		claimed, e.park = &pk, parked{}
 		job.resume = pk.snap

@@ -287,11 +287,12 @@ func (j *Job) checkStall(now time.Time, window time.Duration) bool {
 // worker acknowledgement, queued stop, rolled-back admission — calls it
 // once; should two ever race (a stop landing on a job whose admission is
 // being rolled back), the first wins and the job keeps one terminal state.
-func (j *Job) finish(state State, res *Result, err error, now time.Time) {
+// It reports whether this call made the job terminal.
+func (j *Job) finish(state State, res *Result, err error, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		return
+		return false
 	}
 	j.state, j.result, j.err, j.finishedAt = state, res, err, now
 	j.publishLocked(j.snapshotEventLocked(), true)
@@ -305,6 +306,7 @@ func (j *Job) finish(state State, res *Result, err error, now time.Time) {
 	default:
 		j.ctxCancel(errJobFinished)
 	}
+	return true
 }
 
 var (

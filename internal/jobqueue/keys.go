@@ -44,33 +44,42 @@ type entry struct {
 	elem *list.Element
 }
 
-// fifo is the bounded first-in-first-out population both the cached and
-// the parked keys live in: the newest entry pushes out the oldest once
-// the population exceeds its cap, and a member can leave early (a parked
-// key claimed by a resubmission) without a scan.
-type fifo struct {
-	cap  int
-	keys map[string]*entry // the table the members are listed in
-	l    list.List         // *entry, oldest at the front
+// fifo is a bounded first-in-first-out population: the newest member
+// pushes out the oldest once the population exceeds its cap, and a member
+// can leave early by its seat without a scan. The pool keeps three of
+// CacheCap members each: the parked keys, the cached keys and the
+// terminal jobs.
+type fifo[T any] struct {
+	cap int
+	l   list.List // T, oldest at the front
 }
 
-// push seats e as the newest member. The member that pushes out (nil
-// while the population fits its cap) leaves the key table with its seat
-// and is returned for the caller to account for.
-func (f *fifo) push(e *entry) (evicted *entry) {
-	e.elem = f.l.PushBack(e)
-	if f.l.Len() <= f.cap {
+// push seats v as the newest member and returns its seat. When that takes
+// the population over its cap, the oldest member leaves and is returned
+// as out (pushed true) for the caller to drop from its table.
+func (f *fifo[T]) push(v T) (seat *list.Element, out T, pushed bool) {
+	seat = f.l.PushBack(v)
+	if f.l.Len() > f.cap {
+		out, pushed = f.l.Remove(f.l.Front()).(T), true
+	}
+	return seat, out, pushed
+}
+
+// remove takes the member at seat out of the population early.
+func (f *fifo[T]) remove(seat *list.Element) { f.l.Remove(seat) }
+
+// seatKeyLocked makes e the newest member of the key population q. The
+// key it pushes out leaves the key table and is returned (nil while q
+// fits its cap).
+func (p *Pool) seatKeyLocked(q *fifo[*entry], e *entry) *entry {
+	var old *entry
+	var pushed bool
+	if e.elem, old, pushed = q.push(e); !pushed {
 		return nil
 	}
-	evicted = f.l.Front().Value.(*entry)
-	f.remove(evicted)
-	delete(f.keys, evicted.key)
-	return evicted
-}
-
-func (f *fifo) remove(e *entry) {
-	f.l.Remove(e.elem)
-	e.elem = nil
+	old.elem = nil
+	delete(p.keys, old.key)
+	return old
 }
 
 // parkLocked files pk under e's key and returns the job ID of the parked
@@ -78,10 +87,52 @@ func (f *fifo) remove(e *entry) {
 // outside the lock with dropPark.
 func (p *Pool) parkLocked(e *entry, pk parked) (evictedID string) {
 	e.state, e.park = keyParked, pk
-	if old := p.parkedKeys.push(e); old != nil {
+	if old := p.seatKeyLocked(&p.parkedKeys, e); old != nil {
 		return old.park.id
 	}
 	return ""
+}
+
+// listLocked enters a new job in the job table: Get finds it, and Jobs
+// lists it in admission order.
+func (p *Pool) listLocked(j *Job) {
+	p.jobs[j.ID] = j
+	p.order = append(p.order, j)
+}
+
+// retireLocked makes a terminal job the newest member of the terminal
+// jobs. The job it pushes out leaves the job table: its ID is unknown from
+// then on, while its result stays reachable by key for as long as the key
+// is cached. Queued and running jobs are never members, so never evicted.
+func (p *Pool) retireLocked(j *Job) {
+	if p.jobs[j.ID] != j {
+		return // a rolled-back admission, already out of the table
+	}
+	if _, old, pushed := p.finished.push(j); pushed {
+		p.forgetLocked(old)
+	}
+}
+
+// forgetLocked takes a job out of the job table. Its slot in p.order is
+// left dead and swept once dead slots make up half the slice, so a job
+// leaves in amortised O(1) and the live ones keep admission order.
+func (p *Pool) forgetLocked(j *Job) {
+	if p.jobs[j.ID] != j {
+		return
+	}
+	delete(p.jobs, j.ID)
+	p.orderDead++
+	if 2*p.orderDead < len(p.order) {
+		return
+	}
+	live := p.order[:0]
+	for _, o := range p.order {
+		if p.jobs[o.ID] == o {
+			live = append(live, o)
+		}
+	}
+	clear(p.order[len(live):])
+	p.order, p.orderDead = live, 0
 }
 
 // dropPark discards an evicted parked pair's files.
@@ -141,8 +192,9 @@ func stopOutcome(j *Job, cause CancelCause) outcome {
 // moves the key out of the active state, counts the ending, and only then
 // makes the job terminal — so whoever observes the terminal state (a
 // waiter, an SSE stream) already finds the key table, the counters and
-// the state dir consistent with it. Each job is settled exactly once: by
-// the worker that ran it, by the stop that caught it queued, or by the
+// the state dir consistent with it. The terminal job then joins the
+// retained terminal jobs (retireLocked). Each job is settled exactly once:
+// by the worker that ran it, by the stop that caught it queued, or by the
 // admission that rolled it back.
 func (p *Pool) settle(job *Job, o outcome) {
 	switch o.files {
@@ -173,7 +225,7 @@ func (p *Pool) settle(job *Job, o outcome) {
 		switch {
 		case o.res != nil:
 			e.state, e.res = keyCached, o.res
-			if p.cachedKeys.push(e) != nil {
+			if p.seatKeyLocked(&p.cachedKeys, e) != nil {
 				p.counters.Add("cache_evictions", 1)
 			}
 		case o.park != nil:
@@ -186,5 +238,9 @@ func (p *Pool) settle(job *Job, o outcome) {
 	p.dropPark(evictedPark)
 
 	p.counters.Add(o.counter, 1)
-	job.finish(o.state, o.res, o.err, time.Now())
+	if job.finish(o.state, o.res, o.err, time.Now()) {
+		p.mu.Lock()
+		p.retireLocked(job)
+		p.mu.Unlock()
+	}
 }

@@ -316,7 +316,9 @@ type keyMachine struct {
 	cached   []int // cached keys, oldest first
 	parked   []int // parked keys, oldest first
 	accepted []*modelJob
-	runs     int64 // runs the model has dispatched
+	runs     int64  // runs the model has dispatched
+	retained []*Job // terminal jobs still in the job table, oldest ending first
+	evicted  []*Job // terminal jobs pushed out of it
 }
 
 func newKeyMachine(t *testing.T, seed int64) *keyMachine {
@@ -379,8 +381,19 @@ func (m *keyMachine) dispatch() {
 	}
 }
 
-// leave moves a key out of the active state in the model.
+// retire seats a job that just ended among the retained terminal jobs,
+// pushing out the oldest past the cap.
+func (m *keyMachine) retire(j *Job) {
+	m.retained = append(m.retained, j)
+	if len(m.retained) > propCap {
+		m.evicted = append(m.evicted, m.retained[0])
+		m.retained = m.retained[1:]
+	}
+}
+
+// leave moves an ended job's key out of the active state in the model.
 func (m *keyMachine) leave(j *modelJob, to modelState) {
+	m.retire(j.job)
 	k := j.key
 	m.state[k], m.active[k] = to, nil
 	var population *[]int
@@ -420,6 +433,7 @@ func (m *keyMachine) submit(k int, deadline, fault bool) {
 		if err != nil || outcome != OutcomeCached || job.State() != StateDone {
 			t.Fatalf("submit of cached key: %v, %v; want cached", outcome, err)
 		}
+		m.retire(job)
 	case m.state[k] == mActive:
 		if err != nil || outcome != OutcomeCoalesced || job != m.active[k].job {
 			t.Fatalf("submit of active key: %v, %v; want coalesced onto %s", outcome, err, m.active[k].job.ID)
@@ -453,6 +467,24 @@ func (m *keyMachine) submit(k int, deadline, fault bool) {
 	}
 }
 
+// members names a bounded population's members, oldest first.
+func members[T any](q *fifo[T], name func(T) string) []string {
+	var out []string
+	for el := q.l.Front(); el != nil; el = el.Next() {
+		out = append(out, name(el.Value.(T)))
+	}
+	return out
+}
+
+// keyNames maps model key indices to their content keys.
+func (m *keyMachine) keyNames(ks []int) []string {
+	out := make([]string, len(ks))
+	for i, k := range ks {
+		out[i] = m.keys[k]
+	}
+	return out
+}
+
 func removeInt(s []int, v int) []int {
 	out := s[:0:0]
 	for _, x := range s {
@@ -474,8 +506,10 @@ func (m *keyMachine) stopQueued(j *modelJob, want State) {
 }
 
 // end delivers a verdict to a running job, waits for its terminal state
-// and moves the model along.
+// and moves the model along. It returns once the pool has caught up, so
+// the job has retired before the next verdict can end another.
 func (m *keyMachine) end(j *modelJob, v verdict, want State, to modelState) {
+	defer m.settleDown()
 	m.gates[j.key] <- v
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -612,29 +646,56 @@ func (m *keyMachine) check() {
 	}
 	tableSize := len(p.keys)
 	// The bounded populations hold the model's members, oldest first.
-	order := func(q *fifo) []string {
-		var out []string
-		for el := q.l.Front(); el != nil; el = el.Next() {
-			out = append(out, el.Value.(*entry).key)
+	keyOf := func(e *entry) string { return e.key }
+	gotCached, gotParked := members(&p.cachedKeys, keyOf), members(&p.parkedKeys, keyOf)
+	gotRetained := members(&p.finished, func(j *Job) string { return j.ID })
+	// No key points at a job that has left the job table.
+	for _, e := range p.keys {
+		if e.job != nil && p.jobs[e.job.ID] != e.job {
+			p.mu.Unlock()
+			t.Fatalf("key table entry %+v points at job %s, which the job table does not hold", e, e.job.ID)
 		}
-		return out
 	}
-	gotCached, gotParked := order(&p.cachedKeys), order(&p.parkedKeys)
 	p.mu.Unlock()
 	if tableSize != known {
 		t.Fatalf("key table holds %d entries, model knows %d", tableSize, known)
 	}
-	for _, pop := range []struct {
-		name string
-		got  []string
-		want []int
-	}{{"cached", gotCached, m.cached}, {"parked", gotParked, m.parked}} {
-		want := make([]string, len(pop.want))
-		for i, k := range pop.want {
-			want[i] = m.keys[k]
+	jobIDs := func(js []*Job) []string {
+		out := make([]string, len(js))
+		for i, j := range js {
+			out[i] = j.ID
 		}
-		if len(pop.got) > propCap || strings.Join(pop.got, ",") != strings.Join(want, ",") {
-			t.Fatalf("%s population (oldest first) = %v, want %v", pop.name, pop.got, want)
+		return out
+	}
+	for _, pop := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"cached", gotCached, m.keyNames(m.cached)},
+		{"parked", gotParked, m.keyNames(m.parked)},
+		{"retained terminal jobs", gotRetained, jobIDs(m.retained)},
+	} {
+		if len(pop.got) > propCap || strings.Join(pop.got, ",") != strings.Join(pop.want, ",") {
+			t.Fatalf("%s population (oldest first) = %v, want %v", pop.name, pop.got, pop.want)
+		}
+	}
+
+	// The job table lists, in admission order, the retained terminal jobs
+	// and the live queued and running ones; no evicted ID is found.
+	live := append(m.queuedJobs(), m.running...)
+	wantListed := jobIDs(m.retained)
+	for _, j := range live {
+		wantListed = append(wantListed, j.job.ID)
+	}
+	sort.Strings(wantListed)
+	listed := jobIDs(p.Jobs())
+	if len(listed) > propCap+len(live) || !sort.StringsAreSorted(listed) ||
+		strings.Join(listed, ",") != strings.Join(wantListed, ",") {
+		t.Fatalf("Jobs() = %v, want %v in admission order", listed, wantListed)
+	}
+	for _, j := range m.evicted {
+		if _, ok := p.Get(j.ID); ok {
+			t.Fatalf("evicted job %s is still found by Get", j.ID)
 		}
 	}
 
@@ -709,7 +770,8 @@ func (m *keyMachine) finish() {
 // TestKeyStateMachineProperty drives random operation sequences against a
 // pool and a small reference model and checks, after every step, that
 // each content key is in exactly one state — the model's — and that the
-// gauges, the bounded populations and the state dir agree with it.
+// gauges, the bounded populations (the retained terminal jobs among
+// them), the job table and the state dir agree with it.
 func TestKeyStateMachineProperty(t *testing.T) {
 	const seed, sequences = 1, 200
 	for s := 0; s < sequences; s++ {

@@ -31,8 +31,10 @@ type Config struct {
 	// QueueDepth bounds jobs admitted but not yet running (0 = 64).
 	// When the queue is full Submit fails fast with *QueueFullError.
 	QueueDepth int
-	// CacheCap bounds the result cache (0 = 1024); the oldest entry is
-	// evicted first.
+	// CacheCap bounds the result cache, the parked checkpoints and the
+	// terminal jobs the job table keeps (0 = 1024 each); the oldest member
+	// of each is evicted first. An evicted job's ID is unknown from then
+	// on; its result stays reachable by key while the key is cached.
 	CacheCap int
 	// StateDir, when non-empty, enables persistence: specs are written
 	// at admission and drain checkpoints at shutdown, so Recover can
@@ -118,16 +120,23 @@ type Pool struct {
 	mu        sync.Mutex
 	accepting bool
 	seq       int
+	queued    int // jobs holding a queue slot: admitted, not yet dequeued
+
+	// jobs is the job table: every queued and running job, and the newest
+	// CacheCap terminal jobs, which finished holds in the order they ended.
+	// order lists the table in admission order, plus orderDead slots of
+	// jobs that have left it (see forgetLocked).
 	jobs      map[string]*Job
-	order     []*Job // every tracked job, in admission order
-	queued    int    // jobs holding a queue slot: admitted, not yet dequeued
+	order     []*Job
+	orderDead int
+	finished  fifo[*Job]
 
 	// keys holds every content key the pool knows, in exactly one state
 	// each (see keyState). The parked and the cached keys are each a
 	// bounded FIFO population of CacheCap members.
 	keys       map[string]*entry
-	parkedKeys fifo
-	cachedKeys fifo
+	parkedKeys fifo[*entry]
+	cachedKeys fifo[*entry]
 }
 
 // New builds a pool. Call Start to launch the workers.
@@ -153,7 +162,6 @@ func New(cfg Config) *Pool {
 	if cfg.Counters == nil {
 		cfg.Counters = metrics.NewCounters()
 	}
-	keys := make(map[string]*entry)
 	return &Pool{
 		cfg:        cfg,
 		counters:   cfg.Counters,
@@ -163,9 +171,10 @@ func New(cfg Config) *Pool {
 		quit:       make(chan struct{}),
 		accepting:  true,
 		jobs:       make(map[string]*Job),
-		keys:       keys,
-		parkedKeys: fifo{cap: cfg.CacheCap, keys: keys},
-		cachedKeys: fifo{cap: cfg.CacheCap, keys: keys},
+		finished:   fifo[*Job]{cap: cfg.CacheCap},
+		keys:       make(map[string]*entry),
+		parkedKeys: fifo[*entry]{cap: cfg.CacheCap},
+		cachedKeys: fifo[*entry]{cap: cfg.CacheCap},
 	}
 }
 
@@ -191,7 +200,8 @@ func (p *Pool) QueueWait() *metrics.Histogram { return p.queueWait }
 // per executed job (including suspended and failed runs).
 func (p *Pool) RunDuration() *metrics.Histogram { return p.runDur }
 
-// Get returns a job by ID.
+// Get returns a job by ID. A terminal job is found until CacheCap newer
+// jobs have ended.
 func (p *Pool) Get(id string) (*Job, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -199,11 +209,18 @@ func (p *Pool) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every tracked job in admission order.
+// Jobs returns the job table in admission order: at most CacheCap
+// terminal jobs plus the queued and running ones.
 func (p *Pool) Jobs() []*Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]*Job(nil), p.order...)
+	out := make([]*Job, 0, len(p.jobs))
+	for _, j := range p.order {
+		if p.jobs[j.ID] == j {
+			out = append(out, j)
+		}
+	}
+	return out
 }
 
 // CachedResult returns the cached result for a content key.

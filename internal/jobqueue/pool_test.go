@@ -517,8 +517,9 @@ func TestCacheFIFOEvictionOrder(t *testing.T) {
 
 // TestCacheEvictionConcurrent races many distinct submissions through a
 // tiny cache: whatever the finish order, the count of evictions must be
-// exactly inserts minus capacity and the cache must end at capacity.
-// Run under -race this also guards the eviction path's locking.
+// exactly inserts minus capacity and the cache must end at capacity, and
+// so must the job table, read concurrently all along. Run under -race
+// this also guards the eviction paths' locking.
 func TestCacheEvictionConcurrent(t *testing.T) {
 	const (
 		submitters = 4
@@ -543,10 +544,21 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 				}
 				keys[w] = append(keys[w], j.Key)
 				waitResult(t, j)
+				if n := len(pool.Jobs()); n > cacheCap+submitters {
+					t.Errorf("job table lists %d jobs, at most %d may be retained or live", n, cacheCap+submitters)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	// A job is retired just after it turns terminal, on its worker: wait
+	// for the workers to return from the last settle.
+	for deadline := time.Now().Add(10 * time.Second); pool.Stats().InFlight > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := len(pool.Jobs()); n != cacheCap {
+		t.Errorf("job table lists %d jobs once all ended, want the cap %d", n, cacheCap)
+	}
 
 	distinct := make(map[string]struct{})
 	cached := 0
@@ -577,9 +589,9 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 // must not cost beyond its run: the pool forces no collection around it
 // (runtime.MemStats.NumForcedGC stands still — only this test reads
 // MemStats, production may not), and a finished job keeps its end state's
-// hash, not the state. The never-evicted job table then grows by a job's
-// stats and event history — under 2 KB measured, where one pinned
-// 160-node snapshot of this spec weighed about 70 KB.
+// hash, not the state. A retained job then costs its stats and event
+// history — under 2 KB measured, where one pinned 160-node snapshot of
+// this spec weighed about 70 KB.
 func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 	const jobs, perJobBytes = 40, 16 << 10
 	pool := New(Config{Workers: 2, QueueDepth: jobs, StateDir: t.TempDir()})
@@ -626,5 +638,55 @@ func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 		if want := directHash(t, specs[i]); res.StateHash != want {
 			t.Errorf("job %s: StateHash %s, direct run %s", j.ID, res.StateHash, want)
 		}
+	}
+}
+
+// TestJobTableIsBounded: a terminal job leaves the job table once CacheCap
+// newer jobs have ended, so a long stream of cache hits holds the table at
+// CacheCap and the live heap flat. The oldest job's ID becomes unknown,
+// while its result stays reachable by key.
+func TestJobTableIsBounded(t *testing.T) {
+	const cacheCap, rounds = 64, 20
+	pool := New(Config{Workers: 1, QueueDepth: 4, CacheCap: cacheCap})
+	pool.Start()
+	defer pool.Shutdown(context.Background())
+
+	spec := testSpec(801)
+	first, _, err := pool.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitResult(t, first)
+
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var base int64
+	for i := 1; i <= rounds*cacheCap; i++ {
+		s := *spec
+		if _, outcome, err := pool.Submit(&s); err != nil || outcome != OutcomeCached {
+			t.Fatalf("resubmission %d: %v, %v; want cached", i, outcome, err)
+		}
+		if n := len(pool.Jobs()); n > cacheCap {
+			t.Fatalf("after %d cache hits the job table lists %d jobs, cap %d", i, n, cacheCap)
+		}
+		if i == cacheCap {
+			base = heap()
+		}
+	}
+	grew := heap() - base
+	t.Logf("live heap grew %d bytes over the last %d cache hits", grew, (rounds-1)*cacheCap)
+	if grew >= 64<<10 {
+		t.Errorf("live heap grew %d bytes over %d cache hits past the first %d", grew, (rounds-1)*cacheCap, cacheCap)
+	}
+
+	if _, ok := pool.Get(first.ID); ok {
+		t.Errorf("job %s is still found after %d newer jobs ended", first.ID, rounds*cacheCap)
+	}
+	if res, ok := pool.CachedResult(first.Key); !ok || res != first.Result() {
+		t.Errorf("the evicted job's result is not reachable by its key")
 	}
 }

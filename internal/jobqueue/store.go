@@ -249,7 +249,6 @@ func (p *Pool) Recover() (int, error) {
 			if snap != nil {
 				job.resume = snap
 			}
-			p.order = append(p.order, job)
 			p.mu.Unlock()
 			if claimed != nil {
 				// A crash between a claim's new spec and the removal of

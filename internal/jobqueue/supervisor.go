@@ -58,13 +58,14 @@ func (p *Pool) watchdog() {
 }
 
 // superviseOnce runs one watchdog scan over the non-terminal jobs (the
-// active keys hold exactly those).
+// active keys' jobs) in admission order, so the jobs one scan stops end,
+// and retire, in a repeatable order.
 func (p *Pool) superviseOnce(now time.Time) {
 	p.mu.Lock()
 	active := make([]*Job, 0, p.queued+p.cfg.Workers)
-	for _, e := range p.keys {
-		if e.state == keyActive {
-			active = append(active, e.job)
+	for _, j := range p.order {
+		if e := p.keys[j.Key]; e != nil && e.job == j {
+			active = append(active, j)
 		}
 	}
 	p.mu.Unlock()

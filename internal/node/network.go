@@ -298,18 +298,30 @@ func (net *Network) ChargeExtra(id core.NodeID, mode energy.Mode, joules float64
 
 // PickAlive returns a uniformly chosen alive node satisfying filter (nil
 // accepts every alive node), or nil when none qualifies. The failure
-// injector's victim policies build on it.
+// injector's victim policies build on it. It counts the candidates, draws
+// one index and walks to it, so it allocates nothing and filter, which
+// must be a pure predicate, sees each node up to twice.
 func (net *Network) PickAlive(rng *stats.RNG, filter func(*Node) bool) *Node {
-	candidates := make([]*Node, 0, len(net.Nodes))
+	ok := func(n *Node) bool { return n.alive && (filter == nil || filter(n)) }
+	count := 0
 	for _, n := range net.Nodes {
-		if n.alive && (filter == nil || filter(n)) {
-			candidates = append(candidates, n)
+		if ok(n) {
+			count++
 		}
 	}
-	if len(candidates) == 0 {
+	if count == 0 {
 		return nil
 	}
-	return candidates[rng.Intn(len(candidates))]
+	k := rng.Intn(count)
+	for _, n := range net.Nodes {
+		if ok(n) {
+			if k == 0 {
+				return n
+			}
+			k--
+		}
+	}
+	panic("node: PickAlive lost a candidate between its two passes")
 }
 
 // FailRandomAlive kills one uniformly chosen alive node and returns its

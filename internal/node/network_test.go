@@ -321,6 +321,38 @@ func TestChargeExtraKillsOnOverdraw(t *testing.T) {
 	net.ChargeExtra(victim.ID(), energy.DataTransmit, 1)
 }
 
+// TestDepletionPastTwoToTheTwentySeconds: at now = 2^21 s, half an ulp of
+// the clock is about 2.3e-10 s, and 2e-12 J drains at 12 mW idle in
+// 1.7e-10 s, so the depletion deadline rounds to now. The node must die
+// of depletion there instead of re-arming the event at the same instant
+// forever.
+func TestDepletionPastTwoToTheTwentySeconds(t *testing.T) {
+	net, err := NewNetwork(DefaultConfig(1, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := math.Ldexp(1, 21)
+	net.Engine.SetNow(now)
+	// The battery is settled at now before Start, so booting at 2^21 s
+	// does not drain it over the elapsed time; then the node idles.
+	n := net.Nodes[0]
+	n.battery.Restore(energy.BatteryState{Initial: 60, Remaining: 2e-12, Mode: energy.Sleep, LastT: now})
+	net.Start()
+	n.battery.SetMode(now, energy.Idle)
+	if at := n.battery.DepletionTime(now); !n.Alive() || at != now {
+		t.Fatalf("set-up: alive %v, deadline %v; want alive with the deadline rounded to now %v", n.Alive(), at, now)
+	}
+	n.rescheduleDeath()
+	for steps := 0; n.Alive(); steps++ {
+		if steps == 100 || !net.Engine.Step() {
+			t.Fatalf("node still alive after %d engine steps at t=%v", steps, net.Engine.Now())
+		}
+	}
+	if diedAt, cause := n.DiedAt(); cause != Depletion || diedAt != now {
+		t.Errorf("died at %v of %v, want depletion at %v", diedAt, cause, now)
+	}
+}
+
 func TestProtocolEnergyPositiveAndBounded(t *testing.T) {
 	cfg := DefaultConfig(100, 31)
 	net, err := NewNetwork(cfg)

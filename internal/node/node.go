@@ -296,15 +296,22 @@ func (n *Node) rescheduleDeath() {
 
 // runDeathEvent is the shared depletion callback; the event argument is
 // the node itself, so the constant re-arming on every energy spend
-// allocates nothing.
+// allocates nothing. A node also dies when its recomputed deadline does
+// not advance the clock: once now passes about 2^20 s, a remainder that
+// drains in under half an ulp of now rounds the deadline back to now, and
+// re-arming there would fire this event forever at one instant.
 func runDeathEvent(a any) {
 	n := a.(*Node)
 	n.deathEvent = nil
-	if n.alive && n.battery.Remaining(n.Now()) <= 1e-12 {
-		n.die(Depletion)
-	} else {
-		n.rescheduleDeath()
+	if !n.alive {
+		return
 	}
+	now := n.Now()
+	if n.battery.Remaining(now) <= 1e-12 || n.battery.DepletionTime(now) <= now {
+		n.die(Depletion)
+		return
+	}
+	n.rescheduleDeath()
 }
 
 // scheduleDeathAt arms the depletion event at the absolute time t. The
