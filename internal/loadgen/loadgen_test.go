@@ -131,7 +131,9 @@ func startService(t *testing.T, cfg jobqueue.Config) string {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		_ = pool.Shutdown(ctx)
+		if err := pool.Shutdown(ctx); err != nil {
+			t.Errorf("pool did not drain cleanly: %v", err)
+		}
 	})
 	return ts.URL
 }
@@ -167,9 +169,7 @@ func TestRunClosedLoop(t *testing.T) {
 		t.Errorf("hashes: %d mismatches over %d keys (plan has %d distinct)",
 			rep.HashMismatches, rep.HashedKeys, rep.DistinctKeys)
 	}
-	if !rep.Pass {
-		t.Errorf("report failed its SLO: %+v", rep.Assertions)
-	}
+	requirePass(t, rep, rep.Assertions)
 
 	// Reproducibility over the wire: a second run of the same mix
 	// reports the identical key multiset hash.
@@ -207,9 +207,7 @@ func TestRunOpenLoop(t *testing.T) {
 	if rep.HashMismatches != 0 {
 		t.Errorf("hash mismatches: %d", rep.HashMismatches)
 	}
-	if !rep.Pass {
-		t.Errorf("report failed its SLO: %+v", rep.Assertions)
-	}
+	requirePass(t, rep, rep.Assertions)
 }
 
 // TestReportEvaluate pins the SLO gate logic itself: lost jobs and

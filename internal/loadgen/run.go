@@ -367,12 +367,10 @@ func (r *runner) do(ctx context.Context, it Item) {
 	var info *api.JobInfo
 	if it.Follow {
 		// Follow the SSE stream to its end (the terminal event closes
-		// it), then read the authoritative state once.
-		if serr := r.c.Events(jctx, resp.Job.ID, func(jobqueue.Event) bool { return true }); serr != nil && jctx.Err() == nil {
-			// Stream broke without the context expiring: server drain
-			// or restart; fall through to the poll, which classifies.
-			_ = serr
-		}
+		// it), then read the authoritative state once. A stream broken by
+		// a server drain or restart needs no handling here: the poll below
+		// classifies.
+		_ = r.c.Events(jctx, resp.Job.ID, func(jobqueue.Event) bool { return true })
 		info, _ = r.c.Job(jctx, resp.Job.ID)
 	} else {
 		// Wait returns an error alongside info for every non-done

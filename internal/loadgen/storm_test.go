@@ -2,9 +2,12 @@ package loadgen
 
 import (
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"peas/internal/client"
 	"peas/internal/jobqueue"
 )
 
@@ -149,7 +152,26 @@ func TestRunCancellationStorm(t *testing.T) {
 	if rep.FinalInFlight != 0 || rep.FinalQueueDepth != 0 {
 		t.Errorf("post-storm inFlight=%d queueDepth=%d, want 0/0", rep.FinalInFlight, rep.FinalQueueDepth)
 	}
-	if !rep.Pass {
-		t.Errorf("storm report failed its SLO: %+v", rep.Assertions)
+	// The server's own witness: a legitimate slow job falsely preempted
+	// would raise this count without touching the client-side tally.
+	page, err := client.New(url).Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := metric(page, "peas_watchdog_preemptions"); got != uint64(rep.PlannedHangJobs) {
+		t.Errorf("peas_watchdog_preemptions = %d, want %d planned hang jobs", got, rep.PlannedHangJobs)
+	}
+	requirePass(t, rep, rep.Assertions)
+}
+
+// metric returns the value of the unlabelled series name on a /metrics
+// page, 0 when the page does not carry it (a counter never bumped).
+func metric(page, name string) uint64 {
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, _ := strconv.ParseUint(v, 10, 64)
+			return n
+		}
+	}
+	return 0
 }

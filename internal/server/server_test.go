@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,6 +72,18 @@ func startService(t *testing.T, cfg jobqueue.Config) (*client.Client, *atomic.In
 	return client.New(ts.URL), &runs, pool
 }
 
+// metric returns the value of the unlabelled series name on a /metrics
+// page, 0 when the page does not carry it (a counter never bumped).
+func metric(page, name string) uint64 {
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, _ := strconv.ParseUint(v, 10, 64)
+			return n
+		}
+	}
+	return 0
+}
+
 // TestEndToEndSingleflight is the acceptance test over the wire: N
 // concurrent HTTP submissions of one config execute exactly one
 // underlying experiment.Run, and every response carries the StateHash
@@ -115,6 +128,18 @@ func TestEndToEndSingleflight(t *testing.T) {
 	}
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("underlying runs = %d, want exactly 1", got)
+	}
+	// The counters agree: every submission counted once, and all but the
+	// first answered by the one run (coalesced) or its result (cached).
+	page, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metric(page, "peas_jobs_submitted"); got != submitters {
+		t.Errorf("peas_jobs_submitted = %d, want %d", got, submitters)
+	}
+	if got := metric(page, "peas_cache_hits") + metric(page, "peas_jobs_coalesced"); got != submitters-1 {
+		t.Errorf("peas_cache_hits + peas_jobs_coalesced = %d, want %d", got, submitters-1)
 	}
 
 	// Resubmission after completion: served from cache with the same
