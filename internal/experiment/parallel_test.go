@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -72,21 +71,5 @@ func TestAggregateSkipsNilRuns(t *testing.T) {
 	empty := aggregate([]*RunStats{nil})
 	if empty.DeliveryLifetime != 0 {
 		t.Errorf("empty aggregate %+v", empty)
-	}
-}
-
-// TestDeploymentPointWireShape pins the JSON object jobqueue.Result.Sweep
-// sends per point: PointStats is embedded, and its fields must stay
-// flattened beside N, in this order, not nested under a key of their own.
-func TestDeploymentPointWireShape(t *testing.T) {
-	got, err := json.Marshal(DeploymentPoint{N: 160})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = `{"N":160,"CoverageLifetime":[0,0,0,0,0],"DeliveryLifetime":0,` +
-		`"Wakeups":0,"ProtocolEnergy":0,"TotalEnergy":0,"OverheadRatio":0,` +
-		`"MeanWorking":0,"FailedFraction":0,"Coverage4CI":0,"DeliveryCI":0}`
-	if string(got) != want {
-		t.Errorf("wire shape moved:\n got %s\nwant %s", got, want)
 	}
 }

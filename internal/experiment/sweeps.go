@@ -144,9 +144,7 @@ func sweep(points, runs, parallel int, cfgFor func(point, run int) RunConfig) ([
 	return out, nil
 }
 
-// DeploymentPoint aggregates the runs at one deployment size. PointStats
-// is embedded so its fields flatten into the point's JSON object, which is
-// the wire shape jobqueue.Result.Sweep sends.
+// DeploymentPoint aggregates the runs at one deployment size.
 type DeploymentPoint struct {
 	N int
 	PointStats

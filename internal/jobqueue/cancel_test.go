@@ -26,7 +26,7 @@ func waitErr(t *testing.T, j *Job) error {
 	return err
 }
 
-func TestKeyExcludesDeadlineIncludesHang(t *testing.T) {
+func TestKeyExcludesDeadline(t *testing.T) {
 	// DeadlineSeconds is a scheduling constraint, not a simulation input:
 	// two submissions differing only in deadline mean the same run and
 	// must share a content key (coalesce / cache-hit / claim parks).
@@ -40,17 +40,6 @@ func TestKeyExcludesDeadlineIncludesHang(t *testing.T) {
 	}
 	if plain.Key() != bounded.Key() {
 		t.Error("deadline-differing specs must share a content key")
-	}
-
-	// Hang is fault injection that changes the run's outcome, so it must
-	// separate keys (a hang probe must never alias a real run's result).
-	hang := testSpec(11)
-	hang.Hang = true
-	if err := hang.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if hang.Key() == plain.Key() {
-		t.Error("hang probe must not share a key with the real run")
 	}
 
 	// Structurally invalid deadlines are rejected at admission.
@@ -443,43 +432,78 @@ func TestDeadlineKillsRunningJob(t *testing.T) {
 	}
 }
 
-func TestWatchdogPreemptsHungJob(t *testing.T) {
-	pool := New(Config{
-		Workers:          1,
-		QueueDepth:       4,
-		StallWindow:      40 * time.Millisecond,
-		WatchdogInterval: 5 * time.Millisecond,
-	})
-	pool.Start()
-	defer pool.Shutdown(context.Background())
+// hangOn returns an executor that runs every spec except the one with
+// the given network seed. That one wedges: no event progress, so the
+// engine's heartbeat never moves, until its supervisor is stopped, and
+// then a preemption with nothing captured — a stuck run that still
+// reaches the cooperative poll boundary.
+func hangOn(seed int64) RunFunc {
+	return func(cfg experiment.RunConfig) (*experiment.RunStats, error) {
+		if cfg.Network.Seed != seed {
+			return experiment.Run(cfg)
+		}
+		for !cfg.Supervisor.Stop.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		return &experiment.RunStats{Preempted: true}, nil
+	}
+}
 
-	spec := testSpec(81)
-	spec.Hang = true
-	j, _, err := pool.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+// TestWatchdogPreemptsHungJob: a run that stops making event progress is
+// preempted by the watchdog and, with nothing captured, fails — with or
+// without a state dir. The simulator is deterministic, so keeping the
+// spec for a restart would only replay the stall at every boot.
+func TestWatchdogPreemptsHungJob(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dir  string
+	}{{"no-state-dir", ""}, {"state-dir", t.TempDir()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := New(Config{
+				Workers:          1,
+				QueueDepth:       4,
+				StateDir:         tc.dir,
+				Run:              hangOn(81),
+				StallWindow:      40 * time.Millisecond,
+				WatchdogInterval: 5 * time.Millisecond,
+			})
+			pool.Start()
+			defer pool.Shutdown(context.Background())
+
+			j, _, err := pool.Submit(testSpec(81))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := waitErr(t, j); !strings.Contains(err.Error(), "watchdog") {
+				t.Errorf("Wait error = %v, want a watchdog preemption", err)
+			}
+			if st := j.State(); st != StateFailed {
+				t.Fatalf("hung job state = %s, want failed", st)
+			}
+			c := pool.Counters()
+			for name, want := range map[string]uint64{
+				"watchdog_stalls": 1, "watchdog_preemptions": 1, "jobs_failed": 1, "jobs_suspended": 0,
+			} {
+				if got := c.Get(name); got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+			if tc.dir != "" {
+				if _, err := os.Stat(filepath.Join(tc.dir, j.ID+".spec.json")); !os.IsNotExist(err) {
+					t.Error("a stalled job's spec must not stay on disk to be re-admitted")
+				}
+				if n, err := New(Config{StateDir: tc.dir}).Recover(); n != 0 || err != nil {
+					t.Errorf("Recover after the stall re-admitted %d jobs (err %v), want 0", n, err)
+				}
+			}
+			// The worker slot was reclaimed: a normal job runs to completion.
+			after, _, err := pool.Submit(testSpec(82))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitResult(t, after)
+		})
 	}
-	// The hang probe occupies its worker making no event progress; the
-	// stall detector must notice the frozen heartbeat and preempt it.
-	if err := waitErr(t, j); !strings.Contains(err.Error(), "watchdog") {
-		t.Errorf("Wait error = %v, want a watchdog preemption", err)
-	}
-	if st := j.State(); st != StateFailed {
-		t.Fatalf("hung job state = %s, want failed", st)
-	}
-	c := pool.Counters()
-	if got := c.Get("watchdog_stalls"); got != 1 {
-		t.Errorf("watchdog_stalls = %d, want 1", got)
-	}
-	if got := c.Get("watchdog_preemptions"); got != 1 {
-		t.Errorf("watchdog_preemptions = %d, want 1", got)
-	}
-	// The worker slot was reclaimed: a normal job runs to completion.
-	after, _, err := pool.Submit(testSpec(82))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitResult(t, after)
 }
 
 func TestDeadlineInfeasibleFastReject(t *testing.T) {

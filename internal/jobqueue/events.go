@@ -9,15 +9,12 @@ import (
 // one Result through the content-addressed cache.
 type Result struct {
 	// StateHash is the hex SHA-256 of the final snapshot's canonical
-	// encoding — the bit-exact identity of the end state. Empty for
-	// sweep jobs, which aggregate many runs.
+	// encoding — the bit-exact identity of the end state.
 	StateHash string `json:"stateHash,omitempty"`
-	// Stats holds the single-run metrics (sim and chaos jobs), the
-	// engine's own counters among them. Its FinalState is always nil: the
-	// pool keeps the end state's hash (StateHash), not the state.
+	// Stats holds the run's metrics, the engine's own counters among
+	// them. Its FinalState is always nil: the pool keeps the end state's
+	// hash (StateHash), not the state.
 	Stats *RunStats `json:"stats,omitempty"`
-	// Sweep holds the deployment-sweep table (sweep jobs).
-	Sweep *DeploymentSweepResult `json:"sweep,omitempty"`
 	// Chaos holds the final per-fault-class counters (chaos jobs).
 	Chaos map[string]uint64 `json:"chaos,omitempty"`
 	// Violations counts invariant-oracle findings on Check jobs (a

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"peas/internal/checkpoint"
-	"peas/internal/experiment"
 	"peas/internal/node"
 	"peas/internal/oracle"
 	"peas/internal/sim"
@@ -82,7 +81,7 @@ func (p *Pool) classify(job *Job, res *Result, snap *checkpoint.Snapshot, err er
 		// Stopped mid-run. With a checkpoint in hand, park it under the
 		// content key so a resubmission of the same spec resumes
 		// bit-exactly instead of starting over; without one (chaos run, no
-		// state dir, the injected hang probe) the work is simply dropped.
+		// state dir) the work is simply dropped.
 		o := stopOutcome(job, cause)
 		if snap != nil {
 			o.files, o.park = filesPark, &parked{id: job.ID, snap: snap}
@@ -93,12 +92,14 @@ func (p *Pool) classify(job *Job, res *Result, snap *checkpoint.Snapshot, err er
 		// one: persist it beside the spec so a restart resumes the job.
 		suspended.files, suspended.snap = filesCheckpoint, snap
 		return suspended
-	case err == errAbortRestartable,
-		err == errPreempted && cause == CauseWatchdog && p.cfg.StateDir != "" && !job.Spec.Hang:
-		// Interrupted by a drain, or stalled, with nothing to capture: the
-		// persisted spec lets Recover restart it from scratch.
+	case err == errAbortRestartable:
+		// Interrupted by a drain with nothing to capture: the persisted
+		// spec lets Recover restart it from scratch.
 		return suspended
 	case err == errPreempted && cause == CauseWatchdog:
+		// Stalled with nothing to capture. The run is deterministic, so a
+		// restart from the spec would replay the stall: the job fails, and
+		// its spec goes with it, state dir or not.
 		err = fmt.Errorf("jobqueue: job %s preempted by watchdog: no event progress within %s", job.ID, p.cfg.StallWindow)
 	case err == nil:
 		// runGuarded returned neither result, snapshot nor error — only
@@ -108,12 +109,10 @@ func (p *Pool) classify(job *Job, res *Result, snap *checkpoint.Snapshot, err er
 	return outcome{state: StateFailed, counter: "jobs_failed", err: err}
 }
 
-// runGuarded dispatches the job to its executor behind a panic
-// barrier. A panicking run — a simulation bug, a poisoned spec, the
-// injected Spec.Panic fault — must cost exactly one job, not the
+// runGuarded runs the job behind a panic barrier. A panicking run — a
+// simulation bug, a poisoned spec — must cost exactly one job, not the
 // worker goroutine (an unrecovered panic would kill the whole daemon):
-// the job fails with the stack in its error, and the pool keeps
-// serving.
+// the job fails with the stack in its error, and the pool keeps serving.
 func (p *Pool) runGuarded(job *Job) (res *Result, snap *checkpoint.Snapshot, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -122,40 +121,11 @@ func (p *Pool) runGuarded(job *Job) (res *Result, snap *checkpoint.Snapshot, err
 			err = fmt.Errorf("jobqueue: job panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if job.Spec.Panic {
-		panic("injected panic (spec.panic): crash-soak panic-isolation probe")
-	}
-	if job.Spec.Hang {
-		return p.hangProbe(job)
-	}
-	if job.Spec.Kind == KindSweep {
-		res, err = p.executeSweep(job)
-		return res, nil, err
-	}
 	return p.executeRun(job)
 }
 
-// hangProbe is the injected stall fault: the worker occupies its slot
-// making no event progress — the supervisor's heartbeat never advances —
-// until the watchdog (or a cancel/deadline/drain) stops it. It models
-// the recoverable half of "stuck worker": model code that still reaches
-// the cooperative poll boundary without progressing. A callback that
-// never yields at all cannot be preempted in-process — the watchdog can
-// only detect it (see DESIGN.md §15).
-func (p *Pool) hangProbe(job *Job) (*Result, *checkpoint.Snapshot, error) {
-	super := &sim.Supervisor{}
-	job.attachSupervisor(super)
-	for !super.Stop.Load() {
-		if p.drainStop.Load() {
-			return nil, nil, errAbortRestartable
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return nil, nil, errPreempted
-}
-
-// executeRun performs a sim or chaos job. It returns a non-nil snapshot
-// when the run was suspended at a drain checkpoint instead of finishing.
+// executeRun performs a job. It returns a non-nil snapshot when the run
+// was suspended at a drain checkpoint instead of finishing.
 // A job must cost what its run costs: nothing here forces a collection or
 // reads process-wide runtime statistics (CI greps for both), and the only
 // snapshot that outlives the call is one a drain or a preemption asked for.
@@ -268,22 +238,3 @@ var errAbortRestartable = fmt.Errorf("jobqueue: aborted by shutdown; restartable
 // checkpoint to show for it; execute maps it to a terminal state by the
 // job's recorded stop cause.
 var errPreempted = fmt.Errorf("jobqueue: preempted by supervisor")
-
-// executeSweep performs a sweep job via the §5.2 deployment sweep.
-// Sweeps aggregate many runs, so they report no single StateHash and do
-// not participate in drain checkpointing — a drain waits for them.
-func (p *Pool) executeSweep(job *Job) (*Result, error) {
-	spec := job.Spec
-	res, err := experiment.DeploymentSweep(experiment.Options{
-		Runs:        spec.Sweep.Runs,
-		Seed:        spec.Network.Seed,
-		Deployments: spec.Sweep.Deployments,
-		Forwarding:  spec.Forwarding,
-		// One sweep cell at a time: concurrency is the pool's job.
-		Parallel: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Sweep: res}, nil
-}

@@ -12,12 +12,9 @@ import (
 	"peas/internal/metrics"
 )
 
-// RunStats and DeploymentSweepResult are re-exported so service wire
-// types do not force every client onto internal/experiment directly.
-type (
-	RunStats              = experiment.RunStats
-	DeploymentSweepResult = experiment.DeploymentSweepResult
-)
+// RunStats is re-exported so service wire types do not force every
+// client onto internal/experiment directly.
+type RunStats = experiment.RunStats
 
 // RunFunc executes one simulation. The pool defaults to experiment.Run;
 // tests substitute instrumented wrappers (e.g. to count underlying
@@ -52,6 +49,10 @@ type Config struct {
 	// inside write windows.
 	FS durable.FS
 	// Run substitutes the simulation executor (nil = experiment.Run).
+	// Tests wrap it to count executions and to inject faults: a wrapper
+	// that panics, or one that makes no event progress until its
+	// Supervisor is stopped, is how the panic barrier and the watchdog
+	// are exercised; no spec field asks for a fault.
 	Run RunFunc
 	// Counters receives the pool's operational counters; one fresh set
 	// is allocated when nil. It is shared across all workers, which is
@@ -61,11 +62,11 @@ type Config struct {
 	// is dequeued and before its simulation starts. Tests use it to
 	// hold workers at a barrier.
 	BeforeRun func(j *Job)
-	// StallWindow enables watchdog stall detection: a running supervised
-	// job whose engine heartbeat does not advance for this long is
-	// preempted into the suspended state (0 disables stall detection;
-	// deadline enforcement is always on). Sweep jobs aggregate many runs
-	// without a single engine heartbeat and are exempt.
+	// StallWindow enables watchdog stall detection: a running job whose
+	// engine heartbeat does not advance for this long is preempted — into
+	// the suspended state with its checkpoint when one was captured, else
+	// into failed (0 disables stall detection; deadline enforcement is
+	// always on).
 	StallWindow time.Duration
 	// WatchdogInterval overrides the supervision scan cadence (0 = auto:
 	// 100ms, or StallWindow/4 when that is shorter, floored at 10ms).

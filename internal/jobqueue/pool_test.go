@@ -92,9 +92,9 @@ func TestSpecKeyCanonicalization(t *testing.T) {
 func TestSpecValidation(t *testing.T) {
 	cases := []*Spec{
 		{}, // no N
-		{Kind: "warp", Network: node.Config{N: 4}},                       // unknown kind
-		{Kind: KindChaos, Network: node.Config{N: 4}},                    // chaos without plan
-		{Kind: KindSim, Network: node.Config{N: 4}, Sweep: &SweepSpec{}}, // sweep options on a sim job
+		{Kind: "warp", Network: node.Config{N: 4}},    // unknown kind
+		{Kind: KindChaos, Network: node.Config{N: 4}}, // chaos without plan
+		{Kind: "sweep", Network: node.Config{N: 4}},   // a retired kind
 	}
 	for i, s := range cases {
 		if err := s.Normalize(); err == nil {
@@ -363,30 +363,6 @@ func TestCheckJobArmsOracle(t *testing.T) {
 	}
 	if res.Events == 0 {
 		t.Error("run reported no engine events")
-	}
-}
-
-// TestSweepJob runs a tiny deployment sweep through the pool.
-func TestSweepJob(t *testing.T) {
-	spec := &Spec{
-		Kind:    KindSweep,
-		Network: node.Config{N: 30, Seed: 2},
-		Sweep:   &SweepSpec{Deployments: []int{30}, Runs: 1},
-	}
-	pool := New(Config{Workers: 1, QueueDepth: 4})
-	pool.Start()
-	defer pool.Shutdown(context.Background())
-
-	j, _, err := pool.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := waitResult(t, j)
-	if res.Sweep == nil || len(res.Sweep.Points) != 1 {
-		t.Fatalf("sweep result = %+v", res.Sweep)
-	}
-	if res.Sweep.Points[0].N != 30 {
-		t.Errorf("sweep point N = %d", res.Sweep.Points[0].N)
 	}
 }
 

@@ -27,11 +27,10 @@ import (
 	"peas/internal/node"
 )
 
-// Spec kinds. An empty kind defaults to KindSim; KindChaos is implied
-// when a chaos plan is present and KindSweep when sweep options are.
+// Spec kinds. An empty kind defaults to KindSim, or to KindChaos when a
+// chaos plan is present.
 const (
 	KindSim   = "sim"
-	KindSweep = "sweep"
 	KindChaos = "chaos"
 )
 
@@ -39,30 +38,21 @@ const (
 // so stale persisted state can never alias a new-format key.
 // v2: the Panic fault-injection flag joined the encoding.
 // v3: the Hang fault-injection flag joined the encoding.
-const specKeyVersion uint32 = 3
-
-// SweepSpec configures a deployment sweep job: the §5.2 varying-
-// population experiment run as one service job.
-type SweepSpec struct {
-	// Deployments lists the deployment sizes (default: the paper's
-	// 160..800).
-	Deployments []int `json:"deployments,omitempty"`
-	// Runs is the number of independent seeds averaged per point
-	// (default 5).
-	Runs int `json:"runs,omitempty"`
-}
+// v4: the sweep section and both fault-injection flags left it.
+const specKeyVersion uint32 = 4
 
 // Spec is one job submission: the full network configuration plus the
 // experiment-level knobs. It is the unit the cache key is derived from,
 // so every field that influences the simulation outcome must be covered
 // by the canonical encoding in Key.
 type Spec struct {
-	// Kind selects the job type: "sim" (default), "sweep" or "chaos".
+	// Kind selects the job type: "sim" (default) or "chaos".
 	Kind string `json:"kind,omitempty"`
 	// Network is the deployment configuration. Zero-valued sections
 	// (field, protocol, radio, energy profile, initial charge) are
 	// filled with the paper's defaults by Normalize, so a minimal
-	// submission only needs N and Seed.
+	// submission only needs N and Seed; a partly filled section is
+	// refused.
 	Network node.Config `json:"network"`
 	// FailuresPer5000s is the injected failure rate in the paper's unit.
 	FailuresPer5000s float64 `json:"failuresPer5000s,omitempty"`
@@ -78,21 +68,6 @@ type Spec struct {
 	Check bool `json:"check,omitempty"`
 	// Chaos attaches a scripted fault plan (KindChaos).
 	Chaos *chaos.Plan `json:"chaos,omitempty"`
-	// Sweep holds the sweep options (KindSweep).
-	Sweep *SweepSpec `json:"sweep,omitempty"`
-	// Panic is service-level fault injection: the job's worker panics
-	// instead of running the simulation. It exists so crash-soak
-	// harnesses can prove panic isolation end to end — the job must land
-	// in the failed state with the stack in its error while the pool and
-	// daemon survive. It participates in the content key like any other
-	// field (a panic job must never alias a real run's cached result).
-	Panic bool `json:"panic,omitempty"`
-	// Hang is service-level fault injection: the job's worker wedges —
-	// occupying its slot while making no event progress — until the
-	// watchdog preempts it (or a drain aborts it). It exists so the
-	// cancellation-storm harness can prove stall supervision end to end.
-	// Like Panic it participates in the content key.
-	Hang bool `json:"hang,omitempty"`
 	// DeadlineSeconds, when positive, bounds the job end to end: the
 	// budget starts at admission, and a job that has not finished when it
 	// expires is preempted into the deadline_exceeded state (running
@@ -116,20 +91,19 @@ func NewSimSpec(n int, seed int64) *Spec {
 // Normalize fills defaults in place so that two submissions that mean
 // the same simulation produce the same canonical encoding: the kind is
 // resolved, zero-valued configuration sections take the paper defaults,
-// and the horizon is made explicit. It returns an error for structurally
-// invalid specs (these are rejected at admission, before queueing).
+// and the horizon is made explicit. It returns an error for invalid
+// specs (these are rejected at admission, before anything is persisted):
+// an unknown kind, a kind its chaos plan contradicts, a network
+// node.Config.Validate refuses — a partly filled section is refused, not
+// completed field by field — a bad deadline or an invalid chaos plan.
 func (s *Spec) Normalize() error {
 	switch s.Kind {
 	case "":
-		switch {
-		case s.Chaos != nil:
+		s.Kind = KindSim
+		if s.Chaos != nil {
 			s.Kind = KindChaos
-		case s.Sweep != nil:
-			s.Kind = KindSweep
-		default:
-			s.Kind = KindSim
 		}
-	case KindSim, KindSweep, KindChaos:
+	case KindSim, KindChaos:
 	default:
 		return fmt.Errorf("jobqueue: unknown job kind %q", s.Kind)
 	}
@@ -139,13 +113,7 @@ func (s *Spec) Normalize() error {
 	if s.Kind != KindChaos && s.Chaos != nil {
 		return fmt.Errorf("jobqueue: fault plan on a %s job", s.Kind)
 	}
-	if s.Kind != KindSweep && s.Sweep != nil {
-		return fmt.Errorf("jobqueue: sweep options on a %s job", s.Kind)
-	}
 
-	if s.Network.N <= 0 {
-		return fmt.Errorf("jobqueue: network.N must be positive, got %d", s.Network.N)
-	}
 	def := node.DefaultConfig(s.Network.N, s.Network.Seed)
 	if s.Network.Field.Width <= 0 || s.Network.Field.Height <= 0 {
 		s.Network.Field = def.Field
@@ -163,38 +131,19 @@ func (s *Spec) Normalize() error {
 		s.Network.InitialEnergyMin = def.InitialEnergyMin
 		s.Network.InitialEnergyMax = def.InitialEnergyMax
 	}
-	if s.Network.Positions != nil && len(s.Network.Positions) != s.Network.N {
-		return fmt.Errorf("jobqueue: %d positions for %d nodes", len(s.Network.Positions), s.Network.N)
-	}
-	if s.Network.NodeSeeds != nil && len(s.Network.NodeSeeds) != s.Network.N {
-		return fmt.Errorf("jobqueue: %d node seeds for %d nodes", len(s.Network.NodeSeeds), s.Network.N)
+	if err := s.Network.Validate(); err != nil {
+		return fmt.Errorf("jobqueue: network: %w", err)
 	}
 
 	if math.IsNaN(s.DeadlineSeconds) || math.IsInf(s.DeadlineSeconds, 0) || s.DeadlineSeconds < 0 {
 		return fmt.Errorf("jobqueue: deadlineSeconds must be a finite non-negative number, got %v", s.DeadlineSeconds)
 	}
-	if s.Kind != KindSweep && s.Horizon <= 0 {
+	if s.Horizon <= 0 {
 		s.Horizon = experiment.DefaultHorizon(s.Network.N)
 	}
 	if s.Chaos != nil {
 		if err := s.Chaos.Validate(); err != nil {
 			return err
-		}
-	}
-	if s.Sweep != nil {
-		if s.Sweep.Runs < 0 {
-			return fmt.Errorf("jobqueue: negative sweep runs")
-		}
-		if s.Sweep.Runs == 0 {
-			s.Sweep.Runs = 5
-		}
-		if len(s.Sweep.Deployments) == 0 {
-			s.Sweep.Deployments = []int{160, 320, 480, 640, 800}
-		}
-		for _, n := range s.Sweep.Deployments {
-			if n <= 0 {
-				return fmt.Errorf("jobqueue: non-positive sweep deployment %d", n)
-			}
 		}
 	}
 	return nil
@@ -204,10 +153,10 @@ func (s *Spec) Normalize() error {
 // canonical encoding. The network section reuses the checkpoint codec's
 // canonical config encoding (checkpoint.AppendNetConfig); the
 // experiment-level knobs are appended with the same fixed-width
-// convention; chaos and sweep sections are length-prefixed canonical
-// JSON of the normalized structs (deterministic in Go for structs
-// without maps). Call Normalize first — Key on an unnormalized spec
-// would distinguish submissions that mean the same run.
+// convention; the chaos section is length-prefixed canonical JSON of the
+// normalized plan (deterministic in Go for structs without maps). Call
+// Normalize first — Key on an unnormalized spec would distinguish
+// submissions that mean the same run.
 func (s *Spec) Key() string {
 	buf := make([]byte, 0, 512)
 	buf = append(buf, "PEASJOB\x00"...)
@@ -221,16 +170,13 @@ func (s *Spec) Key() string {
 	buf = appendF64(buf, s.CoverageSpacing)
 	buf = appendBool(buf, s.Check)
 	buf = appendJSONSection(buf, s.Chaos != nil, s.Chaos)
-	buf = appendJSONSection(buf, s.Sweep != nil, s.Sweep)
-	buf = appendBool(buf, s.Panic)
-	buf = appendBool(buf, s.Hang)
 	// DeadlineSeconds is deliberately absent: it constrains scheduling,
 	// not the simulation, so deadline-differing duplicates share one run.
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:])
 }
 
-// RunConfig translates a sim or chaos spec into the experiment runner's
+// RunConfig translates the spec into the experiment runner's
 // configuration. CaptureFinal is always set: the final snapshot's
 // StateHash is the identity every cached result carries.
 func (s *Spec) RunConfig() experiment.RunConfig {

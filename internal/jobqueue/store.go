@@ -1,6 +1,7 @@
 package jobqueue
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -265,14 +266,19 @@ func (p *Pool) Recover() (int, error) {
 
 // readSpecFile loads and validates one persisted spec through the
 // durable frame; any failure means the file is damaged and must be
-// quarantined by the caller.
+// quarantined by the caller. It decodes as strictly as a submission
+// does: a field this version does not know — a retired job kind's
+// options, say — quarantines the file rather than being dropped, so it
+// can never re-run as a different job.
 func (p *Pool) readSpecFile(id string) (*specFile, error) {
 	payload, err := durable.ReadFile(p.cfg.FS, p.specPath(id))
 	if err != nil {
 		return nil, err
 	}
 	var sf specFile
-	if err := json.Unmarshal(payload, &sf); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sf); err != nil {
 		return nil, fmt.Errorf("jobqueue: corrupt spec file %s: %w", p.specPath(id), err)
 	}
 	if sf.Spec == nil {

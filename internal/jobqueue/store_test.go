@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -438,82 +439,123 @@ func TestPersistFailureRejectsAdmission(t *testing.T) {
 	waitResult(t, j)
 }
 
-// TestWorkerPanicIsolation: a panicking job — via the injected
-// Spec.Panic fault or a panicking executor — lands in failed with the
-// stack in its error, and the pool keeps executing subsequent jobs on
-// the same worker.
-func TestWorkerPanicIsolation(t *testing.T) {
-	dir := t.TempDir()
-	pool := New(Config{Workers: 1, QueueDepth: 4, StateDir: dir})
-	pool.Start()
-	defer pool.Shutdown(context.Background())
-
-	bomb := testSpec(111)
-	bomb.Panic = true
-	j, _, err := pool.Submit(bomb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, werr := j.Wait(ctx); werr == nil {
-		t.Fatal("panicking job reported success")
-	}
-	if j.State() != StateFailed {
-		t.Fatalf("panicking job state = %s, want failed", j.State())
-	}
-	jerr := j.Err().Error()
-	if !strings.Contains(jerr, "panicked") || !strings.Contains(jerr, "goroutine") {
-		t.Errorf("job error missing panic stack: %q", jerr)
-	}
-	if got := pool.Counters().Get("jobs_panicked"); got != 1 {
-		t.Errorf("jobs_panicked = %d, want 1", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, j.ID+".spec.json")); !os.IsNotExist(err) {
-		t.Error("failed job's spec file should be removed")
-	}
-
-	// The single worker survived: a normal job still executes.
-	j2, _, err := pool.Submit(testSpec(112))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitResult(t, j2)
-
-	// A panicking executor (simulation bug, not injected fault) is
-	// contained the same way.
-	pool2 := New(Config{
-		Workers:    1,
-		QueueDepth: 4,
-		Run: func(experiment.RunConfig) (*experiment.RunStats, error) {
+// panicOn returns an executor that runs every spec except the one with
+// the given network seed, which panics instead — a simulation bug, as the
+// pool sees one.
+func panicOn(seed int64) RunFunc {
+	return func(cfg experiment.RunConfig) (*experiment.RunStats, error) {
+		if cfg.Network.Seed == seed {
 			panic("executor bug")
-		},
-	})
-	pool2.Start()
-	defer pool2.Shutdown(context.Background())
-	j3, _, err := pool2.Submit(testSpec(113))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, werr := j3.Wait(ctx); werr == nil || !strings.Contains(werr.Error(), "executor bug") {
-		t.Fatalf("executor panic not surfaced: %v", werr)
-	}
-	if got := pool2.Counters().Get("jobs_panicked"); got != 1 {
-		t.Errorf("pool2 jobs_panicked = %d, want 1", got)
+		}
+		return experiment.Run(cfg)
 	}
 }
 
-// TestPanicSpecKeyDistinct guards the cache: an injected-panic job must
-// never alias the equivalent real run's content key.
-func TestPanicSpecKeyDistinct(t *testing.T) {
-	a, b := testSpec(121), testSpec(121)
-	b.Panic = true
-	for _, s := range []*Spec{a, b} {
-		if err := s.Normalize(); err != nil {
+// TestWorkerPanicIsolation: a panicking run — submitted, or recovered
+// from a spec on disk at boot — lands in failed with the stack in its
+// error and its spec removed, and the pool keeps executing subsequent
+// jobs on the same worker.
+func TestWorkerPanicIsolation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		onDisk int // 1: the panicking spec is on disk at boot, 0: submitted
+	}{{"submitted", 0}, {"recovered", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.onDisk == 1 {
+				writeSpecFileRaw(t, dir, "j-000001", testSpec(111))
+			}
+			pool := New(Config{Workers: 1, QueueDepth: 4, StateDir: dir, Run: panicOn(111)})
+			if n, err := pool.Recover(); err != nil || n != tc.onDisk {
+				t.Fatalf("Recover = %d, %v; want %d jobs", n, err, tc.onDisk)
+			}
+			pool.Start()
+			defer pool.Shutdown(context.Background())
+
+			j, ok := pool.Get("j-000001")
+			if tc.onDisk == 0 {
+				var err error
+				if j, _, err = pool.Submit(testSpec(111)); err != nil {
+					t.Fatal(err)
+				}
+			} else if !ok {
+				t.Fatal("recovered job not in the job table")
+			}
+			if err := waitErr(t, j); !strings.Contains(err.Error(), "executor bug") {
+				t.Fatalf("executor panic not surfaced: %v", err)
+			}
+			if j.State() != StateFailed {
+				t.Fatalf("panicking job state = %s, want failed", j.State())
+			}
+			if jerr := j.Err().Error(); !strings.Contains(jerr, "panicked") || !strings.Contains(jerr, "goroutine") {
+				t.Errorf("job error missing panic stack: %q", jerr)
+			}
+			if got := pool.Counters().Get("jobs_panicked"); got != 1 {
+				t.Errorf("jobs_panicked = %d, want 1", got)
+			}
+			if _, err := os.Stat(filepath.Join(dir, j.ID+".spec.json")); !os.IsNotExist(err) {
+				t.Error("failed job's spec file should be removed")
+			}
+
+			// The single worker survived: a normal job still executes.
+			j2, _, err := pool.Submit(testSpec(112))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitResult(t, j2)
+		})
+	}
+}
+
+// TestRecoverQuarantinesRetiredSpecs: a state dir written before the
+// sweep job kind and the panic/hang spec fields were retired holds spec
+// files this version cannot run as written. Each is quarantined, never
+// re-run as a plain simulation with the unknown part dropped, and the
+// boot goes on to recover the plain spec beside them.
+func TestRecoverQuarantinesRetiredSpecs(t *testing.T) {
+	dir := t.TempDir()
+	for i, extra := range []map[string]any{
+		{"kind": "sweep", "sweep": map[string]any{"deployments": []int{160}, "runs": 5}},
+		{"hang": true},
+		{"panic": true},
+		nil, // plain
+	} {
+		spec := testSpec(int64(130 + i))
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields := make(map[string]any)
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		maps.Copy(fields, extra)
+		id := fmt.Sprintf("j-%06d", i+1)
+		data, err := json.Marshal(map[string]any{"id": id, "key": spec.Key(), "spec": fields})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := durable.WriteFile(durable.OS{}, filepath.Join(dir, id+".spec.json"), data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if a.Key() == b.Key() {
-		t.Fatal("panic spec shares a content key with the real run")
+
+	pool, n := recoverInto(t, dir, 8)
+	if n != 1 {
+		t.Fatalf("recovered %d jobs, want only the plain one", n)
+	}
+	if got := pool.Counters().Get("jobs_quarantined"); got != 3 {
+		t.Errorf("jobs_quarantined = %d, want 3", got)
+	}
+	if _, ok := pool.Get("j-000004"); !ok {
+		t.Error("the plain spec was not the one recovered")
+	}
+	for _, id := range []string{"j-000001", "j-000002", "j-000003"} {
+		if _, err := os.Stat(filepath.Join(dir, QuarantineDir, id+".spec.json")); err != nil {
+			t.Errorf("%s not quarantined: %v", id, err)
+		}
 	}
 }

@@ -30,8 +30,7 @@ type Kill9Config struct {
 	// undisturbed, stops gracefully and is gated on the SLO.
 	Cycles int
 	// Load is the per-cycle load configuration. Mix.LongJobs is forced
-	// to at least 2 and Mix.PanicJobs to at least 1 (the kill9 soak
-	// also proves panic isolation under crash-recovery).
+	// to at least 2.
 	Load Config
 	// KillSeed drives every kill-timing choice; same seed, same
 	// choreography.
@@ -60,9 +59,6 @@ func (kc Kill9Config) withDefaults() Kill9Config {
 	}
 	if kc.Load.Mix.LongJobs < 2 {
 		kc.Load.Mix.LongJobs = 2
-	}
-	if kc.Load.Mix.PanicJobs < 1 {
-		kc.Load.Mix.PanicJobs = 1
 	}
 	if kc.Server.DurableDelay <= 0 {
 		kc.Server.DurableDelay = 2 * time.Millisecond
@@ -93,7 +89,6 @@ type Kill9Cycle struct {
 	Recovered     int `json:"recovered"`
 	ResumedDone   int `json:"resumedDone"`
 	RestartedDone int `json:"restartedDone"`
-	PanicFailed   int `json:"panicFailed"`
 	// State-dir census at the moment of this cycle's kill.
 	SpecsAtKill int `json:"specsAtKill"`
 	CkptsAtKill int `json:"ckptsAtKill"`
@@ -156,28 +151,21 @@ func SoakKill9(ctx context.Context, kc Kill9Config) (*Kill9Report, error) {
 		kc.Server.Queue = len(items) + 8
 	}
 
-	panicKeys := make(map[string]struct{})
-	for _, it := range items {
-		if it.Panic {
-			panicKeys[it.Key] = struct{}{}
-		}
-	}
-
 	ledger := newHashLedger()
 	rep := &Kill9Report{KeyMultisetHash: KeyMultisetHash(items)}
 
 	if rep.ReferenceKeys, err = referenceHashes(items, ledger); err != nil {
 		return nil, err
 	}
-	logf(kc.Log, "kill9: plan %d items (%d distinct, %d panic), %d reference hashes, seed %d",
-		len(items), distinctKeys(items), len(panicKeys), rep.ReferenceKeys, kc.KillSeed)
+	logf(kc.Log, "kill9: plan %d items (%d distinct), %d reference hashes, seed %d",
+		len(items), distinctKeys(items), rep.ReferenceKeys, kc.KillSeed)
 
 	rng := stats.NewRNG(kc.KillSeed)
 	proc := kc.Server
 	prevSpecs := -1 // spec-file census at the previous cycle's kill; -1 = no prior kill
 	for cycle := 0; cycle < kc.Cycles; cycle++ {
 		cctx, cancel := context.WithTimeout(ctx, kc.CycleTimeout)
-		res, finalRep, err := runKill9Cycle(cctx, &proc, kc, items, ledger, panicKeys, rng, cycle, prevSpecs)
+		res, finalRep, err := runKill9Cycle(cctx, &proc, kc, items, ledger, rng, cycle, prevSpecs)
 		cancel()
 		if err != nil {
 			if proc.cmd != nil {
@@ -228,7 +216,7 @@ func TestSoakKill9(t *testing.T) {
 		Server: ServerProc{Bin: peasServe(t), StateDir: t.TempDir(), Log: testLog{t}},
 		Cycles: 4,
 		Load: Config{Mix: Mix{Seed: 7, Jobs: 40, DuplicateRatio: 0.3, FollowFraction: 0.4,
-			ChaosFraction: 0.15, LongJobs: 2, PanicJobs: 1}},
+			ChaosFraction: 0.15, LongJobs: 2}},
 		KillSeed: 11,
 		Log:      testLog{t},
 	})
@@ -250,7 +238,7 @@ func (r *Kill9Report) evaluate() {
 		"boots where recovered+quarantined != specs at kill: %d of %d cycles",
 		r.AccountingErrors, len(r.Cycles))
 	add("zero-lost-jobs", r.UnresolvedKeys == 0,
-		"non-panic plan keys with no terminal StateHash: %d", r.UnresolvedKeys)
+		"plan keys with no terminal StateHash: %d", r.UnresolvedKeys)
 	add("hash-consistency", r.HashMismatches == 0,
 		"mismatches=%d (resumed=%d restarted=%d, reference keys=%d)",
 		r.HashMismatches, r.TotalResumed, r.TotalRestarted, r.ReferenceKeys)
@@ -275,7 +263,7 @@ func (r *Kill9Report) evaluate() {
 // runKill9Cycle boots the server, checks crash accounting against the
 // previous kill's census, resolves recovered jobs, runs the plan, and
 // — on non-final cycles — SIGKILLs the server per the cycle's mode.
-func runKill9Cycle(ctx context.Context, proc *ServerProc, kc Kill9Config, items []Item, ledger *hashLedger, panicKeys map[string]struct{}, rng *stats.RNG, cycle, prevSpecs int) (Kill9Cycle, *Report, error) {
+func runKill9Cycle(ctx context.Context, proc *ServerProc, kc Kill9Config, items []Item, ledger *hashLedger, rng *stats.RNG, cycle, prevSpecs int) (Kill9Cycle, *Report, error) {
 	res := Kill9Cycle{Cycle: cycle}
 	final := cycle == kc.Cycles-1
 	switch {
@@ -334,11 +322,11 @@ func runKill9Cycle(ctx context.Context, proc *ServerProc, kc Kill9Config, items 
 		return res, nil, nil
 	}
 
-	rs, err := resolveRecovered(ctx, c, ledger, make(map[string]struct{}), panicKeys)
+	rs, err := resolveRecovered(ctx, c, ledger, make(map[string]struct{}))
 	if err != nil {
 		return res, nil, err
 	}
-	res.Recovered, res.ResumedDone, res.RestartedDone, res.PanicFailed = rs.Recovered, rs.ResumedDone, rs.RestartedDone, rs.PanicFailed
+	res.Recovered, res.ResumedDone, res.RestartedDone = rs.Recovered, rs.ResumedDone, rs.RestartedDone
 
 	// The kill erases the in-memory cache, so "already cached" keys
 	// cannot be predicted across cycles; duplicate-rate is only gated

@@ -254,17 +254,14 @@ func TestReportEvaluate(t *testing.T) {
 
 // TestSoakAccountingHelpers pins the two things both soaks count the
 // same way: an unresolved key is reported once however many plan items
-// share it (panic jobs never), and a state-dir census sees durable-write
-// temporaries but not the quarantine directory.
+// share it, and a state-dir census sees durable-write temporaries but not
+// the quarantine directory.
 func TestSoakAccountingHelpers(t *testing.T) {
-	items := []Item{
-		{Key: "lost"}, {Key: "lost", Duplicate: true},
-		{Key: "done"}, {Key: "boom", Panic: true},
-	}
+	items := []Item{{Key: "lost"}, {Key: "lost", Duplicate: true}, {Key: "done"}}
 	ledger := newHashLedger()
 	ledger.observe("done", "h", false)
 	if got := unresolvedKeys(items, ledger); got != 1 {
-		t.Errorf("unresolvedKeys = %d, want 1 (one distinct non-panic key without a hash)", got)
+		t.Errorf("unresolvedKeys = %d, want 1 (one distinct key without a hash)", got)
 	}
 
 	dir := t.TempDir()

@@ -69,25 +69,19 @@ type Mix struct {
 	// multi-second window to observe the job running and SIGTERM the
 	// server mid-run.
 	LongN int `json:"longN,omitempty"`
-	// PanicJobs inserts this many distinct jobs carrying the injected
-	// Spec.Panic fault between the normal and the long jobs (0 = none).
-	// The crash-soak harness uses them to prove panic isolation: each
-	// must land in the failed state with a stack trace while the worker
-	// pool keeps executing everything around it.
-	PanicJobs int `json:"panicJobs,omitempty"`
 	// CancelFraction is the probability that a submission is cancelled
 	// at a seeded point in its lifecycle (0 = none). Cancel timing is
 	// drawn uniformly over a short window, so cancels land while queued,
 	// mid-run, or after completion (a deliberate race — cancellation is
 	// best-effort, and a cancel that loses to completion must leave the
-	// job done). Fault-injection items (panic, hang, deadline) are never
-	// cancel candidates: their expected outcome would become ambiguous.
+	// job done). Hang and deadline items are never cancel candidates:
+	// their expected outcome would become ambiguous.
 	CancelFraction float64 `json:"cancelFraction,omitempty"`
-	// HangJobs inserts this many distinct jobs carrying the injected
-	// Spec.Hang fault (0 = none). Each wedges its worker without event
-	// progress; with a stall window configured on the server, the
-	// watchdog must preempt every one (failed state, watchdog message)
-	// while the surrounding jobs keep completing.
+	// HangJobs inserts this many distinct plain jobs marked Item.Hang
+	// (0 = none). The spec carries no fault: a test serves the plan from
+	// a pool whose jobqueue.Config.Run wedges on these jobs' seeds, and
+	// the watchdog must preempt every one (failed state, watchdog
+	// message) while the surrounding jobs keep completing.
 	HangJobs int `json:"hangJobs,omitempty"`
 	// DeadlineJobs inserts this many big-deployment jobs carrying a
 	// DeadlineSeconds budget far below their multi-second runtime
@@ -134,17 +128,14 @@ type Item struct {
 	Follow bool
 	// Long marks a long-horizon drain-victim job (soak mode).
 	Long bool
-	// Panic marks an injected-panic job: it is expected to fail (with
-	// the panic stack in its error) rather than complete.
-	Panic bool
 	// Cancel marks a submission the runner cancels CancelAfter after
 	// submitting; its expected terminal state is cancelled or — when the
 	// cancel loses the race — done.
 	Cancel bool
 	// CancelAfter is the seeded delay between submit and DELETE.
 	CancelAfter time.Duration
-	// Hang marks an injected-hang job: expected to be preempted by the
-	// server's watchdog (failed state, watchdog message).
+	// Hang marks a job the server is expected to hang on and its
+	// watchdog to preempt (failed state, watchdog message).
 	Hang bool
 	// Deadline is the job's DeadlineSeconds budget (0 = unbounded);
 	// planned deadline jobs carry one their runtime cannot meet.
@@ -233,28 +224,12 @@ func Plan(mix Mix) ([]Item, error) {
 		drawCancel(&it)
 		items = append(items, it)
 	}
-	for i := 0; i < mix.PanicJobs; i++ {
-		arrival += time.Duration(rng.Exp(mix.RateHz) * float64(time.Second))
-		spec := &jobqueue.Spec{
-			Network:          node.DefaultConfig(mix.N, rng.Int63()),
-			FailuresPer5000s: experiment.BaseFailuresPer5000,
-			Horizon:          mix.Horizon,
-			Panic:            true,
-		}
-		if err := spec.Normalize(); err != nil {
-			return nil, fmt.Errorf("loadgen: synthesized invalid panic spec: %w", err)
-		}
-		items = append(items, Item{
-			Index: len(items), Spec: spec, Key: spec.Key(), Panic: true, Arrival: arrival,
-		})
-	}
 	for i := 0; i < mix.HangJobs; i++ {
 		arrival += time.Duration(rng.Exp(mix.RateHz) * float64(time.Second))
 		spec := &jobqueue.Spec{
 			Network:          node.DefaultConfig(mix.N, rng.Int63()),
 			FailuresPer5000s: experiment.BaseFailuresPer5000,
 			Horizon:          mix.Horizon,
-			Hang:             true,
 		}
 		if err := spec.Normalize(); err != nil {
 			return nil, fmt.Errorf("loadgen: synthesized invalid hang spec: %w", err)
@@ -292,17 +267,6 @@ func Plan(mix Mix) ([]Item, error) {
 	return items, nil
 }
 
-// planPanicJobs counts the planned injected-panic submissions.
-func planPanicJobs(items []Item) int {
-	n := 0
-	for _, it := range items {
-		if it.Panic {
-			n++
-		}
-	}
-	return n
-}
-
 // planCancels counts the planned cancelled submissions.
 func planCancels(items []Item) int {
 	n := 0
@@ -314,7 +278,7 @@ func planCancels(items []Item) int {
 	return n
 }
 
-// planHangJobs counts the planned injected-hang submissions.
+// planHangJobs counts the planned hang submissions.
 func planHangJobs(items []Item) int {
 	n := 0
 	for _, it := range items {

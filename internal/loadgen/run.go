@@ -73,7 +73,7 @@ type hashLedger struct {
 func newHashLedger() *hashLedger { return &hashLedger{byKey: make(map[string]string)} }
 
 // observe records one (key, hash) observation; empty hashes (stubbed
-// runs, sweep results) are ignored. It returns false on divergence.
+// runs) are ignored. It returns false on divergence.
 func (l *hashLedger) observe(key, hash string, resumed bool) bool {
 	if hash == "" {
 		return true
@@ -116,7 +116,6 @@ type collector struct {
 	rejected    int
 	done        int
 	failed      int
-	panicFailed int
 	suspended   int
 	interrupted int
 	timedOut    int
@@ -172,16 +171,12 @@ func (c *collector) terminal(state jobqueue.State, it Item, errMsg string) {
 			c.cancelDone++
 		}
 	case jobqueue.StateFailed:
-		switch {
-		// A planned injected-panic job failing is the expected outcome
-		// (panic isolation working); a planned hang job failing with the
-		// watchdog's message is the expected outcome (stall detection
-		// working); anything else failing is a defect.
-		case it.Panic:
-			c.panicFailed++
-		case it.Hang && strings.Contains(errMsg, "watchdog"):
+		// A planned hang job failing with the watchdog's message is the
+		// expected outcome (stall detection working); anything else
+		// failing is a defect.
+		if it.Hang && strings.Contains(errMsg, "watchdog") {
 			c.hangPreempted++
-		default:
+		} else {
 			c.failed++
 		}
 	case jobqueue.StateCancelled:
@@ -436,7 +431,6 @@ func (r *runner) report(items []Item, wall time.Duration, precached map[string]s
 		DistinctKeys:    distinctKeys(items),
 
 		PlannedDuplicates:   expected,
-		PlannedPanicJobs:    planPanicJobs(items),
 		PlannedCancels:      planCancels(items),
 		PlannedHangJobs:     planHangJobs(items),
 		PlannedDeadlineJobs: planDeadlineJobs(items),
@@ -450,7 +444,6 @@ func (r *runner) report(items []Item, wall time.Duration, precached map[string]s
 
 		Done:           col.done,
 		Failed:         col.failed,
-		PanicFailed:    col.panicFailed,
 		Suspended:      col.suspended,
 		Interrupted:    col.interrupted,
 		TimedOut:       col.timedOut,

@@ -272,13 +272,9 @@ func referenceHashes(items []Item, ledger *hashLedger) (int, error) {
 
 // unresolvedKeys counts the distinct plan keys the ledger holds no hash
 // for once every cycle has run: jobs that never reached done anywhere.
-// Panic jobs are designed to fail — they never produce a hash.
 func unresolvedKeys(items []Item, ledger *hashLedger) int {
 	unresolved := make(map[string]struct{})
 	for _, it := range items {
-		if it.Panic {
-			continue
-		}
 		if _, ok := ledger.hashFor(it.Key); !ok {
 			unresolved[it.Key] = struct{}{}
 		}
@@ -406,7 +402,7 @@ func runSoakCycle(ctx context.Context, proc *ServerProc, sc SoakConfig, items []
 	// accounted for (and so the final cycle knows which keys are
 	// already cached).
 	precached := make(map[string]struct{})
-	rs, err := resolveRecovered(ctx, c, ledger, precached, nil)
+	rs, err := resolveRecovered(ctx, c, ledger, precached)
 	if err != nil {
 		return res, nil, err
 	}
@@ -464,18 +460,14 @@ type recoveredStats struct {
 	// completed from their spec alone.
 	ResumedDone   int
 	RestartedDone int
-	// PanicFailed counts recovered jobs that failed but whose key is an
-	// injected-panic spec: the expected outcome, not a loss.
-	PanicFailed int
 }
 
 // resolveRecovered waits for every job the fresh server re-admitted at
 // boot to reach a terminal state, feeding their hashes to the ledger.
 // Keys of completed recovered jobs are added to precached: their
 // results now sit in this server's cache. A failed recovered job is an
-// error — unless its key is in panicKeys, where failing is the spec's
-// whole purpose (injected panic, isolated by the pool).
-func resolveRecovered(ctx context.Context, c *client.Client, ledger *hashLedger, precached map[string]struct{}, panicKeys map[string]struct{}) (recoveredStats, error) {
+// error.
+func resolveRecovered(ctx context.Context, c *client.Client, ledger *hashLedger, precached map[string]struct{}) (recoveredStats, error) {
 	var rs recoveredStats
 	first := true
 	for {
@@ -508,14 +500,9 @@ func resolveRecovered(ctx context.Context, c *client.Client, ledger *hashLedger,
 				}
 			}
 			for _, info := range infos {
-				if info.State != jobqueue.StateFailed {
-					continue
+				if info.State == jobqueue.StateFailed {
+					return rs, fmt.Errorf("recovered job %s failed: %s", info.ID, info.Error)
 				}
-				if _, ok := panicKeys[info.Key]; ok {
-					rs.PanicFailed++
-					continue
-				}
-				return rs, fmt.Errorf("recovered job %s failed: %s", info.ID, info.Error)
 			}
 			return rs, nil
 		}

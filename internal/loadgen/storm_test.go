@@ -8,13 +8,15 @@ import (
 	"time"
 
 	"peas/internal/client"
+	"peas/internal/experiment"
 	"peas/internal/jobqueue"
 )
 
 // TestPlanStormShape pins the structural invariants of a plan with the
 // cancellation-storm knobs turned on: cancels are drawn only from
-// unambiguous candidates, fault-injection items carry their faults, and
-// the whole thing stays seed-deterministic down to the cancel timings.
+// unambiguous candidates, a hang item's seed names no other job (the
+// storm's executor picks the jobs to hang by seed), and the whole thing
+// stays seed-deterministic down to the cancel timings.
 func TestPlanStormShape(t *testing.T) {
 	mix := Mix{
 		Seed: 11, Jobs: 200, DuplicateRatio: 0.3,
@@ -33,15 +35,12 @@ func TestPlanStormShape(t *testing.T) {
 			if it.Duplicate {
 				t.Errorf("item %d: duplicate drawn as cancel candidate (outcome would be ambiguous)", i)
 			}
-			if it.Panic || it.Hang || it.Deadline > 0 {
-				t.Errorf("item %d: fault-injection item drawn as cancel candidate", i)
+			if it.Hang || it.Deadline > 0 {
+				t.Errorf("item %d: hang or deadline item drawn as cancel candidate", i)
 			}
 			if it.CancelAfter < 0 || it.CancelAfter >= 200*time.Millisecond {
 				t.Errorf("item %d: cancel delay %v outside [0, 200ms)", i, it.CancelAfter)
 			}
-		}
-		if it.Hang && !it.Spec.Hang {
-			t.Errorf("item %d: hang item without Spec.Hang", i)
 		}
 		if it.Deadline > 0 {
 			if it.Spec.DeadlineSeconds != it.Deadline {
@@ -54,6 +53,17 @@ func TestPlanStormShape(t *testing.T) {
 	}
 	if got := planHangJobs(items); got != 2 {
 		t.Errorf("planned hang jobs %d, want 2", got)
+	}
+	seeds := make(map[int64]int)
+	for _, it := range items {
+		if !it.Duplicate {
+			seeds[it.Spec.Network.Seed]++
+		}
+	}
+	for seed := range hangSeeds(items) {
+		if seeds[seed] != 1 {
+			t.Errorf("hang seed %d names another job too", seed)
+		}
 	}
 	if got := planDeadlineJobs(items); got != 2 {
 		t.Errorf("planned deadline jobs %d, want 2", got)
@@ -84,25 +94,15 @@ func TestPlanStormShape(t *testing.T) {
 
 // TestRunCancellationStorm is the end-to-end robustness gate of this
 // package: a closed-loop workload where a seeded fraction of jobs is
-// cancelled at random lifecycle points while injected-hang jobs wedge
-// workers and unmeetable-deadline jobs demand enforcement — all at
+// cancelled at random lifecycle points while the plan's hang jobs wedge
+// workers (the service's executor hangs on their seeds) and
+// unmeetable-deadline jobs demand enforcement — all at
 // once, against one live service. The SLO asserts full accounting
 // (every planned cancel lands cancelled or raced-to-done, every hang is
 // watchdog-preempted, every deadline is enforced), bit-exact hashes for
 // everything that completed, and a service left clean: no orphaned
 // workers, no goroutine growth.
 func TestRunCancellationStorm(t *testing.T) {
-	// The stall window must sit comfortably above the slowest legitimate
-	// inter-beat gap — the big long-job deployments take hundreds of
-	// milliseconds to set up under the race detector — while staying
-	// small enough that hung workers are reclaimed within the test
-	// budget. Truly hung jobs show zero beats, so 2s is still decisive.
-	url := startService(t, jobqueue.Config{
-		Workers: 4, QueueDepth: 64, CacheCap: 256,
-		StateDir: t.TempDir(), CheckpointEvery: 200,
-		StallWindow: 2 * time.Second,
-	})
-
 	cfg := Config{
 		Mix: Mix{
 			Seed: 777, Jobs: 30, DuplicateRatio: 0.2, FollowFraction: 0.3,
@@ -116,6 +116,22 @@ func TestRunCancellationStorm(t *testing.T) {
 		// still gates correctness.
 		SLO: SLO{CheckLeaks: true, DuplicateRateTolerance: 1.0},
 	}
+	items, err := Plan(cfg.Mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stall window must sit comfortably above the slowest legitimate
+	// inter-beat gap — the big long-job deployments take hundreds of
+	// milliseconds to set up under the race detector — while staying
+	// small enough that hung workers are reclaimed within the test
+	// budget. Truly hung jobs show zero beats, so 2s is still decisive.
+	url := startService(t, jobqueue.Config{
+		Workers: 4, QueueDepth: 64, CacheCap: 256,
+		StateDir: t.TempDir(), CheckpointEvery: 200,
+		StallWindow: 2 * time.Second,
+		Run:         hangOn(hangSeeds(items)),
+	})
+
 	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
 	defer cancel()
 	rep, err := Run(ctx, url, cfg)
@@ -162,6 +178,33 @@ func TestRunCancellationStorm(t *testing.T) {
 		t.Errorf("peas_watchdog_preemptions = %d, want %d planned hang jobs", got, rep.PlannedHangJobs)
 	}
 	requirePass(t, rep, rep.Assertions)
+}
+
+// hangSeeds returns the network seeds of the plan's hang items.
+func hangSeeds(items []Item) map[int64]bool {
+	seeds := make(map[int64]bool)
+	for _, it := range items {
+		if it.Hang {
+			seeds[it.Spec.Network.Seed] = true
+		}
+	}
+	return seeds
+}
+
+// hangOn returns an executor that runs every spec except those whose
+// network seed is in seeds. Those wedge: no event progress, so the
+// engine's heartbeat never moves, until their supervisor is stopped, and
+// then a preemption with nothing captured.
+func hangOn(seeds map[int64]bool) jobqueue.RunFunc {
+	return func(cfg experiment.RunConfig) (*experiment.RunStats, error) {
+		if !seeds[cfg.Network.Seed] {
+			return experiment.Run(cfg)
+		}
+		for !cfg.Supervisor.Stop.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		return &experiment.RunStats{Preempted: true}, nil
+	}
 }
 
 // metric returns the value of the unlabelled series name on a /metrics

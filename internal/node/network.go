@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 
 	"peas/internal/core"
 	"peas/internal/energy"
@@ -119,24 +120,65 @@ func (a *energyAdapter) spend(id radio.NodeID, seconds, watts float64) {
 	n.rescheduleDeath()
 }
 
+// Validate reports whether cfg describes a network NewNetwork can build,
+// naming the first field that does not. It checks every section, so a
+// partly filled one (a radio with only LossRate set, say) is refused
+// rather than run with zeros in the fields left out. Only the sleep draw
+// may be zero: a radio that transmits, receives or idles for free is a
+// section left unfilled. Validate does not modify cfg.
+func (cfg Config) Validate() error {
+	if cfg.N <= 0 {
+		return fmt.Errorf("node: network size N=%d must be positive", cfg.N)
+	}
+	if err := cfg.Protocol.Validate(); err != nil {
+		return fmt.Errorf("node: Protocol: %w", err)
+	}
+	// v <= MaxFloat64 is false for +Inf and NaN.
+	positive := func(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
+	nonNegative := func(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+	fraction := func(v float64) bool { return v >= 0 && v < 1 }
+	r, e := cfg.Radio, cfg.Energy
+	for _, f := range []struct {
+		name string
+		v    float64
+		ok   func(float64) bool
+		want string
+	}{
+		{"Field.Width", cfg.Field.Width, positive, "positive and finite"},
+		{"Field.Height", cfg.Field.Height, positive, "positive and finite"},
+		{"Radio.BitsPerSecond", r.BitsPerSecond, positive, "positive and finite"},
+		{"Radio.MaxRange", r.MaxRange, positive, "positive and finite"},
+		{"Radio.LossRate", r.LossRate, fraction, "in [0, 1)"},
+		{"Radio.Irregularity", r.Irregularity, fraction, "in [0, 1)"},
+		{"Radio.CSMABackoffMax", r.CSMABackoffMax, nonNegative, "non-negative and finite"},
+		{"Energy.TransmitW", e.TransmitW, positive, "positive and finite"},
+		{"Energy.ReceiveW", e.ReceiveW, positive, "positive and finite"},
+		{"Energy.IdleW", e.IdleW, positive, "positive and finite"},
+		{"Energy.SleepW", e.SleepW, nonNegative, "non-negative and finite"},
+		{"InitialEnergyMin", cfg.InitialEnergyMin, positive, "positive and finite"},
+		{"InitialEnergyMax", cfg.InitialEnergyMax, positive, "positive and finite"},
+	} {
+		if !f.ok(f.v) {
+			return fmt.Errorf("node: %s = %v, must be %s", f.name, f.v, f.want)
+		}
+	}
+	if cfg.InitialEnergyMax < cfg.InitialEnergyMin {
+		return fmt.Errorf("node: InitialEnergyMax %v is below InitialEnergyMin %v", cfg.InitialEnergyMax, cfg.InitialEnergyMin)
+	}
+	if cfg.Positions != nil && len(cfg.Positions) != cfg.N {
+		return fmt.Errorf("node: %d Positions for N=%d nodes", len(cfg.Positions), cfg.N)
+	}
+	if cfg.NodeSeeds != nil && len(cfg.NodeSeeds) != cfg.N {
+		return fmt.Errorf("node: %d NodeSeeds for N=%d nodes", len(cfg.NodeSeeds), cfg.N)
+	}
+	return nil
+}
+
 // NewNetwork deploys a network according to cfg. The nodes are created
 // but idle; call Start to boot the protocol on every node.
 func NewNetwork(cfg Config) (*Network, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("node: network size %d must be positive", cfg.N)
-	}
-	if err := cfg.Protocol.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.InitialEnergyMax < cfg.InitialEnergyMin || cfg.InitialEnergyMin <= 0 {
-		return nil, fmt.Errorf("node: invalid initial energy range [%v, %v]",
-			cfg.InitialEnergyMin, cfg.InitialEnergyMax)
-	}
-	if cfg.Positions != nil && len(cfg.Positions) != cfg.N {
-		return nil, fmt.Errorf("node: %d positions for %d nodes", len(cfg.Positions), cfg.N)
-	}
-	if cfg.NodeSeeds != nil && len(cfg.NodeSeeds) != cfg.N {
-		return nil, fmt.Errorf("node: %d node seeds for %d nodes", len(cfg.NodeSeeds), cfg.N)
 	}
 
 	root := stats.NewRNG(cfg.Seed)

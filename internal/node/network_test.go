@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"peas/internal/core"
@@ -12,25 +13,46 @@ import (
 	"peas/internal/stats"
 )
 
+// TestNewNetworkValidation: Config.Validate, which NewNetwork runs, refuses
+// every section that is out of range or partly filled, naming the field.
 func TestNewNetworkValidation(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Config)
+		field  string // what the error must name
 	}{
-		{"zero nodes", func(c *Config) { c.N = 0 }},
-		{"bad protocol", func(c *Config) { c.Protocol.ProbingRange = -1 }},
-		{"bad energy range", func(c *Config) { c.InitialEnergyMin = 10; c.InitialEnergyMax = 5 }},
-		{"zero energy", func(c *Config) { c.InitialEnergyMin = 0; c.InitialEnergyMax = 0 }},
-		{"positions mismatch", func(c *Config) { c.Positions = []geom.Point{{X: 1, Y: 1}} }},
+		{"zero nodes", func(c *Config) { c.N = 0 }, "N=0"},
+		{"bad protocol", func(c *Config) { c.Protocol.ProbingRange = -1 }, "probing range"},
+		{"bad energy range", func(c *Config) { c.InitialEnergyMin = 10; c.InitialEnergyMax = 5 }, "InitialEnergyMax"},
+		{"zero energy", func(c *Config) { c.InitialEnergyMin = 0; c.InitialEnergyMax = 0 }, "InitialEnergyMin"},
+		{"positions mismatch", func(c *Config) { c.Positions = []geom.Point{{X: 1, Y: 1}} }, "Positions"},
+		{"seeds mismatch", func(c *Config) { c.NodeSeeds = []int64{1} }, "NodeSeeds"},
+		{"partial protocol", func(c *Config) { c.Protocol = core.Config{ProbingRange: 5} }, "initial rate"},
+		{"partial radio", func(c *Config) { c.Radio = radio.Config{LossRate: 0.1} }, "Radio.BitsPerSecond"},
+		{"zero range", func(c *Config) { c.Radio.MaxRange = 0 }, "Radio.MaxRange"},
+		{"certain loss", func(c *Config) { c.Radio.LossRate = 1 }, "Radio.LossRate"},
+		{"full irregularity", func(c *Config) { c.Radio.Irregularity = 1 }, "Radio.Irregularity"},
+		{"negative backoff", func(c *Config) { c.Radio.CSMABackoffMax = -1 }, "Radio.CSMABackoffMax"},
+		{"partial energy", func(c *Config) { c.Energy = energy.Profile{IdleW: 0.012} }, "Energy.TransmitW"},
+		{"negative sleep", func(c *Config) { c.Energy.SleepW = -1 }, "Energy.SleepW"},
+		{"infinite draw", func(c *Config) { c.Energy.IdleW = math.Inf(1) }, "Energy.IdleW"},
+		{"empty field", func(c *Config) { c.Field.Height = 0 }, "Field.Height"},
+		{"NaN field", func(c *Config) { c.Field.Width = math.NaN() }, "Field.Width"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(10, 1)
 			tc.mutate(&cfg)
-			if _, err := NewNetwork(cfg); err == nil {
-				t.Error("want error")
+			if _, err := NewNetwork(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("NewNetwork error = %v, want one naming %s", err, tc.field)
 			}
 		})
+	}
+	// The defaults pass, and so does a free sleep draw.
+	cfg := DefaultConfig(10, 1)
+	cfg.Energy.SleepW = 0
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Validate(defaults with SleepW 0) = %v", err)
 	}
 }
 

@@ -3,9 +3,11 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"peas/internal/experiment"
 	"peas/internal/jobqueue"
 	"peas/internal/server"
+	"peas/internal/server/api"
 )
 
 // slowRun wraps experiment.Run, stretching wall time (~2ms per coverage
@@ -240,6 +243,47 @@ func TestSubmitBodyLimits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Errorf("valid body status = %d, want 202", resp.StatusCode)
+	}
+}
+
+// TestSubmitRefusesWhatCannotRun: a spec is refused at the door with a
+// 400 that names what is wrong, before anything is persisted, when its
+// kind is retired, when it asks for a fault (faults are not a spec's to
+// ask for), or when a configuration section is only partly filled —
+// which would otherwise run with zeros in the fields left out.
+func TestSubmitRefusesWhatCannotRun(t *testing.T) {
+	dir := t.TempDir()
+	pool := jobqueue.New(jobqueue.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+	pool.Start()
+	ts := httptest.NewServer(server.New(pool, 1))
+	t.Cleanup(func() {
+		ts.Close()
+		_ = pool.Shutdown(context.Background())
+	})
+
+	const net = `"network":{"N":40,"Seed":1}`
+	for _, tc := range []struct{ body, want string }{
+		{`{"kind":"sweep",` + net + `}`, `unknown job kind "sweep"`},
+		{`{` + net + `,"hang":true}`, `unknown field "hang"`},
+		{`{` + net + `,"panic":true}`, `unknown field "panic"`},
+		{`{` + net + `,"sweep":{}}`, `unknown field "sweep"`},
+		{`{"network":{"N":40,"Seed":1,"Radio":{"LossRate":0.1}}}`, "Radio.BitsPerSecond"},
+		{`{"network":{"N":40,"Seed":1,"Energy":{"IdleW":0.012}}}`, "Energy.TransmitW"},
+		{`{"network":{"N":40,"Seed":1,"Protocol":{"ProbingRange":5}}}`, "initial rate"},
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e api.ErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: %d %q, want 400 naming %s", tc.body, resp.StatusCode, e.Error, tc.want)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("refused submissions left %d files in the state dir", len(entries))
 	}
 }
 
