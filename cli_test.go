@@ -59,14 +59,15 @@ func TestCLIPeasSim(t *testing.T) {
 		}
 	}
 
-	// Scenario file path.
+	// Scenario file path: the file decides the run, and a run flag given
+	// beside it is ignored.
 	sc := filepath.Join(dir, "sc.json")
 	if err := os.WriteFile(sc, []byte(`{"nodes":80,"horizonSec":300}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out = runTool(t, bin, "-config", sc)
+	out = runTool(t, bin, "-config", sc, "-n", "40")
 	if !strings.Contains(out, "80 nodes") {
-		t.Errorf("scenario not applied:\n%s", out)
+		t.Errorf("scenario not applied, or -n overrode it:\n%s", out)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command peas-serve runs the simulation service: a long-lived HTTP
-// control plane that accepts simulation, sweep and chaos-campaign jobs,
+// control plane that accepts simulation and chaos-campaign jobs,
 // executes them on a bounded worker pool, and serves results from a
 // content-addressed cache keyed by the canonical encoding of the job
 // configuration. Identical submissions coalesce onto one run; repeats

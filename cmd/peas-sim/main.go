@@ -56,7 +56,7 @@ func run() error {
 		svgOut    = flag.String("svg", "", "write a final-state SVG snapshot to this file")
 		ascii     = flag.Bool("ascii", false, "print a final-state ASCII map")
 		seriesOut = flag.String("series", "", "write the working/coverage time series as CSV to this file")
-		config    = flag.String("config", "", "load a JSON scenario file (flags below still override)")
+		config    = flag.String("config", "", "load a JSON scenario file; the run flags (-n, -seed, -failures, -horizon, -forward, -rp, -lambda-d, -lambda-0, -loss, -turnoff) are then ignored")
 		ckptEvery = flag.Float64("checkpoint-every", 0, "write a checkpoint every this many simulated seconds")
 		ckptDir   = flag.String("checkpoint-dir", ".", "directory for periodic checkpoints")
 		resume    = flag.String("resume", "", "resume from this checkpoint file instead of starting fresh")

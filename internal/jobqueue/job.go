@@ -187,17 +187,18 @@ func (j *Job) Times() (enqueued, started, finished time.Time) {
 // QueueWait returns how long the job sat admitted-but-not-running and
 // whether it has started. Jobs still queued report the wait so far, so
 // the value is observable (and monotone) before a worker picks the job
-// up; cached submissions, which never queue, report zero.
+// up; a job stopped in the queue waited from admission to its end, which
+// for a cache hit, born done at its admission instant, is zero.
 func (j *Job) QueueWait() (time.Duration, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.startedAt.IsZero() {
-		if j.state == StateQueued {
-			return time.Since(j.enqueuedAt), false
-		}
-		return 0, false // cached: done without ever queueing
+	switch {
+	case !j.startedAt.IsZero():
+		return j.startedAt.Sub(j.enqueuedAt), true
+	case j.state == StateQueued:
+		return time.Since(j.enqueuedAt), false
 	}
-	return j.startedAt.Sub(j.enqueuedAt), true
+	return j.finishedAt.Sub(j.enqueuedAt), false
 }
 
 // beginRun claims a queued job for execution. It returns false when the

@@ -2,9 +2,6 @@ package jobqueue
 
 import (
 	"context"
-	"errors"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -185,134 +182,6 @@ func TestSingleflightAndCache(t *testing.T) {
 	}
 }
 
-// TestQueueFullBackpressure pins admission control: with one worker held
-// at a barrier and a single queue slot occupied, the next distinct
-// submission must be rejected immediately with a retry hint.
-func TestQueueFullBackpressure(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	pool := New(Config{
-		Workers:    1,
-		QueueDepth: 1,
-		BeforeRun: func(*Job) {
-			once.Do(func() { close(started) })
-			<-release
-		},
-	})
-	pool.Start()
-	defer func() {
-		pool.Shutdown(context.Background())
-	}()
-
-	j1, outcome, err := pool.Submit(testSpec(21))
-	if err != nil || outcome != OutcomeAccepted {
-		t.Fatalf("first submit: %v (%s)", err, outcome)
-	}
-	<-started // the worker holds j1; the queue is empty again
-
-	if _, outcome, err = pool.Submit(testSpec(22)); err != nil || outcome != OutcomeAccepted {
-		t.Fatalf("second submit should occupy the queue slot: %v (%s)", err, outcome)
-	}
-
-	_, _, err = pool.Submit(testSpec(23))
-	var full *QueueFullError
-	if !errors.As(err, &full) {
-		t.Fatalf("third submit: got %v, want QueueFullError", err)
-	}
-	if full.RetryAfter < time.Second {
-		t.Errorf("RetryAfter = %v, want >= 1s", full.RetryAfter)
-	}
-
-	// Coalescing onto the running job must still work at full queue.
-	if _, outcome, err = pool.Submit(testSpec(21)); err != nil || outcome != OutcomeCoalesced {
-		t.Fatalf("coalesce at full queue: %v (%s)", err, outcome)
-	}
-
-	close(release)
-	waitResult(t, j1)
-}
-
-// TestDrainCheckpointResume exercises the graceful-shutdown contract: a
-// run that outlives the drain deadline is checkpointed to the state dir,
-// and a fresh pool recovers it and finishes with the exact StateHash of
-// an uninterrupted run.
-func TestDrainCheckpointResume(t *testing.T) {
-	spec := testSpec(31)
-	spec.Horizon = 1500
-	want := directHash(t, spec)
-
-	dir := t.TempDir()
-	release := make(chan struct{})
-	started := make(chan struct{})
-	pool := New(Config{
-		Workers:         1,
-		QueueDepth:      4,
-		StateDir:        dir,
-		CheckpointEvery: 200,
-		BeforeRun: func(*Job) {
-			close(started)
-			<-release
-		},
-	})
-	pool.Start()
-
-	s := *spec
-	j, _, err := pool.Submit(&s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	// Start the drain with an immediate deadline, give drainStop time to
-	// latch, then let the run begin: its first checkpoint boundary must
-	// suspend it.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- pool.Shutdown(ctx) }()
-	time.Sleep(150 * time.Millisecond)
-	close(release)
-	if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Shutdown = %v, want deadline exceeded", err)
-	}
-	if st := j.State(); st != StateSuspended {
-		t.Fatalf("job state = %s, want suspended", st)
-	}
-	if _, err := os.Stat(filepath.Join(dir, j.ID+".ckpt")); err != nil {
-		t.Fatalf("drain checkpoint not persisted: %v", err)
-	}
-
-	// Restart: a fresh pool recovers the job and resumes it to the same
-	// final state as the uninterrupted run.
-	pool2 := New(Config{Workers: 1, QueueDepth: 4, StateDir: dir, CheckpointEvery: 200})
-	n, err := pool2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("recovered %d jobs, want 1", n)
-	}
-	pool2.Start()
-	defer pool2.Shutdown(context.Background())
-
-	j2, ok := pool2.Get(j.ID)
-	if !ok {
-		t.Fatalf("recovered job %s not found", j.ID)
-	}
-	res := waitResult(t, j2)
-	if !res.Resumed {
-		t.Error("recovered run should report Resumed")
-	}
-	if res.StateHash != want {
-		t.Errorf("resumed hash %s, want %s (determinism across drain broken)", res.StateHash, want)
-	}
-	// Completion clears the persisted state.
-	if _, err := os.Stat(filepath.Join(dir, j.ID+".spec.json")); !os.IsNotExist(err) {
-		t.Error("spec file should be removed after completion")
-	}
-}
-
 // TestChaosJobRuns covers the chaos kind end to end: a scripted plan
 // runs under the pool, reports fault counters, and its hash matches the
 // direct run (chaos runs are deterministic per plan+seed).
@@ -428,66 +297,6 @@ func TestSubmitValidatesEarly(t *testing.T) {
 	if _, _, err := pool.Submit(&Spec{Kind: "nope", Network: node.Config{N: 4}}); err == nil ||
 		!strings.Contains(err.Error(), "unknown job kind") {
 		t.Fatalf("unknown kind: %v", err)
-	}
-}
-
-// TestCacheFIFOEvictionOrder pins the cache replacement policy: entries
-// leave in insertion order, the cache_evictions counter tracks each
-// eviction, and a re-submitted evicted key re-executes and re-enters
-// the cache at the tail.
-func TestCacheFIFOEvictionOrder(t *testing.T) {
-	pool := New(Config{Workers: 1, QueueDepth: 8, CacheCap: 2})
-	pool.Start()
-	defer pool.Shutdown(context.Background())
-
-	specs := []*Spec{testSpec(61), testSpec(62), testSpec(63)}
-	keys := make([]string, len(specs))
-	for i, spec := range specs {
-		j, outcome, err := pool.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if outcome != OutcomeAccepted {
-			t.Fatalf("submission %d: outcome %s, want accepted", i, outcome)
-		}
-		keys[i] = j.Key
-		waitResult(t, j)
-	}
-
-	// Three inserts through a two-entry cache: the first key (oldest)
-	// is out, the newer two are in.
-	if _, ok := pool.CachedResult(keys[0]); ok {
-		t.Error("oldest key survived eviction (not FIFO)")
-	}
-	for _, k := range keys[1:] {
-		if _, ok := pool.CachedResult(k); !ok {
-			t.Errorf("recent key %s missing from cache", k)
-		}
-	}
-	if got := pool.Counters().Get("cache_evictions"); got != 1 {
-		t.Errorf("cache_evictions = %d, want 1", got)
-	}
-
-	// The evicted key must re-execute (a cache miss, not a hit) and its
-	// re-insertion pushes out the now-oldest entry.
-	j, outcome, err := pool.Submit(specs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcome != OutcomeAccepted {
-		t.Fatalf("evicted key resubmission: outcome %s, want accepted", outcome)
-	}
-	waitResult(t, j)
-	if _, ok := pool.CachedResult(keys[1]); ok {
-		t.Error("second-oldest key survived the re-insertion eviction")
-	}
-	for _, k := range []string{keys[2], keys[0]} {
-		if _, ok := pool.CachedResult(k); !ok {
-			t.Errorf("key %s missing from cache after re-insertion", k)
-		}
-	}
-	if got := pool.Counters().Get("cache_evictions"); got != 2 {
-		t.Errorf("cache_evictions = %d, want 2", got)
 	}
 }
 

@@ -3,8 +3,6 @@ package jobqueue
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -14,195 +12,152 @@ import (
 	"peas/internal/experiment"
 )
 
-// terminalCounters are the per-ending counters settle bumps; every
-// admitted job lands in exactly one of them.
-var terminalCounters = []string{
-	"jobs_completed", "jobs_failed", "jobs_suspended", "jobs_cancelled", "jobs_deadline_exceeded",
-}
-
-func terminalCounterSum(p *Pool) uint64 {
-	var sum uint64
-	for _, name := range terminalCounters {
-		sum += p.Counters().Get(name)
-	}
-	return sum
-}
-
-// cancelAtSimT wraps experiment.Run so that the job whose ID is stored in
-// target is cancelled from its own coverage-sample callback once the run
-// passes simulated second at — a deterministic mid-run cancel.
-func cancelAtSimT(pool **Pool, target *atomic.Value, at float64) RunFunc {
-	return func(rc experiment.RunConfig) (*experiment.RunStats, error) {
-		orig := rc.OnSample
-		rc.OnSample = func(simT float64, working int, cov []float64) {
-			if orig != nil {
-				orig(simT, working, cov)
-			}
-			if id, _ := target.Load().(string); id != "" && simT >= at {
-				(*pool).Cancel(id)
-			}
-		}
-		return experiment.Run(rc)
-	}
-}
-
-// TestPersistFailureRestoresClaimedPark: a resubmission claims a parked
-// checkpoint, then its spec write fails. The rollback must put the park
-// back (active → parked), so the next resubmission still resumes instead
-// of silently restarting from t=0.
-func TestPersistFailureRestoresClaimedPark(t *testing.T) {
-	spec := testSpec(301)
+// TestResumeIsBitExact interrupts a real run in each way a run can be
+// interrupted, resumes it, and requires the end state of the uninterrupted
+// run. A cancel or a deadline parks the run's checkpoint for a resubmission
+// to claim; a drain checkpoints it beside its spec for the next boot, or,
+// when that write fails, leaves the spec to restart from. The engine's
+// work is counted however a segment ended: engine_events summed over every
+// boot is the sum of the segments, and the finished job's Result.Events is
+// the last one.
+func TestResumeIsBitExact(t *testing.T) {
+	spec := testSpec(51)
 	spec.Horizon = 2000
 	want := directHash(t, spec)
 
-	dir := t.TempDir()
-	ffs := durable.NewFaultFS(nil)
-	var target atomic.Value
-	target.Store("")
-	gate := make(chan struct{}, 2) // holds the worker until the cancel target is armed
-	var pool *Pool
-	pool = New(Config{
-		Workers: 1, QueueDepth: 4, StateDir: dir, CheckpointEvery: 200, FS: ffs,
-		BeforeRun: func(*Job) { <-gate },
-		Run:       cancelAtSimT(&pool, &target, 600),
-	})
-	pool.Start()
-	defer pool.Shutdown(context.Background())
+	for _, tc := range []struct {
+		name string
+		// stop ends the first segment once it passes 600 simulated s: a
+		// cancel, a deadline expiry, or ("") a drain past its budget.
+		stop         CancelCause
+		lostWrite    bool // the disk refuses the drain's checkpoint
+		restart      bool // a restart comes between the segments
+		persistFault bool // the first claim cannot persist its spec and is rolled back
+	}{
+		{name: "cancel/claim", stop: CauseCancel},
+		{name: "cancel/restart/claim", stop: CauseCancel, restart: true},
+		{name: "deadline/claim", stop: CauseDeadline},
+		{name: "drain/restart", restart: true},
+		{name: "drain-write-fails/restart", lostWrite: true, restart: true},
+		{name: "claim-persist-fault/rollback/claim", stop: CauseCancel, persistFault: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := durable.NewFaultFS(newMemFS())
+			var (
+				pool     *Pool
+				current  *Job        // the job on the one worker
+				armed    atomic.Bool // the next run to pass 600 simulated s is stopped there
+				drained  = make(chan error, 1)
+				segments []uint64 // events each run segment executed, over every boot
+				events   uint64   // engine_events summed over the boots so far
+			)
+			stop := func() {
+				switch tc.stop {
+				case CauseCancel:
+					pool.Cancel(current.ID)
+				case CauseDeadline:
+					pool.superviseOnce(time.Now().Add(2 * time.Hour))
+				default: // the run checkpoints at its next boundary
+					if tc.lostWrite {
+						fsys.FailWrites(syscall.ENOSPC)
+					}
+					ctx, cancel := context.WithCancel(context.Background())
+					cancel()
+					go func() { drained <- pool.Shutdown(ctx) }()
+					for !pool.drainStop.Load() {
+						time.Sleep(time.Millisecond)
+					}
+				}
+			}
+			boot := func() {
+				pool = New(Config{
+					Workers: 1, QueueDepth: 4, StateDir: "/state", FS: fsys, CheckpointEvery: 200,
+					BeforeRun: func(j *Job) { current = j },
+					Run: func(rc experiment.RunConfig) (*experiment.RunStats, error) {
+						sample := rc.OnSample
+						rc.OnSample = func(simT float64, working int, cov []float64) {
+							sample(simT, working, cov)
+							if simT >= 600 && armed.CompareAndSwap(true, false) {
+								stop()
+							}
+						}
+						stats, err := experiment.Run(rc)
+						if stats != nil {
+							segments = append(segments, stats.EngineEvents)
+						}
+						return stats, err
+					},
+				})
+				if _, err := pool.Recover(); err != nil {
+					t.Fatal(err)
+				}
+				pool.Start()
+			}
 
-	s1 := *spec
-	j1, _, err := pool.Submit(&s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target.Store(j1.ID)
-	gate <- struct{}{}
-	waitErr(t, j1)
-	if st := j1.State(); st != StateCancelled {
-		t.Fatalf("job state = %s, want cancelled", st)
-	}
-	target.Store("")
+			boot()
+			first := *spec
+			if tc.stop == CauseDeadline {
+				first.DeadlineSeconds = 3600
+			}
+			armed.Store(true)
+			j1, _, err := pool.Submit(&first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			j1.Wait(ctx)
+			wantState := map[CancelCause]State{CauseCancel: StateCancelled, CauseDeadline: StateDeadline, "": StateSuspended}[tc.stop]
+			if st := j1.State(); st != wantState {
+				t.Fatalf("interrupted job is %s, want %s", st, wantState)
+			}
+			if tc.stop == "" {
+				if err := <-drained; !errors.Is(err, context.Canceled) {
+					t.Fatalf("Shutdown past its budget = %v, want context.Canceled", err)
+				}
+				fsys.FailWrites(nil)
+			}
+			if tc.restart {
+				pool.Shutdown(context.Background())
+				events += pool.Counters().Get("engine_events")
+				boot()
+			}
 
-	// The disk fills up: the claiming resubmission is rejected...
-	ffs.FailWrites(syscall.ENOSPC)
-	s2 := *spec
-	var perr *PersistError
-	if _, _, err := pool.Submit(&s2); !errors.As(err, &perr) {
-		t.Fatalf("Submit under ENOSPC: err = %v, want *PersistError", err)
-	}
-	// ...and the park is back where the claim found it, files included.
-	pool.mu.Lock()
-	e := pool.keys[j1.Key]
-	parkedAgain := e != nil && e.state == keyParked && e.park.id == j1.ID && e.park.snap != nil
-	pool.mu.Unlock()
-	if !parkedAgain {
-		t.Fatal("rolled-back claim did not restore the parked key")
-	}
-	for _, name := range []string{j1.ID + ".spec.json", j1.ID + ".ckpt"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("parked file %s gone after rollback: %v", name, err)
-		}
-	}
-	if got := pool.Stats().QueueDepth; got != 0 {
-		t.Errorf("queue depth %d after rollback, want 0", got)
-	}
-
-	// Disk recovers: the resubmission claims the restored park.
-	ffs.Reset()
-	s3 := *spec
-	j3, outcome, err := pool.Submit(&s3)
-	if err != nil || outcome != OutcomeAccepted {
-		t.Fatalf("resubmission after recovery = %s, %v; want accepted", outcome, err)
-	}
-	gate <- struct{}{}
-	res := waitResult(t, j3)
-	if !res.Resumed {
-		t.Error("resubmission restarted from t=0: the rolled-back claim lost the park")
-	}
-	if res.StateHash != want {
-		t.Errorf("resumed hash %s != direct hash %s", res.StateHash, want)
-	}
-	if got := pool.Counters().Get("parked_resumed"); got != 1 {
-		t.Errorf("parked_resumed = %d, want 1", got)
-	}
-}
-
-// TestDrainCheckpointPersistFailureSuspends: a drain whose checkpoint
-// write fails still leaves the job's spec on disk, so a restart re-runs
-// it — the client must be told suspended (like the watchdog arm in the
-// same situation), not failed.
-func TestDrainCheckpointPersistFailureSuspends(t *testing.T) {
-	spec := testSpec(302)
-	spec.Horizon = 1500
-	want := directHash(t, spec)
-
-	dir := t.TempDir()
-	ffs := durable.NewFaultFS(nil)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	pool := New(Config{
-		Workers: 1, QueueDepth: 4, StateDir: dir, CheckpointEvery: 200, FS: ffs,
-		BeforeRun: func(*Job) {
-			close(started)
-			<-release
-		},
-	})
-	pool.Start()
-
-	s := *spec
-	j, _, err := pool.Submit(&s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	ffs.FailWrites(syscall.ENOSPC) // the spec is down; the checkpoint will not make it
-
-	// Drain with an expired deadline, then let the run begin: its first
-	// checkpoint boundary stops it.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	done := make(chan error, 1)
-	go func() { done <- pool.Shutdown(ctx) }()
-	for !pool.drainStop.Load() {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Shutdown = %v, want context canceled", err)
-	}
-
-	if st := j.State(); st != StateSuspended {
-		t.Fatalf("job state = %s, want suspended (its spec is still on disk)", st)
-	}
-	c := pool.Counters()
-	for name, wantN := range map[string]uint64{"jobs_suspended": 1, "persist_errors": 1, "jobs_failed": 0} {
-		if got := c.Get(name); got != wantN {
-			t.Errorf("%s = %d, want %d", name, got, wantN)
-		}
-	}
-	if got := terminalCounterSum(pool); got != 1 {
-		t.Errorf("terminal-state counters sum to %d, want 1 (one admitted job)", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, j.ID+".spec.json")); err != nil {
-		t.Fatalf("suspended job's spec not on disk: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, j.ID+".ckpt")); !os.IsNotExist(err) {
-		t.Errorf("failed checkpoint write left a file behind (err %v)", err)
-	}
-
-	// Restart on a healthy disk: the job restarts from its spec and, by
-	// determinism, ends in the uninterrupted run's state.
-	pool2 := New(Config{Workers: 1, QueueDepth: 4, StateDir: dir, CheckpointEvery: 200})
-	if n, err := pool2.Recover(); err != nil || n != 1 {
-		t.Fatalf("Recover = %d, %v; want 1 job", n, err)
-	}
-	pool2.Start()
-	defer pool2.Shutdown(context.Background())
-	j2, ok := pool2.Get(j.ID)
-	if !ok {
-		t.Fatalf("recovered job %s not found", j.ID)
-	}
-	if res := waitResult(t, j2); res.StateHash != want {
-		t.Errorf("restarted hash %s, want %s", res.StateHash, want)
+			var j2 *Job
+			if tc.stop == "" { // recovered under its own ID
+				j2, _ = pool.Get(j1.ID)
+			} else {
+				if tc.persistFault {
+					fsys.FailWrites(syscall.ENOSPC)
+					s := *spec
+					var perr *PersistError
+					if _, _, err := pool.Submit(&s); !errors.As(err, &perr) {
+						t.Fatalf("claim on a failing disk: %v, want *PersistError", err)
+					}
+					fsys.FailWrites(nil)
+				}
+				s := *spec // no deadline: the budget is not part of the key
+				if j2, _, err = pool.Submit(&s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if j2 == nil {
+				t.Fatalf("job %s was not recovered", j1.ID)
+			}
+			res := waitResult(t, j2)
+			events += pool.Counters().Get("engine_events")
+			pool.Shutdown(context.Background())
+			if res.StateHash != want || res.Resumed == tc.lostWrite {
+				t.Errorf("final hash %s (resumed %v), want %s (resumed %v)", res.StateHash, res.Resumed, want, !tc.lostWrite)
+			}
+			if len(segments) != 2 || segments[0] == 0 || segments[1] == 0 {
+				t.Fatalf("run segments executed %v events, want two non-empty segments", segments)
+			}
+			if events != segments[0]+segments[1] || res.Events != segments[1] {
+				t.Errorf("engine_events %d and Result.Events %d, want the sum of segments %v and the last one",
+					events, res.Events, segments)
+			}
+		})
 	}
 }
 

@@ -30,7 +30,8 @@ type JobInfo struct {
 	SimT    float64 `json:"simT,omitempty"`
 	Working int     `json:"working,omitempty"`
 	// QueueWaitSeconds is the admission-to-start delay (the wait so far
-	// for jobs still queued; absent for cached submissions).
+	// for jobs still queued, admission to end for one stopped in the queue;
+	// absent for cached submissions).
 	QueueWaitSeconds float64 `json:"queueWaitSeconds,omitempty"`
 	// DeadlineSeconds echoes the submission's end-to-end budget (absent
 	// when unbounded).
