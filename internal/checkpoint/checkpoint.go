@@ -72,9 +72,14 @@ type Snapshot struct {
 // StateHash is the SHA-256 of the canonical encoding. Two runs are in the
 // same state exactly when their snapshots hash equal; comparing hashes is
 // the cheap divergence check the verify mode and the determinism tests
-// build on.
+// build on. The encoding streams into the hash through Encode's bounded
+// buffer instead of being built whole first.
 func (s *Snapshot) StateHash() [sha256.Size]byte {
-	return sha256.Sum256(s.EncodeBytes())
+	h := sha256.New()
+	_ = s.Encode(h) // a hash.Hash never fails a write
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // StateHashHex returns StateHash as a hex string.

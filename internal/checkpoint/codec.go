@@ -37,7 +37,31 @@ var ErrVersion = errors.New("checkpoint: unsupported format version")
 
 // --- encoder ---
 
-type enc struct{ buf []byte }
+// enc appends the canonical encoding to buf. With w set it streams: at
+// each spill point a buffer past spillAt bytes is written to w and reused,
+// so encoding a snapshot of any size holds one bounded buffer.
+type enc struct {
+	buf []byte
+	w   io.Writer
+	err error // the first write error
+}
+
+// spillAt is the buffered size at which a streaming enc writes out.
+const spillAt = 4096
+
+// spill writes the buffer out once it is past spillAt (streaming only).
+func (e *enc) spill() {
+	if e.w != nil && len(e.buf) >= spillAt {
+		e.flush()
+	}
+}
+
+func (e *enc) flush() {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
 
 func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
@@ -58,6 +82,19 @@ func (e *enc) count(n int) { e.u32(uint32(n)) }
 // EncodeBytes returns the canonical encoding of the snapshot.
 func (s *Snapshot) EncodeBytes() []byte {
 	e := &enc{buf: make([]byte, 0, 4096)}
+	s.encode(e)
+	return e.buf
+}
+
+// Encode writes the canonical encoding to w, a bounded buffer at a time.
+func (s *Snapshot) Encode(w io.Writer) error {
+	e := &enc{buf: make([]byte, 0, 2*spillAt), w: w}
+	s.encode(e)
+	e.flush()
+	return e.err
+}
+
+func (s *Snapshot) encode(e *enc) {
 	e.buf = append(e.buf, magic[:]...)
 	e.u32(Version)
 
@@ -71,6 +108,7 @@ func (s *Snapshot) EncodeBytes() []byte {
 	e.count(len(s.Nodes))
 	for i := range s.Nodes {
 		encodeNodeState(e, &s.Nodes[i])
+		e.spill()
 	}
 	encodeMediumState(e, &s.Medium)
 	encodeInjectorState(e, &s.Injector)
@@ -81,13 +119,6 @@ func (s *Snapshot) EncodeBytes() []byte {
 	encodeSamples(e, s.TrackerSamples)
 	encodePoints(e, s.WorkingSeries)
 	e.f64(s.NextSampleAt)
-	return e.buf
-}
-
-// Encode writes the canonical encoding to w.
-func (s *Snapshot) Encode(w io.Writer) error {
-	_, err := w.Write(s.EncodeBytes())
-	return err
 }
 
 // AppendNetConfig appends the canonical encoding of a network
@@ -147,6 +178,7 @@ func encodeNetConfig(e *enc, c *node.Config) {
 		for _, pt := range c.Positions {
 			e.f64(pt.X)
 			e.f64(pt.Y)
+			e.spill()
 		}
 	}
 
@@ -229,6 +261,7 @@ func encodeMediumState(e *enc, st *radio.MediumState) {
 	e.count(len(st.BusyEnd))
 	for _, v := range st.BusyEnd {
 		e.f64(v)
+		e.spill()
 	}
 	e.count(len(st.Corrupt))
 	for _, v := range st.Corrupt {
@@ -262,6 +295,7 @@ func encodePoints(e *enc, pts []metrics.Point) {
 	for _, p := range pts {
 		e.f64(p.T)
 		e.f64(p.V)
+		e.spill()
 	}
 }
 
@@ -273,6 +307,7 @@ func encodeSamples(e *enc, samples []coverage.Sample) {
 		for _, v := range s.ByK {
 			e.f64(v)
 		}
+		e.spill()
 	}
 }
 

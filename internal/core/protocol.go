@@ -112,6 +112,9 @@ func New(id NodeID, cfg Config, platform Platform) *Protocol {
 		state:     Sleeping,
 		lambda:    cfg.InitialRate,
 		estimator: *NewRateEstimator(cfg.EstimatorK),
+		// Room for the REPLYs of a busy probe window up front, so the list
+		// does not grow a window at a time over the node's life.
+		heard: make([]Reply, 0, 8),
 	}
 	p.argPlatform, _ = platform.(ArgPlatform)
 	return p
@@ -365,13 +368,17 @@ func (p *Protocol) startWorking() {
 
 // HandleMessage dispatches a received frame. dist is the measured distance
 // to the transmitter; the radio layer guarantees dist <= Rp for delivered
-// PROBE/REPLY frames.
+// PROBE/REPLY frames. A REPLY arrives as a Reply value, or on the simulator
+// as a pooled *Reply that is reused once the call returns; either way it is
+// copied.
 func (p *Protocol) HandleMessage(payload any, dist float64) {
 	switch msg := payload.(type) {
 	case Probe:
 		p.onProbe(msg)
 	case Reply:
 		p.onReply(msg)
+	case *Reply:
+		p.onReply(*msg)
 	}
 	_ = dist
 }
@@ -410,12 +417,19 @@ func (p *Protocol) fireReply() {
 	if p.cfg.StaleEstimates {
 		estimate = p.estimator.Estimate()
 	}
-	p.platform.Broadcast(p.cfg.PacketSize, p.cfg.ProbingRange, Reply{
+	msg := Reply{
 		From:         p.id,
 		RateEstimate: estimate,
 		DesiredRate:  p.cfg.DesiredRate,
 		TimeWorking:  p.TimeWorking(),
-	})
+	}
+	// A REPLY's contents change with every send, so unlike a PROBE it
+	// cannot be boxed once; the simulator sends it in a pooled record.
+	if ap := p.argPlatform; ap != nil {
+		ap.BroadcastReply(p.cfg.PacketSize, p.cfg.ProbingRange, msg)
+		return
+	}
+	p.platform.Broadcast(p.cfg.PacketSize, p.cfg.ProbingRange, msg)
 }
 
 func (p *Protocol) onReply(msg Reply) {

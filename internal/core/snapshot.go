@@ -42,14 +42,21 @@ type AbsolutePlatform interface {
 	At(at float64, fn func())
 }
 
-// ArgPlatform is an optional Platform extension for schedulers with an
-// allocation-free absolute-time variant: fn is a shared function and arg
-// carries the per-event state, so arming a timer needs no closure. When
-// the platform provides it, protocol timers ride pooled records.
+// ArgPlatform is an optional Platform extension for a single-threaded
+// simulator with allocation-free variants of scheduling and of sending a
+// REPLY. With AtArg, fn is a shared function and arg carries the per-event
+// state, so arming a timer needs no closure; with BroadcastReply, the
+// platform puts the REPLY in a record it reuses once the frame is done
+// with, so a REPLY needs no fresh box. When the platform provides them,
+// protocol timers ride pooled records and REPLYs pooled *Reply payloads.
 type ArgPlatform interface {
 	// AtArg schedules fn(arg) at the absolute time at; past deadlines
 	// fire immediately.
 	AtArg(at float64, fn func(any), arg any)
+	// BroadcastReply is Broadcast for a REPLY: the payload is a *Reply
+	// holding msg, reused by the platform once no delivery, duplicate or
+	// retry of the frame is left.
+	BroadcastReply(size int, radius float64, msg Reply)
 }
 
 // EstimatorState is the serializable state of a RateEstimator.

@@ -59,7 +59,7 @@ func captureSnapshot(cfg RunConfig, horizon, spacing float64, net *node.Network,
 // resumeRun positions a freshly constructed network at a snapshot:
 // restore mutable state first, then rebuild the pending event schedule in
 // the same order a fresh run creates it (coverage sampler, forwarding
-// generator, per-node timers and death events in node-ID order, failure
+// generator, per-node timers and depletion deadlines in node-ID order, failure
 // injector), so any events tied at the same instant replay in the original
 // order.
 func resumeRun(net *node.Network, snap *checkpoint.Snapshot, sample func(),

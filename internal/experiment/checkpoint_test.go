@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"runtime"
@@ -91,13 +93,13 @@ func goldenRuns() []goldenRun {
 	sampled := base(60, 42, 2000, 10, true)
 	sampled.CheckpointEvery = 500
 	return []goldenRun{
-		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 2017},
+		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 1425},
 		{"protocol-160", base(160, 1, 1500, 0, false), [4]uint64{15646, 5998, 1239, 61},
-			"6253205caf9d9c9f7087fd00d654eca8af40ab1c8fe31acd507df283914443b6", 5775},
+			"6253205caf9d9c9f7087fd00d654eca8af40ab1c8fe31acd507df283914443b6", 3376},
 		{"baseline-320", base(320, 2, 1200, BaseFailuresPer5000, true), [4]uint64{18650, 6791, 1327, 49},
-			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 9756},
+			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 6622},
 		{"failures-480", base(480, 3, 1000, 26.66, true), [4]uint64{20549, 7423, 1416, 41},
-			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 13615},
+			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 9841},
 	}
 }
 
@@ -115,12 +117,21 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	for _, g := range goldenRuns() {
 		t.Run(g.name, func(t *testing.T) {
+			// hash is StateHash, held to the digest of the whole encoding:
+			// the streamed hash must be the SHA-256 of EncodeBytes.
+			hash := func(s *checkpoint.Snapshot) string {
+				h := s.StateHash()
+				if whole := sha256.Sum256(s.EncodeBytes()); h != whole {
+					t.Fatalf("at t=%v StateHash is %x, the SHA-256 of EncodeBytes %x", s.SimTime, h, whole)
+				}
+				return hex.EncodeToString(h[:])
+			}
 			run := func() (res *RunStats, mids []string) {
 				cfg := g.cfg
 				cfg.CaptureFinal = true
 				if cfg.CheckpointEvery > 0 {
 					cfg.OnCheckpoint = func(s *checkpoint.Snapshot) bool {
-						mids = append(mids, s.StateHashHex())
+						mids = append(mids, hash(s))
 						return false
 					}
 				}
@@ -143,8 +154,8 @@ func TestGoldenDeterminism(t *testing.T) {
 					t.Errorf("sample %d differs across identical runs: %s vs %s", i, midsA[i], midsB[i])
 				}
 			}
-			got := goldenRun{counts: counts(a), hash: a.FinalState.StateHashHex()}
-			if again := b.FinalState.StateHashHex(); again != got.hash {
+			got := goldenRun{counts: counts(a), hash: hash(a.FinalState)}
+			if again := hash(b.FinalState); again != got.hash {
 				t.Errorf("final state differs across identical runs: %s vs %s", got.hash, again)
 			}
 			if again := counts(b); again != got.counts {

@@ -160,9 +160,13 @@ type RunStats struct {
 	WorkingTransitions int `json:",omitempty"`
 	RouteRebuilds      int `json:",omitempty"`
 	// EngineEvents, EventStructs, HeapSlots and Compactions are the
-	// engine's own account of the run (sim.EngineStats): events executed,
-	// Event structs ever allocated, the event heap's capacity and its
-	// tombstone compactions. Like the two above they describe this
+	// engine's own account of the run (sim.EngineStats): events executed
+	// (timer firings included), Event structs ever allocated, the capacity
+	// of the engine's three heaps and its tombstone compactions. Only
+	// Engine.Cancel (and Ticker.Stop, built on it) leaves tombstones, and
+	// no model code calls either, so Compactions reads zero: the depletion
+	// deadlines that once filled the far heap with tombstones are sim.Timers
+	// that move in place. Like the two above these describe this
 	// process's run only — a resumed run counts from its resume point —
 	// and are in neither the snapshot nor the state hash. Each engine
 	// counts for itself, so they are exact under any number of
@@ -172,8 +176,8 @@ type RunStats struct {
 	HeapSlots    int    `json:",omitempty"`
 	Compactions  uint64 `json:",omitempty"`
 	// NearSlots is the part of HeapSlots the imminent events sift through;
-	// the rest hold the long timers (one wake-up and one depletion
-	// deadline per node) that wait in the engine's far heap.
+	// the rest hold the long waits: each node's next wake-up in the far
+	// heap and its depletion deadline in the timer heap.
 	NearSlots int `json:",omitempty"`
 	// DeliveryEvents, DeferralEvents, TimerEvents and OtherEvents split
 	// EngineEvents by who scheduled the event, from tallies the layers

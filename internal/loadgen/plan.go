@@ -83,7 +83,7 @@ type Mix struct {
 	// the watchdog must preempt every one (failed state, watchdog
 	// message) while the surrounding jobs keep completing.
 	HangJobs int `json:"hangJobs,omitempty"`
-	// DeadlineJobs inserts this many big-deployment jobs carrying a
+	// DeadlineJobs inserts this many jobs of 4x LongN nodes carrying a
 	// DeadlineSeconds budget far below their multi-second runtime
 	// (0 = none). Each must be killed by deadline enforcement — either
 	// deadline_exceeded after admission or fast-rejected as infeasible —
@@ -240,10 +240,12 @@ func Plan(mix Mix) ([]Item, error) {
 	}
 	for i := 0; i < mix.DeadlineJobs; i++ {
 		arrival += time.Duration(rng.Exp(mix.RateHz) * float64(time.Second))
-		// Big deployments (multi-second runs) with a 250ms budget: the
-		// deadline can never be met, so enforcement — not luck — decides
-		// the outcome.
-		m, err := mint(mix.LongN, mix.LongHorizon, true)
+		// Deployments four times a long job's, whose runs take seconds,
+		// with a 250ms budget: the deadline can never be met, so
+		// enforcement — not luck — decides the outcome. A long job's own
+		// size is not enough: its run can end inside the watchdog's
+		// reaction time.
+		m, err := mint(4*mix.LongN, mix.LongHorizon, true)
 		if err != nil {
 			return nil, err
 		}

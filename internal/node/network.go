@@ -65,6 +65,12 @@ type Network struct {
 
 	cfg Config
 
+	// spareReplies are the REPLY records the medium has handed back
+	// through recycleReply. Every node's REPLY goes out in one of them, so
+	// the pool is as large as the most REPLYs ever in flight at once.
+	spareReplies []*core.Reply
+	recycleReply func(any)
+
 	// OnState, OnDeath, OnRevive and OnDeliver are optional observer hooks
 	// used by the metrics layer; they may be nil. Set them before Start.
 	// OnRevive fires when a transiently failed node comes back via Revive
@@ -91,33 +97,26 @@ type energyAdapter struct{ net *Network }
 var _ radio.EnergySink = (*energyAdapter)(nil)
 
 func (a *energyAdapter) SpendTx(id radio.NodeID, seconds float64) {
-	a.spend(id, seconds, a.net.cfg.Energy.TransmitW)
+	a.spend(id, seconds, a.net.cfg.Energy.TransmitW, energy.Transmit)
 }
 
 func (a *energyAdapter) SpendRx(id radio.NodeID, seconds float64) {
-	a.spend(id, seconds, a.net.cfg.Energy.ReceiveW)
+	a.spend(id, seconds, a.net.cfg.Energy.ReceiveW, energy.Receive)
 }
 
-func (a *energyAdapter) spend(id radio.NodeID, seconds, watts float64) {
+// spend charges seconds of airtime at watts, less the mode draw the battery
+// settles anyway, to the ledger row of mode. The mode is the caller's: a
+// profile may draw the same power to transmit and to receive.
+func (a *energyAdapter) spend(id radio.NodeID, seconds, watts float64, mode energy.Mode) {
 	n := a.net.Nodes[id]
 	if !n.alive {
 		return
 	}
-	now := a.net.Engine.Now()
-	base := a.net.cfg.Energy.Power(n.battery.Mode())
-	extra := (watts - base) * seconds
+	extra := (watts - a.net.cfg.Energy.Power(n.battery.Mode())) * seconds
 	if extra <= 0 {
 		return
 	}
-	mode := energy.Receive
-	if watts == a.net.cfg.Energy.TransmitW {
-		mode = energy.Transmit
-	}
-	if !n.battery.Spend(now, mode, extra) {
-		n.die(Depletion)
-		return
-	}
-	n.rescheduleDeath()
+	n.charge(mode, extra)
 }
 
 // Validate reports whether cfg describes a network NewNetwork can build,
@@ -205,6 +204,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		cfg:    cfg,
 	}
 	net.Medium = radio.NewMedium(cfg.Radio, engine, idx, radioRNG, &energyAdapter{net: net})
+	net.recycleReply = func(a any) { net.spareReplies = append(net.spareReplies, a.(*core.Reply)) }
 
 	for i := 0; i < cfg.N; i++ {
 		charge := energyRNG.Uniform(cfg.InitialEnergyMin, cfg.InitialEnergyMax)
@@ -221,6 +221,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 			battery: energy.NewBattery(cfg.Energy, charge),
 			rng:     stats.NewRNG(seed),
 		}
+		n.death = engine.NewTimer(n.depleted)
 		n.proto = core.New(core.NodeID(i), cfg.Protocol, n)
 		net.Nodes[i] = n
 		net.Medium.Attach(radio.NodeID(i), n)
@@ -324,18 +325,14 @@ func (net *Network) ProtocolEnergy() float64 {
 }
 
 // ChargeExtra debits an instantaneous energy amount from node id,
-// attributed to mode, keeping the scheduled depletion event consistent.
-// The forwarding substrate uses it for relayed data reports.
+// attributed to mode, keeping the depletion deadline consistent. The
+// forwarding substrate uses it for relayed data reports.
 func (net *Network) ChargeExtra(id core.NodeID, mode energy.Mode, joules float64) {
 	n := net.Nodes[id]
 	if !n.alive || joules <= 0 {
 		return
 	}
-	if !n.battery.Spend(net.Engine.Now(), mode, joules) {
-		n.die(Depletion)
-		return
-	}
-	n.rescheduleDeath()
+	n.charge(mode, joules)
 }
 
 // PickAlive returns a uniformly chosen alive node satisfying filter (nil

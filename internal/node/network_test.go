@@ -343,6 +343,33 @@ func TestChargeExtraKillsOnOverdraw(t *testing.T) {
 	net.ChargeExtra(victim.ID(), energy.DataTransmit, 1)
 }
 
+// TestChargeModeIsTheCharges: a profile may draw the same power to
+// transmit and to receive, and a radio charge is still filed under the
+// mode it is for, not the one its wattage happens to match.
+func TestChargeModeIsTheCharges(t *testing.T) {
+	cfg := DefaultConfig(2, 3)
+	cfg.Energy.ReceiveW = cfg.Energy.TransmitW
+	net, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Start() // both nodes sleep, so the whole draw is extra
+	sink := &energyAdapter{net: net}
+	sink.SpendTx(0, 0.01)
+	sink.SpendRx(1, 0.01)
+	now := net.Engine.Now()
+	for _, c := range []struct {
+		id          int
+		mode, other energy.Mode
+	}{{0, energy.Transmit, energy.Receive}, {1, energy.Receive, energy.Transmit}} {
+		b := net.Nodes[c.id].Battery()
+		if b.ConsumedIn(now, c.mode) <= 0 || b.ConsumedIn(now, c.other) != 0 {
+			t.Errorf("node %d: %v J under %v and %v J under %v; want the charge under %v only",
+				c.id, b.ConsumedIn(now, c.mode), c.mode, b.ConsumedIn(now, c.other), c.other, c.mode)
+		}
+	}
+}
+
 // TestDepletionPastTwoToTheTwentySeconds: at now = 2^21 s, half an ulp of
 // the clock is about 2.3e-10 s, and 2e-12 J drains at 12 mW idle in
 // 1.7e-10 s, so the depletion deadline rounds to now. The node must die

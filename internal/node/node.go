@@ -51,13 +51,15 @@ type Node struct {
 	pos     geom.Point
 	network *Network
 
-	battery    *energy.Battery
-	proto      *core.Protocol
-	rng        *stats.RNG
-	deathEvent *sim.Event
-	alive      bool
-	cause      DeathCause
-	diedAt     float64
+	battery *energy.Battery
+	proto   *core.Protocol
+	rng     *stats.RNG
+	// death is the battery-depletion deadline, re-armed in place after
+	// every change to the drain rate or the remaining charge.
+	death  *sim.Timer
+	alive  bool
+	cause  DeathCause
+	diedAt float64
 	// wasWorking is the last Working() status reported through
 	// Network.OnWorkingChange; SetState diffs against it so the hook
 	// fires exactly once per flip.
@@ -67,6 +69,7 @@ type Node struct {
 var (
 	_ core.Platform         = (*Node)(nil)
 	_ core.AbsolutePlatform = (*Node)(nil)
+	_ core.ArgPlatform      = (*Node)(nil)
 	_ radio.Receiver        = (*Node)(nil)
 )
 
@@ -131,9 +134,34 @@ func (n *Node) Broadcast(size int, radius float64, payload any) {
 	})
 }
 
-// SetState maps protocol modes onto battery power modes and keeps the
-// scheduled depletion event consistent.
+// BroadcastReply transmits a REPLY (via core.ArgPlatform) in one of the
+// network's pooled *core.Reply records, which the medium hands back once no
+// delivery, duplicate or carrier-sense retry of the frame is left.
+func (n *Node) BroadcastReply(size int, radius float64, msg core.Reply) {
+	if !n.alive {
+		return
+	}
+	net := n.network
+	var r *core.Reply
+	if k := len(net.spareReplies); k > 0 {
+		r = net.spareReplies[k-1]
+		net.spareReplies = net.spareReplies[:k-1]
+	} else {
+		r = new(core.Reply)
+	}
+	*r = msg
+	net.Medium.BroadcastArg(radio.Packet{
+		From:    radio.NodeID(n.id),
+		Size:    size,
+		Range:   radius,
+		Payload: r,
+	}, net.recycleReply)
+}
+
+// SetState maps protocol modes onto battery power modes and the radio's
+// power flag, and keeps the depletion deadline consistent.
 func (n *Node) SetState(s core.State) {
+	n.syncRadio()
 	now := n.Now()
 	switch s {
 	case core.Sleeping:
@@ -165,9 +193,18 @@ func (n *Node) Rand() *stats.RNG { return n.rng }
 // --- radio.Receiver implementation ---
 
 // Listening reports whether the radio can receive: the node must be alive
-// and not sleeping.
+// and not sleeping. It defines the medium's power flag for the node, which
+// syncRadio copies over at every change of either operand.
 func (n *Node) Listening() bool {
 	return n.alive && n.proto.State() != core.Sleeping
+}
+
+// syncRadio hands Listening to the medium, which reads its own copy on
+// every receiver sweep instead of asking each candidate. Every change of
+// liveness or protocol state reaches it: SetState (protocol transitions,
+// boots and both revive paths), die and RestoreNodes.
+func (n *Node) syncRadio() {
+	n.network.Medium.SetListening(radio.NodeID(n.id), n.Listening())
 }
 
 // Deliver hands a received frame to the protocol.
@@ -263,25 +300,30 @@ func (n *Node) die(cause DeathCause) {
 	n.alive = false
 	n.cause = cause
 	n.diedAt = n.Now()
-	if n.deathEvent != nil {
-		n.network.Engine.Cancel(n.deathEvent)
-		n.deathEvent = nil
-	}
+	n.death.Stop()
+	n.syncRadio()
 	n.proto.Fail()
 	if n.network.OnDeath != nil {
 		n.network.OnDeath(n.id, cause)
 	}
 }
 
-// rescheduleDeath re-anchors the battery-depletion event after any change
-// to the drain rate or remaining charge.
+// charge debits joules from the battery under mode, then kills the node
+// or moves its depletion deadline: the one path a packet or relay charge
+// takes into the battery.
+func (n *Node) charge(mode energy.Mode, joules float64) {
+	if !n.battery.Spend(n.Now(), mode, joules) {
+		n.die(Depletion)
+		return
+	}
+	n.rescheduleDeath()
+}
+
+// rescheduleDeath re-anchors the battery-depletion deadline after any
+// change to the drain rate or remaining charge.
 func (n *Node) rescheduleDeath() {
 	if !n.alive {
 		return
-	}
-	if n.deathEvent != nil {
-		n.network.Engine.Cancel(n.deathEvent)
-		n.deathEvent = nil
 	}
 	if n.battery.Dead() {
 		n.die(Depletion)
@@ -289,35 +331,22 @@ func (n *Node) rescheduleDeath() {
 	}
 	t := n.battery.DepletionTime(n.Now())
 	if t >= sim.Forever {
+		n.death.Stop()
 		return
 	}
-	n.scheduleDeathAt(t)
+	n.death.ResetAt(t)
 }
 
-// runDeathEvent is the shared depletion callback; the event argument is
-// the node itself, so the constant re-arming on every energy spend
-// allocates nothing. A node also dies when its recomputed deadline does
-// not advance the clock: once now passes about 2^20 s, a remainder that
-// drains in under half an ulp of now rounds the deadline back to now, and
-// re-arming there would fire this event forever at one instant.
-func runDeathEvent(a any) {
-	n := a.(*Node)
-	n.deathEvent = nil
-	if !n.alive {
-		return
-	}
+// depleted is the depletion timer's callback; die stops the timer, so the
+// node is alive. It also dies when its recomputed deadline does not advance
+// the clock: once now passes about 2^20 s, a remainder that drains in under
+// half an ulp of now rounds the deadline back to now, and re-arming there
+// would fire the timer forever at one instant.
+func (n *Node) depleted() {
 	now := n.Now()
 	if n.battery.Remaining(now) <= 1e-12 || n.battery.DepletionTime(now) <= now {
 		n.die(Depletion)
 		return
 	}
 	n.rescheduleDeath()
-}
-
-// scheduleDeathAt arms the depletion event at the absolute time t. The
-// checkpoint restore path calls it with the captured deadline rather than
-// recomputing one: recomputation would settle the battery and shift the
-// deadline by an ulp off the uninterrupted run's.
-func (n *Node) scheduleDeathAt(t float64) {
-	n.deathEvent = n.network.Engine.AtArg(t, runDeathEvent, n)
 }

@@ -16,8 +16,8 @@ type NodeState struct {
 	Alive  bool
 	Cause  DeathCause
 	DiedAt float64
-	// DeathAt is the absolute deadline of the pending battery-depletion
-	// event, or a negative value when none is scheduled.
+	// DeathAt is the absolute deadline of the armed battery-depletion
+	// timer, or a negative value when none is armed.
 	DeathAt float64
 	RNG     stats.RNGState
 	Battery energy.BatteryState
@@ -40,8 +40,8 @@ func (net *Network) SnapshotNodes() []NodeState {
 			Battery: n.battery.Snapshot(),
 			Proto:   n.proto.Snapshot(),
 		}
-		if n.deathEvent != nil {
-			st.DeathAt = n.deathEvent.Time()
+		if n.death.Armed() {
+			st.DeathAt = n.death.NextAt()
 		}
 		states[i] = st
 	}
@@ -49,9 +49,10 @@ func (net *Network) SnapshotNodes() []NodeState {
 }
 
 // RestoreNodes overwrites the mutable state of a freshly constructed
-// network with captured node states. It only patches fields; pending
-// timers and death events are re-armed by ResumeSchedule once the engine
-// clock is positioned at the snapshot time.
+// network with captured node states. It only patches fields (and the
+// medium's power flags, which follow them); pending protocol timers and
+// depletion deadlines are re-armed by ResumeSchedule once the engine clock
+// is positioned at the snapshot time.
 func (net *Network) RestoreNodes(states []NodeState) error {
 	if len(states) != len(net.Nodes) {
 		return fmt.Errorf("node: snapshot has %d nodes, network has %d",
@@ -73,14 +74,17 @@ func (net *Network) RestoreNodes(states []NodeState) error {
 		// restores are bulk state loads, and consumers rebuild their
 		// derived state from the restored working set instead.
 		n.wasWorking = n.Working()
+		n.syncRadio()
 	}
 	return nil
 }
 
 // ResumeSchedule rebuilds the engine events a restored deployment owes:
-// each alive node's pending protocol timers (in recorded order) and its
-// battery-depletion event at the captured deadline. Call it after
-// RestoreNodes with the engine clock at the snapshot time.
+// each alive node's pending protocol timers (in recorded order), then its
+// battery-depletion timer at the captured deadline — not a recomputed one,
+// which would settle the battery and move the deadline by an ulp off the
+// uninterrupted run's. Call it after RestoreNodes with the engine clock at
+// the snapshot time.
 func (net *Network) ResumeSchedule(states []NodeState) {
 	for i, st := range states {
 		n := net.Nodes[i]
@@ -89,7 +93,7 @@ func (net *Network) ResumeSchedule(states []NodeState) {
 		}
 		n.proto.ResumeTimers(st.Proto.Timers)
 		if st.DeathAt >= 0 && st.DeathAt < sim.Forever {
-			n.scheduleDeathAt(st.DeathAt)
+			n.death.ResetAt(st.DeathAt)
 		}
 	}
 }

@@ -85,6 +85,27 @@ func TestDetectsRxWhileSleeping(t *testing.T) {
 	}
 }
 
+// TestDetectsStalePowerFlag: a sleeping radio the medium still takes for
+// listening, as a missed SetListening would leave it, is flagged at the
+// next scan.
+func TestDetectsStalePowerFlag(t *testing.T) {
+	net, c := newCheckedNet(t, 20, 3, DefaultConfig())
+	net.Run(100)
+	if hasInvariant(c, "rx-discipline") {
+		t.Fatalf("flagged before any injection: %v", c.Violations())
+	}
+	for _, n := range net.Nodes {
+		if n.Alive() && n.State() == core.Sleeping {
+			net.Medium.SetListening(radio.NodeID(n.ID()), true)
+			break
+		}
+	}
+	net.Run(100 + DefaultConfig().Interval)
+	if !hasInvariant(c, "rx-discipline") {
+		t.Errorf("stale power flag not flagged; violations: %v", c.Violations())
+	}
+}
+
 func TestDetectsClockRegression(t *testing.T) {
 	_, c := newCheckedNet(t, 5, 3, DefaultConfig())
 	c.observeEvent(10)

@@ -8,7 +8,8 @@
 //   - transmit discipline: only alive, non-sleeping nodes put frames on
 //     the air (paper §2.1: a sleeping node's radio is off);
 //   - receive discipline: frames are only delivered to alive, listening
-//     nodes;
+//     nodes, and the medium's power flag for each radio agrees with the
+//     node's Listening();
 //   - energy conservation: each battery's ledger balances — initial
 //     charge equals remaining charge plus the per-mode consumption sums
 //     — remaining charge never increases, consumption never decreases,
@@ -256,7 +257,8 @@ func (c *Checker) observeTransmit(pkt radio.Packet) {
 		c.report("tx-discipline", id, "sleeping node transmitted a %d-byte frame", pkt.Size)
 		return
 	}
-	if _, ok := pkt.Payload.(core.Reply); ok {
+	switch pkt.Payload.(type) {
+	case core.Reply, *core.Reply:
 		for key, p := range c.pairs {
 			if p.elder != id {
 				continue
@@ -362,6 +364,14 @@ func (c *Checker) scan() {
 			if wantSleep != isSleep {
 				c.report("lifecycle", n.ID(), "state %v but battery mode %v", state, st.Mode)
 			}
+		}
+
+		// The medium sweeps receivers by its own copy of each power flag.
+		// A stale copy that delivers to a sleeping radio is caught by
+		// checkDeliver; one that skips a listening radio is caught only
+		// here.
+		if flag, want := c.net.Medium.Listening(radio.NodeID(i)), n.Listening(); flag != want {
+			c.report("rx-discipline", n.ID(), "medium's power flag is %v but Listening() is %v", flag, want)
 		}
 	}
 	c.scanOverlap(now)

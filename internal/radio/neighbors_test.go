@@ -25,14 +25,14 @@ type heard struct {
 	dist uint64 // math.Float64bits
 }
 
-// stormNode is a receiver that logs into the storm's shared record.
+// stormNode is a receiver that logs into the storm's shared record. It is
+// attached listening; the storm powers it down and up through the medium.
 type stormNode struct {
-	id        NodeID
-	listening bool
-	storm     *storm
+	id    NodeID
+	storm *storm
 }
 
-func (n *stormNode) Listening() bool { return n.listening }
+func (n *stormNode) Listening() bool { return true }
 func (n *stormNode) Deliver(pkt Packet, dist float64) {
 	n.storm.log = append(n.storm.log, heard{n.storm.engine.Now(), n.id, pkt.From, math.Float64bits(dist)})
 }
@@ -52,7 +52,7 @@ func (s *storm) SpendTx(id NodeID, secs float64) { s.tx[id] += secs }
 func (s *storm) SpendRx(id NodeID, secs float64) {
 	s.rx[id] += secs
 	if id%5 == 0 && int(id)+1 < len(s.nodes) {
-		s.nodes[id+1].listening = false
+		s.medium.SetListening(id+1, false)
 	}
 }
 
@@ -81,7 +81,7 @@ func runStorm(cfg Config, faultSeed int64, useTables bool) *storm {
 		s.medium.SetFaultInjector(&scriptedInjector{rng: stats.NewRNG(faultSeed)})
 	}
 	for i := range positions {
-		n := &stormNode{id: NodeID(i), listening: true, storm: s}
+		n := &stormNode{id: NodeID(i), storm: s}
 		s.nodes = append(s.nodes, n)
 		s.medium.Attach(n.id, n)
 	}
@@ -91,11 +91,11 @@ func runStorm(cfg Config, faultSeed int64, useTables bool) *storm {
 	for i := 0; i < 1500; i++ {
 		if i%100 == 0 {
 			for _, n := range s.nodes {
-				n.listening = script.Float64() < 0.8
+				s.medium.SetListening(n.id, script.Float64() < 0.8)
 			}
 		}
 		from := NodeID(script.Uint64() % uint64(len(positions)))
-		s.nodes[from].listening = true
+		s.medium.SetListening(from, true)
 		s.medium.Broadcast(Packet{From: from, Size: 25, Range: ranges[i%2], Payload: i})
 		// Mostly shorter than an airtime, so receptions overlap and senders
 		// find the channel busy.
@@ -185,7 +185,7 @@ func TestSpendRxCanSilenceTheRestOfTheSweep(t *testing.T) {
 			withoutTables(s.medium)
 		}
 		for i := range positions {
-			n := &stormNode{id: NodeID(i), listening: true, storm: s}
+			n := &stormNode{id: NodeID(i), storm: s}
 			s.nodes = append(s.nodes, n)
 			s.medium.Attach(n.id, n)
 		}

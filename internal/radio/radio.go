@@ -31,6 +31,11 @@ type NodeID int
 
 // Packet is a frame on the medium. Payload semantics belong to the
 // protocol layer; the radio only needs the size for airtime and energy.
+//
+// A payload sent with BroadcastArg goes back to its sender for reuse once
+// the medium holds no event of the frame, so neither receivers nor
+// observers (OnTransmit, and the node layer's hooks) may keep a payload
+// after their callback returns: copy what is needed out of it.
 type Packet struct {
 	From    NodeID
 	Size    int     // bytes
@@ -41,7 +46,9 @@ type Packet struct {
 // Receiver is the protocol-facing endpoint for one node.
 type Receiver interface {
 	// Listening reports whether the node's radio is powered on. Sleeping
-	// nodes return false and receive nothing.
+	// nodes return false and receive nothing. The medium reads it once, in
+	// Attach, and keeps its own power flag per receiver from then on: the
+	// owner reports every change through Medium.SetListening.
 	Listening() bool
 	// Deliver hands a successfully received packet (with the measured
 	// distance from the transmitter) to the protocol layer.
@@ -123,56 +130,82 @@ func DefaultConfig() Config {
 	}
 }
 
-// delivery is one pooled in-flight frame record. A single record serves
+// frame is one pooled transmission: the packet, and a count of what still
+// holds it — the caller until send returns, a carrier-sense retry, or its
+// scheduled deliveries and their fault duplicates. When the last holder
+// lets go, release (if any) gets the payload back and the record returns
+// to the medium's free list.
+type frame struct {
+	pkt     Packet
+	release func(any)
+	holds   int32
+	next    *frame // free-list link
+}
+
+// unhold drops one hold on f and recycles it after the last.
+func (m *Medium) unhold(f *frame) {
+	if f.holds--; f.holds > 0 {
+		return
+	}
+	if f.release != nil {
+		f.release(f.pkt.Payload)
+	}
+	*f = frame{next: m.freeFrame}
+	m.freeFrame = f
+}
+
+// delivery is one pooled in-flight reception record. A single record serves
 // every scheduled copy of a (frame, receiver) pair — fault-injected
 // duplicates share it instead of allocating one closure per copy — and is
-// returned to the medium's free list when the last copy lands.
+// returned to the medium's free list when the last copy lands. Each copy
+// holds the frame.
 type delivery struct {
 	m      *Medium
 	to     int32
 	copies int32 // scheduled copies still to execute
 	dist   float64
-	pkt    Packet
+	f      *frame
 	next   *delivery // free-list link
 }
 
 // runDelivery is the shared engine callback for every delivery record.
 func runDelivery(a any) {
 	d := a.(*delivery)
-	m := d.m
+	m, f := d.m, d.f
 	m.inflight--
 	d.copies--
-	m.deliver(int(d.to), d.pkt, d.dist)
+	m.deliver(int(d.to), f.pkt, d.dist)
 	if d.copies <= 0 {
-		d.pkt = Packet{} // drop the payload reference
+		d.f = nil
 		d.next = m.freeDel
 		m.freeDel = d
 	}
+	m.unhold(f)
 }
 
-// deferral is one pooled carrier-sense retry record.
+// deferral is one pooled carrier-sense retry record; it holds its frame.
 type deferral struct {
 	m    *Medium
-	pkt  Packet
+	f    *frame
 	next *deferral // free-list link
 }
 
 // runDeferral is the shared engine callback for every deferral record.
 func runDeferral(a any) {
 	r := a.(*deferral)
-	m := r.m
-	pkt := r.pkt
+	m, f := r.m, r.f
 	m.inflight--
-	// Release before re-broadcasting: a renewed deferral reuses the record.
-	r.pkt = Packet{}
+	// Free the record before re-sending: a renewed deferral reuses it.
+	r.f = nil
 	r.next = m.freeDef
 	m.freeDef = r
 	// The sender may have slept or died during the deferral; a powered-down
 	// radio cannot resume the transmission.
-	if snd := m.nodes[pkt.From]; snd == nil || !snd.Listening() {
+	if !m.listening[f.pkt.From] {
+		m.unhold(f)
 		return
 	}
-	m.Broadcast(pkt)
+	m.send(f)
 }
 
 // Medium is the shared broadcast channel.
@@ -186,8 +219,13 @@ type Medium struct {
 	quality *qualityField // nil when irregularity is off
 	busyEnd []sim.Time    // per-receiver: end of last reception overlapping now
 	corrupt []bool        // per-receiver: current reception window corrupted
-	freeDel *delivery     // delivery-record pool
-	freeDef *deferral     // carrier-sense retry pool
+	// listening is each receiver's power flag, seeded by Attach and kept by
+	// SetListening: one dense read per sweep candidate instead of an
+	// interface call into the node.
+	listening []bool
+	freeFrame *frame    // transmission pool
+	freeDel   *delivery // delivery-record pool
+	freeDef   *deferral // carrier-sense retry pool
 	// inflight counts engine events the medium still owes: pending
 	// deliveries and carrier-sense retries. The checkpoint subsystem only
 	// snapshots when it is zero — a quiescent radio boundary — so frames
@@ -223,14 +261,15 @@ type Medium struct {
 func NewMedium(cfg Config, engine *sim.Engine, idx *geom.Index, rng *stats.RNG, sink EnergySink) *Medium {
 	n := idx.Len()
 	m := &Medium{
-		cfg:     cfg,
-		engine:  engine,
-		idx:     idx,
-		rng:     rng,
-		nodes:   make([]Receiver, n),
-		sink:    sink,
-		busyEnd: make([]sim.Time, n),
-		corrupt: make([]bool, n),
+		cfg:       cfg,
+		engine:    engine,
+		idx:       idx,
+		rng:       rng,
+		nodes:     make([]Receiver, n),
+		sink:      sink,
+		busyEnd:   make([]sim.Time, n),
+		corrupt:   make([]bool, n),
+		listening: make([]bool, n),
 	}
 	if cfg.Irregularity > 0 {
 		// A coarse per-area field large enough to cover every indexed
@@ -250,8 +289,22 @@ func NewMedium(cfg Config, engine *sim.Engine, idx *geom.Index, rng *stats.RNG, 
 	return m
 }
 
-// Attach registers the receiver for node id.
-func (m *Medium) Attach(id NodeID, r Receiver) { m.nodes[id] = r }
+// Attach registers the receiver for node id and seeds its power flag from
+// r.Listening().
+func (m *Medium) Attach(id NodeID, r Receiver) {
+	m.nodes[id] = r
+	m.listening[id] = r != nil && r.Listening()
+}
+
+// SetListening records that node id's radio is now powered on or off. The
+// owner of an attached receiver calls it whenever the receiver's Listening
+// answer changes: sweeps, deliveries and carrier-sense retries read this
+// flag, not the receiver.
+func (m *Medium) SetListening(id NodeID, on bool) { m.listening[id] = on }
+
+// Listening returns node id's power flag as the medium holds it. The
+// invariant oracle checks it against the receiver's own answer.
+func (m *Medium) Listening(id NodeID) bool { return m.listening[id] }
 
 // Airtime returns the channel occupancy of a packet of size bytes.
 func (m *Medium) Airtime(size int) float64 {
@@ -338,11 +391,34 @@ func (m *Medium) Restore(st MediumState) error {
 // callbacks run one airtime later. The transmitter is charged airtime at
 // TX power; every listening node inside the physical coverage is charged
 // airtime at RX power whether or not the frame survives.
-func (m *Medium) Broadcast(pkt Packet) {
+func (m *Medium) Broadcast(pkt Packet) { m.BroadcastArg(pkt, nil) }
+
+// BroadcastArg is Broadcast for a payload its sender reuses: once no
+// delivery, fault duplicate or carrier-sense retry of the frame is left —
+// at once, for a frame that is never sent or reaches no one — the medium
+// calls release(pkt.Payload), and never touches the payload again. A nil
+// release makes it Broadcast.
+func (m *Medium) BroadcastArg(pkt Packet, release func(any)) {
+	f := m.freeFrame
+	if f != nil {
+		m.freeFrame = f.next
+		f.next = nil
+	} else {
+		f = new(frame)
+	}
+	f.pkt, f.release, f.holds = pkt, release, 1
+	m.send(f)
+}
+
+// send puts f on the air, or defers it while carrier sense hears the
+// channel busy; either way it passes on the caller's hold on f.
+func (m *Medium) send(f *frame) {
+	pkt := &f.pkt
 	if pkt.Range > m.cfg.MaxRange {
 		pkt.Range = m.cfg.MaxRange
 	}
 	if pkt.Range <= 0 {
+		m.unhold(f)
 		return
 	}
 	airtime := m.Airtime(pkt.Size)
@@ -365,13 +441,13 @@ func (m *Medium) Broadcast(pkt Packet) {
 		} else {
 			r = &deferral{m: m}
 		}
-		r.pkt = pkt
+		r.f = f
 		m.inflight++
 		m.engine.ScheduleArg(delay, runDeferral, r)
 		return
 	}
 	if m.OnTransmit != nil {
-		m.OnTransmit(pkt)
+		m.OnTransmit(*pkt)
 	}
 	m.sent++
 	m.bytesSent += uint64(pkt.Size)
@@ -402,7 +478,7 @@ func (m *Medium) Broadcast(pkt Packet) {
 	// kept, the index sweep itself. Counter updates are batched in sw and
 	// flushed once after the sweep; nothing can observe the medium counters
 	// mid-event.
-	sw := sweep{pkt: pkt, airtime: airtime, now: now, end: end, physRange: physRange}
+	sw := sweep{f: f, from: pkt.From, reqRange: pkt.Range, airtime: airtime, now: now, end: end, physRange: physRange}
 	if nb := m.neighbors(queryRange); nb != nil {
 		ids, d2 := nb.Row(int(pkt.From))
 		for k, id := range ids {
@@ -414,6 +490,7 @@ func (m *Medium) Broadcast(pkt Packet) {
 	m.collided += sw.collided
 	m.lost += sw.lost
 	m.deliveries += sw.deliveries
+	m.unhold(f)
 }
 
 // maxNeighborTables bounds the neighbour tables a medium keeps. A PEAS run
@@ -441,7 +518,9 @@ func (m *Medium) neighbors(queryRange float64) *geom.Neighbors {
 // sweep is what one transmission's receiver sweep shares between its
 // candidates: the frame, its timing, and the batched counter updates.
 type sweep struct {
-	pkt       Packet
+	f         *frame
+	from      NodeID
+	reqRange  float64
 	airtime   float64
 	now, end  sim.Time
 	physRange float64
@@ -456,11 +535,7 @@ type sweep struct {
 // (irregularity, fixed power) the exact historical arithmetic — Sqrt first,
 // then divide/compare — is reproduced so trajectories stay bit-identical.
 func (m *Medium) receive(sw *sweep, i int, d2 float64) {
-	if NodeID(i) == sw.pkt.From {
-		return
-	}
-	rcv := m.nodes[i]
-	if rcv == nil || !rcv.Listening() {
+	if NodeID(i) == sw.from || !m.listening[i] {
 		return
 	}
 	dist := -1.0 // computed lazily from d2
@@ -497,14 +572,14 @@ func (m *Medium) receive(sw *sweep, i int, d2 float64) {
 		if dist < 0 {
 			dist = math.Sqrt(d2)
 		}
-		if dist > sw.pkt.Range {
+		if dist > sw.reqRange {
 			return
 		}
 	}
 	deliverAt := sw.end
 	copies := 1
 	if m.faults != nil {
-		fd := m.faults.JudgeFrame(sw.pkt.From, NodeID(i))
+		fd := m.faults.JudgeFrame(sw.from, NodeID(i))
 		if fd.Drop {
 			return
 		}
@@ -524,7 +599,8 @@ func (m *Medium) receive(sw *sweep, i int, d2 float64) {
 	d.to = int32(i)
 	d.copies = int32(copies)
 	d.dist = dist
-	d.pkt = sw.pkt
+	d.f = sw.f
+	sw.f.holds += int32(copies)
 	for c := 0; c < copies; c++ {
 		m.inflight++
 		m.engine.AtArg(deliverAt, runDelivery, d)
@@ -533,8 +609,7 @@ func (m *Medium) receive(sw *sweep, i int, d2 float64) {
 }
 
 func (m *Medium) deliver(i int, pkt Packet, dist float64) {
-	rcv := m.nodes[i]
-	if rcv == nil || !rcv.Listening() {
+	if !m.listening[i] {
 		// The node slept or died while the frame was in flight.
 		return
 	}
@@ -544,5 +619,5 @@ func (m *Medium) deliver(i int, pkt Packet, dist float64) {
 		return
 	}
 	m.delivered++
-	rcv.Deliver(pkt, dist)
+	m.nodes[i].Deliver(pkt, dist)
 }

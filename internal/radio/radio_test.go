@@ -22,7 +22,9 @@ func newSinkRecorder() *sinkRecorder {
 func (s *sinkRecorder) SpendTx(id NodeID, secs float64) { s.tx[id] += secs }
 func (s *sinkRecorder) SpendRx(id NodeID, secs float64) { s.rx[id] += secs }
 
-// stubReceiver is a configurable protocol endpoint.
+// stubReceiver is a configurable protocol endpoint. listening seeds the
+// medium's power flag at Attach; tests power a radio down afterwards with
+// Medium.SetListening, as the node layer does.
 type stubReceiver struct {
 	listening bool
 	got       []Packet
@@ -94,7 +96,7 @@ func TestBroadcastDeliversWithinRange(t *testing.T) {
 func TestSleepingNodesReceiveNothing(t *testing.T) {
 	positions := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}
 	m, engine, rcv, sink := testMedium(DefaultConfig(), positions)
-	rcv[1].listening = false
+	m.SetListening(1, false)
 	m.Broadcast(Packet{From: 0, Size: 25, Range: 3})
 	engine.Run(sim.Forever)
 	if len(rcv[1].got) != 0 {
@@ -109,7 +111,7 @@ func TestNodeSleepsWhileFrameInFlight(t *testing.T) {
 	positions := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}
 	m, engine, rcv, _ := testMedium(DefaultConfig(), positions)
 	m.Broadcast(Packet{From: 0, Size: 25, Range: 3})
-	engine.Schedule(0.005, func() { rcv[1].listening = false })
+	engine.Schedule(0.005, func() { m.SetListening(1, false) })
 	engine.Run(sim.Forever)
 	if len(rcv[1].got) != 0 {
 		t.Error("node that slept mid-flight still received the frame")

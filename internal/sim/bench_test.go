@@ -47,11 +47,11 @@ func BenchmarkQueueChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueNearFar is the shape of a PEAS run at N = 800: 1600 long
-// timers (a wake-up and a depletion deadline per node) parked in the far
-// heap while every executed event was scheduled 10 ms ahead. The sift each
-// pop pays is the near heap's, not the deployment's; BenchmarkQueueChurn
-// above is the same churn through one deep heap.
+// BenchmarkQueueNearFar is the shape of a PEAS run at N = 1600: one long
+// wait per node (its next wake-up) parked in the far heap while every
+// executed event was scheduled 10 ms ahead. The sift each pop pays is the
+// near heap's, not the deployment's; BenchmarkQueueChurn above is the same
+// churn through one deep heap.
 func BenchmarkQueueNearFar(b *testing.B) {
 	e := NewEngine()
 	fn := func(any) {}
@@ -69,17 +69,22 @@ func BenchmarkQueueNearFar(b *testing.B) {
 	}
 }
 
-// BenchmarkCancelRearm models the battery-death pattern: a far-future
-// event is cancelled and re-armed over and over, leaving tombstones that
-// only compaction can reclaim.
-func BenchmarkCancelRearm(b *testing.B) {
+// BenchmarkTimerRearm models the battery-depletion pattern of an N = 800
+// run: one far-future deadline per node, one of which moves on every
+// charged packet. A re-arm moves the timer in place in the engine's
+// indexed timer heap, leaving no tombstone behind for a compaction to
+// sweep.
+func BenchmarkTimerRearm(b *testing.B) {
 	e := NewEngine()
-	fn := func(any) {}
+	timers := make([]*Timer, 800)
+	for i := range timers {
+		timers[i] = e.NewTimer(func() {})
+		timers[i].ResetAt(1e9 + float64(i))
+	}
 	b.ReportAllocs()
-	var ev *Event
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Cancel(ev)
-		ev = e.AtArg(1e9+float64(i), fn, nil)
+		timers[i%len(timers)].ResetAt(1e9 + float64(i%997))
 	}
 }
 

@@ -7,18 +7,21 @@ import (
 	"testing"
 )
 
-// This file pins the ordering contract of the pooled near/far queue against
-// a textbook container/heap reference engine. Both implementations are
-// driven through the same seeded trajectory — timestamp collisions, delays
-// on every side of the near window, in-callback scheduling into either
-// heap, cancellations (including re-armed bands that only ever leave a heap
-// through compaction), Stop, supervisor preemption, Step and SetNow — and
-// must execute events in exactly the same order at exactly the same clock
-// readings. The pooled engine runs it with the window forced to 0 (every
-// delayed event is far), at its default, and at +Inf (one heap): where a
-// slot waits must not show. Any divergence in (when, seq) semantics,
-// lazy-cancel handling, head selection or compaction would show up as a
-// reordered trajectory here.
+// This file pins the ordering contract of the pooled near/far queue and the
+// indexed timer heap against a textbook container/heap reference engine.
+// Both implementations are driven through the same seeded trajectory —
+// timestamp collisions, delays on every side of the near window,
+// in-callback scheduling into either heap, cancellations (including
+// re-armed bands that only ever leave a heap through compaction), Timers
+// re-armed, stopped and firing in between (the reference models a re-arm
+// as Cancel plus At, and a stop as Cancel), Stop, supervisor preemption,
+// Step and SetNow — and must execute events in exactly the same order at
+// exactly the same clock readings, with the same number pending at every
+// checkpoint of the script. The pooled engine runs it with the window
+// forced to 0 (every delayed event is far), at its default, and at +Inf
+// (one heap): where a slot waits must not show. Any divergence in
+// (when, seq) semantics, lazy-cancel handling, head selection, timer
+// re-arming or compaction would show up as a reordered trajectory here.
 
 type refEvent struct {
 	when     float64
@@ -133,6 +136,45 @@ func (e *refEngine) SetNow(t float64) {
 	e.now = t
 }
 
+func (e *refEngine) Pending() int {
+	n := 0
+	for _, ev := range e.heap {
+		if !ev.canceled {
+			n++
+		}
+	}
+	return n
+}
+
+// refTimer is a Timer as the reference spells it: an event cancelled and
+// scheduled anew on every re-arm.
+type refTimer struct {
+	e  *refEngine
+	ev any
+	fn func()
+}
+
+func (e *refEngine) NewTimer(fn func()) timerUnderTest { return &refTimer{e: e, fn: fn} }
+
+func (t *refTimer) ResetAt(when float64) {
+	t.Stop()
+	t.ev = t.e.At(when, func() { t.ev = nil; t.fn() })
+}
+
+func (t *refTimer) Reset(delay float64) {
+	if delay < 0 {
+		delay = 0
+	}
+	t.ResetAt(t.e.now + delay)
+}
+
+func (t *refTimer) Stop() {
+	if t.ev != nil {
+		t.e.Cancel(t.ev)
+		t.ev = nil
+	}
+}
+
 // schedulerUnderTest is the common surface the trajectory driver needs.
 type schedulerUnderTest interface {
 	Now() float64
@@ -144,12 +186,21 @@ type schedulerUnderTest interface {
 	Supervise(s *Supervisor)
 	Preempted() bool
 	SetNow(t float64)
+	Pending() int
+	NewTimer(fn func()) timerUnderTest
+}
+
+type timerUnderTest interface {
+	ResetAt(when float64)
+	Reset(delay float64)
+	Stop()
 }
 
 type engineAdapter struct{ *Engine }
 
-func (a engineAdapter) At(when float64, fn func()) any { return a.Engine.At(when, fn) }
-func (a engineAdapter) Cancel(h any)                   { a.Engine.Cancel(h.(*Event)) }
+func (a engineAdapter) At(when float64, fn func()) any    { return a.Engine.At(when, fn) }
+func (a engineAdapter) Cancel(h any)                      { a.Engine.Cancel(h.(*Event)) }
+func (a engineAdapter) NewTimer(fn func()) timerUnderTest { return a.Engine.NewTimer(fn) }
 
 // engineWithWindow is the test hook for the near/far split: production
 // engines always use nearWindow.
@@ -158,6 +209,9 @@ func engineWithWindow(w Time) *Engine {
 	e.window = w
 	return e
 }
+
+// timerIDs is the first log id of a Timer firing; ids below it are events.
+const timerIDs = 1 << 20
 
 // executedAt is one entry of a trajectory's log: which event ran, and what
 // the clock read when it did.
@@ -210,6 +264,45 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 		}
 	}
 
+	// Timers: each firing is logged under its own id. A timer that has
+	// fired fewer than maxFires times may re-arm itself, the way a node's
+	// depletion deadline re-anchors when it fires early, and may re-arm or
+	// stop a peer; events and the script touch them too. The cap bounds the
+	// chain reaction so every drain terminates.
+	const maxFires = 4
+	timers := make([]timerUnderTest, 12)
+	fires := make([]int, len(timers))
+	touchTimer := func() {
+		t := timers[rng.Intn(len(timers))]
+		switch rng.Intn(4) {
+		case 0:
+			t.Stop()
+		case 1:
+			t.Reset(straddle(rng))
+		default:
+			t.ResetAt(s.Now() + straddle(rng))
+		}
+	}
+	for k := range timers {
+		k := k
+		timers[k] = s.NewTimer(func() {
+			log = append(log, executedAt{timerIDs + k, s.Now()})
+			fires[k]++
+			if fires[k] > maxFires {
+				return
+			}
+			if rng.Intn(2) == 0 {
+				timers[k].ResetAt(s.Now() + straddle(rng))
+			}
+			if rng.Intn(3) == 0 {
+				touchTimer()
+			}
+		})
+	}
+	mark := func(id int) {
+		log = append(log, executedAt{id, s.Now()}, executedAt{id, float64(s.Pending())})
+	}
+
 	// scheduleOne arms one event; extra, when set, runs inside its callback
 	// after the common behaviour.
 	var scheduleOne func(when float64, depth int, extra func()) *handleRec
@@ -229,6 +322,9 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 			}
 			if rng.Intn(8) == 0 {
 				cancelRandom()
+			}
+			if rng.Intn(6) == 0 {
+				touchTimer()
 			}
 			if extra != nil {
 				extra()
@@ -269,6 +365,13 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 	for i := 0; i < 250; i++ {
 		cancelRandom()
 	}
+	for _, t := range timers {
+		t.ResetAt(straddle(rng) * float64(1+rng.Intn(30)))
+	}
+	for i := 0; i < 60; i++ {
+		touchTimer()
+	}
+	mark(-5)
 
 	// scripted arms an event the random cancellations cannot reach.
 	scripted := func(when float64, do func()) {
@@ -280,16 +383,19 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 	// any callback at the stop point.
 	scripted(20, s.Stop)
 	s.Run(500)
-	log = append(log, executedAt{-1, s.Now()})
+	mark(-1)
 	for i := 0; i < 40; i++ {
 		scheduleOne(s.Now()+straddle(rng), 0, nil)
+	}
+	for i := 0; i < 20; i++ {
+		touchTimer()
 	}
 	for i := 0; i < 25; i++ {
 		s.Step()
 	}
 	rearm(150, nearWindow/4, nearWindow/512)
 	s.Run(500)
-	log = append(log, executedAt{-2, s.Now()})
+	mark(-2)
 
 	// Supervisor preemption: the flag is raised from a callback and honoured
 	// at the next poll boundary with the clock held there.
@@ -299,11 +405,14 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 	for i := 0; i < 2*superviseStride; i++ {
 		scheduleOne(1003+straddle(rng), 1, nil)
 	}
+	for _, t := range timers {
+		t.ResetAt(1003 + straddle(rng))
+	}
 	s.Run(2000)
 	if !s.Preempted() {
 		panic("trajectory: the supervisor stop was not honoured")
 	}
-	log = append(log, executedAt{-3, s.Now()})
+	mark(-3)
 	sup.Stop.Store(false)
 	rearm(150, 3000, 2)
 	s.Run(2000)
@@ -312,10 +421,16 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 	// Drain, move the clock (backwards: only legal on an empty schedule),
 	// and go again: the split is relative to the clock at scheduling time.
 	s.Run(Forever)
-	log = append(log, executedAt{-4, s.Now()})
+	mark(-4)
 	s.SetNow(7)
+	for i := range fires {
+		fires[i] = 0
+	}
 	for i := 0; i < 200; i++ {
 		scheduleOne(s.Now()+straddle(rng), 0, nil)
+	}
+	for i := 0; i < 30; i++ {
+		touchTimer()
 	}
 	s.Run(Forever)
 	return log
@@ -334,6 +449,15 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 		want := driveTrajectory(&refEngine{}, seed)
 		if len(want) < 1500 {
 			t.Fatalf("seed %d: the reference executed only %d events", seed, len(want))
+		}
+		firings := 0
+		for _, x := range want {
+			if x.id >= timerIDs {
+				firings++
+			}
+		}
+		if firings < 100 {
+			t.Fatalf("seed %d: only %d timer firings; the script does not exercise the timer heap", seed, firings)
 		}
 		for _, win := range windows {
 			eng := engineWithWindow(win.w)

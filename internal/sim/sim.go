@@ -8,13 +8,15 @@
 // must not retain the engine across goroutines.
 //
 // The scheduler is built for an allocation-free hot path: events live in a
-// free list and are reused, the priority queue is a pair of concrete 4-ary
-// min-heaps over small value slots (no container/heap interface boxing) —
-// one for imminent events, one for the long timers, see nearWindow — and
-// the AtArg/ScheduleArg variants let callers schedule a shared callback
-// with a pooled argument record instead of a fresh closure. Execution order
-// is exactly the classic (when, seq) order: strictly increasing timestamps,
-// FIFO among simultaneous events.
+// free list and are reused, and the priority queue is three concrete 4-ary
+// min-heaps over small value slots (no container/heap interface boxing):
+// one for imminent events and one for later ones, see nearWindow, plus an
+// indexed heap of armed Timers, whose deadlines move in place when they are
+// re-armed (see timer.go). The AtArg/ScheduleArg variants let callers
+// schedule a shared callback with a pooled argument record instead of a
+// fresh closure. Execution order is exactly the classic (when, seq) order:
+// strictly increasing timestamps, FIFO among simultaneous events, whichever
+// heap an entry waits in.
 package sim
 
 import (
@@ -32,10 +34,11 @@ const Forever Time = math.MaxFloat64
 // through Engine.Schedule, Engine.At or their Arg variants.
 //
 // Executed events are recycled through a free list, so a caller that holds
-// an *Event must drop the reference once the event has fired (the Timer,
-// Ticker and node-death holders all clear their pointer as the first
-// statement of the callback). Calling Cancel on a stale pointer after the
-// engine has reused the struct would cancel an unrelated event.
+// an *Event must drop the reference once the event has fired (the Ticker
+// replaces its pointer as the first statement of the callback). Calling
+// Cancel on a stale pointer after the engine has reused the struct would
+// cancel an unrelated event. A Timer's firing is an Event the Timer owns:
+// it never enters the free list.
 type Event struct {
 	when Time
 	seq  uint64
@@ -49,7 +52,10 @@ type Event struct {
 	queued   bool
 	far      bool
 	canceled bool
-	next     *Event // free-list link
+	// pos is a Timer firing's index in the engine's timer heap, or -1 while
+	// the timer is stopped. Other events never read it.
+	pos  int32
+	next *Event // free-list link
 }
 
 // Time returns the timestamp the event is (or was) scheduled for.
@@ -179,14 +185,15 @@ type Supervisor struct {
 // window — while keeping the common case to one nil check per event.
 const superviseStride = 256
 
-// nearWindow splits the schedule in two: an event due within nearWindow
+// nearWindow splits the events in two: an event due within nearWindow
 // seconds of the clock at scheduling time goes to the near heap, anything
-// later to the far heap. A PEAS run holds two long timers per node (the
-// next wake-up, the battery-depletion deadline) while nearly everything it
-// executes — radio deliveries, carrier-sense retries, probe windows — was
-// scheduled milliseconds ahead; keeping the long timers out of the heap
-// those events sift through makes an event cost what is imminent, not what
-// is deployed. The value only moves work between the heaps: execution order
+// later to the far heap. A PEAS run holds one long event per node (its next
+// wake-up) in the far heap and one Timer per node (its battery-depletion
+// deadline) in the timer heap, while nearly everything it executes — radio
+// deliveries, carrier-sense retries, probe windows — was scheduled
+// milliseconds ahead; keeping the long waits out of the heap those events
+// sift through makes an event cost what is imminent, not what is deployed.
+// The value only moves work between the near and far heaps: execution order
 // is the (when, seq) order whatever it is, so it is not configurable.
 const nearWindow Time = 1
 
@@ -194,16 +201,18 @@ const nearWindow Time = 1
 type Engine struct {
 	now Time
 	seq uint64
-	// near and far together hold the schedule; the next event to run is the
-	// lesser of the two heads. A slot stays in the heap it was pushed to.
-	near, far eventQueue
-	window    Time // nearWindow; equivalence tests force other values
-	live      int  // queued events not yet cancelled
-	free      *Event
-	executed  uint64
-	stopped   bool
-	preempted bool
-	super     *Supervisor
+	// near, far and timers together hold the schedule; the next event to
+	// run is the least of the three heads. A slot stays in the heap it was
+	// pushed to. timers is indexed: each entry's event records its slot
+	// (Event.pos), so an armed Timer is moved or removed in place.
+	near, far, timers eventQueue
+	window            Time // nearWindow; equivalence tests force other values
+	live              int  // queued events not yet cancelled, plus armed timers
+	free              *Event
+	executed          uint64
+	stopped           bool
+	preempted         bool
+	super             *Supervisor
 
 	// OnEvent, when set, observes every executed event: it runs with the
 	// clock already advanced to the event's time, immediately before the
@@ -226,9 +235,9 @@ func (e *Engine) Now() Time { return e.now }
 // SetNow moves the clock to t without executing anything. It is the
 // restore-side counterpart of a checkpoint: a freshly built engine is
 // positioned at the snapshot time before the pending schedule is rebuilt.
-// SetNow panics if events are still scheduled — moving the clock under a
-// live schedule would let events execute in the past. Lazily-cancelled
-// events do not count as scheduled; they are drained here.
+// SetNow panics if events are still scheduled or a Timer is armed — moving
+// the clock under a live schedule would let events execute in the past.
+// Lazily-cancelled events do not count as scheduled; they are drained here.
 func (e *Engine) SetNow(t Time) {
 	if e.live > 0 {
 		panic("sim: SetNow with a non-empty schedule")
@@ -245,8 +254,8 @@ func (e *Engine) SetNow(t Time) {
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of events still scheduled (cancelled events
-// are removed lazily and never counted).
+// Pending returns the number of events still scheduled, each armed Timer
+// counting once (cancelled events are removed lazily and never counted).
 func (e *Engine) Pending() int { return e.live }
 
 // EngineStats is the engine's own account of the work and memory behind a
@@ -256,18 +265,22 @@ type EngineStats struct {
 	// Events is the number of events executed (Executed).
 	Events uint64
 	// EventStructs is how many Event structs the engine ever allocated.
-	// Between callbacks every struct is either in the heap (live or
-	// tombstoned) or on the free list, so it is counted at read time.
+	// Between callbacks every struct is either in the near or far heap
+	// (live or tombstoned) or on the free list, so it is counted at read
+	// time. Timers own their firing and are not counted.
 	EventStructs uint64
-	// HeapSlots is the capacity of the two heaps' backing arrays: the
-	// high-water mark of simultaneously queued events, rounded up by
-	// append's growth and halved again by a shrink after a drain.
+	// HeapSlots is the capacity of the three heaps' backing arrays: the
+	// high-water mark of simultaneously queued events and armed timers,
+	// rounded up by append's growth and halved again by a shrink after a
+	// drain.
 	HeapSlots int
 	// NearSlots is the near heap's part of HeapSlots — the slots the
-	// imminent events sift through; the rest hold the long timers.
+	// imminent events sift through; the rest hold the later events and the
+	// armed timers.
 	NearSlots int
 	// Compactions is how many times cancelled entries came to dominate
-	// the heap and were swept out in one pass.
+	// the near or far heap and were swept out in one pass. Only Cancel
+	// leaves tombstones; a re-armed or stopped Timer leaves none.
 	Compactions uint64
 }
 
@@ -281,7 +294,7 @@ func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		Events:       e.executed,
 		EventStructs: structs,
-		HeapSlots:    cap(e.near.heap) + cap(e.far.heap),
+		HeapSlots:    cap(e.near.heap) + cap(e.far.heap) + cap(e.timers.heap),
 		NearSlots:    cap(e.near.heap),
 		Compactions:  e.compacted,
 	}
@@ -370,7 +383,9 @@ func (e *Engine) ScheduleArg(delay Time, fn func(any), arg any) *Event {
 // or already-cancelled event is a no-op, so model code can cancel
 // unconditionally. The callback and its argument are released immediately
 // — a cancelled event must not pin captured model state — and the heap
-// entry is dropped lazily when it reaches the front of the queue.
+// entry is dropped lazily when it reaches the front of the queue. A
+// deadline that moves over and over belongs on a Timer, which re-arms in
+// place; Cancel serves Ticker.Stop and one-off cancellations.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.canceled {
 		return
@@ -387,12 +402,12 @@ func (e *Engine) Cancel(ev *Event) {
 		}
 		q.dead++
 		// Cancelled entries are usually dropped lazily when they surface
-		// at the queue head, but a model that keeps re-arming far-future
-		// timers (battery-depletion deadlines move on every packet) would
-		// grow the heap with tombstones that never surface. Compact once
-		// they dominate: release their structs and re-heapify the rest.
-		// Each heap counts its own, so the far heap's tombstones never
-		// re-heapify the near one.
+		// at the queue head, but a caller that keeps cancelling and
+		// re-scheduling far-future events would grow the heap with
+		// tombstones that never surface. Compact once they dominate:
+		// release their structs and re-heapify the rest. Each heap counts
+		// its own, so the far heap's tombstones never re-heapify the near
+		// one.
 		if q.dead >= 64 && q.dead*2 >= len(q.heap) {
 			e.compact(q)
 		}
@@ -422,17 +437,21 @@ func (e *Engine) compact(q *eventQueue) {
 	}
 }
 
-// head returns the heap whose head slot is the lesser under slot.less —
-// exactly the head one merged heap would have — or nil when both are empty.
+// head returns the heap whose head slot is the least under slot.less —
+// exactly the head one merged heap would have — or nil when all three are
+// empty.
 func (e *Engine) head() *eventQueue {
-	near, far := e.near.heap, e.far.heap
-	if len(far) > 0 && (len(near) == 0 || far[0].less(near[0])) {
-		return &e.far
+	q := &e.near
+	if far := e.far.heap; len(far) > 0 && (len(q.heap) == 0 || far[0].less(q.heap[0])) {
+		q = &e.far
 	}
-	if len(near) == 0 {
+	if tm := e.timers.heap; len(tm) > 0 && (len(q.heap) == 0 || tm[0].less(q.heap[0])) {
+		q = &e.timers
+	}
+	if len(q.heap) == 0 {
 		return nil
 	}
-	return &e.near
+	return q
 }
 
 // drop discards the tombstone that has surfaced at q's head.
@@ -442,8 +461,16 @@ func (e *Engine) drop(q *eventQueue) {
 }
 
 // execute pops q's head, advances the clock to it and runs its callback.
+// A Timer's firing leaves the timer heap disarmed before its callback runs,
+// so the callback may re-arm it, and never joins the free list.
 func (e *Engine) execute(q *eventQueue) {
-	ev := q.pop()
+	timer := q == &e.timers
+	var ev *Event
+	if timer {
+		ev = q.removeAt(0)
+	} else {
+		ev = q.pop()
+	}
 	e.live--
 	when := ev.when
 	e.now = when
@@ -456,7 +483,9 @@ func (e *Engine) execute(q *eventQueue) {
 	} else if ev.fn != nil {
 		ev.fn()
 	}
-	e.release(ev)
+	if !timer {
+		e.release(ev)
+	}
 }
 
 // Stop makes the current Run call return after the executing event

@@ -208,6 +208,52 @@ func TestTimer(t *testing.T) {
 	}
 }
 
+// TestTimerRearmsInPlace pins what a Timer is for: a deadline re-armed a
+// thousand times, earlier and later, is one armed entry — counted once in
+// Pending, no Event struct, no tombstone, no compaction — and fires once,
+// at its last deadline, counted as one executed event. ResetAt clamps a
+// past deadline to now, and SetNow refuses to move the clock under an
+// armed timer.
+func TestTimerRearmsInPlace(t *testing.T) {
+	e := NewEngine()
+	var firedAt []Time
+	timer := e.NewTimer(func() { firedAt = append(firedAt, e.Now()) })
+	if timer.NextAt() != Forever {
+		t.Fatalf("stopped timer NextAt = %v, want Forever", timer.NextAt())
+	}
+	e.At(1, func() {})
+	for i := 0; i < 1000; i++ {
+		timer.ResetAt(1e6 + float64((i*7919)%1000))
+	}
+	timer.ResetAt(50)
+	if s := e.Stats(); e.Pending() != 2 || s.Compactions != 0 || s.EventStructs != 1 || len(e.timers.heap) != 1 {
+		t.Fatalf("after 1001 re-arms: pending %d, %+v, %d timer slots; want 2 pending, 1 struct, 1 slot, no compaction",
+			e.Pending(), s, len(e.timers.heap))
+	}
+	if timer.NextAt() != 50 {
+		t.Fatalf("NextAt = %v, want 50", timer.NextAt())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetNow with an armed timer did not panic")
+			}
+		}()
+		e.SetNow(0)
+	}()
+	e.Run(Forever)
+	if len(firedAt) != 1 || firedAt[0] != 50 || e.Executed() != 2 || e.Pending() != 0 {
+		t.Fatalf("fired at %v, executed %d, pending %d; want one firing at 50 of 2 events, none pending",
+			firedAt, e.Executed(), e.Pending())
+	}
+	timer.ResetAt(10) // in the past now
+	if timer.NextAt() != 50 {
+		t.Fatalf("a past deadline re-armed at %v, want clamped to now 50", timer.NextAt())
+	}
+	timer.Stop()
+	e.SetNow(0)
+}
+
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	ticks := 0

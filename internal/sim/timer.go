@@ -1,45 +1,153 @@
 package sim
 
-// Timer is a restartable single-shot timer bound to an Engine. It mirrors
-// the shape of time.Timer so protocol code reads naturally in both the
-// simulator and the live runtime. Arming a timer is allocation-free: the
-// firing event carries the timer itself as its argument instead of a
-// per-Reset closure.
+// Timer is a restartable single-shot timer bound to an Engine: the
+// engine's deadline that moves. It mirrors the shape of time.Timer so
+// protocol code reads naturally in both the simulator and the live runtime.
+//
+// An armed timer waits in the engine's own indexed heap, where re-arming
+// moves it in place and stopping removes it at once: no tombstone is left
+// behind and nothing is allocated. Its ordering is an ordinary event's —
+// every arming consumes one sequence number, exactly as Cancel plus At
+// would — and a firing is an executed event like any other: it counts in
+// Executed, is seen by OnEvent and by the supervisor poll, and an armed
+// timer counts once in Pending.
 type Timer struct {
 	engine *Engine
-	event  *Event
-	fn     func()
-}
-
-// timerFire is the shared firing callback for every Timer.
-func timerFire(a any) {
-	t := a.(*Timer)
-	t.event = nil
-	t.fn()
+	ev     Event // the firing: when, seq and fn; ev.pos is its heap index
 }
 
 // NewTimer returns a stopped timer that will invoke fn when it fires.
 func (e *Engine) NewTimer(fn func()) *Timer {
-	return &Timer{engine: e, fn: fn}
+	t := &Timer{engine: e}
+	t.ev.fn = fn
+	t.ev.pos = -1
+	return t
 }
 
-// Reset (re)arms the timer to fire after delay. An armed timer is
-// cancelled first, so at most one firing is pending at a time.
+// Reset (re)arms the timer to fire after delay; a negative delay is
+// clamped to zero. At most one firing is pending at a time.
 func (t *Timer) Reset(delay Time) {
-	t.Stop()
-	t.event = t.engine.ScheduleArg(delay, timerFire, t)
+	if delay < 0 {
+		delay = 0
+	}
+	t.ResetAt(t.engine.now + delay)
+}
+
+// ResetAt (re)arms the timer to fire at the absolute time when; a time in
+// the past is clamped to the current instant. Restores use it to re-arm a
+// recorded deadline exactly: now+(when-now) need not round back to when.
+func (t *Timer) ResetAt(when Time) {
+	e := t.engine
+	if when < e.now {
+		when = e.now
+	}
+	e.seq++
+	s := slot{when: when, seq: e.seq, ev: &t.ev}
+	t.ev.when, t.ev.seq = when, e.seq
+	if t.ev.pos < 0 {
+		e.live++
+		e.timers.heap = append(e.timers.heap, s)
+		e.timers.up(len(e.timers.heap)-1, s)
+		return
+	}
+	e.timers.fix(int(t.ev.pos), s)
 }
 
 // Stop disarms the timer. Stopping an unarmed timer is a no-op.
 func (t *Timer) Stop() {
-	if t.event != nil {
-		t.engine.Cancel(t.event)
-		t.event = nil
+	if t.ev.pos >= 0 {
+		t.engine.timers.removeAt(int(t.ev.pos))
+		t.engine.live--
 	}
 }
 
 // Armed reports whether a firing is pending.
-func (t *Timer) Armed() bool { return t.event != nil }
+func (t *Timer) Armed() bool { return t.ev.pos >= 0 }
+
+// NextAt returns the absolute time of the pending firing, or Forever when
+// the timer is stopped. Checkpoints record it to re-arm the deadline.
+func (t *Timer) NextAt() Time {
+	if t.ev.pos < 0 {
+		return Forever
+	}
+	return t.ev.when
+}
+
+// The timer heap is an eventQueue whose slots keep their own index in
+// ev.pos: every write of a slot goes through place, so a timer can be found
+// in its heap without a search.
+
+func (q *eventQueue) place(i int, s slot) {
+	q.heap[i] = s
+	s.ev.pos = int32(i)
+}
+
+// up places s, bound for index i, after moving down every ancestor it
+// precedes.
+func (q *eventQueue) up(i int, s slot) {
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !s.less(q.heap[p]) {
+			break
+		}
+		q.place(i, q.heap[p])
+		i = p
+	}
+	q.place(i, s)
+}
+
+// down places s, bound for index i, after moving up every least child it
+// follows.
+func (q *eventQueue) down(i int, s slot) {
+	heap := q.heap
+	n := len(heap)
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if heap[j].less(heap[m]) {
+				m = j
+			}
+		}
+		if !heap[m].less(s) {
+			break
+		}
+		q.place(i, heap[m])
+		i = m
+	}
+	q.place(i, s)
+}
+
+// fix places s, whose key replaces that of the slot at index i.
+func (q *eventQueue) fix(i int, s slot) {
+	if i > 0 && s.less(q.heap[(i-1)>>2]) {
+		q.up(i, s)
+	} else {
+		q.down(i, s)
+	}
+}
+
+// removeAt takes the slot at index i out of the heap and returns its event,
+// marked stopped.
+func (q *eventQueue) removeAt(i int) *Event {
+	ev := q.heap[i].ev
+	n := len(q.heap) - 1
+	last := q.heap[n]
+	q.heap[n] = slot{}
+	q.heap = q.heap[:n]
+	if i < n {
+		q.fix(i, last)
+	}
+	ev.pos = -1
+	return ev
+}
 
 // Ticker repeatedly invokes a callback at a fixed period until stopped.
 type Ticker struct {

@@ -42,7 +42,7 @@ func Attach(r *Recorder, net *node.Network) {
 		switch pkt.Payload.(type) {
 		case core.Probe:
 			detail = "probe"
-		case core.Reply:
+		case core.Reply, *core.Reply:
 			detail = "reply"
 		}
 		r.Record(Event{
