@@ -280,9 +280,9 @@ func printStats(n int, seed int64, forwarding bool, res *peas.RunStats) {
 		res.PacketsSent, res.PacketsDelivered, res.PacketsCollided)
 	if res.EngineEvents > 0 {
 		share := func(n uint64) float64 { return 100 * float64(n) / float64(res.EngineEvents) }
-		fmt.Printf("engine:                %d events (%.0f%% deliveries, %.0f%% CSMA deferrals, %.0f%% protocol timers, %.0f%% other); %d heap slots (%d near), %d compactions\n",
+		fmt.Printf("engine:                %d events (%.0f%% deliveries, %.0f%% CSMA deferrals, %.0f%% protocol timers, %.0f%% other); %d heap slots (%d near)\n",
 			res.EngineEvents, share(res.DeliveryEvents), share(res.DeferralEvents), share(res.TimerEvents),
-			share(res.OtherEvents), res.HeapSlots, res.NearSlots, res.Compactions)
+			share(res.OtherEvents), res.HeapSlots, res.NearSlots)
 	}
 }
 

@@ -159,25 +159,20 @@ type RunStats struct {
 	// are in neither the snapshot nor the state hash.
 	WorkingTransitions int `json:",omitempty"`
 	RouteRebuilds      int `json:",omitempty"`
-	// EngineEvents, EventStructs, HeapSlots and Compactions are the
-	// engine's own account of the run (sim.EngineStats): events executed
-	// (timer firings included), Event structs ever allocated, the capacity
-	// of the engine's three heaps and its tombstone compactions. Only
-	// Engine.Cancel (and Ticker.Stop, built on it) leaves tombstones, and
-	// no model code calls either, so Compactions reads zero: the depletion
-	// deadlines that once filled the far heap with tombstones are sim.Timers
-	// that move in place. Like the two above these describe this
-	// process's run only — a resumed run counts from its resume point —
-	// and are in neither the snapshot nor the state hash. Each engine
-	// counts for itself, so they are exact under any number of
+	// EngineEvents, EventStructs and HeapSlots are the engine's own
+	// account of the run (sim.EngineStats): events executed (timer and
+	// ticker firings included), event records ever allocated and the
+	// capacity of the engine's three queues. Like the two above these
+	// describe this process's run only — a resumed run counts from its
+	// resume point — and are in neither the snapshot nor the state hash.
+	// Each engine counts for itself, so they are exact under any number of
 	// concurrent runs.
 	EngineEvents uint64 `json:",omitempty"`
 	EventStructs uint64 `json:",omitempty"`
 	HeapSlots    int    `json:",omitempty"`
-	Compactions  uint64 `json:",omitempty"`
-	// NearSlots is the part of HeapSlots the imminent events sift through;
-	// the rest hold the long waits: each node's next wake-up in the far
-	// heap and its depletion deadline in the timer heap.
+	// NearSlots is the part of HeapSlots the imminent events are inserted
+	// into, the near run; the rest hold the long waits: each node's next
+	// wake-up in the far heap and its depletion deadline in the timer heap.
 	NearSlots int `json:",omitempty"`
 	// DeliveryEvents, DeferralEvents, TimerEvents and OtherEvents split
 	// EngineEvents by who scheduled the event, from tallies the layers
@@ -424,8 +419,8 @@ func Run(cfg RunConfig) (*RunStats, error) {
 	}
 	res.PacketsSent, res.PacketsDelivered, res.PacketsCollided, _, _ = net.Medium.Stats()
 	es := net.Engine.Stats()
-	res.EngineEvents, res.EventStructs, res.HeapSlots, res.NearSlots, res.Compactions =
-		es.Events, es.EventStructs, es.HeapSlots, es.NearSlots, es.Compactions
+	res.EngineEvents, res.EventStructs, res.HeapSlots, res.NearSlots =
+		es.Events, es.EventStructs, es.HeapSlots, es.NearSlots
 	deferrals, timers := eventSources(net)
 	res.DeliveryEvents = net.Medium.DeliveryEvents()
 	res.DeferralEvents = deferrals - deferrals0

@@ -24,10 +24,11 @@ import (
 // than shared with geom.Index: Index.Within2 is the radio medium's hot
 // path and is left untouched.
 type router struct {
-	pos      []geom.Point // every deployed node, by node id
-	src, dst geom.Point
-	rt       float64
-	direct   bool // src reaches dst in one hop; no relay is needed
+	pos    []geom.Point // every deployed node, by node id
+	src    geom.Point
+	rt     float64
+	direct bool   // src reaches dst in one hop; no relay is needed
+	sink   []bool // sink[id]: node id reaches dst in one hop; nodes never move
 
 	// Bucket grid. Bucket b owns entries[starts[b]:starts[b+1]], sized
 	// for every deployed node that falls in it; the first lens[b] of those
@@ -63,7 +64,7 @@ func newRouter(field geom.Field, pos []geom.Point, src, dst geom.Point, rt float
 	}
 	n := len(pos)
 	r := &router{
-		pos: pos, src: src, dst: dst, rt: rt,
+		pos: pos, src: src, rt: rt,
 		direct: src.Dist(dst) <= rt,
 		cell:   cell,
 		cols:   int(math.Ceil(field.Width/cell)) + 1,
@@ -81,10 +82,12 @@ func newRouter(field geom.Field, pos []geom.Point, src, dst geom.Point, rt float
 	r.starts = make([]int32, nb+1)
 	r.lens = make([]int32, nb)
 	r.entries = make([]int32, n)
+	r.sink = make([]bool, n)
 	for i, p := range pos {
 		b := r.bucketOf(p)
 		r.bucket[i] = int32(b)
 		r.starts[b+1]++
+		r.sink[i] = p.Dist(dst) <= rt
 	}
 	for b := 0; b < nb; b++ {
 		r.starts[b+1] += r.starts[b]
@@ -190,7 +193,7 @@ func (r *router) shortest(call uint64) ([]int32, bool) {
 	r.sweep(r.src, fromSource, call)
 	for head := 0; head < len(r.queue); head++ {
 		cur := r.queue[head]
-		if r.pos[cur].Dist(r.dst) <= r.rt {
+		if r.sink[cur] {
 			start := len(r.pathIDs)
 			for at := cur; at != fromSource; at = r.prev[at] {
 				r.pathIDs = append(r.pathIDs, at)

@@ -157,7 +157,6 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 			es := eng.Stats()
 			p.counters.Add("engine_events", es.Events)
 			p.counters.Add("engine_event_structs", es.EventStructs)
-			p.counters.Add("engine_compactions", es.Compactions)
 		}
 	}()
 	// The supervisor is the cancel/deadline/watchdog control surface of

@@ -478,7 +478,11 @@ func (m *Medium) send(f *frame) {
 	// kept, the index sweep itself. Counter updates are batched in sw and
 	// flushed once after the sweep; nothing can observe the medium counters
 	// mid-event.
-	sw := sweep{f: f, from: pkt.From, reqRange: pkt.Range, airtime: airtime, now: now, end: end, physRange: physRange}
+	// Fields are set one by one: a composite literal is built in a
+	// temporary and block-copied into sw.
+	var sw sweep
+	sw.f, sw.from, sw.reqRange, sw.airtime = f, pkt.From, pkt.Range, airtime
+	sw.now, sw.end, sw.physRange = now, end, physRange
 	if nb := m.neighbors(queryRange); nb != nil {
 		ids, d2 := nb.Row(int(pkt.From))
 		for k, id := range ids {

@@ -320,9 +320,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE peas_inflight gauge\npeas_inflight %d\n", stats.InFlight)
 	fmt.Fprintf(w, "# TYPE peas_cache_entries gauge\npeas_cache_entries %d\n", stats.CacheEntries)
 	fmt.Fprintf(w, "# TYPE peas_job_wall_seconds_total counter\npeas_job_wall_seconds_total %g\n", stats.WallSecondsTotal)
-	// The shared counter set (jobs, cache, runs, the engines' own event,
-	// event-struct and compaction counts, fault classes) in stable name
-	// order.
+	// The shared counter set (jobs, cache, runs, the engines' own event
+	// and event-record counts, fault classes) in stable name order.
 	names := make([]string, 0, len(stats.Counters))
 	for name := range stats.Counters {
 		names = append(names, name)

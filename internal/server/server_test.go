@@ -172,8 +172,7 @@ func TestEndToEndSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"peas_queue_depth", "peas_runs_executed 1", "peas_cache_hits",
-		"# TYPE peas_engine_events counter", "# TYPE peas_engine_event_structs counter",
-		"# TYPE peas_engine_compactions counter"} {
+		"# TYPE peas_engine_events counter", "# TYPE peas_engine_event_structs counter"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}

@@ -48,43 +48,84 @@ func BenchmarkQueueChurn(b *testing.B) {
 }
 
 // BenchmarkQueueNearFar is the shape of a PEAS run at N = 1600: one long
-// wait per node (its next wake-up) parked in the far heap while every
-// executed event was scheduled 10 ms ahead. The sift each pop pays is the
-// near heap's, not the deployment's; BenchmarkQueueChurn above is the same
-// churn through one deep heap.
+// wait per node (its next wake-up) parked in the far heap while what runs
+// was scheduled milliseconds ahead. Each iteration opens a 100 ms probe
+// window and sends two 10 ms deliveries that land in front of the window
+// ends already waiting, so the near run takes one append and two shifting
+// insertions; BenchmarkQueueChurn above is the same churn through one deep
+// heap.
 func BenchmarkQueueNearFar(b *testing.B) {
 	e := NewEngine()
 	fn := func(any) {}
 	for i := 0; i < 1600; i++ {
 		e.AtArg(1e9+float64(i), fn, nil)
 	}
-	for i := 0; i < 8; i++ {
-		e.ScheduleArg(0.001*float64(i+1), fn, nil)
+	nearFar := func() {
+		e.ScheduleArg(0.1, fn, nil)
+		e.ScheduleArg(0.01, fn, nil)
+		e.ScheduleArg(0.01, fn, nil)
+		e.Step()
+		e.Step()
+		e.Step()
+	}
+	for i := 0; i < 100; i++ {
+		nearFar()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.ScheduleArg(0.01, fn, nil)
+		nearFar()
+	}
+}
+
+// BenchmarkQueueNearSpill holds 2·maxShift window ends in the near run and
+// lands every delivery in front of all of them, so each one is refused by
+// the run and waits in the far heap beside 1600 parked wake-ups.
+func BenchmarkQueueNearSpill(b *testing.B) {
+	e := NewEngine()
+	fn := func(any) {}
+	for i := 0; i < 1600; i++ {
+		e.AtArg(1e9+float64(i), fn, nil)
+	}
+	for i := 0; i < 2*maxShift; i++ {
+		e.ScheduleArg(0.5+float64(i)*0.001, fn, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ScheduleArg(0, fn, nil)
 		e.Step()
+	}
+	if e.near.spills < uint64(b.N) {
+		b.Fatalf("%d spills in %d iterations", e.near.spills, b.N)
 	}
 }
 
 // BenchmarkTimerRearm models the battery-depletion pattern of an N = 800
-// run: one far-future deadline per node, one of which moves on every
-// charged packet. A re-arm moves the timer in place in the engine's
-// indexed timer heap, leaving no tombstone behind for a compaction to
-// sweep.
+// run: one far-future deadline per node, moved in place in the engine's
+// indexed timer heap. A working node's every transmit charge brings its
+// deadline a little earlier; going to sleep moves it far later once. Each
+// node here takes seven charges and one sleep in turn, so the heap sees
+// mostly short sifts up and the odd long sift down.
 func BenchmarkTimerRearm(b *testing.B) {
 	e := NewEngine()
 	timers := make([]*Timer, 800)
+	deadline := make([]Time, len(timers))
 	for i := range timers {
 		timers[i] = e.NewTimer(func() {})
-		timers[i].ResetAt(1e9 + float64(i))
+		deadline[i] = 1e9 + float64(i)
+		timers[i].ResetAt(deadline[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		timers[i%len(timers)].ResetAt(1e9 + float64(i%997))
+		k := (i / 8 * 7919) % len(timers)
+		if i%8 < 7 {
+			deadline[k] -= 1.5
+		} else {
+			deadline[k] += 400
+		}
+		timers[k].ResetAt(deadline[k])
 	}
 }
 

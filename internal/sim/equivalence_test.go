@@ -7,21 +7,23 @@ import (
 	"testing"
 )
 
-// This file pins the ordering contract of the pooled near/far queue and the
-// indexed timer heap against a textbook container/heap reference engine.
-// Both implementations are driven through the same seeded trajectory —
-// timestamp collisions, delays on every side of the near window,
-// in-callback scheduling into either heap, cancellations (including
-// re-armed bands that only ever leave a heap through compaction), Timers
-// re-armed, stopped and firing in between (the reference models a re-arm
-// as Cancel plus At, and a stop as Cancel), Stop, supervisor preemption,
-// Step and SetNow — and must execute events in exactly the same order at
-// exactly the same clock readings, with the same number pending at every
-// checkpoint of the script. The pooled engine runs it with the window
-// forced to 0 (every delayed event is far), at its default, and at +Inf
-// (one heap): where a slot waits must not show. Any divergence in
-// (when, seq) semantics, lazy-cancel handling, head selection, timer
-// re-arming or compaction would show up as a reordered trajectory here.
+// This file pins the ordering contract of the pooled engine — near run, far
+// heap and indexed timer heap — against a textbook container/heap reference
+// engine. Both implementations are driven through the same seeded
+// trajectory — timestamp collisions, delays on every side of the near
+// window, in-callback scheduling into either queue, bursts that land in
+// front of a deep near run until it spills into the far heap, a conveyor
+// that keeps the run full until it slides its live slots down over its
+// popped head, Timers re-armed earlier and later, stopped and firing in
+// between (the reference models a re-arm as a cancel plus At, and a stop as
+// a cancel), Stop, supervisor preemption, Step and SetNow — and must
+// execute events in exactly the same order at exactly the same clock
+// readings, with the same number pending at every checkpoint of the
+// script. The pooled engine runs it with the window forced to 0 (every
+// delayed event is far), at its default, and at +Inf (every event is near
+// unless the run spills it): where a slot waits must not show. Any
+// divergence in (when, seq) semantics, head selection, run insertion,
+// spilling or timer re-arming would show up as a reordered trajectory here.
 
 type refEvent struct {
 	when     float64
@@ -65,7 +67,7 @@ type refEngine struct {
 
 func (e *refEngine) Now() float64 { return e.now }
 
-func (e *refEngine) At(when float64, fn func()) any {
+func (e *refEngine) at(when float64, fn func()) *refEvent {
 	if when < e.now {
 		when = e.now
 	}
@@ -75,8 +77,11 @@ func (e *refEngine) At(when float64, fn func()) any {
 	return ev
 }
 
-func (e *refEngine) Cancel(h any) {
-	ev := h.(*refEvent)
+func (e *refEngine) At(when float64, fn func()) { e.at(when, fn) }
+
+// cancel is how the reference stops a timer: the entry stays in the heap,
+// marked, and is dropped when it surfaces.
+func (e *refEngine) cancel(ev *refEvent) {
 	ev.canceled = true
 	ev.fn = nil
 }
@@ -150,7 +155,7 @@ func (e *refEngine) Pending() int {
 // scheduled anew on every re-arm.
 type refTimer struct {
 	e  *refEngine
-	ev any
+	ev *refEvent
 	fn func()
 }
 
@@ -158,7 +163,7 @@ func (e *refEngine) NewTimer(fn func()) timerUnderTest { return &refTimer{e: e, 
 
 func (t *refTimer) ResetAt(when float64) {
 	t.Stop()
-	t.ev = t.e.At(when, func() { t.ev = nil; t.fn() })
+	t.ev = t.e.at(when, func() { t.ev = nil; t.fn() })
 }
 
 func (t *refTimer) Reset(delay float64) {
@@ -170,7 +175,7 @@ func (t *refTimer) Reset(delay float64) {
 
 func (t *refTimer) Stop() {
 	if t.ev != nil {
-		t.e.Cancel(t.ev)
+		t.e.cancel(t.ev)
 		t.ev = nil
 	}
 }
@@ -178,8 +183,7 @@ func (t *refTimer) Stop() {
 // schedulerUnderTest is the common surface the trajectory driver needs.
 type schedulerUnderTest interface {
 	Now() float64
-	At(when float64, fn func()) any
-	Cancel(h any)
+	At(when float64, fn func())
 	Run(until float64)
 	Step() bool
 	Stop()
@@ -198,8 +202,6 @@ type timerUnderTest interface {
 
 type engineAdapter struct{ *Engine }
 
-func (a engineAdapter) At(when float64, fn func()) any    { return a.Engine.At(when, fn) }
-func (a engineAdapter) Cancel(h any)                      { a.Engine.Cancel(h.(*Event)) }
 func (a engineAdapter) NewTimer(fn func()) timerUnderTest { return a.Engine.NewTimer(fn) }
 
 // engineWithWindow is the test hook for the near/far split: production
@@ -245,24 +247,12 @@ func straddle(rng *rand.Rand) float64 {
 // driveTrajectory runs one seeded script against s and returns the log of
 // executed events. The script only draws randomness in a sequence
 // determined by execution order, so two implementations with identical
-// ordering consume identical draws.
-func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
+// ordering consume identical draws. atMark, when set, runs at every marker
+// of the script.
+func driveTrajectory(s schedulerUnderTest, seed int64, atMark func()) []executedAt {
 	rng := rand.New(rand.NewSource(seed))
 	var log []executedAt
 	nextID := 0
-	type handleRec struct {
-		h    any
-		open bool
-	}
-	var recs []*handleRec
-
-	cancelRandom := func() {
-		victim := recs[rng.Intn(len(recs))]
-		if victim.open {
-			victim.open = false
-			s.Cancel(victim.h)
-		}
-	}
 
 	// Timers: each firing is logged under its own id. A timer that has
 	// fired fewer than maxFires times may re-arm itself, the way a node's
@@ -301,27 +291,25 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 	}
 	mark := func(id int) {
 		log = append(log, executedAt{id, s.Now()}, executedAt{id, float64(s.Pending())})
+		if atMark != nil {
+			atMark()
+		}
 	}
 
 	// scheduleOne arms one event; extra, when set, runs inside its callback
 	// after the common behaviour.
-	var scheduleOne func(when float64, depth int, extra func()) *handleRec
-	scheduleOne = func(when float64, depth int, extra func()) *handleRec {
+	var scheduleOne func(when float64, depth int, extra func())
+	scheduleOne = func(when float64, depth int, extra func()) {
 		id := nextID
 		nextID++
-		rec := &handleRec{open: true}
-		rec.h = s.At(when, func() {
-			rec.open = false
+		s.At(when, func() {
 			log = append(log, executedAt{id, s.Now()})
-			// Model code schedules follow-ups and cancels peers from inside
+			// Model code schedules follow-ups and moves deadlines from inside
 			// callbacks; a follow-up's band is drawn independently of the
 			// band its parent waited in, so near events arm far ones and
 			// far events arm near ones.
 			if depth < 3 && rng.Intn(3) == 0 {
 				scheduleOne(s.Now()+straddle(rng), depth+1, nil)
-			}
-			if rng.Intn(8) == 0 {
-				cancelRandom()
 			}
 			if rng.Intn(6) == 0 {
 				touchTimer()
@@ -330,27 +318,39 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 				extra()
 			}
 		})
-		recs = append(recs, rec)
-		return rec
 	}
 
-	// rearm cancels and re-arms one timer n times at now+base+i·step: all
-	// but the last arming become tombstones that never reach a heap's head,
-	// so only compaction can reclaim them.
-	rearm := func(n int, base, step float64) {
-		var cur *handleRec
+	// burst schedules n events inside the window, each due step before the
+	// one scheduled just before it: every one lands in front of the last,
+	// so the near run shifts one more slot each time until it refuses the
+	// insertion and the event waits in the far heap.
+	burst := func(n int, base, step float64) {
 		for i := 0; i < n; i++ {
-			if cur != nil {
-				cur.open = false
-				s.Cancel(cur.h)
+			scheduleOne(s.Now()+base-float64(i)*step, 3, nil)
+		}
+	}
+	// conveyor schedules n events step apart, each of which schedules one
+	// more n·step after itself for gens generations: every follow-up lands
+	// behind everything queued, so the run stays n deep while its head
+	// advances, and fills its array with a popped head that it must slide
+	// down rather than grow.
+	conveyor := func(n, gens int, step float64) {
+		var link func(gen int) func()
+		link = func(gen int) func() {
+			return func() {
+				if gen < gens {
+					scheduleOne(s.Now()+float64(n)*step, 3, link(gen+1))
+				}
 			}
-			cur = scheduleOne(s.Now()+base+float64(i)*step, 0, nil)
+		}
+		for i := 0; i < n; i++ {
+			scheduleOne(s.Now()+float64(i)*step, 3, link(1))
 		}
 	}
 
 	// Near-term burst with heavy timestamp collisions (forces FIFO
 	// tie-breaking), a far-future band, delays on every side of the window,
-	// and a churned timer in each band.
+	// spilling bursts in two bands and timers re-armed in every band.
 	for i := 0; i < 400; i++ {
 		scheduleOne(float64(rng.Intn(40)), 0, nil)
 	}
@@ -360,11 +360,8 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 	for i := 0; i < 300; i++ {
 		scheduleOne(straddle(rng), 0, nil)
 	}
-	rearm(200, nearWindow/2, nearWindow/1024)
-	rearm(200, 5000, 1)
-	for i := 0; i < 250; i++ {
-		cancelRandom()
-	}
+	burst(3*maxShift, nearWindow/2, nearWindow/1024)
+	burst(2*maxShift, 5000, 1)
 	for _, t := range timers {
 		t.ResetAt(straddle(rng) * float64(1+rng.Intn(30)))
 	}
@@ -373,15 +370,9 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 	}
 	mark(-5)
 
-	// scripted arms an event the random cancellations cannot reach.
-	scripted := func(when float64, do func()) {
-		scheduleOne(when, 3, do)
-		recs = recs[:len(recs)-1]
-	}
-
 	// Engine.Stop from a callback; then Step, and scheduling from outside
 	// any callback at the stop point.
-	scripted(20, s.Stop)
+	scheduleOne(20, 3, s.Stop)
 	s.Run(500)
 	mark(-1)
 	for i := 0; i < 40; i++ {
@@ -393,7 +384,7 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 	for i := 0; i < 25; i++ {
 		s.Step()
 	}
-	rearm(150, nearWindow/4, nearWindow/512)
+	burst(2*maxShift, nearWindow/4, nearWindow/512)
 	s.Run(500)
 	mark(-2)
 
@@ -401,7 +392,7 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 	// at the next poll boundary with the clock held there.
 	var sup Supervisor
 	s.Supervise(&sup)
-	scripted(1003, func() { sup.Stop.Store(true) })
+	scheduleOne(1003, 3, func() { sup.Stop.Store(true) })
 	for i := 0; i < 2*superviseStride; i++ {
 		scheduleOne(1003+straddle(rng), 1, nil)
 	}
@@ -414,18 +405,22 @@ func driveTrajectory(s schedulerUnderTest, seed int64) []executedAt {
 	}
 	mark(-3)
 	sup.Stop.Store(false)
-	rearm(150, 3000, 2)
+	burst(2*maxShift, 3000, 2)
 	s.Run(2000)
 	s.Supervise(nil)
 
 	// Drain, move the clock (backwards: only legal on an empty schedule),
 	// and go again: the split is relative to the clock at scheduling time.
+	// The conveyor runs on its own first, with nothing queued behind it.
 	s.Run(Forever)
 	mark(-4)
 	s.SetNow(7)
 	for i := range fires {
 		fires[i] = 0
 	}
+	conveyor(64, 6, nearWindow/256)
+	s.Run(Forever)
+	mark(-6)
 	for i := 0; i < 200; i++ {
 		scheduleOne(s.Now()+straddle(rng), 0, nil)
 	}
@@ -446,7 +441,7 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 		{"all-near", math.Inf(1)},
 	}
 	for seed := int64(1); seed <= 10; seed++ {
-		want := driveTrajectory(&refEngine{}, seed)
+		want := driveTrajectory(&refEngine{}, seed, nil)
 		if len(want) < 1500 {
 			t.Fatalf("seed %d: the reference executed only %d events", seed, len(want))
 		}
@@ -461,7 +456,18 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 		}
 		for _, win := range windows {
 			eng := engineWithWindow(win.w)
-			got := driveTrajectory(engineAdapter{eng}, seed)
+			var atMark func()
+			if math.IsInf(win.w, 1) {
+				// Nothing is beyond an infinite window, so a far-heap slot
+				// can only be one the near run refused.
+				atMark = func() {
+					if len(eng.far.heap) > int(eng.near.spills) {
+						t.Fatalf("seed %d: window +Inf holds %d far slots after %d spills",
+							seed, len(eng.far.heap), eng.near.spills)
+					}
+				}
+			}
+			got := driveTrajectory(engineAdapter{eng}, seed, atMark)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d, %s: executed %d events, reference executed %d",
 					seed, win.name, len(got), len(want))
@@ -476,58 +482,18 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 				t.Fatalf("seed %d, %s: %d events still pending after exhaustive run",
 					seed, win.name, eng.Pending())
 			}
-			if s := eng.Stats(); s.Compactions == 0 {
-				t.Fatalf("seed %d, %s: the churned timers never forced a compaction", seed, win.name)
+			if win.w == 0 {
+				if eng.Stats().NearSlots >= eng.Stats().HeapSlots/2 {
+					t.Fatalf("seed %d: window 0 still filled the near run: %+v", seed, eng.Stats())
+				}
+				continue
 			}
-			switch {
-			case win.w == 0 && eng.Stats().NearSlots >= eng.Stats().HeapSlots/2:
-				t.Fatalf("seed %d: window 0 still filled the near heap: %+v", seed, eng.Stats())
-			case math.IsInf(win.w, 1) && cap(eng.far.heap) != 0:
-				t.Fatalf("seed %d: window +Inf used the far heap (%d slots)", seed, cap(eng.far.heap))
+			if eng.near.spills == 0 || cap(eng.far.heap) == 0 {
+				t.Fatalf("seed %d, %s: the near run never spilled into the far heap", seed, win.name)
+			}
+			if eng.near.reclaims == 0 {
+				t.Fatalf("seed %d, %s: the near run never reclaimed its popped head", seed, win.name)
 			}
 		}
-	}
-}
-
-// TestCompactionIsPerHeap pins the point of counting tombstones per heap:
-// a timer re-armed over and over inside the window is swept out of the near
-// heap without touching the thousand long timers parked in the far heap,
-// and the far heap is swept for its own tombstones only.
-func TestCompactionIsPerHeap(t *testing.T) {
-	e := NewEngine()
-	fn := func(any) {}
-	for i := 0; i < 1000; i++ {
-		e.AtArg(1e6+float64(i), fn, nil)
-	}
-	rearm := func(n int, at func(i int) Time) {
-		var ev *Event
-		for i := 0; i < n; i++ {
-			e.Cancel(ev)
-			ev = e.AtArg(at(i), fn, nil)
-		}
-	}
-
-	rearm(500, func(i int) Time { return nearWindow / 2 })
-	if s := e.Stats(); s.Compactions == 0 || len(e.near.heap) >= 128 || e.far.dead != 0 || len(e.far.heap) != 1000 {
-		t.Fatalf("near churn: %d compactions, near %d slots, far %d slots (%d dead); want the near heap swept alone",
-			s.Compactions, len(e.near.heap), len(e.far.heap), e.far.dead)
-	}
-	before := e.Stats().Compactions
-
-	// 500 far tombstones among 1000 live timers never reach "half the heap".
-	rearm(500, func(i int) Time { return 2e6 + float64(i) })
-	if got := e.Stats().Compactions; got != before {
-		t.Fatalf("far heap compacted %d times below its own threshold", got-before)
-	}
-	rearm(1200, func(i int) Time { return 3e6 + float64(i) })
-	if got := e.Stats().Compactions; got == before {
-		t.Fatal("far heap never compacted although its tombstones outnumber its live timers")
-	}
-	if e.Pending() != 1003 {
-		t.Fatalf("Pending() = %d, want the 1000 timers and the three re-armed ones", e.Pending())
-	}
-	e.Run(Forever)
-	if e.Executed() != 1003 || e.Pending() != 0 {
-		t.Fatalf("executed %d, pending %d; want 1003 and 0", e.Executed(), e.Pending())
 	}
 }

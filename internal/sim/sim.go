@@ -1,6 +1,6 @@
 // Package sim implements the deterministic discrete-event engine the PEAS
 // evaluation runs on. The paper used PARSEC; this engine provides the same
-// facilities — a virtual clock, scheduled callbacks, and cancellable timers
+// facilities — a virtual clock, scheduled callbacks, and restartable timers
 // — with exact reproducibility: a run is a pure function of the initial
 // schedule and the RNG seeds used by the model code.
 //
@@ -8,15 +8,15 @@
 // must not retain the engine across goroutines.
 //
 // The scheduler is built for an allocation-free hot path: events live in a
-// free list and are reused, and the priority queue is three concrete 4-ary
-// min-heaps over small value slots (no container/heap interface boxing):
-// one for imminent events and one for later ones, see nearWindow, plus an
-// indexed heap of armed Timers, whose deadlines move in place when they are
-// re-armed (see timer.go). The AtArg/ScheduleArg variants let callers
-// schedule a shared callback with a pooled argument record instead of a
-// fresh closure. Execution order is exactly the classic (when, seq) order:
-// strictly increasing timestamps, FIFO among simultaneous events, whichever
-// heap an entry waits in.
+// free list and are reused, and the schedule is three concrete queues over
+// small value slots (no container/heap interface boxing): a sorted run of
+// imminent events, a 4-ary min-heap of later ones, see nearWindow, and an
+// indexed 4-ary heap of armed Timers and Tickers, whose deadlines move in
+// place when they are re-armed (see timer.go). The AtArg/ScheduleArg
+// variants let callers schedule a shared callback with a pooled argument
+// record instead of a fresh closure. Execution order is exactly the classic
+// (when, seq) order: strictly increasing timestamps, FIFO among simultaneous
+// events, whichever queue an entry waits in.
 package sim
 
 import (
@@ -30,47 +30,26 @@ type Time = float64
 // Forever is a timestamp later than any event the engine will execute.
 const Forever Time = math.MaxFloat64
 
-// Event is a scheduled callback. The zero Event is invalid; obtain events
-// through Engine.Schedule, Engine.At or their Arg variants.
-//
-// Executed events are recycled through a free list, so a caller that holds
-// an *Event must drop the reference once the event has fired (the Ticker
-// replaces its pointer as the first statement of the callback). Calling
-// Cancel on a stale pointer after the engine has reused the struct would
-// cancel an unrelated event. A Timer's firing is an Event the Timer owns:
-// it never enters the free list.
-type Event struct {
-	when Time
-	seq  uint64
-	fn   func()
-	afn  func(any)
-	arg  any
-	// queued reports whether the event is still in a heap (live or lazily
-	// cancelled) and far which of the two, so Cancel can count the tombstone
-	// against the heap that holds it. canceled survives until the struct is
-	// reused so post-run Canceled() reads keep working.
-	queued   bool
-	far      bool
-	canceled bool
+// event is a scheduled callback. Events scheduled through At, Schedule and
+// their Arg variants are recycled through the engine's free list once they
+// have run; a Timer owns its firing's event, which never enters the list.
+type event struct {
+	fn  func()
+	afn func(any)
+	arg any
 	// pos is a Timer firing's index in the engine's timer heap, or -1 while
 	// the timer is stopped. Other events never read it.
 	pos  int32
-	next *Event // free-list link
+	next *event // free-list link
 }
 
-// Time returns the timestamp the event is (or was) scheduled for.
-func (e *Event) Time() Time { return e.when }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// slot is one heap entry. The comparison keys are stored by value next to
-// each other so sift operations stay inside one dense array and never
+// slot is one queue entry. The comparison keys are stored by value next to
+// each other so sifts and shifts stay inside one dense array and never
 // dereference the event until it executes.
 type slot struct {
 	when Time
 	seq  uint64
-	ev   *Event
+	ev   *event
 }
 
 func (s slot) less(t slot) bool {
@@ -85,10 +64,9 @@ func (s slot) less(t slot) bool {
 // and the tree is half as deep.
 type eventQueue struct {
 	heap []slot
-	dead int // cancelled events still occupying slots
 }
 
-// shrinkMinCap is the capacity below which the queue never reallocates
+// shrinkMinCap is the capacity below which a queue never reallocates
 // downward; above it, a drain to under a quarter of capacity releases the
 // backing array so a transient event burst does not pin memory forever.
 const shrinkMinCap = 4096
@@ -137,14 +115,14 @@ func siftDown(heap []slot, i int) {
 	heap[i] = s
 }
 
-// pop removes and returns the minimum slot's event. The caller must know
-// the queue is non-empty.
-func (q *eventQueue) pop() *Event {
+// pop removes and returns the minimum slot. The caller must know the queue
+// is non-empty.
+func (q *eventQueue) pop() slot {
 	heap := q.heap
-	ev := heap[0].ev
+	s := heap[0]
 	n := len(heap) - 1
 	heap[0] = heap[n]
-	heap[n] = slot{} // release the *Event for GC
+	heap[n] = slot{} // release the *event for GC
 	heap = heap[:n]
 	if n > 0 {
 		siftDown(heap, 0)
@@ -155,7 +133,76 @@ func (q *eventQueue) pop() *Event {
 		heap = smaller
 	}
 	q.heap = heap
-	return ev
+	return s
+}
+
+// nearRun holds the imminent events as a run sorted by (when, seq): the
+// live slots are s[h:], least first, and s[:h] are slots already popped.
+// Nearly every imminent event lands at or near the tail — a delivery is due
+// one airtime ahead, behind the probe-window ends already waiting — so an
+// insertion shifts a slot or two and a pop is an index increment, where a
+// heap sifts both ways.
+type nearRun struct {
+	s []slot
+	h int
+	// spills counts the insertions push refused (see maxShift), and
+	// reclaims how often it slid the live slots down over the popped head;
+	// cold, read by tests.
+	spills, reclaims uint64
+}
+
+// maxShift bounds the slots an insertion into the near run may shift. An
+// event that would have to pass more of them waits in the far heap instead,
+// so a schedule that keeps landing in front of a deep run costs a heap push,
+// never a long copy.
+const maxShift = 16
+
+// push inserts x in order and reports whether it did; false means x would
+// have had to shift more than maxShift slots and was left to the caller.
+func (r *nearRun) push(x slot) bool {
+	s, n := r.s, len(r.s)
+	// A full array whose popped head is at least half of it is slid down
+	// rather than grown: it grows only while more than half of it is live,
+	// so a run that never quite empties keeps an array within about four
+	// times its deepest point.
+	if n == cap(s) && r.h > 0 && 2*r.h >= n {
+		n = copy(s, s[r.h:])
+		r.h = 0
+		r.reclaims++
+	}
+	s = append(s[:n], x)
+	i := n
+	for i > r.h && x.less(s[i-1]) {
+		if n-i == maxShift {
+			// Slide the shifted slots back and leave x to the caller.
+			copy(s[i:n], s[i+1:])
+			r.s = s[:n]
+			r.spills++
+			return false
+		}
+		s[i] = s[i-1]
+		i--
+	}
+	s[i] = x
+	r.s = s
+	return true
+}
+
+// pop removes and returns the least slot. The caller must know the run is
+// non-empty. Popped slots keep their *event: every event belongs to the
+// engine's pool for the engine's life, so a stale pointer pins nothing.
+func (r *nearRun) pop() slot {
+	x := r.s[r.h]
+	r.h++
+	if r.h == len(r.s) {
+		r.s, r.h = r.s[:0], 0
+	}
+	if cap(r.s) >= shrinkMinCap && (len(r.s)-r.h)*4 <= cap(r.s) {
+		smaller := make([]slot, len(r.s)-r.h, cap(r.s)/2)
+		copy(smaller, r.s[r.h:])
+		r.s, r.h = smaller, 0
+	}
+	return x
 }
 
 // Supervisor is the cross-goroutine control block for a running engine.
@@ -186,15 +233,16 @@ type Supervisor struct {
 const superviseStride = 256
 
 // nearWindow splits the events in two: an event due within nearWindow
-// seconds of the clock at scheduling time goes to the near heap, anything
+// seconds of the clock at scheduling time goes to the near run, anything
 // later to the far heap. A PEAS run holds one long event per node (its next
 // wake-up) in the far heap and one Timer per node (its battery-depletion
 // deadline) in the timer heap, while nearly everything it executes — radio
 // deliveries, carrier-sense retries, probe windows — was scheduled
-// milliseconds ahead; keeping the long waits out of the heap those events
-// sift through makes an event cost what is imminent, not what is deployed.
-// The value only moves work between the near and far heaps: execution order
-// is the (when, seq) order whatever it is, so it is not configurable.
+// milliseconds ahead; keeping the long waits out of the run those events
+// are inserted into makes an event cost what is imminent, not what is
+// deployed. The value only moves work between the near run and the far
+// heap: execution order is the (when, seq) order whatever it is, so it is
+// not configurable.
 const nearWindow Time = 1
 
 // Engine is the discrete-event simulator core.
@@ -202,26 +250,24 @@ type Engine struct {
 	now Time
 	seq uint64
 	// near, far and timers together hold the schedule; the next event to
-	// run is the least of the three heads. A slot stays in the heap it was
+	// run is the least of the three heads. A slot stays in the queue it was
 	// pushed to. timers is indexed: each entry's event records its slot
-	// (Event.pos), so an armed Timer is moved or removed in place.
-	near, far, timers eventQueue
-	window            Time // nearWindow; equivalence tests force other values
-	live              int  // queued events not yet cancelled, plus armed timers
-	free              *Event
-	executed          uint64
-	stopped           bool
-	preempted         bool
-	super             *Supervisor
+	// (event.pos), so an armed Timer is moved or removed in place.
+	near      nearRun
+	far       eventQueue
+	timers    eventQueue
+	window    Time // nearWindow; equivalence tests force other values
+	free      *event
+	executed  uint64
+	stopped   bool
+	preempted bool
+	super     *Supervisor
 
 	// OnEvent, when set, observes every executed event: it runs with the
 	// clock already advanced to the event's time, immediately before the
-	// event callback. It must be read-only — scheduling, cancelling or
+	// event callback. It must be read-only — scheduling, re-arming or
 	// consuming randomness from an observer would perturb the trajectory.
 	OnEvent func(t Time)
-
-	// compacted counts compact() passes; cold, read through Stats.
-	compacted uint64
 }
 
 // NewEngine returns an engine with the clock at zero and an empty schedule.
@@ -237,16 +283,9 @@ func (e *Engine) Now() Time { return e.now }
 // positioned at the snapshot time before the pending schedule is rebuilt.
 // SetNow panics if events are still scheduled or a Timer is armed — moving
 // the clock under a live schedule would let events execute in the past.
-// Lazily-cancelled events do not count as scheduled; they are drained here.
 func (e *Engine) SetNow(t Time) {
-	if e.live > 0 {
+	if e.Pending() > 0 {
 		panic("sim: SetNow with a non-empty schedule")
-	}
-	for _, q := range [...]*eventQueue{&e.near, &e.far} {
-		for len(q.heap) > 0 {
-			e.release(q.pop())
-		}
-		q.dead = 0
 	}
 	e.now = t
 }
@@ -255,8 +294,10 @@ func (e *Engine) SetNow(t Time) {
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events still scheduled, each armed Timer
-// counting once (cancelled events are removed lazily and never counted).
-func (e *Engine) Pending() int { return e.live }
+// or Ticker counting once.
+func (e *Engine) Pending() int {
+	return len(e.near.s) - e.near.h + len(e.far.heap) + len(e.timers.heap)
+}
 
 // EngineStats is the engine's own account of the work and memory behind a
 // run. Every field belongs to this engine alone, so the figures are exact
@@ -264,227 +305,145 @@ func (e *Engine) Pending() int { return e.live }
 type EngineStats struct {
 	// Events is the number of events executed (Executed).
 	Events uint64
-	// EventStructs is how many Event structs the engine ever allocated.
-	// Between callbacks every struct is either in the near or far heap
-	// (live or tombstoned) or on the free list, so it is counted at read
-	// time. Timers own their firing and are not counted.
+	// EventStructs is how many event records the engine ever allocated.
+	// Between callbacks every record is either waiting in the near run or
+	// the far heap or on the free list, so it is counted at read time.
+	// Timers and Tickers own their firing and are not counted.
 	EventStructs uint64
-	// HeapSlots is the capacity of the three heaps' backing arrays: the
+	// HeapSlots is the capacity of the three queues' backing arrays: the
 	// high-water mark of simultaneously queued events and armed timers,
 	// rounded up by append's growth and halved again by a shrink after a
 	// drain.
 	HeapSlots int
-	// NearSlots is the near heap's part of HeapSlots — the slots the
-	// imminent events sift through; the rest hold the later events and the
-	// armed timers.
+	// NearSlots is the near run's part of HeapSlots — the slots the
+	// imminent events are inserted into; the rest hold the later events
+	// and the armed timers.
 	NearSlots int
-	// Compactions is how many times cancelled entries came to dominate
-	// the near or far heap and were swept out in one pass. Only Cancel
-	// leaves tombstones; a re-armed or stopped Timer leaves none.
-	Compactions uint64
 }
 
 // Stats reads the engine's counters. It walks the free list, so call it
 // after a run, not per event; the hot path pays nothing for it.
 func (e *Engine) Stats() EngineStats {
-	structs := uint64(len(e.near.heap) + len(e.far.heap))
+	structs := uint64(len(e.near.s) - e.near.h + len(e.far.heap))
 	for ev := e.free; ev != nil; ev = ev.next {
 		structs++
 	}
 	return EngineStats{
 		Events:       e.executed,
 		EventStructs: structs,
-		HeapSlots:    cap(e.near.heap) + cap(e.far.heap) + cap(e.timers.heap),
-		NearSlots:    cap(e.near.heap),
-		Compactions:  e.compacted,
+		HeapSlots:    cap(e.near.s) + cap(e.far.heap) + cap(e.timers.heap),
+		NearSlots:    cap(e.near.s),
 	}
 }
 
-// alloc takes an event off the free list, or grows the pool.
-func (e *Engine) alloc() *Event {
-	ev := e.free
-	if ev != nil {
-		e.free = ev.next
-		ev.next = nil
-		ev.canceled = false
-	} else {
-		ev = new(Event)
-	}
-	ev.queued = true
-	return ev
-}
-
-// release clears an event's callback state and returns the struct to the
-// free list. The canceled flag is kept until reuse so a holder can still
-// observe Canceled() after the run.
-func (e *Engine) release(ev *Event) {
-	ev.fn = nil
-	ev.afn = nil
-	ev.arg = nil
-	ev.queued = false
-	ev.next = e.free
-	e.free = ev
-}
-
-func (e *Engine) schedule(when Time, fn func(), afn func(any), arg any) *Event {
+func (e *Engine) schedule(when Time, fn func(), afn func(any), arg any) {
 	if when < e.now {
 		when = e.now
 	}
 	e.seq++
-	ev := e.alloc()
-	ev.when = when
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.afn = afn
-	ev.arg = arg
-	ev.far = when-e.now > e.window
-	if ev.far {
-		e.far.push(slot{when: when, seq: e.seq, ev: ev})
+	ev := e.free
+	if ev != nil {
+		e.free = ev.next
 	} else {
-		e.near.push(slot{when: when, seq: e.seq, ev: ev})
+		ev = new(event)
 	}
-	e.live++
-	return ev
+	ev.fn, ev.afn, ev.arg = fn, afn, arg
+	s := slot{when: when, seq: e.seq, ev: ev}
+	if when-e.now > e.window {
+		e.far.push(s)
+	} else if !e.near.push(s) {
+		e.far.push(s)
+	}
 }
 
 // Schedule runs fn after delay seconds of simulated time. A zero delay runs
 // fn after all previously scheduled events at the current instant.
 // Negative delays are clamped to zero; model code that needs to detect
 // negative delays should validate before calling.
-func (e *Engine) Schedule(delay Time, fn func()) *Event {
+func (e *Engine) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.schedule(e.now+delay, fn, nil, nil)
+	e.schedule(e.now+delay, fn, nil, nil)
 }
 
 // At runs fn at the absolute simulation time when. Times in the past are
 // clamped to the current instant.
-func (e *Engine) At(when Time, fn func()) *Event {
-	return e.schedule(when, fn, nil, nil)
+func (e *Engine) At(when Time, fn func()) {
+	e.schedule(when, fn, nil, nil)
 }
 
 // AtArg is the allocation-free variant of At: fn is a shared (typically
 // package-level) function and arg carries the per-event state, so hot
 // paths can schedule pooled argument records instead of fresh closures.
-func (e *Engine) AtArg(when Time, fn func(any), arg any) *Event {
-	return e.schedule(when, nil, fn, arg)
+func (e *Engine) AtArg(when Time, fn func(any), arg any) {
+	e.schedule(when, nil, fn, arg)
 }
 
 // ScheduleArg is the allocation-free variant of Schedule; see AtArg.
-func (e *Engine) ScheduleArg(delay Time, fn func(any), arg any) *Event {
+func (e *Engine) ScheduleArg(delay Time, fn func(any), arg any) {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.schedule(e.now+delay, nil, fn, arg)
+	e.schedule(e.now+delay, nil, fn, arg)
 }
 
-// Cancel removes ev from the schedule. Cancelling a nil, already-executed,
-// or already-cancelled event is a no-op, so model code can cancel
-// unconditionally. The callback and its argument are released immediately
-// — a cancelled event must not pin captured model state — and the heap
-// entry is dropped lazily when it reaches the front of the queue. A
-// deadline that moves over and over belongs on a Timer, which re-arms in
-// place; Cancel serves Ticker.Stop and one-off cancellations.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled {
-		return
+// The three queues a head can come from.
+const (
+	inNear = iota
+	inFar
+	inTimers
+)
+
+// head returns the least of the three queues' head slots under slot.less —
+// exactly the head one merged queue would have — and which queue holds it,
+// or nil when all three are empty.
+func (e *Engine) head() (*slot, int) {
+	var h *slot
+	from := inNear
+	if r := &e.near; r.h < len(r.s) {
+		h = &r.s[r.h]
 	}
-	ev.canceled = true
-	ev.fn = nil
-	ev.afn = nil
-	ev.arg = nil
-	if ev.queued {
-		e.live--
-		q := &e.near
-		if ev.far {
-			q = &e.far
-		}
-		q.dead++
-		// Cancelled entries are usually dropped lazily when they surface
-		// at the queue head, but a caller that keeps cancelling and
-		// re-scheduling far-future events would grow the heap with
-		// tombstones that never surface. Compact once they dominate:
-		// release their structs and re-heapify the rest. Each heap counts
-		// its own, so the far heap's tombstones never re-heapify the near
-		// one.
-		if q.dead >= 64 && q.dead*2 >= len(q.heap) {
-			e.compact(q)
-		}
+	if far := e.far.heap; len(far) > 0 && (h == nil || far[0].less(*h)) {
+		h, from = &far[0], inFar
 	}
+	if tm := e.timers.heap; len(tm) > 0 && (h == nil || tm[0].less(*h)) {
+		h, from = &tm[0], inTimers
+	}
+	return h, from
 }
 
-// compact removes every cancelled entry from q in one pass and restores
-// the heap property bottom-up. Pop order is unaffected: it is determined
-// by the strict (when, seq) total order, not the heap layout.
-func (e *Engine) compact(q *eventQueue) {
-	kept := q.heap[:0]
-	for _, s := range q.heap {
-		if s.ev.canceled {
-			e.release(s.ev)
-		} else {
-			kept = append(kept, s)
-		}
+// execute pops the head of the queue from names, advances the clock to it
+// and runs its callback. A Timer's firing leaves the timer heap disarmed
+// before its callback runs, so the callback may re-arm it, and never joins
+// the free list.
+func (e *Engine) execute(from int) {
+	var s slot
+	switch from {
+	case inNear:
+		s = e.near.pop()
+	case inFar:
+		s = e.far.pop()
+	default:
+		s = e.timers.heap[0]
+		e.timers.removeAt(0)
 	}
-	for i := len(kept); i < len(q.heap); i++ {
-		q.heap[i] = slot{}
-	}
-	q.heap = kept
-	q.dead = 0
-	e.compacted++
-	for i := (len(kept) - 2) >> 2; i >= 0; i-- {
-		siftDown(kept, i)
-	}
-}
-
-// head returns the heap whose head slot is the least under slot.less —
-// exactly the head one merged heap would have — or nil when all three are
-// empty.
-func (e *Engine) head() *eventQueue {
-	q := &e.near
-	if far := e.far.heap; len(far) > 0 && (len(q.heap) == 0 || far[0].less(q.heap[0])) {
-		q = &e.far
-	}
-	if tm := e.timers.heap; len(tm) > 0 && (len(q.heap) == 0 || tm[0].less(q.heap[0])) {
-		q = &e.timers
-	}
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return q
-}
-
-// drop discards the tombstone that has surfaced at q's head.
-func (e *Engine) drop(q *eventQueue) {
-	e.release(q.pop())
-	q.dead--
-}
-
-// execute pops q's head, advances the clock to it and runs its callback.
-// A Timer's firing leaves the timer heap disarmed before its callback runs,
-// so the callback may re-arm it, and never joins the free list.
-func (e *Engine) execute(q *eventQueue) {
-	timer := q == &e.timers
-	var ev *Event
-	if timer {
-		ev = q.removeAt(0)
-	} else {
-		ev = q.pop()
-	}
-	e.live--
-	when := ev.when
-	e.now = when
+	ev := s.ev
+	e.now = s.when
 	e.executed++
 	if e.OnEvent != nil {
-		e.OnEvent(when)
+		e.OnEvent(s.when)
 	}
 	if ev.afn != nil {
 		ev.afn(ev.arg)
 	} else if ev.fn != nil {
 		ev.fn()
 	}
-	if !timer {
-		e.release(ev)
+	if from != inTimers {
+		// Clear the callback state so a recycled record pins nothing.
+		ev.fn, ev.afn, ev.arg = nil, nil, nil
+		ev.next = e.free
+		e.free = ev
 	}
 }
 
@@ -511,15 +470,8 @@ func (e *Engine) Run(until Time) {
 	e.stopped = false
 	e.preempted = false
 	for !e.stopped {
-		q := e.head()
-		if q == nil {
-			break
-		}
-		if q.heap[0].ev.canceled {
-			e.drop(q)
-			continue
-		}
-		if q.heap[0].when > until {
+		h, from := e.head()
+		if h == nil || h.when > until {
 			break
 		}
 		// Polled before the callback, counting the event about to run: a
@@ -532,7 +484,7 @@ func (e *Engine) Run(until Time) {
 				e.preempted = true
 			}
 		}
-		e.execute(q)
+		e.execute(from)
 	}
 	// A supervisor preemption freezes the clock at the stop point so a
 	// checkpoint captured afterwards is stamped with the preemption time;
@@ -544,16 +496,10 @@ func (e *Engine) Run(until Time) {
 
 // Step executes exactly one event and reports whether one was available.
 func (e *Engine) Step() bool {
-	for {
-		q := e.head()
-		if q == nil {
-			return false
-		}
-		if q.heap[0].ev.canceled {
-			e.drop(q)
-			continue
-		}
-		e.execute(q)
-		return true
+	h, from := e.head()
+	if h == nil {
+		return false
 	}
+	e.execute(from)
+	return true
 }
