@@ -239,7 +239,6 @@ func TestCheckJobArmsOracle(t *testing.T) {
 // started -> progress -> done in order, with monotonic progress.
 func TestEventStream(t *testing.T) {
 	pool := New(Config{Workers: 1, QueueDepth: 4})
-	pool.Start()
 	defer pool.Shutdown(context.Background())
 
 	j, _, err := pool.Submit(testSpec(51))
@@ -248,6 +247,9 @@ func TestEventStream(t *testing.T) {
 	}
 	ch, cancelSub := j.Subscribe()
 	defer cancelSub()
+	// Workers start only now: a job already past t = 0 when the stream
+	// opens would greet it with a progress snapshot instead of a start.
+	pool.Start()
 
 	var sawStart, sawProgress, sawDone bool
 	lastT := -1.0
