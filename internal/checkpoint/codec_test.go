@@ -157,9 +157,10 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 
 func TestDecodeRejectsTruncation(t *testing.T) {
 	data := sampleSnapshot().EncodeBytes()
-	for _, n := range []int{0, 4, 11, len(data) / 2, len(data) - 1} {
-		if _, err := DecodeBytes(data[:n]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation to %d bytes: want ErrCorrupt, got %v", n, err)
+	// nil is an input too: it must decode, and fail, rather than encode.
+	for _, in := range [][]byte{nil, data[:0], data[:4], data[:11], data[:len(data)/2], data[:len(data)-1]} {
+		if _, err := DecodeBytes(in); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation to %d bytes (nil: %v): want ErrCorrupt, got %v", len(in), in == nil, err)
 		}
 	}
 }
@@ -177,17 +178,10 @@ func TestDecodeRejectsOversizedCount(t *testing.T) {
 	// attempting the allocation.
 	snap := sampleSnapshot()
 	data := snap.EncodeBytes()
-	// Re-encode the fields preceding the node count to locate its offset.
-	e := &enc{}
-	e.buf = append(e.buf, magic[:]...)
-	e.u32(Version)
-	e.f64(snap.SimTime)
-	e.f64(snap.Horizon)
-	e.f64(snap.FailuresPer5000s)
-	e.boolean(snap.Forwarding)
-	e.f64(snap.CoverageSpacing)
-	encodeNetConfig(e, &snap.Net)
-	off := len(e.buf)
+	// The coder's own walk of the fields before the node count locates it.
+	head := &coder{}
+	snap.codeHead(head)
+	off := len(head.buf)
 	for i := 0; i < 4; i++ {
 		data[off+i] = 0xff
 	}

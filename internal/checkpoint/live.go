@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"io"
 
 	"peas/internal/core"
@@ -39,15 +38,9 @@ var liveMagic = [8]byte{'P', 'E', 'A', 'S', 'L', 'I', 'V', 'E'}
 // EncodeBytes returns the canonical encoding of the live-node
 // checkpoint, in the same fixed-order little-endian style as Snapshot.
 func (s *LiveNode) EncodeBytes() []byte {
-	e := &enc{buf: make([]byte, 0, 512)}
-	e.buf = append(e.buf, liveMagic[:]...)
-	e.u32(LiveVersion)
-	e.i64(int64(s.ID))
-	e.f64(s.ProtoTime)
-	encodeRNG(e, s.RNG)
-	e.f64(s.BatteryJoules)
-	encodeProtocolState(e, &s.Proto)
-	return e.buf
+	c := &coder{buf: make([]byte, 0, 512)}
+	s.code(c)
+	return c.buf
 }
 
 // Encode writes the canonical encoding to w.
@@ -63,25 +56,20 @@ func (s *LiveNode) StateHash() [32]byte { return sha256.Sum256(s.EncodeBytes()) 
 // truncated input yields an error wrapping ErrCorrupt; unknown versions
 // yield ErrVersion.
 func DecodeLiveNode(data []byte) (*LiveNode, error) {
-	d := &dec{buf: data}
-	head := d.take(len(liveMagic))
-	if d.err != nil || [8]byte(head) != liveMagic {
-		return nil, fmt.Errorf("%w: bad live-node magic", ErrCorrupt)
-	}
-	if v := d.u32(); d.err == nil && v != LiveVersion {
-		return nil, fmt.Errorf("%w: got %d, this build reads %d", ErrVersion, v, LiveVersion)
-	}
+	c := &coder{decoding: true, buf: data}
 	s := &LiveNode{}
-	s.ID = int(d.i64())
-	s.ProtoTime = d.f64()
-	s.RNG = decodeRNG(d)
-	s.BatteryJoules = d.f64()
-	decodeProtocolState(d, &s.Proto)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf)-d.off)
+	s.code(c)
+	if err := c.end(); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+func (s *LiveNode) code(c *coder) {
+	c.header(liveMagic, LiveVersion, "live-node magic")
+	i64(c, &s.ID)
+	c.f64(&s.ProtoTime)
+	codeRNG(c, &s.RNG)
+	c.f64(&s.BatteryJoules)
+	codeProtocol(c, &s.Proto)
 }

@@ -91,6 +91,10 @@ func TestDecodeLiveNodeRejectsCorruption(t *testing.T) {
 		t.Errorf("bad version: err = %v, want ErrVersion", err)
 	}
 
+	if _, err := DecodeLiveNode(nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("nil: err = %v, want ErrCorrupt", err)
+	}
+
 	truncated := good[:len(good)-3]
 	if _, err := DecodeLiveNode(truncated); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated: err = %v, want ErrCorrupt", err)

@@ -1,7 +1,6 @@
 package peasnet
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -98,12 +97,12 @@ func (n *Node) armBatteryWatch() {
 		}
 		// No timer for a depletion further off than a time.Duration can
 		// hold, which includes the never of a mode that draws nothing.
-		realDelay := (depleteAt - now) / n.scale * float64(time.Second)
-		if n.stopped || realDelay >= math.MaxInt64 || s == core.Dead {
+		delay, ok := wallDelay(depleteAt-now, n.scale)
+		if n.stopped || !ok || s == core.Dead {
 			n.mu.Unlock()
 			return
 		}
-		n.depletionTimer = time.AfterFunc(time.Duration(realDelay), n.failDepleted)
+		n.depletionTimer = time.AfterFunc(delay, n.failDepleted)
 		n.mu.Unlock()
 	}
 }

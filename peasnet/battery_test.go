@@ -1,6 +1,7 @@
 package peasnet
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -114,6 +115,32 @@ func TestZeroDrawModeNeverDepletes(t *testing.T) {
 	}
 	if rem, _ := n.BatteryRemaining(); rem != 1 {
 		t.Errorf("remaining = %v, want the full 1 J", rem)
+	}
+}
+
+// TestWallDelay pins the protocol-to-wall-time conversion behind After and
+// the battery watch: a delay past what a time.Duration holds arms no timer
+// instead of wrapping to one that fires at once.
+func TestWallDelay(t *testing.T) {
+	for _, tc := range []struct {
+		proto, scale float64
+		want         time.Duration
+		ok           bool
+	}{
+		{10, 1, 10 * time.Second, true},
+		{10, 4, 2500 * time.Millisecond, true},
+		{0, 100, 0, true},
+		{-1, 1, 0, true},
+		{1e12, 1000, 1e9 * time.Second, true},
+		{1e12, 1, 0, false},            // a sleep drawn at InitialRate 1e-12
+		{math.MaxFloat64, 1, 0, false}, // the never of a mode that draws nothing
+		{math.Inf(1), 1, 0, false},
+		{math.NaN(), 1, 0, false},
+	} {
+		got, ok := wallDelay(tc.proto, tc.scale)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("wallDelay(%v, %v) = %v, %v; want %v, %v", tc.proto, tc.scale, got, ok, tc.want, tc.ok)
+		}
 	}
 }
 

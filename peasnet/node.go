@@ -2,6 +2,7 @@ package peasnet
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -308,11 +309,12 @@ func (n *Node) Now() float64 {
 }
 
 // After schedules fn on the event loop after d protocol seconds. Pending
-// timers are cancelled on Stop.
+// timers are cancelled on Stop; a delay too long for a time.Duration arms
+// none.
 func (n *Node) After(d float64, fn func()) {
-	delay := time.Duration(d / n.scale * float64(time.Second))
+	delay, ok := wallDelay(d, n.scale)
 	n.mu.Lock()
-	if n.stopped {
+	if n.stopped || !ok {
 		n.mu.Unlock()
 		return
 	}
@@ -325,6 +327,20 @@ func (n *Node) After(d float64, fn func()) {
 	})
 	n.timers[timer] = struct{}{}
 	n.mu.Unlock()
+}
+
+// wallDelay converts protoSeconds of protocol time into wall time at the
+// given time scale. ok is false when the delay is further off than a
+// time.Duration can hold, or is NaN: converting it would overflow, which
+// on amd64 yields a negative duration that fires at once. A core.Config
+// that Validate accepts can draw such sleeps (InitialRate 1e-12 averages
+// 1e12 s).
+func wallDelay(protoSeconds, scale float64) (time.Duration, bool) {
+	ns := protoSeconds / scale * float64(time.Second)
+	if !(ns < math.MaxInt64) {
+		return 0, false
+	}
+	return time.Duration(max(ns, 0)), true
 }
 
 // Broadcast transmits a protocol frame over the transport.
