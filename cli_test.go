@@ -1,14 +1,19 @@
 package peas_test
 
 import (
+	"context"
 	"net"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"peas/internal/jobqueue"
+	"peas/internal/server"
 	"peas/peasnet"
 )
 
@@ -59,15 +64,71 @@ func TestCLIPeasSim(t *testing.T) {
 		}
 	}
 
-	// Scenario file path: the file decides the run, and a run flag given
-	// beside it is ignored.
-	sc := filepath.Join(dir, "sc.json")
-	if err := os.WriteFile(sc, []byte(`{"nodes":80,"horizonSec":300}`), 0o644); err != nil {
-		t.Fatal(err)
+	// -config: a job spec file, as peas-serve takes it, decides the run,
+	// and a run flag given beside it is ignored.
+	writeSpec := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	out = runTool(t, bin, "-config", sc, "-n", "40")
+	out = runTool(t, bin, "-config", writeSpec("sc.json", `{"network":{"N":80,"Seed":1},"horizon":300}`), "-n", "40")
 	if !strings.Contains(out, "80 nodes") {
-		t.Errorf("scenario not applied, or -n overrode it:\n%s", out)
+		t.Errorf("spec not applied, or -n overrode it:\n%s", out)
+	}
+
+	// (a) One spec with a chaos plan prints the same metrics, chaos
+	// activity included, run here and through a peas-serve front end.
+	chaosSpec := writeSpec("chaos.json", `{"network":{"N":60,"Seed":1},"horizon":500,"forwarding":true,
+		"chaos":{"seed":3,"events":[{"class":"loss","at":10,"rate":0.2},{"class":"dup","at":20,"rate":0.2},
+		{"class":"delay","at":30,"rate":0.2},{"class":"fail-stop","at":100,"count":2}]}}`)
+	pool := jobqueue.New(jobqueue.Config{Workers: 1, QueueDepth: 4})
+	pool.Start()
+	ts := httptest.NewServer(server.New(pool, 1))
+	defer func() {
+		ts.Close()
+		_ = pool.Shutdown(context.Background())
+	}()
+	metrics := func(out string) string { return out[max(strings.Index(out, "deployment:"), 0):] }
+	local := metrics(runTool(t, bin, "-config", chaosSpec))
+	remote := metrics(runTool(t, bin, "-config", chaosSpec, "-remote", ts.URL))
+	_, activity, _ := strings.Cut(local, "chaos activity:\n")
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(activity), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if local != remote || len(names) < 4 || !slices.IsSorted(names) {
+		t.Errorf("local and remote runs of one spec differ, or chaos activity is not by name:\n%s\n---\n%s", local, remote)
+	}
+
+	// (b) A spec is refused whole, with its cause named, before anything
+	// runs.
+	for _, tc := range []struct{ body, want string }{
+		{`{"network":{"N":40,"Seed":1},"horizn":300}`, `unknown field "horizn"`},
+		{`{"network":{"N":40,"Seed":1,"Protocol":{"ProbingRange":-3}}}`, "probing"},
+		{`{"network":{"N":40,"Seed":1,"Radio":{"LossRate":0.1}}}`, "Radio.BitsPerSecond"},
+		{`{"network":{"N":40,"Seed":1}} {"horizon":300}`, "data after the job spec"},
+		{`{"network":{"N":40,"Seed":1},"deadlineSeconds":30}`, "deadlineSeconds"},
+	} {
+		out, err := exec.Command(bin, "-config", writeSpec("bad.json", tc.body)).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "deployment:") {
+			t.Errorf("%s: err=%v, want a refusal naming %q:\n%s", tc.body, err, tc.want, out)
+		}
+	}
+
+	// (c) An unset horizon is left to the mode: a check pass bounds it
+	// at 5000 s, and a resumed run ends where the checkpointed one did.
+	out = runTool(t, bin, "-n", "40", "-check")
+	if !strings.Contains(out, "violations over 5000 s") {
+		t.Errorf("-check without -horizon:\n%s", out)
+	}
+	ckptDir := filepath.Join(dir, "ckpt")
+	direct := runTool(t, bin, "-n", "40", "-forward=false", "-checkpoint-every", "300", "-checkpoint-dir", ckptDir, "-horizon", "900")
+	resumed := runTool(t, bin, "-resume", filepath.Join(ckptDir, "checkpoint-t0000300.0.ckpt"))
+	end := func(out string) string { return out[strings.Index(out, "wakeups:"):strings.Index(out, "engine:")] }
+	if end(direct) != end(resumed) {
+		t.Errorf("resume without -horizon ends elsewhere:\n%s\n---\n%s", direct, resumed)
 	}
 }
 

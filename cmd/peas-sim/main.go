@@ -9,6 +9,7 @@
 //	peas-sim -resume ckpts/checkpoint-t0003000.0.ckpt
 //	peas-sim -n 160 -seed 1 -verify
 //	peas-sim -n 160 -seed 1 -check
+//	peas-sim -config job.json
 //
 // A horizon of 0 selects a deployment-proportional default long enough
 // for the network to exhaust itself. -checkpoint-every writes periodic
@@ -17,6 +18,12 @@
 // -check arms the runtime invariant oracle (energy conservation, radio
 // discipline, worker redundancy, timer monotonicity) and verifies the
 // checkpoint chain, exiting non-zero on any violation.
+//
+// Every run is described by one JSON job spec, the one peas-serve takes
+// at POST /api/v1/jobs: -config reads it from a file, strictly (an
+// unknown field, a partly filled configuration section or trailing data
+// is refused), and otherwise the run flags build it. -remote submits the
+// same spec to a peas-serve instance instead of running it here.
 package main
 
 import (
@@ -25,12 +32,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 
 	"peas"
 	"peas/internal/buildinfo"
 	"peas/internal/experiment"
-	"peas/internal/scenario"
+	"peas/internal/jobqueue"
 )
 
 func main() {
@@ -56,7 +64,7 @@ func run() error {
 		svgOut    = flag.String("svg", "", "write a final-state SVG snapshot to this file")
 		ascii     = flag.Bool("ascii", false, "print a final-state ASCII map")
 		seriesOut = flag.String("series", "", "write the working/coverage time series as CSV to this file")
-		config    = flag.String("config", "", "load a JSON scenario file; the run flags (-n, -seed, -failures, -horizon, -forward, -rp, -lambda-d, -lambda-0, -loss, -turnoff) are then ignored")
+		config    = flag.String("config", "", `run the JSON job spec in this file, as POST /api/v1/jobs takes it (e.g. {"network":{"N":480,"Seed":1},"forwarding":true}); the run flags (-n, -seed, -failures, -horizon, -forward, -rp, -lambda-d, -lambda-0, -loss, -turnoff) are then ignored`)
 		ckptEvery = flag.Float64("checkpoint-every", 0, "write a checkpoint every this many simulated seconds")
 		ckptDir   = flag.String("checkpoint-dir", ".", "directory for periodic checkpoints")
 		resume    = flag.String("resume", "", "resume from this checkpoint file instead of starting fresh")
@@ -72,49 +80,55 @@ func run() error {
 		return nil
 	}
 
-	cfg := peas.DefaultRunConfig(*n, *seed)
+	// Every run is one job spec, as peas-serve takes it: read from
+	// -config, or built from the run flags.
+	var spec *jobqueue.Spec
 	if *config != "" {
-		sc, err := scenario.Load(*config)
-		if err != nil {
+		var err error
+		if spec, err = loadSpec(*config); err != nil {
 			return err
 		}
-		cfg = sc.RunConfig()
-		*n = cfg.Network.N
-		*seed = cfg.Network.Seed
+	} else {
+		spec = jobqueue.NewSimSpec(*n, *seed)
+		spec.FailuresPer5000s = *failures
+		spec.Horizon = *horizon
+		spec.Forwarding = *forward
+		p := &spec.Network.Protocol
+		p.ProbingRange, p.DesiredRate, p.InitialRate, p.TurnoffEnabled = *rp, *lambdaD, *lambda0, *turnoff
+		spec.Network.Radio.LossRate = *loss
 	}
-	if *config == "" {
-		cfg.FailuresPer5000s = *failures
-		cfg.Horizon = *horizon
-		cfg.Forwarding = *forward
-		cfg.Network.Protocol.ProbingRange = *rp
-		cfg.Network.Protocol.DesiredRate = *lambdaD
-		cfg.Network.Protocol.InitialRate = *lambda0
-		cfg.Network.Protocol.TurnoffEnabled = *turnoff
-		cfg.Network.Radio.LossRate = *loss
-	}
-
-	var chaosCounters *peas.FaultCounters
+	spec.Check = spec.Check || *check
 	if *chaosPlan != "" {
-		if *verify || *check || *resume != "" || *ckptEvery > 0 {
-			return fmt.Errorf("-chaos-plan cannot combine with -verify, -check, -resume or -checkpoint-every (chaos state lives outside the checkpoint format)")
-		}
-		horizon := cfg.Horizon
-		if horizon <= 0 {
-			horizon = experiment.DefaultHorizon(cfg.Network.N)
-		}
-		var plan *peas.ChaosPlan
 		if *chaosPlan == "mixed" {
-			plan = peas.MixedChaosPlan(horizon, cfg.Network.Seed)
+			h := spec.Horizon
+			if h <= 0 {
+				h = experiment.DefaultHorizon(spec.Network.N)
+			}
+			spec.Chaos = peas.MixedChaosPlan(h, spec.Network.Seed)
 		} else {
-			p, err := peas.LoadChaosPlan(*chaosPlan)
+			plan, err := peas.LoadChaosPlan(*chaosPlan)
 			if err != nil {
 				return err
 			}
-			plan = p
+			spec.Chaos = plan
 		}
-		chaosCounters = peas.NewFaultCounters()
-		cfg.Chaos = plan
-		cfg.ChaosCounters = chaosCounters
+		spec.Kind = jobqueue.KindChaos
+	}
+	// The horizon as written: 0 leaves the default to the mode (a check
+	// pass bounds it at 5000 s, a resumed run takes the snapshot's),
+	// while Normalize resolves it for the service's content key.
+	horizonSet := spec.Horizon
+	if err := spec.Normalize(); err != nil {
+		return err
+	}
+
+	if spec.DeadlineSeconds > 0 && *remote == "" {
+		return fmt.Errorf("deadlineSeconds bounds a peas-serve job; a local run has no deadline (submit with -remote)")
+	}
+	if plan := spec.Chaos; plan != nil {
+		if *verify || spec.Check || *resume != "" || *ckptEvery > 0 {
+			return fmt.Errorf("a chaos plan cannot combine with -verify, -check, -resume or -checkpoint-every (chaos state lives outside the checkpoint format)")
+		}
 		fmt.Printf("chaos plan:            %s (%d events, %d classes)\n",
 			plan.Name, len(plan.Events), len(plan.Classes()))
 	}
@@ -124,12 +138,15 @@ func run() error {
 			*svgOut != "" || *ascii || *seriesOut != "" {
 			return fmt.Errorf("-remote only supports the plain run flags (plus -check and -chaos-plan); local-only outputs are unavailable")
 		}
-		return runRemote(*remote, cfg, *check)
+		return runRemote(*remote, spec)
 	}
+	cfg := spec.RunConfig()
+	cfg.Horizon = horizonSet
+	*n, *seed = spec.Network.N, spec.Network.Seed
 	if *verify {
 		return runVerify(cfg)
 	}
-	if *check {
+	if spec.Check {
 		return runCheck(cfg, *traceOut)
 	}
 	if *resume != "" {
@@ -140,8 +157,7 @@ func run() error {
 		// The snapshot carries the full configuration; -horizon (when
 		// positive) extends the run past the recorded end time.
 		cfg.Resume = snap
-		*n = snap.Net.N
-		*seed = snap.Net.Seed
+		*n, *seed = snap.Net.N, snap.Net.Seed
 		fmt.Printf("resuming:              %s (t=%.1f s, %d nodes)\n",
 			*resume, snap.SimTime, snap.Net.N)
 	}
@@ -248,13 +264,7 @@ func run() error {
 		fmt.Printf("series:                -> %s\n", *seriesOut)
 	}
 
-	printStats(*n, *seed, cfg.Forwarding, res)
-	if chaosCounters != nil {
-		fmt.Println("chaos activity:")
-		for _, name := range chaosCounters.Names() {
-			fmt.Printf("  %-20s %8d\n", name, chaosCounters.Get(name))
-		}
-	}
+	printStats(*n, *seed, spec.Forwarding, res)
 	return nil
 }
 
@@ -283,6 +293,19 @@ func printStats(n int, seed int64, forwarding bool, res *peas.RunStats) {
 		fmt.Printf("engine:                %d events (%.0f%% deliveries, %.0f%% CSMA deferrals, %.0f%% protocol timers, %.0f%% other); %d heap slots (%d near)\n",
 			res.EngineEvents, share(res.DeliveryEvents), share(res.DeferralEvents), share(res.TimerEvents),
 			share(res.OtherEvents), res.HeapSlots, res.NearSlots)
+	}
+	if res.Chaos != nil {
+		// By name: a map has no order, and creation order does not
+		// survive the service's wire.
+		names := make([]string, 0, len(res.Chaos))
+		for name := range res.Chaos {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fmt.Println("chaos activity:")
+		for _, name := range names {
+			fmt.Printf("  %-20s %8d\n", name, res.Chaos[name])
+		}
 	}
 }
 
@@ -386,6 +409,21 @@ func runVerify(cfg peas.RunConfig) error {
 	}
 	fmt.Println("verify:          OK (resumed run is bit-identical to the direct run)")
 	return nil
+}
+
+// loadSpec reads a job spec file through the service's own strict
+// decoder.
+func loadSpec(path string) (*jobqueue.Spec, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	spec, err := jobqueue.DecodeSpec(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return spec, nil
 }
 
 func loadCheckpoint(path string) (*peas.Checkpoint, error) {

@@ -9,7 +9,6 @@ import (
 	"syscall"
 	"time"
 
-	"peas"
 	"peas/internal/client"
 	"peas/internal/jobqueue"
 )
@@ -20,16 +19,7 @@ import (
 // the service-side identity: the content key, the cache outcome, and
 // the recorded StateHash. Because the engine is bit-exact, a cache hit
 // is indistinguishable from a fresh run — the hash proves it.
-func runRemote(url string, cfg peas.RunConfig, check bool) error {
-	spec := &jobqueue.Spec{
-		Network:          cfg.Network,
-		FailuresPer5000s: cfg.FailuresPer5000s,
-		Horizon:          cfg.Horizon,
-		Forwarding:       cfg.Forwarding,
-		CoverageSpacing:  cfg.CoverageSpacing,
-		Check:            check,
-		Chaos:            cfg.Chaos,
-	}
+func runRemote(url string, spec *jobqueue.Spec) error {
 	c := client.New(url)
 	// Interrupts cancel the context mid-follow; the deferred hook below
 	// then tells the server to stop the job instead of abandoning it to
@@ -102,12 +92,6 @@ func runRemote(url string, cfg peas.RunConfig, check bool) error {
 		fmt.Printf(" (%d events)", res.Events)
 	}
 	fmt.Println()
-	printStats(cfg.Network.N, cfg.Network.Seed, cfg.Forwarding, res.Stats)
-	if len(res.Chaos) > 0 {
-		fmt.Println("chaos activity:")
-		for name, v := range res.Chaos {
-			fmt.Printf("  %-20s %8d\n", name, v)
-		}
-	}
+	printStats(spec.Network.N, spec.Network.Seed, spec.Forwarding, res.Stats)
 	return nil
 }

@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -139,11 +141,18 @@ func (p *Plan) Classes() []FaultClass {
 	return out
 }
 
-// Parse decodes and validates a JSON plan.
+// Parse decodes and validates a JSON plan. It decodes strictly: an
+// unknown field or anything after the one JSON value is an error, so a
+// misspelled option is refused instead of running with its default.
 func Parse(data []byte) (*Plan, error) {
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("chaos: parse plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("chaos: parse plan: data after the plan")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

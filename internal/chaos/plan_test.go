@@ -83,6 +83,16 @@ func TestLoadRoundTrip(t *testing.T) {
 	if _, err := Load(path + "x"); err == nil {
 		t.Error("Load of missing file succeeded")
 	}
+	// Decoding is strict: a misspelled option ("down_time" for
+	// "downtime") or a second value is refused, not dropped.
+	for _, bad := range []string{
+		`{"events": [{"class": "fail-recover", "at": 100, "rate": 0.01, "down_time": 50}]}`,
+		body + ` {}`,
+	} {
+		if _, err := Parse([]byte(bad)); err == nil {
+			t.Errorf("Parse accepted %s", bad)
+		}
+	}
 }
 
 func TestMixedPlanCoversEveryClass(t *testing.T) {

@@ -10,14 +10,14 @@ import (
 )
 
 // FuzzSpecNormalize feeds arbitrary submission bodies through the door
-// every spec passes — the server's strict JSON decode, then Normalize —
-// and checks the properties "no aliased result" rests on: whatever
-// Normalize accepts, node.NewNetwork builds; Normalize is idempotent;
-// and the content key survives a JSON round trip of the normalized spec.
+// every spec passes — DecodeSpec, then Normalize — and checks the
+// properties "no aliased result" rests on: whatever Normalize accepts,
+// node.NewNetwork builds; Normalize is idempotent; and the content key
+// survives a JSON round trip of the normalized spec.
 // The seed corpus is testdata/fuzz/FuzzSpecNormalize.
 func FuzzSpecNormalize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
-		spec, err := decodeStrict(body)
+		spec, err := DecodeSpec(bytes.NewReader(body))
 		if err != nil || spec.Normalize() != nil {
 			return
 		}
@@ -27,7 +27,7 @@ func FuzzSpecNormalize(f *testing.F) {
 			t.Fatalf("marshal a normalized spec: %v", err)
 		}
 
-		back, err := decodeStrict(normalized)
+		back, err := DecodeSpec(bytes.NewReader(normalized))
 		if err != nil {
 			t.Fatalf("a normalized spec does not decode: %v\n%s", err, normalized)
 		}
@@ -52,13 +52,6 @@ func FuzzSpecNormalize(f *testing.F) {
 			t.Fatalf("Normalize accepted a network NewNetwork refuses: %v\n%s", err, normalized)
 		}
 	})
-}
-
-func decodeStrict(body []byte) (*Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return &s, dec.Decode(&s)
 }
 
 // gridCells is the larger of the two grids NewNetwork allocates: the

@@ -18,7 +18,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	"peas/internal/chaos"
@@ -86,6 +88,28 @@ func NewSimSpec(n int, seed int64) *Spec {
 		Network:          node.DefaultConfig(n, seed),
 		FailuresPer5000s: experiment.BaseFailuresPer5000,
 	}
+}
+
+// DecodeSpec reads one JSON job spec strictly: a field Spec does not
+// know is an error, and so is anything after the one JSON value. It is
+// the door for every spec a user writes — the HTTP submission body and
+// peas-sim -config alike — so a misspelled key is refused instead of
+// silently running the defaults. A read error (an *http.MaxBytesError,
+// say) stays reachable through errors.As.
+func DecodeSpec(r io.Reader) (*Spec, error) {
+	var s Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return nil, fmt.Errorf("data after the job spec: %w", err)
+	}
+	return &s, nil
 }
 
 // Normalize fills defaults in place so that two submissions that mean

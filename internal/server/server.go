@@ -132,10 +132,8 @@ func retryReject(w http.ResponseWriter, status int, code string, after time.Dura
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec jobqueue.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := jobqueue.DecodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", tooBig.Limit)
@@ -144,7 +142,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
 		return
 	}
-	job, outcome, err := s.pool.Submit(&spec)
+	job, outcome, err := s.pool.Submit(spec)
 	if err != nil {
 		var full *jobqueue.QueueFullError
 		if errors.As(err, &full) {

@@ -282,7 +282,7 @@ func TestEndToEndSSE(t *testing.T) {
 
 // TestEndToEndHealthAndErrors covers /healthz and error mapping.
 func TestEndToEndHealthAndErrors(t *testing.T) {
-	c, _, _ := startService(t, jobqueue.Config{Workers: 2, QueueDepth: 8})
+	c, runs, pool := startService(t, jobqueue.Config{Workers: 2, QueueDepth: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -309,6 +309,26 @@ func TestEndToEndHealthAndErrors(t *testing.T) {
 	if _, err := c.Submit(ctx, &jobqueue.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "must be positive") {
 		t.Errorf("invalid spec error = %v", err)
+	}
+
+	// A spec followed by a second value is refused whole: 400, nothing
+	// admitted, nothing run. The client cannot send such a body, so it
+	// goes raw through a second front end over the same pool.
+	ts := httptest.NewServer(server.New(pool, 2))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"network":{"N":20,"Seed":1}}{"kind":"chaos"} trailing garbage`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rej api.ErrorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&rej)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(rej.Error, "data after the job spec") {
+		t.Errorf("trailing data: %d %q, want 400 naming the trailing data", resp.StatusCode, rej.Error)
+	}
+	if jobs, err := c.Jobs(ctx); err != nil || len(jobs) != 0 || runs.Load() != 0 {
+		t.Errorf("trailing data admitted something: jobs=%v err=%v runs=%d", jobs, err, runs.Load())
 	}
 }
 

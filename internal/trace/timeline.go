@@ -21,34 +21,43 @@ func Timeline(events []Event) []TimelinePoint {
 	// Track every node's last known mode.
 	mode := map[int]string{}
 	var out []TimelinePoint
-	count := func(t float64) TimelinePoint {
-		p := TimelinePoint{T: t}
-		for _, m := range mode {
-			switch m {
-			case "working":
-				p.Working++
-			case "sleeping":
-				p.Sleeping++
-			case "probing":
-				p.Probing++
-			case "dead":
-				p.Dead++
-			}
-		}
-		return p
-	}
+	var p TimelinePoint // the running per-mode counts
 	for _, ev := range events {
+		m := ev.Detail
 		switch ev.Kind {
 		case KindState:
-			mode[ev.Node] = ev.Detail
 		case KindDeath:
-			mode[ev.Node] = "dead"
+			m = "dead"
 		default:
 			continue
 		}
-		out = append(out, count(ev.T))
+		if c := p.counter(mode[ev.Node]); c != nil {
+			*c--
+		}
+		if c := p.counter(m); c != nil {
+			*c++
+		}
+		mode[ev.Node] = m
+		p.T = ev.T
+		out = append(out, p)
 	}
 	return out
+}
+
+// counter returns the count of mode m, or nil for a mode (or a node not
+// seen yet) that no count covers.
+func (p *TimelinePoint) counter(m string) *int {
+	switch m {
+	case "working":
+		return &p.Working
+	case "sleeping":
+		return &p.Sleeping
+	case "probing":
+		return &p.Probing
+	case "dead":
+		return &p.Dead
+	}
+	return nil
 }
 
 // Downsample keeps at most n points of a timeline, evenly spaced,

@@ -48,7 +48,6 @@ import (
 	"peas/internal/oracle"
 	"peas/internal/radio"
 	"peas/internal/render"
-	"peas/internal/scenario"
 	"peas/internal/sensing"
 	"peas/internal/stats"
 	"peas/internal/trace"
@@ -210,13 +209,6 @@ type SensingReport = sensing.Report
 func NewSensingTracker(field Field, sensingRange float64, count int, speed float64, seed int64) *SensingTracker {
 	return sensing.NewTracker(field, sensingRange, count, speed, stats.NewRNG(seed))
 }
-
-// Scenario is a JSON-serializable run description; see
-// internal/scenario for the schema. cmd/peas-sim loads them via -config.
-type Scenario = scenario.Scenario
-
-// LoadScenario reads a JSON scenario file.
-func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
 
 // SVGOptions controls RenderSVG snapshots.
 type SVGOptions = render.SVGOptions

@@ -1,8 +1,6 @@
 package peas_test
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -93,25 +91,6 @@ func TestPublicSweepOptions(t *testing.T) {
 	opts := peas.DefaultSweepOptions()
 	if opts.Runs != 5 || len(opts.Deployments) != 5 || len(opts.FailureRates) != 9 {
 		t.Errorf("paper sweep options: %+v", opts)
-	}
-}
-
-func TestFacadeScenario(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "s.json")
-	if err := os.WriteFile(path, []byte(`{"nodes":50,"horizonSec":200}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := peas.LoadScenario(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := peas.Run(sc.RunConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Wakeups == 0 {
-		t.Error("scenario run inert")
 	}
 }
 
