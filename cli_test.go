@@ -118,7 +118,8 @@ func TestCLIPeasSim(t *testing.T) {
 	}
 
 	// (c) An unset horizon is left to the mode: a check pass bounds it
-	// at 5000 s, and a resumed run ends where the checkpointed one did.
+	// at 5000 s, and a resumed run ends where the checkpointed one did,
+	// printing the metrics of the snapshot's workload, not the flags'.
 	out = runTool(t, bin, "-n", "40", "-check")
 	if !strings.Contains(out, "violations over 5000 s") {
 		t.Errorf("-check without -horizon:\n%s", out)
@@ -126,7 +127,7 @@ func TestCLIPeasSim(t *testing.T) {
 	ckptDir := filepath.Join(dir, "ckpt")
 	direct := runTool(t, bin, "-n", "40", "-forward=false", "-checkpoint-every", "300", "-checkpoint-dir", ckptDir, "-horizon", "900")
 	resumed := runTool(t, bin, "-resume", filepath.Join(ckptDir, "checkpoint-t0000300.0.ckpt"))
-	end := func(out string) string { return out[strings.Index(out, "wakeups:"):strings.Index(out, "engine:")] }
+	end := func(out string) string { return out[strings.Index(out, "deployment:"):strings.Index(out, "engine:")] }
 	if end(direct) != end(resumed) {
 		t.Errorf("resume without -horizon ends elsewhere:\n%s\n---\n%s", direct, resumed)
 	}

@@ -17,19 +17,18 @@
 //
 //	peas-chaos -n 160 -seed 1 -horizon 2500 -plan mixed
 //	peas-chaos -plan campaign.json -strict
-//	peas-chaos -determinism
 //	peas-chaos -live -scale 150 -duration 12s
 //
 // -strict turns unexercised fault classes, oracle violations and
 // envelope breaches into a non-zero exit, which is what the CI chaos
-// soak runs. -determinism runs the campaign twice and requires
-// bit-identical final state hashes.
+// soak runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"peas"
@@ -54,7 +53,6 @@ func run() error {
 		horizon  = flag.Float64("horizon", 2500, "simulated seconds (sim mode)")
 		planArg  = flag.String("plan", "mixed", `fault plan: "mixed" (built-in, every class) or a JSON file path`)
 		strict   = flag.Bool("strict", false, "exit non-zero on unexercised classes, oracle violations or an envelope breach")
-		determ   = flag.Bool("determinism", false, "run the campaign twice and require identical final state hashes")
 		live     = flag.Bool("live", false, "run the live-runtime campaign (crash-restart from checkpoint) instead of the simulator")
 		liveN    = flag.Int("live-n", 40, "live mode: number of nodes")
 		scale    = flag.Float64("scale", 150, "live mode: protocol seconds per real second")
@@ -77,10 +75,6 @@ func run() error {
 	}
 	fmt.Printf("campaign:             %s (%d events, %d classes), %d nodes, seed %d, %.0f s\n",
 		plan.Name, len(plan.Events), len(plan.Classes()), *n, *seed, *horizon)
-
-	if *determ {
-		return runDeterminism(*n, *seed, *horizon, plan)
-	}
 	return runCampaign(*n, *seed, *horizon, plan, *strict)
 }
 
@@ -105,13 +99,12 @@ func loadPlan(arg string, horizon float64, seed int64) (*chaos.Plan, error) {
 // so the plan alone explains any degradation). It returns the run stats,
 // the armed oracle, and the working-set time series for convergence
 // analysis.
-func runOne(n int, seed int64, horizon float64, plan *chaos.Plan, counters *metrics.Counters) (*peas.RunStats, *peas.InvariantChecker, *metrics.Series, error) {
+func runOne(n int, seed int64, horizon float64, plan *chaos.Plan) (*peas.RunStats, *peas.InvariantChecker, *metrics.Series, error) {
 	cfg := peas.DefaultRunConfig(n, seed)
 	cfg.Horizon = horizon
 	cfg.Forwarding = false
 	cfg.FailuresPer5000s = 0
 	cfg.Chaos = plan
-	cfg.ChaosCounters = counters
 	working := metrics.NewSeries("working")
 	cfg.OnSample = func(t float64, w int, _ []float64) { working.Record(t, float64(w)) }
 	var checker *peas.InvariantChecker
@@ -137,26 +130,30 @@ func violationCount(c *peas.InvariantChecker) int {
 }
 
 func runCampaign(n int, seed int64, horizon float64, plan *chaos.Plan, strict bool) error {
-	base, baseChecker, baseWorking, err := runOne(n, seed, horizon, nil, nil)
+	base, baseChecker, baseWorking, err := runOne(n, seed, horizon, nil)
 	if err != nil {
 		return fmt.Errorf("baseline run: %w", err)
 	}
-	counters := metrics.NewCounters()
-	res, checker, working, err := runOne(n, seed, horizon, plan, counters)
+	res, checker, working, err := runOne(n, seed, horizon, plan)
 	if err != nil {
 		return fmt.Errorf("chaos run: %w", err)
 	}
 
+	counts := res.Chaos
+	names := make([]string, 0, len(counts))
+	for name := range counts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	fmt.Println("fault activity:")
-	names := counters.Names()
 	if len(names) == 0 {
 		fmt.Println("  (none)")
 	}
 	for _, name := range names {
-		fmt.Printf("  %-18s %8d\n", name, counters.Get(name))
+		fmt.Printf("  %-18s %8d\n", name, counts[name])
 	}
 	var problems []string
-	if missing := chaos.Unexercised(plan.Classes(), counters); len(missing) > 0 {
+	if missing := chaos.Unexercised(plan.Classes(), counts); len(missing) > 0 {
 		problems = append(problems, fmt.Sprintf("unexercised fault classes: %v", missing))
 	} else {
 		fmt.Println("unexercised classes:  none (every planned class fired and was counted)")
@@ -173,8 +170,8 @@ func runCampaign(n int, seed int64, horizon float64, plan *chaos.Plan, strict bo
 	fmt.Printf("  probe convergence:   %.0f s vs %.0f s to reach 90%% of steady working set\n",
 		chaosConv, baseConv)
 	fmt.Printf("  node faults:         %d injected (fail-stop %d, transient %d, crash-restart %d)\n",
-		counters.Get(chaos.CtrFailStop)+counters.Get(chaos.CtrFailRecover)+counters.Get(chaos.CtrCrash),
-		counters.Get(chaos.CtrFailStop), counters.Get(chaos.CtrFailRecover), counters.Get(chaos.CtrCrash))
+		counts[chaos.CtrFailStop]+counts[chaos.CtrFailRecover]+counts[chaos.CtrCrash],
+		counts[chaos.CtrFailStop], counts[chaos.CtrFailRecover], counts[chaos.CtrCrash])
 	fmt.Printf("  oracle violations:   %d (baseline %d)\n", violationCount(checker), violationCount(baseChecker))
 	for _, v := range checker.Violations() {
 		fmt.Printf("    %s\n", v)
@@ -206,31 +203,6 @@ func runCampaign(n int, seed int64, horizon float64, plan *chaos.Plan, strict bo
 	if strict {
 		return fmt.Errorf("%d problem(s) in strict mode", len(problems))
 	}
-	return nil
-}
-
-// runDeterminism executes the identical campaign twice and compares final
-// state hashes: scripted chaos must be a pure function of plan + seed.
-func runDeterminism(n int, seed int64, horizon float64, plan *chaos.Plan) error {
-	var hashes [2]string
-	for i := range hashes {
-		cfg := peas.DefaultRunConfig(n, seed)
-		cfg.Horizon = horizon
-		cfg.Forwarding = false
-		cfg.FailuresPer5000s = 0
-		cfg.Chaos = plan
-		cfg.CaptureFinal = true
-		res, err := peas.Run(cfg)
-		if err != nil {
-			return err
-		}
-		hashes[i] = res.FinalState.StateHashHex()
-		fmt.Printf("run %d final hash:     %s\n", i+1, hashes[i])
-	}
-	if hashes[0] != hashes[1] {
-		return fmt.Errorf("campaign is not deterministic: final state hashes differ")
-	}
-	fmt.Println("determinism:          OK (same plan + seed => identical final state)")
 	return nil
 }
 

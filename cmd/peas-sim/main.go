@@ -157,7 +157,7 @@ func run() error {
 		// The snapshot carries the full configuration; -horizon (when
 		// positive) extends the run past the recorded end time.
 		cfg.Resume = snap
-		*n, *seed = snap.Net.N, snap.Net.Seed
+		*n, *seed, spec.Forwarding = snap.Net.N, snap.Net.Seed, snap.Forwarding
 		fmt.Printf("resuming:              %s (t=%.1f s, %d nodes)\n",
 			*resume, snap.SimTime, snap.Net.N)
 	}

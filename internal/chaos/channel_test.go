@@ -174,10 +174,8 @@ func TestSameSeedSameDecisions(t *testing.T) {
 }
 
 func TestCounterForAndUnexercised(t *testing.T) {
-	counters := metrics.NewCounters()
-	counters.Add(CtrDropLoss, 1)
-	counters.Add(CtrRestarted, 1)
-	missing := Unexercised([]FaultClass{Loss, CrashRestart, FailRecover, Partition}, counters)
+	counts := map[string]uint64{CtrDropLoss: 1, CtrRestarted: 1}
+	missing := Unexercised([]FaultClass{Loss, CrashRestart, FailRecover, Partition}, counts)
 	if len(missing) != 2 || missing[0] != FailRecover || missing[1] != Partition {
 		t.Errorf("Unexercised = %v", missing)
 	}

@@ -24,8 +24,6 @@
 // rather than silently doing nothing.
 package chaos
 
-import "peas/internal/metrics"
-
 // FaultClass names one kind of injectable fault. Plan events carry a
 // class; counters are keyed by the class's counter name.
 type FaultClass string
@@ -107,12 +105,13 @@ func CounterFor(class FaultClass) string {
 }
 
 // Unexercised returns the fault classes among classes whose completion
-// counter is still zero in counters. A strict campaign fails when any
-// planned class went unexercised.
-func Unexercised(classes []FaultClass, counters *metrics.Counters) []FaultClass {
+// counter is still zero in counts, a snapshot of the fault counters such as
+// RunStats.Chaos. A strict campaign fails when any planned class went
+// unexercised.
+func Unexercised(classes []FaultClass, counts map[string]uint64) []FaultClass {
 	var missing []FaultClass
 	for _, cl := range classes {
-		if counters.Get(CounterFor(cl)) == 0 {
+		if counts[CounterFor(cl)] == 0 {
 			missing = append(missing, cl)
 		}
 	}

@@ -36,16 +36,14 @@ type Controller struct {
 
 // AttachSim wires plan into net. Call after NewNetwork and before
 // Start/Run; the plan's events are scheduled on the network's engine
-// relative to time zero. Fault counters accumulate into counters (a
-// fresh set when nil). All randomness derives from plan.Seed, so the
-// same plan against the same network reproduces the same faults.
-func AttachSim(net *node.Network, plan *Plan, counters *metrics.Counters) (*Controller, error) {
+// relative to time zero. Fault counters accumulate into Counters. All
+// randomness derives from plan.Seed, so the same plan against the same
+// network reproduces the same faults.
+func AttachSim(net *node.Network, plan *Plan) (*Controller, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	if counters == nil {
-		counters = metrics.NewCounters()
-	}
+	counters := metrics.NewCounters()
 	root := stats.NewRNG(plan.Seed)
 	ctl := &Controller{
 		net:       net,
@@ -97,11 +95,6 @@ func (c *Controller) Channel() *Channel { return c.channel }
 
 // Counters returns the per-fault-class counters.
 func (c *Controller) Counters() *metrics.Counters { return c.counters }
-
-// Unexercised returns the planned fault classes that never completed.
-func (c *Controller) Unexercised() []FaultClass {
-	return Unexercised(c.plan.Classes(), c.counters)
-}
 
 func (c *Controller) scheduleChannel(ev *Event) {
 	ch := c.channel

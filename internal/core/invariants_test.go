@@ -33,6 +33,10 @@ func (p *invariantPlatform) Broadcast(size int, radius float64, payload any) {
 	p.fakePlatform.Broadcast(size, radius, payload)
 }
 
+func (p *invariantPlatform) BroadcastReply(size int, radius float64, msg Reply) {
+	p.Broadcast(size, radius, msg)
+}
+
 // TestProtocolInvariantsUnderRandomTraffic drives one node with random
 // message sequences and checks global invariants after every step:
 //

@@ -36,18 +36,25 @@ func (s State) String() string {
 
 // Platform is the environment a Protocol instance runs in. The simulator
 // and the live runtime provide implementations; both must invoke all
-// Protocol methods and After callbacks from a single logical thread per
+// Protocol methods and AtArg callbacks from a single logical thread per
 // node network (the simulator is single-threaded; peasnet serializes per
 // network).
 type Platform interface {
 	// Now returns the current time in seconds.
 	Now() float64
-	// After schedules fn once, d seconds from now. Callbacks must not
+	// AtArg schedules fn(arg) once, at the absolute time at; a past
+	// deadline fires at once. fn is shared and arg carries the per-timer
+	// state, so arming a timer needs no closure, and a deadline restored
+	// from a checkpoint is armed exactly as recorded. Callbacks must not
 	// run concurrently with message delivery.
-	After(d float64, fn func())
+	AtArg(at float64, fn func(any), arg any)
 	// Broadcast transmits payload so it covers radius meters, in a frame
 	// of size bytes.
 	Broadcast(size int, radius float64, payload any)
+	// BroadcastReply is Broadcast for a REPLY, whose contents change with
+	// every send. The simulator sends it as a pooled *Reply holding msg,
+	// reused once no delivery, duplicate or retry of the frame is left.
+	BroadcastReply(size int, radius float64, msg Reply)
 	// SetState informs the platform of a mode change so it can adjust
 	// radio power state and battery mode.
 	SetState(s State)
@@ -78,7 +85,7 @@ type Protocol struct {
 
 	state        State
 	stateSince   float64
-	gen          uint64 // invalidates stale After callbacks
+	gen          uint64 // invalidates stale timer callbacks
 	lambda       float64
 	estimator    RateEstimator // embedded by value: one fewer object per node
 	workStart    float64
@@ -87,11 +94,9 @@ type Protocol struct {
 	timers       []TimerRec // pending timers, serializable for checkpoints
 	stats        Stats
 
-	// argPlatform is non-nil when the platform supports allocation-free
-	// arg scheduling; timers then ride pooled timerEvent records instead
-	// of per-arm closures.
-	argPlatform ArgPlatform
-	freeTimers  *timerEvent
+	// freeTimers lists the spent timerEvent records, so arming a timer
+	// allocates nothing once the pool has grown.
+	freeTimers *timerEvent
 	// probeBox caches the boxed PROBE payloads (one per sequence number):
 	// a node's PROBE contents never change, so the interface boxing
 	// allocation is paid once instead of on every transmission.
@@ -105,7 +110,7 @@ func New(id NodeID, cfg Config, platform Platform) *Protocol {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &Protocol{
+	return &Protocol{
 		id:        id,
 		cfg:       cfg,
 		platform:  platform,
@@ -116,8 +121,6 @@ func New(id NodeID, cfg Config, platform Platform) *Protocol {
 		// does not grow a window at a time over the node's life.
 		heard: make([]Reply, 0, 8),
 	}
-	p.argPlatform, _ = platform.(ArgPlatform)
-	return p
 }
 
 // ID returns the node identifier.
@@ -247,34 +250,16 @@ func runTimer(a any) {
 // plain data and a restore rebuild it via ResumeTimers.
 func (p *Protocol) scheduleTimer(rec TimerRec) {
 	p.timers = append(p.timers, rec)
-	gen := p.gen
-	// Schedule at the absolute recorded deadline when the platform can:
-	// re-arming a restored timer via now+(at-now) would round the deadline
-	// and nudge the resumed trajectory off the original by an ulp.
-	if ap := p.argPlatform; ap != nil {
-		t := p.freeTimers
-		if t != nil {
-			p.freeTimers = t.next
-			t.next = nil
-		} else {
-			t = &timerEvent{p: p}
-		}
-		t.rec = rec
-		t.gen = gen
-		ap.AtArg(rec.At, runTimer, t)
-		return
+	t := p.freeTimers
+	if t != nil {
+		p.freeTimers = t.next
+		t.next = nil
+	} else {
+		t = &timerEvent{p: p}
 	}
-	wrapped := func() {
-		if p.gen == gen && p.state != Dead {
-			p.removeTimer(rec)
-			p.dispatch(rec)
-		}
-	}
-	if ap, ok := p.platform.(AbsolutePlatform); ok {
-		ap.At(rec.At, wrapped)
-		return
-	}
-	p.platform.After(rec.At-p.platform.Now(), wrapped)
+	t.rec = rec
+	t.gen = p.gen
+	p.platform.AtArg(rec.At, runTimer, t)
 }
 
 // afterTimer schedules the rec action after d seconds.
@@ -424,12 +409,8 @@ func (p *Protocol) fireReply() {
 		TimeWorking:  p.TimeWorking(),
 	}
 	// A REPLY's contents change with every send, so unlike a PROBE it
-	// cannot be boxed once; the simulator sends it in a pooled record.
-	if ap := p.argPlatform; ap != nil {
-		ap.BroadcastReply(p.cfg.PacketSize, p.cfg.ProbingRange, msg)
-		return
-	}
-	p.platform.Broadcast(p.cfg.PacketSize, p.cfg.ProbingRange, msg)
+	// cannot be boxed once.
+	p.platform.BroadcastReply(p.cfg.PacketSize, p.cfg.ProbingRange, msg)
 }
 
 func (p *Protocol) onReply(msg Reply) {

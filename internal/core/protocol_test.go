@@ -22,10 +22,15 @@ func newFakePlatform(seed int64) *fakePlatform {
 	return &fakePlatform{engine: sim.NewEngine(), rng: stats.NewRNG(seed)}
 }
 
-func (f *fakePlatform) Now() float64               { return f.engine.Now() }
-func (f *fakePlatform) After(d float64, fn func()) { f.engine.Schedule(d, fn) }
+func (f *fakePlatform) Now() float64 { return f.engine.Now() }
+func (f *fakePlatform) AtArg(at float64, fn func(any), arg any) {
+	f.engine.AtArg(at, fn, arg)
+}
 func (f *fakePlatform) Broadcast(_ int, _ float64, payload any) {
 	f.sent = append(f.sent, payload)
+}
+func (f *fakePlatform) BroadcastReply(size int, radius float64, msg Reply) {
+	f.Broadcast(size, radius, msg)
 }
 func (f *fakePlatform) SetState(s State) { f.states = append(f.states, s) }
 func (f *fakePlatform) Rand() *stats.RNG { return f.rng }
@@ -423,4 +428,26 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 		}
 	}()
 	New(1, Config{}, newFakePlatform(1))
+}
+
+// TestResumeTimersFireAtRecordedDeadline restores a sleeping node mid-run
+// and checks that its wakeup fires at exactly the recorded deadline. This
+// pair of times is one where re-arming through the relative delay
+// now+(at-now) rounds the deadline one ulp late.
+func TestResumeTimersFireAtRecordedDeadline(t *testing.T) {
+	const now, at = 0.07282536737797862, 16.183403123027393
+	f := newFakePlatform(16)
+	f.engine.SetNow(now)
+	p := New(1, DefaultConfig(), f)
+	st := p.Snapshot()
+	st.State, st.StateSince = Sleeping, now
+	st.Timers = []TimerRec{{Kind: TimerWakeup, At: at}}
+	p.RestoreState(st)
+	p.ResumeTimers(st.Timers)
+	if !f.engine.Step() {
+		t.Fatal("no timer armed")
+	}
+	if p.State() != Probing || f.engine.Now() != at {
+		t.Errorf("wakeup fired at %v in state %v, want %v in probing", f.engine.Now(), p.State(), at)
+	}
 }

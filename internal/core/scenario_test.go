@@ -27,10 +27,15 @@ type miniPlatform struct {
 
 var _ Platform = (*miniPlatform)(nil)
 
-func (p *miniPlatform) Now() float64               { return p.net.engine.Now() }
-func (p *miniPlatform) After(d float64, fn func()) { p.net.engine.Schedule(d, fn) }
-func (p *miniPlatform) SetState(State)             {}
-func (p *miniPlatform) Rand() *stats.RNG           { return p.rng }
+func (p *miniPlatform) Now() float64     { return p.net.engine.Now() }
+func (p *miniPlatform) SetState(State)   {}
+func (p *miniPlatform) Rand() *stats.RNG { return p.rng }
+func (p *miniPlatform) AtArg(at float64, fn func(any), arg any) {
+	p.net.engine.AtArg(at, fn, arg)
+}
+func (p *miniPlatform) BroadcastReply(size int, radius float64, msg Reply) {
+	p.Broadcast(size, radius, msg)
+}
 
 func (p *miniPlatform) Broadcast(_ int, radius float64, payload any) {
 	from := p.net.positions[p.id]

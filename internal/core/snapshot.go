@@ -3,9 +3,9 @@ package core
 // This file defines the serializable view of a Protocol instance used by
 // the checkpoint/restore subsystem (internal/checkpoint). A snapshot is
 // taken at a quiescent event boundary: the state machine's fields are
-// plain data, and the pending timers — normally closures inside the event
-// engine — are captured as (kind, probe, deadline) records that
-// ResumeTimers rebuilds into live callbacks after a restore.
+// plain data, and the pending timers — pooled records armed on the
+// platform — are captured as (kind, probe, deadline) records that
+// ResumeTimers re-arms after a restore.
 
 // TimerKind identifies one of the protocol's pending timer types.
 type TimerKind uint8
@@ -29,34 +29,6 @@ type TimerRec struct {
 	Probe int
 	// At is the absolute simulation-time deadline.
 	At float64
-}
-
-// AbsolutePlatform is an optional Platform extension for schedulers that
-// support absolute-time deadlines. When available, timers are (re)armed at
-// their exact recorded deadline; the relative-delay fallback would round
-// the deadline through now+(at-now) and nudge a resumed run off the
-// original trajectory by an ulp.
-type AbsolutePlatform interface {
-	// At schedules fn at the absolute time at; past deadlines fire
-	// immediately.
-	At(at float64, fn func())
-}
-
-// ArgPlatform is an optional Platform extension for a single-threaded
-// simulator with allocation-free variants of scheduling and of sending a
-// REPLY. With AtArg, fn is a shared function and arg carries the per-event
-// state, so arming a timer needs no closure; with BroadcastReply, the
-// platform puts the REPLY in a record it reuses once the frame is done
-// with, so a REPLY needs no fresh box. When the platform provides them,
-// protocol timers ride pooled records and REPLYs pooled *Reply payloads.
-type ArgPlatform interface {
-	// AtArg schedules fn(arg) at the absolute time at; past deadlines
-	// fire immediately.
-	AtArg(at float64, fn func(any), arg any)
-	// BroadcastReply is Broadcast for a REPLY: the payload is a *Reply
-	// holding msg, reused by the platform once no delivery, duplicate or
-	// retry of the frame is left.
-	BroadcastReply(size int, radius float64, msg Reply)
 }
 
 // EstimatorState is the serializable state of a RateEstimator.
@@ -127,8 +99,8 @@ func (p *Protocol) RestoreState(st ProtocolState) {
 	p.timers = p.timers[:0]
 }
 
-// ResumeTimers rebuilds live engine callbacks for the captured pending
-// timers, in their recorded order, at their exact recorded deadlines. The
+// ResumeTimers re-arms the captured pending timers on the platform, in
+// their recorded order, at their exact recorded deadlines. The
 // records are self-describing — dispatch maps Kind back to the action —
 // so resuming is just re-arming each one.
 func (p *Protocol) ResumeTimers(timers []TimerRec) {

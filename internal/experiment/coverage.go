@@ -9,7 +9,7 @@ import (
 
 // attachIncremental builds the O(Δworking) coverage engine over net's
 // deployment on lattice and subscribes it to the network's
-// working-transition hook, chaining any hook already installed. Attach
+// working-transition hook. Attach
 // before net.Start (or before restoring a snapshot); on a resumed run,
 // follow up with inc.Rebuild over the restored working set, since
 // checkpoint restores bypass the hook.
@@ -19,12 +19,8 @@ func attachIncremental(net *node.Network, lattice *coverage.Lattice, maxK int) *
 		positions[i] = n.Pos()
 	}
 	inc := coverage.NewIncremental(lattice, positions, SensingRange, maxK)
-	prev := net.OnWorkingChange
-	net.OnWorkingChange = func(id core.NodeID, working bool) {
+	net.Observe(node.Observer{WorkingChange: func(id core.NodeID, working bool) {
 		inc.Set(int(id), working)
-		if prev != nil {
-			prev(id, working)
-		}
-	}
+	}})
 	return inc
 }

@@ -56,25 +56,39 @@ func TestRunHooks(t *testing.T) {
 	}
 }
 
-// TestRunTraceChainsAllDeadStop verifies the trace hook does not break
-// the early-exit-when-exhausted logic that is installed on OnDeath.
+// TestRunTraceChainsAllDeadStop verifies that death observers do not break
+// the runner's early exit once the network is exhausted, whether they
+// subscribe before its liveness count (RunConfig.Trace) or after it
+// (OnNetwork).
 func TestRunTraceChainsAllDeadStop(t *testing.T) {
-	recorder := trace.NewRecorder(0)
-	cfg := RunConfig{
-		Network:          node.DefaultConfig(30, 53),
-		FailuresPer5000s: 5000 * 10, // ~10 failures/s: exhausts quickly
-		Horizon:          5000,
-		Trace:            recorder,
+	config := func() RunConfig {
+		return RunConfig{
+			Network:          node.DefaultConfig(30, 53),
+			FailuresPer5000s: 5000 * 10, // ~10 failures/s: exhausts quickly
+			Horizon:          5000,
+		}
 	}
+	plain, err := Run(config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.AllDeadAt >= 5000 {
+		t.Fatalf("network should exhaust early, AllDeadAt=%v", plain.AllDeadAt)
+	}
+	before, after := trace.NewRecorder(0), trace.NewRecorder(0)
+	cfg := config()
+	cfg.Trace = before
+	cfg.OnNetwork = func(net *node.Network) { trace.Attach(after, net) }
 	rs, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.AllDeadAt >= 5000 {
-		t.Errorf("network should exhaust early, AllDeadAt=%v", rs.AllDeadAt)
+	if rs.AllDeadAt != plain.AllDeadAt {
+		t.Errorf("AllDeadAt = %v with recorders subscribed, %v without", rs.AllDeadAt, plain.AllDeadAt)
 	}
-	deaths := recorder.Summarize().ByKind[trace.KindDeath]
-	if deaths != 30 {
-		t.Errorf("trace saw %d deaths, want 30", deaths)
+	for name, r := range map[string]*trace.Recorder{"before": before, "after": after} {
+		if deaths := r.Summarize().ByKind[trace.KindDeath]; deaths != 30 {
+			t.Errorf("recorder subscribed %s the liveness count saw %d deaths, want 30", name, deaths)
+		}
 	}
 }

@@ -120,10 +120,6 @@ type RunConfig struct {
 	// CheckpointEvery (the determinism check for chaos runs is instead
 	// same-plan+seed double-run final-hash equality via CaptureFinal).
 	Chaos *chaos.Plan
-	// ChaosCounters, when non-nil, receives the per-fault-class counters;
-	// a fresh set is allocated otherwise. RunStats.Chaos exposes the
-	// final values either way.
-	ChaosCounters *metrics.Counters
 }
 
 // DefaultHorizon returns a horizon long enough for a deployment of n
@@ -247,6 +243,9 @@ func Run(cfg RunConfig) (*RunStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Trace != nil {
+		trace.Attach(cfg.Trace, net)
+	}
 	var chaosCtl *chaos.Controller
 	if cfg.Chaos != nil {
 		if snap != nil {
@@ -255,7 +254,7 @@ func Run(cfg RunConfig) (*RunStats, error) {
 		if cfg.CheckpointEvery > 0 {
 			return nil, fmt.Errorf("experiment: chaos plans cannot take mid-run checkpoints; compare final-state hashes instead")
 		}
-		chaosCtl, err = chaos.AttachSim(net, cfg.Chaos, cfg.ChaosCounters)
+		chaosCtl, err = chaos.AttachSim(net, cfg.Chaos)
 		if err != nil {
 			return nil, err
 		}
@@ -319,18 +318,16 @@ func Run(cfg RunConfig) (*RunStats, error) {
 			}
 		}
 	}
-	net.OnDeath = func(_ core.NodeID, _ node.DeathCause) {
-		alive--
-		if alive == 0 {
-			allDeadAt = net.Engine.Now()
-			net.Engine.Stop()
-		}
-	}
-	net.OnRevive = func(core.NodeID) { alive++ }
-	if cfg.Trace != nil {
-		// Attach last so the recorder chains the hooks above.
-		trace.Attach(cfg.Trace, net)
-	}
+	net.Observe(node.Observer{
+		Death: func(core.NodeID, node.DeathCause) {
+			alive--
+			if alive == 0 {
+				allDeadAt = net.Engine.Now()
+				net.Engine.Stop()
+			}
+		},
+		Revive: func(core.NodeID) { alive++ },
+	})
 
 	if snap == nil {
 		if cfg.OnNetwork != nil {

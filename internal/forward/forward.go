@@ -4,8 +4,8 @@
 // package reproduces GRAB's role in the evaluation:
 //
 //   - what is maintained between reports is an index of the current
-//     working set (router), updated one node at a time from
-//     Network.OnWorkingChange — the stand-in for GRAB's ADV flood, which
+//     working set (router), updated one node at a time from the network's
+//     WorkingChange hook — the stand-in for GRAB's ADV flood, which
 //     the sink re-issues when topology changes;
 //   - the route itself is a breadth-first search over that index, redone
 //     only for a report that follows a working-set change; any other
@@ -97,8 +97,7 @@ type Harness struct {
 }
 
 // NewHarness attaches the workload to net, subscribing to the network's
-// working-transition hook (chaining any hook already installed). Call
-// Start before running the simulation.
+// working-transition hook. Call Start before running the simulation.
 func NewHarness(cfg Config, net *node.Network) *Harness {
 	if cfg.MeshWidth < 1 {
 		cfg.MeshWidth = 1
@@ -124,15 +123,11 @@ func NewHarness(cfg Config, net *node.Network) *Harness {
 		router:  newRouter(net.Field, positions, cfg.Source, cfg.Sink, cfg.HopRange),
 	}
 	h.syncRouter()
-	prev := net.OnWorkingChange
-	net.OnWorkingChange = func(id core.NodeID, working bool) {
+	net.Observe(node.Observer{WorkingChange: func(id core.NodeID, working bool) {
 		h.router.set(int(id), working)
 		h.stale = true
 		h.transitions++
-		if prev != nil {
-			prev(id, working)
-		}
-	}
+	}})
 	return h
 }
 

@@ -323,7 +323,7 @@ func TestRouteMatchesReferenceUnderCrashRestart(t *testing.T) {
 			Class: chaos.CrashRestart, At: at, Downtime: 45, Policy: "working", Count: 2})
 	}
 	net := testNet(t, 480, 11)
-	ctl, err := chaos.AttachSim(net, plan, nil)
+	ctl, err := chaos.AttachSim(net, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

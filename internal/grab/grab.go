@@ -130,13 +130,9 @@ func NewHarness(cfg Config, net *node.Network) *Harness {
 // Start hooks frame delivery and schedules the ADV flood and report
 // generation.
 func (h *Harness) Start() {
-	prev := h.net.OnDeliver
-	h.net.OnDeliver = func(id core.NodeID, pkt radio.Packet, dist float64) {
-		if prev != nil {
-			prev(id, pkt, dist)
-		}
+	h.net.Observe(node.Observer{Deliver: func(id core.NodeID, pkt radio.Packet, _ float64) {
 		h.onFrame(id, pkt)
-	}
+	}})
 	h.net.Engine.NewTicker(h.cfg.AdvPeriod, h.flood)
 	// First flood immediately after boot so early reports have a field.
 	h.net.Engine.Schedule(1, h.flood)

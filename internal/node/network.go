@@ -71,22 +71,44 @@ type Network struct {
 	spareReplies []*core.Reply
 	recycleReply func(any)
 
-	// OnState, OnDeath, OnRevive and OnDeliver are optional observer hooks
-	// used by the metrics layer; they may be nil. Set them before Start.
-	// OnRevive fires when a transiently failed node comes back via Revive
-	// or ReviveFrom.
-	OnState   func(id core.NodeID, s core.State)
-	OnDeath   func(id core.NodeID, cause DeathCause)
-	OnRevive  func(id core.NodeID)
-	OnDeliver func(id core.NodeID, pkt radio.Packet, dist float64)
-	// OnWorkingChange fires exactly when a node's Working() status flips —
+	// observers are the subscribed hook sets, in subscription order.
+	// deliverers counts those with a Deliver hook, so a frame delivery,
+	// the most frequent event, costs one check when nobody listens.
+	observers  []Observer
+	deliverers int
+}
+
+// Observer is a set of optional hooks on a network's node events, used by
+// the metrics, coverage, forwarding and trace layers. A nil hook is
+// skipped. Subscribe with Network.Observe.
+type Observer struct {
+	// State fires on every protocol mode change.
+	State func(id core.NodeID, s core.State)
+	// Death fires when a node dies, with the cause.
+	Death func(id core.NodeID, cause DeathCause)
+	// Revive fires when a transiently failed node comes back via Revive or
+	// ReviveFrom.
+	Revive func(id core.NodeID)
+	// Deliver fires after the protocol has handled a received frame.
+	Deliver func(id core.NodeID, pkt radio.Packet, dist float64)
+	// WorkingChange fires exactly when a node's Working() status flips —
 	// on entering Working, and on leaving it for any reason (sleep, probe,
 	// death, crash). Every live path funnels through Node.SetState, so the
 	// hook sees each transition once; checkpoint restores bypass it (the
 	// resume path rebuilds derived state from the restored working set).
 	// The incremental coverage engine subscribes here to keep per-sample
 	// work proportional to working-set churn.
-	OnWorkingChange func(id core.NodeID, working bool)
+	WorkingChange func(id core.NodeID, working bool)
+}
+
+// Observe subscribes o to the network's node events. Hooks of one kind
+// run in subscription order. Subscribe before Start, or before restoring a
+// snapshot.
+func (net *Network) Observe(o Observer) {
+	net.observers = append(net.observers, o)
+	if o.Deliver != nil {
+		net.deliverers++
+	}
 }
 
 // energyAdapter charges packet airtime to node batteries. The extra
@@ -202,6 +224,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 		Index:  idx,
 		Nodes:  make([]*Node, cfg.N),
 		cfg:    cfg,
+		// Room for a run's usual subscribers (coverage, forwarding,
+		// liveness and a trace recorder) without regrowing.
+		observers: make([]Observer, 0, 4),
 	}
 	net.Medium = radio.NewMedium(cfg.Radio, engine, idx, radioRNG, &energyAdapter{net: net})
 	net.recycleReply = func(a any) { net.spareReplies = append(net.spareReplies, a.(*core.Reply)) }

@@ -221,34 +221,48 @@ func TestDepletionDeathsScheduled(t *testing.T) {
 	}
 }
 
+// TestObserverHooks subscribes three observers with every hook and drives
+// each kind of event: each event must reach the three in the order they
+// subscribed.
 func TestObserverHooks(t *testing.T) {
-	cfg := DefaultConfig(30, 19)
-	net, err := NewNetwork(cfg)
+	net, err := NewNetwork(DefaultConfig(30, 19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var states, deaths, delivers int
-	net.OnState = func(core.NodeID, core.State) { states++ }
-	net.OnDeath = func(core.NodeID, DeathCause) { deaths++ }
-	net.OnDeliver = func(core.NodeID, radio.Packet, float64) { delivers++ }
+	calls := map[string][]int{}
+	for i := 0; i < 3; i++ {
+		log := func(kind string) { calls[kind] = append(calls[kind], i) }
+		net.Observe(Observer{
+			State:         func(core.NodeID, core.State) { log("state") },
+			Death:         func(core.NodeID, DeathCause) { log("death") },
+			Revive:        func(core.NodeID) { log("revive") },
+			Deliver:       func(core.NodeID, radio.Packet, float64) { log("deliver") },
+			WorkingChange: func(core.NodeID, bool) { log("working") },
+		})
+	}
 	net.Start()
-	net.FailRandomAlive(stats.NewRNG(1))
 	net.Run(100)
-	if states == 0 {
-		t.Error("no state transitions observed")
-	}
-	if deaths != 1 {
-		t.Errorf("deaths observed = %d, want 1", deaths)
-	}
-	if delivers == 0 {
-		t.Error("no deliveries observed")
+	net.Nodes[0].Crash()
+	net.Nodes[0].Revive()
+	net.FailRandomAlive(stats.NewRNG(1))
+	net.Run(200)
+	for kind, n := range map[string]int{"state": 0, "death": 2, "revive": 1, "deliver": 0, "working": 0} {
+		got := calls[kind]
+		if len(got) == 0 || n > 0 && len(got) != 3*n {
+			t.Errorf("%s: %d calls to 3 subscribers, want %d events each (0: any)", kind, len(got), n)
+		}
+		for j, i := range got {
+			if i != j%3 {
+				t.Fatalf("%s: call %d went to subscriber %d, want %d", kind, j, i, j%3)
+			}
+		}
 	}
 }
 
 // TestWorkingChangeHookTracksWorkingSet replays a run with failures and
-// revives while mirroring OnWorkingChange into a shadow set; at several
-// instants the shadow must equal a fresh Working() scan, and the hook
-// must be strictly edge-triggered (no repeated same-direction events).
+// revives while mirroring the WorkingChange hook into a shadow set; at
+// several instants the shadow must equal a fresh Working() scan, and the
+// hook must be strictly edge-triggered (no repeated same-direction events).
 func TestWorkingChangeHookTracksWorkingSet(t *testing.T) {
 	cfg := DefaultConfig(80, 31)
 	net, err := NewNetwork(cfg)
@@ -257,13 +271,13 @@ func TestWorkingChangeHookTracksWorkingSet(t *testing.T) {
 	}
 	shadow := make([]bool, cfg.N)
 	flips := 0
-	net.OnWorkingChange = func(id core.NodeID, working bool) {
+	net.Observe(Observer{WorkingChange: func(id core.NodeID, working bool) {
 		if shadow[id] == working {
-			t.Fatalf("node %d: repeated OnWorkingChange(%v) without an opposite edge", id, working)
+			t.Fatalf("node %d: repeated WorkingChange(%v) without an opposite edge", id, working)
 		}
 		shadow[id] = working
 		flips++
-	}
+	}})
 	verify := func(at string) {
 		t.Helper()
 		for i, n := range net.Nodes {

@@ -60,17 +60,15 @@ type Node struct {
 	alive  bool
 	cause  DeathCause
 	diedAt float64
-	// wasWorking is the last Working() status reported through
-	// Network.OnWorkingChange; SetState diffs against it so the hook
+	// wasWorking is the last Working() status reported to the
+	// WorkingChange observers; SetState diffs against it so the hook
 	// fires exactly once per flip.
 	wasWorking bool
 }
 
 var (
-	_ core.Platform         = (*Node)(nil)
-	_ core.AbsolutePlatform = (*Node)(nil)
-	_ core.ArgPlatform      = (*Node)(nil)
-	_ radio.Receiver        = (*Node)(nil)
+	_ core.Platform  = (*Node)(nil)
+	_ radio.Receiver = (*Node)(nil)
 )
 
 // ID returns the node identifier.
@@ -109,16 +107,8 @@ func (n *Node) Battery() *energy.Battery { return n.battery }
 // Now returns the simulation time.
 func (n *Node) Now() float64 { return n.network.Engine.Now() }
 
-// After schedules fn on the simulation engine.
-func (n *Node) After(d float64, fn func()) { n.network.Engine.Schedule(d, fn) }
-
-// At schedules fn at an absolute simulation time. The protocol uses it
-// (via core.AbsolutePlatform) so restored timers re-arm at their exact
-// recorded deadlines.
-func (n *Node) At(at float64, fn func()) { n.network.Engine.At(at, fn) }
-
-// AtArg schedules a shared callback with a pooled argument record (via
-// core.ArgPlatform), keeping the protocol timer hot path allocation-free.
+// AtArg schedules a shared callback with a pooled argument record on the
+// simulation engine, keeping the protocol timer hot path allocation-free.
 func (n *Node) AtArg(at float64, fn func(any), arg any) { n.network.Engine.AtArg(at, fn, arg) }
 
 // Broadcast transmits a protocol frame over the shared medium.
@@ -134,9 +124,9 @@ func (n *Node) Broadcast(size int, radius float64, payload any) {
 	})
 }
 
-// BroadcastReply transmits a REPLY (via core.ArgPlatform) in one of the
-// network's pooled *core.Reply records, which the medium hands back once no
-// delivery, duplicate or carrier-sense retry of the frame is left.
+// BroadcastReply transmits a REPLY in one of the network's pooled
+// *core.Reply records, which the medium hands back once no delivery,
+// duplicate or carrier-sense retry of the frame is left.
 func (n *Node) BroadcastReply(size int, radius float64, msg core.Reply) {
 	if !n.alive {
 		return
@@ -178,12 +168,16 @@ func (n *Node) SetState(s core.State) {
 	// SetState. The diff against wasWorking keeps the hook edge-triggered.
 	if w := n.Working(); w != n.wasWorking {
 		n.wasWorking = w
-		if n.network.OnWorkingChange != nil {
-			n.network.OnWorkingChange(n.id, w)
+		for _, o := range n.network.observers {
+			if o.WorkingChange != nil {
+				o.WorkingChange(n.id, w)
+			}
 		}
 	}
-	if n.network.OnState != nil {
-		n.network.OnState(n.id, s)
+	for _, o := range n.network.observers {
+		if o.State != nil {
+			o.State(n.id, s)
+		}
 	}
 }
 
@@ -213,8 +207,13 @@ func (n *Node) Deliver(pkt radio.Packet, dist float64) {
 		return
 	}
 	n.proto.HandleMessage(pkt.Payload, dist)
-	if n.network.OnDeliver != nil {
-		n.network.OnDeliver(n.id, pkt, dist)
+	if n.network.deliverers == 0 {
+		return
+	}
+	for _, o := range n.network.observers {
+		if o.Deliver != nil {
+			o.Deliver(n.id, pkt, dist)
+		}
 	}
 }
 
@@ -259,9 +258,7 @@ func (n *Node) Revive() bool {
 	n.cause = 0
 	n.diedAt = 0
 	n.proto.Reboot()
-	if n.network.OnRevive != nil {
-		n.network.OnRevive(n.id)
-	}
+	n.revived()
 	return true
 }
 
@@ -283,10 +280,17 @@ func (n *Node) ReviveFrom(st core.ProtocolState) bool {
 	// scheduling, observer hooks) that RestoreState bypasses.
 	n.SetState(st.State)
 	n.proto.ResumeTimers(st.Timers)
-	if n.network.OnRevive != nil {
-		n.network.OnRevive(n.id)
-	}
+	n.revived()
 	return true
+}
+
+// revived reports a comeback to the Revive observers.
+func (n *Node) revived() {
+	for _, o := range n.network.observers {
+		if o.Revive != nil {
+			o.Revive(n.id)
+		}
+	}
 }
 
 func (n *Node) revivable() bool {
@@ -303,8 +307,10 @@ func (n *Node) die(cause DeathCause) {
 	n.death.Stop()
 	n.syncRadio()
 	n.proto.Fail()
-	if n.network.OnDeath != nil {
-		n.network.OnDeath(n.id, cause)
+	for _, o := range n.network.observers {
+		if o.Death != nil {
+			o.Death(n.id, cause)
+		}
 	}
 }
 

@@ -128,11 +128,11 @@ func TestDeadNodesStopTransmitting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var deadDeliveries int
-	net.OnDeliver = func(id core.NodeID, _ radio.Packet, _ float64) {
+	net.Observe(Observer{Deliver: func(id core.NodeID, _ radio.Packet, _ float64) {
 		if !net.Nodes[id].Alive() {
 			deadDeliveries++
 		}
-	}
+	}})
 	net.Start()
 	net.Run(100)
 	// Kill half the nodes and watch the medium.

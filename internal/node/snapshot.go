@@ -70,7 +70,7 @@ func (net *Network) RestoreNodes(states []NodeState) error {
 		n.rng.Restore(st.RNG)
 		n.battery.Restore(st.Battery)
 		n.proto.RestoreState(st.Proto)
-		// Sync the edge-trigger baseline without firing OnWorkingChange:
+		// Sync the edge-trigger baseline without firing the WorkingChange hooks:
 		// restores are bulk state loads, and consumers rebuild their
 		// derived state from the restored working set instead.
 		n.wasWorking = n.Working()

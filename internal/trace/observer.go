@@ -6,51 +6,30 @@ import (
 	"peas/internal/radio"
 )
 
-// Attach wires a Recorder into a network's observer hooks, chaining any
-// hooks already installed. Call before net.Start.
+// Attach subscribes a Recorder to a network's state, death and delivery
+// events. Call before net.Start.
 func Attach(r *Recorder, net *node.Network) {
-	prevState := net.OnState
-	net.OnState = func(id core.NodeID, s core.State) {
-		if prevState != nil {
-			prevState(id, s)
-		}
+	record := func(kind Kind, id core.NodeID, detail string, value float64) {
 		r.Record(Event{
 			T:      net.Engine.Now(),
-			Kind:   KindState,
-			Node:   int(id),
-			Detail: s.String(),
-		})
-	}
-	prevDeath := net.OnDeath
-	net.OnDeath = func(id core.NodeID, cause node.DeathCause) {
-		if prevDeath != nil {
-			prevDeath(id, cause)
-		}
-		r.Record(Event{
-			T:      net.Engine.Now(),
-			Kind:   KindDeath,
-			Node:   int(id),
-			Detail: cause.String(),
-		})
-	}
-	prevDeliver := net.OnDeliver
-	net.OnDeliver = func(id core.NodeID, pkt radio.Packet, dist float64) {
-		if prevDeliver != nil {
-			prevDeliver(id, pkt, dist)
-		}
-		detail := "frame"
-		switch pkt.Payload.(type) {
-		case core.Probe:
-			detail = "probe"
-		case core.Reply, *core.Reply:
-			detail = "reply"
-		}
-		r.Record(Event{
-			T:      net.Engine.Now(),
-			Kind:   KindPacket,
+			Kind:   kind,
 			Node:   int(id),
 			Detail: detail,
-			Value:  dist,
+			Value:  value,
 		})
 	}
+	net.Observe(node.Observer{
+		State: func(id core.NodeID, s core.State) { record(KindState, id, s.String(), 0) },
+		Death: func(id core.NodeID, cause node.DeathCause) { record(KindDeath, id, cause.String(), 0) },
+		Deliver: func(id core.NodeID, pkt radio.Packet, dist float64) {
+			detail := "frame"
+			switch pkt.Payload.(type) {
+			case core.Probe:
+				detail = "probe"
+			case core.Reply, *core.Reply:
+				detail = "reply"
+			}
+			record(KindPacket, id, detail, dist)
+		},
+	})
 }

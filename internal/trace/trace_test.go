@@ -115,13 +115,13 @@ func TestAttachChainsExistingHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	prior := 0
-	net.OnState = func(core.NodeID, core.State) { prior++ }
+	net.Observe(node.Observer{State: func(core.NodeID, core.State) { prior++ }})
 	r := NewRecorder(0)
 	Attach(r, net)
 	net.Start()
 	net.Run(50)
 	if prior == 0 {
-		t.Error("pre-existing OnState hook was not chained")
+		t.Error("the State hook subscribed before the recorder did not run")
 	}
 	if got := r.Summarize().ByKind[KindState]; got != prior {
 		t.Errorf("recorder saw %d state events, prior hook %d", got, prior)

@@ -43,7 +43,6 @@ import (
 	"peas/internal/energy"
 	"peas/internal/experiment"
 	"peas/internal/geom"
-	"peas/internal/metrics"
 	"peas/internal/node"
 	"peas/internal/oracle"
 	"peas/internal/radio"
@@ -70,6 +69,10 @@ type (
 	Network = node.Network
 	// Node is one simulated sensor.
 	Node = node.Node
+	// Observer is a set of optional hooks on a network's node events
+	// (state changes, deaths, revivals, deliveries, working-set flips);
+	// subscribe one with Network.Observe.
+	Observer = node.Observer
 	// RunConfig configures one full evaluation run (network + failures +
 	// workload + metrics).
 	RunConfig = experiment.RunConfig
@@ -158,13 +161,6 @@ type ChaosEvent = chaos.Event
 // FaultClass names one kind of injectable fault.
 type FaultClass = chaos.FaultClass
 
-// FaultCounters is an ordered set of named fault counters; pass one as
-// RunConfig.ChaosCounters to observe per-class fault activity.
-type FaultCounters = metrics.Counters
-
-// NewFaultCounters returns an empty fault counter set.
-func NewFaultCounters() *FaultCounters { return metrics.NewCounters() }
-
 // LoadChaosPlan reads and validates a JSON chaos plan.
 func LoadChaosPlan(path string) (*ChaosPlan, error) { return chaos.Load(path) }
 
@@ -176,9 +172,10 @@ func MixedChaosPlan(horizon float64, seed int64) *ChaosPlan {
 }
 
 // UnexercisedFaults returns the classes whose completion counter is still
-// zero — a strict chaos campaign fails when any planned class never fired.
-func UnexercisedFaults(classes []FaultClass, c *FaultCounters) []FaultClass {
-	return chaos.Unexercised(classes, c)
+// zero in counts, a chaos run's RunStats.Chaos — a strict chaos campaign
+// fails when any planned class never fired.
+func UnexercisedFaults(classes []FaultClass, counts map[string]uint64) []FaultClass {
+	return chaos.Unexercised(classes, counts)
 }
 
 // TraceRecorder buffers structured simulation events (state changes,

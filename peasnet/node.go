@@ -308,11 +308,11 @@ func (n *Node) Now() float64 {
 	return n.base + time.Since(n.started).Seconds()*n.scale
 }
 
-// After schedules fn on the event loop after d protocol seconds. Pending
-// timers are cancelled on Stop; a delay too long for a time.Duration arms
-// none.
-func (n *Node) After(d float64, fn func()) {
-	delay, ok := wallDelay(d, n.scale)
+// AtArg schedules fn(arg) on the event loop at protocol time at; a past
+// deadline fires at once. Pending timers are cancelled on Stop; a deadline
+// too far off for a time.Duration arms none.
+func (n *Node) AtArg(at float64, fn func(any), arg any) {
+	delay, ok := wallDelay(at-n.Now(), n.scale)
 	n.mu.Lock()
 	if n.stopped || !ok {
 		n.mu.Unlock()
@@ -323,7 +323,7 @@ func (n *Node) After(d float64, fn func()) {
 		n.mu.Lock()
 		delete(n.timers, timer)
 		n.mu.Unlock()
-		n.post(fn)
+		n.post(func() { fn(arg) })
 	})
 	n.timers[timer] = struct{}{}
 	n.mu.Unlock()
@@ -351,6 +351,12 @@ func (n *Node) Broadcast(size int, radius float64, payload any) {
 	}
 	_ = size // the wire format is fixed-size
 	_ = n.transport.Broadcast(n.cfg.ID, n.cfg.Pos, radius, frame)
+}
+
+// BroadcastReply transmits a REPLY. Its frame is encoded at once, so the
+// value needs no pooling here.
+func (n *Node) BroadcastReply(size int, radius float64, msg core.Reply) {
+	n.Broadcast(size, radius, msg)
 }
 
 // SetState tracks the protocol mode and radio power state.
