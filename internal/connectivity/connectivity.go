@@ -108,6 +108,12 @@ func Analyze(field geom.Field, working []geom.Point, rt float64) Analysis {
 // relays with per-hop range rt, as indices into relays. It returns
 // (nil, true) when a reaches b directly and (nil, false) when no path
 // exists.
+//
+// No run calls it: GRAB forwarding routes with forward's router, which
+// must return exactly the path this function returns. ShortestPath is
+// that router's differential reference (forward/mesh_test.go) and the
+// subject of the benchmark's frozen connectivity.shortest_path_us kernel,
+// which is why it stays here rather than beside its one test user.
 func ShortestPath(field geom.Field, relays []geom.Point, a, b geom.Point, rt float64) ([]int, bool) {
 	if a.Dist(b) <= rt {
 		return nil, true

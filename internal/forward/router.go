@@ -1,53 +1,54 @@
 package forward
 
 import (
-	"math"
+	"math/bits"
+	"slices"
 
 	"peas/internal/geom"
 )
 
 // router answers "which relays carry the next report" over a working set
-// that changes one node at a time. It keeps the working nodes bucketed on
-// a grid and searches that grid with reusable scratch, so a report costs
-// one breadth-first search and no allocation, instead of a fresh
-// geom.Index plus a dozen slices.
+// that changes one node at a time. Nodes never move, so the geometry is
+// worked out once, when the router is built: every node's reach row (and
+// the source's) lists the nodes within rt of it as bitmasks over a fixed
+// numbering of the nodes. The working set is a bitset in that numbering,
+// joining or leaving flips one bit, and a report costs one breadth-first
+// search over masks and no allocation.
 //
 // The route is pinned, not just its length: relay energy charges, the hop
 // series and the loss-RNG draw count all depend on *which* shortest path
 // wins, so the search visits candidates in exactly the order
 // connectivity.ShortestPath does over the working positions listed in
-// ascending node order (the differential tests hold it to that). That
-// needs geom.Index's geometry for cellSize = rt reproduced here — same
-// cols/rows, same clamped bucketOf, same c0..c1 × r0..r1 window walked
-// rows outer / cols inner, buckets ascending — and the same float
-// comparisons. The ~20 lines of grid arithmetic are duplicated rather
-// than shared with geom.Index: Index.Within2 is the radio medium's hot
-// path and is left untouched.
+// ascending node order (the differential tests hold it to that). The
+// numbering is geom.Index.Order for cellSize = rt, the index
+// ShortestPath builds, and Index.Within2 reports its points as a
+// subsequence of Order: a row's set bits, taken in ascending order, are
+// exactly the points Within2 visits, in the order it visits them.
 type router struct {
 	pos    []geom.Point // every deployed node, by node id
-	src    geom.Point
-	rt     float64
-	direct bool   // src reaches dst in one hop; no relay is needed
-	sink   []bool // sink[id]: node id reaches dst in one hop; nodes never move
+	direct bool         // src reaches dst in one hop; no relay is needed
 
-	// Bucket grid. Bucket b owns entries[starts[b]:starts[b+1]], sized
-	// for every deployed node that falls in it; the first lens[b] of those
-	// slots hold the ids of its *working* nodes in ascending order.
-	cell       float64
-	cols, rows int
-	bucket     []int32 // bucket of node id
-	starts     []int32
-	lens       []int32
-	entries    []int32
+	// The numbering: node ids[k] is number k and rank[id] is id's
+	// number. sink[k]: node k reaches dst in one hop; nodes never move.
+	ids  []int32
+	rank []int32
+	sink []bool
 
-	// Search scratch. seen[id] == gen marks id visited by the current
-	// search; used[id] == call marks it consumed by an earlier path of the
-	// current paths call. Both stamps only grow, so nothing is cleared.
-	gen     uint64
-	seen    []uint64
-	used    []uint64
-	prev    []int32 // predecessor on the search tree; fromSource for a first hop
-	queue   []int32
+	// Reach rows, one per node number and a last one for the source, in
+	// CSR layout: row k is the (words[j], masks[j]) pairs for j in
+	// [starts[k], starts[k+1]), words ascending, each mask the bits of one
+	// bitset word that Within2(center, rt) reports.
+	starts []int32
+	words  []int32
+	masks  []uint64
+
+	// Bitsets over the numbering: the working set; the relays an earlier
+	// path of the current paths call took; the nodes the current search
+	// may still find (working, unused and not yet found).
+	working, used, avail []uint64
+
+	prev    []int32   // predecessor number on the search tree; fromSource for a first hop
+	queue   []int32   // node numbers in discovery order
 	pathIDs []int32   // backing store of found, one path after another
 	found   [][]int32 // result of the last paths call
 }
@@ -58,83 +59,75 @@ const fromSource = -1
 // newRouter indexes the deployment pos inside field with an empty working
 // set; set or rebuild populate it.
 func newRouter(field geom.Field, pos []geom.Point, src, dst geom.Point, rt float64) *router {
-	cell := rt
-	if cell <= 0 {
-		cell = 1
-	}
+	idx := geom.NewIndex(field, pos, rt)
 	n := len(pos)
+	nw := (n + 63) / 64
+	bitsets := make([]uint64, 3*nw)
 	r := &router{
-		pos: pos, src: src, rt: rt,
-		direct: src.Dist(dst) <= rt,
-		cell:   cell,
-		cols:   int(math.Ceil(field.Width/cell)) + 1,
-		rows:   int(math.Ceil(field.Height/cell)) + 1,
-		bucket: make([]int32, n),
-		seen:   make([]uint64, n),
-		used:   make([]uint64, n),
-		prev:   make([]int32, n),
+		pos:     pos,
+		direct:  src.Dist(dst) <= rt,
+		ids:     idx.Order(),
+		rank:    make([]int32, n),
+		sink:    make([]bool, n),
+		starts:  make([]int32, n+2),
+		working: bitsets[:nw],
+		used:    bitsets[nw : 2*nw],
+		avail:   bitsets[2*nw:],
+		prev:    make([]int32, n),
 		// Node-disjoint paths name each node at most once, so neither
 		// backing array ever regrows and earlier paths stay valid.
 		queue:   make([]int32, 0, n),
 		pathIDs: make([]int32, 0, n),
 	}
-	nb := r.cols * r.rows
-	r.starts = make([]int32, nb+1)
-	r.lens = make([]int32, nb)
-	r.entries = make([]int32, n)
-	r.sink = make([]bool, n)
-	for i, p := range pos {
-		b := r.bucketOf(p)
-		r.bucket[i] = int32(b)
-		r.starts[b+1]++
-		r.sink[i] = p.Dist(dst) <= rt
+	for k, id := range r.ids {
+		r.rank[id] = int32(k)
+		r.sink[k] = pos[id].Dist(dst) <= rt
 	}
-	for b := 0; b < nb; b++ {
-		r.starts[b+1] += r.starts[b]
-	}
+	// Two sweeps, count then fill, as Index.Neighbors builds its table:
+	// the rows cost two allocations whatever their sizes.
+	pairs := r.reach(idx, src, rt, false)
+	r.words = make([]int32, pairs)
+	r.masks = make([]uint64, pairs)
+	r.reach(idx, src, rt, true)
 	return r
 }
 
-func (r *router) bucketOf(p geom.Point) int {
-	c := int(p.X / r.cell)
-	row := int(p.Y / r.cell)
-	if c < 0 {
-		c = 0
+// reach walks Within2 from every node and then from src, setting starts
+// and returning the number of (word, mask) pairs; with fill it also writes
+// the pairs. A new pair starts wherever the word changes, since the
+// numbers Within2 reports ascend.
+func (r *router) reach(idx *geom.Index, src geom.Point, rt float64, fill bool) int {
+	at := -1
+	for k := range r.starts[1:] {
+		center := src
+		if k < len(r.ids) {
+			center = idx.At(int(r.ids[k]))
+		}
+		word := int32(-1)
+		idx.Within2(center, rt, func(i int, _ float64) {
+			b := r.rank[i]
+			if b>>6 != word {
+				word = b >> 6
+				at++
+			}
+			if fill {
+				r.words[at] = word
+				r.masks[at] |= 1 << (b & 63)
+			}
+		})
+		r.starts[k+1] = int32(at + 1)
 	}
-	if c >= r.cols {
-		c = r.cols - 1
-	}
-	if row < 0 {
-		row = 0
-	}
-	if row >= r.rows {
-		row = r.rows - 1
-	}
-	return row*r.cols + c
+	return at + 1
 }
 
 // set records that node id joined or left the working set. Setting a node
 // to the status it already has is a no-op.
 func (r *router) set(id int, working bool) {
-	b := r.bucket[id]
-	lo, n := r.starts[b], r.lens[b]
-	members := r.entries[lo : lo+n]
-	i := 0
-	for i < len(members) && members[i] < int32(id) {
-		i++
-	}
-	present := i < len(members) && members[i] == int32(id)
-	if present == working {
-		return
-	}
+	b := r.rank[id]
 	if working {
-		members = r.entries[lo : lo+n+1]
-		copy(members[i+1:], members[i:])
-		members[i] = int32(id)
-		r.lens[b] = n + 1
+		r.working[b>>6] |= 1 << (b & 63)
 	} else {
-		copy(members[i:], members[i+1:])
-		r.lens[b] = n - 1
+		r.working[b>>6] &^= 1 << (b & 63)
 	}
 }
 
@@ -142,15 +135,8 @@ func (r *router) set(id int, working bool) {
 // the per-node hook: construction over a live network and checkpoint
 // restores.
 func (r *router) rebuild(working func(id int) bool) {
-	for b := range r.lens {
-		r.lens[b] = 0
-	}
 	for id := range r.pos {
-		if working(id) {
-			b := r.bucket[id]
-			r.entries[r.starts[b]+r.lens[b]] = int32(id)
-			r.lens[b]++
-		}
+		r.set(id, working(id))
 	}
 }
 
@@ -167,17 +153,11 @@ func (r *router) paths(width int) [][]int32 {
 		r.found = append(r.found, nil)
 		return r.found
 	}
-	if r.rt < 0 {
-		return r.found // a negative range reaches nothing (Within2's guard)
-	}
-	call := r.gen + 1
+	clear(r.used)
 	for len(r.found) < width {
-		path, ok := r.shortest(call)
+		path, ok := r.shortest()
 		if !ok {
 			break
-		}
-		for _, id := range path {
-			r.used[id] = call
 		}
 		r.found = append(r.found, path)
 	}
@@ -186,64 +166,47 @@ func (r *router) paths(width int) [][]int32 {
 
 // shortest is one breadth-first search from src over the working nodes
 // not used by an earlier path of this call. The path is appended to
-// pathIDs in src->dst order.
-func (r *router) shortest(call uint64) ([]int32, bool) {
-	r.gen++
+// pathIDs in src->dst order and its relays are marked used.
+func (r *router) shortest() ([]int32, bool) {
+	for w, working := range r.working {
+		r.avail[w] = working &^ r.used[w]
+	}
 	r.queue = r.queue[:0]
-	r.sweep(r.src, fromSource, call)
+	r.expand(len(r.ids), fromSource)
 	for head := 0; head < len(r.queue); head++ {
 		cur := r.queue[head]
 		if r.sink[cur] {
 			start := len(r.pathIDs)
 			for at := cur; at != fromSource; at = r.prev[at] {
-				r.pathIDs = append(r.pathIDs, at)
+				r.used[at>>6] |= 1 << (at & 63)
+				r.pathIDs = append(r.pathIDs, r.ids[at])
 			}
 			path := r.pathIDs[start:]
-			for lo, hi := 0, len(path)-1; lo < hi; lo, hi = lo+1, hi-1 {
-				path[lo], path[hi] = path[hi], path[lo]
-			}
+			slices.Reverse(path)
 			return path, true
 		}
-		r.sweep(r.pos[cur], cur, call)
+		r.expand(int(cur), cur)
 	}
 	return nil, false
 }
 
-// sweep enqueues every unvisited, unused working node within rt of
-// center, recording from as its predecessor. Window and inclusion test
-// are geom.Index.Within2's.
-func (r *router) sweep(center geom.Point, from int32, call uint64) {
-	r2 := r.rt * r.rt
-	c0 := int((center.X - r.rt) / r.cell)
-	c1 := int((center.X + r.rt) / r.cell)
-	r0 := int((center.Y - r.rt) / r.cell)
-	r1 := int((center.Y + r.rt) / r.cell)
-	if c0 < 0 {
-		c0 = 0
-	}
-	if r0 < 0 {
-		r0 = 0
-	}
-	if c1 >= r.cols {
-		c1 = r.cols - 1
-	}
-	if r1 >= r.rows {
-		r1 = r.rows - 1
-	}
-	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			b := row*r.cols + col
-			lo := r.starts[b]
-			for _, id := range r.entries[lo : lo+r.lens[b]] {
-				if r.seen[id] == r.gen || r.used[id] == call {
-					continue
-				}
-				if center.Dist2(r.pos[id]) <= r2 {
-					r.seen[id] = r.gen
-					r.prev[id] = from
-					r.queue = append(r.queue, id)
-				}
-			}
+// expand enqueues every node in reach row row that the search may still
+// find, in ascending number (Within2's visit order), recording from as
+// its predecessor.
+func (r *router) expand(row int, from int32) {
+	lo, hi := r.starts[row], r.starts[row+1]
+	masks, avail, queue := r.masks[lo:hi], r.avail, r.queue
+	for j, w := range r.words[lo:hi] {
+		x := masks[j] & avail[w]
+		if x == 0 {
+			continue
+		}
+		avail[w] &^= x
+		for ; x != 0; x &= x - 1 {
+			b := w<<6 | int32(bits.TrailingZeros64(x))
+			r.prev[b] = from
+			queue = append(queue, b)
 		}
 	}
+	r.queue = queue
 }

@@ -86,6 +86,12 @@ func (idx *Index) Len() int { return len(idx.points) }
 // At returns the position of point i.
 func (idx *Index) At(i int) Point { return idx.points[i] }
 
+// Order returns every point's index once, buckets ascending and points
+// ascending within a bucket. Within2 reports its points as a subsequence
+// of Order, so numbering the points by their place in it makes every
+// query's answer ascending. The slice aliases the index; do not modify it.
+func (idx *Index) Order() []int32 { return idx.entries }
+
 // Within calls fn for every indexed point within radius of center,
 // including a point exactly at the radius. fn receives the point's index
 // and its distance from center. Iteration order is deterministic (bucket
