@@ -93,13 +93,13 @@ func goldenRuns() []goldenRun {
 	sampled := base(60, 42, 2000, 10, true)
 	sampled.CheckpointEvery = 500
 	return []goldenRun{
-		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 1426},
+		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 1431},
 		{"protocol-160", base(160, 1, 1500, 0, false), [4]uint64{15646, 5998, 1239, 61},
 			"6253205caf9d9c9f7087fd00d654eca8af40ab1c8fe31acd507df283914443b6", 3376},
 		{"baseline-320", base(320, 2, 1200, BaseFailuresPer5000, true), [4]uint64{18650, 6791, 1327, 49},
-			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 6622},
+			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 6627},
 		{"failures-480", base(480, 3, 1000, 26.66, true), [4]uint64{20549, 7423, 1416, 41},
-			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 9841},
+			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 9846},
 	}
 }
 
