@@ -3,11 +3,12 @@
 // (gradient) forwarding protocol running over the working nodes. This
 // package reproduces GRAB's role in the evaluation:
 //
-//   - what is maintained between reports is an index of the current
-//     working set (router), updated one node at a time from the network's
+//   - what is maintained between reports is the current working set as
+//     one bitset (router), updated one node at a time from the network's
 //     WorkingChange hook — the stand-in for GRAB's ADV flood, which
-//     the sink re-issues when topology changes;
-//   - the route itself is a breadth-first search over that index, redone
+//     the sink re-issues when topology changes — beside each node's
+//     reach mask, worked out once because nodes never move;
+//   - the route itself is a breadth-first search over those masks, redone
 //     only for a report that follows a working-set change; any other
 //     report reuses the previous route;
 //   - a report generated at the source is delivered iff a relay path of
