@@ -1,23 +1,19 @@
 // Command peas-chaos runs scripted fault-injection campaigns against the
-// PEAS reproduction, on either substrate:
+// PEAS simulator: a fault-free baseline and a chaos run of the same
+// deployment under the runtime invariant oracle. It prints the
+// per-fault-class activity counters and a degradation report — coverage,
+// working-set size and probe convergence under faults versus the
+// baseline — checking the §5.2 expectation that PEAS degrades gracefully
+// rather than collapsing.
 //
-// Simulator mode (default) runs a fault-free baseline and a chaos run of
-// the same deployment under the runtime invariant oracle, prints the
-// per-fault-class activity counters, and emits a degradation report —
-// coverage, working-set size and probe convergence under faults versus
-// the baseline — checking the §5.2 expectation that PEAS degrades
-// gracefully rather than collapsing.
-//
-// Live mode (-live) boots goroutine nodes over an in-memory transport
-// with channel impairments injected on the broadcast path, then
-// crash-restarts a working node from its supervised checkpoint and
-// verifies it resumes (not reboots) and rejoins the working set.
+// The live runtime's campaign (channel impairments plus a supervised
+// crash-restart) is a virtual-time test of package peasnet,
+// TestLiveChaosCampaignReplays.
 //
 // Usage:
 //
 //	peas-chaos -n 160 -seed 1 -horizon 2500 -plan mixed
 //	peas-chaos -plan campaign.json -strict
-//	peas-chaos -live -scale 150 -duration 12s
 //
 // -strict turns unexercised fault classes, oracle violations and
 // envelope breaches into a non-zero exit, which is what the CI chaos
@@ -29,14 +25,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"peas"
 	"peas/internal/buildinfo"
 	"peas/internal/chaos"
-	"peas/internal/core"
 	"peas/internal/metrics"
-	"peas/peasnet"
 )
 
 func main() {
@@ -48,25 +41,17 @@ func main() {
 
 func run() error {
 	var (
-		n        = flag.Int("n", 160, "number of deployed nodes (sim mode)")
-		seed     = flag.Int64("seed", 1, "campaign seed (deployment and fault RNG streams)")
-		horizon  = flag.Float64("horizon", 2500, "simulated seconds (sim mode)")
-		planArg  = flag.String("plan", "mixed", `fault plan: "mixed" (built-in, every class) or a JSON file path`)
-		strict   = flag.Bool("strict", false, "exit non-zero on unexercised classes, oracle violations or an envelope breach")
-		live     = flag.Bool("live", false, "run the live-runtime campaign (crash-restart from checkpoint) instead of the simulator")
-		liveN    = flag.Int("live-n", 40, "live mode: number of nodes")
-		scale    = flag.Float64("scale", 150, "live mode: protocol seconds per real second")
-		duration = flag.Duration("duration", 12*time.Second, "live mode: total real-time budget")
+		n       = flag.Int("n", 160, "number of deployed nodes")
+		seed    = flag.Int64("seed", 1, "campaign seed (deployment and fault RNG streams)")
+		horizon = flag.Float64("horizon", 2500, "simulated seconds")
+		planArg = flag.String("plan", "mixed", `fault plan: "mixed" (built-in, every class) or a JSON file path`)
+		strict  = flag.Bool("strict", false, "exit non-zero on unexercised classes, oracle violations or an envelope breach")
 	)
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("peas-chaos"))
 		return nil
-	}
-
-	if *live {
-		return runLive(*liveN, *seed, *scale, *duration, *strict)
 	}
 
 	plan, err := loadPlan(*planArg, *horizon, *seed)
@@ -202,117 +187,6 @@ func runCampaign(n int, seed int64, horizon float64, plan *chaos.Plan, strict bo
 	}
 	if strict {
 		return fmt.Errorf("%d problem(s) in strict mode", len(problems))
-	}
-	return nil
-}
-
-// runLive exercises the live substrate: channel impairments on the
-// broadcast path plus a supervised crash-restart of a working node, which
-// must resume from its checkpoint (keeping its protocol history) and
-// rejoin the working set.
-func runLive(n int, seed int64, scale float64, budget time.Duration, strict bool) error {
-	counters := metrics.NewCounters()
-	channel := chaos.NewChannel(seed, counters)
-	channel.SetLoss(0.05)
-	channel.SetDuplication(0.05)
-	channel.SetDelay(0.2, 0.05)
-	inj := peasnet.NewChaosInjector(channel, scale)
-
-	tr := peasnet.NewInMemory()
-	tr.SetFaultInjector(inj)
-	cluster, err := peasnet.NewCluster(peasnet.ClusterConfig{
-		Field:     peas.Field{Width: 20, Height: 20},
-		N:         n,
-		Protocol:  peas.DefaultProtocolConfig(),
-		TimeScale: scale,
-		Seed:      seed,
-		Battery:   &peasnet.BatteryConfig{Joules: 500},
-	}, tr)
-	if err != nil {
-		_ = tr.Close()
-		return err
-	}
-	defer func() { _ = tr.Close() }()
-	defer cluster.Stop()
-
-	stopSup := cluster.Supervise(300 * time.Millisecond)
-	defer stopSup()
-	cluster.Start()
-	fmt.Printf("live cluster:         %d nodes, x%.0f time, loss 5%% + dup 5%% + delay 20%%\n", n, scale)
-
-	// Under live impairments the working set hovers around its steady
-	// size rather than freezing (loss and duplication keep a trickle of
-	// wakeups and turn-offs going), so stabilization is judged with a
-	// small tolerance instead of an exact match.
-	settle := budget / 8
-	if !cluster.AwaitStable(3, settle, budget/2) {
-		return fmt.Errorf("working set did not stabilize within %v", budget/2)
-	}
-	before := cluster.WorkingCount()
-	fmt.Printf("stable working set:   %d nodes\n", before)
-
-	// Crash-restart one working node from its supervised checkpoint.
-	victim := -1
-	var pre core.Stats
-	for _, nd := range cluster.Nodes {
-		if nd.State() == peas.Working {
-			victim = nd.ID()
-			pre = nd.Stats()
-			break
-		}
-	}
-	if victim < 0 {
-		return fmt.Errorf("no working node to crash")
-	}
-	down := budget / 12
-	fmt.Printf("crash-restart:        node %d (working), downtime %v\n", victim, down)
-	inj.With(func(c *chaos.Channel) { c.Counters().Add(chaos.CtrCrash, 1) })
-	if err := cluster.CrashRestart(victim, down); err != nil {
-		return err
-	}
-	inj.With(func(c *chaos.Channel) { c.Counters().Add(chaos.CtrRestarted, 1) })
-
-	var restarted *peasnet.Node
-	for _, nd := range cluster.Nodes {
-		if nd.ID() == victim {
-			restarted = nd
-		}
-	}
-	post := restarted.Stats()
-	resumed := restarted.State() == core.Working &&
-		post.Wakeups >= pre.Wakeups && post.ProbesSent >= pre.ProbesSent
-	fmt.Printf("restarted node %d:     state=%v wakeups=%d (pre-crash %d) probes=%d (pre-crash %d)\n",
-		victim, restarted.State(), post.Wakeups, pre.Wakeups, post.ProbesSent, pre.ProbesSent)
-	if !resumed {
-		if strict {
-			return fmt.Errorf("node %d rebooted fresh instead of resuming its checkpoint", victim)
-		}
-		fmt.Println("problem:              node rebooted fresh instead of resuming its checkpoint")
-	} else {
-		fmt.Println("resume check:         OK (protocol history carried across the restart)")
-	}
-	if !cluster.AwaitStable(3, settle, budget/2) {
-		return fmt.Errorf("working set did not restabilize after the restart")
-	}
-	fmt.Printf("restabilized:         %d working nodes (was %d)\n", cluster.WorkingCount(), before)
-
-	var names []string
-	snap := map[string]uint64{}
-	inj.With(func(c *chaos.Channel) {
-		names = c.Counters().Names()
-		snap = c.Counters().Snapshot()
-	})
-	fmt.Println("fault activity:")
-	for _, name := range names {
-		fmt.Printf("  %-18s %8d\n", name, snap[name])
-	}
-	fmt.Printf("transport drops:      %d frames\n", snap[chaos.CtrDropLoss]+snap[chaos.CtrDropBurst]+snap[chaos.CtrDropPartition])
-	if strict {
-		for _, want := range []string{chaos.CtrDropLoss, chaos.CtrDup, chaos.CtrDelay} {
-			if snap[want] == 0 {
-				return fmt.Errorf("fault class %q never fired on the live transport", want)
-			}
-		}
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package peasnet
 
 import (
 	"sync"
-	"time"
 
 	"peas/internal/core"
 	"peas/internal/energy"
@@ -91,9 +90,9 @@ func (n *Node) armBatteryWatch() {
 			return
 		}
 		n.mu.Lock()
-		if n.depletionTimer != nil {
-			n.depletionTimer.Stop()
-			n.depletionTimer = nil
+		if n.stopDepletion != nil {
+			n.stopDepletion()
+			n.stopDepletion = nil
 		}
 		// No timer for a depletion further off than a time.Duration can
 		// hold, which includes the never of a mode that draws nothing.
@@ -102,7 +101,7 @@ func (n *Node) armBatteryWatch() {
 			n.mu.Unlock()
 			return
 		}
-		n.depletionTimer = time.AfterFunc(delay, n.failDepleted)
+		n.stopDepletion = n.cfg.clk.AfterFunc(delay, n.failDepleted)
 		n.mu.Unlock()
 	}
 }

@@ -53,7 +53,8 @@ func TestVirtualBatteryCustomProfile(t *testing.T) {
 }
 
 func TestLiveNodeDiesOnDepletion(t *testing.T) {
-	tr := NewInMemory()
+	vc := newVirtualClock()
+	tr := vc.inMemory()
 	defer func() { _ = tr.Close() }()
 
 	// One lone node with a tiny battery at high time compression: it
@@ -65,6 +66,7 @@ func TestLiveNodeDiesOnDepletion(t *testing.T) {
 		Protocol:  core.DefaultConfig(),
 		TimeScale: 1000,
 		Battery:   &BatteryConfig{Joules: 0.72}, // 60 s idle life
+		clk:       vc,
 	}, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +74,9 @@ func TestLiveNodeDiesOnDepletion(t *testing.T) {
 	defer n.Stop()
 	n.Start()
 
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := vc.Now().Add(10 * time.Second)
 	sawWorking := false
-	for time.Now().Before(deadline) {
+	for vc.Now().Before(deadline) {
 		switch n.State() {
 		case core.Working:
 			sawWorking = true
@@ -87,7 +89,7 @@ func TestLiveNodeDiesOnDepletion(t *testing.T) {
 			}
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		vc.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("node never depleted; state=%v", n.State())
 }
@@ -96,20 +98,22 @@ func TestLiveNodeDiesOnDepletion(t *testing.T) {
 // depletion at the largest float; the node must arm no timer for it
 // rather than one whose delay overflowed.
 func TestZeroDrawModeNeverDepletes(t *testing.T) {
-	tr := NewInMemory()
+	vc := newVirtualClock()
+	tr := vc.inMemory()
 	defer func() { _ = tr.Close() }()
 	proto := core.DefaultConfig()
 	proto.InitialRate = 1e-6 // asleep for the whole test
 	n, err := NewNode(Config{
 		ID: 3, Pos: geom.Point{X: 1, Y: 1}, Protocol: proto, TimeScale: 1000,
 		Battery: &BatteryConfig{Joules: 1, Profile: energy.Profile{IdleW: 0.012, ReceiveW: 0.012, TransmitW: 0.06}},
+		clk:     vc,
 	}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Stop()
 	n.Start()
-	time.Sleep(50 * time.Millisecond)
+	vc.Sleep(50 * time.Millisecond)
 	if st := n.State(); st != core.Sleeping {
 		t.Fatalf("state = %v after 50 protocol seconds asleep at zero draw, want sleeping", st)
 	}
@@ -160,6 +164,7 @@ func TestBatteryRemainingDisabled(t *testing.T) {
 }
 
 func TestClusterWithBatteriesExhausts(t *testing.T) {
+	vc := newVirtualClock()
 	c, err := NewCluster(ClusterConfig{
 		Field:     geom.NewField(5, 5),
 		N:         6,
@@ -167,6 +172,7 @@ func TestClusterWithBatteriesExhausts(t *testing.T) {
 		TimeScale: 2000,
 		Seed:      3,
 		Battery:   &BatteryConfig{Joules: 1.2}, // 100 s idle life each
+		clk:       vc,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +182,8 @@ func TestClusterWithBatteriesExhausts(t *testing.T) {
 
 	// 6 nodes, one working at a time on a tiny field: the cluster
 	// should rotate through several workers and eventually die out.
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
+	deadline := vc.Now().Add(20 * time.Second)
+	for vc.Now().Before(deadline) {
 		counts := c.StateCounts()
 		if counts[core.Dead] == 6 {
 			stats := c.TotalStats()
@@ -188,7 +194,7 @@ func TestClusterWithBatteriesExhausts(t *testing.T) {
 				stats.Wakeups, stats.TimeWorking)
 			return
 		}
-		time.Sleep(10 * time.Millisecond)
+		vc.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("cluster did not exhaust; states=%v", c.StateCounts())
 }
@@ -196,7 +202,8 @@ func TestClusterWithBatteriesExhausts(t *testing.T) {
 // TestTransportLossInjection: under near-total channel loss, REPLYs are
 // dropped, probers hear nothing, and everyone works.
 func TestTransportLossInjection(t *testing.T) {
-	tr := NewInMemory()
+	vc := newVirtualClock()
+	tr := vc.inMemory()
 	defer func() { _ = tr.Close() }()
 	counters := metrics.NewCounters()
 	ch := chaos.NewChannel(1, counters)
@@ -208,13 +215,14 @@ func TestTransportLossInjection(t *testing.T) {
 		Protocol:  core.DefaultConfig(),
 		TimeScale: 500,
 		Seed:      9,
+		clk:       vc,
 	}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
 	c.Start()
-	time.Sleep(1 * time.Second)
+	vc.Sleep(1 * time.Second)
 	if w := c.WorkingCount(); w < 8 {
 		t.Errorf("working = %d under total loss, want nearly all", w)
 	}

@@ -1,6 +1,7 @@
 package peasnet
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +16,8 @@ import (
 // judged delivery must be accounted for as delivered, dropped or
 // duplicated, with the channel's counters as the only drop count.
 func TestInMemoryChaosInjectorCounts(t *testing.T) {
-	tr := NewInMemory()
+	vc := newVirtualClock()
+	tr := vc.inMemory()
 	defer func() { _ = tr.Close() }()
 
 	counters := metrics.NewCounters()
@@ -39,23 +41,16 @@ func TestInMemoryChaosInjectorCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Batched with drain barriers: the dispatcher queue holds 1024 frames
-	// and overflows (like a congested radio) under an unthrottled loop.
+	// Nothing bounds the deliveries in flight: every one of an unthrottled
+	// burst arrives once the clock runs them.
 	const frames = 2000
-	const batch = 200
-	var want uint64
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; i < frames; i += batch {
-		for j := 0; j < batch; j++ {
-			if err := tr.Broadcast(0, origin, 10, []byte{1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want = uint64(2*(i+batch)) - counters.Get(chaos.CtrDropLoss) + counters.Get(chaos.CtrDup)
-		for received.Load() != want && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+	for i := 0; i < frames; i++ {
+		if err := tr.Broadcast(0, origin, 10, []byte{1}); err != nil {
+			t.Fatal(err)
 		}
 	}
+	vc.Sleep(0)
+	want := uint64(2*frames) - counters.Get(chaos.CtrDropLoss) + counters.Get(chaos.CtrDup)
 	drops := counters.Get(chaos.CtrDropLoss)
 	dups := counters.Get(chaos.CtrDup)
 	if got := received.Load(); got != want {
@@ -72,12 +67,14 @@ func TestInMemoryChaosInjectorCounts(t *testing.T) {
 // is crashed, sits out a downtime, and must come back running its
 // pre-crash protocol state rather than rebooting from scratch.
 func TestClusterCrashRestartResumesFromCheckpoint(t *testing.T) {
+	vc := newVirtualClock()
 	for _, tc := range []struct {
 		name      string
+		clk       clock
 		transport func() (Transport, error)
 	}{
-		{"mem", func() (Transport, error) { return NewInMemory(), nil }},
-		{"udp", func() (Transport, error) { return NewUDP(nil) }},
+		{"mem", vc, func() (Transport, error) { return vc.inMemory(), nil }},
+		{"udp", wall, func() (Transport, error) { return NewUDP(nil) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, err := tc.transport()
@@ -85,18 +82,19 @@ func TestClusterCrashRestartResumesFromCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { _ = tr.Close() }()
-			crashRestartResumes(t, tr)
+			crashRestartResumes(t, tr, tc.clk)
 		})
 	}
 }
 
-func crashRestartResumes(t *testing.T, tr Transport) {
+func crashRestartResumes(t *testing.T, tr Transport, clk clock) {
 	cfg := ClusterConfig{
 		Field:     geom.NewField(6, 6),
 		N:         8,
 		Protocol:  core.DefaultConfig(),
 		TimeScale: 200,
 		Seed:      13,
+		clk:       clk,
 	}
 	c, err := NewCluster(cfg, tr)
 	if err != nil {
@@ -133,9 +131,9 @@ func crashRestartResumes(t *testing.T, tr Transport) {
 	// A fresh boot would start Sleeping with zeroed counters; a checkpoint
 	// resume carries the working state and cumulative stats across. The
 	// restored state lands on the node's event loop, so poll briefly.
-	resumeBy := time.Now().Add(5 * time.Second)
-	for restarted.State() != core.Working && time.Now().Before(resumeBy) {
-		time.Sleep(10 * time.Millisecond)
+	resumeBy := clk.Now().Add(5 * time.Second)
+	for restarted.State() != core.Working && clk.Now().Before(resumeBy) {
+		clk.Sleep(10 * time.Millisecond)
 	}
 	if st := restarted.State(); st != core.Working {
 		t.Errorf("restarted node state = %v, want Working (fresh boot instead of resume?)", st)
@@ -146,12 +144,50 @@ func crashRestartResumes(t *testing.T, tr Transport) {
 	}
 
 	// The cluster keeps functioning around the restarted node.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	deadline := clk.Now().Add(10 * time.Second)
+	for clk.Now().Before(deadline) {
 		if c.WorkingCount() > 0 {
 			return
 		}
-		time.Sleep(20 * time.Millisecond)
+		clk.Sleep(20 * time.Millisecond)
 	}
 	t.Error("no working nodes after crash-restart")
+}
+
+// TestClusterStopEndsSupervision: Stop ends a supervision whose stop
+// function was never called. No checkpoint is taken after it, nothing is
+// left scheduled on the clock, and no goroutine is left behind.
+func TestClusterStopEndsSupervision(t *testing.T) {
+	before := runtime.NumGoroutine()
+	vc := newVirtualClock()
+	c, err := NewCluster(ClusterConfig{
+		Field:     geom.NewField(10, 10),
+		N:         12,
+		Protocol:  core.DefaultConfig(),
+		TimeScale: 150,
+		Seed:      21,
+		clk:       vc,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Supervise(100 * time.Millisecond)
+	c.Start()
+	vc.Sleep(time.Second)
+	first := c.LastCheckpoint(0)
+	vc.Sleep(200 * time.Millisecond)
+	last := c.LastCheckpoint(0)
+	if first == nil || last == first {
+		t.Fatalf("supervision is not sweeping: checkpoints %p then %p", first, last)
+	}
+
+	c.Stop()
+	vc.Sleep(time.Second)
+	if got := c.LastCheckpoint(0); got != last {
+		t.Error("a checkpoint was taken after Stop")
+	}
+	if n := vc.pending(); n != 0 {
+		t.Errorf("%d callbacks still scheduled after Stop", n)
+	}
+	awaitGoroutines(t, before)
 }

@@ -29,6 +29,8 @@ type ClusterConfig struct {
 	OnState func(id int, s core.State)
 	// Battery, when non-nil, enables battery emulation on every node.
 	Battery *BatteryConfig
+
+	clk clock // nil means wall; shared by the nodes and an owned transport
 }
 
 // Cluster manages a set of live nodes over one transport.
@@ -40,9 +42,11 @@ type Cluster struct {
 	Nodes     []*Node
 	transport Transport
 	ownsTrans bool
+	clk       clock
 
-	mu    sync.Mutex
-	ckpts map[int]*checkpoint.LiveNode // latest supervised per-node checkpoints
+	mu          sync.Mutex
+	ckpts       map[int]*checkpoint.LiveNode // latest supervised per-node checkpoints
+	supervisors []func()                     // stop functions of Supervise calls
 }
 
 // nodes returns a consistent copy of the node slice for lock-free
@@ -60,10 +64,14 @@ func NewCluster(cfg ClusterConfig, transport Transport) (*Cluster, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("peasnet: cluster size %d must be positive", cfg.N)
 	}
+	if cfg.clk == nil {
+		cfg.clk = wall
+	}
 	owns := false
 	if transport == nil {
-		transport = NewInMemory()
-		owns = true
+		mem := NewInMemory()
+		mem.clk = cfg.clk
+		transport, owns = mem, true
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	positions := cfg.Positions
@@ -76,6 +84,7 @@ func NewCluster(cfg ClusterConfig, transport Transport) (*Cluster, error) {
 	c := &Cluster{
 		transport: transport,
 		ownsTrans: owns,
+		clk:       cfg.clk,
 		Nodes:     make([]*Node, 0, cfg.N),
 		ckpts:     make(map[int]*checkpoint.LiveNode),
 	}
@@ -88,6 +97,7 @@ func NewCluster(cfg ClusterConfig, transport Transport) (*Cluster, error) {
 			Seed:      rng.Int63(),
 			OnState:   cfg.OnState,
 			Battery:   cfg.Battery,
+			clk:       cfg.clk,
 		}, transport)
 		if err != nil {
 			c.Stop()
@@ -105,8 +115,15 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Stop shuts every node down and closes an owned transport.
+// Stop ends supervision, shuts every node down and closes an owned
+// transport.
 func (c *Cluster) Stop() {
+	c.mu.Lock()
+	supervisors := c.supervisors
+	c.mu.Unlock()
+	for _, stop := range supervisors {
+		stop()
+	}
 	for _, n := range c.nodes() {
 		n.Stop()
 	}
@@ -167,51 +184,33 @@ func (c *Cluster) TotalStats() core.Stats {
 }
 
 // AwaitStable polls until the working count stays non-zero and within
-// ±tol of a reference for the given settle duration (real time), or until
-// timeout; a larger move re-anchors the reference. It reports whether the
-// set settled. tol 0 asks for an unchanged count; under channel
-// impairments the working set hovers rather than freezes, so callers
-// there pass a small tolerance. The deadline uses Go's monotonic clock (a
-// wall-clock step cannot extend or cut the wait), and instead of spinning
-// at a fixed short period the poll interval backs off exponentially while
-// nothing moves — re-tightening on churn — with jitter so concurrent
-// waiters do not poll in lockstep.
+// ±tol of a reference for the given settle duration, or until timeout; a
+// larger move re-anchors the reference. It reports whether the set
+// settled. tol 0 asks for an unchanged count; under channel impairments
+// the working set hovers rather than freezes, so callers there pass a
+// small tolerance. Durations are on the cluster's clock — on the wall
+// clock, Go's monotonic one, so a wall-clock step cannot extend or cut the
+// wait. Instead of spinning at a fixed short period the poll interval
+// backs off exponentially while nothing moves, re-tightening on churn; a
+// poll reads atomics only, so concurrent waiters cost nothing.
 func (c *Cluster) AwaitStable(tol int, settle, timeout time.Duration) bool {
-	start := time.Now() // monotonic reading; all arithmetic below stays monotonic
+	start := c.clk.Now()
 	deadline := start.Add(timeout)
-	jitterRNG := stats.NewRNG(start.UnixNano())
-
 	const minPoll = 2 * time.Millisecond
-	maxPoll := settle / 4
-	if maxPoll < minPoll {
-		maxPoll = minPoll
-	}
-	if maxPoll > 100*time.Millisecond {
-		maxPoll = 100 * time.Millisecond
-	}
+	maxPoll := min(max(settle/4, minPoll), 100*time.Millisecond)
 
 	ref := c.WorkingCount()
 	stableSince := start
 	interval := minPoll
-	for time.Now().Before(deadline) {
+	for now := start; now.Before(deadline); now = c.clk.Now() {
 		cur := c.WorkingCount()
 		if cur == 0 || max(cur-ref, ref-cur) > tol {
-			ref = cur
-			stableSince = time.Now()
-			interval = minPoll
-		} else if time.Since(stableSince) >= settle {
+			ref, stableSince, interval = cur, now, minPoll
+		} else if now.Sub(stableSince) >= settle {
 			return true
 		}
-		sleep := interval + time.Duration(jitterRNG.Uniform(-0.25, 0.25)*float64(interval))
-		if until := time.Until(deadline); sleep > until {
-			sleep = until
-		}
-		if sleep > 0 {
-			time.Sleep(sleep)
-		}
-		if interval *= 2; interval > maxPoll {
-			interval = maxPoll
-		}
+		c.clk.Sleep(min(interval, deadline.Sub(now)))
+		interval = min(2*interval, maxPoll)
 	}
 	return false
 }

@@ -16,6 +16,7 @@ func TestClusterStabilizes(t *testing.T) {
 		Protocol:  core.DefaultConfig(),
 		TimeScale: 100, // 1 real second = 100 protocol seconds
 		Seed:      7,
+		clk:       newVirtualClock(),
 	}
 	c, err := NewCluster(cfg, nil)
 	if err != nil {
@@ -56,6 +57,7 @@ func TestClusterReplacesFailedWorker(t *testing.T) {
 		Protocol:  core.DefaultConfig(),
 		TimeScale: 200,
 		Seed:      11,
+		clk:       newVirtualClock(),
 	}
 	// Dense tiny field: one worker covers everything within Rp = 3.
 	c, err := NewCluster(cfg, nil)
@@ -80,13 +82,13 @@ func TestClusterReplacesFailedWorker(t *testing.T) {
 		t.Fatal("no working nodes to kill")
 	}
 
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
+	deadline := cfg.clk.Now().Add(20 * time.Second)
+	for cfg.clk.Now().Before(deadline) {
 		if c.WorkingCount() > 0 {
 			t.Logf("replacement after killing %d workers: working=%d", killed, c.WorkingCount())
 			return
 		}
-		time.Sleep(20 * time.Millisecond)
+		cfg.clk.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("no replacement worker emerged after killing %d workers", killed)
 }
@@ -99,26 +101,33 @@ func TestClusterShutdownLeavesNoGoroutines(t *testing.T) {
 		Protocol:  core.DefaultConfig(),
 		TimeScale: 100,
 		Seed:      3,
+		clk:       newVirtualClock(),
 	}
 	c, err := NewCluster(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	time.Sleep(300 * time.Millisecond)
+	cfg.clk.Sleep(300 * time.Millisecond)
 	c.Stop()
+	awaitGoroutines(t, before+2)
+}
 
-	// Allow the runtime to reap exited goroutines.
+// awaitGoroutines fails t unless the goroutine count falls to at most
+// limit within a second of wall time, which the runtime takes to reap
+// exited goroutines.
+func awaitGoroutines(t *testing.T, limit int) {
+	t.Helper()
 	var after int
 	for i := 0; i < 50; i++ {
 		runtime.GC()
 		time.Sleep(20 * time.Millisecond)
 		after = runtime.NumGoroutine()
-		if after <= before+2 {
+		if after <= limit {
 			return
 		}
 	}
-	t.Errorf("goroutines leaked: before=%d after=%d", before, after)
+	t.Errorf("goroutines leaked: %d running, want at most %d", after, limit)
 }
 
 // TestUDPClusterStabilizes runs a whole cluster over one table-less UDP

@@ -8,6 +8,11 @@
 // simulator is directly deployable: nodes keep no per-neighbor state,
 // exchange fixed-size PROBE/REPLY frames, and duty-cycle their radios
 // through the State callbacks.
+//
+// The runtime reads time through one internal clock, the wall clock in
+// every program. The package's tests run in-memory clusters on a virtual
+// clock over the simulator's event engine instead, where a cluster is a
+// function of its seed and its runs replay exactly.
 package peasnet
 
 import (

@@ -14,8 +14,8 @@ type FaultDecision struct {
 	Drop bool
 	// Copies is how many extra duplicate deliveries to make.
 	Copies int
-	// Delay is extra real-time latency before the delivery (and any
-	// duplicates) reaches the receiver.
+	// Delay is extra latency, on the transport's clock, before the
+	// delivery (and any duplicates) reaches the receiver.
 	Delay time.Duration
 }
 
@@ -28,24 +28,19 @@ type FaultInjector interface {
 	JudgeFrame(from, to int) FaultDecision
 }
 
-// deliverJudged is the per-receiver fault step every transport runs: f
-// (nil delivers normally) judges the from->to delivery, which is then
-// dropped, or sent with its extra copies, now or after the delay.
-func deliverJudged(f FaultInjector, from, to int, send func()) {
-	var fd FaultDecision
-	if f != nil {
-		fd = f.JudgeFrame(from, to)
+// judge is the per-receiver fault step every transport runs: f (nil
+// delivers normally) judges the from->to delivery. It returns how many
+// copies to deliver — none when the delivery is dropped, one more per
+// duplicate — and the extra latency before each.
+func judge(f FaultInjector, from, to int) (copies int, delay time.Duration) {
+	if f == nil {
+		return 1, 0
 	}
+	fd := f.JudgeFrame(from, to)
 	if fd.Drop {
-		return
+		return 0, 0
 	}
-	for c := 0; c <= fd.Copies; c++ {
-		if fd.Delay > 0 {
-			time.AfterFunc(fd.Delay, send)
-		} else {
-			send()
-		}
-	}
+	return 1 + fd.Copies, fd.Delay
 }
 
 // ChaosInjector adapts the substrate-independent chaos.Channel to live

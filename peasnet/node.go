@@ -22,11 +22,10 @@ type Config struct {
 	// Protocol holds the PEAS parameters.
 	Protocol core.Config
 	// TimeScale compresses time: one real second advances the protocol
-	// clock by TimeScale seconds. 0 means 1 (real time). Tests and
-	// demos run at 50-200x; beyond that the 100 ms probe window shrinks
-	// below OS timer resolution and protocol timing loses fidelity
-	// (e.g. late PROBE copies can be dropped when the window closes
-	// early).
+	// clock by TimeScale seconds. 0 means 1 (real time). Demos run at
+	// 50-200x; beyond that the 100 ms probe window shrinks below OS timer
+	// resolution and protocol timing loses fidelity (e.g. late PROBE
+	// copies can be dropped when the window closes early).
 	TimeScale float64
 	// Seed seeds the node's private random stream. Zero derives one
 	// from the ID.
@@ -37,6 +36,8 @@ type Config struct {
 	// Battery, when non-nil, enables battery emulation: the node drains
 	// a virtual charge by mode and dies on depletion.
 	Battery *BatteryConfig
+
+	clk clock // nil means wall
 }
 
 // Node is a live PEAS node: one goroutine running the protocol state
@@ -61,16 +62,17 @@ type Node struct {
 
 	battery        *battery
 	onBatteryState func(s core.State)
-	depletionTimer *time.Timer
+	stopDepletion  func() bool
 
-	mu      sync.Mutex
-	jobs    []func()
-	timers  map[*time.Timer]struct{}
-	wake    chan struct{}
-	stop    chan struct{}
-	done    chan struct{}
-	running bool
-	stopped bool
+	mu        sync.Mutex
+	jobs      []func()
+	timers    map[uint64]func() bool // pending AtArg timers' stop functions
+	nextTimer uint64
+	wake      chan struct{}
+	stop      chan struct{}
+	done      chan struct{}
+	running   bool
+	stopped   bool
 }
 
 var _ core.Platform = (*Node)(nil)
@@ -87,12 +89,15 @@ func NewNode(cfg Config, transport Transport) (*Node, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(cfg.ID)*2654435761 + 1
 	}
+	if cfg.clk == nil {
+		cfg.clk = wall
+	}
 	n := &Node{
 		cfg:       cfg,
 		transport: transport,
 		rng:       stats.NewRNG(cfg.Seed),
 		scale:     cfg.TimeScale,
-		timers:    make(map[*time.Timer]struct{}),
+		timers:    make(map[uint64]func() bool),
 		wake:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -139,7 +144,8 @@ func (n *Node) Stats() core.Stats {
 }
 
 // Start boots the node: the event loop goroutine starts and the protocol
-// enters Sleeping mode. Starting twice or after Stop is a no-op.
+// enters Sleeping mode. Starting twice or after Stop is a no-op. Boot is
+// the loop's first job, so the node answers Stats at once.
 func (n *Node) Start() {
 	n.mu.Lock()
 	if n.running || n.stopped {
@@ -147,9 +153,10 @@ func (n *Node) Start() {
 		return
 	}
 	n.running = true
-	n.started = time.Now()
+	n.started = n.cfg.clk.Now()
 	n.mu.Unlock()
 	go n.loop()
+	defer n.cfg.clk.settle()
 	if st := n.resume; st != nil {
 		n.post(func() {
 			n.proto.RestoreState(st.Proto)
@@ -241,14 +248,16 @@ func (n *Node) Stop() {
 		return
 	}
 	n.stopped = true
-	for t := range n.timers {
-		t.Stop()
+	for _, stop := range n.timers {
+		stop()
 	}
 	n.timers = nil
-	if n.depletionTimer != nil {
-		n.depletionTimer.Stop()
-		n.depletionTimer = nil
+	if n.stopDepletion != nil {
+		n.stopDepletion()
+		n.stopDepletion = nil
 	}
+	n.cfg.clk.posted(-len(n.jobs)) // dropped unrun
+	n.jobs = nil
 	running := n.running
 	n.mu.Unlock()
 	close(n.stop)
@@ -279,6 +288,7 @@ func (n *Node) loop() {
 				n.jobs = n.jobs[1:]
 				n.mu.Unlock()
 				job()
+				n.cfg.clk.posted(-1)
 			}
 		}
 	}
@@ -293,6 +303,7 @@ func (n *Node) post(fn func()) {
 		return
 	}
 	n.jobs = append(n.jobs, fn)
+	n.cfg.clk.posted(1)
 	n.mu.Unlock()
 	select {
 	case n.wake <- struct{}{}:
@@ -305,7 +316,7 @@ func (n *Node) post(fn func()) {
 // Now returns protocol time: scaled seconds since Start, offset by the
 // restored checkpoint time for resumed nodes.
 func (n *Node) Now() float64 {
-	return n.base + time.Since(n.started).Seconds()*n.scale
+	return n.base + n.cfg.clk.Now().Sub(n.started).Seconds()*n.scale
 }
 
 // AtArg schedules fn(arg) on the event loop at protocol time at; a past
@@ -318,14 +329,14 @@ func (n *Node) AtArg(at float64, fn func(any), arg any) {
 		n.mu.Unlock()
 		return
 	}
-	var timer *time.Timer
-	timer = time.AfterFunc(delay, func() {
+	n.nextTimer++
+	id := n.nextTimer
+	n.timers[id] = n.cfg.clk.AfterFunc(delay, func() {
 		n.mu.Lock()
-		delete(n.timers, timer)
+		delete(n.timers, id)
 		n.mu.Unlock()
 		n.post(func() { fn(arg) })
 	})
-	n.timers[timer] = struct{}{}
 	n.mu.Unlock()
 }
 

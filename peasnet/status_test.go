@@ -18,6 +18,7 @@ func TestClusterStatus(t *testing.T) {
 		Protocol:  core.DefaultConfig(),
 		TimeScale: 150,
 		Seed:      21,
+		clk:       newVirtualClock(),
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -15,34 +15,42 @@ import (
 // rebuild it from its last checkpoint — the live counterpart of the
 // simulator's crash-restart fault class.
 
-// Supervise starts a background goroutine that checkpoints every
-// running, non-dead node every `every` (real time), keeping the latest
-// snapshot per node. It returns a stop function (idempotent); Stop does
-// not imply it — call stop() before Stop. One immediate sweep runs
-// before the ticker starts so a crash right after Supervise still finds
-// a checkpoint.
+// Supervise checkpoints every running, non-dead node now and then every
+// `every` on the cluster's clock, keeping the latest snapshot per node,
+// so a crash right after Supervise still finds a checkpoint. It returns
+// a stop function, which is idempotent and waits out a sweep in flight;
+// Stop calls it too.
 func (c *Cluster) Supervise(every time.Duration) (stop func()) {
-	stopCh := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.checkpointSweep()
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				c.checkpointSweep()
-			case <-stopCh:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(stopCh) })
-		<-done
+	if every <= 0 {
+		panic("peasnet: non-positive Supervise interval")
 	}
+	var (
+		mu      sync.Mutex // held through each sweep
+		stopped bool
+		cancel  func() bool
+		sweep   func()
+	)
+	sweep = func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if !stopped {
+			c.checkpointSweep()
+			cancel = c.clk.AfterFunc(every, sweep)
+		}
+	}
+	stop = func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if !stopped {
+			stopped = true
+			cancel()
+		}
+	}
+	sweep()
+	c.mu.Lock()
+	c.supervisors = append(c.supervisors, stop)
+	c.mu.Unlock()
+	return stop
 }
 
 // checkpointSweep captures one checkpoint per running node. Dead nodes
@@ -121,15 +129,15 @@ func (c *Cluster) Restart(id int) error {
 	return nil
 }
 
-// CrashRestart crashes node id, keeps it down for the given (real time)
-// duration, then restarts it from its last checkpoint. It blocks for the
-// downtime; run it from its own goroutine to keep driving the cluster
-// meanwhile.
+// CrashRestart crashes node id, keeps it down for the given duration on
+// the cluster's clock, then restarts it from its last checkpoint. It
+// blocks for the downtime; on the wall clock, run it from its own
+// goroutine to keep driving the cluster meanwhile.
 func (c *Cluster) CrashRestart(id int, downtime time.Duration) error {
 	if err := c.Crash(id); err != nil {
 		return err
 	}
-	time.Sleep(downtime)
+	c.clk.Sleep(downtime)
 	return c.Restart(id)
 }
 

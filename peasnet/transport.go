@@ -2,6 +2,7 @@ package peasnet
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"peas/internal/geom"
@@ -41,41 +42,23 @@ type memberEntry struct {
 }
 
 // InMemory is a Transport delivering frames between goroutine nodes in
-// one process. Deliveries run on a dedicated dispatcher goroutine so
+// one process. Every delivery is a callback of the transport's clock, so
 // Broadcast never blocks the caller's event loop.
 type InMemory struct {
-	mu      sync.Mutex
-	members map[int]*memberEntry
-	queue   chan delivery
-	stop    chan struct{}
-	done    chan struct{}
-	closed  bool
-	faults  FaultInjector
-}
-
-type delivery struct {
-	recv  Receiver
-	frame []byte
-	dist  float64
+	mu         sync.Mutex
+	members    map[int]*memberEntry
+	closed     bool
+	faults     FaultInjector
+	clk        clock
+	delivering sync.WaitGroup
 }
 
 var _ Transport = (*InMemory)(nil)
 
 // NewInMemory returns a running in-memory transport. Close it to stop
-// the dispatcher goroutine.
+// deliveries.
 func NewInMemory() *InMemory {
-	t := &InMemory{
-		members: make(map[int]*memberEntry),
-		// The queue buffers bursts (e.g. the boot-up probing storm)
-		// without blocking transmitting nodes; 1024 frames is far above
-		// any steady-state depth for the network sizes the live runtime
-		// targets, and Broadcast drops (like a real radio) when full.
-		queue: make(chan delivery, 1024),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go t.dispatch()
-	return t
+	return &InMemory{members: make(map[int]*memberEntry), clk: wall}
 }
 
 // SetFaultInjector implements Transport.
@@ -83,18 +66,6 @@ func (t *InMemory) SetFaultInjector(f FaultInjector) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.faults = f
-}
-
-func (t *InMemory) dispatch() {
-	defer close(t.done)
-	for {
-		select {
-		case d := <-t.queue:
-			d.recv(d.frame, d.dist)
-		case <-t.stop:
-			return
-		}
-	}
 }
 
 // Register implements Transport.
@@ -111,8 +82,9 @@ func (t *InMemory) Register(id int, pos geom.Point, listening func() bool, recv 
 	return nil
 }
 
-// Broadcast implements Transport: each in-range listening receiver's
-// delivery goes through the fault step onto the dispatcher queue.
+// Broadcast implements Transport: each in-range listening receiver, in
+// ascending id, is judged by the fault step, and every copy it lets
+// through is delivered by a clock callback.
 func (t *InMemory) Broadcast(from int, pos geom.Point, radius float64, frame []byte) error {
 	t.mu.Lock()
 	if t.closed {
@@ -121,33 +93,41 @@ func (t *InMemory) Broadcast(from int, pos geom.Point, radius float64, frame []b
 	}
 	cp := append([]byte(nil), frame...)
 	type target struct {
-		id int
-		d  delivery
+		id   int
+		recv Receiver
+		dist float64
 	}
 	targets := make([]target, 0, 8)
 	for id, m := range t.members {
 		if d := pos.Dist(m.pos); id != from && d <= radius && m.listening() {
-			targets = append(targets, target{id, delivery{recv: m.recv, frame: cp, dist: d}})
+			targets = append(targets, target{id, m.recv, d})
 		}
 	}
+	slices.SortFunc(targets, func(a, b target) int { return a.id - b.id })
 	faults := t.faults
 	t.mu.Unlock()
 
 	for _, tg := range targets {
-		deliverJudged(faults, from, tg.id, func() { t.enqueue(tg.d) })
+		copies, delay := judge(faults, from, tg.id)
+		for range copies {
+			t.clk.AfterFunc(delay, func() { t.deliver(tg.recv, cp, tg.dist) })
+		}
 	}
 	return nil
 }
 
-// enqueue hands a delivery to the dispatcher without ever blocking:
-// overflow drops the frame, as a congested radio channel would, and a
-// closed transport swallows it.
-func (t *InMemory) enqueue(d delivery) {
-	select {
-	case t.queue <- d:
-	case <-t.stop:
-	default:
+// deliver hands frame to recv unless the transport has closed; Close
+// waits for deliveries already under way.
+func (t *InMemory) deliver(recv Receiver, frame []byte, dist float64) {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return
 	}
+	t.delivering.Add(1)
+	t.mu.Unlock()
+	defer t.delivering.Done()
+	recv(frame, dist)
 }
 
 // Unregister implements Transport.
@@ -160,13 +140,8 @@ func (t *InMemory) Unregister(id int) {
 // Close implements Transport.
 func (t *InMemory) Close() error {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
 	t.closed = true
 	t.mu.Unlock()
-	close(t.stop)
-	<-t.done
+	t.delivering.Wait()
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 
 	"peas/internal/core"
@@ -147,8 +148,9 @@ func (t *UDP) read(conn *net.UDPConn, pos geom.Point, listening func() bool, rec
 	}
 }
 
-// Broadcast implements Transport: one datagram per in-range peer, each
-// through the fault step. from must be hosted in this process.
+// Broadcast implements Transport: one datagram per in-range peer, in
+// ascending id, each through the fault step. from must be hosted in this
+// process.
 func (t *UDP) Broadcast(from int, pos geom.Point, radius float64, frame []byte) error {
 	t.mu.Lock()
 	if t.closed {
@@ -170,13 +172,22 @@ func (t *UDP) Broadcast(from int, pos geom.Point, radius float64, frame []byte) 
 			targets = append(targets, target{id, p.addr})
 		}
 	}
+	slices.SortFunc(targets, func(a, b target) int { return a.id - b.id })
 	conn, faults := sender.conn, t.faults
 	t.mu.Unlock()
 
 	for _, tg := range targets {
 		// Best effort, like a radio: a receiver that went away, or a
 		// sender closed before a delayed copy fires, just loses the frame.
-		deliverJudged(faults, from, tg.id, func() { _, _ = conn.WriteToUDP(frame, tg.addr) })
+		send := func() { _, _ = conn.WriteToUDP(frame, tg.addr) }
+		copies, delay := judge(faults, from, tg.id)
+		for range copies {
+			if delay > 0 {
+				wall.AfterFunc(delay, send)
+			} else {
+				send()
+			}
+		}
 	}
 	return nil
 }
