@@ -79,10 +79,13 @@ func TestCLIPeasSim(t *testing.T) {
 	}
 
 	// (a) One spec with a chaos plan prints the same metrics, chaos
-	// activity included, run here and through a peas-serve front end.
-	chaosSpec := writeSpec("chaos.json", `{"network":{"N":60,"Seed":1},"horizon":500,"forwarding":true,
+	// activity included, run here and through a peas-serve front end,
+	// with the invariant oracle armed or not.
+	const chaosBody = `"network":{"N":60,"Seed":1},"horizon":500,"forwarding":true,
 		"chaos":{"seed":3,"events":[{"class":"loss","at":10,"rate":0.2},{"class":"dup","at":20,"rate":0.2},
-		{"class":"delay","at":30,"rate":0.2},{"class":"fail-stop","at":100,"count":2}]}}`)
+		{"class":"delay","at":30,"rate":0.2},{"class":"fail-stop","at":100,"count":2}]}`
+	chaosSpec := writeSpec("chaos.json", "{"+chaosBody+"}")
+	checkedSpec := writeSpec("chaos-check.json", `{"check":true,`+chaosBody+"}")
 	pool := jobqueue.New(jobqueue.Config{Workers: 1, QueueDepth: 4})
 	pool.Start()
 	ts := httptest.NewServer(server.New(pool, 1))
@@ -100,6 +103,12 @@ func TestCLIPeasSim(t *testing.T) {
 	}
 	if local != remote || len(names) < 4 || !slices.IsSorted(names) {
 		t.Errorf("local and remote runs of one spec differ, or chaos activity is not by name:\n%s\n---\n%s", local, remote)
+	}
+	checkedLocal := runTool(t, bin, "-config", checkedSpec)
+	checkedRemote := runTool(t, bin, "-config", checkedSpec, "-remote", ts.URL)
+	if metrics(checkedLocal) != metrics(checkedRemote) || !strings.Contains(checkedLocal, "0 violations over 500 s") ||
+		!strings.Contains(checkedLocal, "chaos activity:") {
+		t.Errorf("local and remote checked runs of one chaos spec differ:\n%s\n---\n%s", checkedLocal, checkedRemote)
 	}
 
 	// (b) A spec is refused whole, with its cause named, before anything

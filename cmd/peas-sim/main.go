@@ -9,6 +9,7 @@
 //	peas-sim -resume ckpts/checkpoint-t0003000.0.ckpt
 //	peas-sim -n 160 -seed 1 -verify
 //	peas-sim -n 160 -seed 1 -check
+//	peas-sim -n 160 -chaos-plan mixed -check
 //	peas-sim -config job.json
 //
 // A horizon of 0 selects a deployment-proportional default long enough
@@ -17,7 +18,9 @@
 // a checkpointed-and-resumed run ends bit-identical to a direct run.
 // -check arms the runtime invariant oracle (energy conservation, radio
 // discipline, worker redundancy, timer monotonicity) and verifies the
-// checkpoint chain, exiting non-zero on any violation.
+// checkpoint chain, exiting non-zero on any violation. Under -chaos-plan
+// it arms the oracle alone: chaos state lives outside the checkpoint
+// format, so there is no chain to verify.
 //
 // Every run is described by one JSON job spec, the one peas-serve takes
 // at POST /api/v1/jobs: -config reads it from a file, strictly (an
@@ -70,7 +73,7 @@ func run() error {
 		resume    = flag.String("resume", "", "resume from this checkpoint file instead of starting fresh")
 		verify    = flag.Bool("verify", false, "check checkpoint determinism: direct run vs checkpoint+resume must hash equal")
 		check     = flag.Bool("check", false, "run with the runtime invariant oracle armed and verify the checkpoint chain; non-zero exit on any violation")
-		chaosPlan = flag.String("chaos-plan", "", `run under a scripted fault plan: a JSON file path or "mixed" (see peas-chaos)`)
+		chaosPlan = flag.String("chaos-plan", "", `run under a scripted fault plan: a JSON file path or "mixed" (every fault class, sized to the run's horizon)`)
 		remote    = flag.String("remote", "", "submit to a peas-serve instance at this base URL instead of running locally")
 		version   = flag.Bool("version", false, "print version and exit")
 	)
@@ -100,9 +103,14 @@ func run() error {
 	spec.Check = spec.Check || *check
 	if *chaosPlan != "" {
 		if *chaosPlan == "mixed" {
+			// Sized on the horizon the run will use, so that every
+			// class fires before it ends.
 			h := spec.Horizon
 			if h <= 0 {
 				h = experiment.DefaultHorizon(spec.Network.N)
+				if spec.Check && *remote == "" {
+					h = checkHorizon
+				}
 			}
 			spec.Chaos = peas.MixedChaosPlan(h, spec.Network.Seed)
 		} else {
@@ -115,7 +123,7 @@ func run() error {
 		spec.Kind = jobqueue.KindChaos
 	}
 	// The horizon as written: 0 leaves the default to the mode (a check
-	// pass bounds it at 5000 s, a resumed run takes the snapshot's),
+	// pass bounds it at checkHorizon, a resumed run takes the snapshot's),
 	// while Normalize resolves it for the service's content key.
 	horizonSet := spec.Horizon
 	if err := spec.Normalize(); err != nil {
@@ -126,8 +134,8 @@ func run() error {
 		return fmt.Errorf("deadlineSeconds bounds a peas-serve job; a local run has no deadline (submit with -remote)")
 	}
 	if plan := spec.Chaos; plan != nil {
-		if *verify || spec.Check || *resume != "" || *ckptEvery > 0 {
-			return fmt.Errorf("a chaos plan cannot combine with -verify, -check, -resume or -checkpoint-every (chaos state lives outside the checkpoint format)")
+		if *verify || *resume != "" || *ckptEvery > 0 {
+			return fmt.Errorf("a chaos plan cannot combine with -verify, -resume or -checkpoint-every (chaos state lives outside the checkpoint format)")
 		}
 		fmt.Printf("chaos plan:            %s (%d events, %d classes)\n",
 			plan.Name, len(plan.Events), len(plan.Classes()))
@@ -284,7 +292,7 @@ func printStats(n int, seed int64, forwarding bool, res *peas.RunStats) {
 	fmt.Printf("wakeups:               %d\n", res.Wakeups)
 	fmt.Printf("energy overhead:       %.2f J of %.0f J total (%.3f%%)\n",
 		res.ProtocolEnergy, res.TotalEnergy, 100*res.OverheadRatio)
-	fmt.Printf("failures injected:     %d (%.1f%% of deployment)\n",
+	fmt.Printf("§5.2 failures:         %d (%.1f%% of deployment)\n",
 		res.FailuresInjected, 100*res.FailedFraction)
 	fmt.Printf("packets:               sent=%d delivered=%d collided=%d\n",
 		res.PacketsSent, res.PacketsDelivered, res.PacketsCollided)
@@ -309,17 +317,22 @@ func printStats(n int, seed int64, forwarding bool, res *peas.RunStats) {
 	}
 }
 
+// checkHorizon bounds a check pass whose horizon is unset: the
+// open-ended run-to-exhaustion default is the wrong shape for it, so it
+// runs the paper's evaluation horizon.
+const checkHorizon = 5000
+
 // runCheck arms the runtime invariant oracle on the configured run and
 // then re-runs it through the checkpoint-chain differential. Any
 // invariant violation or chain divergence is reported and turned into a
-// non-zero exit. With -trace, the instrumented run's event trace is
-// written out so a reported violation can be located in context.
+// non-zero exit. A chaos run has no chain to verify; its metrics are
+// printed instead, chaos activity included. With -trace, the
+// instrumented run's event trace is written out so a reported violation
+// can be located in context.
 func runCheck(cfg peas.RunConfig, traceOut string) error {
 	if cfg.Horizon <= 0 {
-		// The open-ended run-to-exhaustion default is the wrong shape for
-		// a check pass; bound it to the paper's evaluation horizon.
-		cfg.Horizon = 5000
-		fmt.Println("check:           horizon unset, using 5000 s")
+		cfg.Horizon = checkHorizon
+		fmt.Printf("check:           horizon unset, using %d s\n", checkHorizon)
 	}
 
 	var recorder *peas.TraceRecorder
@@ -331,7 +344,8 @@ func runCheck(cfg peas.RunConfig, traceOut string) error {
 	cfg.OnNetwork = func(net *peas.Network) {
 		checker = peas.AttachChecker(net, peas.DefaultInvariantConfig())
 	}
-	if _, err := peas.Run(cfg); err != nil {
+	res, err := peas.Run(cfg)
+	if err != nil {
 		return err
 	}
 	if recorder != nil {
@@ -356,6 +370,15 @@ func runCheck(cfg peas.RunConfig, traceOut string) error {
 	}
 	if d := checker.Dropped(); d > 0 {
 		fmt.Printf("  ... and %d more (capped)\n", d)
+	}
+	if cfg.Chaos != nil {
+		fmt.Println("checkpoint chain: skipped (chaos state lives outside the checkpoint format)")
+		if err := checker.Err(); err != nil {
+			return err
+		}
+		fmt.Println("check:           OK (all invariants held under the chaos plan)")
+		printStats(cfg.Network.N, cfg.Network.Seed, cfg.Forwarding, res)
+		return nil
 	}
 
 	// The chain differential re-runs from scratch; detach the observers

@@ -202,7 +202,9 @@ type RunStats struct {
 	OverheadRatio float64
 	// MeanWorking is the mean working-node count after boot-up.
 	MeanWorking float64
-	// FailuresInjected counts injected (non-depletion) deaths.
+	// FailuresInjected counts the deaths drawn by the §5.2 failure
+	// process (FailuresPer5000s). A chaos plan's fail-stops are not in
+	// it; they count under RunStats.Chaos.
 	FailuresInjected int
 	// FailedFraction is FailuresInjected / N.
 	FailedFraction float64

@@ -44,36 +44,3 @@ func ExpKS(samples []float64) (d float64, n int) {
 	}
 	return d, n
 }
-
-// Mean returns the arithmetic mean, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs))
-}
-
-// Pearson returns the sample correlation coefficient of two equal-length
-// series, or 0 when either side is degenerate.
-func Pearson(xs, ys []float64) float64 {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}

@@ -247,7 +247,7 @@ func TestSeedIndependence(t *testing.T) {
 		}
 		return out
 	}
-	if r := Pearson(diff(sa), diff(sb)); math.Abs(r) > 0.5 {
+	if r := stats.PearsonR(diff(sa), diff(sb)); math.Abs(r) > 0.5 {
 		t.Errorf("seed streams correlate: r=%v", r)
 	}
 }

@@ -88,7 +88,7 @@ func TestProbeRateMatchesAnalytic(t *testing.T) {
 	}
 	gaps = gaps[:sample]
 
-	rate := 1 / Mean(gaps)
+	rate := 1 / stats.Mean(gaps)
 	t.Logf("measured aggregate probe rate %.4f/s (λd=%.4f/s)", rate, lambdaD)
 	if rate < lambdaD/1.35 || rate > lambdaD*1.35 {
 		t.Errorf("measured rate %.4f/s is not within 35%% of λd=%.4f/s", rate, lambdaD)

@@ -165,17 +165,9 @@ type FaultClass = chaos.FaultClass
 func LoadChaosPlan(path string) (*ChaosPlan, error) { return chaos.Load(path) }
 
 // MixedChaosPlan returns the built-in campaign exercising every fault
-// class within the given horizon. cmd/peas-chaos exposes it as
-// -plan mixed.
+// class within the given horizon. peas-sim runs it as -chaos-plan mixed.
 func MixedChaosPlan(horizon float64, seed int64) *ChaosPlan {
 	return chaos.MixedPlan(horizon, seed)
-}
-
-// UnexercisedFaults returns the classes whose completion counter is still
-// zero in counts, a chaos run's RunStats.Chaos — a strict chaos campaign
-// fails when any planned class never fired.
-func UnexercisedFaults(classes []FaultClass, counts map[string]uint64) []FaultClass {
-	return chaos.Unexercised(classes, counts)
 }
 
 // TraceRecorder buffers structured simulation events (state changes,
