@@ -140,6 +140,61 @@ func TestCLIPeasSim(t *testing.T) {
 	if end(direct) != end(resumed) {
 		t.Errorf("resume without -horizon ends elsewhere:\n%s\n---\n%s", direct, resumed)
 	}
+
+	// (d) -check is one run with every flag it was given: its files are
+	// the plain run's byte for byte (the chain's runs stay out of the
+	// trace), the report precedes the metrics, and the chain runs beside
+	// the user's own checkpoints. What it cannot honour is refused by
+	// name.
+	outputs := func(prefix string) []string {
+		return []string{"-series", filepath.Join(dir, prefix+".csv"), "-svg", filepath.Join(dir, prefix+".svg"),
+			"-trace", filepath.Join(dir, prefix+".jsonl")}
+	}
+	run := []string{"-n", "40", "-horizon", "500"}
+	out = runTool(t, bin, slices.Concat(run, []string{"-check"}, outputs("checked"))...)
+	runTool(t, bin, slices.Concat(run, outputs("plain"))...)
+	report, stats, _ := strings.Cut(out, "deployment:")
+	if !strings.Contains(report, "0 violations over 500 s") || !strings.Contains(report, "checkpoint chain bit-exact") ||
+		!strings.Contains(stats, "mean working nodes") {
+		t.Errorf("-check with outputs: want the check report, then the metrics:\n%s", out)
+	}
+	for _, ext := range []string{".csv", ".svg", ".jsonl"} {
+		checked, err := os.ReadFile(filepath.Join(dir, "checked"+ext))
+		plain, _ := os.ReadFile(filepath.Join(dir, "plain"+ext))
+		if err != nil || len(checked) == 0 || string(checked) != string(plain) {
+			t.Errorf("-check %s output missing or unlike the plain run's: %v", ext, err)
+		}
+	}
+	checkDir := filepath.Join(dir, "check-ckpt")
+	out = runTool(t, bin, "-n", "40", "-check", "-checkpoint-every", "200", "-checkpoint-dir", checkDir, "-horizon", "400")
+	for _, name := range []string{"checkpoint-t0000200.0.ckpt", "checkpoint-t0000400.0.ckpt"} {
+		if _, err := os.Stat(filepath.Join(checkDir, name)); err != nil {
+			t.Errorf("-check -checkpoint-every: %v", err)
+		}
+	}
+	if !strings.Contains(out, "checkpoint chain bit-exact") {
+		t.Errorf("-check -checkpoint-every skipped the chain:\n%s", out)
+	}
+	for _, tc := range []struct {
+		args []string
+		code int
+		want []string
+	}{
+		{[]string{"-n", "40", "-horizon", "400", "-check", "-resume", filepath.Join(checkDir, "checkpoint-t0000200.0.ckpt")},
+			1, []string{"-check", "-resume"}},
+		{[]string{"-n", "40", "-verify"}, 2, []string{"flag provided but not defined: -verify"}},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		code := -1
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		}
+		for _, want := range tc.want {
+			if code != tc.code || !strings.Contains(string(out), want) || strings.Contains(string(out), "deployment:") {
+				t.Errorf("%v: exit %d, want %d and a refusal naming %q:\n%s", tc.args, code, tc.code, want, out)
+			}
+		}
+	}
 }
 
 func TestCLIPeasReplay(t *testing.T) {

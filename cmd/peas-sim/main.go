@@ -7,20 +7,25 @@
 //	peas-sim -n 480 -seed 1 -failures 10.66 -horizon 0
 //	peas-sim -n 480 -checkpoint-every 1000 -checkpoint-dir ckpts
 //	peas-sim -resume ckpts/checkpoint-t0003000.0.ckpt
-//	peas-sim -n 160 -seed 1 -verify
 //	peas-sim -n 160 -seed 1 -check
+//	peas-sim -n 160 -seed 1 -check -horizon 2000 -trace t.jsonl
 //	peas-sim -n 160 -chaos-plan mixed -check
 //	peas-sim -config job.json
 //
 // A horizon of 0 selects a deployment-proportional default long enough
 // for the network to exhaust itself. -checkpoint-every writes periodic
-// full-state snapshots, -resume continues one, and -verify asserts that
-// a checkpointed-and-resumed run ends bit-identical to a direct run.
-// -check arms the runtime invariant oracle (energy conservation, radio
-// discipline, worker redundancy, timer monotonicity) and verifies the
-// checkpoint chain, exiting non-zero on any violation. Under -chaos-plan
-// it arms the oracle alone: chaos state lives outside the checkpoint
-// format, so there is no chain to verify.
+// full-state snapshots and -resume continues one.
+//
+// Every mode is one run, and every output flag applies to it. -check
+// arms the runtime invariant oracle (energy conservation, radio
+// discipline, worker redundancy, timer monotonicity) on that run. Once
+// the requested files are written, it reports the violations and then
+// replays the run through the checkpoint chain: a direct run, resumed
+// from a snapshot at every quarter of the horizon, must end
+// bit-identical each time. Any violation or divergence exits non-zero
+// after the metrics are printed. Under -chaos-plan the chain is skipped:
+// chaos state lives outside the checkpoint format. -check refuses
+// -resume, since the chain replays the run from t = 0.
 //
 // Every run is described by one JSON job spec, the one peas-serve takes
 // at POST /api/v1/jobs: -config reads it from a file, strictly (an
@@ -30,6 +35,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -71,8 +77,7 @@ func run() error {
 		ckptEvery = flag.Float64("checkpoint-every", 0, "write a checkpoint every this many simulated seconds")
 		ckptDir   = flag.String("checkpoint-dir", ".", "directory for periodic checkpoints")
 		resume    = flag.String("resume", "", "resume from this checkpoint file instead of starting fresh")
-		verify    = flag.Bool("verify", false, "check checkpoint determinism: direct run vs checkpoint+resume must hash equal")
-		check     = flag.Bool("check", false, "run with the runtime invariant oracle armed and verify the checkpoint chain; non-zero exit on any violation")
+		check     = flag.Bool("check", false, "arm the runtime invariant oracle on the run, then verify its checkpoint chain; non-zero exit on any violation or divergence")
 		chaosPlan = flag.String("chaos-plan", "", `run under a scripted fault plan: a JSON file path or "mixed" (every fault class, sized to the run's horizon)`)
 		remote    = flag.String("remote", "", "submit to a peas-serve instance at this base URL instead of running locally")
 		version   = flag.Bool("version", false, "print version and exit")
@@ -133,30 +138,34 @@ func run() error {
 	if spec.DeadlineSeconds > 0 && *remote == "" {
 		return fmt.Errorf("deadlineSeconds bounds a peas-serve job; a local run has no deadline (submit with -remote)")
 	}
+	if spec.Check && *resume != "" {
+		return fmt.Errorf("-check cannot combine with -resume: the checkpoint chain replays the run from t = 0")
+	}
 	if plan := spec.Chaos; plan != nil {
-		if *verify || *resume != "" || *ckptEvery > 0 {
-			return fmt.Errorf("a chaos plan cannot combine with -verify, -resume or -checkpoint-every (chaos state lives outside the checkpoint format)")
+		if *resume != "" || *ckptEvery > 0 {
+			return fmt.Errorf("a chaos plan cannot combine with -resume or -checkpoint-every (chaos state lives outside the checkpoint format)")
 		}
 		fmt.Printf("chaos plan:            %s (%d events, %d classes)\n",
 			plan.Name, len(plan.Events), len(plan.Classes()))
 	}
 
 	if *remote != "" {
-		if *verify || *resume != "" || *ckptEvery > 0 || *traceOut != "" ||
-			*svgOut != "" || *ascii || *seriesOut != "" {
+		if *resume != "" || *ckptEvery > 0 || *traceOut != "" || *svgOut != "" || *ascii || *seriesOut != "" {
 			return fmt.Errorf("-remote only supports the plain run flags (plus -check and -chaos-plan); local-only outputs are unavailable")
 		}
 		return runRemote(*remote, spec)
 	}
 	cfg := spec.RunConfig()
 	cfg.Horizon = horizonSet
+	if spec.Check && cfg.Horizon <= 0 {
+		cfg.Horizon = checkHorizon
+		fmt.Printf("check:           horizon unset, using %d s\n", checkHorizon)
+	}
+	// The chain replays the run as described, taken before any output or
+	// hook is attached: VerifyCheckpointChain hands Trace and OnNetwork to
+	// every resumed leg.
+	chainCfg := cfg
 	*n, *seed = spec.Network.N, spec.Network.Seed
-	if *verify {
-		return runVerify(cfg)
-	}
-	if spec.Check {
-		return runCheck(cfg, *traceOut)
-	}
 	if *resume != "" {
 		snap, err := loadCheckpoint(*resume)
 		if err != nil {
@@ -235,6 +244,13 @@ func run() error {
 		}
 	}
 
+	var checker *peas.InvariantChecker
+	if spec.Check {
+		cfg.OnNetwork = func(net *peas.Network) {
+			checker = peas.AttachChecker(net, peas.DefaultInvariantConfig())
+		}
+	}
+
 	res, err := peas.Run(cfg)
 	if err != nil {
 		return err
@@ -272,8 +288,14 @@ func run() error {
 		fmt.Printf("series:                -> %s\n", *seriesOut)
 	}
 
+	// Files first, then the check report, then the metrics: a failed
+	// check still leaves everything it was asked to write on disk.
+	var checkErr error
+	if checker != nil {
+		checkErr = reportCheck(checker, chainCfg)
+	}
 	printStats(*n, *seed, spec.Forwarding, res)
-	return nil
+	return checkErr
 }
 
 // printStats renders the metric summary shared by local and remote runs.
@@ -322,46 +344,12 @@ func printStats(n int, seed int64, forwarding bool, res *peas.RunStats) {
 // runs the paper's evaluation horizon.
 const checkHorizon = 5000
 
-// runCheck arms the runtime invariant oracle on the configured run and
-// then re-runs it through the checkpoint-chain differential. Any
-// invariant violation or chain divergence is reported and turned into a
-// non-zero exit. A chaos run has no chain to verify; its metrics are
-// printed instead, chaos activity included. With -trace, the
-// instrumented run's event trace is written out so a reported violation
-// can be located in context.
-func runCheck(cfg peas.RunConfig, traceOut string) error {
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = checkHorizon
-		fmt.Printf("check:           horizon unset, using %d s\n", checkHorizon)
-	}
-
-	var recorder *peas.TraceRecorder
-	if traceOut != "" {
-		recorder = peas.NewTraceRecorder(0)
-		cfg.Trace = recorder
-	}
-	var checker *peas.InvariantChecker
-	cfg.OnNetwork = func(net *peas.Network) {
-		checker = peas.AttachChecker(net, peas.DefaultInvariantConfig())
-	}
-	res, err := peas.Run(cfg)
-	if err != nil {
-		return err
-	}
-	if recorder != nil {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return fmt.Errorf("create trace file: %w", err)
-		}
-		if err := recorder.WriteJSONL(f); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("write trace: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace:           %d events -> %s\n", recorder.Len(), traceOut)
-	}
+// reportCheck prints the oracle's findings on the user's run, then
+// replays cfg, the run as described before any hook was attached,
+// through the checkpoint-chain differential. A chaos run has no chain to
+// verify. Any invariant violation or chain divergence is returned as an
+// error.
+func reportCheck(checker *peas.InvariantChecker, cfg peas.RunConfig) error {
 	violations := checker.Violations()
 	fmt.Printf("invariants:      %d violations over %.0f s (%d nodes)\n",
 		len(violations)+checker.Dropped(), cfg.Horizon, cfg.Network.N)
@@ -377,16 +365,10 @@ func runCheck(cfg peas.RunConfig, traceOut string) error {
 			return err
 		}
 		fmt.Println("check:           OK (all invariants held under the chaos plan)")
-		printStats(cfg.Network.N, cfg.Network.Seed, cfg.Forwarding, res)
 		return nil
 	}
 
-	// The chain differential re-runs from scratch; detach the observers
-	// that belong to the instrumented pass.
-	chainCfg := cfg
-	chainCfg.Trace = nil
-	chainCfg.OnNetwork = nil
-	chain, err := peas.VerifyCheckpointChain(chainCfg, cfg.Horizon/4)
+	chain, err := peas.VerifyCheckpointChain(cfg, cfg.Horizon/4)
 	if err != nil {
 		return err
 	}
@@ -395,42 +377,10 @@ func runCheck(cfg peas.RunConfig, traceOut string) error {
 	for _, m := range chain.Mismatches {
 		fmt.Printf("  diverged: %s\n", m)
 	}
-
-	if err := checker.Err(); err != nil {
-		return err
-	}
-	if err := chain.Err(); err != nil {
+	if err := cmp.Or(checker.Err(), chain.Err()); err != nil {
 		return err
 	}
 	fmt.Println("check:           OK (all invariants held, checkpoint chain bit-exact)")
-	return nil
-}
-
-// runVerify checks the checkpoint determinism contract for the given
-// configuration: an uninterrupted run and a run resumed from its
-// checkpoint at T/2, after a codec round trip, must end in identical
-// state hashes.
-func runVerify(cfg peas.RunConfig) error {
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = experiment.DefaultHorizon(cfg.Network.N)
-	}
-	chain, err := peas.VerifyCheckpointChain(cfg, cfg.Horizon/2)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("checkpoints:     %d resumed, every %.1f s of %.1f s horizon\n",
-		chain.Boundaries, cfg.Horizon/2, cfg.Horizon)
-	fmt.Printf("direct hash:     %s\n", chain.FinalHash)
-	for _, m := range chain.Mismatches {
-		fmt.Printf("  diverged: %s\n", m)
-	}
-	if chain.Boundaries == 0 {
-		return fmt.Errorf("no checkpoint captured before the %.1f s horizon", cfg.Horizon)
-	}
-	if err := chain.Err(); err != nil {
-		return err
-	}
-	fmt.Println("verify:          OK (resumed run is bit-identical to the direct run)")
 	return nil
 }
 

@@ -7,6 +7,7 @@ package coverage
 
 import (
 	"peas/internal/geom"
+	"peas/internal/metrics"
 )
 
 // Lattice is a fixed sampling grid over a field used to estimate coverage
@@ -183,25 +184,13 @@ func (t *Tracker) Restore(samples []Sample) {
 // threshold value"). The sustain parameter tolerates transient dips that
 // Adaptive Sleeping repairs; sustain <= 1 means the first crossing ends
 // the lifetime. If coverage never drops, the last sample time is
-// returned with ok == false.
+// returned with ok == false. The rule is metrics.FirstBelow, applied to
+// the K-coverage column.
 func (t *Tracker) Lifetime(k int, threshold float64, sustain int) (lifetime float64, ok bool) {
-	if k < 1 || k > t.MaxK || len(t.samples) == 0 {
+	if k < 1 || k > t.MaxK {
 		return 0, false
 	}
-	if sustain < 1 {
-		sustain = 1
-	}
-	run := 0
-	for i, s := range t.samples {
-		if s.ByK[k-1] < threshold {
-			run++
-			if run >= sustain {
-				// Lifetime ends where the sustained drop began.
-				return t.samples[i-sustain+1].T, true
-			}
-		} else {
-			run = 0
-		}
-	}
-	return t.samples[len(t.samples)-1].T, false
+	return metrics.FirstBelow(len(t.samples), func(i int) metrics.Point {
+		return metrics.Point{T: t.samples[i].T, V: t.samples[i].ByK[k-1]}
+	}, threshold, sustain)
 }

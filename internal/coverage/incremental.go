@@ -231,10 +231,6 @@ func (inc *Incremental) FractionK(k int) float64 {
 	return float64(ge) / float64(n)
 }
 
-// Covered reports whether lattice point p is covered by at least one
-// working sensor.
-func (inc *Incremental) Covered(p int) bool { return inc.counts[p] > 0 }
-
 // CoveredMaskInto fills mask (reallocated only when its capacity is
 // short) with, for each lattice point, whether at least one working
 // sensor covers it — the incremental equivalent of Lattice.CoveredMask,

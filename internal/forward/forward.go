@@ -56,8 +56,6 @@ type Config struct {
 	// HopLossRate is an i.i.d. per-hop data-frame loss probability; a
 	// report is delivered if at least one mesh path survives end to end.
 	HopLossRate float64
-	// Seed drives the per-hop loss sampling. Zero derives a fixed seed.
-	Seed int64
 }
 
 // DefaultConfig returns the paper's workload over the given field: source
@@ -104,10 +102,6 @@ func NewHarness(cfg Config, net *node.Network) *Harness {
 		cfg.MeshWidth = 1
 	}
 	netCfg := net.Config()
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = netCfg.Seed ^ 0x9e3779b9
-	}
 	positions := make([]geom.Point, len(net.Nodes))
 	for i, n := range net.Nodes {
 		positions[i] = n.Pos()
@@ -118,7 +112,7 @@ func NewHarness(cfg Config, net *node.Network) *Harness {
 		net:     net,
 		ratio:   metrics.NewRatio("data-success-ratio"),
 		hops:    metrics.NewSeries("delivery-hops"),
-		rng:     stats.NewRNG(seed),
+		rng:     stats.NewRNG(netCfg.Seed ^ 0x9e3779b9),
 		txExtra: (netCfg.Energy.TransmitW - netCfg.Energy.IdleW) * airtime,
 		rxExtra: (netCfg.Energy.ReceiveW - netCfg.Energy.IdleW) * airtime,
 		router:  newRouter(net.Field, positions, cfg.Source, cfg.Sink, cfg.HopRange),

@@ -65,19 +65,10 @@ type Event struct {
 	Result *Result `json:"result,omitempty"`
 }
 
-// DroppedEvents reports how many events were discarded because a
-// subscriber's buffer was full.
-func (j *Job) DroppedEvents() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
-}
-
 // subscriberBuffer bounds each subscriber's backlog. A slow consumer
-// loses intermediate progress events rather than stalling the worker;
-// terminal events are delivered with a blocking send only if the channel
-// still has room, so even they are best-effort per subscriber (the
-// job's final state is always available via State/Result).
+// loses intermediate progress events rather than stalling the worker,
+// but never the terminal event: a full buffer gives up its oldest event
+// to make room for it.
 const subscriberBuffer = 64
 
 // Subscribe returns a channel of the job's events plus a cancel
@@ -158,14 +149,23 @@ func (j *Job) snapshotEventLocked() Event {
 	return ev
 }
 
-// publishLocked fans ev out to subscribers, dropping it per subscriber
-// when the buffer is full. Terminal events also close the channels.
+// publishLocked fans ev out to subscribers. A non-terminal event is
+// dropped for a subscriber whose buffer is full; a terminal one first
+// discards the oldest buffered event, then closes the channel. Only the
+// publisher sends, and it holds j.mu, so once there is room the send
+// cannot block.
 func (j *Job) publishLocked(ev Event, terminal bool) {
 	for id, ch := range j.subs {
 		select {
 		case ch <- ev:
 		default:
-			j.dropped++
+			if terminal {
+				select {
+				case <-ch:
+				default: // the subscriber made room itself
+				}
+				ch <- ev
+			}
 		}
 		if terminal {
 			delete(j.subs, id)

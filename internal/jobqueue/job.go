@@ -104,7 +104,6 @@ type Job struct {
 
 	subs    map[int]chan Event
 	nextSub int
-	dropped uint64
 }
 
 func newJob(id, key string, spec *Spec, now time.Time) *Job {

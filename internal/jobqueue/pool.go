@@ -54,10 +54,6 @@ type Config struct {
 	// Supervisor is stopped, is how the panic barrier and the watchdog
 	// are exercised; no spec field asks for a fault.
 	Run RunFunc
-	// Counters receives the pool's operational counters; one fresh set
-	// is allocated when nil. It is shared across all workers, which is
-	// safe because metrics.Counters synchronizes internally.
-	Counters *metrics.Counters
 	// BeforeRun, when non-nil, runs on the worker goroutine after a job
 	// is dequeued and before its simulation starts. Tests use it to
 	// hold workers at a barrier.
@@ -160,12 +156,9 @@ func New(cfg Config) *Pool {
 	if cfg.FS == nil {
 		cfg.FS = durable.OS{}
 	}
-	if cfg.Counters == nil {
-		cfg.Counters = metrics.NewCounters()
-	}
 	return &Pool{
 		cfg:        cfg,
-		counters:   cfg.Counters,
+		counters:   metrics.NewCounters(),
 		queueWait:  metrics.NewHistogram(),
 		runDur:     metrics.NewHistogram(),
 		queue:      make(chan *Job, cfg.QueueDepth),

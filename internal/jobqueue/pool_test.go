@@ -289,6 +289,27 @@ func TestEventStream(t *testing.T) {
 	}
 }
 
+// TestSlowFollowerGetsTerminalEvent checks that a subscriber which reads
+// nothing while progress overflows its buffer still finds the terminal
+// event at the end of its stream.
+func TestSlowFollowerGetsTerminalEvent(t *testing.T) {
+	j := newJob("slow", "key", testSpec(1), time.Now())
+	ch, cancelSub := j.Subscribe()
+	defer cancelSub()
+	for i := 1; i <= 100; i++ {
+		j.observeProgress(progressStride*j.Spec.Horizon*float64(i), 20)
+	}
+	j.finish(StateDone, &Result{StateHash: "h"}, nil, time.Now())
+	var events []Event
+	for ev := range ch {
+		events = append(events, ev)
+	}
+	if len(events) != subscriberBuffer || events[len(events)-1].Type != EventDone {
+		t.Fatalf("stream of %d events ends with %q, want %d ending with %q",
+			len(events), events[len(events)-1].Type, subscriberBuffer, EventDone)
+	}
+}
+
 func TestSubmitValidatesEarly(t *testing.T) {
 	pool := New(Config{Workers: 1, QueueDepth: 1})
 	pool.Start()

@@ -53,24 +53,35 @@ func (s *Series) Last() (Point, bool) {
 // sustained for `sustain` consecutive observations. When the series never
 // sustains a drop it returns the last observation time and false.
 func (s *Series) FirstBelow(threshold float64, sustain int) (float64, bool) {
-	if len(s.points) == 0 {
+	return FirstBelow(len(s.points), func(i int) Point { return s.points[i] }, threshold, sustain)
+}
+
+// FirstBelow is the sustained-drop rule over n observations, the i-th
+// read through at: the time of the first of the first `sustain`
+// consecutive observations with V < threshold (sustain < 1 counts as 1).
+// Without such a run it returns the last observation time and false,
+// and 0 and false when n is 0. Series.FirstBelow and the coverage
+// tracker's lifetime both apply it; at lets the tracker read one
+// K-coverage column in place, without building a series.
+func FirstBelow(n int, at func(i int) Point, threshold float64, sustain int) (float64, bool) {
+	if n == 0 {
 		return 0, false
 	}
 	if sustain < 1 {
 		sustain = 1
 	}
 	run := 0
-	for i, p := range s.points {
-		if p.V < threshold {
+	for i := 0; i < n; i++ {
+		if at(i).V < threshold {
 			run++
 			if run >= sustain {
-				return s.points[i-sustain+1].T, true
+				return at(i - sustain + 1).T, true
 			}
 		} else {
 			run = 0
 		}
 	}
-	return s.points[len(s.points)-1].T, false
+	return at(n - 1).T, false
 }
 
 // MaxV returns the maximum observed value, or 0 for an empty series.

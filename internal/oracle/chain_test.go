@@ -77,8 +77,8 @@ func TestVerifyChainRejectsCheckpointingConfig(t *testing.T) {
 	}
 }
 
-// verifyMidRun is the check peas-sim -verify runs: one boundary at half
-// the horizon, resumed through the codec, must end on the direct hash.
+// verifyMidRun is the chain's smallest form: one boundary at half the
+// horizon, resumed through the codec, must end on the direct hash.
 func verifyMidRun(t *testing.T, cfg experiment.RunConfig) {
 	t.Helper()
 	res, err := VerifyChain(cfg, cfg.Horizon/2)

@@ -205,12 +205,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle pseudo-randomizes the order of n elements using swap, with the
-// Fisher-Yates walk math/rand uses.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := int(r.int63n(int64(i + 1)))
-		swap(i, j)
-	}
-}

@@ -142,8 +142,9 @@ type ChainVerifyResult = oracle.ChainResult
 // VerifyCheckpointChain runs cfg once, snapshots every `every` simulated
 // seconds, then resumes from every boundary, pushed through the binary
 // codec, and requires each resumed run to reach the direct run's exact
-// final StateHash. cmd/peas-sim's -verify mode runs it with one boundary
-// at half the horizon; -check with one every quarter.
+// final StateHash. cmd/peas-sim's -check runs it with a boundary every
+// quarter horizon, on the run as described before its own trace and
+// oracle are attached: Trace and OnNetwork pass on to every resumed leg.
 func VerifyCheckpointChain(cfg RunConfig, every float64) (*ChainVerifyResult, error) {
 	return oracle.VerifyChain(cfg, every)
 }
