@@ -1,7 +1,9 @@
-// Command peas-live runs a live PEAS network in this process: every node
-// is a goroutine over an in-memory or UDP transport, running the same
-// protocol state machine as the simulator, with time compressed by the
-// -scale factor. It prints working-set changes as they happen.
+// Command peas-live runs a live PEAS network in one process: every node
+// runs the same protocol state machine as the simulator over an in-memory
+// or UDP transport, serialized by its own lock while its timers and frames
+// arrive on timer and transport goroutines, with time compressed by the
+// -scale factor. It prints working-set changes as they happen; -kill stops
+// every working node, which then counts as dead.
 //
 // Usage:
 //

@@ -45,19 +45,10 @@ func run() error {
 		return err
 	}
 
-	// Summary by kind.
-	byKind := map[trace.Kind]int{}
-	var first, last float64
-	for i, ev := range events {
-		byKind[ev.Kind]++
-		if i == 0 {
-			first = ev.T
-		}
-		last = ev.T
-	}
-	fmt.Printf("%d events spanning %.1f s - %.1f s\n", len(events), first, last)
+	sum := trace.Summarize(events)
+	fmt.Printf("%d events spanning %.1f s - %.1f s\n", sum.Total, sum.FirstT, sum.LastT)
 	for _, kind := range []trace.Kind{trace.KindState, trace.KindPacket, trace.KindDeath, trace.KindReport, trace.KindCustom} {
-		if n := byKind[kind]; n > 0 {
+		if n := sum.ByKind[kind]; n > 0 {
 			fmt.Printf("  %-8s %d\n", kind, n)
 		}
 	}

@@ -1,9 +1,11 @@
-// Livenet: run PEAS outside the simulator. Every node is a goroutine
-// running the real protocol state machine over an in-memory broadcast
-// transport with time compressed 100x. The example boots a network,
-// watches the working set stabilize, kills the working nodes, and shows
-// sleepers waking up to replace them — the paper's core robustness story,
-// live.
+// Livenet: run PEAS outside the simulator. Every node runs the real
+// protocol state machine over an in-memory broadcast transport with time
+// compressed 100x; a node is serialized by its lock, and its timers and
+// frames arrive on timer and transport goroutines. The example boots a
+// network, watches the working set stabilize, kills the working nodes
+// (a killed node counts as dead), and shows sleepers waking up to replace
+// them — the paper's core robustness story, live. It exits non-zero if
+// no replacement emerges.
 //
 //	go run ./examples/livenet
 package main

@@ -1,7 +1,7 @@
 // Package chaos is a deterministic, scripted fault-injection engine for
 // the PEAS reproduction. It drives one fault vocabulary against both
 // substrates — the discrete-event simulator (internal/radio +
-// internal/failure) and the live goroutine runtime (package peasnet) —
+// internal/failure) and the live runtime (package peasnet) —
 // so robustness claims can be exercised under the same fault classes the
 // paper's §5.2 methodology and the related duty-cycling literature
 // (bursty loss, node churn) call for:

@@ -7,7 +7,7 @@
 //
 // The protocol is written against a small Platform interface so the same
 // state machine runs unchanged inside the discrete-event simulator
-// (internal/node) and the live goroutine runtime (peasnet).
+// (internal/node) and the live runtime (peasnet).
 package core
 
 import (

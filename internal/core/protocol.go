@@ -37,8 +37,8 @@ func (s State) String() string {
 // Platform is the environment a Protocol instance runs in. The simulator
 // and the live runtime provide implementations; both must invoke all
 // Protocol methods and AtArg callbacks from a single logical thread per
-// node network (the simulator is single-threaded; peasnet serializes per
-// network).
+// node (the simulator is single-threaded; peasnet runs each node's calls
+// under that node's lock).
 type Platform interface {
 	// Now returns the current time in seconds.
 	Now() float64

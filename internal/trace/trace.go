@@ -135,15 +135,17 @@ type Summary struct {
 }
 
 // Summarize computes a Summary of the buffered events.
-func (r *Recorder) Summarize() Summary {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *Recorder) Summarize() Summary { return Summarize(r.Events()) }
+
+// Summarize computes a Summary of events, as buffered or as read back by
+// ReadJSONL.
+func Summarize(events []Event) Summary {
 	s := Summary{
+		Total:  len(events),
 		ByKind: make(map[Kind]int),
 		ByNode: make(map[int]int),
 	}
-	s.Total = len(r.events)
-	for i, ev := range r.events {
+	for i, ev := range events {
 		s.ByKind[ev.Kind]++
 		s.ByNode[ev.Node]++
 		if i == 0 {

@@ -20,9 +20,10 @@
 //     delivery workload;
 //   - the full evaluation harness (DeploymentSweep, FailureSweep, and the
 //     §2-§4 studies) regenerating every figure and table of the paper;
-//   - a live runtime (package peasnet) where each node is a goroutine
-//     over a pluggable transport, running the same protocol state machine
-//     as the simulator.
+//   - a live runtime (package peasnet) running the same protocol state
+//     machine as the simulator over a pluggable transport; each node is
+//     serialized by its lock, and its calls arrive on timer and transport
+//     goroutines.
 //
 // # Quick start
 //

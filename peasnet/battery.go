@@ -1,8 +1,6 @@
 package peasnet
 
 import (
-	"sync"
-
 	"peas/internal/core"
 	"peas/internal/energy"
 )
@@ -19,50 +17,16 @@ type BatteryConfig struct {
 	Profile energy.Profile
 }
 
-// battery is the simulator's energy.Battery on the live runtime's
-// protocol clock. The model — drain, depletion projection, death at zero —
-// is the one every simulated figure rests on; the mutex is all a live node
-// adds, because BatteryRemaining is called from outside the event loop.
-type battery struct {
-	mu sync.Mutex
-	b  *energy.Battery
-}
-
-func newBattery(cfg BatteryConfig) *battery {
+// newBattery returns the simulator's energy.Battery for cfg. The model —
+// drain, depletion projection, death at zero — is the one every simulated
+// figure rests on; the live node runs it on its protocol clock, under its
+// lock.
+func newBattery(cfg BatteryConfig) *energy.Battery {
 	profile := cfg.Profile
 	if profile == (energy.Profile{}) {
 		profile = energy.MotesProfile()
 	}
-	return &battery{b: energy.NewBattery(profile, cfg.Joules)}
-}
-
-// setMode settles drain up to protocol time now and switches modes. It
-// returns the projected protocol-time instant of depletion in the new mode
-// (energy.Battery.DepletionTime: now for a dead battery, the largest float
-// for a mode that draws nothing) and whether the battery is dead.
-func (b *battery) setMode(now float64, m energy.Mode) (depleteAt float64, dead bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.b.SetMode(now, m)
-	return b.b.DepletionTime(now), b.b.Dead()
-}
-
-// rebase positions the drain clock at protocol time t without settling —
-// a restored node's battery must not be charged for the downtime its
-// clock skipped over.
-func (b *battery) rebase(t float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st := b.b.Snapshot()
-	st.LastT = t
-	b.b.Restore(st)
-}
-
-// remainingAt settles and returns the remaining charge.
-func (b *battery) remainingAt(now float64) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.b.Remaining(now)
+	return energy.NewBattery(profile, cfg.Joules)
 }
 
 // protocolMode maps a protocol state to a battery mode.
@@ -75,40 +39,28 @@ func protocolMode(s core.State) energy.Mode {
 	}
 }
 
-// armBatteryWatch installs battery emulation hooks on a node. Called from
-// NewNode when Config.Battery is set.
-func (n *Node) armBatteryWatch() {
-	if n.battery == nil {
-		return
+// watchBattery settles the drain up to now, switches the battery to s's
+// mode and re-anchors the depletion timer. An empty battery projects its
+// depletion at now, so the timer fires at once, after the current call:
+// the protocol is never re-entered from inside SetState.
+func (n *Node) watchBattery(s core.State) {
+	now := n.Now()
+	n.battery.SetMode(now, protocolMode(s))
+	if n.stopDepletion != nil {
+		n.stopDepletion()
+		n.stopDepletion = nil
 	}
-	// Re-anchor the depletion timer on every state change.
-	n.onBatteryState = func(s core.State) {
-		now := n.Now()
-		depleteAt, dead := n.battery.setMode(now, protocolMode(s))
-		if dead {
-			n.failDepleted()
-			return
-		}
-		n.mu.Lock()
-		if n.stopDepletion != nil {
-			n.stopDepletion()
-			n.stopDepletion = nil
-		}
-		// No timer for a depletion further off than a time.Duration can
-		// hold, which includes the never of a mode that draws nothing.
-		delay, ok := wallDelay(depleteAt-now, n.scale)
-		if n.stopped || !ok || s == core.Dead {
-			n.mu.Unlock()
-			return
-		}
-		n.stopDepletion = n.cfg.clk.AfterFunc(delay, n.failDepleted)
-		n.mu.Unlock()
+	// No timer for a depletion further off than a time.Duration can
+	// hold, which includes the never of a mode that draws nothing.
+	delay, ok := wallDelay(n.battery.DepletionTime(now)-now, n.scale)
+	if ok && s != core.Dead {
+		n.stopDepletion = n.cfg.clk.AfterFunc(delay, n.deplete)
 	}
 }
 
-// failDepleted marks the node dead from battery exhaustion.
-func (n *Node) failDepleted() {
-	n.post(func() {
+// deplete marks the node dead from battery exhaustion.
+func (n *Node) deplete() {
+	n.call(func() {
 		if n.proto.State() != core.Dead {
 			n.proto.Fail()
 		}
@@ -121,5 +73,7 @@ func (n *Node) BatteryRemaining() (float64, bool) {
 	if n.battery == nil {
 		return 0, false
 	}
-	return n.battery.remainingAt(n.Now()), true
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.battery.Remaining(n.Now()), true
 }

@@ -12,43 +12,16 @@ import (
 	"peas/internal/metrics"
 )
 
+// TestVirtualBatteryDrain: a zero Profile drains at the paper's Motes
+// rates (12 mW idle). The model itself is energy.Battery's, tested there.
 func TestVirtualBatteryDrain(t *testing.T) {
 	b := newBattery(BatteryConfig{Joules: 1.2})
-	// 50 protocol seconds in idle: 0.6 J.
-	depleteAt, dead := b.setMode(0, energy.Idle)
-	if dead {
-		t.Fatal("fresh battery dead")
+	b.SetMode(0, energy.Idle)
+	if at := b.DepletionTime(0); at != 100 {
+		t.Errorf("depletion projected at %v, want 100", at)
 	}
-	if depleteAt != 100 {
-		t.Errorf("depletion projected at %v, want 100", depleteAt)
-	}
-	if got := b.remainingAt(50); got != 0.6 {
+	if got := b.Remaining(50); got != 0.6 {
 		t.Errorf("remaining = %v, want 0.6", got)
-	}
-	// Switch to sleep at t=50: projection extends enormously.
-	depleteAt, dead = b.setMode(50, energy.Sleep)
-	if dead || depleteAt < 10000 {
-		t.Errorf("sleep depletion at %v", depleteAt)
-	}
-}
-
-func TestVirtualBatteryDepletes(t *testing.T) {
-	b := newBattery(BatteryConfig{Joules: 0.012})
-	b.setMode(0, energy.Idle) // 1 second of life
-	if got := b.remainingAt(2); got != 0 {
-		t.Errorf("remaining = %v after depletion", got)
-	}
-	_, dead := b.setMode(3, energy.Sleep)
-	if !dead {
-		t.Error("depleted battery not reported dead")
-	}
-}
-
-func TestVirtualBatteryCustomProfile(t *testing.T) {
-	p := energy.Profile{IdleW: 1, SleepW: 0.5, ReceiveW: 1, TransmitW: 2}
-	b := newBattery(BatteryConfig{Joules: 10, Profile: p})
-	if at, _ := b.setMode(0, energy.Idle); at != 10 {
-		t.Errorf("custom profile depletion at %v, want 10", at)
 	}
 }
 

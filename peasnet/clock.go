@@ -12,15 +12,9 @@ type clock interface {
 	// stop cancels it and reports whether it did so before f ran.
 	AfterFunc(d time.Duration, f func()) (stop func() bool)
 	Sleep(d time.Duration)
-	// posted adds delta to the count of jobs posted to node event loops
-	// and not yet run or dropped.
-	posted(delta int)
-	// settle waits until that count is zero: every event loop is idle.
-	settle()
 }
 
-// wall is the clock of real time. It counts no jobs, so settle returns
-// at once.
+// wall is the clock of real time.
 var wall clock = wallClock{}
 
 type wallClock struct{}
@@ -32,5 +26,3 @@ func (wallClock) AfterFunc(d time.Duration, f func()) func() bool {
 }
 
 func (wallClock) Sleep(d time.Duration) { time.Sleep(d) }
-func (wallClock) posted(int)            {}
-func (wallClock) settle()               {}

@@ -1,29 +1,26 @@
 package peasnet
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"peas/internal/core"
+	"peas/internal/geom"
 	"peas/internal/sim"
 )
 
 // virtualClock is a clock over a sim.Engine whose time unit is the
 // nanosecond, so wall-equivalent durations add up exactly. Time moves
 // only inside Sleep, which runs the due callbacks one at a time on the
-// sleeping goroutine, each only once every node's event loop is idle (the
-// posted-job count is zero). A callback posts at most one node's job, so
-// at most one loop runs at a time and an in-memory cluster on this clock
-// is a function of its seed. One goroutine drives it: only one may call
-// Sleep, and callbacks must not.
+// sleeping goroutine. A callback runs at most one node's protocol call to
+// completion, so one call runs at a time and an in-memory cluster on this
+// clock is a function of its seed. One goroutine drives it: only one may
+// call Sleep, and callbacks must not.
 type virtualClock struct {
-	mu   sync.Mutex
-	idle sync.Cond // broadcast when jobs falls to zero
-	eng  *sim.Engine
-	jobs int
+	mu  sync.Mutex
+	eng *sim.Engine
 }
 
 var _ clock = (*virtualClock)(nil)
@@ -32,9 +29,7 @@ var _ clock = (*virtualClock)(nil)
 var virtualEpoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func newVirtualClock() *virtualClock {
-	v := &virtualClock{eng: sim.NewEngine()}
-	v.idle.L = &v.mu
-	return v
+	return &virtualClock{eng: sim.NewEngine()}
 }
 
 // inMemory returns an in-memory transport delivering on v.
@@ -54,12 +49,11 @@ func (v *virtualClock) AfterFunc(d time.Duration, f func()) func() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	t := v.eng.NewTimer(func() {
-		// The engine is only touched under mu: release it while f posts
-		// work, then wait for that work before the next callback.
+		// The engine is only touched under mu: release it while f runs,
+		// since f arms and reads the clock itself.
 		v.mu.Unlock()
 		f()
 		v.mu.Lock()
-		v.waitIdle()
 	})
 	t.Reset(float64(d))
 	return func() bool {
@@ -74,28 +68,7 @@ func (v *virtualClock) AfterFunc(d time.Duration, f func()) func() bool {
 func (v *virtualClock) Sleep(d time.Duration) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.waitIdle()
 	v.eng.Run(v.eng.Now() + float64(d))
-}
-
-func (v *virtualClock) posted(delta int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.jobs += delta; v.jobs == 0 {
-		v.idle.Broadcast()
-	}
-}
-
-func (v *virtualClock) settle() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.waitIdle()
-}
-
-func (v *virtualClock) waitIdle() {
-	for v.jobs > 0 {
-		v.idle.Wait()
-	}
 }
 
 // pending returns how many callbacks are still scheduled.
@@ -106,8 +79,8 @@ func (v *virtualClock) pending() int {
 }
 
 // TestVirtualClock pins the clock the in-memory tests run on: time moves
-// only in Sleep, callbacks run in deadline order on the sleeper, a stopped
-// callback never runs, and Sleep returns only once posted jobs are done.
+// only in Sleep, callbacks run in deadline order on the sleeper, and a
+// stopped callback never runs.
 func TestVirtualClock(t *testing.T) {
 	v := newVirtualClock()
 	start := v.Now()
@@ -115,18 +88,6 @@ func TestVirtualClock(t *testing.T) {
 	v.AfterFunc(20*time.Millisecond, func() { order = append(order, 2) })
 	v.AfterFunc(10*time.Millisecond, func() { order = append(order, 1) })
 	stop := v.AfterFunc(15*time.Millisecond, func() { order = append(order, 0) })
-	done := make(chan struct{})
-	v.AfterFunc(10*time.Millisecond, func() {
-		v.posted(1)
-		go func() {
-			for range 100 {
-				runtime.Gosched() // a clock that did not wait would run 2 now
-			}
-			order = append(order, 3)
-			v.posted(-1)
-			close(done)
-		}()
-	})
 	if !stop() || stop() {
 		t.Error("stop must report true once, for the callback it cancelled")
 	}
@@ -134,11 +95,10 @@ func TestVirtualClock(t *testing.T) {
 		t.Errorf("time moved %v without a Sleep", got)
 	}
 	v.Sleep(25 * time.Millisecond)
-	<-done
 	if got := v.Now().Sub(start); got != 25*time.Millisecond {
 		t.Errorf("Sleep(25ms) moved time %v", got)
 	}
-	if want := []int{1, 3, 2}; !slices.Equal(order, want) {
+	if want := []int{1, 2}; !slices.Equal(order, want) {
 		t.Errorf("callbacks ran in order %v, want %v", order, want)
 	}
 	if n := v.pending(); n != 0 {
@@ -146,22 +106,49 @@ func TestVirtualClock(t *testing.T) {
 	}
 }
 
-// TestStopUncountsDroppedJobs: jobs a node drops at Stop leave the clock's
-// count, or a virtual clock would wait for them forever.
-func TestStopUncountsDroppedJobs(t *testing.T) {
+// TestNotRunningNodeRunsNoCall: a node that never started and a stopped
+// node run no protocol call and answer at once, so Status on a cluster
+// that has not started returns zero counters rather than waiting for it.
+func TestNotRunningNodeRunsNoCall(t *testing.T) {
 	vc := newVirtualClock()
-	tr := vc.inMemory()
-	defer func() { _ = tr.Close() }()
-	n, err := NewNode(Config{ID: 1, Protocol: core.DefaultConfig(), clk: vc}, tr)
+	c, err := NewCluster(ClusterConfig{
+		Field:    geom.NewField(10, 10),
+		N:        4,
+		Protocol: core.DefaultConfig(),
+		Seed:     1,
+		clk:      vc,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.post(func() { t.Error("a job posted to a node that never started ran") })
+	defer c.Stop()
+	status := make(chan ClusterStatus, 1)
+	go func() { status <- c.Status() }()
+	select {
+	case st := <-status:
+		if len(st.Nodes) != 4 || st.Working != 0 {
+			t.Errorf("unstarted cluster: %d nodes, %d working", len(st.Nodes), st.Working)
+		}
+		for name, v := range st.Totals {
+			if v != 0 {
+				t.Errorf("unstarted cluster counts %s = %d", name, v)
+			}
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Status on an unstarted cluster did not return")
+	}
+
+	n := c.Nodes[0]
+	if n.call(func() { t.Error("a node that never started ran a call") }) {
+		t.Error("call reports a run on a node that never started")
+	}
+	n.Start()
+	vc.Sleep(100 * time.Millisecond)
 	n.Stop()
-	n.post(func() { t.Error("a job posted after Stop ran") })
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if vc.jobs != 0 {
-		t.Errorf("%d jobs still counted after Stop", vc.jobs)
+	if n.call(func() { t.Error("a stopped node ran a call") }) {
+		t.Error("call reports a run on a stopped node")
+	}
+	if _, err := n.Checkpoint(); err == nil {
+		t.Error("a stopped node took a checkpoint")
 	}
 }

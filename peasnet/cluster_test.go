@@ -81,6 +81,10 @@ func TestClusterReplacesFailedWorker(t *testing.T) {
 	if killed == 0 {
 		t.Fatal("no working nodes to kill")
 	}
+	// A stopped node is dead with its radio off: it no longer counts.
+	if w, st := c.WorkingCount(), c.Status(); w != 0 || st.Working != 0 {
+		t.Fatalf("after killing every worker: WorkingCount %d, Status().Working %d, want 0", w, st.Working)
+	}
 
 	deadline := cfg.clk.Now().Add(20 * time.Second)
 	for cfg.clk.Now().Before(deadline) {

@@ -1,6 +1,8 @@
-// Package peasnet is the live PEAS runtime: each sensor node is a
-// goroutine running the same protocol state machine as the simulator
-// (internal/core), over a pluggable Transport. An in-memory transport
+// Package peasnet is the live PEAS runtime: each sensor node runs the
+// same protocol state machine as the simulator (internal/core), over a
+// pluggable Transport. A node has no goroutine of its own: its timers
+// fire on clock goroutines and its frames arrive on transport ones, and
+// its lock runs each such call to completion, one at a time. An in-memory transport
 // serves tests and single-process demos; a UDP transport runs each node
 // on its own socket.
 //

@@ -23,7 +23,7 @@ type FaultDecision struct {
 // per (frame, receiver) pair on the sender's broadcast path — the
 // counterpart of radio.FaultInjector in the simulator. Implementations
 // must be safe for concurrent use: live nodes broadcast from independent
-// goroutines.
+// timer and transport goroutines.
 type FaultInjector interface {
 	JudgeFrame(from, to int) FaultDecision
 }

@@ -9,6 +9,7 @@ import (
 
 	"peas/internal/checkpoint"
 	"peas/internal/core"
+	"peas/internal/energy"
 	"peas/internal/geom"
 	"peas/internal/stats"
 )
@@ -30,8 +31,10 @@ type Config struct {
 	// Seed seeds the node's private random stream. Zero derives one
 	// from the ID.
 	Seed int64
-	// OnState, when non-nil, is called on every protocol mode change
-	// (from the node's event loop; keep it fast).
+	// OnState, when non-nil, is called on every protocol mode change. It
+	// runs under the node's lock, on whichever goroutine brought the
+	// call: keep it fast, and do not call that node's Stats, Checkpoint
+	// or Stop from it, which would deadlock.
 	OnState func(id int, s core.State)
 	// Battery, when non-nil, enables battery emulation: the node drains
 	// a virtual charge by mode and dies on depletion.
@@ -40,15 +43,18 @@ type Config struct {
 	clk clock // nil means wall
 }
 
-// Node is a live PEAS node: one goroutine running the protocol state
-// machine over a Transport.
+// Node is a live PEAS node: the protocol state machine over a Transport.
+// It has no goroutine of its own. Each protocol call — boot or resume, a
+// frame, a timer, a battery depletion, Stats, Checkpoint — runs to
+// completion under the node's lock, on the goroutine that brought it: the
+// caller's, a transport's or a timer's. The core.Platform methods run with
+// the lock held.
 type Node struct {
 	cfg       Config
 	transport Transport
 	proto     *core.Protocol
 	rng       *stats.RNG
 	scale     float64
-	started   time.Time
 	// base offsets the protocol clock: a restored node resumes at its
 	// checkpoint's recorded time, so the downtime never existed on the
 	// node's own clock. Zero for fresh nodes.
@@ -57,22 +63,19 @@ type Node struct {
 	// of booting the protocol fresh. Set by RestoreNode.
 	resume *checkpoint.LiveNode
 
+	// Read without the lock: by State and by the transport.
 	listening atomic.Bool
 	state     atomic.Int32
 
-	battery        *battery
-	onBatteryState func(s core.State)
-	stopDepletion  func() bool
-
-	mu        sync.Mutex
-	jobs      []func()
-	timers    map[uint64]func() bool // pending AtArg timers' stop functions
-	nextTimer uint64
-	wake      chan struct{}
-	stop      chan struct{}
-	done      chan struct{}
-	running   bool
-	stopped   bool
+	// mu serializes the protocol calls and guards everything below.
+	mu            sync.Mutex
+	started       time.Time
+	running       bool
+	stopped       bool
+	battery       *energy.Battery // nil without battery emulation
+	stopDepletion func() bool
+	timers        map[uint64]func() bool // pending AtArg timers' stop functions
+	nextTimer     uint64
 }
 
 var _ core.Platform = (*Node)(nil)
@@ -98,21 +101,17 @@ func NewNode(cfg Config, transport Transport) (*Node, error) {
 		rng:       stats.NewRNG(cfg.Seed),
 		scale:     cfg.TimeScale,
 		timers:    make(map[uint64]func() bool),
-		wake:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 	n.proto = core.New(core.NodeID(cfg.ID), cfg.Protocol, n)
 	if cfg.Battery != nil {
 		n.battery = newBattery(*cfg.Battery)
-		n.armBatteryWatch()
 	}
 	err := transport.Register(cfg.ID, cfg.Pos, n.listening.Load, func(frame []byte, dist float64) {
 		payload, err := Unmarshal(frame)
 		if err != nil {
 			return // corrupt frame: drop, as a radio would
 		}
-		n.post(func() { n.proto.HandleMessage(payload, dist) })
+		n.call(func() { n.proto.HandleMessage(payload, dist) })
 	})
 	if err != nil {
 		return nil, fmt.Errorf("register node %d: %w", cfg.ID, err)
@@ -126,67 +125,52 @@ func (n *Node) ID() int { return n.cfg.ID }
 // Pos returns the node position.
 func (n *Node) Pos() geom.Point { return n.cfg.Pos }
 
-// State returns the node's current protocol mode. It is safe to call
-// from any goroutine.
+// State returns the node's current protocol mode; a stopped node reports
+// Dead. It is safe to call from any goroutine and takes no lock.
 func (n *Node) State() core.State { return core.State(n.state.Load()) }
 
-// Stats returns a snapshot of the protocol counters. The snapshot is
-// taken on the node's event loop, so it is internally consistent.
+// Stats returns a snapshot of the protocol counters, taken under the
+// node's lock, so it is internally consistent. A node that is not running
+// returns zero counters at once.
 func (n *Node) Stats() core.Stats {
-	ch := make(chan core.Stats, 1)
-	n.post(func() { ch <- n.proto.Stats() })
-	select {
-	case s := <-ch:
-		return s
-	case <-n.done:
-		return core.Stats{}
-	}
+	var s core.Stats
+	n.call(func() { s = n.proto.Stats() })
+	return s
 }
 
-// Start boots the node: the event loop goroutine starts and the protocol
-// enters Sleeping mode. Starting twice or after Stop is a no-op. Boot is
-// the loop's first job, so the node answers Stats at once.
+// Start boots the node: the protocol enters Sleeping mode, or a restored
+// node resumes its checkpoint, before Start returns. Starting twice or
+// after Stop is a no-op.
 func (n *Node) Start() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.running || n.stopped {
-		n.mu.Unlock()
 		return
 	}
 	n.running = true
 	n.started = n.cfg.clk.Now()
-	n.mu.Unlock()
-	go n.loop()
-	defer n.cfg.clk.settle()
 	if st := n.resume; st != nil {
-		n.post(func() {
-			n.proto.RestoreState(st.Proto)
-			// Re-apply the restored mode's side effects (radio power,
-			// battery mode, observers) that RestoreState bypasses, then
-			// re-arm the captured pending timers; deadlines are on the
-			// node's own clock, which resumed right at the checkpoint.
-			n.SetState(st.Proto.State)
-			n.proto.ResumeTimers(st.Proto.Timers)
-		})
+		n.proto.RestoreState(st.Proto)
+		// Re-apply the restored mode's side effects (radio power,
+		// battery mode, observers) that RestoreState bypasses, then
+		// re-arm the captured pending timers; deadlines are on the
+		// node's own clock, which resumed right at the checkpoint.
+		n.SetState(st.Proto.State)
+		n.proto.ResumeTimers(st.Proto.Timers)
 		return
 	}
-	n.post(func() { n.proto.Start() })
+	n.proto.Start()
 }
 
 // Checkpoint captures the node's live state — protocol clock, RNG
-// stream, remaining battery, protocol state with pending timers — on its
-// event loop, so the capture is internally consistent while the rest of
+// stream, remaining battery, protocol state with pending timers — under
+// its lock, so the capture is internally consistent while the rest of
 // the cluster keeps running. It fails on a node that is not running.
 func (n *Node) Checkpoint() (*checkpoint.LiveNode, error) {
-	n.mu.Lock()
-	ok := n.running && !n.stopped
-	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("peasnet: node %d is not running", n.cfg.ID)
-	}
-	ch := make(chan *checkpoint.LiveNode, 1)
-	n.post(func() {
+	var st *checkpoint.LiveNode
+	ran := n.call(func() {
 		now := n.Now()
-		st := &checkpoint.LiveNode{
+		st = &checkpoint.LiveNode{
 			ID:            n.cfg.ID,
 			ProtoTime:     now,
 			RNG:           n.rng.State(),
@@ -194,16 +178,13 @@ func (n *Node) Checkpoint() (*checkpoint.LiveNode, error) {
 			Proto:         n.proto.Snapshot(),
 		}
 		if n.battery != nil {
-			st.BatteryJoules = n.battery.remainingAt(now)
+			st.BatteryJoules = n.battery.Remaining(now)
 		}
-		ch <- st
 	})
-	select {
-	case st := <-ch:
-		return st, nil
-	case <-n.done:
-		return nil, fmt.Errorf("peasnet: node %d stopped during checkpoint", n.cfg.ID)
+	if !ran {
+		return nil, fmt.Errorf("peasnet: node %d is not running", n.cfg.ID)
 	}
+	return st, nil
 }
 
 // RestoreNode creates a node that will, on Start, resume the captured
@@ -231,23 +212,29 @@ func RestoreNode(cfg Config, transport Transport, st *checkpoint.LiveNode) (*Nod
 	}
 	n.base = st.ProtoTime
 	if n.battery != nil {
-		n.battery.rebase(st.ProtoTime)
+		// Position the drain clock at the checkpoint without settling:
+		// the battery must not be charged for the downtime the node's
+		// clock skips over.
+		bst := n.battery.Snapshot()
+		bst.LastT = st.ProtoTime
+		n.battery.Restore(bst)
 	}
 	n.rng.Restore(st.RNG)
 	n.resume = st
 	return n, nil
 }
 
-// Stop shuts the node down: pending timers are cancelled and the event
-// loop goroutine exits. Stop is idempotent and waits for the loop.
+// Stop shuts the node down: pending timers are cancelled, the radio goes
+// off and the node reports Dead. A stop is not a protocol transition, so
+// OnState is not called. Stop waits for a call under way; once it
+// returns, no protocol call of the node runs. Stop is idempotent.
 func (n *Node) Stop() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.stopped {
-		n.mu.Unlock()
-		<-n.done
 		return
 	}
-	n.stopped = true
+	n.running, n.stopped = false, true
 	for _, stop := range n.timers {
 		stop()
 	}
@@ -256,62 +243,25 @@ func (n *Node) Stop() {
 		n.stopDepletion()
 		n.stopDepletion = nil
 	}
-	n.cfg.clk.posted(-len(n.jobs)) // dropped unrun
-	n.jobs = nil
-	running := n.running
-	n.mu.Unlock()
-	close(n.stop)
-	if !running {
-		// The event loop never started; nothing will close done.
-		close(n.done)
-		return
-	}
-	<-n.done
+	n.state.Store(int32(core.Dead))
+	n.listening.Store(false)
 }
 
-// loop is the node's single logical thread: every protocol interaction
-// (message, timer, start) runs here.
-func (n *Node) loop() {
-	defer close(n.done)
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-n.wake:
-			for {
-				n.mu.Lock()
-				if len(n.jobs) == 0 {
-					n.mu.Unlock()
-					break
-				}
-				job := n.jobs[0]
-				n.jobs = n.jobs[1:]
-				n.mu.Unlock()
-				job()
-				n.cfg.clk.posted(-1)
-			}
-		}
-	}
-}
-
-// post enqueues fn onto the node's event loop. Posts after Stop are
-// dropped.
-func (n *Node) post(fn func()) {
+// call runs fn under the node's lock if the node is running, and reports
+// whether it did. Frames, timers, depletions, Stats and Checkpoint go
+// through it, so one that reaches a node that never started, or has
+// stopped, is dropped.
+func (n *Node) call(fn func()) bool {
 	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
+	defer n.mu.Unlock()
+	if !n.running {
+		return false
 	}
-	n.jobs = append(n.jobs, fn)
-	n.cfg.clk.posted(1)
-	n.mu.Unlock()
-	select {
-	case n.wake <- struct{}{}:
-	default:
-	}
+	fn()
+	return true
 }
 
-// --- core.Platform implementation (called from the event loop) ---
+// --- core.Platform implementation (called under the node's lock) ---
 
 // Now returns protocol time: scaled seconds since Start, offset by the
 // restored checkpoint time for resumed nodes.
@@ -319,25 +269,23 @@ func (n *Node) Now() float64 {
 	return n.base + n.cfg.clk.Now().Sub(n.started).Seconds()*n.scale
 }
 
-// AtArg schedules fn(arg) on the event loop at protocol time at; a past
-// deadline fires at once. Pending timers are cancelled on Stop; a deadline
-// too far off for a time.Duration arms none.
+// AtArg schedules fn(arg) at protocol time at; a past deadline fires at
+// once. The timer fires on a goroutine of the clock's choosing, which
+// runs fn under the node's lock. Pending timers are cancelled on Stop; a
+// deadline too far off for a time.Duration arms none.
 func (n *Node) AtArg(at float64, fn func(any), arg any) {
 	delay, ok := wallDelay(at-n.Now(), n.scale)
-	n.mu.Lock()
-	if n.stopped || !ok {
-		n.mu.Unlock()
+	if !ok {
 		return
 	}
 	n.nextTimer++
 	id := n.nextTimer
 	n.timers[id] = n.cfg.clk.AfterFunc(delay, func() {
-		n.mu.Lock()
-		delete(n.timers, id)
-		n.mu.Unlock()
-		n.post(func() { fn(arg) })
+		n.call(func() {
+			delete(n.timers, id)
+			fn(arg)
+		})
 	})
-	n.mu.Unlock()
 }
 
 // wallDelay converts protoSeconds of protocol time into wall time at the
@@ -370,12 +318,12 @@ func (n *Node) BroadcastReply(size int, radius float64, msg core.Reply) {
 	n.Broadcast(size, radius, msg)
 }
 
-// SetState tracks the protocol mode and radio power state.
+// SetState tracks the protocol mode, radio power state and battery mode.
 func (n *Node) SetState(s core.State) {
 	n.state.Store(int32(s))
 	n.listening.Store(s == core.Probing || s == core.Working)
-	if n.onBatteryState != nil {
-		n.onBatteryState(s)
+	if n.battery != nil {
+		n.watchBattery(s)
 	}
 	if n.cfg.OnState != nil {
 		n.cfg.OnState(n.cfg.ID, s)

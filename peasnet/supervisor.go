@@ -78,11 +78,11 @@ func (c *Cluster) LastCheckpoint(id int) *checkpoint.LiveNode {
 	return c.ckpts[id]
 }
 
-// Crash kills node id abruptly: its event loop stops mid-flight and its
-// transport endpoint is torn down, freeing the id for Restart. If no
-// supervised checkpoint exists yet, one is captured at the crash instant
-// (a crash-consistent snapshot), so Restart always has something to
-// resume from.
+// Crash kills node id abruptly: the node stops between two protocol
+// calls and its transport endpoint is torn down, freeing the id for
+// Restart. If no supervised checkpoint exists yet, one is captured at the
+// crash instant (a crash-consistent snapshot), so Restart always has
+// something to resume from.
 func (c *Cluster) Crash(id int) error {
 	n, err := c.nodeByID(id)
 	if err != nil {

@@ -13,8 +13,9 @@ import (
 type Receiver func(frame []byte, dist float64)
 
 // Transport is the broadcast medium abstraction of the live runtime.
-// Implementations must deliver asynchronously: Broadcast must not block
-// on slow receivers, or node event loops could deadlock on each other.
+// Implementations must deliver asynchronously, never from inside
+// Broadcast: a node broadcasts under its own lock and a delivery takes
+// the receiver's, so two nodes in range could deadlock on each other.
 type Transport interface {
 	// Register attaches a receiver for node id at position pos. The
 	// listening callback reports whether the node's radio is currently
@@ -41,9 +42,9 @@ type memberEntry struct {
 	recv      Receiver
 }
 
-// InMemory is a Transport delivering frames between goroutine nodes in
-// one process. Every delivery is a callback of the transport's clock, so
-// Broadcast never blocks the caller's event loop.
+// InMemory is a Transport delivering frames between nodes in one
+// process. Every delivery is a callback of the transport's clock, so
+// Broadcast never blocks the sending node's call.
 type InMemory struct {
 	mu         sync.Mutex
 	members    map[int]*memberEntry
