@@ -95,8 +95,10 @@ type Protocol struct {
 	stats        Stats
 
 	// freeTimers lists the spent timerEvent records, so arming a timer
-	// allocates nothing once the pool has grown.
+	// allocates nothing once the pool has grown; allTimers links every
+	// record, spent or armed, for Reset to take back.
 	freeTimers *timerEvent
+	allTimers  *timerEvent
 	// probeBox caches the boxed PROBE payloads (one per sequence number):
 	// a node's PROBE contents never change, so the interface boxing
 	// allocation is paid once instead of on every transmission.
@@ -107,19 +109,44 @@ type Protocol struct {
 // validates again defensively and panics on error, since an invalid
 // config here is a programming error in the platform layer.
 func New(id NodeID, cfg Config, platform Platform) *Protocol {
+	p := new(Protocol)
+	p.Reset(id, cfg, platform)
+	return p
+}
+
+// Reset makes p the protocol New(id, cfg, platform) returns, keeping the
+// storage of its REPLY and timer lists and its timer records, so a
+// protocol rebuilt on recycled storage allocates nothing. Every timer
+// record returns to the free list: the timers armed on the old platform
+// must be dropped with it (a simulator engine Reset first).
+func (p *Protocol) Reset(id NodeID, cfg Config, platform Platform) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Protocol{
+	probeBox := p.probeBox
+	if p.id != id {
+		probeBox = probeBox[:0] // the boxed PROBEs carry the node's ID
+	}
+	*p = Protocol{
 		id:        id,
 		cfg:       cfg,
 		platform:  platform,
 		state:     Sleeping,
 		lambda:    cfg.InitialRate,
 		estimator: *NewRateEstimator(cfg.EstimatorK),
+		heard:     p.heard[:0],
+		timers:    p.timers[:0],
+		allTimers: p.allTimers,
+		probeBox:  probeBox,
+	}
+	if p.heard == nil {
 		// Room for the REPLYs of a busy probe window up front, so the list
 		// does not grow a window at a time over the node's life.
-		heard: make([]Reply, 0, 8),
+		p.heard = make([]Reply, 0, 8)
+	}
+	for t := p.allTimers; t != nil; t = t.all {
+		t.next = p.freeTimers
+		p.freeTimers = t
 	}
 }
 
@@ -227,7 +254,8 @@ type timerEvent struct {
 	p    *Protocol
 	rec  TimerRec
 	gen  uint64
-	next *timerEvent
+	next *timerEvent // free-list link
+	all  *timerEvent // link of every record the protocol made
 }
 
 // runTimer is the shared firing callback for every pooled timer record.
@@ -255,7 +283,8 @@ func (p *Protocol) scheduleTimer(rec TimerRec) {
 		p.freeTimers = t.next
 		t.next = nil
 	} else {
-		t = &timerEvent{p: p}
+		t = &timerEvent{p: p, all: p.allTimers}
+		p.allTimers = t
 	}
 	t.rec = rec
 	t.gen = p.gen

@@ -6,6 +6,8 @@
 package coverage
 
 import (
+	"slices"
+
 	"peas/internal/geom"
 	"peas/internal/metrics"
 )
@@ -25,17 +27,24 @@ type Lattice struct {
 
 // NewLattice builds a sampling lattice with the given spacing in meters.
 func NewLattice(field geom.Field, spacing float64) *Lattice {
+	l := new(Lattice)
+	l.Reset(field, spacing)
+	return l
+}
+
+// Reset rebuilds l as NewLattice would, in the storage l grew before.
+func (l *Lattice) Reset(field geom.Field, spacing float64) {
 	if spacing <= 0 {
 		spacing = 1
 	}
-	axis := func(length float64) []float64 {
-		coords := make([]float64, 0, max(int(length/spacing)+2, 0))
+	axis := func(coords []float64, length float64) []float64 {
+		coords = slices.Grow(coords[:0], max(int(length/spacing)+2, 0))
 		for c := 0.0; c <= length; c += spacing {
 			coords = append(coords, c)
 		}
 		return coords
 	}
-	return &Lattice{field: field, spacing: spacing, xs: axis(field.Width), ys: axis(field.Height)}
+	*l = Lattice{field: field, spacing: spacing, xs: axis(l.xs, field.Width), ys: axis(l.ys, field.Height), counts: l.counts}
 }
 
 // Len returns the number of sample points.
@@ -148,31 +157,57 @@ type Sample struct {
 type Tracker struct {
 	MaxK    int
 	samples []Sample
+	// byK holds every sample's ByK values, one sample after another; each
+	// ByK aliases its stretch.
+	byK []float64
 }
 
 // NewTracker returns a tracker for coverage degrees 1..maxK.
 func NewTracker(maxK int) *Tracker {
+	t := new(Tracker)
+	t.Reset(maxK)
+	return t
+}
+
+// Reset empties t and sets its coverage degrees to 1..maxK, keeping its
+// storage for the samples to come. Slices Samples returned before alias
+// that storage and are overwritten; CopySamples ones are not.
+func (t *Tracker) Reset(maxK int) {
 	if maxK < 1 {
 		maxK = 1
 	}
-	return &Tracker{MaxK: maxK}
+	t.MaxK, t.samples, t.byK = maxK, t.samples[:0], t.byK[:0]
 }
 
 // Record appends one observation. byK must have MaxK entries.
 func (t *Tracker) Record(now float64, byK []float64) {
-	cp := make([]float64, len(byK))
-	copy(cp, byK)
-	t.samples = append(t.samples, Sample{T: now, ByK: cp})
+	start := len(t.byK)
+	t.byK = append(t.byK, byK...)
+	end := len(t.byK)
+	t.samples = append(t.samples, Sample{T: now, ByK: t.byK[start:end:end]})
 }
 
-// Samples returns the recorded series.
+// Samples returns the recorded series. It aliases the tracker's storage
+// until the next Reset or Restore.
 func (t *Tracker) Samples() []Sample { return t.samples }
+
+// CopySamples returns a deep copy of Samples, in two allocations.
+func (t *Tracker) CopySamples() []Sample {
+	out := make([]Sample, len(t.samples))
+	flat := append([]float64(nil), t.byK...)
+	for i, s := range t.samples {
+		n := len(s.ByK)
+		out[i] = Sample{T: s.T, ByK: flat[:n:n]}
+		flat = flat[n:]
+	}
+	return out
+}
 
 // Restore replaces the recorded series with a deep copy of samples, as
 // previously returned by Samples. The checkpoint subsystem uses it to
 // carry the coverage history across a snapshot/resume boundary.
 func (t *Tracker) Restore(samples []Sample) {
-	t.samples = t.samples[:0]
+	t.samples, t.byK = t.samples[:0], t.byK[:0]
 	for _, s := range samples {
 		t.Record(s.T, s.ByK)
 	}

@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"fmt"
+	"slices"
 
 	"peas/internal/geom"
 )
@@ -52,20 +53,29 @@ type span struct{ base, n int32 }
 // 1..maxK. The footprint precomputation costs one legacy-Fraction-like
 // pass; every later transition costs one footprint stamp.
 func NewIncremental(lat *Lattice, sensors []geom.Point, radius float64, maxK int) *Incremental {
+	inc := new(Incremental)
+	inc.Reset(lat, sensors, radius, maxK)
+	return inc
+}
+
+// Reset rebuilds inc as NewIncremental would, in the storage inc grew
+// before, with an empty working set.
+func (inc *Incremental) Reset(lat *Lattice, sensors []geom.Point, radius float64, maxK int) {
 	if maxK < 1 {
 		maxK = 1
 	}
-	inc := &Incremental{
+	*inc = Incremental{
 		lat:     lat,
 		maxK:    maxK,
-		offs:    make([]int32, len(sensors)+1),
-		counts:  make([]int32, lat.Len()),
-		hist:    make([]int64, maxK+1),
-		working: make([]bool, len(sensors)),
+		offs:    zeroed(inc.offs, len(sensors)+1),
+		spans:   inc.spans[:0],
+		counts:  zeroed(inc.counts, lat.Len()),
+		hist:    zeroed(inc.hist, maxK+1),
+		working: zeroed(inc.working, len(sensors)),
 	}
 	inc.hist[0] = int64(lat.Len())
 	if lat.Len() == 0 || radius < 0 {
-		return inc
+		return
 	}
 	// A sensor has at most one span per candidate row, so the span table
 	// is sized by one pass over the windows and filled by the next.
@@ -74,7 +84,7 @@ func NewIncremental(lat *Lattice, sensors []geom.Point, radius float64, maxK int
 		_, _, r0, r1 := lat.window(s, radius)
 		rows += max(r1-r0+1, 0)
 	}
-	inc.spans = make([]span, 0, rows)
+	inc.spans = slices.Grow(inc.spans, rows)
 	r2 := radius * radius
 	for i, s := range sensors {
 		// The candidate window and the exact membership test are
@@ -99,7 +109,17 @@ func NewIncremental(lat *Lattice, sensors []geom.Point, radius float64, maxK int
 		}
 		inc.offs[i+1] = int32(len(inc.spans))
 	}
-	return inc
+}
+
+// zeroed returns s with length n and every element zero, reusing its array
+// when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Len returns the number of tracked sensors.

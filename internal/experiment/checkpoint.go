@@ -45,7 +45,7 @@ func captureSnapshot(cfg RunConfig, horizon, spacing float64, net *node.Network,
 		Nodes:            net.SnapshotNodes(),
 		Medium:           net.Medium.Snapshot(),
 		Injector:         inj.Snapshot(),
-		TrackerSamples:   tracker.Samples(),
+		TrackerSamples:   tracker.CopySamples(),
 		WorkingSeries:    working.Points(),
 		NextSampleAt:     sampler.NextAt(),
 	}

@@ -146,7 +146,7 @@ func bootStudy(e *Env) (*Table, error) {
 		}
 		// The 5 s poll loop reads the incremental engine: working-set
 		// transitions maintain the counts, so each poll is O(maxK).
-		inc := attachIncremental(net, lattice, 4)
+		inc := attachIncremental(new(coverage.Incremental), net, lattice, 4)
 		bootT := math.NaN()
 		workers := 0
 		net.Engine.NewTicker(5, func() {

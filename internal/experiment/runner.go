@@ -54,20 +54,25 @@ type RunConfig struct {
 	Forwarding bool
 	// CoverageSpacing is the lattice spacing in meters (0 => 1 m).
 	CoverageSpacing float64
-	// Trace, when non-nil, records structured simulation events.
+	// Trace, when non-nil, records structured simulation events. The
+	// recorded events are copies; the network the recorder watched is
+	// borrowed until Run returns, like every hook's below.
 	Trace *trace.Recorder
 	// OnSample, when non-nil, receives every periodic coverage sample:
 	// the time, the working-node count, and the K-coverage fractions
 	// (index 0 is 1-coverage).
 	OnSample func(t float64, working int, byK []float64)
 	// OnFinish, when non-nil, runs after the simulation completes, with
-	// the network still intact — e.g. to render a final snapshot.
+	// the network still intact — e.g. to render a final snapshot. The
+	// network is borrowed until Run returns; copy out what must outlive it.
 	OnFinish func(net *node.Network)
 	// OnNetwork, when non-nil, runs once the network is fully built and
 	// instrumented but before any event executes — the attachment point
 	// for read-only observers like the runtime invariant oracle. It fires
 	// on fresh starts (before Start) and on resumed runs (after the
-	// snapshot is restored).
+	// snapshot is restored). The network is borrowed until Run returns:
+	// Run hands its storage to the next run then, so neither it nor its
+	// engine, medium or nodes may be used afterwards.
 	OnNetwork func(net *node.Network)
 
 	// CheckpointEvery, when positive with OnCheckpoint set, arms a
@@ -157,12 +162,13 @@ type RunStats struct {
 	RouteRebuilds      int `json:",omitempty"`
 	// EngineEvents, EventStructs and HeapSlots are the engine's own
 	// account of the run (sim.EngineStats): events executed (timer and
-	// ticker firings included), event records ever allocated and the
-	// capacity of the engine's three queues. Like the two above these
-	// describe this process's run only — a resumed run counts from its
-	// resume point — and are in neither the snapshot nor the state hash.
-	// Each engine counts for itself, so they are exact under any number of
-	// concurrent runs.
+	// ticker firings included), the most event records the schedule held
+	// at once and the sum of the engine's three queues' peaks — the run's
+	// own high-water marks, whatever storage it was built into. Like the
+	// two above these describe this process's run only — a resumed run
+	// counts from its resume point — and are in neither the snapshot nor
+	// the state hash. Each engine counts for itself, so they are exact
+	// under any number of concurrent runs.
 	EngineEvents uint64 `json:",omitempty"`
 	EventStructs uint64 `json:",omitempty"`
 	HeapSlots    int    `json:",omitempty"`
@@ -230,6 +236,12 @@ type RunStats struct {
 // Run executes one simulation and gathers the paper's metrics. When
 // cfg.Resume holds a checkpoint the run continues it — restoring the full
 // model state and pending event schedule — instead of booting fresh.
+//
+// The run is built into the storage of one that returned before it, when
+// the pool has one (see node.Network.Release), and hands its own storage
+// back when it returns, error or not; the network its hooks see is
+// borrowed until then. What escapes — the RunStats, its FinalState and
+// every snapshot handed to OnCheckpoint or OnPreempt — owns its memory.
 func Run(cfg RunConfig) (*RunStats, error) {
 	snap := cfg.Resume
 	if snap != nil {
@@ -245,6 +257,35 @@ func Run(cfg RunConfig) (*RunStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A run that panics leaves its storage to the garbage collector, in
+	// whatever state the panic found it; one that returns hands it to the
+	// next run.
+	res, err := run(cfg, net)
+	net.Release()
+	return res, err
+}
+
+// runStorage is the part of a run's storage Run keeps with the network's
+// (node.Network.Spare), so the next run built into the same network reuses
+// it: the coverage lattice and counts, the metric series and the
+// forwarding workload with its route table.
+type runStorage struct {
+	lattice coverage.Lattice
+	inc     coverage.Incremental
+	tracker coverage.Tracker
+	working *metrics.Series
+	fw      forward.Harness
+	byK     []float64
+}
+
+// run is Run on a built network.
+func run(cfg RunConfig, net *node.Network) (*RunStats, error) {
+	snap := cfg.Resume
+	st, _ := net.Spare.(*runStorage)
+	if st == nil {
+		st = &runStorage{working: metrics.NewSeries("working"), byK: make([]float64, 0, MaxCoverageK)}
+		net.Spare = st
+	}
 	if cfg.Trace != nil {
 		trace.Attach(cfg.Trace, net)
 	}
@@ -256,6 +297,7 @@ func Run(cfg RunConfig) (*RunStats, error) {
 		if cfg.CheckpointEvery > 0 {
 			return nil, fmt.Errorf("experiment: chaos plans cannot take mid-run checkpoints; compare final-state hashes instead")
 		}
+		var err error
 		chaosCtl, err = chaos.AttachSim(net, cfg.Chaos)
 		if err != nil {
 			return nil, err
@@ -277,11 +319,14 @@ func Run(cfg RunConfig) (*RunStats, error) {
 	if spacing <= 0 {
 		spacing = 1
 	}
-	lattice := coverage.NewLattice(cfg.Network.Field, spacing)
-	inc := attachIncremental(net, lattice, MaxCoverageK)
-	tracker := coverage.NewTracker(MaxCoverageK)
-	workingSeries := metrics.NewSeries("working")
-	byKBuf := make([]float64, 0, MaxCoverageK)
+	lattice := &st.lattice
+	lattice.Reset(cfg.Network.Field, spacing)
+	inc := attachIncremental(&st.inc, net, lattice, MaxCoverageK)
+	tracker := &st.tracker
+	tracker.Reset(MaxCoverageK)
+	workingSeries := st.working
+	workingSeries.Reset()
+	byKBuf := st.byK
 	sample := func() {
 		now := net.Engine.Now()
 		byKBuf = inc.FractionInto(byKBuf)
@@ -303,7 +348,8 @@ func Run(cfg RunConfig) (*RunStats, error) {
 	// Forwarding workload.
 	var fw *forward.Harness
 	if cfg.Forwarding {
-		fw = forward.NewHarness(forward.DefaultConfig(cfg.Network.Field), net)
+		fw = &st.fw
+		fw.Reset(forward.DefaultConfig(cfg.Network.Field), net)
 		if snap == nil {
 			fw.Start()
 		}
@@ -341,6 +387,7 @@ func Run(cfg RunConfig) (*RunStats, error) {
 	} else {
 		tracker.Restore(snap.TrackerSamples)
 		workingSeries.Restore(snap.WorkingSeries)
+		var err error
 		sampler, err = resumeRun(net, snap, sample, fw, inj)
 		if err != nil {
 			return nil, err

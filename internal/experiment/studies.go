@@ -177,7 +177,7 @@ func peasGapRun(seed int64) (gapRun, error) {
 	// The 1 Hz observation loop runs 12000 times per seed; the incremental
 	// engine makes each tick O(observation points) reads instead of a full
 	// working-disk restamp plus a spatial-index rebuild.
-	inc := attachIncremental(net, lattice, 1)
+	inc := attachIncremental(new(coverage.Incremental), net, lattice, 1)
 	tracker := coverage.NewTracker(1)
 
 	const (

@@ -78,7 +78,7 @@ type Harness struct {
 	net    *node.Network
 	ratio  *metrics.Ratio
 	hops   *metrics.Series
-	rng    *stats.RNG
+	rng    stats.RNG
 	ticker *sim.Ticker
 
 	// txExtra and rxExtra are what relaying one report costs a node over
@@ -93,37 +93,59 @@ type Harness struct {
 	stale       bool
 	transitions int
 	rebuilds    int
+
+	positions []geom.Point            // the deployment, by node id
+	onWorking func(core.NodeID, bool) // the working-transition hook
 }
 
 // NewHarness attaches the workload to net, subscribing to the network's
 // working-transition hook. Call Start before running the simulation.
 func NewHarness(cfg Config, net *node.Network) *Harness {
+	h := new(Harness)
+	h.Reset(cfg, net)
+	return h
+}
+
+// Reset attaches h to net as NewHarness would, in the storage h grew
+// before: the recorders' series, the router's reach table and search
+// buffers. Nothing of the network h was attached to before stays.
+func (h *Harness) Reset(cfg Config, net *node.Network) {
 	if cfg.MeshWidth < 1 {
 		cfg.MeshWidth = 1
 	}
 	netCfg := net.Config()
-	positions := make([]geom.Point, len(net.Nodes))
-	for i, n := range net.Nodes {
-		positions[i] = n.Pos()
+	positions := h.positions[:0]
+	for _, n := range net.Nodes {
+		positions = append(positions, n.Pos())
 	}
 	airtime := float64(cfg.ReportSize) * 8 / netCfg.Radio.BitsPerSecond
-	h := &Harness{
-		cfg:     cfg,
-		net:     net,
-		ratio:   metrics.NewRatio("data-success-ratio"),
-		hops:    metrics.NewSeries("delivery-hops"),
-		rng:     stats.NewRNG(netCfg.Seed ^ 0x9e3779b9),
-		txExtra: (netCfg.Energy.TransmitW - netCfg.Energy.IdleW) * airtime,
-		rxExtra: (netCfg.Energy.ReceiveW - netCfg.Energy.IdleW) * airtime,
-		router:  newRouter(net.Field, positions, cfg.Source, cfg.Sink, cfg.HopRange),
+	ratio, hops, r, onWorking := h.ratio, h.hops, h.router, h.onWorking
+	if r == nil {
+		ratio, hops, r = metrics.NewRatio("data-success-ratio"), metrics.NewSeries("delivery-hops"), new(router)
+		onWorking = func(id core.NodeID, working bool) {
+			h.router.set(int(id), working)
+			h.stale = true
+			h.transitions++
+		}
 	}
+	ratio.Reset()
+	hops.Reset()
+	r.reset(net.Field, positions, cfg.Source, cfg.Sink, cfg.HopRange)
+	*h = Harness{
+		cfg:       cfg,
+		net:       net,
+		ratio:     ratio,
+		hops:      hops,
+		txExtra:   (netCfg.Energy.TransmitW - netCfg.Energy.IdleW) * airtime,
+		rxExtra:   (netCfg.Energy.ReceiveW - netCfg.Energy.IdleW) * airtime,
+		router:    r,
+		found:     h.found[:0],
+		positions: positions,
+		onWorking: onWorking,
+	}
+	h.rng.Seed(netCfg.Seed ^ 0x9e3779b9)
 	h.syncRouter()
-	net.Observe(node.Observer{WorkingChange: func(id core.NodeID, working bool) {
-		h.router.set(int(id), working)
-		h.stale = true
-		h.transitions++
-	}})
-	return h
+	net.Observe(node.Observer{WorkingChange: onWorking})
 }
 
 // syncRouter loads the network's current working set into the router, for
@@ -196,7 +218,7 @@ func (h *Harness) generate() {
 	// hops is the length of the first path that got through.
 	hops := 0
 	for _, path := range paths {
-		if pathSurvives(len(path)+1, h.cfg.HopLossRate, h.rng) && hops == 0 {
+		if pathSurvives(len(path)+1, h.cfg.HopLossRate, &h.rng) && hops == 0 {
 			hops = len(path) + 1
 		}
 		h.chargePath(path)

@@ -25,6 +25,7 @@ import (
 // subsequence of Order: a row's set bits, taken in ascending order, are
 // exactly the points Within2 visits, in the order it visits them.
 type router struct {
+	idx    geom.Index   // the deployment, bucketed by rt
 	pos    []geom.Point // every deployed node, by node id
 	direct bool         // src reaches dst in one hop; no relay is needed
 
@@ -59,25 +60,36 @@ const fromSource = -1
 // newRouter indexes the deployment pos inside field with an empty working
 // set; set or rebuild populate it.
 func newRouter(field geom.Field, pos []geom.Point, src, dst geom.Point, rt float64) *router {
-	idx := geom.NewIndex(field, pos, rt)
+	r := new(router)
+	r.reset(field, pos, src, dst, rt)
+	return r
+}
+
+// reset rebuilds r as newRouter would, in the storage r grew before.
+func (r *router) reset(field geom.Field, pos []geom.Point, src, dst geom.Point, rt float64) {
+	r.idx.Reset(field, pos, rt)
 	n := len(pos)
 	nw := (n + 63) / 64
-	bitsets := make([]uint64, 3*nw)
-	r := &router{
+	bitsets := zeroed(r.working[:cap(r.working)], 3*nw)
+	*r = router{
+		idx:     r.idx,
 		pos:     pos,
 		direct:  src.Dist(dst) <= rt,
-		ids:     idx.Order(),
-		rank:    make([]int32, n),
-		sink:    make([]bool, n),
-		starts:  make([]int32, n+2),
+		ids:     r.idx.Order(),
+		rank:    zeroed(r.rank, n),
+		sink:    zeroed(r.sink, n),
+		starts:  zeroed(r.starts, n+2),
+		words:   r.words,
+		masks:   r.masks,
 		working: bitsets[:nw],
 		used:    bitsets[nw : 2*nw],
 		avail:   bitsets[2*nw:],
-		prev:    make([]int32, n),
+		prev:    zeroed(r.prev, n),
 		// Node-disjoint paths name each node at most once, so neither
 		// backing array ever regrows and earlier paths stay valid.
-		queue:   make([]int32, 0, n),
-		pathIDs: make([]int32, 0, n),
+		queue:   slices.Grow(r.queue[:0], n),
+		pathIDs: slices.Grow(r.pathIDs[:0], n),
+		found:   r.found[:0],
 	}
 	for k, id := range r.ids {
 		r.rank[id] = int32(k)
@@ -85,18 +97,29 @@ func newRouter(field geom.Field, pos []geom.Point, src, dst geom.Point, rt float
 	}
 	// Two sweeps, count then fill, as Index.Neighbors builds its table:
 	// the rows cost two allocations whatever their sizes.
-	pairs := r.reach(idx, src, rt, false)
-	r.words = make([]int32, pairs)
-	r.masks = make([]uint64, pairs)
-	r.reach(idx, src, rt, true)
-	return r
+	pairs := r.reach(src, rt, false)
+	r.words = zeroed(r.words, pairs)
+	r.masks = zeroed(r.masks, pairs)
+	r.reach(src, rt, true)
+}
+
+// zeroed returns s with length n and every element zero, reusing its array
+// when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // reach walks Within2 from every node and then from src, setting starts
 // and returning the number of (word, mask) pairs; with fill it also writes
 // the pairs. A new pair starts wherever the word changes, since the
 // numbers Within2 reports ascend.
-func (r *router) reach(idx *geom.Index, src geom.Point, rt float64, fill bool) int {
+func (r *router) reach(src geom.Point, rt float64, fill bool) int {
+	idx := &r.idx
 	at := -1
 	for k := range r.starts[1:] {
 		center := src

@@ -66,9 +66,13 @@ func (f Field) Center() Point { return Point{X: f.Width / 2, Y: f.Height / 2} }
 // paper's evaluation ("nodes are uniformly distributed in the field
 // initially and remain stationary once deployed").
 func UniformDeploy(f Field, n int, rng *stats.RNG) []Point {
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{X: rng.Uniform(0, f.Width), Y: rng.Uniform(0, f.Height)}
+	return AppendUniformDeploy(make([]Point, 0, n), f, n, rng)
+}
+
+// AppendUniformDeploy is UniformDeploy appending the n points to pts.
+func AppendUniformDeploy(pts []Point, f Field, n int, rng *stats.RNG) []Point {
+	for range n {
+		pts = append(pts, Point{X: rng.Uniform(0, f.Width), Y: rng.Uniform(0, f.Height)})
 	}
 	return pts
 }

@@ -20,28 +20,42 @@ type Index struct {
 	starts  []int32
 	entries []int32
 	points  []Point
+	fill    []int32 // build scratch: per-bucket counts, then fill cursors
 }
 
 // NewIndex builds an index over points with the given bucket edge length.
 // A cell size near the dominant query radius keeps candidate sets small.
 func NewIndex(field Field, points []Point, cellSize float64) *Index {
+	idx := new(Index)
+	idx.Reset(field, points, cellSize)
+	return idx
+}
+
+// Reset rebuilds idx over points, as NewIndex would, in the storage its
+// last build grew: an index rebuilt at or below its largest deployment
+// allocates nothing. Slices earlier taken from Order alias the old answer.
+func (idx *Index) Reset(field Field, points []Point, cellSize float64) {
 	if cellSize <= 0 {
 		cellSize = 1
 	}
 	cols := int(math.Ceil(field.Width/cellSize)) + 1
 	rows := int(math.Ceil(field.Height/cellSize)) + 1
-	idx := &Index{
-		field:  field,
-		cell:   cellSize,
-		cols:   cols,
-		rows:   rows,
-		starts: make([]int32, cols*rows+1),
-		points: append([]Point(nil), points...),
+	buckets := cols * rows
+	*idx = Index{
+		field:   field,
+		cell:    cellSize,
+		cols:    cols,
+		rows:    rows,
+		starts:  resize(idx.starts, buckets+1),
+		entries: idx.entries,
+		points:  append(idx.points[:0], points...),
+		fill:    resize(idx.fill, buckets),
 	}
 	// Counting pass, prefix sum, fill pass: starts[b] ends up at the
 	// beginning of bucket b and the fill (in point order) keeps each
 	// bucket's members ascending, which pins the deterministic visit order.
-	counts := make([]int32, cols*rows)
+	counts := idx.fill
+	clear(counts)
 	for _, p := range idx.points {
 		counts[idx.bucketOf(p)]++
 	}
@@ -50,16 +64,24 @@ func NewIndex(field Field, points []Point, cellSize float64) *Index {
 		idx.starts[b] = sum
 		sum += c
 	}
-	idx.starts[len(counts)] = sum
-	idx.entries = make([]int32, sum)
-	fill := make([]int32, cols*rows)
-	copy(fill, idx.starts[:len(counts)])
+	idx.starts[buckets] = sum
+	idx.entries = resize(idx.entries, int(sum))
+	fill := idx.fill
+	copy(fill, idx.starts[:buckets])
 	for i, p := range idx.points {
 		b := idx.bucketOf(p)
 		idx.entries[fill[b]] = int32(i)
 		fill[b]++
 	}
-	return idx
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (idx *Index) bucketOf(p Point) int {
@@ -85,6 +107,10 @@ func (idx *Index) Len() int { return len(idx.points) }
 
 // At returns the position of point i.
 func (idx *Index) At(i int) Point { return idx.points[i] }
+
+// Points returns every indexed point, point i at index i. The slice
+// aliases the index; do not modify it.
+func (idx *Index) Points() []Point { return idx.points }
 
 // Order returns every point's index once, buckets ascending and points
 // ascending within a bucket. Within2 reports its points as a subsequence
@@ -196,13 +222,21 @@ type Neighbors struct {
 // Neighbors builds the table for radius. It costs two Within2 sweeps per
 // point (count, then fill).
 func (idx *Index) Neighbors(radius float64) *Neighbors {
-	nb := &Neighbors{radius: radius, starts: make([]int32, len(idx.points)+1)}
+	return idx.NeighborsInto(new(Neighbors), radius)
+}
+
+// NeighborsInto is Neighbors built in nb's storage, which a table at or
+// below nb's size reuses entirely; it returns nb.
+func (idx *Index) NeighborsInto(nb *Neighbors, radius float64) *Neighbors {
+	nb.radius = radius
+	nb.starts = resize(nb.starts, len(idx.points)+1)
+	nb.starts[0] = 0
 	for i, p := range idx.points {
 		nb.starts[i+1] = nb.starts[i] + int32(idx.CountWithin(p, radius))
 	}
-	total := nb.starts[len(idx.points)]
-	nb.ids = make([]int32, 0, total)
-	nb.d2 = make([]float64, 0, total)
+	total := int(nb.starts[len(idx.points)])
+	nb.ids = resize(nb.ids, total)[:0]
+	nb.d2 = resize(nb.d2, total)[:0]
 	for _, p := range idx.points {
 		idx.Within2(p, radius, func(j int, d2 float64) {
 			nb.ids = append(nb.ids, int32(j))

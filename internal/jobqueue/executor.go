@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"peas/internal/checkpoint"
+	"peas/internal/experiment"
 	"peas/internal/node"
 	"peas/internal/oracle"
 	"peas/internal/sim"
@@ -139,6 +140,8 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 
 	var (
 		eng     *sim.Engine
+		stats   *experiment.RunStats
+		ran     bool // Run returned rather than panicked
 		checker *oracle.Checker
 		aborted bool
 		snap    *checkpoint.Snapshot // where a drain or a preemption stopped the run
@@ -151,13 +154,23 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 	}
 	// The engine's work is counted however the segment ends — completed,
 	// parked, suspended, aborted or panicked — so the counters are what
-	// the workers burned, not what the finished jobs cost.
+	// the workers burned, not what the finished jobs cost. The engine is
+	// borrowed until Run returns, so a returned run's figures come from
+	// its RunStats; a panicked run never hands its storage back, and its
+	// engine is still its own to read.
 	defer func() {
-		if eng != nil {
+		var events, structs uint64
+		switch {
+		case stats != nil:
+			events, structs = stats.EngineEvents, stats.EventStructs
+		case !ran && eng != nil:
 			es := eng.Stats()
-			p.counters.Add("engine_events", es.Events)
-			p.counters.Add("engine_event_structs", es.EventStructs)
+			events, structs = es.Events, es.EventStructs
+		default:
+			return
 		}
+		p.counters.Add("engine_events", events)
+		p.counters.Add("engine_event_structs", structs)
 	}()
 	// The supervisor is the cancel/deadline/watchdog control surface of
 	// the run: the engine heartbeats through it and honors its stop flag
@@ -191,6 +204,7 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 	}
 
 	stats, err := p.cfg.Run(cfg)
+	ran = true
 	if err != nil {
 		return nil, nil, err
 	}
@@ -217,9 +231,7 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 		// the job table does, and must not pin the whole end state.
 		stats.FinalState = nil
 	}
-	if eng != nil {
-		res.Events = eng.Executed()
-	}
+	res.Events = stats.EngineEvents
 	if checker != nil {
 		res.Violations = len(checker.Violations()) + checker.Dropped()
 		if cerr := checker.Err(); cerr != nil {

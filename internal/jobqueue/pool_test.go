@@ -399,7 +399,9 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 // MemStats, production may not), and a finished job keeps its end state's
 // hash, not the state. A retained job then costs its stats and event
 // history — under 2 KB measured, where one pinned 160-node snapshot of
-// this spec weighed about 70 KB.
+// this spec weighed about 70 KB. The live heap is read after two
+// collections, which empty the pool of run storage the workers release
+// (a constant, not a per-job cost) along with the garbage.
 func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 	const jobs, perJobBytes = 40, 16 << 10
 	pool := New(Config{Workers: 2, QueueDepth: jobs, StateDir: t.TempDir()})
@@ -413,6 +415,7 @@ func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 	}
 
 	var before, after, settled runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	handles := make([]*Job, jobs)
@@ -431,6 +434,7 @@ func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 	if forced := after.NumForcedGC - before.NumForcedGC; forced != 0 {
 		t.Errorf("%d forced collections across %d jobs, want 0: something on the job path calls runtime.GC", forced, jobs)
 	}
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&settled)
 	if grew := int64(settled.HeapAlloc) - int64(before.HeapAlloc); grew > jobs*perJobBytes {

@@ -31,6 +31,10 @@ func (s *Series) Record(t, v float64) { s.points = append(s.points, Point{T: t, 
 // Len returns the number of observations.
 func (s *Series) Len() int { return len(s.points) }
 
+// Reset empties the series, keeping its storage for the observations to
+// come.
+func (s *Series) Reset() { s.points = s.points[:0] }
+
 // Points returns a copy of the observations.
 func (s *Series) Points() []Point { return append([]Point(nil), s.points...) }
 
@@ -38,7 +42,7 @@ func (s *Series) Points() []Point { return append([]Point(nil), s.points...) }
 // earlier with Points. The checkpoint subsystem uses it to carry metric
 // series across a snapshot/resume boundary.
 func (s *Series) Restore(points []Point) {
-	s.points = append(s.points[:0:0], points...)
+	s.points = append(s.points[:0], points...)
 }
 
 // Last returns the final observation, and false when the series is empty.
@@ -196,6 +200,9 @@ func (r *Ratio) Value() float64 {
 	}
 	return float64(r.succeeded) / float64(r.generated)
 }
+
+// Reset empties the recorder, keeping the series' storage.
+func (r *Ratio) Reset() { r.Restore(0, 0, nil) }
 
 // Counts returns (generated, succeeded).
 func (r *Ratio) Counts() (generated, succeeded int) { return r.generated, r.succeeded }

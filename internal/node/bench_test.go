@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-// End-to-end microbenchmark: a full PEAS network simulated for a fixed
-// horizon. Run with
+// End-to-end microbenchmark: a full PEAS network built, simulated for a
+// fixed horizon and released. Run with
 //
 //	go test ./internal/node -run=NONE -bench=. -benchmem
 //
-// The per-op allocations here are network construction: the event loop
-// itself allocates nothing (TestEventLoopDoesNotAllocate), so watch B/op
-// trends rather than absolutes.
+// Every iteration after the first rebuilds into the storage the one
+// before released, so a warm iteration allocates nothing: construction
+// reuses the workspace, and the event loop itself allocates nothing
+// (TestEventLoopDoesNotAllocate).
 
 func benchNetwork(b *testing.B, n int, horizon float64) {
 	b.ReportAllocs()
@@ -23,6 +24,7 @@ func benchNetwork(b *testing.B, n int, horizon float64) {
 		}
 		net.Start()
 		net.Run(horizon)
+		net.Release()
 	}
 }
 

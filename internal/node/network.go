@@ -3,6 +3,8 @@ package node
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"peas/internal/core"
 	"peas/internal/energy"
@@ -56,6 +58,11 @@ func DefaultConfig(n int, seed int64) Config {
 }
 
 // Network is a deployed sensor network bound to a simulation engine.
+//
+// A network is built into storage recycled from an earlier one when there
+// is any: Release hands its storage back once a run is over, and the next
+// NewNetwork builds into it. A network nobody releases is garbage
+// collected like any other value.
 type Network struct {
 	Engine *sim.Engine
 	Field  geom.Field
@@ -63,11 +70,18 @@ type Network struct {
 	Medium *radio.Medium
 	Nodes  []*Node
 
+	// Spare is storage a higher layer keeps with the network's: what it
+	// holds at Release comes back with the next network built into the
+	// same storage. The network never reads it, and the layer that put
+	// something there resets it before use.
+	Spare any
+
 	cfg Config
 
 	// spareReplies are the REPLY records the medium has handed back
 	// through recycleReply. Every node's REPLY goes out in one of them, so
-	// the pool is as large as the most REPLYs ever in flight at once.
+	// the pool is as large as the most REPLYs ever in flight at once. A
+	// medium Reset hands back the ones still in flight.
 	spareReplies []*core.Reply
 	recycleReply func(any)
 
@@ -76,7 +90,22 @@ type Network struct {
 	// the most frequent event, costs one check when nobody listens.
 	observers  []Observer
 	deliverers int
+
+	// The storage behind Engine, Index, Medium and Nodes, rebuilt in place
+	// by every NewNetwork that draws this network from the pool: the nodes
+	// in ID order, each holding its protocol, battery, RNG and depletion
+	// timer by value.
+	engine    sim.Engine
+	index     geom.Index
+	medium    radio.Medium
+	radioRNG  stats.RNG
+	sink      energyAdapter
+	nodes     []Node
+	positions []geom.Point // deployment scratch
 }
+
+// networks holds the released networks' storage.
+var networks sync.Pool
 
 // Observer is a set of optional hooks on a network's node events, used by
 // the metrics, coverage, forwarding and trace layers. A nil hook is
@@ -196,42 +225,78 @@ func (cfg Config) Validate() error {
 }
 
 // NewNetwork deploys a network according to cfg. The nodes are created
-// but idle; call Start to boot the protocol on every node.
+// but idle; call Start to boot the protocol on every node. The network is
+// built into the storage of one an earlier run released, when there is
+// one; nothing of that run is visible in it.
 func NewNetwork(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	net, _ := networks.Get().(*Network)
+	if net == nil {
+		net = new(Network)
+	}
+	net.build(cfg)
+	return net, nil
+}
 
+// Release hands the network's storage back for a later NewNetwork to
+// build into. It drops every hook and pending event, so the pooled storage
+// holds nothing of the caller's. Neither the network nor anything reached
+// through it — its engine, medium, index, nodes and their protocols and
+// batteries — may be used after Release; copy out what must outlive it
+// first. Release a network at most once.
+func (net *Network) Release() {
+	net.engine.Reset()
+	net.medium.OnTransmit = nil
+	net.medium.SetFaultInjector(nil)
+	clear(net.observers)
+	net.observers, net.deliverers = net.observers[:0], 0
+	net.cfg = Config{}
+	networks.Put(net)
+}
+
+// build deploys cfg into net's storage, replacing every part of it but
+// Spare and the record pools, which hold no state of a run once the engine
+// and the medium are reset: the engine's event records, the medium's
+// frame, delivery and retry records, the protocols' timer records and the
+// REPLY records.
+func (net *Network) build(cfg Config) {
 	root := stats.NewRNG(cfg.Seed)
 	deployRNG := root.Split()
 	energyRNG := root.Split()
-	radioRNG := root.Split()
+	net.radioRNG = *root.Split()
 	nodeSeedRNG := root.Split()
 
 	positions := cfg.Positions
 	if positions == nil {
-		positions = geom.UniformDeploy(cfg.Field, cfg.N, deployRNG)
+		net.positions = geom.AppendUniformDeploy(net.positions[:0], cfg.Field, cfg.N, deployRNG)
+		positions = net.positions
 	}
 
-	engine := sim.NewEngine()
+	if net.recycleReply == nil {
+		net.recycleReply = func(a any) { net.spareReplies = append(net.spareReplies, a.(*core.Reply)) }
+	}
+	net.engine.Reset()
 	// Bucket size near Rp keeps probe-range queries cheap while still
 	// serving the 10 m data-forwarding queries.
-	idx := geom.NewIndex(cfg.Field, positions, cfg.Protocol.ProbingRange)
+	net.index.Reset(cfg.Field, positions, cfg.Protocol.ProbingRange)
+	net.sink = energyAdapter{net: net}
+	// The medium hands the REPLY records still in flight to recycleReply.
+	net.medium.Reset(cfg.Radio, &net.engine, &net.index, &net.radioRNG, &net.sink)
+	net.Engine, net.Index, net.Medium = &net.engine, &net.index, &net.medium
+	net.Field = cfg.Field
+	net.cfg = cfg
+	// Room for a run's usual subscribers (coverage, forwarding, liveness
+	// and a trace recorder) without regrowing.
+	net.observers, net.deliverers = slices.Grow(net.observers[:0], 4), 0
 
-	net := &Network{
-		Engine: engine,
-		Field:  cfg.Field,
-		Index:  idx,
-		Nodes:  make([]*Node, cfg.N),
-		cfg:    cfg,
-		// Room for a run's usual subscribers (coverage, forwarding,
-		// liveness and a trace recorder) without regrowing.
-		observers: make([]Observer, 0, 4),
+	if cap(net.nodes) < cfg.N {
+		net.nodes = make([]Node, cfg.N)
+		net.Nodes = make([]*Node, cfg.N)
 	}
-	net.Medium = radio.NewMedium(cfg.Radio, engine, idx, radioRNG, &energyAdapter{net: net})
-	net.recycleReply = func(a any) { net.spareReplies = append(net.spareReplies, a.(*core.Reply)) }
-
-	for i := 0; i < cfg.N; i++ {
+	net.nodes, net.Nodes = net.nodes[:cfg.N], net.Nodes[:cfg.N]
+	for i := range net.nodes {
 		charge := energyRNG.Uniform(cfg.InitialEnergyMin, cfg.InitialEnergyMax)
 		// The derived seed stream is always drawn so explicit NodeSeeds
 		// leave every other RNG stream's draw order untouched.
@@ -239,19 +304,20 @@ func NewNetwork(cfg Config) (*Network, error) {
 		if cfg.NodeSeeds != nil {
 			seed = cfg.NodeSeeds[i]
 		}
-		n := &Node{
+		n := &net.nodes[i]
+		*n = Node{
 			id:      core.NodeID(i),
 			pos:     positions[i],
 			network: net,
-			battery: energy.NewBattery(cfg.Energy, charge),
-			rng:     stats.NewRNG(seed),
+			battery: *energy.NewBattery(cfg.Energy, charge),
+			proto:   n.proto, // reset below, in place: its timers point at it
 		}
-		n.death = engine.NewTimer(n.depleted)
-		n.proto = core.New(core.NodeID(i), cfg.Protocol, n)
+		n.rng.Seed(seed)
+		net.engine.InitTimer(&n.death, depleted, n)
+		n.proto.Reset(core.NodeID(i), cfg.Protocol, n)
 		net.Nodes[i] = n
-		net.Medium.Attach(radio.NodeID(i), n)
+		net.medium.Attach(radio.NodeID(i), n)
 	}
-	return net, nil
 }
 
 // Config returns the configuration the network was built with.

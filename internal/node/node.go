@@ -51,12 +51,12 @@ type Node struct {
 	pos     geom.Point
 	network *Network
 
-	battery *energy.Battery
-	proto   *core.Protocol
-	rng     *stats.RNG
+	battery energy.Battery
+	proto   core.Protocol
+	rng     stats.RNG
 	// death is the battery-depletion deadline, re-armed in place after
 	// every change to the drain rate or the remaining charge.
-	death  *sim.Timer
+	death  sim.Timer
 	alive  bool
 	cause  DeathCause
 	diedAt float64
@@ -97,10 +97,10 @@ func (n *Node) Working() bool { return n.alive && n.proto.State() == core.Workin
 
 // Protocol exposes the node's PEAS state machine (read-mostly: tests and
 // metrics use it for rates and counters).
-func (n *Node) Protocol() *core.Protocol { return n.proto }
+func (n *Node) Protocol() *core.Protocol { return &n.proto }
 
 // Battery exposes the node's battery for energy accounting.
-func (n *Node) Battery() *energy.Battery { return n.battery }
+func (n *Node) Battery() *energy.Battery { return &n.battery }
 
 // --- core.Platform implementation ---
 
@@ -182,7 +182,7 @@ func (n *Node) SetState(s core.State) {
 }
 
 // Rand returns the node's private random stream.
-func (n *Node) Rand() *stats.RNG { return n.rng }
+func (n *Node) Rand() *stats.RNG { return &n.rng }
 
 // --- radio.Receiver implementation ---
 
@@ -348,7 +348,8 @@ func (n *Node) rescheduleDeath() {
 // the clock: once now passes about 2^20 s, a remainder that drains in under
 // half an ulp of now rounds the deadline back to now, and re-arming there
 // would fire the timer forever at one instant.
-func (n *Node) depleted() {
+func depleted(a any) {
+	n := a.(*Node)
 	now := n.Now()
 	if n.battery.Remaining(now) <= 1e-12 || n.battery.DepletionTime(now) <= now {
 		n.die(Depletion)

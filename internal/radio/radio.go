@@ -226,6 +226,11 @@ type Medium struct {
 	freeFrame *frame    // transmission pool
 	freeDel   *delivery // delivery-record pool
 	freeDef   *deferral // carrier-sense retry pool
+	// frames, dels and defs list every record the pools ever made, in
+	// flight or free, for Reset to take back.
+	frames []*frame
+	dels   []*delivery
+	defs   []*deferral
 	// inflight counts engine events the medium still owes: pending
 	// deliveries and carrier-sense retries. The checkpoint subsystem only
 	// snapshots when it is zero — a quiescent radio boundary — so frames
@@ -259,17 +264,52 @@ type Medium struct {
 // NewMedium builds a medium over the deployed positions. Receivers are
 // attached afterwards with Attach, one per deployed point.
 func NewMedium(cfg Config, engine *sim.Engine, idx *geom.Index, rng *stats.RNG, sink EnergySink) *Medium {
+	m := new(Medium)
+	m.Reset(cfg, engine, idx, rng, sink)
+	return m
+}
+
+// Reset rebuilds m as NewMedium would, in the storage m grew before: its
+// per-receiver arrays, record pools and neighbour tables. Counters,
+// receivers, the OnTransmit hook and the fault injector start empty, and
+// the frames still in flight are dropped, each payload handed to its
+// release function: reset the engine that holds their deliveries first.
+// The tables are rebuilt over idx as broadcasts ask for them.
+func (m *Medium) Reset(cfg Config, engine *sim.Engine, idx *geom.Index, rng *stats.RNG, sink EnergySink) {
 	n := idx.Len()
-	m := &Medium{
+	// A table's storage is kept past len(tables) for neighbors to rebuild
+	// into.
+	tables := m.tables[:0]
+	*m = Medium{
 		cfg:       cfg,
 		engine:    engine,
 		idx:       idx,
 		rng:       rng,
-		nodes:     make([]Receiver, n),
+		nodes:     zeroed(m.nodes, n),
 		sink:      sink,
-		busyEnd:   make([]sim.Time, n),
-		corrupt:   make([]bool, n),
-		listening: make([]bool, n),
+		busyEnd:   zeroed(m.busyEnd, n),
+		corrupt:   zeroed(m.corrupt, n),
+		listening: zeroed(m.listening, n),
+		frames:    m.frames,
+		dels:      m.dels,
+		defs:      m.defs,
+		tables:    tables,
+	}
+	for _, f := range m.frames {
+		if f.holds > 0 && f.release != nil {
+			// A frame in flight is released as if its last delivery ran.
+			f.release(f.pkt.Payload)
+		}
+		*f = frame{next: m.freeFrame}
+		m.freeFrame = f
+	}
+	for _, d := range m.dels {
+		*d = delivery{m: m, next: m.freeDel}
+		m.freeDel = d
+	}
+	for _, r := range m.defs {
+		*r = deferral{m: m, next: m.freeDef}
+		m.freeDef = r
 	}
 	if cfg.Irregularity > 0 {
 		// A coarse per-area field large enough to cover every indexed
@@ -286,7 +326,17 @@ func NewMedium(cfg Config, engine *sim.Engine, idx *geom.Index, rng *stats.RNG, 
 		}
 		m.quality = newQualityField(geom.NewField(maxX+1, maxY+1), cfg.Irregularity, rng.Split())
 	}
-	return m
+}
+
+// zeroed returns s with length n and every element zero, reusing its array
+// when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Attach registers the receiver for node id and seeds its power flag from
@@ -405,6 +455,7 @@ func (m *Medium) BroadcastArg(pkt Packet, release func(any)) {
 		f.next = nil
 	} else {
 		f = new(frame)
+		m.frames = append(m.frames, f)
 	}
 	f.pkt, f.release, f.holds = pkt, release, 1
 	m.send(f)
@@ -440,6 +491,7 @@ func (m *Medium) send(f *frame) {
 			r.next = nil
 		} else {
 			r = &deferral{m: m}
+			m.defs = append(m.defs, r)
 		}
 		r.f = f
 		m.inflight++
@@ -511,12 +563,21 @@ func (m *Medium) neighbors(queryRange float64) *geom.Neighbors {
 			return nb
 		}
 	}
-	if len(m.tables) == maxNeighborTables {
+	k := len(m.tables)
+	if k == maxNeighborTables {
 		return nil
 	}
-	nb := m.idx.Neighbors(queryRange)
-	m.tables = append(m.tables, nb)
-	return nb
+	// Past len(tables) may wait a table an earlier build of the medium
+	// left behind, whose storage this one is built into.
+	if k < cap(m.tables) {
+		m.tables = m.tables[:k+1]
+	} else {
+		m.tables = append(m.tables, nil)
+	}
+	if m.tables[k] == nil {
+		m.tables[k] = new(geom.Neighbors)
+	}
+	return m.idx.NeighborsInto(m.tables[k], queryRange)
 }
 
 // sweep is what one transmission's receiver sweep shares between its
@@ -599,6 +660,7 @@ func (m *Medium) receive(sw *sweep, i int, d2 float64) {
 		d.next = nil
 	} else {
 		d = &delivery{m: m}
+		m.dels = append(m.dels, d)
 	}
 	d.to = int32(i)
 	d.copies = int32(copies)

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"time"
@@ -333,6 +334,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// latency the load-generation harness gates on.
 	writeHistogram(w, "peas_queue_wait_seconds", s.pool.QueueWait().Snapshot())
 	writeHistogram(w, "peas_run_duration_seconds", s.pool.RunDuration().Snapshot())
+	// The collector's churn, process-wide: cycles completed and bytes
+	// allocated since the process started. runtime/metrics reads both
+	// without stopping the world.
+	gc := []rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
+	rtmetrics.Read(gc)
+	fmt.Fprintf(w, "# TYPE peas_go_gc_cycles_total counter\npeas_go_gc_cycles_total %d\n", gc[0].Value.Uint64())
+	fmt.Fprintf(w, "# TYPE peas_go_alloc_bytes_total counter\npeas_go_alloc_bytes_total %d\n", gc[1].Value.Uint64())
 }
 
 // writeHistogram renders one snapshot in the Prometheus text exposition

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -216,10 +217,10 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 }
 
 // TestStatsCountsStructsAtReadTime checks the engine's own account of a
-// run: every event record ever allocated is found in the near run, the far
-// heap or on the free list whenever no callback is running, so Stats can
-// count them without a tally on the hot path; timers and tickers own their
-// firing and add none.
+// run: EventStructs is the most event records the schedule held at once,
+// which on a fresh engine is every record it allocated; pooled reuse adds
+// none, and timers and tickers own their firing and add none. HeapSlots
+// sums the three queues' peaks.
 func TestStatsCountsStructsAtReadTime(t *testing.T) {
 	e := NewEngine()
 	if s := e.Stats(); s != (EngineStats{}) {
@@ -233,7 +234,7 @@ func TestStatsCountsStructsAtReadTime(t *testing.T) {
 	}
 	e.NewTicker(1e7, func() {})
 	e.NewTimer(func() {}).Reset(1e7)
-	if s := e.Stats(); s.EventStructs != 510 || s.Events != 0 || s.HeapSlots < 512 {
+	if s := e.Stats(); s.EventStructs != 510 || s.Events != 0 || s.HeapSlots != 512 || s.NearSlots != 1 {
 		t.Fatalf("after scheduling 510 events and two timers: %+v", s)
 	}
 	// The run reuses pooled structs: 10 executions and 100 more
@@ -249,5 +250,59 @@ func TestStatsCountsStructsAtReadTime(t *testing.T) {
 	}
 	if s.EventStructs != 510 {
 		t.Errorf("EventStructs = %d after pooled reuse, want 510", s.EventStructs)
+	}
+}
+
+// TestResetIsAFreshEngine runs one schedule on a fresh engine and again on
+// an engine that a bigger schedule, cut short with events queued, timers
+// armed, an OnEvent hook and a preempting Supervisor attached, used before
+// a Reset. The second must run exactly as the first: same order, same
+// clock, same Stats, and nothing of the first schedule left to fire.
+func TestResetIsAFreshEngine(t *testing.T) {
+	script := func(e *Engine) (order []int, st EngineStats) {
+		timer := e.NewTimer(func() { order = append(order, -1) })
+		timer.Reset(2.5)
+		ticker := e.NewTicker(3, func() { order = append(order, -2) })
+		for i := 0; i < 60; i++ {
+			e.At(float64(i%7)+0.1*float64(i%3), func() { order = append(order, i) })
+		}
+		e.At(10, ticker.Stop)
+		e.Run(Forever)
+		return order, e.Stats()
+	}
+	want, wantStats := script(NewEngine())
+
+	e := NewEngine()
+	stale := 0
+	e.OnEvent = func(Time) { stale++ }
+	super := &Supervisor{}
+	super.Stop.Store(true)
+	e.Supervise(super)
+	dirty := e.NewTimer(func() { stale++ })
+	dirty.Reset(50)
+	e.NewTicker(0.5, func() { stale++ })
+	for i := 0; i < 2000; i++ {
+		e.At(float64(i%400)*0.01, func() { stale++ })
+		e.At(1e4+float64(i), func() { stale++ })
+	}
+	e.Run(Forever)
+	if !e.Preempted() || e.Pending() == 0 {
+		t.Fatalf("the dirty run should stop preempted with events queued: preempted %v, %d pending", e.Preempted(), e.Pending())
+	}
+	e.Reset()
+	before := stale
+	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 || e.Stats() != (EngineStats{}) || dirty.Armed() {
+		t.Fatalf("after Reset: now %v, %d pending, %d executed, %+v, old timer armed %v",
+			e.Now(), e.Pending(), e.Executed(), e.Stats(), dirty.Armed())
+	}
+	got, gotStats := script(e)
+	if stale != before {
+		t.Errorf("%d callbacks or hooks of the schedule before Reset ran after it", stale-before)
+	}
+	if e.Preempted() {
+		t.Error("the Supervisor attached before Reset preempted the run after it")
+	}
+	if !slices.Equal(got, want) || gotStats != wantStats {
+		t.Errorf("after Reset the schedule ran %v with %+v; a fresh engine ran %v with %+v", got, gotStats, want, wantStats)
 	}
 }

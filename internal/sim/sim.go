@@ -39,8 +39,11 @@ type event struct {
 	arg any
 	// pos is a Timer firing's index in the engine's timer heap, or -1 while
 	// the timer is stopped. Other events never read it.
-	pos  int32
-	next *event // free-list link
+	pos int32
+	// epoch is the engine's epoch when the record was last taken for an
+	// event: a record taken first in this epoch counts in EventStructs.
+	epoch uint32
+	next  *event // free-list link
 }
 
 // slot is one queue entry. The comparison keys are stored by value next to
@@ -64,6 +67,9 @@ func (s slot) less(t slot) bool {
 // and the tree is half as deep.
 type eventQueue struct {
 	heap []slot
+	// peak is the most slots the heap has held at once since the engine
+	// was built or last Reset.
+	peak int
 }
 
 // shrinkMinCap is the capacity below which a queue never reallocates
@@ -84,6 +90,9 @@ func (q *eventQueue) push(s slot) {
 	}
 	heap[i] = s
 	q.heap = heap
+	if len(heap) > q.peak {
+		q.peak = len(heap)
+	}
 }
 
 // siftDown restores the heap property for the element at index i, assuming
@@ -145,6 +154,8 @@ func (q *eventQueue) pop() slot {
 type nearRun struct {
 	s []slot
 	h int
+	// peak is the most live slots the run has held at once.
+	peak int
 	// spills counts the insertions push refused (see maxShift), and
 	// reclaims how often it slid the live slots down over the popped head;
 	// cold, read by tests.
@@ -185,6 +196,9 @@ func (r *nearRun) push(x slot) bool {
 	}
 	s[i] = x
 	r.s = s
+	if live := len(s) - r.h; live > r.peak {
+		r.peak = live
+	}
 	return true
 }
 
@@ -253,11 +267,16 @@ type Engine struct {
 	// run is the least of the three heads. A slot stays in the queue it was
 	// pushed to. timers is indexed: each entry's event records its slot
 	// (event.pos), so an armed Timer is moved or removed in place.
-	near      nearRun
-	far       eventQueue
-	timers    eventQueue
-	window    Time // nearWindow; equivalence tests force other values
-	free      *event
+	near   nearRun
+	far    eventQueue
+	timers eventQueue
+	window Time // nearWindow; equivalence tests force other values
+	free   *event
+	// epoch counts the Resets; structs is how many records this epoch
+	// has taken — the most it held at once, since the free list hands
+	// back the latest returned record first.
+	epoch     uint32
+	structs   uint64
 	executed  uint64
 	stopped   bool
 	preempted bool
@@ -273,6 +292,43 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero and an empty schedule.
 func NewEngine() *Engine {
 	return &Engine{window: nearWindow}
+}
+
+// Reset returns e to the state NewEngine builds — clock at zero, empty
+// schedule, zero counters, no OnEvent hook and no Supervisor — while
+// keeping its event records and queue arrays, so the next run on it
+// schedules into storage the last one grew. Events still scheduled are
+// dropped without running, and every Timer or Ticker armed on e is
+// disarmed; a stopped one may be re-armed, and runs on e as before.
+func (e *Engine) Reset() {
+	for _, s := range e.near.s[e.near.h:] {
+		e.release(s.ev)
+	}
+	for _, s := range e.far.heap {
+		e.release(s.ev)
+	}
+	for _, s := range e.timers.heap {
+		s.ev.pos = -1
+	}
+	clear(e.near.s[:cap(e.near.s)])
+	clear(e.far.heap)
+	clear(e.timers.heap)
+	*e = Engine{
+		near:   nearRun{s: e.near.s[:0]},
+		far:    eventQueue{heap: e.far.heap[:0]},
+		timers: eventQueue{heap: e.timers.heap[:0]},
+		window: nearWindow,
+		free:   e.free,
+		epoch:  e.epoch + 1,
+	}
+}
+
+// release clears a record's callback, so it pins nothing, and puts it on
+// the free list.
+func (e *Engine) release(ev *event) {
+	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.next = e.free
+	e.free = ev
 }
 
 // Now returns the current simulation time.
@@ -300,20 +356,22 @@ func (e *Engine) Pending() int {
 }
 
 // EngineStats is the engine's own account of the work and memory behind a
-// run. Every field belongs to this engine alone, so the figures are exact
-// however many engines run beside it in the process.
+// run: high-water marks of what the schedule held, counted since the
+// engine was built or last Reset. They depend on the schedule alone, not
+// on the storage a recycled engine brought along, so an engine's figures
+// for a run are the same whatever ran on it before. Every field belongs to
+// this engine alone, so the figures are exact however many engines run
+// beside it in the process.
 type EngineStats struct {
 	// Events is the number of events executed (Executed).
 	Events uint64
-	// EventStructs is how many event records the engine ever allocated.
-	// Between callbacks every record is either waiting in the near run or
-	// the far heap or on the free list, so it is counted at read time.
-	// Timers and Tickers own their firing and are not counted.
+	// EventStructs is the most event records the schedule held at once —
+	// what a fresh engine allocates, since it takes a new record only
+	// when every earlier one is still queued. Timers and Tickers own
+	// their firing and are not counted.
 	EventStructs uint64
-	// HeapSlots is the capacity of the three queues' backing arrays: the
-	// high-water mark of simultaneously queued events and armed timers,
-	// rounded up by append's growth and halved again by a shrink after a
-	// drain.
+	// HeapSlots is the sum of the three queues' peaks: the most slots the
+	// near run, the far heap and the timer heap each held at once.
 	HeapSlots int
 	// NearSlots is the near run's part of HeapSlots — the slots the
 	// imminent events are inserted into; the rest hold the later events
@@ -321,18 +379,13 @@ type EngineStats struct {
 	NearSlots int
 }
 
-// Stats reads the engine's counters. It walks the free list, so call it
-// after a run, not per event; the hot path pays nothing for it.
+// Stats reads the engine's counters.
 func (e *Engine) Stats() EngineStats {
-	structs := uint64(len(e.near.s) - e.near.h + len(e.far.heap))
-	for ev := e.free; ev != nil; ev = ev.next {
-		structs++
-	}
 	return EngineStats{
 		Events:       e.executed,
-		EventStructs: structs,
-		HeapSlots:    cap(e.near.s) + cap(e.far.heap) + cap(e.timers.heap),
-		NearSlots:    cap(e.near.s),
+		EventStructs: e.structs,
+		HeapSlots:    e.near.peak + e.far.peak + e.timers.peak,
+		NearSlots:    e.near.peak,
 	}
 }
 
@@ -345,7 +398,11 @@ func (e *Engine) schedule(when Time, fn func(), afn func(any), arg any) {
 	if ev != nil {
 		e.free = ev.next
 	} else {
-		ev = new(event)
+		ev = &event{epoch: e.epoch - 1}
+	}
+	if ev.epoch != e.epoch {
+		ev.epoch = e.epoch
+		e.structs++
 	}
 	ev.fn, ev.afn, ev.arg = fn, afn, arg
 	s := slot{when: when, seq: e.seq, ev: ev}
@@ -440,10 +497,7 @@ func (e *Engine) execute(from int) {
 		ev.fn()
 	}
 	if from != inTimers {
-		// Clear the callback state so a recycled record pins nothing.
-		ev.fn, ev.afn, ev.arg = nil, nil, nil
-		ev.next = e.free
-		e.free = ev
+		e.release(ev)
 	}
 }
 

@@ -24,6 +24,16 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 	return t
 }
 
+// InitTimer makes *t a stopped timer on e that will invoke fn(arg) when it
+// fires: NewTimer for a timer kept inside a larger record, with a shared
+// callback instead of a closure, so building one allocates nothing. t must
+// not be armed.
+func (e *Engine) InitTimer(t *Timer, fn func(any), arg any) {
+	*t = Timer{engine: e}
+	t.ev.afn, t.ev.arg = fn, arg
+	t.ev.pos = -1
+}
+
 // Reset (re)arms the timer to fire after delay; a negative delay is
 // clamped to zero. At most one firing is pending at a time.
 func (t *Timer) Reset(delay Time) {
@@ -53,6 +63,9 @@ func (t *Timer) ResetAt(when Time) {
 	switch {
 	case i < 0:
 		q.heap = append(q.heap, s)
+		if len(q.heap) > q.peak {
+			q.peak = len(q.heap)
+		}
 		q.up(len(q.heap)-1, s)
 	case s.less(q.heap[i]):
 		q.up(i, s)

@@ -50,9 +50,16 @@ func splitmix64(x uint64) uint64 {
 // NewRNG returns a stream seeded with seed. The seed is expanded through
 // splitmix64 into the PCG state and stream-selector words.
 func NewRNG(seed int64) *RNG {
+	r := new(RNG)
+	r.Seed(seed)
+	return r
+}
+
+// Seed repositions r at the start of the stream NewRNG(seed) returns, so a
+// generator held by value is seeded without allocating.
+func (r *RNG) Seed(seed int64) {
 	s := splitmix64(uint64(seed))
-	i := splitmix64(s)
-	return newPCG(s, i)
+	r.pcg(s, splitmix64(s))
 }
 
 // NewRNGFromState returns a stream positioned exactly at st, as previously
@@ -63,15 +70,14 @@ func NewRNGFromState(st RNGState) *RNG {
 	return r
 }
 
-// newPCG initializes the generator following the PCG reference seeding:
-// the stream selector is forced odd and the initial state is advanced once
+// pcg initializes the generator following the PCG reference seeding: the
+// stream selector is forced odd and the initial state is advanced once
 // past the seed so that nearby seeds decorrelate immediately.
-func newPCG(seed, stream uint64) *RNG {
-	r := &RNG{state: 0, inc: stream<<1 | 1}
+func (r *RNG) pcg(seed, stream uint64) {
+	*r = RNG{state: 0, inc: stream<<1 | 1}
 	r.next32()
 	r.state += seed
 	r.next32()
-	return r
 }
 
 // State returns the stream's exact position. NewRNGFromState or Restore
@@ -91,8 +97,14 @@ func (r *RNG) Restore(st RNGState) {
 // seeded from the parent's sequence, so distinct calls yield distinct
 // streams while remaining a pure function of the root seed.
 func (r *RNG) Split() *RNG {
-	return newPCG(r.Uint64(), r.Uint64())
+	child := new(RNG)
+	r.split(child)
+	return child
 }
+
+// split seeds child as Split's result. Split stays small enough to inline,
+// so a child that does not outlive its caller is not heap-allocated.
+func (r *RNG) split(child *RNG) { child.pcg(r.Uint64(), r.Uint64()) }
 
 // next32 produces the next raw 32-bit output (PCG-XSH-RR output function
 // over an LCG step).
