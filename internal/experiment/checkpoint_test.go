@@ -48,8 +48,8 @@ func TestPeriodicCapturesDoNotPerturb(t *testing.T) {
 const goldenFinalHash = "2faa254f39768f3548902c755fdc6ae83defa121c1e3fdccaf1cdf6a2686c3d1"
 
 // goldenRun is one pinned run: its configuration, the exact work it
-// counts, the hash of the state it ends in and the heap objects it may
-// allocate.
+// counts, the hash of the state it ends in and the heap objects and bytes
+// it may allocate.
 type goldenRun struct {
 	name string
 	cfg  RunConfig
@@ -58,32 +58,38 @@ type goldenRun struct {
 	counts [4]uint64
 	// hash is the end-state StateHash, compared on amd64 only.
 	hash string
-	// allocs is the heap objects a warm run allocates: one built into
-	// the storage an identical run released before it, as a run in a
-	// long-lived process is. The model runs on one goroutine, so its own
-	// count is exact; goldenAllocSlack covers the runtime's.
-	allocs uint64
+	// allocs and bytes are the heap objects and bytes a warm run
+	// allocates: one built into the storage an identical run released
+	// before it, as a run in a long-lived process is. The model runs on one
+	// goroutine, so its own count is exact; goldenAllocSlack and
+	// goldenByteSlack cover the runtime's. The collector paces on bytes,
+	// so bytes is the budget a regression in GC load shows in.
+	allocs, bytes uint64
 }
 
-// goldenAllocSlack is how far above its budget a row's allocation count
-// may read: the Mallocs delta also sees the odd object the runtime
-// allocates for itself. One more allocation per node, per wake-up or per
-// event is hundreds to thousands.
-const goldenAllocSlack = 2
+// goldenAllocSlack and goldenByteSlack are how far above its budgets a
+// row's allocation counts may read: the Mallocs and TotalAlloc deltas also
+// see the odd object the runtime allocates for itself. One more allocation
+// per node, per wake-up or per event is hundreds to thousands of objects,
+// and a buffer that stops being recycled is kilobytes.
+const (
+	goldenAllocSlack = 2
+	goldenByteSlack  = 512
+)
 
-// warmRun measures the heap objects one run of g.cfg allocates
+// warmRun measures the heap objects and bytes one run of g.cfg allocates
 // after an identical run released its storage, on one processor. A run
 // can still find the pool empty — the race detector drops a quarter of
 // releases on purpose — so the least of up to ten measurements counts; the
 // first is the answer whenever the storage was reused.
-func warmRun(t *testing.T, g goldenRun) (allocs uint64) {
+func warmRun(t *testing.T, g goldenRun) (allocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run := func() {
 		if _, err := Run(g.cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs = math.MaxUint64
+	allocs, bytes = math.MaxUint64, math.MaxUint64
 	for range 10 {
 		run()
 		var before, after runtime.MemStats
@@ -91,11 +97,12 @@ func warmRun(t *testing.T, g goldenRun) (allocs uint64) {
 		run()
 		runtime.ReadMemStats(&after)
 		allocs = min(allocs, after.Mallocs-before.Mallocs)
-		if allocs <= g.allocs+goldenAllocSlack {
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		if allocs <= g.allocs+goldenAllocSlack && bytes <= g.bytes+goldenByteSlack {
 			break
 		}
 	}
-	return allocs
+	return allocs, bytes
 }
 
 // goldenRuns is the table TestGoldenDeterminism holds. The first row
@@ -107,7 +114,7 @@ func warmRun(t *testing.T, g goldenRun) (allocs uint64) {
 //
 // To re-pin after an intended trajectory or allocation change, run
 // `go test -run TestGoldenDeterminism -v -count=3 ./internal/experiment/`
-// and copy the row each subtest logs, taking the lowest allocation count
+// and copy the row each subtest logs, taking the lowest allocation counts
 // logged (a run can read an object or two high; see goldenAllocSlack).
 func goldenRuns() []goldenRun {
 	base := func(n int, seed int64, horizon, failures float64, forwarding bool) RunConfig {
@@ -121,13 +128,13 @@ func goldenRuns() []goldenRun {
 	sampled := base(60, 42, 2000, 10, true)
 	sampled.CheckpointEvery = 500
 	return []goldenRun{
-		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 20},
+		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 20, 1368},
 		{"protocol-160", base(160, 1, 1500, 0, false), [4]uint64{15646, 5998, 1239, 61},
-			"6253205caf9d9c9f7087fd00d654eca8af40ab1c8fe31acd507df283914443b6", 13},
+			"6253205caf9d9c9f7087fd00d654eca8af40ab1c8fe31acd507df283914443b6", 13, 1192},
 		{"baseline-320", base(320, 2, 1200, BaseFailuresPer5000, true), [4]uint64{18650, 6791, 1327, 49},
-			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 18},
+			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 18, 1336},
 		{"failures-480", base(480, 3, 1000, 26.66, true), [4]uint64{20549, 7423, 1416, 41},
-			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 28},
+			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 28, 1560},
 	}
 }
 
@@ -192,15 +199,18 @@ func TestGoldenDeterminism(t *testing.T) {
 
 			// The budgeted run is the plain one: no end-state capture and,
 			// with no OnCheckpoint, no sampling cadence.
-			got.allocs = warmRun(t, g)
-			t.Logf("row: {%q, …, [4]uint64{%d, %d, %d, %d}, %q, %d}", g.name,
-				got.counts[0], got.counts[1], got.counts[2], got.counts[3], got.hash, got.allocs)
+			got.allocs, got.bytes = warmRun(t, g)
+			t.Logf("row: {%q, …, [4]uint64{%d, %d, %d, %d}, %q, %d, %d}", g.name,
+				got.counts[0], got.counts[1], got.counts[2], got.counts[3], got.hash, got.allocs, got.bytes)
 
 			if got.counts != g.counts {
 				t.Errorf("events/packets/wakeups/samples = %v, golden row has %v", got.counts, g.counts)
 			}
 			if got.allocs > g.allocs+goldenAllocSlack {
 				t.Errorf("one warm run allocated %d heap objects, budget %d + %d of runtime slack", got.allocs, g.allocs, goldenAllocSlack)
+			}
+			if got.bytes > g.bytes+goldenByteSlack {
+				t.Errorf("one warm run allocated %d bytes, budget %d + %d of runtime slack", got.bytes, g.bytes, goldenByteSlack)
 			}
 			if runtime.GOARCH != "amd64" {
 				t.Skipf("golden hashes are pinned on amd64; running on %s", runtime.GOARCH)
