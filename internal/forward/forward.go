@@ -93,9 +93,7 @@ type Harness struct {
 	stale       bool
 	transitions int
 	rebuilds    int
-
-	positions []geom.Point            // the deployment, by node id
-	onWorking func(core.NodeID, bool) // the working-transition hook
+	onWorking   func(core.NodeID, bool) // the working-transition hook
 }
 
 // NewHarness attaches the workload to net, subscribing to the network's
@@ -114,10 +112,6 @@ func (h *Harness) Reset(cfg Config, net *node.Network) {
 		cfg.MeshWidth = 1
 	}
 	netCfg := net.Config()
-	positions := h.positions[:0]
-	for _, n := range net.Nodes {
-		positions = append(positions, n.Pos())
-	}
 	airtime := float64(cfg.ReportSize) * 8 / netCfg.Radio.BitsPerSecond
 	ratio, hops, r, onWorking := h.ratio, h.hops, h.router, h.onWorking
 	if r == nil {
@@ -130,7 +124,7 @@ func (h *Harness) Reset(cfg Config, net *node.Network) {
 	}
 	ratio.Reset()
 	hops.Reset()
-	r.reset(net.Field, positions, cfg.Source, cfg.Sink, cfg.HopRange)
+	r.reset(net.Field, net.Index.Points(), cfg.Source, cfg.Sink, cfg.HopRange)
 	*h = Harness{
 		cfg:       cfg,
 		net:       net,
@@ -140,7 +134,6 @@ func (h *Harness) Reset(cfg Config, net *node.Network) {
 		rxExtra:   (netCfg.Energy.ReceiveW - netCfg.Energy.IdleW) * airtime,
 		router:    r,
 		found:     h.found[:0],
-		positions: positions,
 		onWorking: onWorking,
 	}
 	h.rng.Seed(netCfg.Seed ^ 0x9e3779b9)
