@@ -181,9 +181,19 @@ func (t *Tracker) Reset(maxK int) {
 
 // Record appends one observation. byK must have MaxK entries.
 func (t *Tracker) Record(now float64, byK []float64) {
-	start := len(t.byK)
+	start, grown := len(t.byK), cap(t.byK)
 	t.byK = append(t.byK, byK...)
 	end := len(t.byK)
+	if cap(t.byK) != grown {
+		// The values moved to a bigger array: point the earlier samples at
+		// it, so the old one is garbage rather than pinned by them.
+		off := 0
+		for i := range t.samples {
+			n := len(t.samples[i].ByK)
+			t.samples[i].ByK = t.byK[off : off+n : off+n]
+			off += n
+		}
+	}
 	t.samples = append(t.samples, Sample{T: now, ByK: t.byK[start:end:end]})
 }
 

@@ -79,9 +79,10 @@ const (
 
 // warmRun measures the heap objects and bytes one run of g.cfg allocates
 // after an identical run released its storage, on one processor. A run
-// can still find the pool empty — the race detector drops a quarter of
-// releases on purpose — so the least of up to ten measurements counts; the
-// first is the answer whenever the storage was reused.
+// can still get fresh storage — a collection moves released storage into
+// a sync.Pool, which under the race detector drops a quarter of what it is
+// given — so the least of up to ten measurements counts; the first is the
+// answer whenever the storage was reused.
 func warmRun(t *testing.T, g goldenRun) (allocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run := func() {

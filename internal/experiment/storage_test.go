@@ -6,7 +6,6 @@ package experiment_test
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"testing"
 
 	"peas/internal/chaos"
@@ -18,20 +17,29 @@ import (
 	"peas/internal/trace"
 )
 
-// freshStorage empties the pool of released network storage: a collection
-// moves a sync.Pool's contents to its victim cache and the next drops
-// them, so the next run builds from scratch, as in a fresh process.
-func freshStorage() {
-	runtime.GC()
-	runtime.GC()
+// freshStorage takes every released network out of circulation, so the
+// next run builds from scratch, as in a fresh process: networks are drawn
+// and never released until one comes out new. Every network Run released
+// carries its storage in Spare; a new one has none.
+func freshStorage(t *testing.T) {
+	t.Helper()
+	for {
+		net, err := node.NewNetwork(node.DefaultConfig(1, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.Spare == nil {
+			return
+		}
+	}
 }
 
 // afterOnSameStorage runs first and then second, and returns second's
-// result once second was built into the storage first released. The pool
-// does not promise that — a collection or a move to another processor
-// between the two runs hands second fresh storage, and the race detector
-// drops a quarter of releases on purpose — so the pair is retried until
-// it holds.
+// result once second was built into the storage first released. Nothing
+// promises that — a collection can move released storage into the
+// sync.Pool, which hands it back only on the processor that put it there
+// and under the race detector drops a quarter of what it is given — so
+// the pair is retried until it holds.
 func afterOnSameStorage(t *testing.T, first, second experiment.RunConfig) *experiment.RunStats {
 	t.Helper()
 	capture := func(cfg *experiment.RunConfig, into **node.Network) {
@@ -65,7 +73,7 @@ func afterOnSameStorage(t *testing.T, first, second experiment.RunConfig) *exper
 // runFresh runs cfg on storage nothing ran on before.
 func runFresh(t *testing.T, cfg experiment.RunConfig) *experiment.RunStats {
 	t.Helper()
-	freshStorage()
+	freshStorage(t)
 	res, err := experiment.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

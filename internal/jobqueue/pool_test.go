@@ -399,9 +399,9 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 // MemStats, production may not), and a finished job keeps its end state's
 // hash, not the state. A retained job then costs its stats and event
 // history — under 2 KB measured, where one pinned 160-node snapshot of
-// this spec weighed about 70 KB. The live heap is read after two
-// collections, which empty the pool of run storage the workers release
-// (a constant, not a per-job cost) along with the garbage.
+// this spec weighed about 70 KB. The live heap is read with the run
+// storage the workers released taken out of circulation: it is a
+// constant, not a per-job cost.
 func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 	const jobs, perJobBytes = 40, 16 << 10
 	pool := New(Config{Workers: 2, QueueDepth: jobs, StateDir: t.TempDir()})
@@ -415,7 +415,7 @@ func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 	}
 
 	var before, after, settled runtime.MemStats
-	runtime.GC()
+	dropRunStorage(t)
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	handles := make([]*Job, jobs)
@@ -434,7 +434,7 @@ func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 	if forced := after.NumForcedGC - before.NumForcedGC; forced != 0 {
 		t.Errorf("%d forced collections across %d jobs, want 0: something on the job path calls runtime.GC", forced, jobs)
 	}
-	runtime.GC()
+	dropRunStorage(t)
 	runtime.GC()
 	runtime.ReadMemStats(&settled)
 	if grew := int64(settled.HeapAlloc) - int64(before.HeapAlloc); grew > jobs*perJobBytes {
@@ -449,6 +449,23 @@ func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 		}
 		if want := directHash(t, specs[i]); res.StateHash != want {
 			t.Errorf("job %s: StateHash %s, direct run %s", j.ID, res.StateHash, want)
+		}
+	}
+}
+
+// dropRunStorage takes every released network out of circulation, so the
+// collector can have its storage: networks are drawn and never released
+// until one comes out new. Every network a run released carries its
+// storage in Spare; a new one has none.
+func dropRunStorage(t *testing.T) {
+	t.Helper()
+	for {
+		net, err := node.NewNetwork(node.DefaultConfig(1, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.Spare == nil {
+			return
 		}
 	}
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -104,8 +105,45 @@ type Network struct {
 	positions []geom.Point // deployment scratch
 }
 
-// networks holds the released networks' storage.
-var networks sync.Pool
+// Released networks wait in last and then in the networks pool. sync.Pool
+// hands an item back only on the processor that put it there, so a run
+// that moved to another processor would build fresh storage while the one
+// it released sits idle; last is shared by every processor. Each
+// collection moves last's network into the pool (gcTick), so storage
+// nobody takes is dropped as the pool drops it, a couple of collections
+// later.
+var (
+	networks sync.Pool
+	last     struct {
+		sync.Mutex
+		net *Network
+	}
+)
+
+// swapLast puts net in last and returns what last held.
+func swapLast(net *Network) *Network {
+	last.Lock()
+	defer last.Unlock()
+	old := last.net
+	last.net = net
+	return old
+}
+
+// gcTick's finalizer runs once after every collection: it moves last's
+// network into the pool and arms the next tick. The pointer field keeps a
+// tick off the tiny allocator, whose objects may never be finalized.
+type gcTick struct{ _ *byte }
+
+func init() { armGCTick() }
+
+func armGCTick() {
+	runtime.SetFinalizer(new(gcTick), func(*gcTick) {
+		if net := swapLast(nil); net != nil {
+			networks.Put(net)
+		}
+		armGCTick()
+	})
+}
 
 // Observer is a set of optional hooks on a network's node events, used by
 // the metrics, coverage, forwarding and trace layers. A nil hook is
@@ -232,7 +270,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	net, _ := networks.Get().(*Network)
+	net := swapLast(nil)
+	if net == nil {
+		net, _ = networks.Get().(*Network)
+	}
 	if net == nil {
 		net = new(Network)
 	}
@@ -253,7 +294,9 @@ func (net *Network) Release() {
 	clear(net.observers)
 	net.observers, net.deliverers = net.observers[:0], 0
 	net.cfg = Config{}
-	networks.Put(net)
+	if old := swapLast(net); old != nil {
+		networks.Put(old)
+	}
 }
 
 // build deploys cfg into net's storage, replacing every part of it but
