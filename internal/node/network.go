@@ -93,9 +93,8 @@ type Network struct {
 	deliverers int
 
 	// The storage behind Engine, Index, Medium and Nodes, rebuilt in place
-	// by every NewNetwork that draws this network from the pool: the nodes
-	// in ID order, each holding its protocol, battery, RNG and depletion
-	// timer by value.
+	// by every NewNetwork that reuses this network: the nodes in ID order,
+	// each holding its protocol, battery, RNG and depletion timer by value.
 	engine    sim.Engine
 	index     geom.Index
 	medium    radio.Medium
@@ -105,32 +104,51 @@ type Network struct {
 	positions []geom.Point // deployment scratch
 }
 
-// Released networks wait in last and then in the networks pool. sync.Pool
-// hands an item back only on the processor that put it there, so a run
-// that moved to another processor would build fresh storage while the one
-// it released sits idle; last is shared by every processor. Each
-// collection moves last's network into the pool (gcTick), so storage
-// nobody takes is dropped as the pool drops it, a couple of collections
-// later.
+// Released networks wait in recent, up to one per processor, and past
+// that in the networks pool. sync.Pool hands an item back only on the
+// processor that put it there, so a run that moved to another processor
+// would build fresh storage while the one it released sat idle; recent is
+// shared by every processor. Each collection moves recent's networks into
+// the pool (gcTick), so storage nobody takes is dropped as the pool drops
+// it, a couple of collections later.
 var (
 	networks sync.Pool
-	last     struct {
+	recent   struct {
 		sync.Mutex
-		net *Network
+		nets []*Network
 	}
 )
 
-// swapLast puts net in last and returns what last held.
-func swapLast(net *Network) *Network {
-	last.Lock()
-	defer last.Unlock()
-	old := last.net
-	last.net = net
-	return old
+// takeReleased returns a released network, or nil when there is none.
+func takeReleased() *Network {
+	var net *Network
+	recent.Lock()
+	if n := len(recent.nets); n > 0 {
+		net = recent.nets[n-1]
+		recent.nets[n-1] = nil
+		recent.nets = recent.nets[:n-1]
+	}
+	recent.Unlock()
+	if net == nil {
+		net, _ = networks.Get().(*Network)
+	}
+	return net
 }
 
-// gcTick's finalizer runs once after every collection: it moves last's
-// network into the pool and arms the next tick. The pointer field keeps a
+// putReleased keeps net for a later NewNetwork.
+func putReleased(net *Network) {
+	recent.Lock()
+	if len(recent.nets) < runtime.GOMAXPROCS(0) {
+		recent.nets = append(recent.nets, net)
+		recent.Unlock()
+		return
+	}
+	recent.Unlock()
+	networks.Put(net)
+}
+
+// gcTick's finalizer runs once after every collection: it moves recent's
+// networks into the pool and arms the next tick. The pointer field keeps a
 // tick off the tiny allocator, whose objects may never be finalized.
 type gcTick struct{ _ *byte }
 
@@ -138,9 +156,13 @@ func init() { armGCTick() }
 
 func armGCTick() {
 	runtime.SetFinalizer(new(gcTick), func(*gcTick) {
-		if net := swapLast(nil); net != nil {
+		recent.Lock()
+		for i, net := range recent.nets {
 			networks.Put(net)
+			recent.nets[i] = nil
 		}
+		recent.nets = recent.nets[:0]
+		recent.Unlock()
 		armGCTick()
 	})
 }
@@ -270,10 +292,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	net := swapLast(nil)
-	if net == nil {
-		net, _ = networks.Get().(*Network)
-	}
+	net := takeReleased()
 	if net == nil {
 		net = new(Network)
 	}
@@ -294,9 +313,7 @@ func (net *Network) Release() {
 	clear(net.observers)
 	net.observers, net.deliverers = net.observers[:0], 0
 	net.cfg = Config{}
-	if old := swapLast(net); old != nil {
-		networks.Put(old)
-	}
+	putReleased(net)
 }
 
 // build deploys cfg into net's storage, replacing every part of it but
