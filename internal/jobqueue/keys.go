@@ -238,9 +238,12 @@ func (p *Pool) settle(job *Job, o outcome) {
 	p.dropPark(evictedPark)
 
 	p.counters.Add(o.counter, 1)
+	// Terminal and retired in one critical section: a waiter woken by the
+	// terminal state finds the job among the retained ones, so nothing it
+	// submits next can be retired before it.
+	p.mu.Lock()
 	if job.finish(o.state, o.res, o.err, time.Now()) {
-		p.mu.Lock()
 		p.retireLocked(job)
-		p.mu.Unlock()
 	}
+	p.mu.Unlock()
 }
