@@ -33,7 +33,8 @@ func NewIndex(field Field, points []Point, cellSize float64) *Index {
 
 // Reset rebuilds idx over points, as NewIndex would, in the storage its
 // last build grew: an index rebuilt at or below its largest deployment
-// allocates nothing. Slices earlier taken from Order alias the old answer.
+// allocates nothing. Slices Order and Points returned before alias
+// storage the rebuild overwrites.
 func (idx *Index) Reset(field Field, points []Point, cellSize float64) {
 	if cellSize <= 0 {
 		cellSize = 1

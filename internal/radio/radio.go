@@ -19,6 +19,7 @@ package radio
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"peas/internal/geom"
 	"peas/internal/sim"
@@ -569,11 +570,7 @@ func (m *Medium) neighbors(queryRange float64) *geom.Neighbors {
 	}
 	// Past len(tables) may wait a table an earlier build of the medium
 	// left behind, whose storage this one is built into.
-	if k < cap(m.tables) {
-		m.tables = m.tables[:k+1]
-	} else {
-		m.tables = append(m.tables, nil)
-	}
+	m.tables = slices.Grow(m.tables, 1)[:k+1]
 	if m.tables[k] == nil {
 		m.tables[k] = new(geom.Neighbors)
 	}

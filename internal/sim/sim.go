@@ -154,7 +154,7 @@ func (q *eventQueue) pop() slot {
 type nearRun struct {
 	s []slot
 	h int
-	// peak is the most live slots the run has held at once.
+	// peak is the most live slots the near run has held at once.
 	peak int
 	// spills counts the insertions push refused (see maxShift), and
 	// reclaims how often it slid the live slots down over the popped head;
