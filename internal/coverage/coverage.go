@@ -6,8 +6,6 @@
 package coverage
 
 import (
-	"slices"
-
 	"peas/internal/geom"
 	"peas/internal/metrics"
 )
@@ -38,7 +36,7 @@ func (l *Lattice) Reset(field geom.Field, spacing float64) {
 		spacing = 1
 	}
 	axis := func(coords []float64, length float64) []float64 {
-		coords = slices.Grow(coords[:0], max(int(length/spacing)+2, 0))
+		coords = geom.Zeroed(coords, max(int(length/spacing)+2, 0))[:0]
 		for c := 0.0; c <= length; c += spacing {
 			coords = append(coords, c)
 		}

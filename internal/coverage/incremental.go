@@ -2,7 +2,6 @@ package coverage
 
 import (
 	"fmt"
-	"slices"
 
 	"peas/internal/geom"
 )
@@ -67,11 +66,11 @@ func (inc *Incremental) Reset(lat *Lattice, sensors []geom.Point, radius float64
 	*inc = Incremental{
 		lat:     lat,
 		maxK:    maxK,
-		offs:    zeroed(inc.offs, len(sensors)+1),
+		offs:    geom.Zeroed(inc.offs, len(sensors)+1),
 		spans:   inc.spans[:0],
-		counts:  zeroed(inc.counts, lat.Len()),
-		hist:    zeroed(inc.hist, maxK+1),
-		working: zeroed(inc.working, len(sensors)),
+		counts:  geom.Zeroed(inc.counts, lat.Len()),
+		hist:    geom.Zeroed(inc.hist, maxK+1),
+		working: geom.Zeroed(inc.working, len(sensors)),
 	}
 	inc.hist[0] = int64(lat.Len())
 	if lat.Len() == 0 || radius < 0 {
@@ -84,7 +83,7 @@ func (inc *Incremental) Reset(lat *Lattice, sensors []geom.Point, radius float64
 		_, _, r0, r1 := lat.window(s, radius)
 		rows += max(r1-r0+1, 0)
 	}
-	inc.spans = slices.Grow(inc.spans, rows)
+	inc.spans = geom.Zeroed(inc.spans, rows)[:0]
 	r2 := radius * radius
 	for i, s := range sensors {
 		// The candidate window and the exact membership test are
@@ -109,17 +108,6 @@ func (inc *Incremental) Reset(lat *Lattice, sensors []geom.Point, radius float64
 		}
 		inc.offs[i+1] = int32(len(inc.spans))
 	}
-}
-
-// zeroed returns s with length n and every element zero, reusing its array
-// when it is large enough.
-func zeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // Len returns the number of tracked sensors.

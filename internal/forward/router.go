@@ -70,25 +70,25 @@ func (r *router) reset(field geom.Field, pos []geom.Point, src, dst geom.Point, 
 	r.idx.Reset(field, pos, rt)
 	n := len(pos)
 	nw := (n + 63) / 64
-	bitsets := zeroed(r.working[:cap(r.working)], 3*nw)
+	bitsets := geom.Zeroed(r.working[:cap(r.working)], 3*nw)
 	*r = router{
 		idx:     r.idx,
 		pos:     pos,
 		direct:  src.Dist(dst) <= rt,
 		ids:     r.idx.Order(),
-		rank:    zeroed(r.rank, n),
-		sink:    zeroed(r.sink, n),
-		starts:  zeroed(r.starts, n+2),
+		rank:    geom.Zeroed(r.rank, n),
+		sink:    geom.Zeroed(r.sink, n),
+		starts:  geom.Zeroed(r.starts, n+2),
 		words:   r.words,
 		masks:   r.masks,
 		working: bitsets[:nw],
 		used:    bitsets[nw : 2*nw],
 		avail:   bitsets[2*nw:],
-		prev:    zeroed(r.prev, n),
+		prev:    geom.Zeroed(r.prev, n),
 		// Node-disjoint paths name each node at most once, so neither
 		// backing array ever regrows and earlier paths stay valid.
-		queue:   slices.Grow(r.queue[:0], n),
-		pathIDs: slices.Grow(r.pathIDs[:0], n),
+		queue:   geom.Zeroed(r.queue, n)[:0],
+		pathIDs: geom.Zeroed(r.pathIDs, n)[:0],
 		found:   r.found[:0],
 	}
 	for k, id := range r.ids {
@@ -98,20 +98,9 @@ func (r *router) reset(field geom.Field, pos []geom.Point, src, dst geom.Point, 
 	// Two sweeps, count then fill, as Index.Neighbors builds its table:
 	// the rows cost two allocations whatever their sizes.
 	pairs := r.reach(src, rt, false)
-	r.words = zeroed(r.words, pairs)
-	r.masks = zeroed(r.masks, pairs)
+	r.words = geom.Zeroed(r.words, pairs)
+	r.masks = geom.Zeroed(r.masks, pairs)
 	r.reach(src, rt, true)
-}
-
-// zeroed returns s with length n and every element zero, reusing its array
-// when it is large enough.
-func zeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // reach walks Within2 from every node and then from src, setting starts

@@ -47,16 +47,15 @@ func (idx *Index) Reset(field Field, points []Point, cellSize float64) {
 		cell:    cellSize,
 		cols:    cols,
 		rows:    rows,
-		starts:  resize(idx.starts, buckets+1),
+		starts:  Zeroed(idx.starts, buckets+1),
 		entries: idx.entries,
 		points:  append(idx.points[:0], points...),
-		fill:    resize(idx.fill, buckets),
+		fill:    Zeroed(idx.fill, buckets),
 	}
 	// Counting pass, prefix sum, fill pass: starts[b] ends up at the
 	// beginning of bucket b and the fill (in point order) keeps each
 	// bucket's members ascending, which pins the deterministic visit order.
 	counts := idx.fill
-	clear(counts)
 	for _, p := range idx.points {
 		counts[idx.bucketOf(p)]++
 	}
@@ -66,7 +65,7 @@ func (idx *Index) Reset(field Field, points []Point, cellSize float64) {
 		sum += c
 	}
 	idx.starts[buckets] = sum
-	idx.entries = resize(idx.entries, int(sum))
+	idx.entries = Zeroed(idx.entries, int(sum))
 	fill := idx.fill
 	copy(fill, idx.starts[:buckets])
 	for i, p := range idx.points {
@@ -76,13 +75,16 @@ func (idx *Index) Reset(field Field, points []Point, cellSize float64) {
 	}
 }
 
-// resize returns s with length n, reusing its array when it is large
-// enough; the contents are unspecified.
-func resize[T any](s []T, n int) []T {
+// Zeroed returns s with length n and every element zero, reusing its array
+// when it is large enough. Storage rebuilt in place for another run grows
+// through it only past its high-water mark.
+func Zeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
-	return s[:n]
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (idx *Index) bucketOf(p Point) int {
@@ -230,14 +232,14 @@ func (idx *Index) Neighbors(radius float64) *Neighbors {
 // below nb's size reuses entirely; it returns nb.
 func (idx *Index) NeighborsInto(nb *Neighbors, radius float64) *Neighbors {
 	nb.radius = radius
-	nb.starts = resize(nb.starts, len(idx.points)+1)
+	nb.starts = Zeroed(nb.starts, len(idx.points)+1)
 	nb.starts[0] = 0
 	for i, p := range idx.points {
 		nb.starts[i+1] = nb.starts[i] + int32(idx.CountWithin(p, radius))
 	}
 	total := int(nb.starts[len(idx.points)])
-	nb.ids = resize(nb.ids, total)[:0]
-	nb.d2 = resize(nb.d2, total)[:0]
+	nb.ids = Zeroed(nb.ids, total)[:0]
+	nb.d2 = Zeroed(nb.d2, total)[:0]
 	for _, p := range idx.points {
 		idx.Within2(p, radius, func(j int, d2 float64) {
 			nb.ids = append(nb.ids, int32(j))

@@ -19,7 +19,6 @@ package radio
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"peas/internal/geom"
 	"peas/internal/sim"
@@ -286,11 +285,11 @@ func (m *Medium) Reset(cfg Config, engine *sim.Engine, idx *geom.Index, rng *sta
 		engine:    engine,
 		idx:       idx,
 		rng:       rng,
-		nodes:     zeroed(m.nodes, n),
+		nodes:     geom.Zeroed(m.nodes, n),
 		sink:      sink,
-		busyEnd:   zeroed(m.busyEnd, n),
-		corrupt:   zeroed(m.corrupt, n),
-		listening: zeroed(m.listening, n),
+		busyEnd:   geom.Zeroed(m.busyEnd, n),
+		corrupt:   geom.Zeroed(m.corrupt, n),
+		listening: geom.Zeroed(m.listening, n),
 		frames:    m.frames,
 		dels:      m.dels,
 		defs:      m.defs,
@@ -327,17 +326,6 @@ func (m *Medium) Reset(cfg Config, engine *sim.Engine, idx *geom.Index, rng *sta
 		}
 		m.quality = newQualityField(geom.NewField(maxX+1, maxY+1), cfg.Irregularity, rng.Split())
 	}
-}
-
-// zeroed returns s with length n and every element zero, reusing its array
-// when it is large enough.
-func zeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // Attach registers the receiver for node id and seeds its power flag from
@@ -570,7 +558,11 @@ func (m *Medium) neighbors(queryRange float64) *geom.Neighbors {
 	}
 	// Past len(tables) may wait a table an earlier build of the medium
 	// left behind, whose storage this one is built into.
-	m.tables = slices.Grow(m.tables, 1)[:k+1]
+	if k < cap(m.tables) {
+		m.tables = m.tables[:k+1]
+	} else {
+		m.tables = append(m.tables, nil)
+	}
 	if m.tables[k] == nil {
 		m.tables[k] = new(geom.Neighbors)
 	}
