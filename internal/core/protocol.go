@@ -118,14 +118,11 @@ func New(id NodeID, cfg Config, platform Platform) *Protocol {
 // storage of its REPLY and timer lists and its timer records, so a
 // protocol rebuilt on recycled storage allocates nothing. Every timer
 // record returns to the free list: the timers armed on the old platform
-// must be dropped with it (a simulator engine Reset first).
+// must be dropped with it (a simulator engine Reset first). p must be
+// zeroed or already node id's: the boxed PROBEs it keeps carry the ID.
 func (p *Protocol) Reset(id NodeID, cfg Config, platform Platform) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	probeBox := p.probeBox
-	if p.id != id {
-		probeBox = probeBox[:0] // the boxed PROBEs carry the node's ID
 	}
 	*p = Protocol{
 		id:        id,
@@ -137,7 +134,7 @@ func (p *Protocol) Reset(id NodeID, cfg Config, platform Platform) {
 		heard:     p.heard[:0],
 		timers:    p.timers[:0],
 		allTimers: p.allTimers,
-		probeBox:  probeBox,
+		probeBox:  p.probeBox,
 	}
 	if p.heard == nil {
 		// Room for the REPLYs of a busy probe window up front, so the list
