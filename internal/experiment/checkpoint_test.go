@@ -58,13 +58,16 @@ type goldenRun struct {
 	counts [4]uint64
 	// hash is the end-state StateHash, compared on amd64 only.
 	hash string
-	// allocs and bytes are the heap objects and bytes a warm run
+	// cold is the heap objects a run on fresh storage allocates, network
+	// construction included, as a one-shot process's run or a worker's
+	// first is. allocs and bytes are the heap objects and bytes a warm run
 	// allocates: one built into the storage an identical run released
-	// before it, as a run in a long-lived process is. The model runs on one
-	// goroutine, so its own count is exact; goldenAllocSlack and
-	// goldenByteSlack cover the runtime's. The collector paces on bytes,
-	// so bytes is the budget a regression in GC load shows in.
-	allocs, bytes uint64
+	// just before, as every later run of a long-lived process is. The
+	// model runs on one goroutine, so its own counts are exact;
+	// goldenAllocSlack and goldenByteSlack cover the runtime's. The
+	// collector paces on bytes, so bytes is the budget a regression in GC
+	// load shows in.
+	cold, allocs, bytes uint64
 }
 
 // goldenAllocSlack and goldenByteSlack are how far above its budgets a
@@ -77,33 +80,38 @@ const (
 	goldenByteSlack  = 512
 )
 
-// warmRun measures the heap objects and bytes one run of g.cfg allocates
-// after an identical run released its storage, on one processor. A run
-// can still get fresh storage — a collection moves released storage into
-// a sync.Pool, which under the race detector drops a quarter of what it is
-// given — so the least of up to ten measurements counts; the first is the
-// answer whenever the storage was reused.
-func warmRun(t *testing.T, g goldenRun) (allocs, bytes uint64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	run := func() {
-		if _, err := Run(g.cfg); err != nil {
+// FreshStorage takes every released network out of circulation, so the
+// next run builds from scratch, as in a fresh process: networks are drawn
+// and never released until one comes out new. Every network Run released
+// carries its storage in Spare; a new one has none. It is exported for the
+// run-storage tests of the external test package.
+func FreshStorage(t testing.TB) {
+	t.Helper()
+	for {
+		net, err := node.NewNetwork(node.DefaultConfig(1, 0))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs, bytes = math.MaxUint64, math.MaxUint64
-	for range 10 {
-		run()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		allocs = min(allocs, after.Mallocs-before.Mallocs)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		if allocs <= g.allocs+goldenAllocSlack && bytes <= g.bytes+goldenByteSlack {
-			break
+		if net.Spare == nil {
+			return
 		}
 	}
-	return allocs, bytes
+}
+
+// allocated returns the heap objects and bytes one run of cfg allocates,
+// on one processor. A collection first completes any cycle earlier tests
+// started and has the runtime start its mark workers, so neither is
+// counted.
+func allocated(t *testing.T, cfg RunConfig) (allocs, bytes uint64) {
+	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // goldenRuns is the table TestGoldenDeterminism holds. The first row
@@ -117,6 +125,7 @@ func warmRun(t *testing.T, g goldenRun) (allocs, bytes uint64) {
 // `go test -run TestGoldenDeterminism -v -count=3 ./internal/experiment/`
 // and copy the row each subtest logs, taking the lowest allocation counts
 // logged (a run can read an object or two high; see goldenAllocSlack).
+// Budgets only move down.
 func goldenRuns() []goldenRun {
 	base := func(n int, seed int64, horizon, failures float64, forwarding bool) RunConfig {
 		return RunConfig{
@@ -129,13 +138,13 @@ func goldenRuns() []goldenRun {
 	sampled := base(60, 42, 2000, 10, true)
 	sampled.CheckpointEvery = 500
 	return []goldenRun{
-		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 20, 1368},
+		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 1431, 20, 1368},
 		{"protocol-160", base(160, 1, 1500, 0, false), [4]uint64{15646, 5998, 1239, 61},
-			"6253205caf9d9c9f7087fd00d654eca8af40ab1c8fe31acd507df283914443b6", 13, 1192},
+			"6253205caf9d9c9f7087fd00d654eca8af40ab1c8fe31acd507df283914443b6", 3376, 13, 1192},
 		{"baseline-320", base(320, 2, 1200, BaseFailuresPer5000, true), [4]uint64{18650, 6791, 1327, 49},
-			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 18, 1336},
+			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 6627, 18, 1336},
 		{"failures-480", base(480, 3, 1000, 26.66, true), [4]uint64{20549, 7423, 1416, 41},
-			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 28, 1560},
+			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 9846, 28, 1560},
 	}
 }
 
@@ -198,14 +207,21 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Errorf("events/packets/wakeups/samples differ across identical runs: %v vs %v", got.counts, again)
 			}
 
-			// The budgeted run is the plain one: no end-state capture and,
-			// with no OnCheckpoint, no sampling cadence.
-			got.allocs, got.bytes = warmRun(t, g)
-			t.Logf("row: {%q, …, [4]uint64{%d, %d, %d, %d}, %q, %d, %d}", g.name,
-				got.counts[0], got.counts[1], got.counts[2], got.counts[3], got.hash, got.allocs, got.bytes)
+			// The budgeted runs are the plain one: no end-state capture and,
+			// with no OnCheckpoint, no sampling cadence. The cold run builds
+			// from scratch and releases its storage; the warm run is built
+			// into it.
+			FreshStorage(t)
+			got.cold, _ = allocated(t, g.cfg)
+			got.allocs, got.bytes = allocated(t, g.cfg)
+			t.Logf("row: {%q, …, [4]uint64{%d, %d, %d, %d}, %q, %d, %d, %d}", g.name,
+				got.counts[0], got.counts[1], got.counts[2], got.counts[3], got.hash, got.cold, got.allocs, got.bytes)
 
 			if got.counts != g.counts {
 				t.Errorf("events/packets/wakeups/samples = %v, golden row has %v", got.counts, g.counts)
+			}
+			if got.cold > g.cold+goldenAllocSlack {
+				t.Errorf("one run on fresh storage allocated %d heap objects, budget %d + %d of runtime slack", got.cold, g.cold, goldenAllocSlack)
 			}
 			if got.allocs > g.allocs+goldenAllocSlack {
 				t.Errorf("one warm run allocated %d heap objects, budget %d + %d of runtime slack", got.allocs, g.allocs, goldenAllocSlack)

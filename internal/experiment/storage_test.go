@@ -17,29 +17,8 @@ import (
 	"peas/internal/trace"
 )
 
-// freshStorage takes every released network out of circulation, so the
-// next run builds from scratch, as in a fresh process: networks are drawn
-// and never released until one comes out new. Every network Run released
-// carries its storage in Spare; a new one has none.
-func freshStorage(t *testing.T) {
-	t.Helper()
-	for {
-		net, err := node.NewNetwork(node.DefaultConfig(1, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if net.Spare == nil {
-			return
-		}
-	}
-}
-
 // afterOnSameStorage runs first and then second, and returns second's
-// result once second was built into the storage first released. Nothing
-// promises that — a collection can move released storage into the
-// sync.Pool, which hands it back only on the processor that put it there
-// and under the race detector drops a quarter of what it is given — so
-// the pair is retried until it holds.
+// result; second must have been built into the storage first released.
 func afterOnSameStorage(t *testing.T, first, second experiment.RunConfig) *experiment.RunStats {
 	t.Helper()
 	capture := func(cfg *experiment.RunConfig, into **node.Network) {
@@ -51,29 +30,26 @@ func afterOnSameStorage(t *testing.T, first, second experiment.RunConfig) *exper
 			}
 		}
 	}
-	for range 50 {
-		var a, b *node.Network
-		capture(&first, &a)
-		capture(&second, &b)
-		if _, err := experiment.Run(first); err != nil {
-			t.Fatal(err)
-		}
-		res, err := experiment.Run(second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != nil && a == b {
-			return res
-		}
+	var a, b *node.Network
+	capture(&first, &a)
+	capture(&second, &b)
+	if _, err := experiment.Run(first); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("the second run of 50 pairs never reused the first's storage")
-	return nil
+	res, err := experiment.Run(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == nil || a != b {
+		t.Fatal("the second run was not built into the storage the first released")
+	}
+	return res
 }
 
 // runFresh runs cfg on storage nothing ran on before.
 func runFresh(t *testing.T, cfg experiment.RunConfig) *experiment.RunStats {
 	t.Helper()
-	freshStorage(t)
+	experiment.FreshStorage(t)
 	res, err := experiment.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -399,46 +399,55 @@ func TestCacheEvictionConcurrent(t *testing.T) {
 // MemStats, production may not), and a finished job keeps its end state's
 // hash, not the state. A retained job then costs its stats and event
 // history — under 2 KB measured, where one pinned 160-node snapshot of
-// this spec weighed about 70 KB. The live heap is read with the run
-// storage the workers released taken out of circulation: it is a
-// constant, not a per-job cost.
+// this spec weighed about 70 KB. Warm-up jobs on both workers first grow
+// the run storage the workers recycle, so both heap readings hold it, and
+// storage that grows with every reuse shows as per-job growth.
 func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
-	const jobs, perJobBytes = 40, 16 << 10
+	const warmup, jobs, perJobBytes = 4, 40, 16 << 10
 	pool := New(Config{Workers: 2, QueueDepth: jobs, StateDir: t.TempDir()})
 	pool.Start()
 	defer pool.Shutdown(context.Background())
 
-	specs := make([]*Spec, jobs)
-	for i := range specs {
-		specs[i] = testSpec(int64(700 + i))
-		specs[i].Network.N = 160
+	specs := func(seed0 int64, n int) []*Spec {
+		specs := make([]*Spec, n)
+		for i := range specs {
+			specs[i] = testSpec(seed0 + int64(i))
+			specs[i].Network.N = 160
+		}
+		return specs
 	}
+	// run submits a copy of each spec, since Submit normalizes what it is
+	// given, and waits for every result.
+	run := func(specs []*Spec) []*Job {
+		handles := make([]*Job, len(specs))
+		for i, spec := range specs {
+			s := *spec
+			j, _, err := pool.Submit(&s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles[i] = j
+		}
+		for _, j := range handles {
+			waitResult(t, j)
+		}
+		return handles
+	}
+	run(specs(600, warmup))
 
+	measured := specs(700, jobs)
 	var before, after, settled runtime.MemStats
-	dropRunStorage(t)
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	handles := make([]*Job, jobs)
-	for i, spec := range specs {
-		s := *spec
-		j, _, err := pool.Submit(&s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[i] = j
-	}
-	for _, j := range handles {
-		waitResult(t, j)
-	}
+	handles := run(measured)
 	runtime.ReadMemStats(&after)
 	if forced := after.NumForcedGC - before.NumForcedGC; forced != 0 {
 		t.Errorf("%d forced collections across %d jobs, want 0: something on the job path calls runtime.GC", forced, jobs)
 	}
-	dropRunStorage(t)
 	runtime.GC()
 	runtime.ReadMemStats(&settled)
 	if grew := int64(settled.HeapAlloc) - int64(before.HeapAlloc); grew > jobs*perJobBytes {
-		t.Errorf("live heap grew %d bytes over %d finished jobs (%d per job), want under %d per job: the job table is pinning run state",
+		t.Errorf("live heap grew %d bytes over %d finished jobs (%d per job), want under %d per job: the job table is pinning run state, or recycled run storage grows with every job",
 			grew, jobs, grew/jobs, perJobBytes)
 	}
 
@@ -447,25 +456,8 @@ func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 		if res.Stats == nil || res.Stats.FinalState != nil {
 			t.Fatalf("job %s: result stats %+v must be present with a nil FinalState", j.ID, res.Stats)
 		}
-		if want := directHash(t, specs[i]); res.StateHash != want {
+		if want := directHash(t, measured[i]); res.StateHash != want {
 			t.Errorf("job %s: StateHash %s, direct run %s", j.ID, res.StateHash, want)
-		}
-	}
-}
-
-// dropRunStorage takes every released network out of circulation, so the
-// collector can have its storage: networks are drawn and never released
-// until one comes out new. Every network a run released carries its
-// storage in Spare; a new one has none.
-func dropRunStorage(t *testing.T) {
-	t.Helper()
-	for {
-		net, err := node.NewNetwork(node.DefaultConfig(1, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if net.Spare == nil {
-			return
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"peas/internal/core"
@@ -104,67 +103,38 @@ type Network struct {
 	positions []geom.Point // deployment scratch
 }
 
-// Released networks wait in recent, up to one per processor, and past
-// that in the networks pool. sync.Pool hands an item back only on the
-// processor that put it there, so a run that moved to another processor
-// would build fresh storage while the one it released sat idle; recent is
-// shared by every processor. Each collection moves recent's networks into
-// the pool (gcTick), so storage nobody takes is dropped as the pool drops
-// it, a couple of collections later.
-var (
-	networks sync.Pool
-	recent   struct {
-		sync.Mutex
-		nets []*Network
-	}
-)
+// released holds the networks Release handed back, the latest last, up
+// to one per processor: as many as can be running at once. A network
+// released past that is dropped for the collector. The list is shared by
+// every goroutine, so the next NewNetwork on any of them builds into the
+// storage the last run released.
+var released struct {
+	sync.Mutex
+	nets []*Network
+}
 
-// takeReleased returns a released network, or nil when there is none.
+// takeReleased returns the latest released network, or nil when there is
+// none.
 func takeReleased() *Network {
-	var net *Network
-	recent.Lock()
-	if n := len(recent.nets); n > 0 {
-		net = recent.nets[n-1]
-		recent.nets[n-1] = nil
-		recent.nets = recent.nets[:n-1]
+	released.Lock()
+	defer released.Unlock()
+	n := len(released.nets)
+	if n == 0 {
+		return nil
 	}
-	recent.Unlock()
-	if net == nil {
-		net, _ = networks.Get().(*Network)
-	}
+	net := released.nets[n-1]
+	released.nets[n-1] = nil
+	released.nets = released.nets[:n-1]
 	return net
 }
 
-// putReleased keeps net for a later NewNetwork.
+// putReleased keeps net for a later NewNetwork, unless the list is full.
 func putReleased(net *Network) {
-	recent.Lock()
-	if len(recent.nets) < runtime.GOMAXPROCS(0) {
-		recent.nets = append(recent.nets, net)
-		recent.Unlock()
-		return
+	released.Lock()
+	defer released.Unlock()
+	if len(released.nets) < runtime.GOMAXPROCS(0) {
+		released.nets = append(released.nets, net)
 	}
-	recent.Unlock()
-	networks.Put(net)
-}
-
-// gcTick's finalizer runs once after every collection: it moves recent's
-// networks into the pool and arms the next tick. The pointer field keeps a
-// tick off the tiny allocator, whose objects may never be finalized.
-type gcTick struct{ _ *byte }
-
-func init() { armGCTick() }
-
-func armGCTick() {
-	runtime.SetFinalizer(new(gcTick), func(*gcTick) {
-		recent.Lock()
-		for i, net := range recent.nets {
-			networks.Put(net)
-			recent.nets[i] = nil
-		}
-		recent.nets = recent.nets[:0]
-		recent.Unlock()
-		armGCTick()
-	})
 }
 
 // Observer is a set of optional hooks on a network's node events, used by
@@ -301,7 +271,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 }
 
 // Release hands the network's storage back for a later NewNetwork to
-// build into. It drops every hook and pending event, so the pooled storage
+// build into. It drops every hook and pending event, so the kept storage
 // holds nothing of the caller's. Neither the network nor anything reached
 // through it — its engine, medium, index, nodes and their protocols and
 // batteries — may be used after Release; copy out what must outlive it
@@ -349,7 +319,7 @@ func (net *Network) build(cfg Config) {
 	net.cfg = cfg
 	// Room for a run's usual subscribers (coverage, forwarding, liveness
 	// and a trace recorder) without regrowing.
-	net.observers, net.deliverers = slices.Grow(net.observers[:0], 4), 0
+	net.observers, net.deliverers = geom.Zeroed(net.observers, 4)[:0], 0
 
 	if cap(net.nodes) < cfg.N {
 		net.nodes = make([]Node, cfg.N)
