@@ -238,7 +238,7 @@ type RunStats struct {
 // model state and pending event schedule — instead of booting fresh.
 //
 // The run is built into the storage of one that returned before it, when
-// the pool has one (see node.Network.Release), and hands its own storage
+// one is kept (see node.Network.Release), and hands its own storage
 // back when it returns, error or not; the network its hooks see is
 // borrowed until then. What escapes — the RunStats, its FinalState and
 // every snapshot handed to OnCheckpoint or OnPreempt — owns its memory.

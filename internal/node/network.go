@@ -271,11 +271,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 }
 
 // Release hands the network's storage back for a later NewNetwork to
-// build into. It drops every hook and pending event, so the kept storage
-// holds nothing of the caller's. Neither the network nor anything reached
-// through it — its engine, medium, index, nodes and their protocols and
-// batteries — may be used after Release; copy out what must outlive it
-// first. Release a network at most once.
+// build into, unless one network per processor is already waiting, in
+// which case the collector takes it. It drops every hook and pending
+// event, so the kept storage holds nothing of the caller's. Neither the
+// network nor anything reached through it — its engine, medium, index,
+// nodes and their protocols and batteries — may be used after Release;
+// copy out what must outlive it first. Release a network at most once.
 func (net *Network) Release() {
 	net.engine.Reset()
 	net.medium.OnTransmit = nil
