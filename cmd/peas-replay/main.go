@@ -47,7 +47,7 @@ func run() error {
 
 	sum := trace.Summarize(events)
 	fmt.Printf("%d events spanning %.1f s - %.1f s\n", sum.Total, sum.FirstT, sum.LastT)
-	for _, kind := range []trace.Kind{trace.KindState, trace.KindPacket, trace.KindDeath, trace.KindReport, trace.KindCustom} {
+	for _, kind := range []trace.Kind{trace.KindState, trace.KindPacket, trace.KindDeath} {
 		if n := sum.ByKind[kind]; n > 0 {
 			fmt.Printf("  %-8s %d\n", kind, n)
 		}

@@ -224,18 +224,18 @@ func optSeq[T any](c *coder, s *[]T, minElem int) {
 }
 
 // header codes the magic and the format version that open an encoding.
-func (c *coder) header(m [8]byte, version uint32, what string) {
+func (c *coder) header() {
 	if !c.decoding {
-		c.buf = append(c.buf, m[:]...)
-		c.buf = binary.LittleEndian.AppendUint32(c.buf, version)
+		c.buf = append(c.buf, magic[:]...)
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, Version)
 		return
 	}
-	if b := c.take(len(m)); b == nil || [8]byte(b) != m {
-		c.err = fmt.Errorf("%w: bad %s", ErrCorrupt, what)
+	if b := c.take(len(magic)); b == nil || [8]byte(b) != magic {
+		c.err = fmt.Errorf("%w: bad magic", ErrCorrupt)
 		return
 	}
-	if v := c.get32(); c.err == nil && v != version {
-		c.err = fmt.Errorf("%w: got %d, this build reads %d", ErrVersion, v, version)
+	if v := c.get32(); c.err == nil && v != Version {
+		c.err = fmt.Errorf("%w: got %d, this build reads %d", ErrVersion, v, Version)
 	}
 }
 
@@ -289,7 +289,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 // codeHead walks the snapshot up to the node count: the header, the run's
 // knobs and the network configuration.
 func (s *Snapshot) codeHead(c *coder) {
-	c.header(magic, Version, "magic")
+	c.header()
 	c.f64(&s.SimTime)
 	c.f64(&s.Horizon)
 	c.f64(&s.FailuresPer5000s)

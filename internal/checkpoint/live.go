@@ -1,9 +1,6 @@
 package checkpoint
 
 import (
-	"crypto/sha256"
-	"io"
-
 	"peas/internal/core"
 	"peas/internal/stats"
 )
@@ -28,48 +25,4 @@ type LiveNode struct {
 	BatteryJoules float64
 	// Proto is the serializable protocol state.
 	Proto core.ProtocolState
-}
-
-// LiveVersion is the LiveNode format version.
-const LiveVersion uint32 = 1
-
-var liveMagic = [8]byte{'P', 'E', 'A', 'S', 'L', 'I', 'V', 'E'}
-
-// EncodeBytes returns the canonical encoding of the live-node
-// checkpoint, in the same fixed-order little-endian style as Snapshot.
-func (s *LiveNode) EncodeBytes() []byte {
-	c := &coder{buf: make([]byte, 0, 512)}
-	s.code(c)
-	return c.buf
-}
-
-// Encode writes the canonical encoding to w.
-func (s *LiveNode) Encode(w io.Writer) error {
-	_, err := w.Write(s.EncodeBytes())
-	return err
-}
-
-// StateHash returns the SHA-256 of the canonical encoding.
-func (s *LiveNode) StateHash() [32]byte { return sha256.Sum256(s.EncodeBytes()) }
-
-// DecodeLiveNode parses a canonical live-node checkpoint. Corrupted or
-// truncated input yields an error wrapping ErrCorrupt; unknown versions
-// yield ErrVersion.
-func DecodeLiveNode(data []byte) (*LiveNode, error) {
-	c := &coder{decoding: true, buf: data}
-	s := &LiveNode{}
-	s.code(c)
-	if err := c.end(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (s *LiveNode) code(c *coder) {
-	c.header(liveMagic, LiveVersion, "live-node magic")
-	i64(c, &s.ID)
-	c.f64(&s.ProtoTime)
-	codeRNG(c, &s.RNG)
-	c.f64(&s.BatteryJoules)
-	codeProtocol(c, &s.Proto)
 }

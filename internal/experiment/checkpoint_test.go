@@ -80,22 +80,14 @@ const (
 	goldenByteSlack  = 512
 )
 
-// FreshStorage takes every released network out of circulation, so the
-// next run builds from scratch, as in a fresh process: networks are drawn
-// and never released until one comes out new. Every network Run released
-// carries its storage in Spare; a new one has none. It is exported for the
-// run-storage tests of the external test package.
-func FreshStorage(t testing.TB) {
-	t.Helper()
-	for {
-		net, err := node.NewNetwork(node.DefaultConfig(1, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if net.Spare == nil {
-			return
-		}
-	}
+// FreshStorage empties the workspace list, so the next run builds from
+// scratch, as in a fresh process. It is exported for the run-storage
+// tests of the external test package.
+func FreshStorage() {
+	workspaces.Lock()
+	defer workspaces.Unlock()
+	clear(workspaces.list)
+	workspaces.list = workspaces.list[:0]
 }
 
 // allocated returns the heap objects and bytes one run of cfg allocates,
@@ -138,13 +130,13 @@ func goldenRuns() []goldenRun {
 	sampled := base(60, 42, 2000, 10, true)
 	sampled.CheckpointEvery = 500
 	return []goldenRun{
-		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 995, 20, 1368},
+		{"sampled-60", sampled, [4]uint64{4774, 1785, 388, 81}, goldenFinalHash, 994, 20, 1368},
 		{"protocol-160", base(160, 1, 1500, 0, false), [4]uint64{15646, 5998, 1239, 61},
-			"6253205caf9d9c9f7087fd00d654eca8af40ab1c8fe31acd507df283914443b6", 2369, 13, 1192},
+			"6253205caf9d9c9f7087fd00d654eca8af40ab1c8fe31acd507df283914443b6", 2368, 13, 1192},
 		{"baseline-320", base(320, 2, 1200, BaseFailuresPer5000, true), [4]uint64{18650, 6791, 1327, 49},
-			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 4670, 18, 1336},
+			"e3c8525e8cad7b445e32b6cf1503a9f5171a5d097121786f89f3a456070f4265", 4669, 18, 1336},
 		{"failures-480", base(480, 3, 1000, 26.66, true), [4]uint64{20549, 7423, 1416, 41},
-			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 6938, 28, 1560},
+			"4a862d1fa7b64e34b5de6901c34ec696cfee413e65a9c6793fe0508b96f7261d", 6937, 28, 1560},
 	}
 }
 
@@ -211,7 +203,7 @@ func TestGoldenDeterminism(t *testing.T) {
 			// with no OnCheckpoint, no sampling cadence. The cold run builds
 			// from scratch and releases its storage; the warm run is built
 			// into it.
-			FreshStorage(t)
+			FreshStorage()
 			got.cold, _ = allocated(t, g.cfg)
 			got.allocs, got.bytes = allocated(t, g.cfg)
 			t.Logf("row: {%q, …, [4]uint64{%d, %d, %d, %d}, %q, %d, %d, %d}", g.name,

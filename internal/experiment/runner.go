@@ -6,6 +6,8 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"peas/internal/chaos"
 	"peas/internal/checkpoint"
@@ -237,11 +239,11 @@ type RunStats struct {
 // cfg.Resume holds a checkpoint the run continues it — restoring the full
 // model state and pending event schedule — instead of booting fresh.
 //
-// The run is built into the storage of one that returned before it, when
-// one is kept (see node.Network.Release), and hands its own storage
-// back when it returns, error or not; the network its hooks see is
-// borrowed until then. What escapes — the RunStats, its FinalState and
-// every snapshot handed to OnCheckpoint or OnPreempt — owns its memory.
+// The run is built into the workspace of one that returned before it,
+// when one is kept (see workspaces), and hands its own workspace back when
+// it returns, error or not; the network its hooks see is borrowed until
+// then. What escapes — the RunStats, its FinalState and every snapshot
+// handed to OnCheckpoint or OnPreempt — owns its memory.
 func Run(cfg RunConfig) (*RunStats, error) {
 	snap := cfg.Resume
 	if snap != nil {
@@ -253,23 +255,25 @@ func Run(cfg RunConfig) (*RunStats, error) {
 			cfg.Horizon = snap.Horizon
 		}
 	}
-	net, err := node.NewNetwork(cfg.Network)
-	if err != nil {
+	ws := takeWorkspace()
+	if err := ws.net.Rebuild(cfg.Network); err != nil {
+		putWorkspace(ws)
 		return nil, err
 	}
-	// A run that panics leaves its storage to the garbage collector, in
+	// A run that panics leaves its workspace to the garbage collector, in
 	// whatever state the panic found it; one that returns hands it to the
-	// next run.
-	res, err := run(cfg, net)
-	net.Release()
+	// next run, holding none of this run's hooks.
+	res, err := run(cfg, ws)
+	ws.net.Release()
+	putWorkspace(ws)
 	return res, err
 }
 
-// runStorage is the part of a run's storage Run keeps with the network's
-// (node.Network.Spare), so the next run built into the same network reuses
-// it: the coverage lattice and counts, the metric series and the
-// forwarding workload with its route table.
-type runStorage struct {
+// workspace is the storage a run is built into: the network's, and the
+// coverage lattice and counts, the metric series and the forwarding
+// workload with its route table. Each part is reset before use.
+type workspace struct {
+	net     node.Network
 	lattice coverage.Lattice
 	inc     coverage.Incremental
 	tracker coverage.Tracker
@@ -278,14 +282,44 @@ type runStorage struct {
 	byK     []float64
 }
 
-// run is Run on a built network.
-func run(cfg RunConfig, net *node.Network) (*RunStats, error) {
-	snap := cfg.Resume
-	st, _ := net.Spare.(*runStorage)
-	if st == nil {
-		st = &runStorage{working: metrics.NewSeries("working"), byK: make([]float64, 0, MaxCoverageK)}
-		net.Spare = st
+// workspaces holds the workspaces of the runs that returned, the latest
+// last, up to one per processor: as many as can be running at once. One
+// handed back past that is dropped for the collector. The list is shared
+// by every goroutine, so the next run on any of them is built into the
+// workspace the last run handed back.
+var workspaces struct {
+	sync.Mutex
+	list []*workspace
+}
+
+// takeWorkspace returns the latest workspace handed back, or a new one
+// when there is none.
+func takeWorkspace() *workspace {
+	workspaces.Lock()
+	defer workspaces.Unlock()
+	n := len(workspaces.list)
+	if n == 0 {
+		return &workspace{working: metrics.NewSeries("working"), byK: make([]float64, 0, MaxCoverageK)}
 	}
+	ws := workspaces.list[n-1]
+	workspaces.list[n-1] = nil
+	workspaces.list = workspaces.list[:n-1]
+	return ws
+}
+
+// putWorkspace keeps ws for a later run, unless the list is full.
+func putWorkspace(ws *workspace) {
+	workspaces.Lock()
+	defer workspaces.Unlock()
+	if len(workspaces.list) < runtime.GOMAXPROCS(0) {
+		workspaces.list = append(workspaces.list, ws)
+	}
+}
+
+// run is Run on a built workspace.
+func run(cfg RunConfig, ws *workspace) (*RunStats, error) {
+	snap := cfg.Resume
+	net := &ws.net
 	if cfg.Trace != nil {
 		trace.Attach(cfg.Trace, net)
 	}
@@ -319,14 +353,14 @@ func run(cfg RunConfig, net *node.Network) (*RunStats, error) {
 	if spacing <= 0 {
 		spacing = 1
 	}
-	lattice := &st.lattice
+	lattice := &ws.lattice
 	lattice.Reset(cfg.Network.Field, spacing)
-	inc := attachIncremental(&st.inc, net, lattice, MaxCoverageK)
-	tracker := &st.tracker
+	inc := attachIncremental(&ws.inc, net, lattice, MaxCoverageK)
+	tracker := &ws.tracker
 	tracker.Reset(MaxCoverageK)
-	workingSeries := st.working
+	workingSeries := ws.working
 	workingSeries.Reset()
-	byKBuf := st.byK
+	byKBuf := ws.byK
 	sample := func() {
 		now := net.Engine.Now()
 		byKBuf = inc.FractionInto(byKBuf)
@@ -348,7 +382,7 @@ func run(cfg RunConfig, net *node.Network) (*RunStats, error) {
 	// Forwarding workload.
 	var fw *forward.Harness
 	if cfg.Forwarding {
-		fw = &st.fw
+		fw = &ws.fw
 		fw.Reset(forward.DefaultConfig(cfg.Network.Field), net)
 		if snap == nil {
 			fw.Start()

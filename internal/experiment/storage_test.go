@@ -49,12 +49,40 @@ func afterOnSameStorage(t *testing.T, first, second experiment.RunConfig) *exper
 // runFresh runs cfg on storage nothing ran on before.
 func runFresh(t *testing.T, cfg experiment.RunConfig) *experiment.RunStats {
 	t.Helper()
-	experiment.FreshStorage(t)
+	experiment.FreshStorage()
 	res, err := experiment.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestNewNetworkIsFreshAfterARun: only Run recycles storage. A network
+// node.NewNetwork builds right after a run shares nothing with the
+// storage that run handed back, and leaves it to the next run.
+func TestNewNetworkIsFreshAfterARun(t *testing.T) {
+	var ran, again *node.Network
+	cfg := experiment.RunConfig{Network: node.DefaultConfig(80, 1), Horizon: 500}
+	cfg.OnNetwork = func(net *node.Network) { ran = net }
+	if _, err := experiment.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	net, err := node.NewNetwork(cfg.Network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Engine, medium and index live inside the Network; the nodes in a
+	// slab of their own.
+	if net == ran || net.Nodes[0] == ran.Nodes[0] {
+		t.Error("node.NewNetwork built into the storage a run handed back")
+	}
+	cfg.OnNetwork = func(net *node.Network) { again = net }
+	if _, err := experiment.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if again != ran {
+		t.Error("the run after node.NewNetwork was not built into the storage the last run handed back")
+	}
 }
 
 // statsJSON is RunStats as a job result carries it over the wire.

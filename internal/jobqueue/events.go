@@ -11,12 +11,11 @@ type Result struct {
 	// StateHash is the hex SHA-256 of the final snapshot's canonical
 	// encoding — the bit-exact identity of the end state.
 	StateHash string `json:"stateHash,omitempty"`
-	// Stats holds the run's metrics, the engine's own counters among
-	// them. Its FinalState is always nil: the pool keeps the end state's
-	// hash (StateHash), not the state.
+	// Stats holds the run's metrics, the engine's own counters and a
+	// chaos job's per-fault-class counters among them. Its FinalState is
+	// always nil: the pool keeps the end state's hash (StateHash), not the
+	// state.
 	Stats *RunStats `json:"stats,omitempty"`
-	// Chaos holds the final per-fault-class counters (chaos jobs).
-	Chaos map[string]uint64 `json:"chaos,omitempty"`
 	// Violations counts invariant-oracle findings on Check jobs (a
 	// non-zero count fails the job, but the tally is still reported).
 	Violations int `json:"violations,omitempty"`

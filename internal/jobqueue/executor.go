@@ -224,7 +224,7 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 		return nil, nil, fmt.Errorf("jobqueue: job aborted by shutdown before completion")
 	}
 
-	res := &Result{Stats: stats, Chaos: stats.Chaos, Resumed: job.resume != nil}
+	res := &Result{Stats: stats, Resumed: job.resume != nil}
 	if stats.FinalState != nil {
 		res.StateHash = stats.FinalState.StateHashHex()
 		// Only the hash is ever read again; the result lives as long as

@@ -207,7 +207,7 @@ func TestChaosJobRuns(t *testing.T) {
 	if res.StateHash != want {
 		t.Errorf("chaos hash %s, want %s", res.StateHash, want)
 	}
-	if len(res.Chaos) == 0 {
+	if len(res.Stats.Chaos) == 0 {
 		t.Error("chaos job reported no fault counters")
 	}
 }

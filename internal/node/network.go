@@ -3,8 +3,6 @@ package node
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"peas/internal/core"
 	"peas/internal/energy"
@@ -58,23 +56,13 @@ func DefaultConfig(n int, seed int64) Config {
 }
 
 // Network is a deployed sensor network bound to a simulation engine.
-//
-// A network is built into storage recycled from an earlier one when there
-// is any: Release hands its storage back once a run is over, and the next
-// NewNetwork builds into it. A network nobody releases is garbage
-// collected like any other value.
+// Rebuild deploys a new network into the storage of an existing one.
 type Network struct {
 	Engine *sim.Engine
 	Field  geom.Field
 	Index  *geom.Index
 	Medium *radio.Medium
 	Nodes  []*Node
-
-	// Spare is storage a higher layer keeps with the network's: what it
-	// holds at Release comes back with the next network built into the
-	// same storage. The network never reads it, and the layer that put
-	// something there resets it before use.
-	Spare any
 
 	cfg Config
 
@@ -92,8 +80,8 @@ type Network struct {
 	deliverers int
 
 	// The storage behind Engine, Index, Medium and Nodes, rebuilt in place
-	// by every NewNetwork that reuses this network: the nodes in ID order,
-	// each holding its protocol, battery, RNG and depletion timer by value.
+	// by every Rebuild: the nodes in ID order, each holding its protocol,
+	// battery, RNG and depletion timer by value.
 	engine    sim.Engine
 	index     geom.Index
 	medium    radio.Medium
@@ -101,40 +89,6 @@ type Network struct {
 	sink      energyAdapter
 	nodes     []Node
 	positions []geom.Point // deployment scratch
-}
-
-// released holds the networks Release handed back, the latest last, up
-// to one per processor: as many as can be running at once. A network
-// released past that is dropped for the collector. The list is shared by
-// every goroutine, so the next NewNetwork on any of them builds into the
-// storage the last run released.
-var released struct {
-	sync.Mutex
-	nets []*Network
-}
-
-// takeReleased returns the latest released network, or nil when there is
-// none.
-func takeReleased() *Network {
-	released.Lock()
-	defer released.Unlock()
-	n := len(released.nets)
-	if n == 0 {
-		return nil
-	}
-	net := released.nets[n-1]
-	released.nets[n-1] = nil
-	released.nets = released.nets[:n-1]
-	return net
-}
-
-// putReleased keeps net for a later NewNetwork, unless the list is full.
-func putReleased(net *Network) {
-	released.Lock()
-	defer released.Unlock()
-	if len(released.nets) < runtime.GOMAXPROCS(0) {
-		released.nets = append(released.nets, net)
-	}
 }
 
 // Observer is a set of optional hooks on a network's node events, used by
@@ -254,45 +208,29 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// NewNetwork deploys a network according to cfg. The nodes are created
-// but idle; call Start to boot the protocol on every node. The network is
-// built into the storage of one an earlier run released, when there is
-// one; nothing of that run is visible in it.
+// NewNetwork deploys a network according to cfg into fresh storage. The
+// nodes are created but idle; call Start to boot the protocol on every
+// node.
 func NewNetwork(cfg Config) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
+	net := new(Network)
+	if err := net.Rebuild(cfg); err != nil {
 		return nil, err
 	}
-	net := takeReleased()
-	if net == nil {
-		net = new(Network)
-	}
-	net.build(cfg)
 	return net, nil
 }
 
-// Release hands the network's storage back for a later NewNetwork to
-// build into, unless one network per processor is already waiting, in
-// which case the collector takes it. It drops every hook and pending
-// event, so the kept storage holds nothing of the caller's. Neither the
-// network nor anything reached through it — its engine, medium, index,
-// nodes and their protocols and batteries — may be used after Release;
-// copy out what must outlive it first. Release a network at most once.
-func (net *Network) Release() {
-	net.engine.Reset()
-	net.medium.OnTransmit = nil
-	net.medium.SetFaultInjector(nil)
-	clear(net.observers)
-	net.observers, net.deliverers = net.observers[:0], 0
-	net.cfg = Config{}
-	putReleased(net)
-}
-
-// build deploys cfg into net's storage, replacing every part of it but
-// Spare and the record pools, which hold no state of a run once the engine
-// and the medium are reset: the engine's event records, the medium's
-// frame, delivery and retry records, the protocols' timer records and the
-// REPLY records.
-func (net *Network) build(cfg Config) {
+// Rebuild deploys cfg into net's storage, as NewNetwork does into fresh
+// storage: nothing of the network it held is visible in the new one. A
+// pointer taken from the old network (to its engine, medium, index or a
+// node) must not be kept across the call. An invalid cfg leaves net as it
+// was. Every part of the storage is replaced but the record pools, which
+// hold no state of a run once the engine and the medium are reset: the
+// engine's event records, the medium's frame, delivery and retry
+// records, the protocols' timer records and the REPLY records.
+func (net *Network) Rebuild(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	root := stats.NewRNG(cfg.Seed)
 	deployRNG := root.Split()
 	energyRNG := root.Split()
@@ -349,6 +287,19 @@ func (net *Network) build(cfg Config) {
 		net.Nodes[i] = n
 		net.medium.Attach(radio.NodeID(i), n)
 	}
+	return nil
+}
+
+// Release drops every hook and pending event, and the configuration, so
+// the network's storage, kept for a later Rebuild, holds nothing of the
+// caller's. The network must not be run again until it is rebuilt.
+func (net *Network) Release() {
+	net.engine.Reset()
+	net.medium.OnTransmit = nil
+	net.medium.SetFaultInjector(nil)
+	clear(net.observers)
+	net.observers, net.deliverers = net.observers[:0], 0
+	net.cfg = Config{}
 }
 
 // Config returns the configuration the network was built with.
@@ -483,15 +434,4 @@ func (net *Network) PickAlive(rng *stats.RNG, filter func(*Node) bool) *Node {
 		}
 	}
 	panic("node: PickAlive lost a candidate between its two passes")
-}
-
-// FailRandomAlive kills one uniformly chosen alive node and returns its
-// ID, or -1 when none are left. The failure injector uses it.
-func (net *Network) FailRandomAlive(rng *stats.RNG) core.NodeID {
-	victim := net.PickAlive(rng, nil)
-	if victim == nil {
-		return -1
-	}
-	victim.Fail(InjectedFailure)
-	return victim.id
 }

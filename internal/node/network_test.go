@@ -244,7 +244,7 @@ func TestObserverHooks(t *testing.T) {
 	net.Run(100)
 	net.Nodes[0].Crash()
 	net.Nodes[0].Revive()
-	net.FailRandomAlive(stats.NewRNG(1))
+	net.PickAlive(stats.NewRNG(1), nil).Fail(InjectedFailure)
 	net.Run(200)
 	for kind, n := range map[string]int{"state": 0, "death": 2, "revive": 1, "deliver": 0, "working": 0} {
 		got := calls[kind]
@@ -291,7 +291,7 @@ func TestWorkingChangeHookTracksWorkingSet(t *testing.T) {
 	for _, until := range []float64{50, 200, 600} {
 		net.Run(until)
 		verify(fmt.Sprintf("t=%v", until))
-		net.FailRandomAlive(rng)
+		net.PickAlive(rng, nil).Fail(InjectedFailure)
 		verify("after injected failure")
 	}
 	// Crash a working node and revive it: the hook must see both edges.
@@ -317,6 +317,9 @@ func TestWorkingChangeHookTracksWorkingSet(t *testing.T) {
 	}
 }
 
+// TestFailRandomAliveExhaustion fails one uniformly picked alive node at a
+// time: each pick is a node still alive, and once none is left PickAlive
+// returns nil.
 func TestFailRandomAliveExhaustion(t *testing.T) {
 	cfg := DefaultConfig(3, 23)
 	net, err := NewNetwork(cfg)
@@ -327,14 +330,15 @@ func TestFailRandomAliveExhaustion(t *testing.T) {
 	rng := stats.NewRNG(2)
 	seen := map[core.NodeID]bool{}
 	for i := 0; i < 3; i++ {
-		id := net.FailRandomAlive(rng)
-		if id < 0 || seen[id] {
-			t.Fatalf("bad victim %d (seen=%v)", id, seen)
+		victim := net.PickAlive(rng, nil)
+		if victim == nil || seen[victim.ID()] {
+			t.Fatalf("bad victim %v (seen=%v)", victim, seen)
 		}
-		seen[id] = true
+		victim.Fail(InjectedFailure)
+		seen[victim.ID()] = true
 	}
-	if id := net.FailRandomAlive(rng); id != -1 {
-		t.Errorf("exhausted network returned victim %d", id)
+	if victim := net.PickAlive(rng, nil); victim != nil {
+		t.Errorf("exhausted network returned victim %d", victim.ID())
 	}
 }
 

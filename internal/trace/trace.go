@@ -20,8 +20,6 @@ const (
 	KindState  Kind = "state"  // node changed operation mode
 	KindDeath  Kind = "death"  // node died (depletion or failure)
 	KindPacket Kind = "packet" // frame delivered to a node
-	KindReport Kind = "report" // data report generated / delivered
-	KindCustom Kind = "custom" // experiment-defined marker
 )
 
 // Event is one timed simulation occurrence.
@@ -64,11 +62,6 @@ func (r *Recorder) Record(ev Event) {
 	r.events = append(r.events, ev)
 }
 
-// Recordf appends an event with a formatted detail string.
-func (r *Recorder) Recordf(t float64, kind Kind, node int, format string, args ...any) {
-	r.Record(Event{T: t, Kind: kind, Node: node, Detail: fmt.Sprintf(format, args...)})
-}
-
 // Len returns the number of buffered events.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
@@ -81,19 +74,6 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
-}
-
-// ByKind returns the buffered events of one kind, in order.
-func (r *Recorder) ByKind(kind Kind) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Event
-	for _, ev := range r.events {
-		if ev.Kind == kind {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // WriteJSONL streams the buffered events as JSON Lines.
@@ -129,7 +109,6 @@ func ReadJSONL(rd io.Reader) ([]Event, error) {
 type Summary struct {
 	Total  int          `json:"total"`
 	ByKind map[Kind]int `json:"byKind"`
-	ByNode map[int]int  `json:"-"`
 	FirstT float64      `json:"firstT"`
 	LastT  float64      `json:"lastT"`
 }
@@ -143,11 +122,9 @@ func Summarize(events []Event) Summary {
 	s := Summary{
 		Total:  len(events),
 		ByKind: make(map[Kind]int),
-		ByNode: make(map[int]int),
 	}
 	for i, ev := range events {
 		s.ByKind[ev.Kind]++
-		s.ByNode[ev.Node]++
 		if i == 0 {
 			s.FirstT = ev.T
 		}

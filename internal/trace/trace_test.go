@@ -12,12 +12,12 @@ import (
 func TestRecorderBasics(t *testing.T) {
 	r := NewRecorder(0)
 	r.Record(Event{T: 1, Kind: KindState, Node: 3, Detail: "working"})
-	r.Recordf(2, KindCustom, -1, "marker %d", 7)
+	r.Record(Event{T: 2, Kind: KindDeath, Node: 4, Detail: "depletion"})
 	if r.Len() != 2 {
 		t.Fatalf("len = %d", r.Len())
 	}
 	evs := r.Events()
-	if evs[0].Detail != "working" || evs[1].Detail != "marker 7" {
+	if evs[0].Detail != "working" || evs[1].Detail != "depletion" {
 		t.Errorf("events: %+v", evs)
 	}
 	// Events returns a copy.
@@ -25,15 +25,12 @@ func TestRecorderBasics(t *testing.T) {
 	if r.Events()[0].Detail != "working" {
 		t.Error("Events aliased internal storage")
 	}
-	if got := r.ByKind(KindCustom); len(got) != 1 || got[0].Node != -1 {
-		t.Errorf("ByKind: %+v", got)
-	}
 }
 
 func TestRecorderLimit(t *testing.T) {
 	r := NewRecorder(2)
 	for i := 0; i < 5; i++ {
-		r.Record(Event{T: float64(i), Kind: KindCustom})
+		r.Record(Event{T: float64(i), Kind: KindState})
 	}
 	if r.Len() != 2 {
 		t.Errorf("limit not enforced: %d", r.Len())
@@ -79,9 +76,6 @@ func TestSummarize(t *testing.T) {
 	if s.FirstT != 1 || s.LastT != 9 {
 		t.Errorf("time span %v-%v", s.FirstT, s.LastT)
 	}
-	if s.ByNode[0] != 2 {
-		t.Errorf("node 0 count = %d", s.ByNode[0])
-	}
 }
 
 func TestAttachRecordsSimulation(t *testing.T) {
@@ -102,8 +96,8 @@ func TestAttachRecordsSimulation(t *testing.T) {
 		t.Error("no packet events recorded")
 	}
 	// Every packet event labels its payload type.
-	for _, ev := range r.ByKind(KindPacket) {
-		if ev.Detail != "probe" && ev.Detail != "reply" {
+	for _, ev := range r.Events() {
+		if ev.Kind == KindPacket && ev.Detail != "probe" && ev.Detail != "reply" {
 			t.Fatalf("unlabelled packet event %+v", ev)
 		}
 	}

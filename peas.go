@@ -243,19 +243,19 @@ func DefaultRunConfig(n int, seed int64) RunConfig {
 	}
 }
 
-// NewNetwork deploys a simulated network. Use it directly for custom
-// scenarios; use Run for the paper's standard metrics. A network built
-// here is the caller's for good: nothing recycles it unless the caller
-// calls its Release.
+// NewNetwork deploys a simulated network into fresh storage. Use it
+// directly for custom scenarios; use Run for the paper's standard
+// metrics. A network built here is the caller's for good: nothing else
+// builds into it, and its Rebuild deploys a new network in its place.
 func NewNetwork(cfg NetworkConfig) (*Network, error) { return node.NewNetwork(cfg) }
 
 // Run executes one simulation run and gathers coverage lifetimes, data
 // delivery lifetime, wakeup counts and energy overhead. The run is built
-// into storage an earlier run released, when there is one, and hands its
-// own back when it returns: the *Network its hooks see is borrowed until
-// Run returns, so a hook copies out what must outlive the run. The
-// returned RunStats, its FinalState and every checkpoint snapshot belong
-// to the caller.
+// into the workspace an earlier Run handed back, when there is one, and
+// hands its own back when it returns: the *Network its hooks see is
+// borrowed until Run returns, so a hook copies out what must outlive the
+// run. The returned RunStats, its FinalState and every checkpoint
+// snapshot belong to the caller.
 func Run(cfg RunConfig) (*RunStats, error) { return experiment.Run(cfg) }
 
 // DeploymentSweep reproduces the varying-population experiment behind

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"peas/internal/chaos"
+	"peas/internal/checkpoint"
 	"peas/internal/core"
 	"peas/internal/geom"
 	"peas/internal/metrics"
@@ -16,7 +17,7 @@ type liveRun struct {
 	log      []stateChange
 	totals   core.Stats
 	counters map[string]uint64
-	ckpts    [][]byte // each node's encoded checkpoint at the end
+	ckpts    []*checkpoint.LiveNode // each node's checkpoint at the end
 }
 
 type stateChange struct {
@@ -44,7 +45,7 @@ func finish(t *testing.T, c *Cluster, run *liveRun) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run.ckpts = append(run.ckpts, st.EncodeBytes())
+		run.ckpts = append(run.ckpts, st)
 	}
 }
 
