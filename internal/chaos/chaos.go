@@ -52,9 +52,10 @@ const (
 	// FailRecover crashes nodes transiently: volatile state is lost, the
 	// battery survives, and the node reboots after a configured downtime.
 	FailRecover FaultClass = "fail-recover"
-	// CrashRestart crashes a node and later resumes it from its last
-	// checkpoint (protocol state, RNG stream, battery), modelling a
-	// supervised restart from stable storage.
+	// CrashRestart crashes a node and later resumes it in place from its
+	// protocol state and pending timers captured at the crash instant;
+	// its RNG stream and battery run on through the downtime. The live
+	// runtime's Cluster.CrashRestart has the same semantics.
 	CrashRestart FaultClass = "crash-restart"
 )
 

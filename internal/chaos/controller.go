@@ -202,9 +202,8 @@ func (c *Controller) strike(ev *Event, victim *node.Node) {
 			}
 		})
 	case CrashRestart:
-		// The victim's "last checkpoint" is taken at the crash instant —
-		// the sim analogue of peasnet's supervised checkpoint stream,
-		// where the snapshot is at most one supervision period old.
+		// The victim's state is captured at the crash instant, as
+		// peasnet's Cluster.CrashRestart captures a live node's.
 		st := victim.Protocol().Snapshot()
 		victim.Crash()
 		c.counters.Add(CtrCrash, 1)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"peas/internal/geom3"
 	"peas/internal/stats"
@@ -97,13 +98,13 @@ func threeDRun(box geom3.Box, n int, seed int64) threeDResult {
 	}
 
 	// Volumetric 1-coverage on a 2.5 m lattice.
-	idx := geom3.NewIndex(box, working, rs)
 	total, covered := 0, 0
 	for x := 0.0; x <= box.Width; x += 2.5 {
 		for y := 0.0; y <= box.Height; y += 2.5 {
 			for z := 0.0; z <= box.Depth; z += 2.5 {
 				total++
-				if idx.CountWithin(geom3.Point{X: x, Y: y, Z: z}, rs) > 0 {
+				p := geom3.Point{X: x, Y: y, Z: z}
+				if slices.ContainsFunc(working, func(w geom3.Point) bool { return p.Dist(w) <= rs }) {
 					covered++
 				}
 			}

@@ -1,8 +1,8 @@
 // Package geom3 provides three-dimensional geometry for the paper's §3
 // footnote: "The model applies to three-dimensional as well." It mirrors
-// internal/geom for volumes: points, boxes, uniform deployment, and a
-// bucket-grid index, enough to run the probing rule and check coverage
-// and connectivity in 3-D (see the threed experiment).
+// internal/geom for volumes: points, boxes and uniform deployment, enough
+// to run the probing rule and check coverage and connectivity in 3-D (see
+// the threed experiment).
 package geom3
 
 import (
@@ -51,92 +51,4 @@ func UniformDeploy(b Box, n int, rng *stats.RNG) []Point {
 		}
 	}
 	return pts
-}
-
-// Index is a bucket-grid spatial index over fixed 3-D points.
-type Index struct {
-	cell    float64
-	nx      int
-	ny      int
-	nz      int
-	buckets [][]int
-	points  []Point
-}
-
-// NewIndex builds an index with the given bucket edge length.
-func NewIndex(b Box, points []Point, cellSize float64) *Index {
-	if cellSize <= 0 {
-		cellSize = 1
-	}
-	nx := int(math.Ceil(b.Width/cellSize)) + 1
-	ny := int(math.Ceil(b.Height/cellSize)) + 1
-	nz := int(math.Ceil(b.Depth/cellSize)) + 1
-	idx := &Index{
-		cell:    cellSize,
-		nx:      nx,
-		ny:      ny,
-		nz:      nz,
-		buckets: make([][]int, nx*ny*nz),
-		points:  append([]Point(nil), points...),
-	}
-	for i, p := range idx.points {
-		at := idx.bucketOf(p)
-		idx.buckets[at] = append(idx.buckets[at], i)
-	}
-	return idx
-}
-
-func (idx *Index) clampAxis(v float64, n int) int {
-	c := int(v / idx.cell)
-	if c < 0 {
-		c = 0
-	}
-	if c >= n {
-		c = n - 1
-	}
-	return c
-}
-
-func (idx *Index) bucketOf(p Point) int {
-	x := idx.clampAxis(p.X, idx.nx)
-	y := idx.clampAxis(p.Y, idx.ny)
-	z := idx.clampAxis(p.Z, idx.nz)
-	return (z*idx.ny+y)*idx.nx + x
-}
-
-// Len returns the number of indexed points.
-func (idx *Index) Len() int { return len(idx.points) }
-
-// At returns point i.
-func (idx *Index) At(i int) Point { return idx.points[i] }
-
-// Within calls fn for every indexed point within radius of center.
-func (idx *Index) Within(center Point, radius float64, fn func(i int, dist float64)) {
-	if radius < 0 {
-		return
-	}
-	x0 := idx.clampAxis(center.X-radius, idx.nx)
-	x1 := idx.clampAxis(center.X+radius, idx.nx)
-	y0 := idx.clampAxis(center.Y-radius, idx.ny)
-	y1 := idx.clampAxis(center.Y+radius, idx.ny)
-	z0 := idx.clampAxis(center.Z-radius, idx.nz)
-	z1 := idx.clampAxis(center.Z+radius, idx.nz)
-	for z := z0; z <= z1; z++ {
-		for y := y0; y <= y1; y++ {
-			for x := x0; x <= x1; x++ {
-				for _, i := range idx.buckets[(z*idx.ny+y)*idx.nx+x] {
-					if d := center.Dist(idx.points[i]); d <= radius {
-						fn(i, d)
-					}
-				}
-			}
-		}
-	}
-}
-
-// CountWithin returns how many indexed points lie within radius of center.
-func (idx *Index) CountWithin(center Point, radius float64) int {
-	n := 0
-	idx.Within(center, radius, func(int, float64) { n++ })
-	return n
 }

@@ -2,7 +2,6 @@ package geom3
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"peas/internal/stats"
@@ -48,60 +47,5 @@ func TestUniformDeploy(t *testing.T) {
 		if math.Abs(c-10) > 0.5 {
 			t.Errorf("centroid coordinate %v far from 10", c)
 		}
-	}
-}
-
-func TestIndexMatchesBruteForce(t *testing.T) {
-	b := NewBox(20, 20, 20)
-	rng := stats.NewRNG(3)
-	pts := UniformDeploy(b, 300, rng)
-	for _, cell := range []float64{1.5, 4, 25} {
-		idx := NewIndex(b, pts, cell)
-		if idx.Len() != 300 {
-			t.Fatalf("len %d", idx.Len())
-		}
-		for trial := 0; trial < 30; trial++ {
-			center := Point{rng.Uniform(0, 20), rng.Uniform(0, 20), rng.Uniform(0, 20)}
-			radius := rng.Uniform(0, 8)
-			var got []int
-			idx.Within(center, radius, func(i int, dist float64) {
-				got = append(got, i)
-				if math.Abs(dist-center.Dist(pts[i])) > 1e-9 {
-					t.Fatalf("dist mismatch")
-				}
-			})
-			var want []int
-			for i, p := range pts {
-				if center.Dist(p) <= radius {
-					want = append(want, i)
-				}
-			}
-			sort.Ints(got)
-			if len(got) != len(want) {
-				t.Fatalf("cell=%v: %d vs %d points", cell, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("cell=%v: sets differ", cell)
-				}
-			}
-			if idx.CountWithin(center, radius) != len(want) {
-				t.Fatal("CountWithin mismatch")
-			}
-		}
-	}
-}
-
-func TestIndexEdge(t *testing.T) {
-	b := NewBox(5, 5, 5)
-	idx := NewIndex(b, []Point{{1, 1, 1}}, 0) // zero cell defaults
-	if idx.CountWithin(Point{1, 1, 1}, 0.5) != 1 {
-		t.Error("zero-cell index broken")
-	}
-	idx.Within(Point{1, 1, 1}, -1, func(int, float64) {
-		t.Error("negative radius matched")
-	})
-	if idx.At(0) != (Point{1, 1, 1}) {
-		t.Error("At")
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides the random-number distributions and statistical
 // helpers used throughout the PEAS simulator: seeded RNG streams,
-// exponential/uniform/Poisson sampling, summary statistics and confidence
+// exponential/uniform/normal sampling, summary statistics and confidence
 // intervals, and a union-find structure used for connectivity analysis.
 //
 // The simulator must be exactly reproducible from (config, seed), so this
@@ -171,29 +171,6 @@ func (r *RNG) Exp(lambda float64) float64 {
 	}
 	// 1 - Float64() is in (0, 1], so the log is finite.
 	return -math.Log(1-r.Float64()) / lambda
-}
-
-// Poisson returns a Poisson-distributed sample with the given mean, using
-// Knuth's method for small means and a normal approximation for large ones.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		// Normal approximation; adequate for the failure-count draws
-		// used by the experiment harness.
-		n := int(math.Round(mean + math.Sqrt(mean)*r.Normal()))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	limit := math.Exp(-mean)
-	n := 0
-	for p := r.Float64(); p > limit; p *= r.Float64() {
-		n++
-	}
-	return n
 }
 
 // Normal returns a standard normal sample via the Box-Muller transform.

@@ -109,27 +109,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	for _, mean := range []float64{0.5, 4, 32, 200} {
-		rng := NewRNG(11)
-		const n = 50000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(rng.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean)/mean > 0.05 {
-			t.Errorf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-	if NewRNG(1).Poisson(0) != 0 {
-		t.Error("Poisson(0) must be 0")
-	}
-	if NewRNG(1).Poisson(-1) != 0 {
-		t.Error("Poisson(-1) must be 0")
-	}
-}
-
 // TestRNGStateRoundTrip pins the property the checkpoint subsystem depends
 // on: capturing State mid-stream and restoring it reproduces the remaining
 // sequence exactly, across every distribution the simulator draws from.

@@ -1,13 +1,16 @@
 package peasnet
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"peas/internal/chaos"
 	"peas/internal/core"
+	"peas/internal/energy"
 	"peas/internal/geom"
 	"peas/internal/metrics"
 )
@@ -63,9 +66,9 @@ func TestInMemoryChaosInjectorCounts(t *testing.T) {
 }
 
 // TestClusterCrashRestartResumesFromCheckpoint is the live half of the
-// crash-restart fault class, on each transport: a supervised working node
-// is crashed, sits out a downtime, and must come back running its
-// pre-crash protocol state rather than rebooting from scratch.
+// crash-restart fault class, on each transport: a working node is
+// crashed, sits out a downtime, and must come back running its protocol
+// state at the crash instant rather than rebooting from scratch.
 func TestClusterCrashRestartResumesFromCheckpoint(t *testing.T) {
 	vc := newVirtualClock()
 	for _, tc := range []struct {
@@ -101,15 +104,13 @@ func crashRestartResumes(t *testing.T, tr Transport, clk clock) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	stopSup := c.Supervise(100 * time.Millisecond)
-	defer stopSup()
 	c.Start()
 	if !c.AwaitStable(0, 300*time.Millisecond, 10*time.Second) {
 		t.Fatal("working set never stabilized")
 	}
 
 	victim := -1
-	for _, n := range c.nodes() {
+	for _, n := range c.Nodes {
 		if n.State() == core.Working {
 			victim = n.ID()
 			break
@@ -118,23 +119,15 @@ func crashRestartResumes(t *testing.T, tr Transport, clk clock) {
 	if victim < 0 {
 		t.Fatal("no working node to crash")
 	}
-	pre := c.nodes()[victim].Stats()
-	if c.LastCheckpoint(victim) == nil {
-		t.Fatal("supervisor took no checkpoint before the crash")
-	}
+	restarted := c.Nodes[victim]
+	pre := restarted.Stats()
 
 	if err := c.CrashRestart(victim, 300*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 
-	restarted := c.nodes()[victim]
-	// A fresh boot would start Sleeping with zeroed counters; a checkpoint
-	// resume carries the working state and cumulative stats across. The
-	// restored state lands on the node's event loop, so poll briefly.
-	resumeBy := clk.Now().Add(5 * time.Second)
-	for restarted.State() != core.Working && clk.Now().Before(resumeBy) {
-		clk.Sleep(10 * time.Millisecond)
-	}
+	// A fresh boot would start Sleeping with zeroed counters; a resume
+	// carries the working state and cumulative stats across.
 	if st := restarted.State(); st != core.Working {
 		t.Errorf("restarted node state = %v, want Working (fresh boot instead of resume?)", st)
 	}
@@ -154,40 +147,147 @@ func crashRestartResumes(t *testing.T, tr Transport, clk clock) {
 	t.Error("no working nodes after crash-restart")
 }
 
-// TestClusterStopEndsSupervision: Stop ends a supervision whose stop
-// function was never called. No checkpoint is taken after it, nothing is
-// left scheduled on the clock, and no goroutine is left behind.
-func TestClusterStopEndsSupervision(t *testing.T) {
+// TestClusterStopDuringCrashRestartDowntime: a node whose crash-restart
+// downtime Cluster.Stop falls in does not come back when the downtime
+// ends, even over a transport the caller owns, which Stop leaves open.
+// Every node reads Dead, nothing is left scheduled on the clock, and no
+// goroutine is left.
+func TestClusterStopDuringCrashRestartDowntime(t *testing.T) {
 	before := runtime.NumGoroutine()
 	vc := newVirtualClock()
+	tr := vc.inMemory()
+	defer func() { _ = tr.Close() }()
 	c, err := NewCluster(ClusterConfig{
 		Field:     geom.NewField(10, 10),
 		N:         12,
 		Protocol:  core.DefaultConfig(),
 		TimeScale: 150,
 		Seed:      21,
+		Battery:   &BatteryConfig{Joules: 500},
 		clk:       vc,
-	}, nil)
+	}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Supervise(100 * time.Millisecond)
 	c.Start()
 	vc.Sleep(time.Second)
-	first := c.LastCheckpoint(0)
-	vc.Sleep(200 * time.Millisecond)
-	last := c.LastCheckpoint(0)
-	if first == nil || last == first {
-		t.Fatalf("supervision is not sweeping: checkpoints %p then %p", first, last)
+	vc.AfterFunc(100*time.Millisecond, c.Stop)
+	if err := c.CrashRestart(0, 300*time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
-
-	c.Stop()
 	vc.Sleep(time.Second)
-	if got := c.LastCheckpoint(0); got != last {
-		t.Error("a checkpoint was taken after Stop")
+	for _, n := range c.Nodes {
+		if st := n.State(); st != core.Dead {
+			t.Errorf("node %d reads %v after Stop, want Dead", n.ID(), st)
+		}
 	}
 	if n := vc.pending(); n != 0 {
 		t.Errorf("%d callbacks still scheduled after Stop", n)
 	}
 	awaitGoroutines(t, before)
+}
+
+// TestCrashRestartKeepsSimulatorSemantics holds a live crash-restart to
+// node.Node.Crash and ReviveFrom on a one-node cluster: the node crashes
+// asleep, its wakeup falls due during the downtime and fires at restart,
+// its time-in-state leaves the downtime out, and its battery draws sleep
+// power while down.
+func TestCrashRestartKeepsSimulatorSemantics(t *testing.T) {
+	const scale = 100
+	vc := newVirtualClock()
+	var log []core.State
+	c, err := NewCluster(ClusterConfig{
+		Field:     geom.NewField(10, 10),
+		N:         1,
+		Protocol:  core.DefaultConfig(),
+		TimeScale: scale,
+		Seed:      3,
+		OnState:   func(_ int, s core.State) { log = append(log, s) },
+		Battery:   &BatteryConfig{Joules: 500},
+		clk:       vc,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	c.Start()
+	n := c.Nodes[0]
+	before := endState(n)
+	if before.proto.State != core.Sleeping || len(before.proto.Timers) != 1 {
+		t.Fatalf("booted node: state %v, timers %+v; want Sleeping with its wakeup", before.proto.State, before.proto.Timers)
+	}
+	wakeAt := before.proto.Timers[0].At
+	// Crash at a tenth of the sleep and stay down past the wakeup.
+	crashAt := wakeAt / 10
+	vc.Sleep(time.Duration(crashAt / scale * float64(time.Second)))
+	down := time.Duration(wakeAt / scale * float64(time.Second))
+	atCrash := endState(n)
+	if err := c.CrashRestart(0, down); err != nil {
+		t.Fatal(err)
+	}
+	restarted := endState(n)
+
+	downProto := restarted.at - atCrash.at
+	sleepDraw := energy.MotesProfile().SleepW * downProto
+	if got := atCrash.joules - restarted.joules; math.Abs(got-sleepDraw) > 1e-9*sleepDraw {
+		t.Errorf("battery drew %g J while down %g s, want sleep draw %g J", got, downProto, sleepDraw)
+	}
+	if restarted.proto.State != core.Sleeping || restarted.proto.StateSince != restarted.at {
+		t.Errorf("restarted: state %v since %g at %g; want Sleeping since the restart",
+			restarted.proto.State, restarted.proto.StateSince, restarted.at)
+	}
+	if len(restarted.proto.Timers) != 1 || restarted.proto.Timers[0].At != wakeAt {
+		t.Errorf("restarted timers %+v, want the wakeup at %g", restarted.proto.Timers, wakeAt)
+	}
+
+	vc.Sleep(0) // the overdue wakeup fires now
+	s := n.Stats()
+	if s.Wakeups != 1 || n.State() != core.Probing {
+		t.Errorf("after restart: %d wakeups, state %v; want the overdue wakeup to have fired", s.Wakeups, n.State())
+	}
+	if inState := s.TimeSleeping + s.TimeProbing + s.TimeWorking; inState > restarted.at-downProto {
+		t.Errorf("time in state %g s counts the %g s downtime (node clock %g s)", inState, downProto, restarted.at)
+	}
+	if want := []core.State{core.Sleeping, core.Dead, core.Sleeping, core.Probing}; !slices.Equal(log, want) {
+		t.Errorf("OnState saw %v, want %v", log, want)
+	}
+}
+
+// TestCrashRestartAfterBatteryEmptiesStaysDead: a node whose battery
+// empties at sleep draw during its downtime does not come back, as a
+// simulated one does not, and nothing is left scheduled for it.
+func TestCrashRestartAfterBatteryEmptiesStaysDead(t *testing.T) {
+	vc := newVirtualClock()
+	var log []core.State
+	c, err := NewCluster(ClusterConfig{
+		Field:     geom.NewField(10, 10),
+		N:         1,
+		Protocol:  core.DefaultConfig(),
+		TimeScale: 100,
+		Seed:      3,
+		OnState:   func(_ int, s core.State) { log = append(log, s) },
+		Battery:   &BatteryConfig{Joules: 1e-3}, // 33 s at sleep draw
+		clk:       vc,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	c.Start()
+	if err := c.CrashRestart(0, time.Second); err != nil { // 100 s down
+		t.Fatal(err)
+	}
+	n := c.Nodes[0]
+	if left, _ := n.BatteryRemaining(); n.State() != core.Dead || left != 0 {
+		t.Errorf("after restart: state %v with %g J left, want Dead with an empty battery", n.State(), left)
+	}
+	if want := []core.State{core.Sleeping, core.Dead}; !slices.Equal(log, want) {
+		t.Errorf("OnState saw %v, want %v", log, want)
+	}
+	if err := c.CrashRestart(0, time.Second); err == nil {
+		t.Error("a dead node crashed again")
+	}
+	if n := vc.pending(); n != 0 {
+		t.Errorf("%d callbacks still scheduled for a dead node", n)
+	}
 }

@@ -148,7 +148,7 @@ func TestNotRunningNodeRunsNoCall(t *testing.T) {
 	if n.call(func() { t.Error("a stopped node ran a call") }) {
 		t.Error("call reports a run on a stopped node")
 	}
-	if _, err := n.Checkpoint(); err == nil {
-		t.Error("a stopped node took a checkpoint")
+	if _, err := n.crash(); err == nil {
+		t.Error("a stopped node crashed")
 	}
 }

@@ -2,10 +2,8 @@ package peasnet
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"peas/internal/checkpoint"
 	"peas/internal/core"
 	"peas/internal/geom"
 	"peas/internal/stats"
@@ -33,28 +31,13 @@ type ClusterConfig struct {
 	clk clock // nil means wall; shared by the nodes and an owned transport
 }
 
-// Cluster manages a set of live nodes over one transport.
-//
-// Nodes is exported for read access; while Supervise, Crash or Restart
-// are in use, go through the Cluster methods (which lock) instead of
-// iterating Nodes directly — Restart replaces slice elements.
+// Cluster manages a set of live nodes over one transport. Nodes is fixed
+// once NewCluster returns: a crash-restart brings a node back in place.
 type Cluster struct {
 	Nodes     []*Node
 	transport Transport
 	ownsTrans bool
 	clk       clock
-
-	mu          sync.Mutex
-	ckpts       map[int]*checkpoint.LiveNode // latest supervised per-node checkpoints
-	supervisors []func()                     // stop functions of Supervise calls
-}
-
-// nodes returns a consistent copy of the node slice for lock-free
-// iteration.
-func (c *Cluster) nodes() []*Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*Node(nil), c.Nodes...)
 }
 
 // NewCluster deploys cfg.N live nodes on the given transport. If
@@ -86,7 +69,6 @@ func NewCluster(cfg ClusterConfig, transport Transport) (*Cluster, error) {
 		ownsTrans: owns,
 		clk:       cfg.clk,
 		Nodes:     make([]*Node, 0, cfg.N),
-		ckpts:     make(map[int]*checkpoint.LiveNode),
 	}
 	for i := 0; i < cfg.N; i++ {
 		n, err := NewNode(Config{
@@ -110,21 +92,15 @@ func NewCluster(cfg ClusterConfig, transport Transport) (*Cluster, error) {
 
 // Start boots every node.
 func (c *Cluster) Start() {
-	for _, n := range c.nodes() {
+	for _, n := range c.Nodes {
 		n.Start()
 	}
 }
 
-// Stop ends supervision, shuts every node down and closes an owned
-// transport.
+// Stop shuts every node down and closes an owned transport. A node in a
+// crash-restart's downtime stays down.
 func (c *Cluster) Stop() {
-	c.mu.Lock()
-	supervisors := c.supervisors
-	c.mu.Unlock()
-	for _, stop := range supervisors {
-		stop()
-	}
-	for _, n := range c.nodes() {
+	for _, n := range c.Nodes {
 		n.Stop()
 	}
 	if c.ownsTrans {
@@ -132,10 +108,33 @@ func (c *Cluster) Stop() {
 	}
 }
 
+// CrashRestart crashes node id, keeps it down for the given duration on
+// the cluster's clock, then restarts it in place from its protocol state
+// at the crash instant — the live half of the crash-restart fault class,
+// with the simulator's semantics. The node's clock, RNG stream and
+// battery run on through the downtime; a node whose battery empties
+// meanwhile stays dead, and one stopped meanwhile stays stopped.
+// CrashRestart blocks for the downtime; on the wall clock, run it from its
+// own goroutine to keep driving the cluster meanwhile. It fails on a node
+// that is not running or is dead.
+func (c *Cluster) CrashRestart(id int, downtime time.Duration) error {
+	if id < 0 || id >= len(c.Nodes) {
+		return fmt.Errorf("peasnet: node %d out of range [0,%d)", id, len(c.Nodes))
+	}
+	n := c.Nodes[id]
+	st, err := n.crash()
+	if err != nil {
+		return err
+	}
+	c.clk.Sleep(downtime)
+	n.restart(st)
+	return nil
+}
+
 // WorkingCount returns how many nodes are currently in Working mode.
 func (c *Cluster) WorkingCount() int {
 	count := 0
-	for _, n := range c.nodes() {
+	for _, n := range c.Nodes {
 		if n.State() == core.Working {
 			count++
 		}
@@ -146,7 +145,7 @@ func (c *Cluster) WorkingCount() int {
 // WorkingPositions returns the positions of the working nodes.
 func (c *Cluster) WorkingPositions() []geom.Point {
 	var pts []geom.Point
-	for _, n := range c.nodes() {
+	for _, n := range c.Nodes {
 		if n.State() == core.Working {
 			pts = append(pts, n.Pos())
 		}
@@ -157,7 +156,7 @@ func (c *Cluster) WorkingPositions() []geom.Point {
 // StateCounts returns how many nodes are currently in each mode.
 func (c *Cluster) StateCounts() map[core.State]int {
 	counts := make(map[core.State]int, 4)
-	for _, n := range c.nodes() {
+	for _, n := range c.Nodes {
 		counts[n.State()]++
 	}
 	return counts
@@ -168,7 +167,7 @@ func (c *Cluster) StateCounts() map[core.State]int {
 // running.
 func (c *Cluster) TotalStats() core.Stats {
 	var total core.Stats
-	for _, n := range c.nodes() {
+	for _, n := range c.Nodes {
 		s := n.Stats()
 		total.Wakeups += s.Wakeups
 		total.ProbesSent += s.ProbesSent

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"peas/internal/checkpoint"
 	"peas/internal/core"
 	"peas/internal/energy"
 	"peas/internal/geom"
@@ -33,8 +32,8 @@ type Config struct {
 	Seed int64
 	// OnState, when non-nil, is called on every protocol mode change. It
 	// runs under the node's lock, on whichever goroutine brought the
-	// call: keep it fast, and do not call that node's Stats, Checkpoint
-	// or Stop from it, which would deadlock.
+	// call: keep it fast, and do not call that node's Stats or Stop from
+	// it, which would deadlock.
 	OnState func(id int, s core.State)
 	// Battery, when non-nil, enables battery emulation: the node drains
 	// a virtual charge by mode and dies on depletion.
@@ -44,8 +43,8 @@ type Config struct {
 }
 
 // Node is a live PEAS node: the protocol state machine over a Transport.
-// It has no goroutine of its own. Each protocol call — boot or resume, a
-// frame, a timer, a battery depletion, Stats, Checkpoint — runs to
+// It has no goroutine of its own. Each protocol call — boot, crash or
+// restart, a frame, a timer, a battery depletion, Stats — runs to
 // completion under the node's lock, on the goroutine that brought it: the
 // caller's, a transport's or a timer's. The core.Platform methods run with
 // the lock held.
@@ -55,13 +54,6 @@ type Node struct {
 	proto     *core.Protocol
 	rng       *stats.RNG
 	scale     float64
-	// base offsets the protocol clock: a restored node resumes at its
-	// checkpoint's recorded time, so the downtime never existed on the
-	// node's own clock. Zero for fresh nodes.
-	base float64
-	// resume, when non-nil, makes Start restore this checkpoint instead
-	// of booting the protocol fresh. Set by RestoreNode.
-	resume *checkpoint.LiveNode
 
 	// Read without the lock: by State and by the transport.
 	listening atomic.Bool
@@ -69,8 +61,8 @@ type Node struct {
 
 	// mu serializes the protocol calls and guards everything below.
 	mu            sync.Mutex
-	started       time.Time
-	running       bool
+	started       time.Time // zero until Start
+	running       bool      // started, and neither stopped nor crashed
 	stopped       bool
 	battery       *energy.Battery // nil without battery emulation
 	stopDepletion func() bool
@@ -138,96 +130,24 @@ func (n *Node) Stats() core.Stats {
 	return s
 }
 
-// Start boots the node: the protocol enters Sleeping mode, or a restored
-// node resumes its checkpoint, before Start returns. Starting twice or
-// after Stop is a no-op.
+// Start boots the node: the protocol enters Sleeping mode before Start
+// returns. Starting twice or after Stop is a no-op.
 func (n *Node) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.running || n.stopped {
+	if !n.started.IsZero() || n.stopped {
 		return
 	}
 	n.running = true
 	n.started = n.cfg.clk.Now()
-	if st := n.resume; st != nil {
-		n.proto.RestoreState(st.Proto)
-		// Re-apply the restored mode's side effects (radio power,
-		// battery mode, observers) that RestoreState bypasses, then
-		// re-arm the captured pending timers; deadlines are on the
-		// node's own clock, which resumed right at the checkpoint.
-		n.SetState(st.Proto.State)
-		n.proto.ResumeTimers(st.Proto.Timers)
-		return
-	}
 	n.proto.Start()
-}
-
-// Checkpoint captures the node's live state — protocol clock, RNG
-// stream, remaining battery, protocol state with pending timers — under
-// its lock, so the capture is internally consistent while the rest of
-// the cluster keeps running. It fails on a node that is not running.
-func (n *Node) Checkpoint() (*checkpoint.LiveNode, error) {
-	var st *checkpoint.LiveNode
-	ran := n.call(func() {
-		now := n.Now()
-		st = &checkpoint.LiveNode{
-			ID:            n.cfg.ID,
-			ProtoTime:     now,
-			RNG:           n.rng.State(),
-			BatteryJoules: -1,
-			Proto:         n.proto.Snapshot(),
-		}
-		if n.battery != nil {
-			st.BatteryJoules = n.battery.Remaining(now)
-		}
-	})
-	if !ran {
-		return nil, fmt.Errorf("peasnet: node %d is not running", n.cfg.ID)
-	}
-	return st, nil
-}
-
-// RestoreNode creates a node that will, on Start, resume the captured
-// checkpoint instead of booting fresh: the protocol clock continues from
-// the snapshot's recorded time, the RNG stream picks up where it left
-// off, the battery holds the recorded charge, and the pending timers
-// re-arm. The checkpoint's ID overrides cfg.ID; the id must be free on
-// the transport (Unregister the crashed node first).
-func RestoreNode(cfg Config, transport Transport, st *checkpoint.LiveNode) (*Node, error) {
-	if st == nil {
-		return nil, fmt.Errorf("peasnet: nil checkpoint")
-	}
-	if st.Proto.State == core.Dead {
-		return nil, fmt.Errorf("peasnet: node %d checkpoint is of a dead node", st.ID)
-	}
-	cfg.ID = st.ID
-	if cfg.Battery != nil && st.BatteryJoules >= 0 {
-		b := *cfg.Battery
-		b.Joules = st.BatteryJoules
-		cfg.Battery = &b
-	}
-	n, err := NewNode(cfg, transport)
-	if err != nil {
-		return nil, err
-	}
-	n.base = st.ProtoTime
-	if n.battery != nil {
-		// Position the drain clock at the checkpoint without settling:
-		// the battery must not be charged for the downtime the node's
-		// clock skips over.
-		bst := n.battery.Snapshot()
-		bst.LastT = st.ProtoTime
-		n.battery.Restore(bst)
-	}
-	n.rng.Restore(st.RNG)
-	n.resume = st
-	return n, nil
 }
 
 // Stop shuts the node down: pending timers are cancelled, the radio goes
 // off and the node reports Dead. A stop is not a protocol transition, so
 // OnState is not called. Stop waits for a call under way; once it
-// returns, no protocol call of the node runs. Stop is idempotent.
+// returns, no protocol call of the node runs, and a crashed node does not
+// restart. Stop is idempotent.
 func (n *Node) Stop() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -235,10 +155,7 @@ func (n *Node) Stop() {
 		return
 	}
 	n.running, n.stopped = false, true
-	for _, stop := range n.timers {
-		stop()
-	}
-	n.timers = nil
+	n.cancelTimers()
 	if n.stopDepletion != nil {
 		n.stopDepletion()
 		n.stopDepletion = nil
@@ -247,10 +164,60 @@ func (n *Node) Stop() {
 	n.listening.Store(false)
 }
 
+// crash fails the running node as the simulator's node.Node.Crash does
+// and returns its protocol state at the crash instant. The protocol goes
+// Dead, which turns the radio off, puts the battery at sleep draw and
+// tells OnState. Pending timers are cancelled, and every call is dropped
+// until restart. The clock, RNG stream and battery carry on.
+func (n *Node) crash() (core.ProtocolState, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.running || n.proto.State() == core.Dead {
+		return core.ProtocolState{}, fmt.Errorf("peasnet: node %d is not running or is dead", n.cfg.ID)
+	}
+	st := n.proto.Snapshot()
+	n.proto.Fail()
+	n.cancelTimers()
+	n.running = false
+	return st, nil
+}
+
+// restart brings a crashed node back in place from st, as the
+// simulator's node.Node.ReviveFrom does: the downtime is left out of the
+// restored mode's time-in-state, and timers that fell due meanwhile fire
+// at once. A node stopped meanwhile stays stopped, and one whose battery
+// emptied while down stays dead.
+func (n *Node) restart(st core.ProtocolState) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped {
+		return
+	}
+	n.running = true
+	now := n.Now()
+	if n.battery != nil && n.battery.Remaining(now) <= 0 {
+		return
+	}
+	st.StateSince = now
+	n.proto.RestoreState(st)
+	// Re-apply the restored mode's side effects (radio power, battery
+	// mode, observers) that RestoreState bypasses.
+	n.SetState(st.State)
+	n.proto.ResumeTimers(st.Timers)
+}
+
+// cancelTimers stops every pending AtArg timer.
+func (n *Node) cancelTimers() {
+	for _, stop := range n.timers {
+		stop()
+	}
+	clear(n.timers)
+}
+
 // call runs fn under the node's lock if the node is running, and reports
-// whether it did. Frames, timers, depletions, Stats and Checkpoint go
-// through it, so one that reaches a node that never started, or has
-// stopped, is dropped.
+// whether it did. Frames, timers, depletions and Stats go through it, so
+// one that reaches a node that never started, is down after a crash, or
+// has stopped, is dropped.
 func (n *Node) call(fn func()) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -263,16 +230,15 @@ func (n *Node) call(fn func()) bool {
 
 // --- core.Platform implementation (called under the node's lock) ---
 
-// Now returns protocol time: scaled seconds since Start, offset by the
-// restored checkpoint time for resumed nodes.
+// Now returns protocol time: scaled seconds since Start.
 func (n *Node) Now() float64 {
-	return n.base + n.cfg.clk.Now().Sub(n.started).Seconds()*n.scale
+	return n.cfg.clk.Now().Sub(n.started).Seconds() * n.scale
 }
 
 // AtArg schedules fn(arg) at protocol time at; a past deadline fires at
 // once. The timer fires on a goroutine of the clock's choosing, which
-// runs fn under the node's lock. Pending timers are cancelled on Stop; a
-// deadline too far off for a time.Duration arms none.
+// runs fn under the node's lock. Pending timers are cancelled on Stop and
+// on a crash; a deadline too far off for a time.Duration arms none.
 func (n *Node) AtArg(at float64, fn func(any), arg any) {
 	delay, ok := wallDelay(at-n.Now(), n.scale)
 	if !ok {

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"peas/internal/chaos"
-	"peas/internal/checkpoint"
 	"peas/internal/core"
 	"peas/internal/geom"
 	"peas/internal/metrics"
+	"peas/internal/stats"
 )
 
 // liveRun is what two runs of one seed on the virtual clock must share.
@@ -17,7 +17,28 @@ type liveRun struct {
 	log      []stateChange
 	totals   core.Stats
 	counters map[string]uint64
-	ckpts    []*checkpoint.LiveNode // each node's checkpoint at the end
+	ends     []nodeEnd // each node's state at the end
+}
+
+// nodeEnd is one node's state: its protocol clock, protocol state with
+// pending timers, RNG stream and remaining battery (-1 without one).
+type nodeEnd struct {
+	at     float64
+	proto  core.ProtocolState
+	rng    stats.RNGState
+	joules float64
+}
+
+// endState reads n's state under its lock, so the read is consistent
+// while the rest of the cluster runs.
+func endState(n *Node) nodeEnd {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	e := nodeEnd{at: n.Now(), proto: n.proto.Snapshot(), rng: n.rng.State(), joules: -1}
+	if n.battery != nil {
+		e.joules = n.battery.Remaining(e.at)
+	}
+	return e
 }
 
 type stateChange struct {
@@ -36,24 +57,19 @@ func record(cfg *ClusterConfig, vc *virtualClock, run *liveRun) {
 	}
 }
 
-// finish fills in run's end-of-run totals and checkpoints.
-func finish(t *testing.T, c *Cluster, run *liveRun) {
-	t.Helper()
+// finish fills in run's end-of-run totals and node states.
+func finish(c *Cluster, run *liveRun) {
 	run.totals = c.TotalStats()
-	for _, n := range c.nodes() {
-		st, err := n.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		run.ckpts = append(run.ckpts, st)
+	for _, n := range c.Nodes {
+		run.ends = append(run.ends, endState(n))
 	}
 }
 
 // chaosCampaign is the live chaos campaign: 40 nodes with 500 J batteries
 // on a 20 x 20 m field at scale 150, under 5 % loss, 5 % duplication and
-// 20 % delay, checkpointed every 300 ms. Once the working set is stable
-// within ±3, a working node crashes and restarts from its checkpoint
-// after 1 s down. It must resume with its protocol history, the cluster
+// 20 % delay. Once the working set is stable within ±3, a working node
+// crashes and, after 1 s down, restarts in place from its state at the
+// crash instant. It must resume with its protocol history, the cluster
 // must restabilise, and loss, duplication and delay must each fire.
 func chaosCampaign(t *testing.T, seed int64) liveRun {
 	t.Helper()
@@ -84,7 +100,6 @@ func chaosCampaign(t *testing.T, seed int64) liveRun {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	c.Supervise(300 * time.Millisecond)
 	c.Start()
 	const settle, timeout = 1500 * time.Millisecond, 6 * time.Second
 	if !c.AwaitStable(3, settle, timeout) {
@@ -92,7 +107,7 @@ func chaosCampaign(t *testing.T, seed int64) liveRun {
 	}
 
 	victim := -1
-	for _, n := range c.nodes() {
+	for _, n := range c.Nodes {
 		if n.State() == core.Working {
 			victim = n.ID()
 			break
@@ -101,16 +116,16 @@ func chaosCampaign(t *testing.T, seed int64) liveRun {
 	if victim < 0 {
 		t.Fatal("no working node to crash")
 	}
-	pre := c.nodes()[victim].Stats()
+	restarted := c.Nodes[victim]
+	pre := restarted.Stats()
 	inj.With(func(ch *chaos.Channel) { ch.Counters().Add(chaos.CtrCrash, 1) })
 	if err := c.CrashRestart(victim, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	inj.With(func(ch *chaos.Channel) { ch.Counters().Add(chaos.CtrRestarted, 1) })
-	restarted := c.nodes()[victim]
 	post := restarted.Stats()
 	if restarted.State() != core.Working || post.Wakeups < pre.Wakeups || post.ProbesSent < pre.ProbesSent {
-		t.Errorf("node %d rebooted fresh instead of resuming its checkpoint: state %v, pre %+v, post %+v",
+		t.Errorf("node %d rebooted fresh instead of resuming its state: state %v, pre %+v, post %+v",
 			victim, restarted.State(), pre, post)
 	}
 	if !c.AwaitStable(3, settle, timeout) {
@@ -123,7 +138,7 @@ func chaosCampaign(t *testing.T, seed int64) liveRun {
 			t.Errorf("fault class %q never fired", want)
 		}
 	}
-	finish(t, c, &run)
+	finish(c, &run)
 	return run
 }
 
@@ -149,7 +164,7 @@ func bootToStable(t *testing.T, seed int64) liveRun {
 	if !c.AwaitStable(0, 500*time.Millisecond, 10*time.Second) {
 		t.Fatalf("working set never stabilised; working=%d", c.WorkingCount())
 	}
-	finish(t, c, &run)
+	finish(c, &run)
 	return run
 }
 

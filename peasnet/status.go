@@ -30,7 +30,7 @@ func (c *Cluster) Status() ClusterStatus {
 		ByState: make(map[string]int, 4),
 		Totals:  make(map[string]uint64, 4),
 	}
-	for _, n := range c.nodes() {
+	for _, n := range c.Nodes {
 		state := n.State()
 		stats := n.Stats()
 		st.Nodes = append(st.Nodes, NodeStatus{

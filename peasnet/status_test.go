@@ -71,8 +71,9 @@ func TestClusterStatus(t *testing.T) {
 }
 
 // TestClusterStatusDuringCrashRestart polls Status while CrashRestart
-// replaces a node: under -race, Status must read the node slice through
-// the cluster lock, and every snapshot must list every node.
+// crashes and restarts nodes in place: under -race, Status must read each
+// node only through its lock and atomics, and every snapshot must list
+// every node.
 func TestClusterStatusDuringCrashRestart(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Field:     geom.NewField(8, 8),

@@ -21,10 +21,6 @@ type Transport interface {
 	// listening callback reports whether the node's radio is currently
 	// on; transports must not deliver to non-listening nodes.
 	Register(id int, pos geom.Point, listening func() bool, recv Receiver) error
-	// Unregister tears node id's endpoint down, freeing the id for a
-	// later Register — the crash half of a crash-restart. Unknown ids
-	// are ignored.
-	Unregister(id int)
 	// Broadcast delivers frame to every listening registered node
 	// within radius of pos, except the sender.
 	Broadcast(from int, pos geom.Point, radius float64, frame []byte) error
@@ -129,13 +125,6 @@ func (t *InMemory) deliver(recv Receiver, frame []byte, dist float64) {
 	t.mu.Unlock()
 	defer t.delivering.Done()
 	recv(frame, dist)
-}
-
-// Unregister implements Transport.
-func (t *InMemory) Unregister(id int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.members, id)
 }
 
 // Close implements Transport.

@@ -199,24 +199,6 @@ func (t *UDP) SetFaultInjector(f FaultInjector) {
 	t.faults = f
 }
 
-// Unregister implements Transport: it closes node id's socket, which ends
-// its reader. A table row stays, so peers keep addressing the node.
-func (t *UDP) Unregister(id int) {
-	t.mu.Lock()
-	p := t.peers[id]
-	if p == nil || p.conn == nil {
-		t.mu.Unlock()
-		return
-	}
-	conn := p.conn
-	p.conn = nil
-	if !t.table {
-		delete(t.peers, id)
-	}
-	t.mu.Unlock()
-	_ = conn.Close()
-}
-
 // Close shuts every hosted socket and waits for the readers to exit.
 func (t *UDP) Close() error {
 	t.mu.Lock()

@@ -100,10 +100,6 @@ func TestUDPTableValidation(t *testing.T) {
 	if err := tr.Register(0, geom.Point{}, listening, recv); err == nil {
 		t.Error("registering a hosted id twice should fail")
 	}
-	tr.Unregister(0)
-	if err := tr.Register(0, geom.Point{}, listening, recv); err != nil {
-		t.Errorf("re-registering after Unregister: %v", err)
-	}
 }
 
 // TestMultiTransportNetwork runs one node per table-driven UDP transport —
