@@ -1,7 +1,9 @@
 package peas_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/csv"
 	"net"
 	"net/http/httptest"
 	"os"
@@ -223,10 +225,19 @@ func TestCLIPeasBench(t *testing.T) {
 	if !strings.Contains(out, "Lemma 3.1") {
 		t.Errorf("bench output:\n%s", out)
 	}
-	// CSV format.
-	out = runTool(t, bin, "-exp", "density", "-format", "csv")
-	if !strings.Contains(out, "nodes,") {
-		t.Errorf("csv output:\n%s", out)
+	// CSV format: stdout alone must parse as CSV, every record as wide
+	// as the header (the table's note is a # comment).
+	csvOut, err := exec.Command(bin, "-exp", "density", "-format", "csv").Output()
+	if err != nil {
+		t.Fatalf("-format csv: %v", err)
+	}
+	r := csv.NewReader(bytes.NewReader(csvOut))
+	r.Comment = '#'
+	records, err := r.ReadAll()
+	if err != nil {
+		t.Errorf("-format csv stdout is not CSV: %v\n%s", err, csvOut)
+	} else if len(records) < 2 || records[0][0] != "nodes" {
+		t.Errorf("csv output:\n%s", csvOut)
 	}
 	// JSON format.
 	out = runTool(t, bin, "-exp", "estimator", "-format", "json")

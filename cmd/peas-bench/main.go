@@ -134,6 +134,8 @@ func run() error {
 	if !matched {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", *exp, validIDs)
 	}
-	fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Millisecond))
+	// Timing goes to stderr: stdout carries only the tables, so it stays
+	// deterministic and a -format csv stream stays valid CSV.
+	fmt.Fprintf(os.Stderr, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -1,24 +1,18 @@
-// Package baseline implements the comparison schemes the paper contrasts
-// PEAS against:
+// Package baseline implements the comparison scheme the paper contrasts
+// PEAS against: deterministic synchronized sleeping in the style of
+// GAF/SPAN (§2.1.1, Figures 4-5). The field is divided into cells; cell
+// members wake simultaneously at round boundaries and re-elect one
+// working node (the one with most remaining energy). When the elected
+// worker fails unexpectedly mid-round, the cell is unmonitored until the
+// next boundary — the "gap" PEAS's randomized wakeups avoid.
 //
-//   - AlwaysOn: every node works from deployment until depletion. System
-//     lifetime equals one battery lifetime regardless of deployment size —
-//     the motivation for sleep scheduling.
-//   - SyncSleep: deterministic synchronized sleeping in the style of
-//     GAF/SPAN (§2.1.1, Figures 4-5): the field is divided into cells;
-//     cell members wake simultaneously at round boundaries and re-elect
-//     one working node (the one with most remaining energy). When the
-//     elected worker fails unexpectedly mid-round, the cell is unmonitored
-//     until the next boundary — the "gap" PEAS's randomized wakeups avoid.
-//
-// The baselines run on a lightweight simulation (no radio contention):
-// both schemes' election traffic is local and rare, and the quantities
-// compared — lifetimes and gap durations — are timing properties.
+// The baseline runs on a lightweight simulation (no radio contention):
+// its election traffic is local and rare, and the quantities compared —
+// lifetimes and gap durations — are timing properties.
 package baseline
 
 import (
 	"math"
-	"sort"
 
 	"peas/internal/energy"
 	"peas/internal/geom"
@@ -95,7 +89,7 @@ func (g *GapStats) finish() {
 // Result is the outcome of a baseline run.
 type Result struct {
 	// CoverageLifetime is when the fraction of cells with a live worker
-	// drops below 90% (AlwaysOn: fraction of nodes alive).
+	// drops below 90%.
 	CoverageLifetime float64
 	// Gaps summarizes worker-replacement interruptions.
 	Gaps GapStats
@@ -110,50 +104,6 @@ type nodeState struct {
 	pos    geom.Point
 	energy float64 // remaining joules
 	alive  bool
-}
-
-// AlwaysOn runs the trivial baseline: every node idles from deployment
-// until depletion; injected failures remove nodes early. Its coverage
-// lifetime is bounded by a single battery life no matter how many nodes
-// are deployed.
-func AlwaysOn(cfg Config) Result {
-	root := stats.NewRNG(cfg.Seed)
-	deployRNG, energyRNG, failRNG := root.Split(), root.Split(), root.Split()
-	_ = deployRNG
-
-	nodes := make([]nodeState, cfg.N)
-	deaths := make([]float64, cfg.N)
-	for i := range nodes {
-		charge := energyRNG.Uniform(cfg.InitialEnergyMin, cfg.InitialEnergyMax)
-		deaths[i] = charge / cfg.Energy.IdleW
-	}
-	// Injected failures truncate uniformly chosen nodes' lives.
-	if cfg.FailureRate > 0 {
-		t := failRNG.Exp(cfg.FailureRate)
-		for t < cfg.Horizon {
-			victim := failRNG.Intn(cfg.N)
-			if deaths[victim] > t {
-				deaths[victim] = t
-			}
-			t += failRNG.Exp(cfg.FailureRate)
-		}
-	}
-	// Lifetime: when alive fraction drops below 90%.
-	sorted := append([]float64(nil), deaths...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(0.1*float64(cfg.N))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	var consumed float64
-	for _, d := range deaths {
-		life := math.Min(d, cfg.Horizon)
-		consumed += life * cfg.Energy.IdleW
-	}
-	return Result{
-		CoverageLifetime: math.Min(sorted[idx], cfg.Horizon),
-		TotalConsumed:    consumed,
-	}
 }
 
 // SyncSleep runs the synchronized-sleeping baseline and reports lifetimes

@@ -4,37 +4,6 @@ import (
 	"testing"
 )
 
-func TestAlwaysOnLifetimeIsOneBatteryLife(t *testing.T) {
-	cfg := DefaultConfig(160, 1)
-	res := AlwaysOn(cfg)
-	// All nodes idle from t=0 with 54-60 J at 12 mW: the 10th
-	// percentile battery dies between 4500 and 5000 s.
-	if res.CoverageLifetime < 4000 || res.CoverageLifetime > 5000 {
-		t.Errorf("lifetime = %v, want one battery life", res.CoverageLifetime)
-	}
-	// Deploying more nodes does not extend AlwaysOn's lifetime — the
-	// motivation for sleep scheduling.
-	big := AlwaysOn(DefaultConfig(800, 1))
-	if big.CoverageLifetime > res.CoverageLifetime*1.15 {
-		t.Errorf("AlwaysOn lifetime scaled with deployment: %v -> %v",
-			res.CoverageLifetime, big.CoverageLifetime)
-	}
-	if res.TotalConsumed <= 0 {
-		t.Error("no energy consumed")
-	}
-}
-
-func TestAlwaysOnFailuresShortenLifetime(t *testing.T) {
-	calm := AlwaysOn(DefaultConfig(160, 3))
-	harsh := DefaultConfig(160, 3)
-	harsh.FailureRate = 48.0 / 5000
-	stormy := AlwaysOn(harsh)
-	if stormy.CoverageLifetime >= calm.CoverageLifetime {
-		t.Errorf("failures did not shorten lifetime: %v vs %v",
-			stormy.CoverageLifetime, calm.CoverageLifetime)
-	}
-}
-
 func TestSyncSleepExtendsLifetime(t *testing.T) {
 	cfg := DefaultConfig(480, 5)
 	cfg.Horizon = 40000

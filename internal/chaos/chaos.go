@@ -1,7 +1,9 @@
 // Package chaos is a deterministic, scripted fault-injection engine for
 // the PEAS reproduction. It drives one fault vocabulary against both
-// substrates — the discrete-event simulator (internal/radio +
-// internal/failure) and the live runtime (package peasnet) —
+// substrates — the discrete-event simulator (channel faults through
+// internal/radio's fault hook; node faults struck by Controller.strike,
+// with rate events timed by internal/failure's §5.2 arrival loop) and the
+// live runtime (package peasnet) —
 // so robustness claims can be exercised under the same fault classes the
 // paper's §5.2 methodology and the related duty-cycling literature
 // (bursty loss, node churn) call for:
@@ -11,7 +13,7 @@
 //   - network partitions with heal;
 //   - node faults beyond fail-stop: transient fail-recover with
 //     configurable downtime, and crash-restart that resumes a node from
-//     its last checkpoint.
+//     the protocol state captured at the crash instant.
 //
 // Everything is a pure function of a plan and a seed: per-frame fault
 // decisions come from a dedicated stats.RNG stream, victim selection from

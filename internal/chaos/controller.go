@@ -1,9 +1,6 @@
 package chaos
 
 import (
-	"fmt"
-
-	"peas/internal/core"
 	"peas/internal/failure"
 	"peas/internal/metrics"
 	"peas/internal/node"
@@ -23,15 +20,14 @@ func (r radioFaults) JudgeFrame(from, to radio.NodeID) radio.FaultDecision {
 
 // Controller drives a Plan against a simulated network: it owns the
 // fault Channel on the radio medium, schedules every plan event on the
-// simulation engine, and runs the node-fault arrival processes.
+// simulation engine, and strikes the node-fault victims, whether a point
+// event or a rate event's arrival process picked them.
 type Controller struct {
 	net       *node.Network
-	plan      *Plan
 	channel   *Channel
 	counters  *metrics.Counters
 	victimRNG *stats.RNG
 	partRNG   *stats.RNG
-	injectors []*failure.Injector
 }
 
 // AttachSim wires plan into net. Call after NewNetwork and before
@@ -47,7 +43,6 @@ func AttachSim(net *node.Network, plan *Plan) (*Controller, error) {
 	root := stats.NewRNG(plan.Seed)
 	ctl := &Controller{
 		net:       net,
-		plan:      plan,
 		channel:   NewChannel(0, counters),
 		counters:  counters,
 		victimRNG: root.Split(),
@@ -58,26 +53,19 @@ func AttachSim(net *node.Network, plan *Plan) (*Controller, error) {
 
 	// Split one RNG stream per Poisson node-fault event up front, in plan
 	// order, so stream assignment does not depend on event firing order.
+	// The arrival process draws each victim from that stream; strike
+	// decides what happens to it.
 	for i := range plan.Events {
 		ev := &plan.Events[i]
 		if channelClass(ev.Class) || ev.Rate <= 0 {
 			continue
 		}
-		inj := failure.NewInjector(net, failure.RatePer5000s(ev.Rate), root.Split())
-		inj.SetPolicy(policyFor(ev.Policy))
-		switch ev.Class {
-		case FailStop:
-			inj.SetHooks(func(core.NodeID) { ctl.counters.Add(CtrFailStop, 1) }, nil)
-		case FailRecover:
-			inj.SetRecovery(downtimeOf(ev))
-			inj.SetHooks(
-				func(core.NodeID) { ctl.counters.Add(CtrFailRecover, 1) },
-				func(core.NodeID) { ctl.counters.Add(CtrRecovered, 1) })
-		case CrashRestart:
-			return nil, fmt.Errorf("chaos: crash-restart events are point events; use count, not rate")
+		inj := failure.NewInjectorWith(net, failure.RatePer5000s(ev.Rate), root.Split(),
+			policyFor(ev.Policy), func(victim *node.Node) { ctl.strike(ev, victim) })
+		net.Engine.At(ev.At, inj.Start)
+		if ev.Until > 0 {
+			net.Engine.At(ev.Until, inj.Stop)
 		}
-		ctl.injectors = append(ctl.injectors, inj)
-		ctl.scheduleWindowed(ev, inj)
 	}
 	for i := range plan.Events {
 		ev := &plan.Events[i]
@@ -153,13 +141,6 @@ func (c *Controller) scheduleChannel(ev *Event) {
 	}
 }
 
-func (c *Controller) scheduleWindowed(ev *Event, inj *failure.Injector) {
-	c.net.Engine.At(ev.At, inj.Start)
-	if ev.Until > 0 {
-		c.net.Engine.At(ev.Until, inj.Stop)
-	}
-}
-
 // schedulePoint strikes Count victims exactly at ev.At.
 func (c *Controller) schedulePoint(ev *Event) {
 	count := ev.Count
@@ -185,9 +166,11 @@ func (c *Controller) pickVictim(ev *Event) *node.Node {
 		}
 		return c.net.Nodes[id]
 	}
-	return c.net.PickAlive(c.victimRNG, policyFor(ev.Policy).Filter())
+	return c.net.PickAlive(c.victimRNG, policyFor(ev.Policy))
 }
 
+// strike applies ev's node fault to victim and counts it. It is the one
+// implementation of each node-fault class, for point and rate events alike.
 func (c *Controller) strike(ev *Event, victim *node.Node) {
 	switch ev.Class {
 	case FailStop:
@@ -249,15 +232,17 @@ func (c *Controller) partitionGroups(ev *Event) []int {
 	return out
 }
 
-func policyFor(s string) failure.VictimPolicy {
+// policyFor returns the victim filter a Policy names, in the shape
+// Network.PickAlive accepts: nil for "any" (the default), the working
+// nodes for "working", the rest for "sleeping".
+func policyFor(s string) func(*node.Node) bool {
 	switch s {
 	case "working":
-		return failure.WorkingOnly
+		return (*node.Node).Working
 	case "sleeping":
-		return failure.SleepingOnly
-	default:
-		return failure.AnyAlive
+		return func(n *node.Node) bool { return !n.Working() }
 	}
+	return nil
 }
 
 func delayOf(ev *Event) float64 {

@@ -84,7 +84,7 @@ func TestAllStudiesRender(t *testing.T) {
 // and on all CPUs (which also puts the grid-driven studies under the race
 // detector in CI's non -short race step). Regenerate the file with
 //
-//	go run ./cmd/peas-bench -quick -runs 1 -seed 1 | grep -v '^total wall time' \
+//	go run ./cmd/peas-bench -quick -runs 1 -seed 1 \
 //	  > internal/experiment/testdata/peas_bench_quick_runs1_seed1.golden
 func TestGoldenEvaluation(t *testing.T) {
 	if testing.Short() {

@@ -14,81 +14,41 @@ import (
 // failures per second.
 func RatePer5000s(failures float64) float64 { return failures / 5000 }
 
-// VictimPolicy selects which alive nodes are eligible victims.
-type VictimPolicy int
-
-// Victim policies.
-const (
-	// AnyAlive picks uniformly over all alive nodes, working and sleeping
-	// alike — the paper's §5.2 methodology and the default.
-	AnyAlive VictimPolicy = iota
-	// WorkingOnly targets nodes currently in Working mode, stressing the
-	// replacement machinery directly.
-	WorkingOnly
-	// SleepingOnly targets alive nodes not currently working, thinning
-	// the reserve the protocol draws replacements from.
-	SleepingOnly
-)
-
-// Filter returns the node predicate the policy stands for (nil means
-// every alive node qualifies), in the shape Network.PickAlive accepts.
-func (p VictimPolicy) Filter() func(*node.Node) bool {
-	switch p {
-	case WorkingOnly:
-		return func(n *node.Node) bool { return n.Working() }
-	case SleepingOnly:
-		return func(n *node.Node) bool { return !n.Working() }
-	default:
-		return nil
-	}
-}
-
-// Injector schedules Poisson-distributed failures on a network. By
-// default failures pick a uniformly random alive node, so both working
-// and sleeping nodes fail, as in the paper; SetPolicy narrows the victim
-// set and SetRecovery makes failures transient (crash + revive) instead
-// of fail-stop.
+// Injector runs the paper's §5.2 process on a network: failures arrive
+// at exponentially distributed gaps, and each picks a uniformly random
+// alive node, working or sleeping alike. Each arrival draws its gap and
+// its victim from the injector's own stream and hands the victim to a
+// strike, which by default fails it for good.
 type Injector struct {
 	net      *node.Network
 	rng      *stats.RNG
-	rate     float64 // failures per second
+	rate     float64               // failures per second
+	filter   func(*node.Node) bool // eligible victims; nil means every alive node
+	strike   func(*node.Node)
 	injected int
 	victims  []core.NodeID
 	stopped  bool
 	nextAt   float64 // absolute time of the pending arrival; -1 when none
-
-	policy    VictimPolicy
-	downtime  float64 // > 0: transient failures that revive after this long
-	onFail    func(core.NodeID)
-	onRecover func(core.NodeID)
 }
 
 // NewInjector attaches an injector with the given rate (failures/second)
-// to the network. Call Start to schedule the first failure. A rate of 0
-// produces no failures.
+// to the network; each victim fails with node.InjectedFailure. Call Start
+// to schedule the first failure. A rate of 0 produces no failures.
 func NewInjector(net *node.Network, rate float64, rng *stats.RNG) *Injector {
-	return &Injector{net: net, rng: rng, rate: rate, nextAt: -1}
+	return NewInjectorWith(net, rate, rng, nil, failStop)
 }
 
-// SetPolicy selects the victim policy. Call before Start. Non-default
-// policies are for chaos campaigns; InjectorState does not carry them, so
-// they are incompatible with checkpoint snapshots (chaos runs never
-// checkpoint).
-func (in *Injector) SetPolicy(p VictimPolicy) { in.policy = p }
-
-// SetRecovery makes injected failures transient: victims crash (battery
-// preserved, volatile state lost) and revive after downtime seconds. Call
-// before Start; zero restores fail-stop. Like SetPolicy, recovery is a
-// chaos-campaign feature outside the checkpoint contract.
-func (in *Injector) SetRecovery(downtime float64) { in.downtime = downtime }
-
-// SetHooks installs per-failure observers: onFail fires for every injected
-// failure (fail-stop or transient), onRecover when a transient victim
-// comes back. Either may be nil.
-func (in *Injector) SetHooks(onFail, onRecover func(core.NodeID)) {
-	in.onFail = onFail
-	in.onRecover = onRecover
+// NewInjectorWith is NewInjector with the arrivals' victims drawn only
+// from the alive nodes filter accepts (nil accepts all) and handed to
+// strike instead of failed. The arrival process and its stream are the
+// same; InjectorState carries neither argument, so a caller that resumes
+// a snapshot passes them again.
+func NewInjectorWith(net *node.Network, rate float64, rng *stats.RNG,
+	filter func(*node.Node) bool, strike func(*node.Node)) *Injector {
+	return &Injector{net: net, rng: rng, rate: rate, filter: filter, strike: strike, nextAt: -1}
 }
+
+func failStop(victim *node.Node) { victim.Fail(node.InjectedFailure) }
 
 // Start schedules the first failure arrival.
 func (in *Injector) Start() {
@@ -101,10 +61,10 @@ func (in *Injector) Start() {
 // Stop prevents further failures from being injected.
 func (in *Injector) Stop() { in.stopped = true }
 
-// Injected returns how many failures have been injected so far.
+// Injected returns how many victims have been struck so far.
 func (in *Injector) Injected() int { return in.injected }
 
-// Victims returns the IDs of the failed nodes in order of failure.
+// Victims returns the IDs of the struck nodes in order of strike.
 func (in *Injector) Victims() []core.NodeID {
 	return append([]core.NodeID(nil), in.victims...)
 }
@@ -119,25 +79,10 @@ func (in *Injector) arrive() {
 	if in.stopped {
 		return
 	}
-	victim := in.net.PickAlive(in.rng, in.policy.Filter())
-	if victim != nil {
-		id := victim.ID()
-		if in.downtime > 0 {
-			victim.Crash()
-			down := in.downtime
-			in.net.Engine.Schedule(down, func() {
-				if victim.Revive() && in.onRecover != nil {
-					in.onRecover(id)
-				}
-			})
-		} else {
-			victim.Fail(node.InjectedFailure)
-		}
+	if victim := in.net.PickAlive(in.rng, in.filter); victim != nil {
+		in.strike(victim)
 		in.injected++
-		in.victims = append(in.victims, id)
-		if in.onFail != nil {
-			in.onFail(id)
-		}
+		in.victims = append(in.victims, victim.ID())
 	}
 	in.scheduleNext()
 }
