@@ -47,8 +47,12 @@ func TestReportsFlowOverWorkingSet(t *testing.T) {
 		t.Errorf("hop series %d entries for %d deliveries", h.Hops().Len(), succ)
 	}
 	// Paths across a 68-meter diagonal with 10 m hops need >= 6 hops.
-	if h.Hops().MaxV() < 6 {
-		t.Errorf("max hops %v implausibly small", h.Hops().MaxV())
+	var maxHops float64
+	for _, p := range h.Hops().Points() {
+		maxHops = max(maxHops, p.V)
+	}
+	if maxHops < 6 {
+		t.Errorf("max hops %v implausibly small", maxHops)
 	}
 	if lt, dropped := h.DeliveryLifetime(0.9); dropped {
 		t.Errorf("delivery lifetime dropped at %v during healthy phase", lt)

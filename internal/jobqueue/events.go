@@ -73,16 +73,20 @@ const subscriberBuffer = 64
 // Subscribe returns a channel of the job's events plus a cancel
 // function. The current state is replayed as a first synthetic event so
 // late subscribers see a consistent stream; the channel is closed after
-// a terminal event (done/failed/suspended) or on cancel.
+// a terminal event (done/failed/suspended) or on cancel. A terminal job
+// has nothing more to publish: its channel holds the one snapshot event,
+// already closed, with no subscriber buffer behind it.
 func (j *Job) Subscribe() (<-chan Event, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch := make(chan Event, subscriberBuffer)
-	ch <- j.snapshotEventLocked()
 	if j.state.Terminal() {
+		ch := make(chan Event, 1)
+		ch <- j.snapshotEventLocked()
 		close(ch)
 		return ch, func() {}
 	}
+	ch := make(chan Event, subscriberBuffer)
+	ch <- j.snapshotEventLocked()
 	id := j.nextSub
 	j.nextSub++
 	j.subs[id] = ch

@@ -2,6 +2,7 @@ package jobqueue
 
 import (
 	"context"
+	"crypto/sha256"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -134,6 +135,9 @@ type Pool struct {
 	keys       map[string]*entry
 	parkedKeys fifo[*entry]
 	cachedKeys fifo[*entry]
+	// bodies finds a cached key's entry by the digest of the last request
+	// body that hit it (see SubmitJSON).
+	bodies map[[sha256.Size]byte]*entry
 }
 
 // New builds a pool. Call Start to launch the workers.
@@ -169,6 +173,7 @@ func New(cfg Config) *Pool {
 		keys:       make(map[string]*entry),
 		parkedKeys: fifo[*entry]{cap: cfg.CacheCap},
 		cachedKeys: fifo[*entry]{cap: cfg.CacheCap},
+		bodies:     make(map[[sha256.Size]byte]*entry),
 	}
 }
 

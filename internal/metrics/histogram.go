@@ -133,10 +133,6 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -159,18 +155,6 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Quantiles returns upper bounds for several quantiles under one lock,
-// so the set is consistent even while writers are active.
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = h.quantileLocked(q)
-	}
-	return out
 }
 
 // HistogramBucket is one non-empty bucket of a snapshot: Count

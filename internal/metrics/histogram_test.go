@@ -75,10 +75,6 @@ func TestHistogramQuantiles(t *testing.T) {
 				c.want, c.want*(1+2.0/histSubBuckets))
 		}
 	}
-	qs := h.Quantiles(0.5, 0.99)
-	if qs[0] != h.Quantile(0.5) || qs[1] != h.Quantile(0.99) {
-		t.Error("Quantiles disagrees with Quantile")
-	}
 	if mean := h.Mean(); math.Abs(mean-0.5005) > 1e-9 {
 		t.Errorf("mean = %g, want 0.5005", mean)
 	}

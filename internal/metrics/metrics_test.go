@@ -11,25 +11,18 @@ func TestSeriesBasics(t *testing.T) {
 	if s.Name() != "test" || s.Len() != 0 {
 		t.Fatal("fresh series")
 	}
-	if _, ok := s.Last(); ok {
-		t.Error("empty series has no last point")
-	}
 	s.Record(1, 10)
 	s.Record(2, 20)
 	if s.Len() != 2 {
 		t.Errorf("len = %d", s.Len())
 	}
-	last, ok := s.Last()
-	if !ok || last.T != 2 || last.V != 20 {
-		t.Errorf("last = %+v", last)
-	}
 	pts := s.Points()
-	pts[0].V = 999
-	if p, _ := s.Last(); p.V == 999 {
-		t.Error("Points aliased internal storage")
+	if len(pts) != 2 || pts[1] != (Point{T: 2, V: 20}) {
+		t.Errorf("points = %+v", pts)
 	}
-	if s.MaxV() != 20 {
-		t.Errorf("max = %v", s.MaxV())
+	pts[0].V = 999
+	if s.Points()[0].V == 999 {
+		t.Error("Points aliased internal storage")
 	}
 }
 
