@@ -111,9 +111,6 @@ func (c *Channel) SetPartition(groups []int) { c.partition = groups }
 // Heal removes the partition.
 func (c *Channel) Heal() { c.partition = nil }
 
-// Partitioned reports whether a partition is active.
-func (c *Channel) Partitioned() bool { return c.partition != nil }
-
 func (c *Channel) group(id int) int {
 	if id < 0 || id >= len(c.partition) {
 		return 0

@@ -128,8 +128,8 @@ func TestPartitionDropsWithoutConsumingRNG(t *testing.T) {
 	a := NewChannel(23, nil)
 	b := NewChannel(23, nil)
 	b.SetPartition([]int{0, 0, 1})
-	if !b.Partitioned() {
-		t.Fatal("Partitioned() = false")
+	if b.partition == nil {
+		t.Fatal("no partition after SetPartition")
 	}
 	for i := 0; i < 1000; i++ {
 		d := b.JudgeFrame(0, 2)
@@ -141,8 +141,8 @@ func TestPartitionDropsWithoutConsumingRNG(t *testing.T) {
 		t.Fatal("same-group frame dropped")
 	}
 	b.Heal()
-	if b.Partitioned() {
-		t.Fatal("Partitioned() = true after Heal")
+	if b.partition != nil {
+		t.Fatal("partition still set after Heal")
 	}
 	a.SetLoss(0.5)
 	b.SetLoss(0.5)

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"peas/internal/jobqueue"
@@ -86,6 +87,28 @@ func decodeError(resp *http.Response) error {
 	return &APIError{Status: resp.StatusCode, Message: msg}
 }
 
+// bodyPool holds the buffers a 2xx JSON body is read into before it is
+// decoded; maxPooledBody bounds what goes back, so one large Jobs listing
+// keeps no memory alive after its call.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
+// decodeBody reads a 2xx body to EOF, which also hands the connection
+// back to the transport's keep-alive pool, and unmarshals it into out.
+func decodeBody(resp *http.Response, out any) error {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(resp.Body)
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), out)
+	}
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+	return err
+}
+
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
 	if err != nil {
@@ -99,7 +122,7 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	if resp.StatusCode/100 != 2 {
 		return decodeError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decodeBody(resp, out)
 }
 
 // Submit posts a job spec. The response reports whether it was
@@ -123,7 +146,7 @@ func (c *Client) Submit(ctx context.Context, spec *jobqueue.Spec) (*api.SubmitRe
 		return nil, decodeError(resp)
 	}
 	var out api.SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeBody(resp, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -220,7 +243,7 @@ func (c *Client) Cancel(ctx context.Context, id string) (*api.CancelResponse, er
 		return nil, decodeError(resp)
 	}
 	var out api.CancelResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeBody(resp, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -280,6 +303,8 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(data), err
 }
 
+var dataPrefix = []byte("data: ")
+
 // Events follows the job's SSE stream, invoking fn per event until the
 // stream ends (terminal job state), fn returns false, or ctx is done.
 func (c *Client) Events(ctx context.Context, id string, fn func(ev jobqueue.Event) bool) error {
@@ -296,16 +321,18 @@ func (c *Client) Events(ctx context.Context, id string, fn func(ev jobqueue.Even
 	if resp.StatusCode/100 != 2 {
 		return decodeError(resp)
 	}
+	// The scanner starts at bufio's default size and grows only for a
+	// longer line, up to 1 MiB; most streams are one short done event.
+	// Unmarshal copies what it keeps, so ev holds nothing of the buffer.
 	scanner := bufio.NewScanner(resp.Body)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	scanner.Buffer(nil, 1<<20)
 	for scanner.Scan() {
-		line := scanner.Text()
-		data, ok := strings.CutPrefix(line, "data: ")
+		data, ok := bytes.CutPrefix(scanner.Bytes(), dataPrefix)
 		if !ok {
 			continue // "event:" lines and blank separators
 		}
 		var ev jobqueue.Event
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+		if err := json.Unmarshal(data, &ev); err != nil {
 			return fmt.Errorf("client: malformed SSE event: %w", err)
 		}
 		if !fn(ev) {

@@ -122,15 +122,6 @@ func (inc *Incremental) Working(i int) bool { return inc.working[i] }
 // WorkingCount returns the number of currently working sensors.
 func (inc *Incremental) WorkingCount() int { return inc.numWorking }
 
-// FootprintLen returns the number of lattice points sensor i covers.
-func (inc *Incremental) FootprintLen(i int) int {
-	n := 0
-	for _, s := range inc.spans[inc.offs[i]:inc.offs[i+1]] {
-		n += int(s.n)
-	}
-	return n
-}
-
 // Set transitions sensor i into (working=true) or out of (working=false)
 // the working set, stamping its footprint onto the counts and histogram.
 // Setting the current status is a no-op, so callers can forward raw state

@@ -59,9 +59,6 @@ func (f Field) Clamp(p Point) Point {
 	}
 }
 
-// Center returns the field's center point.
-func (f Field) Center() Point { return Point{X: f.Width / 2, Y: f.Height / 2} }
-
 // UniformDeploy places n nodes uniformly at random in the field, as in the
 // paper's evaluation ("nodes are uniformly distributed in the field
 // initially and remain stationary once deployed").

@@ -71,9 +71,6 @@ func TestFieldContainsClamp(t *testing.T) {
 	if got := f.Clamp(Point{60, -5}); got != (Point{50, 0}) {
 		t.Errorf("clamp = %v", got)
 	}
-	if got := f.Center(); got != (Point{25, 15}) {
-		t.Errorf("center = %v", got)
-	}
 }
 
 func TestUniformDeploy(t *testing.T) {

@@ -30,9 +30,6 @@ type Box struct {
 // NewBox returns a box of the given dimensions.
 func NewBox(w, h, d float64) Box { return Box{Width: w, Height: h, Depth: d} }
 
-// Volume returns the box volume in cubic meters.
-func (b Box) Volume() float64 { return b.Width * b.Height * b.Depth }
-
 // Contains reports whether p lies inside the box (inclusive).
 func (b Box) Contains(p Point) bool {
 	return p.X >= 0 && p.X <= b.Width &&

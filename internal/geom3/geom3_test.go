@@ -19,8 +19,8 @@ func TestDist(t *testing.T) {
 
 func TestBox(t *testing.T) {
 	b := NewBox(10, 20, 30)
-	if b.Volume() != 6000 {
-		t.Errorf("volume %v", b.Volume())
+	if b != (Box{Width: 10, Height: 20, Depth: 30}) {
+		t.Errorf("box %+v", b)
 	}
 	if !b.Contains(Point{10, 20, 30}) || !b.Contains(Point{0, 0, 0}) {
 		t.Error("corners must be contained")

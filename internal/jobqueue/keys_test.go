@@ -307,7 +307,7 @@ const (
 )
 
 const (
-	propKeys    = 5
+	propKeys    = 8 // past propWorkers+propDepth+propCap: a full queue leaves a key to claim
 	propWorkers = 2
 	propDepth   = 3
 	propCap     = 2
@@ -354,35 +354,24 @@ type bootModel struct {
 	digest [propKeys]int
 }
 
-// keyMachine drives a pool, boot after boot over one state dir, and the
-// model side by side.
-type keyMachine struct {
-	t      *testing.T
-	rng    *rand.Rand
-	mem    *memFS
-	b      *boot
-	pool   *Pool        // b.pool
-	specs  []*Spec      // the key universe, normalized
-	keys   []string     // their content keys
-	bodies [][2][]byte  // per key, the JSON of its spec without and with a deadline
-	runErr atomic.Value // first inconsistency an injected Run saw
-
-	bootModel
-	disk        map[string]diskRec // the state dir by job ID, across boots
-	quarantined map[string]bool    // file names under quarantine/
-	reached     map[string]uint64  // counters summed over every boot of every sequence
+// keyUniverse is every key's normalized spec, its content key and, per
+// key, the JSON of its spec without and with a deadline. Every sequence
+// shares one and only reads it.
+type keyUniverse struct {
+	specs  []*Spec
+	keys   []string
+	bodies [][2][]byte
 }
 
-func newKeyMachine(t *testing.T, seed int64, reached map[string]uint64) *keyMachine {
-	m := &keyMachine{t: t, rng: rand.New(rand.NewSource(seed)), mem: newMemFS(),
-		disk: map[string]diskRec{}, quarantined: map[string]bool{}, reached: reached}
+func newKeyUniverse(t *testing.T) *keyUniverse {
+	u := &keyUniverse{}
 	for k := 0; k < propKeys; k++ {
 		spec := testSpec(int64(k))
 		if err := spec.Normalize(); err != nil {
 			t.Fatal(err)
 		}
-		m.specs = append(m.specs, spec)
-		m.keys = append(m.keys, spec.Key())
+		u.specs = append(u.specs, spec)
+		u.keys = append(u.keys, spec.Key())
 		var bodies [2][]byte
 		for d := range bodies {
 			s := *spec
@@ -392,8 +381,31 @@ func newKeyMachine(t *testing.T, seed int64, reached map[string]uint64) *keyMach
 				t.Fatal(err)
 			}
 		}
-		m.bodies = append(m.bodies, bodies)
+		u.bodies = append(u.bodies, bodies)
 	}
+	return u
+}
+
+// keyMachine drives a pool, boot after boot over one state dir, and the
+// model side by side.
+type keyMachine struct {
+	t    *testing.T
+	rng  *rand.Rand
+	mem  *memFS
+	b    *boot
+	pool *Pool // b.pool
+	*keyUniverse
+	runErr atomic.Value // first inconsistency an injected Run saw
+
+	bootModel
+	disk        map[string]diskRec // the state dir by job ID, across boots
+	quarantined map[string]bool    // file names under quarantine/
+	reached     map[string]uint64  // counters summed over every boot of every sequence
+}
+
+func newKeyMachine(t *testing.T, seed int64, u *keyUniverse, reached map[string]uint64) *keyMachine {
+	m := &keyMachine{t: t, rng: rand.New(rand.NewSource(seed)), mem: newMemFS(), keyUniverse: u,
+		disk: map[string]diskRec{}, quarantined: map[string]bool{}, reached: reached}
 	m.restart(nil)
 	return m
 }
@@ -1028,8 +1040,12 @@ func (m *keyMachine) step() {
 	}
 	k := m.rng.Intn(propKeys)
 	switch op := m.rng.Intn(15); op {
-	case 0, 1, 2: // submit, sometimes with a deadline budget
-		m.submit(k, m.rng.Intn(3) == 0, false, false)
+	case 0, 1, 2: // submit, sometimes with a deadline budget, now and then until the queue is full
+		if m.rng.Intn(32) == 0 {
+			m.fill()
+		} else {
+			m.submit(k, m.rng.Intn(3) == 0, false, false)
+		}
 	case 3: // duplicate submit of an active key
 		if j := pick(append(m.queuedJobs(), m.running...)); j != nil {
 			k = j.key
@@ -1081,6 +1097,30 @@ func (m *keyMachine) step() {
 			k = m.cached[m.rng.Intn(len(m.cached))]
 		}
 		m.submit(k, m.rng.Intn(3) == 0, false, true)
+	}
+}
+
+// fill submits keys no job holds, one by one, until the full queue turns
+// one away. Random submits of random keys coalesce or hit the cache as
+// often as they claim, and runs end about as often as they start, so the
+// queue seldom fills by chance.
+func (m *keyMachine) fill() {
+	for {
+		var free []int
+		for k, st := range m.state {
+			if st == mAbsent || st == mParked {
+				free = append(free, k)
+			}
+		}
+		if len(free) == 0 {
+			return
+		}
+		full := len(m.queue) >= propDepth
+		m.submit(free[m.rng.Intn(len(free))], m.rng.Intn(3) == 0, false, false)
+		if full {
+			return
+		}
+		m.settleDown()
 	}
 }
 
@@ -1274,8 +1314,9 @@ func (m *keyMachine) finish() {
 
 // TestKeyStateMachineProperty drives random operation sequences against a
 // pool, boot after boot over one state dir, and a small reference model.
-// The operations are submit, duplicate submit, persist fault, a
-// resubmission of a spec's JSON bytes through SubmitJSON, cancel, finish,
+// The operations are submit, duplicate submit, a burst of submissions of
+// unheld keys that fills the queue, persist fault, a resubmission of a
+// spec's JSON bytes through SubmitJSON, cancel, finish,
 // fail, deadline, stall, drain and a crash at a random disk operation of
 // a submit or an ending; a drain or a crash is followed by a restart and
 // Recover. After every step each content key is in exactly one
@@ -1284,7 +1325,7 @@ func (m *keyMachine) finish() {
 // with it; each job ends once, with one terminal event.
 func TestKeyStateMachineProperty(t *testing.T) {
 	const seed, sequences = 1, 500
-	reached := map[string]uint64{}
+	u, reached := newKeyUniverse(t), map[string]uint64{}
 	var seq int64
 	defer func() {
 		if t.Failed() {
@@ -1293,7 +1334,7 @@ func TestKeyStateMachineProperty(t *testing.T) {
 	}()
 	for s := 0; s < sequences; s++ {
 		seq = seed*1_000_003 + int64(s)
-		m := newKeyMachine(t, seq, reached)
+		m := newKeyMachine(t, seq, u, reached)
 		for i := 0; i < propSteps; i++ {
 			m.step()
 			m.settleDown()
@@ -1301,15 +1342,18 @@ func TestKeyStateMachineProperty(t *testing.T) {
 		}
 		m.finish()
 	}
-	// The generator still reaches every transition the model knows.
+	t.Logf("transitions reached over %d sequences: %v", sequences, reached)
+	// The generator still reaches every transition the model knows, and
+	// turns submissions away from a full queue often, not by chance.
+	floor := map[string]uint64{"queue_full_rejected": 50}
 	for _, name := range []string{
 		"jobs_recovered", "jobs_recovered_dup", "jobs_parked_recovered", "recover_left_on_disk",
 		"tmp_files_swept", "checkpoints_quarantined", "parked_resumed", "parked_evicted",
 		"cache_evictions", "persist_errors", "watchdog_preemptions", "jobs_deadline_exceeded",
 		"queue_full_rejected", "body_hits",
 	} {
-		if reached[name] == 0 {
-			t.Errorf("no sequence reached %s", name)
+		if reached[name] < max(1, floor[name]) {
+			t.Errorf("sequences reached %s %d times, want at least %d", name, reached[name], max(1, floor[name]))
 		}
 	}
 }

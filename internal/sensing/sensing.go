@@ -100,9 +100,6 @@ func NewTracker(field geom.Field, sensingRange float64, count int, speed float64
 	return tr
 }
 
-// Targets exposes the targets (e.g. for rendering).
-func (tr *Tracker) Targets() []*Target { return tr.targets }
-
 // Observe advances every target to time now and classifies it as
 // detected (a working node within sensing range) or exposed.
 func (tr *Tracker) Observe(now float64, working []geom.Point) {

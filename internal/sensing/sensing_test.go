@@ -76,7 +76,7 @@ func TestTrackerNeverDetectedWithoutSensors(t *testing.T) {
 func TestTrackerExposureIntervals(t *testing.T) {
 	f := geom.NewField(20, 20)
 	tr := NewTracker(f, 3, 1, 0 /* stationary target */, stats.NewRNG(6))
-	pos := tr.Targets()[0].Pos
+	pos := tr.targets[0].Pos
 	near := []geom.Point{pos}
 
 	tr.Observe(1, near) // detected
