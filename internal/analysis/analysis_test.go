@@ -104,7 +104,7 @@ func TestPoissonCoveragePredictsSimulatedKCoverage(t *testing.T) {
 	net.Start()
 	net.Run(600)
 	working := net.WorkingPositions()
-	density := float64(len(working)) / cfg.Field.Area()
+	density := float64(len(working)) / (cfg.Field.Width * cfg.Field.Height)
 	lattice := coverage.NewLattice(cfg.Field, 1)
 	byK := lattice.Fraction(working, 10, 5)
 	for k := 1; k <= 5; k++ {

@@ -67,22 +67,6 @@ func (l *Lattice) window(s geom.Point, radius float64) (c0, c1, r0, r1 int) {
 	return c0, c1, r0, r1
 }
 
-// CoveredMask returns, for each sample point, whether at least one of the
-// given sensors covers it with the given radius.
-func (l *Lattice) CoveredMask(sensors []geom.Point, radius float64) []bool {
-	mask := make([]bool, l.Len())
-	if len(sensors) == 0 {
-		return mask
-	}
-	idx := geom.NewIndex(l.field, sensors, radius)
-	for i := range mask {
-		found := false
-		idx.Within(l.Point(i), radius, func(int, float64) { found = true })
-		mask[i] = found
-	}
-	return mask
-}
-
 // Fraction returns, for each K in 1..maxK, the fraction of sample points
 // covered by at least K of the given sensor positions with the given
 // sensing radius.

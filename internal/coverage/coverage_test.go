@@ -72,11 +72,28 @@ func TestFractionMonotoneInK(t *testing.T) {
 	}
 }
 
+// coveredMask returns, for each sample point of l, whether at least one
+// of the given sensors covers it with the given radius: one range query
+// per point, the reference the incremental mask is held to.
+func coveredMask(l *Lattice, sensors []geom.Point, radius float64) []bool {
+	mask := make([]bool, l.Len())
+	if len(sensors) == 0 {
+		return mask
+	}
+	idx := geom.NewIndex(l.field, sensors, radius)
+	for i := range mask {
+		found := false
+		idx.Within(l.Point(i), radius, func(int, float64) { found = true })
+		mask[i] = found
+	}
+	return mask
+}
+
 func TestCoveredMaskMatchesFraction(t *testing.T) {
 	f := geom.NewField(15, 15)
 	l := NewLattice(f, 1)
 	sensors := geom.UniformDeploy(f, 10, stats.NewRNG(3))
-	mask := l.CoveredMask(sensors, 5)
+	mask := coveredMask(l, sensors, 5)
 	covered := 0
 	for _, c := range mask {
 		if c {

@@ -232,8 +232,8 @@ func (inc *Incremental) FractionK(k int) float64 {
 
 // CoveredMaskInto fills mask (reallocated only when its capacity is
 // short) with, for each lattice point, whether at least one working
-// sensor covers it — the incremental equivalent of Lattice.CoveredMask,
-// which decides membership with the same squared-distance predicate.
+// sensor covers it — the incremental equivalent of a range query per
+// point, deciding membership with the same squared-distance predicate.
 func (inc *Incremental) CoveredMaskInto(mask []bool) []bool {
 	if cap(mask) < len(inc.counts) {
 		mask = make([]bool, len(inc.counts))

@@ -60,7 +60,7 @@ func TestIncrementalChurnDifferential(t *testing.T) {
 						seed, step, k+1, buf[k], want[k])
 				}
 			}
-			wantMask := lat.CoveredMask(workingSubset(sensors, working), radius)
+			wantMask := coveredMask(lat, workingSubset(sensors, working), radius)
 			mask = inc.CoveredMaskInto(mask)
 			for i := range wantMask {
 				if mask[i] != wantMask[i] {

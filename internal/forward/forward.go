@@ -256,9 +256,6 @@ func (h *Harness) RouteRebuilds() int { return h.rebuilds }
 // Ratio exposes the cumulative success-ratio recorder.
 func (h *Harness) Ratio() *metrics.Ratio { return h.ratio }
 
-// Hops exposes the per-delivery hop-count series.
-func (h *Harness) Hops() *metrics.Series { return h.hops }
-
 // DeliveryLifetime returns the data-delivery lifetime: the time at which
 // the cumulative success ratio first drops below threshold (paper: 90%).
 // ok is false when the ratio never dropped during the run.

@@ -43,12 +43,12 @@ func TestReportsFlowOverWorkingSet(t *testing.T) {
 	if float64(succ) < 0.95*float64(gen) {
 		t.Errorf("delivered %d of %d", succ, gen)
 	}
-	if h.Hops().Len() != succ {
-		t.Errorf("hop series %d entries for %d deliveries", h.Hops().Len(), succ)
+	if h.hops.Len() != succ {
+		t.Errorf("hop series %d entries for %d deliveries", h.hops.Len(), succ)
 	}
 	// Paths across a 68-meter diagonal with 10 m hops need >= 6 hops.
 	var maxHops float64
-	for _, p := range h.Hops().Points() {
+	for _, p := range h.hops.Points() {
 		maxHops = max(maxHops, p.V)
 	}
 	if maxHops < 6 {

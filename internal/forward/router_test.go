@@ -513,7 +513,7 @@ func TestHopSeriesRecordsSurvivingPath(t *testing.T) {
 		t.Fatal("no report was delivered by a longer second path; the case is not exercised")
 	}
 	var got []float64
-	for _, p := range h.Hops().Points() {
+	for _, p := range h.hops.Points() {
 		got = append(got, p.V)
 	}
 	if !reflect.DeepEqual(got, want) {

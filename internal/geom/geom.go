@@ -43,9 +43,6 @@ func NewField(width, height float64) Field {
 	return Field{Width: width, Height: height}
 }
 
-// Area returns the field area in square meters.
-func (f Field) Area() float64 { return f.Width * f.Height }
-
 // Contains reports whether p lies inside the field (inclusive).
 func (f Field) Contains(p Point) bool {
 	return p.X >= 0 && p.X <= f.Width && p.Y >= 0 && p.Y <= f.Height

@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// NewTimer returns a stopped timer on e that will invoke fn when it
+// fires: a closure timer for tests. The simulator's own timers live inside
+// larger records and are built with InitTimer.
+func (e *Engine) NewTimer(fn func()) *Timer {
+	t := &Timer{engine: e}
+	t.ev.fn = fn
+	t.ev.pos = -1
+	return t
+}
+
 func TestEngineOrdersByTime(t *testing.T) {
 	e := NewEngine()
 	var order []int

@@ -16,18 +16,10 @@ type Timer struct {
 	ev     event // the firing's callback; ev.pos is its heap index
 }
 
-// NewTimer returns a stopped timer that will invoke fn when it fires.
-func (e *Engine) NewTimer(fn func()) *Timer {
-	t := &Timer{engine: e}
-	t.ev.fn = fn
-	t.ev.pos = -1
-	return t
-}
-
 // InitTimer makes *t a stopped timer on e that will invoke fn(arg) when it
-// fires: NewTimer for a timer kept inside a larger record, with a shared
-// callback instead of a closure, so building one allocates nothing. t must
-// not be armed.
+// fires. A timer lives inside a larger record and takes a shared callback
+// instead of a closure, so building one allocates nothing. t must not be
+// armed.
 func (e *Engine) InitTimer(t *Timer, fn func(any), arg any) {
 	*t = Timer{engine: e}
 	t.ev.afn, t.ev.arg = fn, arg

@@ -62,14 +62,6 @@ func (r *RNG) Seed(seed int64) {
 	r.pcg(s, splitmix64(s))
 }
 
-// NewRNGFromState returns a stream positioned exactly at st, as previously
-// captured with State.
-func NewRNGFromState(st RNGState) *RNG {
-	r := &RNG{}
-	r.Restore(st)
-	return r
-}
-
 // pcg initializes the generator following the PCG reference seeding: the
 // stream selector is forced odd and the initial state is advanced once
 // past the seed so that nearby seeds decorrelate immediately.
@@ -80,8 +72,8 @@ func (r *RNG) pcg(seed, stream uint64) {
 	r.next32()
 }
 
-// State returns the stream's exact position. NewRNGFromState or Restore
-// with this value continues the sequence without a gap.
+// State returns the stream's exact position. Restore with this value
+// continues the sequence without a gap.
 func (r *RNG) State() RNGState { return RNGState{State: r.state, Inc: r.inc} }
 
 // Restore repositions the stream to st. The increment is forced odd, the

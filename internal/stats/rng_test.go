@@ -122,7 +122,8 @@ func TestRNGStateRoundTrip(t *testing.T) {
 		r.Intn(17)
 	}
 	st := r.State()
-	clone := NewRNGFromState(st)
+	clone := &RNG{}
+	clone.Restore(st)
 	for i := 0; i < 1000; i++ {
 		if a, b := r.Uint64(), clone.Uint64(); a != b {
 			t.Fatalf("restored stream diverged at step %d: %x != %x", i, a, b)
@@ -148,7 +149,8 @@ func TestRNGRestoreInPlace(t *testing.T) {
 func TestRNGRestoreForcesOddIncrement(t *testing.T) {
 	// A corrupted checkpoint may carry an even increment; the generator
 	// must still cycle rather than degenerate.
-	r := NewRNGFromState(RNGState{State: 0, Inc: 4})
+	r := &RNG{}
+	r.Restore(RNGState{State: 0, Inc: 4})
 	if r.State().Inc&1 != 1 {
 		t.Fatal("Restore must force the increment odd")
 	}

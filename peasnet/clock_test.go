@@ -48,13 +48,14 @@ func (v *virtualClock) Now() time.Time {
 func (v *virtualClock) AfterFunc(d time.Duration, f func()) func() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	t := v.eng.NewTimer(func() {
+	t := new(sim.Timer)
+	v.eng.InitTimer(t, func(any) {
 		// The engine is only touched under mu: release it while f runs,
 		// since f arms and reads the clock itself.
 		v.mu.Unlock()
 		f()
 		v.mu.Lock()
-	})
+	}, nil)
 	t.Reset(float64(d))
 	return func() bool {
 		v.mu.Lock()
