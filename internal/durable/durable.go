@@ -89,6 +89,12 @@ const TmpSuffix = ".tmp"
 // On any error the destination is untouched (the previous payload, if
 // any, remains committed) and the temporary file is best-effort removed.
 func WriteFile(fsys FS, path string, payload []byte) error {
+	return writeRaw(fsys, path, Frame(payload))
+}
+
+// writeRaw is WriteFile's protocol for data that is already framed: a
+// log's frames, or one payload's.
+func writeRaw(fsys FS, path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := fsys.MkdirAll(dir); err != nil {
 		return fmt.Errorf("durable: mkdir %s: %w", dir, err)
@@ -98,8 +104,7 @@ func WriteFile(fsys FS, path string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("durable: create %s: %w", tmp, err)
 	}
-	frame := Frame(payload)
-	if _, err := f.Write(frame); err != nil {
+	if _, err := f.Write(data); err != nil {
 		_ = f.Close()
 		_ = fsys.Remove(tmp)
 		return fmt.Errorf("durable: write %s: %w", tmp, err)

@@ -167,14 +167,21 @@ func (f *FaultFS) MkdirAll(dir string) error {
 }
 
 // Create implements FS.
-func (f *FaultFS) Create(name string) (File, error) {
+func (f *FaultFS) Create(name string) (File, error) { return f.open(f.inner.Create, name) }
+
+// Append implements FS. The appended file's writes, syncs and close are
+// counted and faulted exactly as a created file's.
+func (f *FaultFS) Append(name string) (File, error) { return f.open(f.inner.Append, name) }
+
+// open is one counted open through the inner FS's Create or Append.
+func (f *FaultFS) open(open func(string) (File, error), name string) (File, error) {
 	if interrupt, err := f.step(); err != nil || interrupt {
 		if interrupt {
 			return nil, ErrCrashed
 		}
 		return nil, err
 	}
-	inner, err := f.inner.Create(name)
+	inner, err := open(name)
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,9 @@ import (
 	"syscall"
 )
 
-// File is the writable-file surface the atomic write protocol needs:
-// append bytes, force them to stable storage, release the descriptor.
+// File is the writable-file surface the atomic write protocol and the
+// log need: append bytes, force them to stable storage, release the
+// descriptor.
 type File interface {
 	io.Writer
 	Sync() error
@@ -25,6 +26,8 @@ type FS interface {
 	MkdirAll(dir string) error
 	// Create opens name for writing, truncating any existing file.
 	Create(name string) (File, error)
+	// Append opens name for appending, creating it if absent.
+	Append(name string) (File, error)
 	// ReadFile returns the full contents of name.
 	ReadFile(name string) ([]byte, error)
 	// Rename atomically replaces newpath with oldpath.
@@ -47,6 +50,11 @@ func (OS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 // Create implements FS.
 func (OS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+}
+
+// Append implements FS.
+func (OS) Append(name string) (File, error) {
+	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 }
 
 // ReadFile implements FS.

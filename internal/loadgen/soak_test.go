@@ -2,11 +2,13 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"peas/internal/client"
+	"peas/internal/durable"
 	"peas/internal/experiment"
 	"peas/internal/jobqueue"
 )
@@ -342,7 +345,8 @@ func Soak(ctx context.Context, sc SoakConfig) (*SoakReport, error) {
 // cycle 0 SIGTERMs the server while both long jobs run, so they
 // checkpoint-suspend into the state dir; cycle 1 recovers them, checks the
 // resumed runs against the in-process reference StateHash, replays the
-// plan and is gated on the SLO; the state dir must end empty.
+// plan and is gated on the SLO; the state dir must end with no live
+// admission, spec or checkpoint.
 func TestSoakDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs peas-serve")
@@ -557,14 +561,29 @@ func awaitLongJobsRunning(ctx context.Context, c *client.Client, items []Item, r
 	}
 }
 
-// censusStateDir counts the persisted state files in dir at one
-// instant: complete spec files, complete checkpoints, and in-flight
-// durable-write temporaries. Subdirectories (quarantine/, kept for
-// inspection by design) are skipped.
+// censusStateDir counts the persisted jobs in dir at one instant: live
+// admissions in the admission log plus spec files (specs), complete
+// checkpoints, and in-flight durable-write temporaries. A torn last log
+// frame was never acknowledged and counts as nothing. Subdirectories
+// (quarantine/, kept for inspection by design) are skipped.
 func censusStateDir(dir string) (specs, ckpts, tmps int) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, 0, 0
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, "admissions.log")); err == nil {
+		records, damaged, _ := durable.ReadLog(data)
+		live := map[string]bool{}
+		for _, rec := range records {
+			var r struct{ ID, Retired string }
+			_ = json.Unmarshal(rec, &r)
+			if r.Retired != "" {
+				delete(live, r.Retired)
+			} else {
+				live[r.ID] = true
+			}
+		}
+		specs += len(live) + len(damaged) // a damaged run is quarantined at boot as one job
 	}
 	for _, ent := range entries {
 		if ent.IsDir() {
