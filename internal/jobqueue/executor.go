@@ -66,8 +66,8 @@ func (p *Pool) execute(job *Job) {
 // classify maps what a run returned, and the stop cause recorded against
 // the job, onto its ending. A completed result always wins: a cancel that
 // lands after the last event is a no-op, not a retroactive kill. The
-// suspended rows share one rule — the spec is still on disk, so a restart
-// re-runs the job, so the client must not be told it failed.
+// suspended rows share one rule — the admission is still live, so a
+// restart re-runs the job, so the client must not be told it failed.
 func (p *Pool) classify(job *Job, res *Result, snap *checkpoint.Snapshot, err error) outcome {
 	cause := job.stopCause()
 	preempted := snap != nil || err == errPreempted
@@ -100,7 +100,7 @@ func (p *Pool) classify(job *Job, res *Result, snap *checkpoint.Snapshot, err er
 	case err == errPreempted && cause == CauseWatchdog:
 		// Stalled with nothing to capture. The run is deterministic, so a
 		// restart from the spec would replay the stall: the job fails, and
-		// its spec goes with it, state dir or not.
+		// its admission is retired, state dir or not.
 		err = fmt.Errorf("jobqueue: job %s preempted by watchdog: no event progress within %s", job.ID, p.cfg.StallWindow)
 	case err == nil:
 		// runGuarded returned neither result, snapshot nor error — only
@@ -217,7 +217,7 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 	}
 	if aborted {
 		if p.cfg.StateDir != "" {
-			// The spec file is still on disk; Recover restarts the job
+			// The admission is still live; Recover restarts the job
 			// from scratch (chaos state cannot checkpoint).
 			return nil, nil, errAbortRestartable
 		}

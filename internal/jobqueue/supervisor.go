@@ -19,7 +19,7 @@ func (p *Pool) Cancel(id string) (job *Job, found, requested bool) {
 
 // stop routes a stop request to a job. A job caught while still queued
 // is settled here — its worker will only ever dequeue a husk, so nobody
-// else would release the key or the persisted spec; a running job is
+// else would release the key or retire the admission; a running job is
 // settled by its worker once the preemption lands.
 func (p *Pool) stop(j *Job, cause CancelCause) bool {
 	queued, effective := j.requestStop(cause)
