@@ -28,17 +28,18 @@ func (e *QueueFullError) Error() string {
 var ErrShuttingDown = fmt.Errorf("jobqueue: shutting down")
 
 // PersistError is the admission-time durability rejection: the pool
-// could not append and fsync the job's admission record, so accepting the
-// job would promise a recovery guarantee it cannot keep. The submission
-// is rolled back and the caller should retry once the disk recovers
-// (the HTTP layer maps it to 503 with a Retry-After header). Unwrap
-// exposes the underlying disk error (e.g. ENOSPC).
+// could not log the job's admission (append its record to the admission
+// log and fsync it), so accepting the job would promise a recovery
+// guarantee it cannot keep. The submission is rolled back and the caller
+// should retry once the disk recovers (the HTTP layer maps it to 503
+// with a Retry-After header). Unwrap exposes the underlying disk error
+// (e.g. ENOSPC).
 type PersistError struct {
 	Err error
 }
 
 func (e *PersistError) Error() string {
-	return fmt.Sprintf("jobqueue: cannot persist job spec: %v", e.Err)
+	return fmt.Sprintf("jobqueue: cannot log job admission: %v", e.Err)
 }
 
 func (e *PersistError) Unwrap() error { return e.Err }
@@ -88,7 +89,6 @@ func (p *Pool) SubmitJSON(body []byte) (*Job, Outcome, error) {
 		p.counters.Add("jobs_submitted", 1)
 		job := p.serveLocked(e, e.hit.spec, now)
 		p.mu.Unlock()
-		p.counters.Add("cache_hits", 1)
 		return job, OutcomeCached, nil
 	}
 	p.mu.Unlock()
@@ -119,8 +119,8 @@ func (p *Pool) submit(spec *Spec, body *[sha256.Size]byte) (*Job, Outcome, error
 	switch {
 	case e != nil && e.state == keyActive:
 		primary := e.job
-		p.mu.Unlock()
 		p.counters.Add("jobs_coalesced", 1)
+		p.mu.Unlock()
 		return primary, OutcomeCoalesced, nil
 	case e != nil && e.state == keyCached:
 		job := p.serveLocked(e, spec, now)
@@ -128,7 +128,6 @@ func (p *Pool) submit(spec *Spec, body *[sha256.Size]byte) (*Job, Outcome, error
 			p.rememberBodyLocked(e, *body, spec)
 		}
 		p.mu.Unlock()
-		p.counters.Add("cache_hits", 1)
 		return job, OutcomeCached, nil
 	}
 	p.counters.Add("cache_misses", 1)
@@ -141,20 +140,20 @@ func (p *Pool) submit(spec *Spec, body *[sha256.Size]byte) (*Job, Outcome, error
 	p.mu.Unlock()
 
 	// Persist BEFORE the job becomes runnable. Accepted must mean
-	// recoverable: once a worker can dequeue the job, a crash has to find
+	// recoverable: once a worker can take the job, a crash has to find
 	// its admission in the log, so a persistence failure rolls the
 	// admission back and rejects with *PersistError instead of accepting
-	// work that a crash would silently lose. The job leaves the table first, so it is
-	// never retained. Coalesced submissions may have attached during the
-	// unlocked persist window; settling the job as failed resolves them,
-	// and the key falls back to the park it had claimed.
+	// work that a crash would silently lose. The job leaves the table
+	// first, so it is never retained. Coalesced submissions may have
+	// attached during the unlocked persist window; settling the job as
+	// failed resolves them, and the key falls back to the park it had
+	// claimed.
 	if err := p.logAdmission(job); err != nil {
 		perr := &PersistError{Err: err}
 		p.mu.Lock()
 		p.forgetLocked(job)
-		p.queued--
 		p.mu.Unlock()
-		p.settle(job, outcome{state: StateFailed, counter: "persist_errors", err: perr, park: claimed})
+		p.settle(job, outcome{state: StateFailed, counter: "persist_errors", err: perr, park: claimed}, &p.pending)
 		return nil, "", perr
 	}
 	if claimed != nil {
@@ -168,18 +167,38 @@ func (p *Pool) submit(spec *Spec, body *[sha256.Size]byte) (*Job, Outcome, error
 		p.removeJobFiles(claimed.id, true)
 		p.counters.Add("parked_resumed", 1)
 	}
-	p.queue <- job // cannot block: queued < QueueDepth is checked under mu
+	p.mu.Lock()
+	if cause := job.stopCause(); cause != "" {
+		// Stopped while its admission was being logged: the stop left the
+		// job to this submission, which settles it now that the record
+		// its ending retires is in the log.
+		p.mu.Unlock()
+		p.settle(job, stopOutcome(job, cause), &p.pending)
+		return job, OutcomeAccepted, nil
+	}
+	p.enqueueLocked(job)
+	p.mu.Unlock()
 	return job, OutcomeAccepted, nil
 }
 
-// serveLocked answers a submission from the cached entry e: a new job,
-// born done with e's result. Nobody else can hold the job before it is
-// listed, so it is finished first and enters the table terminal.
+// enqueueLocked makes a pending job runnable: the newest on the queue,
+// with a worker woken for it.
+func (p *Pool) enqueueLocked(job *Job) {
+	p.pending--
+	p.queue = append(p.queue, job)
+	p.work.Signal()
+}
+
+// serveLocked answers a submission from the cached entry e, and counts
+// the cache hit: a new job, born done with e's result. Nobody else can
+// hold the job before it is listed, so it is finished first and enters
+// the table terminal.
 func (p *Pool) serveLocked(e *entry, spec *Spec, now time.Time) *Job {
 	job := newJob(p.nextIDLocked(), e.key, spec, now)
 	job.finish(StateDone, e.res, nil, now)
 	p.listLocked(job)
 	p.retireLocked(job)
+	p.counters.Add("cache_hits", 1)
 	return job
 }
 
@@ -201,17 +220,18 @@ func (p *Pool) nextIDLocked() string {
 }
 
 // admitLocked registers a new active job under p.mu — job table, key
-// table, one queue slot — for Submit (a fresh ID) and Recover (the ID on
-// disk) alike. The key must be absent or parked. A parked checkpoint from
-// a cancelled or deadline-killed run of this exact spec is claimed here:
-// the new job resumes where the preempted one stopped instead of
-// restarting, and the claim is returned so the caller can re-home or
-// restore it. Determinism makes the splice invisible — the final
-// StateHash is the uninterrupted run's.
+// table, one queue slot, pending until enqueueLocked makes it runnable —
+// for Submit (a fresh ID) and Recover (the ID on disk) alike. The key
+// must be absent or parked. A parked checkpoint from a cancelled or
+// deadline-killed run of this exact spec is claimed here: the new job
+// resumes where the preempted one stopped instead of restarting, and the
+// claim is returned so the caller can re-home or restore it. Determinism
+// makes the splice invisible — the final StateHash is the uninterrupted
+// run's.
 func (p *Pool) admitLocked(id, key string, spec *Spec, now time.Time) (job *Job, claimed *parked) {
 	job = newJob(id, key, spec, now)
 	p.listLocked(job)
-	p.queued++
+	p.pending++
 	e := p.keys[key]
 	if e == nil {
 		e = &entry{key: key}
@@ -235,12 +255,12 @@ func (p *Pool) admitLocked(id, key string, spec *Spec, now time.Time) (job *Job,
 // the median of the observed queue-wait histogram is the estimate; it
 // needs a minimum sample count so a cold service never rejects on noise.
 func (p *Pool) rejectLocked(spec *Spec) error {
-	if p.queued >= p.cfg.QueueDepth {
+	if p.queuedLocked() >= p.cfg.QueueDepth {
 		p.counters.Add("queue_full_rejected", 1)
 		return &QueueFullError{Depth: p.cfg.QueueDepth, RetryAfter: p.retryAfterLocked()}
 	}
 	const minSamples = 8
-	if spec.DeadlineSeconds <= 0 || p.queued == 0 || p.queueWait.Count() < minSamples {
+	if spec.DeadlineSeconds <= 0 || p.queuedLocked() == 0 || p.queueWait.Count() < minSamples {
 		return nil
 	}
 	wait := p.queueWait.Quantile(0.5)
@@ -264,7 +284,7 @@ func (p *Pool) retryAfterLocked() time.Duration {
 	if m := p.runDur.Mean(); m > 0 {
 		mean = time.Duration(m * float64(time.Second))
 	}
-	per := float64(p.queued+1) / float64(p.cfg.Workers)
+	per := float64(p.queuedLocked()+1) / float64(p.cfg.Workers)
 	d := time.Duration(math.Ceil(per)) * mean
 	if d < time.Second {
 		d = time.Second

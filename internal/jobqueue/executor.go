@@ -3,6 +3,7 @@ package jobqueue
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"peas/internal/checkpoint"
@@ -14,53 +15,49 @@ import (
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
-	for {
-		// Prefer quitting over picking up more queued work, so a drain
-		// leaves not-yet-started jobs persisted instead of racing them
-		// against the deadline.
-		select {
-		case <-p.quit:
-			return
-		default:
-		}
-		select {
-		case <-p.quit:
-			return
-		case job := <-p.queue:
-			p.execute(job)
-		}
+	for job := p.next(); job != nil; job = p.next() {
+		p.execute(job)
 	}
+}
+
+// next waits for a runnable job and, in one critical section, takes it
+// off the queue, moves it to running and counts it in flight. It returns
+// nil once the pool stops accepting work: quitting is preferred over
+// picking up more queued work, so a drain leaves not-yet-started jobs
+// persisted instead of racing them against the deadline.
+func (p *Pool) next() *Job {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.accepting && len(p.queue) == 0 {
+		p.work.Wait()
+	}
+	if !p.accepting {
+		return nil
+	}
+	job := p.queue[0]
+	p.queue = slices.Delete(p.queue, 0, 1)
+	job.beginRun(time.Now())
+	p.running++
+	return job
 }
 
 // execute runs one job end to end on the calling worker goroutine: run,
 // classify what came back, settle.
 func (p *Pool) execute(job *Job) {
-	p.mu.Lock()
-	p.queued--
-	p.mu.Unlock()
-	p.running.Add(1)
-	defer p.running.Add(-1)
-
 	if p.cfg.BeforeRun != nil {
 		p.cfg.BeforeRun(job)
 	}
-	dequeued := time.Now()
-	if !job.beginRun(dequeued) {
-		// Cancelled or deadline-killed while queued: the stop path settles
-		// the job; the queue slot just carried a husk.
-		return
-	}
-	enqueued, _, _ := job.Times()
-	p.queueWait.Observe(dequeued.Sub(enqueued).Seconds())
+	enqueued, started, _ := job.Times()
+	p.queueWait.Observe(started.Sub(enqueued).Seconds())
 
 	res, snap, err := p.runGuarded(job)
-	wall := time.Since(dequeued).Seconds()
+	wall := time.Since(started).Seconds()
 	p.runDur.Observe(wall)
 	if res != nil {
 		res.WallSeconds = wall
 		p.counters.Add("runs_executed", 1)
 	}
-	p.settle(job, p.classify(job, res, snap, err))
+	p.settle(job, p.classify(job, res, snap, err), &p.running)
 }
 
 // classify maps what a run returned, and the stop cause recorded against
@@ -134,8 +131,9 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 	spec := job.Spec
 	cfg := spec.RunConfig()
 
-	// job.resume was set before the job was queued and is never written
-	// again, so the channel hand-off orders this read after it.
+	// job.resume is written under p.mu before the job joins the queue
+	// (admitLocked, Recover) and never again, and next took the job off
+	// the queue under p.mu, so the lock orders this read after the write.
 	cfg.Resume = job.resume
 
 	var (

@@ -94,8 +94,8 @@ type Job struct {
 	// super is the engine supervisor of the current run (nil unless a
 	// supervised run is executing). cancelCause records the first stop
 	// request; deadlineAt is the absolute DeadlineSeconds expiry (zero
-	// when unbounded). lastBeat/lastBeatAt track watchdog stall
-	// detection.
+	// when unbounded), set by newJob and never written again.
+	// lastBeat/lastBeatAt track watchdog stall detection.
 	super       *sim.Supervisor
 	cancelCause CancelCause
 	deadlineAt  time.Time
@@ -151,21 +151,10 @@ func (j *Job) Err() error {
 // request-scoped work off it instead of polling State.
 func (j *Job) Context() context.Context { return j.ctx }
 
-// Deadline returns the absolute expiry of the job's DeadlineSeconds
-// budget, if one was set.
-func (j *Job) Deadline() (time.Time, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.deadlineAt, !j.deadlineAt.IsZero()
-}
-
 // CancelRequested reports whether a stop has been requested (or already
-// taken effect) for this job.
-func (j *Job) CancelRequested() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancelCause != "" || j.state == StateCancelled || j.state == StateDeadline
-}
+// taken effect) for this job: every cancelled or deadline-killed job had
+// its cause recorded first.
+func (j *Job) CancelRequested() bool { return j.stopCause() != "" }
 
 // Progress returns the last observed simulated time and working-node
 // count.
@@ -200,27 +189,21 @@ func (j *Job) QueueWait() (time.Duration, bool) {
 	return j.finishedAt.Sub(j.enqueuedAt), false
 }
 
-// beginRun claims a queued job for execution. It returns false when the
-// job is no longer claimable — a cancel or deadline stop was recorded
-// while it sat in the queue — in which case the worker must skip it: the
-// queue slot just carried a husk the stop path settles.
-func (j *Job) beginRun(now time.Time) bool {
+// beginRun moves a queued job to running. The pool calls it under p.mu
+// as a worker takes the job off the queue.
+func (j *Job) beginRun(now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued || j.cancelCause != "" {
-		return false
-	}
 	j.state = StateRunning
 	j.startedAt = now
 	j.lastBeatAt = now
 	j.publishLocked(Event{Type: EventStarted, JobID: j.ID, Horizon: j.Spec.Horizon}, false)
-	return true
 }
 
 // attachSupervisor installs the engine supervisor of the job's current
-// run. A stop requested before the run started (the cancel-vs-dequeue
-// race) is forwarded immediately so the run preempts at its first poll
-// boundary.
+// run. A stop requested between the job's start and its run (while
+// BeforeRun holds the worker, say) is forwarded immediately so the run
+// preempts at its first poll boundary.
 func (j *Job) attachSupervisor(s *sim.Supervisor) {
 	j.mu.Lock()
 	j.super = s
@@ -230,25 +213,20 @@ func (j *Job) attachSupervisor(s *sim.Supervisor) {
 	j.mu.Unlock()
 }
 
-// requestStop records a stop request. The first cause wins; requests on
-// terminal or already-stopping jobs report effective false. A job still
-// queued can no longer be claimed by a worker once the cause is recorded
-// (queued true — the caller settles it at once); a running job gets its
-// supervisor flagged and is settled when the worker acknowledges.
-func (j *Job) requestStop(cause CancelCause) (queued, effective bool) {
+// requestStop records a stop request and flags the running job's
+// supervisor, if it has one. The first cause wins; requests on terminal
+// or already-stopping jobs report effective false.
+func (j *Job) requestStop(cause CancelCause) (effective bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() || j.cancelCause != "" {
-		return false, false
+		return false
 	}
 	j.cancelCause = cause
-	if j.state == StateQueued {
-		return true, true
-	}
 	if j.super != nil {
 		j.super.Stop.Store(true)
 	}
-	return false, true
+	return true
 }
 
 // stopCause returns the recorded stop cause ("" when none).
@@ -285,15 +263,10 @@ func (j *Job) checkStall(now time.Time, window time.Duration) bool {
 // terminal event (rendered by the same mapping late subscribers replay),
 // lifecycle-context cancellation. Every path that ends a job — cache hit,
 // worker acknowledgement, queued stop, rolled-back admission — calls it
-// once; should two ever race (a stop landing on a job whose admission is
-// being rolled back), the first wins and the job keeps one terminal state.
-// It reports whether this call made the job terminal.
-func (j *Job) finish(state State, res *Result, err error, now time.Time) bool {
+// exactly once.
+func (j *Job) finish(state State, res *Result, err error, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
 	j.state, j.result, j.err, j.finishedAt = state, res, err, now
 	j.publishLocked(j.snapshotEventLocked(), true)
 	// context.Cause never reports nil once a context is cancelled, so the
@@ -306,7 +279,6 @@ func (j *Job) finish(state State, res *Result, err error, now time.Time) bool {
 	default:
 		j.ctxCancel(errJobFinished)
 	}
-	return true
 }
 
 var (

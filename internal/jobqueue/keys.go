@@ -207,14 +207,18 @@ func stopOutcome(j *Job, cause CancelCause) outcome {
 }
 
 // settle is the one terminal path: it applies the outcome's file action,
-// moves the key out of the active state, counts the ending, and only then
-// makes the job terminal — so whoever observes the terminal state (a
-// waiter, an SSE stream) already finds the key table, the counters and
-// the state dir consistent with it. The terminal job then joins the
-// retained terminal jobs (retireLocked). Each job is settled exactly once:
-// by the worker that ran it, by the stop that caught it queued, or by the
-// admission that rolled it back.
-func (p *Pool) settle(job *Job, o outcome) {
+// then, in one critical section, takes the job out of the gauge that
+// counts it (p.running for a worker's job, p.pending otherwise), moves
+// the key out of the active state, counts the ending and makes the job
+// terminal — so whoever observes the terminal state (a waiter, an SSE
+// stream) already finds the key table, the counters and the state dir
+// consistent with it, and Stats never sees the job in two places or in
+// none. The terminal job joins the retained terminal jobs in the same
+// section, so nothing a woken waiter submits next can be retired before
+// it. Each job is settled exactly once: by the worker that ran it, by the
+// stop that took it off the queue, or by the submission that admitted it,
+// when the admission rolls back or a stop lands while it is logged.
+func (p *Pool) settle(job *Job, o outcome, gauge *int) {
 	switch o.files {
 	case filesRemove:
 		p.removeJobFiles(job.ID, job.resume != nil)
@@ -238,6 +242,7 @@ func (p *Pool) settle(job *Job, o outcome) {
 
 	var evictedPark string
 	p.mu.Lock()
+	*gauge--
 	if e := p.keys[job.Key]; e != nil && e.job == job {
 		e.job = nil
 		switch {
@@ -252,16 +257,9 @@ func (p *Pool) settle(job *Job, o outcome) {
 			delete(p.keys, e.key)
 		}
 	}
+	p.counters.Add(o.counter, 1)
+	job.finish(o.state, o.res, o.err, time.Now())
+	p.retireLocked(job)
 	p.mu.Unlock()
 	p.dropPark(evictedPark)
-
-	p.counters.Add(o.counter, 1)
-	// Terminal and retired in one critical section: a waiter woken by the
-	// terminal state finds the job among the retained ones, so nothing it
-	// submits next can be retired before it.
-	p.mu.Lock()
-	if job.finish(o.state, o.res, o.err, time.Now()) {
-		p.retireLocked(job)
-	}
-	p.mu.Unlock()
 }

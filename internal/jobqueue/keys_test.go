@@ -310,7 +310,6 @@ type modelJob struct {
 	key      int
 	deadline bool // carries a DeadlineSeconds budget
 	resumed  bool // its run continues from a checkpoint
-	husk     bool // stopped while queued; its queue slot is still occupied
 	events   <-chan Event
 }
 
@@ -368,7 +367,7 @@ type bootModel struct {
 	state    [propKeys]modelState
 	active   [propKeys]*modelJob
 	parkedID [propKeys]string
-	queue    []*modelJob // occupied queue slots in order, husks included
+	queue    []*modelJob // queued jobs in order
 	running  []*modelJob
 	cached   []int  // cached keys, oldest first
 	parked   []int  // parked keys, oldest first
@@ -378,6 +377,9 @@ type bootModel struct {
 	evicted  []*Job // terminal jobs pushed out of it
 	counters map[string]uint64
 	draining bool // the workers take no more work
+	// rolledBack counts the admissions a persist fault rolled back: the
+	// persist_errors a submission bumps, not those of a checkpoint write.
+	rolledBack uint64
 	// digest is, per cached key, which body's digest its entry holds:
 	// 1 + the body's index in keyMachine.bodies, 0 for none.
 	digest [propKeys]int
@@ -477,15 +479,12 @@ func (m *keyMachine) run(b *boot, rc experiment.RunConfig) (*experiment.RunStats
 func (m *keyMachine) count(name string) { m.counters[name]++ }
 
 // dispatch mirrors the workers: each free worker takes the head of the
-// queue, discarding husks.
+// queue.
 func (m *keyMachine) dispatch() {
 	for !m.draining && len(m.running) < propWorkers && len(m.queue) > 0 {
-		j := m.queue[0]
+		m.running = append(m.running, m.queue[0])
 		m.queue = m.queue[1:]
-		if !j.husk {
-			m.running = append(m.running, j)
-			m.runs++
-		}
+		m.runs++
 	}
 }
 
@@ -616,6 +615,7 @@ func (m *keyMachine) submit(k int, deadline, fault, raw bool) *Job {
 	case fault:
 		m.count("cache_misses")
 		m.count("persist_errors")
+		m.rolledBack++
 		var perr *PersistError
 		if !errors.As(err, &perr) || !errors.Is(err, syscall.ENOSPC) {
 			t.Fatalf("submit with a failing disk: %v, %v; want *PersistError wrapping ENOSPC", outcome, err)
@@ -716,7 +716,7 @@ func (m *keyMachine) ended(j *modelJob, want State, text string) {
 }
 
 // stopQueued checks a job stopped while queued: terminal at once, its whole
-// life spent waiting, its files gone, its slot a husk.
+// life spent waiting, its files gone, its queue slot free.
 func (m *keyMachine) stopQueued(j *modelJob, want State, text string) {
 	wait, started := j.job.QueueWait()
 	enqueued, _, finished := j.job.Times()
@@ -726,7 +726,7 @@ func (m *keyMachine) stopQueued(j *modelJob, want State, text string) {
 	}
 	m.ended(j, want, text)
 	delete(m.disk, j.job.ID)
-	j.husk = true
+	m.queue = slices.DeleteFunc(m.queue, func(q *modelJob) bool { return q == j })
 	m.leave(j, mAbsent)
 }
 
@@ -796,16 +796,6 @@ func (m *keyMachine) stopRunning(j *modelJob, cause CancelCause) {
 	m.end(j, vs[m.rng.Intn(len(vs))], cause)
 }
 
-func (m *keyMachine) queuedJobs() []*modelJob {
-	var out []*modelJob
-	for _, j := range m.queue {
-		if !j.husk {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // supervise runs the watchdog's scan now and again after later. Every
 // deadline budget has run out once after exceeds it, and a held run, which
 // makes no heartbeat, has stalled once after reaches the stall window; the
@@ -815,7 +805,7 @@ func (m *keyMachine) supervise(after time.Duration) {
 	m.pool.superviseOnce(now)
 	m.pool.superviseOnce(now.Add(after))
 	expired := after > propBudget
-	for _, j := range m.queuedJobs() {
+	for _, j := range slices.Clone(m.queue) {
 		if expired && j.deadline {
 			m.stopQueued(j, StateDeadline, "deadline")
 		}
@@ -861,7 +851,7 @@ func (m *keyMachine) drain() {
 	if _, _, err := m.pool.Submit(&spec); err != ErrShuttingDown {
 		m.t.Fatalf("submit after the drain: %v, want ErrShuttingDown", err)
 	}
-	for _, j := range m.queuedJobs() {
+	for _, j := range m.queue {
 		if st := j.job.State(); st != StateQueued {
 			m.t.Fatalf("job %s, left queued by the drain, is %s", j.job.ID, st)
 		}
@@ -871,19 +861,34 @@ func (m *keyMachine) drain() {
 
 // crashStep arms a crash at a random disk operation of a submit or of a
 // cancelled run's ending. An operation with fewer completes and is checked
-// as usual; otherwise the boot dies at that operation.
+// as usual; otherwise the boot dies at that operation. An ending whose job
+// holds a checkpoint is aimed instead: its run completes, and the crash
+// lands on the second operation, the checkpoint's removal after the
+// unsynced retire record (one operation each on an open log, as
+// TestAdmissionCostsThreeOps counts them), the one point that orphans the
+// checkpoint.
 func (m *keyMachine) crashStep(k int, j *modelJob) {
 	touched := map[string]diskRec{} // the IDs whose files the operation may change
-	m.b.ffs.CrashAt(1 + m.rng.Intn(16))
+	ending := j != nil && m.rng.Intn(2) == 0
+	aimed := ending && m.disk[j.job.ID].ckpt
+	if aimed {
+		m.b.ffs.CrashAt(2)
+	} else {
+		m.b.ffs.CrashAt(1 + m.rng.Intn(16))
+	}
 	var accepted *Job
-	if j != nil && m.rng.Intn(2) == 0 {
+	if ending {
 		touched[j.job.ID] = m.disk[j.job.ID]
 		if len(m.parked) == propCap { // a park pushes the oldest pair out
 			id := m.parkedID[m.parked[0]]
 			touched[id] = m.disk[id]
 		}
 		m.pool.Cancel(j.job.ID)
-		m.stopRunning(j, CauseCancel)
+		if aimed {
+			m.end(j, vFinish, CauseCancel)
+		} else {
+			m.stopRunning(j, CauseCancel)
+		}
 	} else {
 		touched[m.nextID()] = diskRec{key: k}
 		if m.state[k] == mParked {
@@ -1106,7 +1111,7 @@ func (m *keyMachine) step() {
 			m.submit(k, m.rng.Intn(3) == 0, false, false)
 		}
 	case 3: // duplicate submit of an active key
-		if j := pick(append(m.queuedJobs(), m.running...)); j != nil {
+		if j := pick(slices.Concat(m.queue, m.running)); j != nil {
 			k = j.key
 		}
 		m.submit(k, false, false, false)
@@ -1116,7 +1121,7 @@ func (m *keyMachine) step() {
 		if _, found, _ := m.pool.Cancel("j-999999"); found {
 			m.t.Fatal("Cancel of an unknown ID found a job")
 		}
-		if j := pick(m.queuedJobs()); j != nil {
+		if j := pick(m.queue); j != nil {
 			if _, found, requested := m.pool.Cancel(j.job.ID); !found || !requested {
 				m.t.Fatalf("Cancel(%s) = found %v requested %v", j.job.ID, found, requested)
 			}
@@ -1292,7 +1297,7 @@ func (m *keyMachine) check() {
 
 	// The job table lists, in admission order, the retained terminal jobs
 	// and the live queued and running ones; no evicted ID is found.
-	live := append(m.queuedJobs(), m.running...)
+	live := slices.Concat(m.queue, m.running)
 	wantListed := jobIDs(m.retained)
 	for _, j := range live {
 		wantListed = append(wantListed, j.job.ID)
@@ -1309,10 +1314,17 @@ func (m *keyMachine) check() {
 		}
 	}
 
-	// Gauges: occupied slots (husks included) plus busy workers.
+	// Gauges: the queued jobs and the busy workers, which with the
+	// counters keep DESIGN §11's identities.
 	st := p.Stats()
-	if st.QueueDepth+st.InFlight != len(m.queue)+len(m.running) || st.QueueDepth+st.InFlight > propDepth+propWorkers {
-		t.Fatalf("queue depth %d + in-flight %d, model %d + %d", st.QueueDepth, st.InFlight, len(m.queue), len(m.running))
+	if st.QueueDepth != len(m.queue) || st.InFlight != len(m.running) {
+		t.Fatalf("queue depth %d, in-flight %d; model %d, %d", st.QueueDepth, st.InFlight, len(m.queue), len(m.running))
+	}
+	if msg := identityViolation(st, m.rolledBack); msg != "" {
+		t.Fatal(msg)
+	}
+	if got := st.QueueDepth + st.InFlight + terminalSum(st.Counters); got != m.admitted {
+		t.Fatalf("queue depth + in-flight + terminal counters = %d, model admitted %d", got, m.admitted)
 	}
 	if st.CacheEntries != len(m.cached) {
 		t.Fatalf("CacheEntries = %d, model has %d", st.CacheEntries, len(m.cached))
@@ -1364,8 +1376,8 @@ func (m *keyMachine) finish() {
 		m.end(m.running[0], vFinish, "")
 		m.check()
 	}
-	if len(m.queuedJobs()) != 0 {
-		t.Fatalf("queue still holds live jobs with idle workers")
+	if len(m.queue) != 0 {
+		t.Fatalf("queue still holds jobs with idle workers")
 	}
 	var sum uint64
 	for _, name := range terminalCounter {
@@ -1413,7 +1425,7 @@ func TestKeyStateMachineProperty(t *testing.T) {
 	t.Logf("transitions reached over %d sequences: %v", sequences, reached)
 	// The generator still reaches every transition the model knows, and
 	// turns submissions away from a full queue often, not by chance.
-	floor := map[string]uint64{"queue_full_rejected": 50}
+	floor := map[string]uint64{"queue_full_rejected": 50, "checkpoints_quarantined": 20}
 	for _, name := range []string{
 		"jobs_recovered", "jobs_recovered_dup", "jobs_parked_recovered", "recover_left_on_disk",
 		"tmp_files_swept", "checkpoints_quarantined", "parked_resumed", "parked_evicted",

@@ -105,20 +105,25 @@ type Pool struct {
 	queueWait *metrics.Histogram
 	runDur    *metrics.Histogram
 
-	queue chan *Job
-	quit  chan struct{}
-	wg    sync.WaitGroup
+	quit chan struct{} // closed by Shutdown: the watchdog exits
+	wg   sync.WaitGroup
 
 	// drainStop asks running jobs to stop at their next cooperative
 	// boundary (checkpoint capture or coverage sample).
 	drainStop atomic.Bool
-	// running counts workers inside execute (the InFlight gauge).
-	running atomic.Int64
 
 	mu        sync.Mutex
+	work      sync.Cond // on mu: a job became runnable, or the pool stopped accepting
 	accepting bool
 	seq       int
-	queued    int // jobs holding a queue slot: admitted, not yet dequeued
+	// queue holds the runnable jobs, oldest first; a worker takes the
+	// head. pending counts the queued jobs off it: an admission whose
+	// record is being synced, and a stopped job being settled. Together
+	// they are the queued jobs, which QueueDepth bounds; running counts
+	// the jobs on a worker.
+	queue   []*Job
+	pending int
+	running int
 
 	// jobs is the job table: every queued and running job, and the newest
 	// CacheCap terminal jobs, which finished holds in the order they ended.
@@ -168,7 +173,7 @@ func New(cfg Config) *Pool {
 		counters:   metrics.NewCounters(),
 		queueWait:  metrics.NewHistogram(),
 		runDur:     metrics.NewHistogram(),
-		queue:      make(chan *Job, cfg.QueueDepth),
+		queue:      make([]*Job, 0, cfg.QueueDepth),
 		quit:       make(chan struct{}),
 		accepting:  true,
 		jobs:       make(map[string]*Job),
@@ -178,6 +183,7 @@ func New(cfg Config) *Pool {
 		cachedKeys: fifo[*entry]{cap: cfg.CacheCap},
 		bodies:     make(map[[sha256.Size]byte]*entry),
 	}
+	p.work.L = &p.mu
 	if cfg.StateDir != "" {
 		p.replay()
 	}
@@ -239,13 +245,20 @@ func (p *Pool) CachedResult(key string) (*Result, bool) {
 	return nil, false
 }
 
-// Stats returns the operational gauges and counter snapshot.
+// queuedLocked is the number of queued jobs: admitted, not yet running,
+// not yet ended.
+func (p *Pool) queuedLocked() int { return len(p.queue) + p.pending }
+
+// Stats returns the operational gauges and counter snapshot. Every
+// gauge, and every counter in DESIGN §11's identities, changes in the
+// critical section of the transition it counts, so one Stats call reads
+// one state of the pool.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return Stats{
-		QueueDepth:       p.queued,
-		InFlight:         int(p.running.Load()),
+		QueueDepth:       p.queuedLocked(),
+		InFlight:         p.running,
 		CacheEntries:     p.cachedKeys.l.Len(),
 		WallSecondsTotal: p.runDur.Sum(),
 		Counters:         p.counters.Snapshot(),
@@ -265,6 +278,7 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 		return ErrShuttingDown
 	}
 	p.accepting = false
+	p.work.Broadcast()
 	p.mu.Unlock()
 	close(p.quit)
 

@@ -32,7 +32,7 @@ func TestResumeIsBitExact(t *testing.T) {
 		stop         CancelCause
 		lostWrite    bool // the disk refuses the drain's checkpoint
 		restart      bool // a restart comes between the segments
-		persistFault bool // the first claim cannot persist its spec and is rolled back
+		persistFault bool // the first claim cannot log its admission and is rolled back
 	}{
 		{name: "cancel/claim", stop: CauseCancel},
 		{name: "cancel/restart/claim", stop: CauseCancel, restart: true},

@@ -512,7 +512,7 @@ func (p *Pool) Recover() (int, error) {
 			p.mu.Unlock()
 			p.counters.Add("jobs_parked_recovered", 1)
 			p.dropPark(evicted)
-		case !p.accepting || p.queued >= p.cfg.QueueDepth:
+		case !p.accepting || p.queuedLocked() >= p.cfg.QueueDepth:
 			p.mu.Unlock()
 			return recovered, nil // remaining jobs stay for the next restart
 		default:
@@ -520,14 +520,14 @@ func (p *Pool) Recover() (int, error) {
 			if snap != nil {
 				job.resume = snap
 			}
+			p.counters.Add("jobs_recovered", 1)
+			p.enqueueLocked(job)
 			p.mu.Unlock()
 			if claimed != nil {
 				// A crash between a claim's admission and the removal of
 				// the parked pair left both on disk; finish the removal.
 				p.removeJobFiles(claimed.id, true)
 			}
-			p.counters.Add("jobs_recovered", 1)
-			p.queue <- job
 			recovered++
 		}
 	}

@@ -1,14 +1,18 @@
 package jobqueue
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Cancel requests cancellation of a job by ID. Unknown IDs report found
-// false. Queued jobs transition to cancelled immediately; running jobs
-// are preempted at the engine's next supervisor poll (checkpointable
-// runs park a resumable snapshot first) and reach cancelled when the
-// worker acknowledges; terminal jobs are left untouched (requested
-// false). Cancellation is best-effort by design: a job that finishes
-// before the preemption lands stays done.
+// false. A queued job is cancelled before Cancel returns (one whose
+// admission is still being synced, as soon as its submission has logged
+// it); running jobs are preempted at the engine's next supervisor poll
+// (checkpointable runs park a resumable snapshot first) and reach
+// cancelled when the worker acknowledges; terminal jobs are left
+// untouched (requested false). Cancellation is best-effort by design: a
+// job that finishes before the preemption lands stays done.
 func (p *Pool) Cancel(id string) (job *Job, found, requested bool) {
 	j, ok := p.Get(id)
 	if !ok {
@@ -17,14 +21,23 @@ func (p *Pool) Cancel(id string) (job *Job, found, requested bool) {
 	return j, true, p.stop(j, CauseCancel)
 }
 
-// stop routes a stop request to a job. A job caught while still queued
-// is settled here — its worker will only ever dequeue a husk, so nobody
-// else would release the key or retire the admission; a running job is
-// settled by its worker once the preemption lands.
+// stop routes a stop request to a job. A job on the queue leaves it in
+// the critical section that records the stop, so no worker can take it,
+// and is settled here; until settle ends it, it counts as pending, still
+// queued. A running job is settled by its worker once the preemption
+// lands, and a job whose admission is being synced by the submission that
+// admitted it, once the record is in the log.
 func (p *Pool) stop(j *Job, cause CancelCause) bool {
-	queued, effective := j.requestStop(cause)
-	if queued {
-		p.settle(j, stopOutcome(j, cause))
+	p.mu.Lock()
+	effective := j.requestStop(cause)
+	i := slices.Index(p.queue, j) // a job on the queue has no stop yet: effective
+	if i >= 0 {
+		p.queue = slices.Delete(p.queue, i, i+1)
+		p.pending++
+	}
+	p.mu.Unlock()
+	if i >= 0 {
+		p.settle(j, stopOutcome(j, cause), &p.pending)
 	}
 	return effective
 }
@@ -62,7 +75,7 @@ func (p *Pool) watchdog() {
 // and retire, in a repeatable order.
 func (p *Pool) superviseOnce(now time.Time) {
 	p.mu.Lock()
-	active := make([]*Job, 0, p.queued+p.cfg.Workers)
+	active := make([]*Job, 0, p.queuedLocked()+p.running)
 	for _, j := range p.order {
 		if e := p.keys[j.Key]; e != nil && e.job == j {
 			active = append(active, j)
@@ -70,7 +83,7 @@ func (p *Pool) superviseOnce(now time.Time) {
 	}
 	p.mu.Unlock()
 	for _, j := range active {
-		if at, ok := j.Deadline(); ok && now.After(at) {
+		if at := j.deadlineAt; !at.IsZero() && now.After(at) {
 			p.stop(j, CauseDeadline)
 			continue
 		}

@@ -387,7 +387,7 @@ func TestEndToEndSSELateSubscriber(t *testing.T) {
 }
 
 // TestEndToEndPersistFailure503 pins the admission-durability contract
-// over the wire: when the state store cannot fsync the spec, the
+// over the wire: when the state store cannot sync the admission, the
 // submission is rejected as retryable (503 + Retry-After) rather than
 // accepted without crash recovery, and once the disk recovers the same
 // spec goes through.
@@ -405,7 +405,7 @@ func TestEndToEndPersistFailure503(t *testing.T) {
 	if !errors.As(err, &retryable) {
 		t.Fatalf("submit under ENOSPC: err = %v, want retryable 503", err)
 	}
-	if !strings.Contains(retryable.Message, "persist") {
+	if !strings.Contains(retryable.Message, "cannot log job admission") {
 		t.Errorf("error does not name the persistence failure: %q", retryable.Message)
 	}
 	if retryable.RetryAfter <= 0 {
