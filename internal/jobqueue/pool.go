@@ -56,8 +56,8 @@ type Config struct {
 	// are exercised; no spec field asks for a fault.
 	Run RunFunc
 	// BeforeRun, when non-nil, runs on the worker goroutine after a job
-	// is dequeued and before its simulation starts. Tests use it to
-	// hold workers at a barrier.
+	// is dequeued, and so already running, and before its simulation
+	// starts. Tests use it to hold workers at a barrier.
 	BeforeRun func(j *Job)
 	// StallWindow enables watchdog stall detection: a running job whose
 	// engine heartbeat does not advance for this long is preempted — into

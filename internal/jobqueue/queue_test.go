@@ -46,37 +46,26 @@ func identityViolation(st Stats, rolledBack uint64) string {
 	return ""
 }
 
-// heldPool starts a one-worker pool whose worker is held at BeforeRun by
-// the first job, of seed 0, until the test ends.
-func heldPool(t *testing.T, cfg Config) *Pool {
-	t.Helper()
-	held, release := make(chan struct{}), make(chan struct{})
-	cfg.Workers = 1
-	cfg.BeforeRun = func(j *Job) {
-		if j.Spec.Network.Seed == 0 {
-			close(held)
-			<-release
-		}
-	}
-	pool := New(cfg)
-	pool.Start()
-	t.Cleanup(func() {
-		close(release)
-		_ = pool.Shutdown(context.Background())
-	})
-	if _, _, err := pool.Submit(testSpec(0)); err != nil {
-		t.Fatal(err)
-	}
-	<-held
-	return pool
-}
-
 // TestCancelledQueuedJobsFreeTheirSlots: with the one worker held and the
 // queue full, cancelling every queued job empties the queue at once. The
 // gauge reads 0, and the next distinct submission is admitted rather than
 // turned away as if the cancelled jobs were still ahead of it.
 func TestCancelledQueuedJobsFreeTheirSlots(t *testing.T) {
-	pool := heldPool(t, Config{QueueDepth: 4, Run: instantRun})
+	held, release := make(chan struct{}), make(chan struct{})
+	pool := New(Config{Workers: 1, QueueDepth: 4, Run: instantRun,
+		BeforeRun: func(j *Job) {
+			if j.Spec.Network.Seed == 0 { // the first job holds the worker
+				close(held)
+				<-release
+			}
+		}})
+	pool.Start()
+	defer pool.Shutdown(context.Background())
+	defer close(release)
+	if _, _, err := pool.Submit(testSpec(0)); err != nil {
+		t.Fatal(err)
+	}
+	<-held
 	var queued []*Job
 	for seed := int64(1); seed <= 4; seed++ {
 		j, _, err := pool.Submit(testSpec(seed))
@@ -130,10 +119,11 @@ func (f gatedFile) Sync() error {
 }
 
 // TestStopDuringAdmissionSync: a job becomes runnable only once its
-// admission record is synced. While the sync is held the job is queued,
-// counted as such, and no worker takes it. A cancel that lands then is
-// effective; the job ends cancelled when its submission has logged it,
-// its admission retired, and it never runs.
+// admission record is synced. While the sync is held the job is queued
+// and counted as such, but on no queue a worker reads, and no worker
+// starts it. A cancel that lands then is effective; the job ends
+// cancelled when its submission has logged it, its admission retired,
+// and it never runs.
 func TestStopDuringAdmissionSync(t *testing.T) {
 	mem := newMemFS()
 	gate := &syncGate{FS: mem, syncing: make(chan struct{}), release: make(chan struct{})}
@@ -171,9 +161,12 @@ func TestStopDuringAdmissionSync(t *testing.T) {
 		<-gate.syncing
 		jobs := pool.Jobs()
 		job := jobs[len(jobs)-1]
-		time.Sleep(10 * time.Millisecond) // a worker that could take the job would have by now
-		if st := pool.Stats(); st.QueueDepth != 1 || st.InFlight != 0 || job.State() != StateQueued {
-			t.Fatalf("during the sync: queue depth %d, in flight %d, job %s; want 1, 0, queued", st.QueueDepth, st.InFlight, job.State())
+		pool.mu.Lock()
+		runnable := slices.Contains(pool.queue, job)
+		pool.mu.Unlock()
+		if st := pool.Stats(); runnable || st.QueueDepth != 1 || st.InFlight != 0 || job.State() != StateQueued {
+			t.Fatalf("during the sync: runnable %v, queue depth %d, in flight %d, job %s; want false, 1, 0, queued",
+				runnable, st.QueueDepth, st.InFlight, job.State())
 		}
 		if stop {
 			if _, found, requested := pool.Cancel(job.ID); !found || !requested {
@@ -235,9 +228,10 @@ func TestRecoverOnARunningPool(t *testing.T) {
 // (through Submit and SubmitJSON, some with deadline budgets the watchdog
 // or admission control enforce), cancel and drain, and requires every
 // reading to keep DESIGN §11's identities. Each of four rounds runs a
-// fresh pool and drains it halfway through its polls. Under the race
-// detector without -short, as CI repeats it, it polls 10^6 times; a plain
-// run polls 10^5 times, which keeps tier-1 fast.
+// fresh pool and drains it halfway through, once both its polls and its
+// operations are half done. Under the race detector without -short, as CI
+// repeats it, it polls 10^6 times; a plain run polls 10^5 times, which
+// keeps tier-1 fast.
 func TestStatsIdentitiesUnderConcurrency(t *testing.T) {
 	polls, rounds := 100_000, 4
 	if raceEnabled && !testing.Short() {
@@ -248,7 +242,7 @@ func TestStatsIdentitiesUnderConcurrency(t *testing.T) {
 	for k := range specs {
 		specs[k] = testSpec(int64(k))
 		if k%3 == 0 {
-			specs[k].DeadlineSeconds = 1e-4
+			specs[k].DeadlineSeconds = 1e-6
 		}
 		if err := specs[k].Normalize(); err != nil {
 			t.Fatal(err)
@@ -260,7 +254,7 @@ func TestStatsIdentitiesUnderConcurrency(t *testing.T) {
 	}
 	// A run polls its supervisor a while, so stops land on running jobs.
 	run := func(rc experiment.RunConfig) (*experiment.RunStats, error) {
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 20; i++ {
 			if rc.Supervisor.Stop.Load() {
 				return &experiment.RunStats{Preempted: true}, nil
 			}
@@ -268,12 +262,14 @@ func TestStatsIdentitiesUnderConcurrency(t *testing.T) {
 		}
 		return &experiment.RunStats{}, nil
 	}
-	violations, seen := 0, map[string]bool{}
+	const roundOps = 1000 // at least, whatever the scheduler lets the polls do meanwhile
+	violations, total, seen := 0, 0, map[string]bool{}
 	for r := 0; r < rounds; r++ {
 		pool := New(Config{Workers: 2, QueueDepth: 6, CacheCap: 8, Run: run,
 			WatchdogInterval: time.Millisecond})
 		pool.Start()
 		stop := make(chan struct{})
+		var ops atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() { // one goroutine submits through both doors and cancels, in turn
@@ -297,20 +293,26 @@ func TestStatsIdentitiesUnderConcurrency(t *testing.T) {
 						pool.Cancel(jobs[rng.Intn(len(jobs))].ID)
 					}
 				}
+				ops.Add(1)
+				runtime.Gosched()
 			}
 		}()
 		drained := make(chan error, 1)
-		for i := 0; i < polls/rounds; i++ {
-			if i == polls/rounds/2 {
+		draining := false
+		for i := 0; i < polls/rounds || ops.Load() < roundOps || !draining; i++ {
+			if !draining && i >= polls/rounds/2 && ops.Load() >= roundOps/2 {
+				draining = true
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
 				go func() { drained <- pool.Shutdown(ctx) }()
 			}
+			total++
 			if msg := identityViolation(pool.Stats(), 0); msg != "" {
 				if violations++; violations <= 3 {
 					t.Errorf("poll %d of round %d: %s", i, r, msg)
 				}
 			}
+			runtime.Gosched() // on one CPU too, the other goroutines get their turns
 		}
 		close(stop)
 		wg.Wait()
@@ -320,7 +322,7 @@ func TestStatsIdentitiesUnderConcurrency(t *testing.T) {
 		}
 	}
 	if violations > 0 {
-		t.Fatalf("%d of %d Stats readings broke an identity", violations, polls)
+		t.Fatalf("%d of %d Stats readings broke an identity", violations, total)
 	}
 	for _, name := range []string{"jobs_coalesced", "cache_hits", "queue_full_rejected", "deadline_rejected",
 		"jobs_completed", "jobs_cancelled", "jobs_deadline_exceeded"} {
