@@ -16,7 +16,8 @@ import (
 var ErrLogClosed = errors.New("durable: log closed; rewrite it")
 
 // Log is an append-only file of Frame records. Append writes one frame
-// and Sync flushes the file to stable storage, each under the log's lock.
+// under the log's lock, and Sync flushes the file to stable storage
+// without holding it, so appends go on while a sync waits on the disk.
 // Rewrite replaces the whole file through WriteFile (old-or-new) with the
 // records the caller still needs and reopens it for appending; it is how
 // a log is first opened, compacted, and repaired after a failed write.
@@ -29,9 +30,10 @@ type Log struct {
 	fsys FS
 	path string
 
-	mu   sync.Mutex // guards f and size
+	mu   sync.Mutex // guards f, size and gen
 	f    File       // nil until Rewrite, and after Close or a failure
 	size int64
+	gen  uint64 // Rewrites completed
 }
 
 // NewLog returns the log at path, not yet open: call Rewrite first.
@@ -59,6 +61,7 @@ func (l *Log) Rewrite(payloads [][]byte) error {
 		return fmt.Errorf("durable: open %s for append: %w", l.path, err)
 	}
 	l.f, l.size = f, int64(len(data))
+	l.gen++
 	return nil
 }
 
@@ -80,20 +83,31 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
-// Sync puts every record appended so far on stable storage. A failed sync
-// closes the log: no later sync can vouch for the records it should have
-// covered.
+// Sync puts every record appended so far on stable storage. The fsync
+// runs outside the log's lock. A sync that fails after a Rewrite replaced
+// the file still succeeds: the rewrite put every record its caller still
+// needs on stable storage. Any other failed sync closes the log: no later
+// sync can vouch for the records it should have covered.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
+	f, gen := l.f, l.gen
+	l.mu.Unlock()
+	if f == nil {
 		return ErrLogClosed
 	}
-	if err := l.f.Sync(); err != nil {
-		l.closeLocked()
-		return fmt.Errorf("durable: fsync %s: %w", l.path, err)
+	err := f.Sync()
+	if err == nil {
+		return nil
 	}
-	return nil
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.gen != gen {
+		return nil
+	}
+	if l.f == f {
+		l.closeLocked()
+	}
+	return fmt.Errorf("durable: fsync %s: %w", l.path, err)
 }
 
 // Size returns the log file's length in bytes as this Log wrote it.

@@ -156,6 +156,72 @@ func TestLogAppendSyncRewrite(t *testing.T) {
 	}
 }
 
+// heldSyncFS is the real filesystem whose appended files hold each Sync
+// until the test releases it.
+type heldSyncFS struct {
+	OS
+	syncing, release chan struct{}
+}
+
+type heldSyncFile struct {
+	File
+	fs *heldSyncFS
+}
+
+func (h *heldSyncFS) Append(name string) (File, error) {
+	f, err := h.OS.Append(name)
+	if err != nil {
+		return nil, err
+	}
+	return heldSyncFile{f, h}, nil
+}
+
+func (f heldSyncFile) Sync() error {
+	f.fs.syncing <- struct{}{}
+	<-f.fs.release
+	return f.File.Sync()
+}
+
+// TestSyncRacingRewrite: a sync in flight holds no lock, so an append
+// goes on meanwhile. When a Rewrite replaces the file under it, the
+// sync's fsync of the closed file fails, and Sync still reports success,
+// since the rewrite made the records durable; after a Close it reports
+// the failure.
+func TestSyncRacingRewrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "admissions.log")
+	h := &heldSyncFS{syncing: make(chan struct{}), release: make(chan struct{})}
+	l := NewLog(h, path)
+	if err := errors.Join(l.Rewrite(nil), l.Append([]byte("a"))); err != nil {
+		t.Fatal(err)
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- l.Sync() }()
+	<-h.syncing
+	if err := l.Append([]byte("b")); err != nil {
+		t.Fatalf("append during a sync: %v", err)
+	}
+	if err := l.Rewrite([][]byte{[]byte("a"), []byte("b")}); err != nil {
+		t.Fatal(err)
+	}
+	h.release <- struct{}{}
+	if err := <-synced; err != nil {
+		t.Fatalf("a sync the rewrite overtook: %v, want success", err)
+	}
+
+	if err := l.Append([]byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	go func() { synced <- l.Sync() }()
+	<-h.syncing
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.release <- struct{}{}
+	if err := <-synced; err == nil {
+		t.Fatal("a sync of a log closed under it reported success")
+	}
+}
+
 // TestReadLogTornAndDamage holds the reader to its two rules on a
 // three-record log: cut anywhere, it returns the whole frames before the
 // cut and calls a partial last frame torn; with a bit flipped anywhere, a

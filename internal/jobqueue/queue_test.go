@@ -203,6 +203,54 @@ func TestStopDuringAdmissionSync(t *testing.T) {
 	}
 }
 
+// TestEndingDoesNotWaitForAnAdmissionSync: a job that finishes while
+// another submission's admission sync is held still ends. Its retire
+// record is appended while the sync waits on the disk.
+func TestEndingDoesNotWaitForAnAdmissionSync(t *testing.T) {
+	gate := &syncGate{FS: newMemFS(), syncing: make(chan struct{}), release: make(chan struct{})}
+	finish := make(chan struct{})
+	pool := New(Config{Workers: 1, QueueDepth: 4, StateDir: "/state", FS: gate,
+		Run: func(rc experiment.RunConfig) (*experiment.RunStats, error) {
+			if rc.Network.Seed == 1 {
+				<-finish
+			}
+			return instantRun(rc)
+		}})
+	if _, err := pool.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	pool.Start()
+	defer pool.Shutdown(context.Background())
+
+	submitted := make(chan error, 2)
+	submit := func(seed int64) {
+		_, _, err := pool.Submit(testSpec(seed))
+		submitted <- err
+	}
+	go submit(1)
+	<-gate.syncing
+	gate.release <- struct{}{}
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	a := pool.Jobs()[0]
+	go submit(2)
+	<-gate.syncing // B's admission sync is held from here on
+	close(finish)
+	deadline := time.Now().Add(2 * time.Second)
+	for !a.State().Terminal() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	st := a.State()
+	gate.release <- struct{}{}
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	if st != StateDone {
+		t.Fatalf("job %s is %s 2 s after its run returned, with another admission's sync held; want done", a.ID, st)
+	}
+}
+
 // TestRecoverOnARunningPool: Recover sets a recovered job's resume
 // snapshot before the job joins the queue, so a worker already waiting
 // for work resumes it bit-exactly. Under -race an unordered write of the
