@@ -148,7 +148,11 @@ func (p *Pool) submit(spec *Spec, body *[sha256.Size]byte) (*Job, Outcome, error
 	// attached during the unlocked persist window; settling the job as
 	// failed resolves them, and the key falls back to the park it had
 	// claimed.
-	if err := p.logAdmission(job); err != nil {
+	rec := jobRecord{ID: job.ID, Key: key, Spec: spec}
+	if claimed != nil {
+		rec.Claims = claimed.id
+	}
+	if err := p.logRecord(rec); err != nil {
 		perr := &PersistError{Err: err}
 		p.mu.Lock()
 		p.forgetLocked(job)
@@ -156,18 +160,13 @@ func (p *Pool) submit(spec *Spec, body *[sha256.Size]byte) (*Job, Outcome, error
 		p.settle(job, outcome{state: StateFailed, counter: "persist_errors", err: perr, park: claimed}, &p.pending)
 		return nil, "", perr
 	}
+	p.mu.Lock()
 	if claimed != nil {
-		// Re-home the claimed snapshot under the new job's ID. Best
-		// effort: if the copy fails, a crash loses only the resume
-		// optimization — the new job restarts from scratch and, by
-		// determinism, still produces the identical result.
-		if err := p.persistSnapshot(job, claimed.snap); err != nil {
-			p.counters.Add("persist_errors", 1)
-		}
-		p.removeJobFiles(claimed.id, true)
+		// The claim is logged: the parked checkpoint is the new job's,
+		// until its own lands or it ends.
+		job.ckpt = claimed.id
 		p.counters.Add("parked_resumed", 1)
 	}
-	p.mu.Lock()
 	if cause := job.stopCause(); cause != "" {
 		// Stopped while its admission was being logged: the stop left the
 		// job to this submission, which settles it now that the record
@@ -225,7 +224,7 @@ func (p *Pool) nextIDLocked() string {
 // must be absent or parked. A parked checkpoint from a cancelled or
 // deadline-killed run of this exact spec is claimed here: the new job
 // resumes where the preempted one stopped instead of restarting, and the
-// claim is returned so the caller can re-home or restore it. Determinism
+// claim is returned so the caller can log it or restore it. Determinism
 // makes the splice invisible — the final StateHash is the uninterrupted
 // run's.
 func (p *Pool) admitLocked(id, key string, spec *Spec, now time.Time) (job *Job, claimed *parked) {

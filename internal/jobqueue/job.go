@@ -83,6 +83,10 @@ type Job struct {
 	// resume, when set, is the drain or park snapshot the next run
 	// continues from (populated by Recover or a parked-checkpoint claim).
 	resume *checkpoint.Snapshot
+	// ckpt is the ID of the checkpoint file the job holds ("" for none):
+	// the one resume was read from, or the one its run last wrote. It goes
+	// with the job's record. Set before the job is queued, then by settle.
+	ckpt string
 
 	// ctx is the job's lifecycle context: it is cancelled (with a cause)
 	// the moment the job reaches a terminal state, so request-scoped work

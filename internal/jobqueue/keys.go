@@ -27,7 +27,7 @@ const (
 )
 
 // parked is one preempted run's leftover: the snapshot plus the job ID its
-// on-disk spec/checkpoint pair is filed under.
+// parked record and checkpoint are filed under.
 type parked struct {
 	id   string
 	snap *checkpoint.Snapshot
@@ -98,9 +98,9 @@ func (p *Pool) seatKeyLocked(q *fifo[*entry], e *entry) *entry {
 	return old
 }
 
-// parkLocked files pk under e's key and returns the job ID of the parked
-// pair it evicted ("" when none); the caller removes that pair's files
-// outside the lock with dropPark.
+// parkLocked files pk under e's key and returns the job ID of the park it
+// evicted ("" when none); the caller removes that park's record and
+// checkpoint outside the lock with dropPark.
 func (p *Pool) parkLocked(e *entry, pk parked) (evictedID string) {
 	e.state, e.park = keyParked, pk
 	if old := p.seatKeyLocked(&p.parkedKeys, e); old != nil {
@@ -151,21 +151,21 @@ func (p *Pool) forgetLocked(j *Job) {
 	p.order, p.orderDead = live, 0
 }
 
-// dropPark discards an evicted parked pair's files.
+// dropPark discards an evicted park's record and checkpoint.
 func (p *Pool) dropPark(id string) {
 	if id != "" {
 		p.counters.Add("parked_evicted", 1)
-		p.removeJobFiles(id, true)
+		p.removeJobFiles(id, id)
 	}
 }
 
-// fileAction is what a terminal transition does to the job's on-disk
-// spec/checkpoint pair.
+// fileAction is what a terminal transition does to the job's log record
+// and checkpoint.
 type fileAction uint8
 
 const (
 	// filesRemove: the job is over under this ID; retire its admission
-	// and remove its checkpoint.
+	// and remove the checkpoint it holds.
 	filesRemove fileAction = iota
 	// filesKeepSpec: leave the admission live so Recover restarts the job
 	// from scratch after a restart.
@@ -173,9 +173,9 @@ const (
 	// filesCheckpoint: write the snapshot beside the admission so Recover
 	// resumes the job bit-exactly.
 	filesCheckpoint
-	// filesPark: write the snapshot and a spec file marked Parked, then
-	// retire the admission, so a restart reloads the pair as claimable —
-	// never as runnable work.
+	// filesPark: write the snapshot, then log a parked record in place of
+	// the admission, so a restart reloads the park as claimable — never
+	// as runnable work.
 	filesPark
 )
 
@@ -221,7 +221,7 @@ func stopOutcome(j *Job, cause CancelCause) outcome {
 func (p *Pool) settle(job *Job, o outcome, gauge *int) {
 	switch o.files {
 	case filesRemove:
-		p.removeJobFiles(job.ID, job.resume != nil)
+		p.removeJobFiles(job.ID, job.ckpt)
 	case filesCheckpoint:
 		// A failed write leaves the admission alone: the job is still
 		// suspended, Recover just restarts it from scratch — by
@@ -230,12 +230,13 @@ func (p *Pool) settle(job *Job, o outcome, gauge *int) {
 			p.counters.Add("persist_errors", 1)
 		}
 	case filesPark:
-		// Disk park failed: drop the files so a restart cannot see a
-		// half-written pair, and keep the in-memory entry (its loss on
-		// crash costs only the resume optimization).
+		// Disk park failed: retire the admission and drop the checkpoint,
+		// so a restart cannot re-run a cancelled job, and keep the
+		// in-memory entry (its loss on crash costs only the resume
+		// optimization).
 		if err := p.persistPark(job, o.park.snap); err != nil {
 			p.counters.Add("persist_errors", 1)
-			p.removeJobFiles(job.ID, true)
+			p.removeJobFiles(job.ID, job.ckpt)
 		}
 		p.counters.Add("jobs_parked", 1)
 	}

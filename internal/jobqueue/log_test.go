@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"peas/internal/checkpoint"
 	"peas/internal/durable"
@@ -49,6 +50,85 @@ func TestAdmissionCostsThreeOps(t *testing.T) {
 	}
 	if got := ffs.Ops(); got != 3*n+c {
 		t.Errorf("%d admitted and finished jobs took %d counted operations, want 3N+%d = %d", n, got, c, 3*n+c)
+	}
+}
+
+// parkOnStop is an executor whose run waits for its supervisor's stop and
+// then obeys it with a checkpoint, as a cancelled run does: the job parks.
+func parkOnStop(rc experiment.RunConfig) (*experiment.RunStats, error) {
+	for !rc.Supervisor.Stop.Load() {
+		time.Sleep(50 * time.Microsecond)
+	}
+	rc.OnPreempt(&checkpoint.Snapshot{})
+	return &experiment.RunStats{Preempted: true}, nil
+}
+
+// parkingPool starts a one-worker pool over fsys whose runs park when
+// cancelled, and returns it with the channel each run announces its job
+// on.
+func parkingPool(t *testing.T, fsys durable.FS) (*Pool, chan *Job) {
+	t.Helper()
+	running := make(chan *Job, 1)
+	pool := New(Config{Workers: 1, QueueDepth: 4, StateDir: "/state", FS: fsys,
+		BeforeRun: func(j *Job) { running <- j }, Run: parkOnStop})
+	if _, err := pool.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	pool.Start()
+	return pool, running
+}
+
+// cancelAndWait cancels a running job and waits for it to end.
+func cancelAndWait(t *testing.T, pool *Pool, j *Job) {
+	t.Helper()
+	pool.Cancel(j.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := j.Wait(ctx); err == nil || j.State() != StateCancelled {
+		t.Fatalf("job %s is %s after its cancel (%v), want cancelled", j.ID, j.State(), err)
+	}
+}
+
+// TestParkAndClaimCosts pins what a park and a claim cost on a FaultFS. A
+// park writes its checkpoint (WriteFile's 7 counted operations), then
+// appends and syncs its parked record: 9. A claim's admission appends and
+// syncs its record, which names the park it consumes: 2. The park of a
+// job that claimed one also removes the claimed checkpoint, which its own
+// replaces: 10. The store that filed a park as a spec file took 15 per
+// park (two WriteFiles and the retire record's append) and 11 per claim
+// admission (the append and sync, a WriteFile copying the parked
+// checkpoint under the new ID, and the removal of the parked spec file
+// and checkpoint).
+func TestParkAndClaimCosts(t *testing.T) {
+	ffs := durable.NewFaultFS(newMemFS())
+	pool, running := parkingPool(t, ffs)
+	defer pool.Shutdown(context.Background())
+	cost := func(op func()) int {
+		before := ffs.Ops()
+		op()
+		return ffs.Ops() - before
+	}
+	if _, _, err := pool.Submit(testSpec(1)); err != nil {
+		t.Fatal(err)
+	}
+	j := <-running
+	if got := cost(func() { cancelAndWait(t, pool, j) }); got != 9 {
+		t.Errorf("a park took %d counted operations, want 9", got)
+	}
+	var claim *Job
+	if got := cost(func() {
+		var err error
+		if claim, _, err = pool.Submit(testSpec(1)); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 2 {
+		t.Errorf("a claim's admission took %d counted operations, want 2", got)
+	}
+	if j := <-running; j != claim || j.resume == nil {
+		t.Fatalf("the worker ran %s (resuming %v), want the claim %s resuming", j.ID, j.resume != nil, claim.ID)
+	}
+	if got := cost(func() { cancelAndWait(t, pool, claim) }); got != 10 {
+		t.Errorf("the park of a claim took %d counted operations, want 10", got)
 	}
 }
 
@@ -235,22 +315,25 @@ func TestConcurrentAdmissions(t *testing.T) {
 	}
 }
 
-// TestAdmissionCrashSweep crashes one submission at each of its disk
-// operations in turn: on a log that is open, on one a failed write closed
-// (so the admission rewrites it first), and when the submission claims a
-// parked pair (re-homing the checkpoint and removing the pair). After
-// every crash the next boot recovers the job exactly once if Submit
-// acknowledged it, at most once if not, and a claim it acknowledged
-// resumes from a checkpoint.
+// TestAdmissionCrashSweep crashes one operation at each of its disk
+// operations in turn: a submission on a log that is open, on one a failed
+// write closed (so the admission rewrites it first), and one that claims
+// a park (its record naming the parked ID); and the park of a cancelled
+// run (its checkpoint, then its parked record). After every crash the
+// next boot recovers a submitted job exactly once if Submit acknowledged
+// it, at most once if not. A claimed or parked job comes back either
+// parked once or live once, never both and never neither, and a claim
+// that comes back live resumes from the parked checkpoint.
 func TestAdmissionCrashSweep(t *testing.T) {
 	const dir = "/state"
 	spec := testSpec(7)
-	for _, scenario := range []string{"open", "closed-by-a-failed-write", "claim"} {
+	for _, scenario := range []string{"open", "closed-by-a-failed-write", "claim", "park"} {
 		t.Run(scenario, func(t *testing.T) {
 			// setup boots a pool over a fresh disk, brings it to the
 			// scenario's state and returns it with its fault layer armed at
-			// nothing.
-			setup := func() (*memFS, *durable.FaultFS, *Pool) {
+			// nothing, and the operation to crash, which reports whether
+			// the job was acknowledged.
+			setup := func() (*memFS, *durable.FaultFS, *Pool, func() bool) {
 				mem := newMemFS()
 				if scenario == "claim" {
 					p0 := New(Config{StateDir: dir, FS: mem})
@@ -263,6 +346,21 @@ func TestAdmissionCrashSweep(t *testing.T) {
 					}
 				}
 				ffs := durable.NewFaultFS(mem)
+				if scenario == "park" {
+					pool, running := parkingPool(t, ffs)
+					s := *spec
+					if _, _, err := pool.Submit(&s); err != nil {
+						t.Fatal(err)
+					}
+					j := <-running
+					return mem, ffs, pool, func() bool {
+						pool.Cancel(j.ID)
+						ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+						defer cancel()
+						j.Wait(ctx)
+						return false
+					}
+				}
 				pool := New(Config{Workers: 1, QueueDepth: 4, StateDir: dir, FS: ffs, Run: instantRun})
 				if _, err := pool.Recover(); err != nil {
 					t.Fatal(err)
@@ -276,26 +374,33 @@ func TestAdmissionCrashSweep(t *testing.T) {
 					ffs.FailWrites(nil)
 				}
 				ffs.CrashAt(0)
-				return mem, ffs, pool
+				return mem, ffs, pool, func() bool {
+					s := *spec
+					_, _, err := pool.Submit(&s)
+					return err == nil
+				}
 			}
-			_, ffs, pool := setup()
+			_, ffs, pool, op := setup()
+			ffs.CrashAt(0)
+			op()
+			total := ffs.Ops()
+			pool.Shutdown(context.Background())
+			if total < 2 {
+				t.Fatalf("the operation took %d disk operations", total)
+			}
 			s := *spec
-			if _, _, err := pool.Submit(&s); err != nil {
+			if err := s.Normalize(); err != nil {
 				t.Fatal(err)
 			}
-			total := ffs.Ops()
-			if total < 2 {
-				t.Fatalf("a submission took %d operations", total)
-			}
+			key := s.Key()
 			for k := 1; k <= total; k++ {
-				mem, ffs, pool := setup()
+				mem, ffs, pool, op := setup()
 				ffs.CrashAt(k)
-				s := *spec
-				_, _, err := pool.Submit(&s)
+				acked := op()
 				if !ffs.Crashed() {
 					t.Fatalf("crash at op %d of %d never fired", k, total)
 				}
-				acked, key := err == nil, s.Key()
+				pool.Shutdown(context.Background())
 
 				next := New(Config{Workers: 1, QueueDepth: 4, StateDir: dir, FS: mem, Run: instantRun})
 				if _, err := next.Recover(); err != nil {
@@ -310,15 +415,18 @@ func TestAdmissionCrashSweep(t *testing.T) {
 				if len(recovered) > 1 || acked && len(recovered) != 1 {
 					t.Fatalf("crash at op %d (acknowledged %v): the job was recovered %d times", k, acked, len(recovered))
 				}
-				if scenario == "claim" {
+				if scenario == "claim" || scenario == "park" {
 					next.mu.Lock()
-					st := next.keys[key].state
+					var st keyState
+					if e := next.keys[key]; e != nil {
+						st = e.state
+					}
 					next.mu.Unlock()
 					switch {
-					case len(recovered) == 1 && (st != keyActive || recovered[0].resume == nil):
-						t.Fatalf("crash at op %d: a recovered claim is %v, resuming %v; want active and resuming", k, st, recovered[0].resume != nil)
+					case len(recovered) == 1 && (st != keyActive || scenario == "claim" && recovered[0].resume == nil):
+						t.Fatalf("crash at op %d: a recovered job is %v, resuming %v; want active, and resuming after a claim", k, st, recovered[0].resume != nil)
 					case len(recovered) == 0 && st != keyParked:
-						t.Fatalf("crash at op %d: an unrecovered claim left the key %v, want it parked", k, st)
+						t.Fatalf("crash at op %d: an unrecovered job left the key %v, want it parked", k, st)
 					}
 				}
 			}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"maps"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -21,32 +20,42 @@ import (
 
 // On-disk layout under Config.StateDir:
 //
-//	admissions.log — the write-ahead admission log: one CRC-framed record
-//	                 per admitted job (ID, content key, normalized spec),
-//	                 appended and fsynced before the job becomes
-//	                 runnable, and one unsynced retire record per job
-//	                 that leaves it.
-//	<id>.ckpt      — the drain checkpoint in the canonical snapshot
-//	                 codec, written when a shutdown deadline suspends
-//	                 the run, or a parked run's checkpoint.
-//	<id>.spec.json — a parked job: the spec with the Parked mark, filed
-//	                 beside its checkpoint. A plain spec file is a job a
-//	                 server of the one-file-per-job store admitted.
+//	admissions.log — the job log, the one durable record of each job's
+//	                 state. A CRC-framed record per admission (ID,
+//	                 content key, normalized spec, and for a claim the
+//	                 parked ID it consumes) is appended and fsynced
+//	                 before the job becomes runnable; a parked record
+//	                 (the same fields, marked parked) is appended and
+//	                 fsynced once a park's checkpoint has landed, in
+//	                 place of the admission; an unsynced retire record
+//	                 takes out a job that leaves. Replayed, the log gives
+//	                 each ID one state: live, parked or retired.
+//	<id>.ckpt      — a checkpoint in the canonical snapshot codec: a
+//	                 drain's or a stalled run's beside its admission, or
+//	                 a parked run's. It is valid only while a live or
+//	                 parked record names it: its own ID's, or, until the
+//	                 claiming job's own checkpoint lands, a claim that
+//	                 consumed it.
 //	quarantine/    — damaged files and log bytes set aside instead of
 //	                 parsing, and the bytes of torn log tails.
 //
-// The files are written through internal/durable's WriteFile: an atomic,
-// fsync'd, CRC-framed protocol (write-tmp → fsync file → rename → fsync
-// dir), so a SIGKILL or power loss at any syscall boundary leaves each
-// path holding either its complete previous content or its complete new
-// content. The log is only appended to, and rewritten whole through the
-// same protocol. A crash can tear only its last frame, which was never
+// <id>.spec.json is the format of earlier stores, one file per job (and,
+// later, per park). Nothing writes it; Recover reads each one as a record
+// logged after the log's, and removes it once a rewritten log holds it.
+//
+// Checkpoints are written through internal/durable's WriteFile: an
+// atomic, fsync'd, CRC-framed protocol (write-tmp → fsync file → rename →
+// fsync dir), so a SIGKILL or power loss at any syscall boundary leaves
+// each path holding either its complete previous content or its complete
+// new content. The log is only appended to, and rewritten whole through
+// the same protocol. A crash can tear only its last frame, which was never
 // acknowledged. Recover is crash-only: it replays the log and scans the
-// directory on boot, re-enqueues every live admission and plain spec
-// (resuming bit-exactly from a .ckpt when present, restarting from the
-// spec otherwise), quarantines any record or file that fails frame or
-// schema validation, sweeps torn .tmp files, torn log tails and orphaned
-// checkpoints, and never aborts the boot for damage.
+// directory on boot, re-enqueues every live job (resuming bit-exactly from
+// the checkpoint its record names, restarting from the spec otherwise),
+// makes every parked record claimable, quarantines any record or file
+// that fails frame or schema validation, sweeps torn .tmp files, torn log
+// tails and checkpoints no record names, and never aborts the boot for
+// damage.
 
 // QuarantineDir is the subdirectory of the state dir that damaged
 // files are moved into for offline inspection.
@@ -55,28 +64,33 @@ const QuarantineDir = "quarantine"
 // logName is the admission log's file name in the state dir.
 const logName = "admissions.log"
 
-// The log is compacted — rewritten with only its live admissions — when
-// it has grown past compactFloor bytes and compactRatio times the bytes
-// those admissions take.
+// The log is compacted — rewritten with only its live records — when it
+// has grown past compactFloor bytes and compactRatio times the bytes those
+// records take.
 const (
 	compactFloor = 1 << 20
 	compactRatio = 4
 )
 
-type specFile struct {
+// jobRecord is a log record that puts a job ID in a state: an admission,
+// or a park. A spec file of an earlier store holds the same JSON.
+type jobRecord struct {
 	ID   string `json:"id"`
 	Key  string `json:"key"`
 	Spec *Spec  `json:"spec"`
-	// Parked marks the pair as a cancelled/deadline-killed run's leftover
-	// checkpoint: Recover makes the key parked (claimable by a
-	// resubmission of the same spec) instead of re-enqueueing the job —
-	// a cancelled job must never resurrect as runnable work.
+	// Parked marks a cancelled/deadline-killed run's leftover checkpoint:
+	// Recover makes the key parked (claimable by a resubmission of the
+	// same spec) instead of re-enqueueing the job — a cancelled job must
+	// never resurrect as runnable work.
 	Parked bool `json:"parked,omitempty"`
+	// Claims is the parked ID a claim's admission consumes: replay takes
+	// that ID's record out, and the job resumes from its checkpoint.
+	Claims string `json:"claims,omitempty"`
 }
 
-// admissions is the pool's side of the admission log: the file and the
-// records of it that are still live. Its mutex is the log lock: every
-// append, and every rewrite, holds it.
+// admissions is the pool's side of the job log: the file and the records
+// of it that still hold a job, live or parked. Its mutex is the log lock:
+// every append, and every rewrite, holds it.
 type admissions struct {
 	mu  sync.Mutex
 	log *durable.Log
@@ -84,7 +98,7 @@ type admissions struct {
 	// appended, so the unread records are never rewritten away, and
 	// Recover returns it.
 	err error
-	// live holds each live admission's record by job ID; liveBytes is
+	// live holds each live or parked job's record by job ID; liveBytes is
 	// their total length.
 	live      map[string][]byte
 	liveBytes int
@@ -92,58 +106,65 @@ type admissions struct {
 	top int
 }
 
-func (p *Pool) specPath(id string) string {
-	return filepath.Join(p.cfg.StateDir, id+".spec.json")
+// setLocked makes rec id's record.
+func (a *admissions) setLocked(id string, rec []byte) {
+	a.liveBytes += len(rec) - len(a.live[id])
+	a.live[id] = rec
+}
+
+// dropLocked takes id's record out and reports whether it held one.
+func (a *admissions) dropLocked(id string) bool {
+	rec, ok := a.live[id]
+	delete(a.live, id)
+	a.liveBytes -= len(rec)
+	return ok
 }
 
 func (p *Pool) ckptPath(id string) string {
 	return filepath.Join(p.cfg.StateDir, id+".ckpt")
 }
 
-// retireRecord is the log record that takes id out of the live admissions.
+// retireRecord is the log record that takes id out of the live records.
 func retireRecord(id string) []byte { return []byte(`{"retired":"` + id + `"}`) }
 
-// logAdmission appends the job's admission record to the log and syncs
-// it: once it returns nil, a crash recovers the job. A no-op without a
-// state dir.
-func (p *Pool) logAdmission(job *Job) error {
+// logRecord appends rec to the log as its ID's state and syncs it: once
+// it returns nil, a crash finds the job in that state. A claim's parked
+// record then leaves the live ones. A no-op without a state dir.
+func (p *Pool) logRecord(rec jobRecord) error {
 	if p.cfg.StateDir == "" {
 		return nil
 	}
-	data, err := json.Marshal(specFile{ID: job.ID, Key: job.Key, Spec: job.Spec})
+	data, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
 	a := &p.adm
 	a.mu.Lock()
-	err = p.appendLocked(data)
-	if err == nil {
-		a.live[job.ID] = data
-		a.liveBytes += len(data)
-		a.top = max(a.top, idSequence(job.ID))
+	if err = p.appendLocked(data); err == nil {
+		a.setLocked(rec.ID, data)
+		a.top = max(a.top, idSequence(rec.ID))
 	}
 	a.mu.Unlock()
-	if err != nil {
-		return err
+	if err == nil {
+		err = a.log.Sync()
 	}
-	return a.log.Sync()
+	if err == nil && rec.Claims != "" {
+		a.mu.Lock()
+		a.dropLocked(rec.Claims)
+		a.mu.Unlock()
+	}
+	return err
 }
 
-// retire takes id out of the live admissions with an unsynced retire
-// record, and reports whether the log held it. A lost retire record costs
-// a re-run after a crash, never a lost job.
-func (p *Pool) retire(id string) bool {
+// retire takes id's record out with an unsynced retire record. A lost
+// retire record costs a re-run after a crash, never a lost job.
+func (p *Pool) retire(id string) {
 	a := &p.adm
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	rec, ok := a.live[id]
-	if !ok {
-		return false
+	if a.dropLocked(id) {
+		_ = p.appendLocked(retireRecord(id))
 	}
-	delete(a.live, id)
-	a.liveBytes -= len(rec)
-	_ = p.appendLocked(retireRecord(id))
-	return true
 }
 
 // appendLocked appends one record under the log lock. A log that is
@@ -167,9 +188,9 @@ func (p *Pool) appendLocked(payload []byte) error {
 	return err
 }
 
-// rewriteLogLocked replaces the log with its live admissions, in ID
-// order, after a retire record of the highest ID it held when that ID is
-// not live: the next boot's IDs start past it.
+// rewriteLogLocked replaces the log with its live records, in ID order,
+// after a retire record of the highest ID it held when that ID is not
+// live: the next boot's IDs start past it.
 func (p *Pool) rewriteLogLocked() error {
 	a := &p.adm
 	ids := make([]string, 0, len(a.live))
@@ -187,7 +208,7 @@ func (p *Pool) rewriteLogLocked() error {
 	return a.log.Rewrite(payloads)
 }
 
-// replay reads the log left by earlier boots into the live admissions and
+// replay reads the log left by earlier boots into the live records and
 // the ID high-water mark, and advances the ID sequence past it. New calls
 // it, before any ID is issued, so a pool that never calls Recover neither
 // reissues an earlier boot's IDs nor drops its records. A torn tail is
@@ -218,6 +239,7 @@ func (p *Pool) replay() {
 		var r struct {
 			ID      string `json:"id"`
 			Retired string `json:"retired"`
+			Claims  string `json:"claims"`
 		}
 		if json.Unmarshal(rec, &r) != nil || (r.ID == "") == (r.Retired == "") {
 			p.quarantineLogBytes(rec)
@@ -225,11 +247,10 @@ func (p *Pool) replay() {
 		}
 		a.top = max(a.top, idSequence(r.ID), idSequence(r.Retired))
 		if r.Retired != "" {
-			a.liveBytes -= len(a.live[r.Retired])
-			delete(a.live, r.Retired)
+			a.dropLocked(r.Retired)
 		} else {
-			a.liveBytes += len(rec) - len(a.live[r.ID])
-			a.live[r.ID] = bytes.Clone(rec)
+			a.dropLocked(r.Claims)
+			a.setLocked(r.ID, bytes.Clone(rec))
 		}
 	}
 	p.advanceSeq(jobID(a.top))
@@ -280,52 +301,46 @@ func (p *Pool) closeLog() {
 	_ = a.log.Close()
 }
 
-// persistSnapshot durably writes a job's checkpoint file. A no-op
-// without a state dir.
+// persistSnapshot durably writes a job's checkpoint file, which then
+// takes the place of the one the job resumed from: a checkpoint filed
+// under another ID is dropped. A no-op without a state dir.
 func (p *Pool) persistSnapshot(job *Job, snap *checkpoint.Snapshot) error {
 	if p.cfg.StateDir == "" {
 		return nil
 	}
-	return durable.WriteFile(p.cfg.FS, p.ckptPath(job.ID), snap.EncodeBytes())
-}
-
-// persistPark files a preempted job's checkpoint and its spec marked
-// Parked, then retires its admission. Ordering matters for crash safety:
-// the checkpoint lands first, so a crash between the writes leaves a live
-// admission + checkpoint — which Recover treats as an ordinary resumable
-// job, never a half-parked one — and a crash before the retire record
-// leaves the parked spec, which outranks the admission.
-func (p *Pool) persistPark(job *Job, snap *checkpoint.Snapshot) error {
-	if p.cfg.StateDir == "" {
-		return nil
-	}
-	if err := p.persistSnapshot(job, snap); err != nil {
+	if err := durable.WriteFile(p.cfg.FS, p.ckptPath(job.ID), snap.EncodeBytes()); err != nil {
 		return err
 	}
-	data, err := json.Marshal(specFile{ID: job.ID, Key: job.Key, Spec: job.Spec, Parked: true})
-	if err != nil {
-		return err
+	if job.ckpt != job.ID {
+		p.removeJobFiles(job.ckpt, job.ckpt)
+		job.ckpt = job.ID
 	}
-	if err := durable.WriteFile(p.cfg.FS, p.specPath(job.ID), data); err != nil {
-		return err
-	}
-	p.retire(job.ID)
 	return nil
 }
 
+// persistPark files a preempted job's checkpoint, then logs and syncs a
+// parked record in place of its admission. The checkpoint lands first,
+// so a crash between the two leaves a live admission with its checkpoint,
+// which Recover resumes as an ordinary job, never a half-parked one.
+func (p *Pool) persistPark(job *Job, snap *checkpoint.Snapshot) error {
+	if err := p.persistSnapshot(job, snap); err != nil {
+		return err
+	}
+	return p.logRecord(jobRecord{ID: job.ID, Key: job.Key, Spec: job.Spec, Parked: true})
+}
+
 // removeJobFiles clears a job's persisted state: it retires the job's
-// admission, or removes its spec file when the log does not hold it (a
-// parked pair, or a job of the one-file-per-job store), and removes its
-// checkpoint when one was written.
-func (p *Pool) removeJobFiles(id string, ckpt bool) {
+// record and removes the checkpoint filed under ckpt ("" for none),
+// retiring first the parked record of that ID if it is still live (a
+// claim made by Recover leaves it so).
+func (p *Pool) removeJobFiles(id, ckpt string) {
 	if p.cfg.StateDir == "" {
 		return
 	}
-	if !p.retire(id) {
-		_ = p.cfg.FS.Remove(p.specPath(id))
-	}
-	if ckpt {
-		_ = p.cfg.FS.Remove(p.ckptPath(id))
+	p.retire(id)
+	if ckpt != "" {
+		p.retire(ckpt)
+		_ = p.cfg.FS.Remove(p.ckptPath(ckpt))
 	}
 }
 
@@ -351,29 +366,30 @@ func (p *Pool) quarantine(name, counter string) {
 }
 
 // Recover re-admits every job persisted in the state dir, resuming from
-// drain checkpoints where present. Call it after New and before Start;
+// checkpoints where present. Call it after New and before Start;
 // recovered jobs keep their original IDs, and the ID sequence advances
 // past every ID the log holds (retired ones included) and every ID seen
 // on disk (quarantined ones included), so no ID is issued twice in one
-// state dir. Jobs beyond the queue capacity stay on disk for the next
-// restart.
+// state dir. Every parked record becomes a claimable park, since a park
+// takes no queue slot; live jobs beyond the queue capacity stay in the log
+// for the next restart.
 //
-// It replays the admission log, then reads the directory: parked pairs,
-// plain spec files of the one-file-per-job store, checkpoints, torn .tmp
-// files and orphans. A spec file outranks a live admission of the same
-// ID (a park writes its spec before it retires the admission). Then it
-// rewrites the log with only the live admissions and the ID high-water
-// mark. (New has already replayed the log: a pool that never calls
-// Recover keeps an earlier boot's records and issues IDs past them, but
-// does not run them.)
+// New has replayed the log into one record per ID. Recover reads the
+// directory — checkpoints, torn .tmp files, and the spec files of earlier
+// stores, each read as a record logged after the log's — sets aside the
+// checkpoints no record names, rewrites the log with its records and the
+// ID high-water mark, and loads the records in ID order. (A pool that
+// never calls Recover keeps an earlier boot's records and issues IDs past
+// them, but does not run them.)
 //
 // Recover is crash-only: damage never aborts the boot. A log record or
-// spec file that fails CRC, JSON or schema validation is quarantined
-// (with its checkpoint) and counted in jobs_quarantined; a damaged
-// checkpoint alone is quarantined (checkpoints_quarantined) and the job
-// restarts from its spec; torn .tmp files, a torn log tail and orphaned
-// checkpoints are swept. The only errors returned are an unreadable state
-// directory or admission log. It returns the number of jobs re-enqueued.
+// spec file that fails CRC, JSON or schema validation is quarantined and
+// counted in jobs_quarantined; a damaged checkpoint is quarantined
+// (checkpoints_quarantined), and its job restarts from its spec or, if
+// parked, is dropped; torn .tmp files, a torn log tail and checkpoints no
+// record names are swept. The only errors returned are an
+// unreadable state directory or admission log. It returns the number of
+// jobs re-enqueued.
 func (p *Pool) Recover() (int, error) {
 	if p.cfg.StateDir == "" {
 		return 0, nil
@@ -383,129 +399,127 @@ func (p *Pool) Recover() (int, error) {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return 0, err
 	}
-
 	a := &p.adm
 	if a.err != nil {
 		return 0, a.err
 	}
-	a.mu.Lock()
-	logged := maps.Clone(a.live)
-	a.mu.Unlock()
 
-	var ids []string
-	specs := make(map[string]bool)
+	var specFiles []string
 	ckpts := make(map[string]bool)
 	for _, ent := range entries {
 		name := ent.Name()
+		id, _, _ := strings.Cut(name, ".")
 		switch {
-		case ent.IsDir():
-			// quarantine/ — not state.
+		case ent.IsDir(): // quarantine/ — not state.
+			continue
 		case strings.HasSuffix(name, durable.TmpSuffix):
 			// A torn write: never renamed into place, holds no committed
 			// data by protocol. Safe to sweep.
 			_ = fsys.Remove(filepath.Join(p.cfg.StateDir, name))
 			p.counters.Add("tmp_files_swept", 1)
-		case strings.HasSuffix(name, ".spec.json"):
-			id := strings.TrimSuffix(name, ".spec.json")
-			ids = append(ids, id)
-			specs[id] = true
-			p.advanceSeq(id)
-		case strings.HasSuffix(name, ".ckpt"):
-			id := strings.TrimSuffix(name, ".ckpt")
-			ckpts[id] = true
-			p.advanceSeq(id)
-		}
-	}
-	// Decode the live admissions as strictly as spec files; a record that
-	// fails leaves the log. A spec file outranks an admission of its ID.
-	fromLog := make(map[string]*specFile, len(logged))
-	for id, rec := range logged {
-		sf, err := decodeSpecFile(rec, id)
-		if err == nil && !specs[id] {
-			fromLog[id] = sf
-			ids = append(ids, id)
 			continue
+		case strings.HasSuffix(name, ".spec.json"):
+			specFiles = append(specFiles, id)
+		case strings.HasSuffix(name, ".ckpt"):
+			ckpts[id] = true
+		}
+		p.advanceSeq(id)
+	}
+
+	// Decode the records as strictly as a submission; one that fails
+	// leaves the log. A spec file's record counts as logged after the
+	// log's.
+	a.mu.Lock()
+	recs := make(map[string]*jobRecord, len(a.live)+len(specFiles))
+	for _, id := range specFiles {
+		rec, err := durable.ReadFile(fsys, filepath.Join(p.cfg.StateDir, id+".spec.json"))
+		var r *jobRecord
+		if err == nil {
+			r, err = decodeRecord(rec, id)
 		}
 		if err != nil {
-			p.quarantineLogBytes(rec)
-		}
-		a.mu.Lock()
-		delete(a.live, id)
-		a.liveBytes -= len(rec)
-		a.mu.Unlock()
-	}
-	// Orphaned checkpoints (no spec to attach to) cannot be resumed;
-	// set them aside rather than leaking them forever.
-	for id := range ckpts {
-		if !specs[id] && fromLog[id] == nil {
-			p.quarantine(id+".ckpt", "checkpoints_quarantined")
-			delete(ckpts, id)
-		}
-	}
-	sort.Strings(ids) // admission order: IDs are zero-padded sequence numbers
-	p.mu.Lock()
-	seq := p.seq
-	p.mu.Unlock()
-	a.mu.Lock()
-	a.top = max(a.top, seq)  // past the files' IDs too
-	_ = p.rewriteLogLocked() // on failure the next append retries it
-	a.mu.Unlock()
-
-	recovered := 0
-	for _, id := range ids {
-		sf := fromLog[id]
-		if sf == nil {
-			var err error
-			if sf, err = p.readSpecFile(id); err != nil {
-				// Damaged spec: the job cannot be reconstructed. Quarantine
-				// it (and its checkpoint — meaningless without the spec)
-				// and keep booting.
-				p.quarantine(id+".spec.json", "jobs_quarantined")
-				if ckpts[id] {
-					p.quarantine(id+".ckpt", "checkpoints_quarantined")
-				}
-				continue
-			}
-		}
-		key := sf.Spec.Key()
-
-		var snap *checkpoint.Snapshot
-		if ckpts[id] {
-			raw, cerr := durable.ReadFile(fsys, p.ckptPath(id))
-			if cerr == nil {
-				snap, cerr = checkpoint.DecodeBytes(raw)
-			}
-			if cerr != nil {
-				// Damaged checkpoint, healthy spec: the resume is lost
-				// but the job is not — restart it from scratch.
-				p.quarantine(id+".ckpt", "checkpoints_quarantined")
-				snap = nil
-			}
-		}
-
-		if sf.Parked && snap == nil {
-			// A parked spec whose checkpoint was lost has nothing left to
-			// claim.
 			p.quarantine(id+".spec.json", "jobs_quarantined")
 			continue
 		}
+		recs[id] = r
+		a.setLocked(id, rec)
+	}
+	ids := make([]string, 0, len(a.live))
+	from := make(map[string]string)
+	for id, rec := range a.live {
+		if recs[id] == nil {
+			r, err := decodeRecord(rec, id)
+			if err != nil {
+				p.quarantineLogBytes(rec)
+				a.dropLocked(id)
+				continue
+			}
+			recs[id] = r
+		}
+		ids = append(ids, id)
+		// A record names its own checkpoint or, until that lands, the one
+		// its claim consumed.
+		c := id
+		if !ckpts[c] {
+			c = recs[id].Claims
+		}
+		if ckpts[c] {
+			from[id] = c
+		}
+	}
+	// A checkpoint no record names cannot be resumed: set it aside rather
+	// than leaking it forever.
+	for _, c := range from {
+		delete(ckpts, c)
+	}
+	for id := range ckpts {
+		p.quarantine(id+".ckpt", "checkpoints_quarantined")
+	}
+	p.mu.Lock()
+	a.top = max(a.top, p.seq) // past the files' IDs too
+	p.mu.Unlock()
+	if p.rewriteLogLocked() == nil { // on failure the next append retries it
+		for _, id := range specFiles {
+			_ = fsys.Remove(filepath.Join(p.cfg.StateDir, id+".spec.json"))
+		}
+	}
+	a.mu.Unlock()
+
+	sort.Strings(ids) // admission order: IDs are zero-padded sequence numbers
+	recovered := 0
+	for _, id := range ids {
+		r, c := recs[id], from[id]
+		var snap *checkpoint.Snapshot
+		if c != "" {
+			raw, err := durable.ReadFile(fsys, p.ckptPath(c))
+			if err == nil {
+				snap, err = checkpoint.DecodeBytes(raw)
+			}
+			if err != nil {
+				// Damaged checkpoint, healthy spec: the resume is lost but
+				// the job is not — restart it from scratch.
+				p.quarantine(c+".ckpt", "checkpoints_quarantined")
+				snap, c = nil, ""
+			}
+		}
+		key := r.Spec.Key()
 
 		p.mu.Lock()
 		e := p.keys[key]
 		switch {
-		case e != nil && (sf.Parked || e.state != keyParked):
-			// The key already has a state this file cannot add to: an
-			// earlier file of the same spec is active or parked (or, when
-			// Recover runs on a live pool, its result is cached).
+		case e != nil && (r.Parked || e.state != keyParked), r.Parked && snap == nil:
+			// The key already has a state this record cannot add to: an
+			// earlier record of the same spec is active or parked (or, when
+			// Recover runs on a live pool, its result is cached). Or a park
+			// has lost its checkpoint, and has nothing left to claim.
 			p.mu.Unlock()
-			if !sf.Parked {
+			if !r.Parked {
 				p.counters.Add("jobs_recovered_dup", 1)
 			}
-			p.removeJobFiles(id, snap != nil)
-		case sf.Parked:
-			// A cancelled/deadline-killed run's parked checkpoint: the key
-			// becomes parked (claimable), never active — a cancelled job
-			// must not resurrect as runnable work.
+			p.removeJobFiles(id, c)
+		case r.Parked:
+			// The key becomes parked (claimable), never active — a
+			// cancelled job must not resurrect as runnable work.
 			e = &entry{key: key}
 			p.keys[key] = e
 			evicted := p.parkLocked(e, parked{id: id, snap: snap})
@@ -513,57 +527,41 @@ func (p *Pool) Recover() (int, error) {
 			p.counters.Add("jobs_parked_recovered", 1)
 			p.dropPark(evicted)
 		case !p.accepting || p.queuedLocked() >= p.cfg.QueueDepth:
-			p.mu.Unlock()
-			return recovered, nil // remaining jobs stay for the next restart
+			p.mu.Unlock() // it stays in the log for the next restart
 		default:
-			job, claimed := p.admitLocked(id, key, sf.Spec, time.Now())
+			job, claimed := p.admitLocked(id, key, r.Spec, time.Now())
 			if snap != nil {
-				job.resume = snap
+				job.resume, job.ckpt = snap, c
+			} else if claimed != nil {
+				job.ckpt = claimed.id
 			}
 			p.counters.Add("jobs_recovered", 1)
 			p.enqueueLocked(job)
 			p.mu.Unlock()
-			if claimed != nil {
-				// A crash between a claim's admission and the removal of
-				// the parked pair left both on disk; finish the removal.
-				p.removeJobFiles(claimed.id, true)
-			}
 			recovered++
 		}
 	}
 	return recovered, nil
 }
 
-// readSpecFile loads and validates one persisted spec file through the
-// durable frame; any failure means the file is damaged and must be
-// quarantined by the caller.
-func (p *Pool) readSpecFile(id string) (*specFile, error) {
-	payload, err := durable.ReadFile(p.cfg.FS, p.specPath(id))
-	if err != nil {
-		return nil, err
-	}
-	return decodeSpecFile(payload, id)
-}
-
-// decodeSpecFile validates one persisted spec, from a spec file or an
-// admission record. It decodes as strictly as a submission does: a field
-// this version does not know — a retired job kind's options, say —
-// fails rather than being dropped, so the job can never re-run as a
-// different one.
-func decodeSpecFile(payload []byte, id string) (*specFile, error) {
-	var sf specFile
+// decodeRecord validates one job record, from the log or a spec file. It
+// decodes as strictly as a submission does: a field this version does not
+// know — a retired job kind's options, say — fails rather than being
+// dropped, so the job can never re-run as a different one.
+func decodeRecord(payload []byte, id string) (*jobRecord, error) {
+	var r jobRecord
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sf); err != nil {
-		return nil, fmt.Errorf("jobqueue: corrupt spec of %s: %w", id, err)
+	if err := dec.Decode(&r); err != nil {
+		return nil, fmt.Errorf("jobqueue: corrupt record of %s: %w", id, err)
 	}
-	if sf.Spec == nil {
-		return nil, fmt.Errorf("jobqueue: spec record of %s has no spec", id)
+	if r.Spec == nil {
+		return nil, fmt.Errorf("jobqueue: record of %s has no spec", id)
 	}
-	if err := sf.Spec.Normalize(); err != nil {
+	if err := r.Spec.Normalize(); err != nil {
 		return nil, fmt.Errorf("jobqueue: recovering %s: %w", id, err)
 	}
-	return &sf, nil
+	return &r, nil
 }
 
 // advanceSeq bumps the ID sequence past an on-disk job ID (held by the

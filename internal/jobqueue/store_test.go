@@ -9,12 +9,14 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"peas/internal/checkpoint"
 	"peas/internal/durable"
 	"peas/internal/experiment"
 )
@@ -79,15 +81,23 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 }
 
-// liveAdmissions replays the admission log in dir independently of the
-// pool: the live admissions' IDs in ID order, the highest job sequence
-// any record names, and the torn frame the log ends in (nil if none).
-// Damaged bytes fail the test.
-func liveAdmissions(t *testing.T, fsys durable.FS, dir string) (live []string, top int, torn []byte) {
+// logRec is one ID's state in a replayed log: live or parked, and the
+// parked ID a claim consumed.
+type logRec struct {
+	parked bool
+	claims string
+}
+
+// replayLog replays the admission log in dir independently of the pool:
+// each live or parked ID's record, the highest job sequence any record
+// names, and the torn frame the log ends in (nil if none). Damaged bytes
+// fail the test.
+func replayLog(t *testing.T, fsys durable.FS, dir string) (recs map[string]logRec, top int, torn []byte) {
 	t.Helper()
+	recs = map[string]logRec{}
 	data, err := fsys.ReadFile(filepath.Join(dir, logName))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, nil
+		return recs, 0, nil
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -96,24 +106,36 @@ func liveAdmissions(t *testing.T, fsys durable.FS, dir string) (live []string, t
 	if len(damaged) > 0 {
 		t.Fatalf("admission log holds %d damaged runs", len(damaged))
 	}
-	set := map[string]bool{}
 	for _, rec := range records {
-		var r struct{ ID, Retired string }
+		var r struct {
+			ID, Retired, Claims string
+			Parked              bool
+		}
 		if err := json.Unmarshal(rec, &r); err != nil {
 			t.Fatalf("log record %q: %v", rec, err)
 		}
 		top = max(top, idSequence(r.ID), idSequence(r.Retired))
 		if r.Retired != "" {
-			delete(set, r.Retired)
+			delete(recs, r.Retired)
 		} else {
-			set[r.ID] = true
+			delete(recs, r.Claims)
+			recs[r.ID] = logRec{parked: r.Parked, claims: r.Claims}
 		}
 	}
-	for id := range set {
-		live = append(live, id)
+	return recs, top, tail
+}
+
+// liveAdmissions is replayLog's live (unparked) IDs, in ID order.
+func liveAdmissions(t *testing.T, fsys durable.FS, dir string) (live []string, top int, torn []byte) {
+	t.Helper()
+	recs, top, torn := replayLog(t, fsys, dir)
+	for id, r := range recs {
+		if !r.parked {
+			live = append(live, id)
+		}
 	}
 	sort.Strings(live)
-	return live, top, tail
+	return live, top, torn
 }
 
 // recoverInto runs Recover on a fresh, un-started pool over dir on the
@@ -340,7 +362,7 @@ func writeSpecFileRaw(t *testing.T, dir, id string, spec *Spec) {
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(specFile{ID: id, Key: s.Key(), Spec: &s})
+	data, err := json.Marshal(jobRecord{ID: id, Key: s.Key(), Spec: &s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,6 +410,64 @@ func TestRecoverQueueOverflowLeftovers(t *testing.T) {
 			t.Fatalf("leftover job j-%06d not recovered on second boot", i)
 		}
 		waitResult(t, j)
+	}
+}
+
+// TestRecoverLoadsEveryPark: a park takes no queue slot, so Recover makes
+// every parked record claimable even once the queue is full. The state
+// dir has statedir-v2's shape: two live admissions in the log, and a
+// parked spec file and checkpoint whose ID sorts after both. With
+// QueueDepth 1 the first admission is queued, the second stays in the log
+// for the next boot, and the park is loaded: a resubmission of its spec
+// claims it.
+func TestRecoverLoadsEveryPark(t *testing.T) {
+	const dir = "/state"
+	mem := newMemFS()
+	p0 := New(Config{StateDir: dir, FS: mem})
+	for i, seed := range []int64{91, 92} {
+		s := testSpec(seed)
+		if err := s.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p0.logRecord(jobRecord{ID: jobID(i + 1), Key: s.Key(), Spec: s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked := testSpec(93)
+	if err := parked.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(jobRecord{ID: "j-000003", Key: parked.Key(), Spec: parked, Parked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(durable.WriteFile(mem, filepath.Join(dir, "j-000003.spec.json"), data),
+		durable.WriteFile(mem, filepath.Join(dir, "j-000003.ckpt"), (&checkpoint.Snapshot{}).EncodeBytes())); err != nil {
+		t.Fatal(err)
+	}
+
+	pool := New(Config{Workers: 1, QueueDepth: 1, StateDir: dir, FS: mem, Run: instantRun})
+	if n, err := pool.Recover(); err != nil || n != 1 {
+		t.Fatalf("Recover = %d, %v; want the one job that fits the queue", n, err)
+	}
+	if got := pool.Counters().Get("jobs_parked_recovered"); got != 1 {
+		t.Fatalf("jobs_parked_recovered = %d, want 1: the park past the full queue was not loaded", got)
+	}
+	if _, err := mem.ReadFile(filepath.Join(dir, "j-000003.spec.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the parked spec file is still there (%v); its record is in the rewritten log", err)
+	}
+	pool.Start()
+	defer pool.Shutdown(context.Background())
+	first, _ := pool.Get("j-000001")
+	waitResult(t, first)
+	s := *parked
+	j, outcome, err := pool.Submit(&s)
+	if err != nil || outcome != OutcomeAccepted || j.resume == nil {
+		t.Fatalf("resubmitting the parked spec: %v, %v; want a claim that resumes", outcome, err)
+	}
+	waitResult(t, j)
+	if live, _, _ := liveAdmissions(t, mem, dir); !slices.Equal(live, []string{"j-000002"}) {
+		t.Errorf("live admissions %v, want the job left for the next boot, j-000002", live)
 	}
 }
 

@@ -278,16 +278,18 @@ func TestSoakAccountingHelpers(t *testing.T) {
 	if specs, ckpts, tmps := censusStateDir(dir); specs != 2 || ckpts != 1 || tmps != 1 {
 		t.Errorf("census = %d specs, %d ckpts, %d tmps; want 2, 1, 1", specs, ckpts, tmps)
 	}
-	// The log's live admissions count as specs: d and e are admitted and
-	// d retired, and the torn last frame counts as nothing.
+	// The log's live and parked records count as specs: d and e are
+	// admitted and d retired, g and i are parked, h's claim consumes i,
+	// and the torn last frame counts as nothing.
 	var log []byte
-	for _, rec := range []string{`{"id":"d"}`, `{"id":"e"}`, `{"retired":"d"}`, `{"id":"f"}`} {
+	for _, rec := range []string{`{"id":"d"}`, `{"id":"e"}`, `{"retired":"d"}`, `{"id":"g","parked":true}`,
+		`{"id":"i","parked":true}`, `{"id":"h","claims":"i"}`, `{"id":"f"}`} {
 		log = append(log, durable.Frame([]byte(rec))...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "admissions.log"), log[:len(log)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if specs, _, _ := censusStateDir(dir); specs != 3 {
-		t.Errorf("census with a log = %d specs, want 3 (two spec files, one live admission)", specs)
+	if specs, _, _ := censusStateDir(dir); specs != 5 {
+		t.Errorf("census with a log = %d specs, want 5 (two spec files; e, g and h in the log)", specs)
 	}
 }

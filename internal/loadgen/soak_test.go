@@ -562,10 +562,11 @@ func awaitLongJobsRunning(ctx context.Context, c *client.Client, items []Item, r
 }
 
 // censusStateDir counts the persisted jobs in dir at one instant: live
-// admissions in the admission log plus spec files (specs), complete
-// checkpoints, and in-flight durable-write temporaries. A torn last log
-// frame was never acknowledged and counts as nothing. Subdirectories
-// (quarantine/, kept for inspection by design) are skipped.
+// and parked records in the admission log plus spec files of earlier
+// stores (specs), complete checkpoints, and in-flight durable-write
+// temporaries. A claim's record consumes the parked record it names. A
+// torn last log frame was never acknowledged and counts as nothing.
+// Subdirectories (quarantine/, kept for inspection by design) are skipped.
 func censusStateDir(dir string) (specs, ckpts, tmps int) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -575,11 +576,12 @@ func censusStateDir(dir string) (specs, ckpts, tmps int) {
 		records, damaged, _ := durable.ReadLog(data)
 		live := map[string]bool{}
 		for _, rec := range records {
-			var r struct{ ID, Retired string }
+			var r struct{ ID, Retired, Claims string }
 			_ = json.Unmarshal(rec, &r)
 			if r.Retired != "" {
 				delete(live, r.Retired)
 			} else {
+				delete(live, r.Claims)
 				live[r.ID] = true
 			}
 		}
