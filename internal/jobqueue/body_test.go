@@ -2,6 +2,7 @@ package jobqueue
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -60,15 +61,24 @@ func TestBodyDigestLeavesWithItsKey(t *testing.T) {
 		return len(p.bodies)
 	}
 
+	// hitSpec is the spec recorded with the digest; a decoded hit replaces
+	// it, a hit served by the digest leaves it as it was.
+	hitSpec := func() *Spec {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.bodies[sha256.Sum256(a)].hit.spec
+	}
+
 	submitBody(t, p, a, OutcomeAccepted)
 	decoded := submitBody(t, p, a, OutcomeCached) // decoded: records the digest
 	if n := digests(); n != 1 {
 		t.Fatalf("body index holds %d digests after one hit, want 1", n)
 	}
+	recorded := hitSpec()
 	served := submitBody(t, p, a, OutcomeCached)
-	if served.Spec != decoded.Spec || served.Key != decoded.Key || served.ID == decoded.ID {
-		t.Fatalf("identical body not served from its digest: spec %p/%p, key %s/%s, ID %s/%s",
-			served.Spec, decoded.Spec, served.Key, decoded.Key, served.ID, decoded.ID)
+	if hitSpec() != recorded || served.Summary != decoded.Summary || served.Key != decoded.Key || served.ID == decoded.ID {
+		t.Fatalf("identical body not served from its digest: spec %p/%p, summary %+v/%+v, key %s/%s, ID %s/%s",
+			hitSpec(), recorded, served.Summary, decoded.Summary, served.Key, decoded.Key, served.ID, decoded.ID)
 	}
 
 	submitBody(t, p, b, OutcomeAccepted) // b's result evicts a's key
@@ -107,8 +117,8 @@ func TestSubmitJSONRefusesWhatDecodeSpecRefuses(t *testing.T) {
 
 // TestBodyHitsShareOneReadOnlySpec runs digest hits, decoded hits that
 // replace the digest, and readers of the jobs they return side by side.
-// The jobs a digest serves share one spec, so under -race this shows
-// nothing writes a spec after admission.
+// The jobs a digest serves are built from one shared spec, so under -race
+// this shows nothing writes a spec after admission.
 func TestBodyHitsShareOneReadOnlySpec(t *testing.T) {
 	p, runs := instantPool(t, Config{Workers: 2, QueueDepth: 4})
 	plain := testSpec(7)
@@ -124,21 +134,21 @@ func TestBodyHitsShareOneReadOnlySpec(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				body := bodies[0]
+				b := 0
 				if g%2 == 1 { // odd goroutines alternate the two bodies
-					body = bodies[i%2]
+					b = i % 2
 				}
-				job, outcome, err := p.SubmitJSON(body)
+				job, outcome, err := p.SubmitJSON(bodies[b])
 				if err != nil || outcome != OutcomeCached {
 					t.Errorf("resubmission: %v, %v; want cached", outcome, err)
 					return
 				}
-				if job.Spec.Network.N != 40 || job.Spec.Horizon != 600 || job.Spec.Kind != KindSim {
-					t.Errorf("job %s carries spec %+v", job.ID, job.Spec)
+				if s := job.Summary; s.N != 40 || s.Horizon != 600 || s.Kind != KindSim || s.DeadlineSeconds != []float64{0, 60}[b] {
+					t.Errorf("job %s of body %d carries spec summary %+v", job.ID, b, s)
 				}
 				events, _ := job.Subscribe()
 				for ev := range events {
-					if ev.Type != EventDone || ev.Horizon != job.Spec.Horizon {
+					if ev.Type != EventDone || ev.Horizon != job.Summary.Horizon {
 						t.Errorf("job %s: event %+v", job.ID, ev)
 					}
 				}

@@ -87,14 +87,15 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 	}
 	ch := make(chan Event, subscriberBuffer)
 	ch <- j.snapshotEventLocked()
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
+	if j.subs == nil {
+		j.subs = make(map[chan Event]struct{})
+	}
+	j.subs[ch] = struct{}{}
 	return ch, func() {
 		j.mu.Lock()
 		defer j.mu.Unlock()
-		if _, ok := j.subs[id]; ok { // not yet closed by a terminal event
-			delete(j.subs, id)
+		if _, ok := j.subs[ch]; ok { // not yet closed by a terminal event
+			delete(j.subs, ch)
 			close(ch)
 		}
 	}
@@ -104,26 +105,37 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 // result. Failed jobs return their error, suspended jobs an error
 // explaining that the job will resume after a restart.
 func (j *Job) Wait(ctx context.Context) (*Result, error) {
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-j.ctx.Done(): // cancelled by finish, once the state is terminal
+	j.mu.Lock()
+	if !j.state.Terminal() {
+		if j.done == nil {
+			j.done = make(chan struct{})
+		}
+		done := j.done
+		j.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-done: // closed by finish, once the state is terminal
+		}
+		j.mu.Lock()
 	}
-	switch j.State() {
+	defer j.mu.Unlock()
+	switch j.state {
 	case StateDone:
-		return j.Result(), nil
+		return j.result, nil
 	case StateSuspended:
 		return nil, fmt.Errorf("jobqueue: job %s suspended by shutdown; resumes after restart", j.ID)
 	default:
-		return nil, j.Err()
+		return nil, j.err
 	}
 }
 
 // snapshotEventLocked renders the current state as an event.
 func (j *Job) snapshotEventLocked() Event {
-	ev := Event{JobID: j.ID, SimT: j.simT, Horizon: j.Spec.Horizon, Working: j.working}
-	if j.Spec.Horizon > 0 {
-		ev.Fraction = j.simT / j.Spec.Horizon
+	h := j.Summary.Horizon
+	ev := Event{JobID: j.ID, SimT: j.simT, Horizon: h, Working: j.working}
+	if h > 0 {
+		ev.Fraction = j.simT / h
 	}
 	switch j.state {
 	case StateQueued:
@@ -158,7 +170,7 @@ func (j *Job) snapshotEventLocked() Event {
 // publisher sends, and it holds j.mu, so once there is room the send
 // cannot block.
 func (j *Job) publishLocked(ev Event, terminal bool) {
-	for id, ch := range j.subs {
+	for ch := range j.subs {
 		select {
 		case ch <- ev:
 		default:
@@ -171,7 +183,7 @@ func (j *Job) publishLocked(ev Event, terminal bool) {
 			}
 		}
 		if terminal {
-			delete(j.subs, id)
+			delete(j.subs, ch)
 			close(ch)
 		}
 	}
@@ -187,7 +199,7 @@ func (j *Job) observeProgress(simT float64, working int) {
 	prev := j.simT
 	j.simT = simT
 	j.working = working
-	h := j.Spec.Horizon
+	h := j.Summary.Horizon
 	if h > 0 && (simT-prev) >= progressStride*h {
 		ev := Event{Type: EventProgress, JobID: j.ID, SimT: simT, Horizon: h,
 			Fraction: simT / h, Working: working}

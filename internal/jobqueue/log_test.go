@@ -341,7 +341,7 @@ func TestAdmissionCrashSweep(t *testing.T) {
 					if err := s.Normalize(); err != nil {
 						t.Fatal(err)
 					}
-					if err := p0.persistPark(&Job{ID: "j-000001", Key: s.Key(), Spec: &s}, &checkpoint.Snapshot{}); err != nil {
+					if err := p0.persistPark(&Job{ID: "j-000001", Key: s.Key(), spec: &s}, &checkpoint.Snapshot{}); err != nil {
 						t.Fatal(err)
 					}
 				}

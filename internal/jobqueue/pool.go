@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,12 +128,12 @@ type Pool struct {
 
 	// jobs is the job table: every queued and running job, and the newest
 	// CacheCap terminal jobs, which finished holds in the order they ended.
-	// order lists the table in admission order, plus orderDead slots of
-	// jobs that have left it (see forgetLocked).
-	jobs      map[string]*Job
-	order     []*Job
-	orderDead int
-	finished  fifo[*Job]
+	// A job that leaves the table is held by nothing in the pool. active
+	// lists the queued and running jobs (the active keys' jobs) in
+	// admission order.
+	jobs     map[string]*Job
+	active   []*Job
+	finished fifo[*Job]
 
 	// keys holds every content key the pool knows, in exactly one state
 	// each (see keyState). The parked and the cached keys are each a
@@ -221,17 +222,18 @@ func (p *Pool) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns the job table in admission order: at most CacheCap
-// terminal jobs plus the queued and running ones.
+// Jobs returns the job table in ID order: at most CacheCap terminal jobs
+// plus the queued and running ones. IDs are issued at admission, so this
+// is admission order, except that the jobs a Recover on a running pool
+// admits are listed by the IDs they were first admitted under.
 func (p *Pool) Jobs() []*Job {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]*Job, 0, len(p.jobs))
-	for _, j := range p.order {
-		if p.jobs[j.ID] == j {
-			out = append(out, j)
-		}
+	for _, j := range p.jobs {
+		out = append(out, j)
 	}
+	p.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int { return compareIDs(a.ID, b.ID) })
 	return out
 }
 

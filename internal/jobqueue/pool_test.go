@@ -297,7 +297,7 @@ func TestSlowFollowerGetsTerminalEvent(t *testing.T) {
 	ch, cancelSub := j.Subscribe()
 	defer cancelSub()
 	for i := 1; i <= 100; i++ {
-		j.observeProgress(progressStride*j.Spec.Horizon*float64(i), 20)
+		j.observeProgress(progressStride*j.Summary.Horizon*float64(i), 20)
 	}
 	j.finish(StateDone, &Result{StateHash: "h"}, nil, time.Now())
 	var events []Event
@@ -464,8 +464,9 @@ func TestJobCostsNoForcedGCAndRetainsNoSnapshot(t *testing.T) {
 
 // TestJobTableIsBounded: a terminal job leaves the job table once CacheCap
 // newer jobs have ended, so a long stream of cache hits holds the table at
-// CacheCap and the live heap flat. The oldest job's ID becomes unknown,
-// while its result stays reachable by key.
+// CacheCap and the live heap flat, and exactly CacheCap of the hits stay
+// reachable. The oldest job's ID becomes unknown, while its result stays
+// reachable by key.
 func TestJobTableIsBounded(t *testing.T) {
 	const cacheCap, rounds = 64, 20
 	pool := New(Config{Workers: 1, QueueDepth: 4, CacheCap: cacheCap})
@@ -486,22 +487,32 @@ func TestJobTableIsBounded(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	var base int64
-	for i := 1; i <= rounds*cacheCap; i++ {
+	var f finalized
+	for i := 1; i <= (rounds+2)*cacheCap; i++ {
 		s := *spec
-		if _, outcome, err := pool.Submit(&s); err != nil || outcome != OutcomeCached {
+		j, outcome, err := pool.Submit(&s)
+		if err != nil || outcome != OutcomeCached {
 			t.Fatalf("resubmission %d: %v, %v; want cached", i, outcome, err)
+		}
+		if i > rounds*cacheCap { // past the heap readings: a finalizer delays a collection
+			f.track(j)
 		}
 		if n := len(pool.Jobs()); n > cacheCap {
 			t.Fatalf("after %d cache hits the job table lists %d jobs, cap %d", i, n, cacheCap)
 		}
-		if i == cacheCap {
+		switch i {
+		case cacheCap:
 			base = heap()
+		case rounds * cacheCap:
+			grew := heap() - base
+			t.Logf("live heap grew %d bytes over the last %d cache hits", grew, (rounds-1)*cacheCap)
+			if grew >= 64<<10 {
+				t.Errorf("live heap grew %d bytes over %d cache hits past the first %d", grew, (rounds-1)*cacheCap, cacheCap)
+			}
 		}
 	}
-	grew := heap() - base
-	t.Logf("live heap grew %d bytes over the last %d cache hits", grew, (rounds-1)*cacheCap)
-	if grew >= 64<<10 {
-		t.Errorf("live heap grew %d bytes over %d cache hits past the first %d", grew, (rounds-1)*cacheCap, cacheCap)
+	if n := len(f.settle(cacheCap)); n != cacheCap {
+		t.Errorf("%d of the last %d cache hits were collected; want all but the %d the table holds", n, 2*cacheCap, cacheCap)
 	}
 
 	if _, ok := pool.Get(first.ID); ok {

@@ -54,7 +54,7 @@ func TestCancelledQueuedJobsFreeTheirSlots(t *testing.T) {
 	held, release := make(chan struct{}), make(chan struct{})
 	pool := New(Config{Workers: 1, QueueDepth: 4, Run: instantRun,
 		BeforeRun: func(j *Job) {
-			if j.Spec.Network.Seed == 0 { // the first job holds the worker
+			if j.Summary.Seed == 0 { // the first job holds the worker
 				close(held)
 				<-release
 			}

@@ -2,13 +2,14 @@ package jobqueue
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -197,7 +198,7 @@ func (p *Pool) rewriteLogLocked() error {
 	for id := range a.live {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.SortFunc(ids, compareIDs)
 	payloads := make([][]byte, 0, len(ids)+1)
 	if top := jobID(a.top); a.top > 0 && a.live[top] == nil {
 		payloads = append(payloads, retireRecord(top))
@@ -326,7 +327,7 @@ func (p *Pool) persistPark(job *Job, snap *checkpoint.Snapshot) error {
 	if err := p.persistSnapshot(job, snap); err != nil {
 		return err
 	}
-	return p.logRecord(jobRecord{ID: job.ID, Key: job.Key, Spec: job.Spec, Parked: true})
+	return p.logRecord(jobRecord{ID: job.ID, Key: job.Key, Spec: job.spec, Parked: true})
 }
 
 // removeJobFiles clears a job's persisted state: it retires the job's
@@ -485,7 +486,7 @@ func (p *Pool) Recover() (int, error) {
 	}
 	a.mu.Unlock()
 
-	sort.Strings(ids) // admission order: IDs are zero-padded sequence numbers
+	slices.SortFunc(ids, compareIDs) // admission order
 	recovered := 0
 	for _, id := range ids {
 		r, c := recs[id], from[id]
@@ -576,6 +577,13 @@ func (p *Pool) advanceSeq(id string) {
 
 // jobID is the ID of the seq-th admission.
 func jobID(seq int) string { return fmt.Sprintf("j-%06d", seq) }
+
+// compareIDs orders job IDs by sequence number: a longer ID is a later
+// one (jobID pads to six digits, and no further), and IDs of one length
+// compare as strings.
+func compareIDs(a, b string) int {
+	return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
+}
 
 // idSequence parses the numeric suffix of a job ID ("j-000017" -> 17).
 func idSequence(id string) int {

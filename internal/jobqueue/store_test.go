@@ -462,10 +462,12 @@ func TestRecoverLoadsEveryPark(t *testing.T) {
 	waitResult(t, first)
 	s := *parked
 	j, outcome, err := pool.Submit(&s)
-	if err != nil || outcome != OutcomeAccepted || j.resume == nil {
+	if err != nil || outcome != OutcomeAccepted {
 		t.Fatalf("resubmitting the parked spec: %v, %v; want a claim that resumes", outcome, err)
 	}
-	waitResult(t, j)
+	if res := waitResult(t, j); !res.Resumed {
+		t.Fatal("the claim of the parked spec did not resume")
+	}
 	if live, _, _ := liveAdmissions(t, mem, dir); !slices.Equal(live, []string{"j-000002"}) {
 		t.Errorf("live admissions %v, want the job left for the next boot, j-000002", live)
 	}

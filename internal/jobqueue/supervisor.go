@@ -75,15 +75,10 @@ func (p *Pool) watchdog() {
 // and retire, in a repeatable order.
 func (p *Pool) superviseOnce(now time.Time) {
 	p.mu.Lock()
-	active := make([]*Job, 0, p.queuedLocked()+p.running)
-	for _, j := range p.order {
-		if e := p.keys[j.Key]; e != nil && e.job == j {
-			active = append(active, j)
-		}
-	}
+	active := slices.Clone(p.active)
 	p.mu.Unlock()
 	for _, j := range active {
-		if at := j.deadlineAt; !at.IsZero() && now.After(at) {
+		if at := j.deadline(); !at.IsZero() && now.After(at) {
 			p.stop(j, CauseDeadline)
 			continue
 		}

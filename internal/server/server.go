@@ -85,11 +85,11 @@ func jobInfo(j *jobqueue.Job) api.JobInfo {
 	info := api.JobInfo{
 		ID:         j.ID,
 		Key:        j.Key,
-		Kind:       j.Spec.Kind,
+		Kind:       j.Summary.Kind,
 		State:      j.State(),
-		N:          j.Spec.Network.N,
-		Seed:       j.Spec.Network.Seed,
-		Horizon:    j.Spec.Horizon,
+		N:          j.Summary.N,
+		Seed:       j.Summary.Seed,
+		Horizon:    j.Summary.Horizon,
 		SimT:       simT,
 		Working:    working,
 		Result:     j.Result(),
@@ -98,7 +98,7 @@ func jobInfo(j *jobqueue.Job) api.JobInfo {
 	if err := j.Err(); err != nil {
 		info.Error = err.Error()
 	}
-	info.DeadlineSeconds = j.Spec.DeadlineSeconds
+	info.DeadlineSeconds = j.Summary.DeadlineSeconds
 	info.CancelRequested = j.CancelRequested()
 	if wait, _ := j.QueueWait(); wait > 0 {
 		info.QueueWaitSeconds = wait.Seconds()
