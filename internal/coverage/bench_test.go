@@ -67,6 +67,19 @@ func BenchmarkIncrementalChurn(b *testing.B) {
 	_ = buf
 }
 
+// BenchmarkIncrementalReset measures the footprint build a run pays once:
+// one row run per candidate row of every sensor, into the storage the
+// previous build grew.
+func BenchmarkIncrementalReset(b *testing.B) {
+	lat, sensors := benchSetup(b)
+	inc := NewIncremental(lat, sensors, benchRadius, benchMaxK)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inc.Reset(lat, sensors, benchRadius, benchMaxK)
+	}
+}
+
 func BenchmarkLegacyFraction(b *testing.B) {
 	lat, sensors := benchSetup(b)
 	working := sensors[:benchN/3]

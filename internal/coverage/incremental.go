@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"fmt"
+	"math"
 
 	"peas/internal/geom"
 )
@@ -86,28 +87,62 @@ func (inc *Incremental) Reset(lat *Lattice, sensors []geom.Point, radius float64
 	inc.spans = geom.Zeroed(inc.spans, rows)[:0]
 	r2 := radius * radius
 	for i, s := range sensors {
-		// The candidate window and the exact membership test are
-		// Lattice.Fraction's, so the footprint is precisely the point set
-		// that loop would visit and count.
 		c0, c1, r0, r1 := lat.window(s, radius)
 		for row := r0; row <= r1; row++ {
-			first, n := 0, 0
-			for col := c0; col <= c1; col++ {
-				if lat.at(col, row).Dist2(s) <= r2 {
-					if n == 0 {
-						first = col
-					}
-					n++
-				} else if n > 0 {
-					break // the row's members are contiguous: the run is over
-				}
-			}
-			if n > 0 {
+			if first, n := lat.rowRun(s, r2, row, c0, c1); n > 0 {
 				inc.spans = append(inc.spans, span{base: int32(row*len(lat.xs) + first), n: int32(n)})
 			}
 		}
 		inc.offs[i+1] = int32(len(inc.spans))
 	}
+}
+
+// rowRun returns the columns of one lattice row, within c0..c1, whose
+// points lie within the radius of s, as decided by Lattice.Fraction's own
+// test, Dist2 <= r2: the run [first, first+n), n = 0 when there is none.
+// Along the row Dist2 falls, then rises (see span), so the run surrounds a
+// column where it is least. The disk's chord places each end of the run
+// to within a column or so, and the exact test then moves each end until
+// it holds at the end and fails just past it. The run is thus exactly the
+// point set a test of every column in c0..c1 finds, at a few tests a row.
+func (l *Lattice) rowRun(s geom.Point, r2 float64, row, c0, c1 int) (first, n int) {
+	if c0 > c1 {
+		return 0, 0 // the disk lies wholly left or right of the lattice
+	}
+	d := func(col int) float64 { return l.at(col, row).Dist2(s) }
+	// Descend to a column m where Dist2 is least: walking left while it
+	// does not rise, then right while it does not rise, ends on the least
+	// value whichever side of it the walk starts.
+	// The start columns truncate where they would round; the walks absorb
+	// the difference.
+	m := min(max(int(s.X/l.spacing+0.5), c0), c1)
+	dm := d(m)
+	for ; m > c0 && d(m-1) <= dm; m-- {
+		dm = d(m - 1)
+	}
+	for ; m < c1 && d(m+1) <= dm; m++ {
+		dm = d(m + 1)
+	}
+	if dm > r2 {
+		return 0, 0
+	}
+	dy := l.ys[row] - s.Y
+	w := math.Sqrt(max(r2-dy*dy, 0)) // half the chord
+	a := min(max(int((s.X-w)/l.spacing+1), c0), m)
+	for a > c0 && d(a-1) <= r2 {
+		a--
+	}
+	for d(a) > r2 {
+		a++
+	}
+	b := min(max(int((s.X+w)/l.spacing), m), c1)
+	for b < c1 && d(b+1) <= r2 {
+		b++
+	}
+	for d(b) > r2 {
+		b--
+	}
+	return a, b - a + 1
 }
 
 // Len returns the number of tracked sensors.

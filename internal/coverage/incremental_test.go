@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"slices"
 	"testing"
 
 	"peas/internal/geom"
@@ -146,6 +147,76 @@ func TestIncrementalFootprintsMatchStamping(t *testing.T) {
 			}
 			if n != want {
 				t.Errorf("spacing %v sensor %d: footprint spans hold %d points, brute force %d", spacing, i, n, want)
+			}
+		}
+	}
+}
+
+// scanFootprints is the footprint kernel Reset replaced, kept as its
+// reference: it tests every column of each row's candidate window, and a
+// row's run ends at its first miss.
+func scanFootprints(lat *Lattice, sensors []geom.Point, radius float64) (offs []int32, spans []span) {
+	offs = make([]int32, len(sensors)+1)
+	r2 := radius * radius
+	for i, s := range sensors {
+		c0, c1, r0, r1 := lat.window(s, radius)
+		for row := r0; row <= r1; row++ {
+			first, n := 0, 0
+			for col := c0; col <= c1; col++ {
+				if lat.at(col, row).Dist2(s) <= r2 {
+					if n == 0 {
+						first = col
+					}
+					n++
+				} else if n > 0 {
+					break
+				}
+			}
+			if n > 0 {
+				spans = append(spans, span{base: int32(row*len(lat.xs) + first), n: int32(n)})
+			}
+		}
+		offs[i+1] = int32(len(spans))
+	}
+	return offs, spans
+}
+
+// TestFootprintsMatchScan holds Reset's footprints to the full window scan,
+// span for span: random sensors, sensors on lattice points, sensors exactly
+// the radius from a lattice point (along a row, along a column and on a
+// 3-4-5 diagonal), and sensors on and past the field edge, at spacings of
+// 1, 2 and 5 m and a fractional one, and at radii that are and are not
+// multiples of the spacing.
+func TestFootprintsMatchScan(t *testing.T) {
+	rng := stats.NewRNG(11)
+	for _, field := range []geom.Field{geom.NewField(50, 50), geom.NewField(33.3, 27.1)} {
+		for _, spacing := range []float64{1, 2, 5, 0.7} {
+			lat := NewLattice(field, spacing)
+			for _, radius := range []float64{10, 7.5, 3, 0} {
+				sensors := append(geom.UniformDeploy(field, 200, rng),
+					geom.Point{X: 0, Y: 0}, geom.Point{X: field.Width, Y: field.Height},
+					geom.Point{X: -3, Y: 10}, geom.Point{X: 15, Y: field.Height + 6})
+				for row := 0; row < len(lat.ys); row += 3 {
+					for col := 0; col < len(lat.xs); col += 2 {
+						x, y := lat.xs[col], lat.ys[row]
+						sensors = append(sensors, geom.Point{X: x, Y: y},
+							geom.Point{X: x + radius, Y: y}, geom.Point{X: x - radius, Y: y},
+							geom.Point{X: x, Y: y + radius}, geom.Point{X: x, Y: y - radius},
+							geom.Point{X: x + 0.6*radius, Y: y + 0.8*radius}, geom.Point{X: x - 0.8*radius, Y: y - 0.6*radius})
+					}
+				}
+				inc := NewIncremental(lat, sensors, radius, 3)
+				offs, spans := scanFootprints(lat, sensors, radius)
+				if !slices.Equal(inc.offs, offs) || !slices.Equal(inc.spans, spans) {
+					for i := range sensors {
+						got, want := inc.spans[inc.offs[i]:inc.offs[i+1]], spans[offs[i]:offs[i+1]]
+						if !slices.Equal(got, want) {
+							t.Fatalf("field %v spacing %v radius %v sensor %d at %v: spans %v, scan %v",
+								field, spacing, radius, i, sensors[i], got, want)
+						}
+					}
+					t.Fatalf("field %v spacing %v radius %v: offsets differ", field, spacing, radius)
+				}
 			}
 		}
 	}
