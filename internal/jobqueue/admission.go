@@ -148,11 +148,7 @@ func (p *Pool) submit(spec *Spec, body *[sha256.Size]byte) (*Job, Outcome, error
 	// attached during the unlocked persist window; settling the job as
 	// failed resolves them, and the key falls back to the park it had
 	// claimed.
-	rec := jobRecord{ID: job.ID, Key: key, Spec: spec}
-	if claimed != nil {
-		rec.Claims = claimed.id
-	}
-	if err := p.logRecord(rec); err != nil {
+	if err := p.logRecord(jobRecord{ID: job.ID, Key: key, Spec: spec, Claims: claimed}); err != nil {
 		perr := &PersistError{Err: err}
 		p.mu.Lock()
 		p.forgetLocked(job)
@@ -161,10 +157,10 @@ func (p *Pool) submit(spec *Spec, body *[sha256.Size]byte) (*Job, Outcome, error
 		return nil, "", perr
 	}
 	p.mu.Lock()
-	if claimed != nil {
+	if claimed != "" {
 		// The claim is logged: the parked checkpoint is the new job's,
-		// until its own lands or it ends.
-		job.ckpt = claimed.id
+		// until its own lands or it ends; its run reads it.
+		job.ckpt = claimed
 		p.counters.Add("parked_resumed", 1)
 	}
 	if cause := job.stopCause(); cause != "" {
@@ -223,11 +219,12 @@ func (p *Pool) nextIDLocked() string {
 // it runnable — for Submit (a fresh ID) and Recover (the ID on disk)
 // alike. The key must be absent or parked. A parked checkpoint from a
 // cancelled or deadline-killed run of this exact spec is claimed here:
-// the new job resumes where the preempted one stopped instead of
-// restarting, and the claim is returned so the caller can log it or
-// restore it. Determinism makes the splice invisible — the final
-// StateHash is the uninterrupted run's.
-func (p *Pool) admitLocked(id, key string, spec *Spec, now time.Time) (job *Job, claimed *parked) {
+// the claimed park's ID is returned, and the caller logs the claim, or
+// restores the park if the admission rolls back, and names the park's
+// checkpoint as the job's, which its run resumes from where the
+// preempted one stopped instead of restarting. Determinism makes the
+// splice invisible — the final StateHash is the uninterrupted run's.
+func (p *Pool) admitLocked(id, key string, spec *Spec, now time.Time) (job *Job, claimed string) {
 	job = newJob(id, key, spec, now)
 	p.listLocked(job)
 	p.pending++
@@ -238,9 +235,7 @@ func (p *Pool) admitLocked(id, key string, spec *Spec, now time.Time) (job *Job,
 	} else {
 		p.parkedKeys.remove(e.elem)
 		e.elem = nil
-		pk := e.park
-		claimed, e.park = &pk, parked{}
-		job.resume = pk.snap
+		claimed, e.park = e.park, ""
 	}
 	e.state, e.job = keyActive, job
 	p.active = append(p.active, job)

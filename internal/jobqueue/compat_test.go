@@ -129,8 +129,8 @@ func TestRecoverParentStateDir(t *testing.T) {
 				if st := j.State(); st != StateQueued {
 					t.Fatalf("%s recovered as %s, want queued", q.id, st)
 				}
-				if (j.resume != nil) != q.resumed {
-					t.Errorf("%s resumes from a checkpoint: %v, want %v", q.id, j.resume != nil, q.resumed)
+				if (j.ckpt != "") != q.resumed {
+					t.Errorf("%s resumes from a checkpoint: %v, want %v", q.id, j.ckpt != "", q.resumed)
 				}
 			}
 			if len(listed) != len(fx.queued) {

@@ -105,7 +105,7 @@ func FuzzReplay(f *testing.F) {
 		pool.mu.Lock()
 		for _, e := range pool.keys {
 			if e.state == keyParked {
-				put(e.park.id, "parked")
+				put(e.park, "parked")
 			}
 		}
 		pool.mu.Unlock()

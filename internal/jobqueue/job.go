@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"peas/internal/checkpoint"
 	"peas/internal/sim"
 )
 
@@ -103,12 +102,10 @@ type Job struct {
 
 	// spec is the normalized submission a worker runs.
 	spec *Spec
-	// resume, when set, is the drain or park snapshot the next run
-	// continues from (populated by Recover or a parked-checkpoint claim).
-	resume *checkpoint.Snapshot
 	// ckpt is the ID of the checkpoint file the job holds ("" for none):
-	// the one resume was read from, or the one its run last wrote. It goes
-	// with the job's record. Set before the job is queued, then by settle.
+	// the drain's or park's checkpoint its run resumes from (named by
+	// Recover or a claim), or the one its run last wrote. It goes with the
+	// job's record. Set before the job is queued, then by settle.
 	ckpt string
 	// done is closed by finish; the first Wait on a live job makes it.
 	done chan struct{}
@@ -278,5 +275,5 @@ func (j *Job) finish(state State, res *Result, err error, now time.Time) {
 	if j.done != nil {
 		close(j.done)
 	}
-	j.spec, j.resume, j.ckpt, j.done, j.super, j.subs = nil, nil, "", nil, nil, nil
+	j.spec, j.ckpt, j.done, j.super, j.subs = nil, "", nil, nil, nil
 }

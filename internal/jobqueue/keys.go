@@ -27,21 +27,16 @@ const (
 	keyCached
 )
 
-// parked is one preempted run's leftover: the snapshot plus the job ID its
-// parked record and checkpoint are filed under.
-type parked struct {
-	id   string
-	snap *checkpoint.Snapshot
-}
-
 // entry is one row of the key table. Only the field its state names is
 // set: job (active), park (parked) or res (cached).
 type entry struct {
 	key   string
 	state keyState
 	job   *Job
-	park  parked
-	res   *Result
+	// park is the ID the parked run's record and checkpoint are filed
+	// under; the checkpoint stays in its file until a claim's run reads it.
+	park string
+	res  *Result
 	// elem is the entry's seat in its population's FIFO (parked, cached).
 	elem *list.Element
 	// hit is the last request body that hit the cached key through
@@ -99,14 +94,14 @@ func (p *Pool) seatKeyLocked(q *fifo[*entry], e *entry) *entry {
 	return old
 }
 
-// parkLocked files pk under e's key and counts the park it evicts, if
-// any, returning that park's job ID ("" when none); the caller removes
-// its record and checkpoint outside the lock with dropPark.
-func (p *Pool) parkLocked(e *entry, pk parked) (evictedID string) {
-	e.state, e.park = keyParked, pk
+// parkLocked files the park id under e's key and counts the park it
+// evicts, if any, returning that park's job ID ("" when none); the caller
+// removes its record and checkpoint outside the lock with dropPark.
+func (p *Pool) parkLocked(e *entry, id string) (evictedID string) {
+	e.state, e.park = keyParked, id
 	if old := p.seatKeyLocked(&p.parkedKeys, e); old != nil {
 		p.counters.Add("parked_evicted", 1)
-		return old.park.id
+		return old.park
 	}
 	return ""
 }
@@ -169,12 +164,12 @@ type outcome struct {
 	files   fileAction
 	res     *Result // done
 	err     error   // failed, cancelled, deadline_exceeded
-	// snap is the checkpoint filesCheckpoint writes.
+	// snap is the checkpoint filesCheckpoint or filesPark writes.
 	snap *checkpoint.Snapshot
-	// park, when set, is what the key falls back to instead of going
-	// absent: the job's own snapshot (written by filesPark) or the claim a
-	// rolled-back admission had taken.
-	park *parked
+	// park, when set, is the park ID the key falls back to instead of
+	// going absent: the job's own (filesPark, once its files land) or the
+	// claim a rolled-back admission had taken.
+	park string
 }
 
 // stopOutcome is the cancel/deadline cause→(state, counter, error) mapping,
@@ -216,15 +211,16 @@ func (p *Pool) settle(job *Job, o outcome, gauge *int) {
 			p.counters.Add("persist_errors", 1)
 		}
 	case filesPark:
-		// Disk park failed: retire the admission and drop the checkpoint,
-		// so a restart cannot re-run a cancelled job, and keep the
-		// in-memory entry (its loss on crash costs only the resume
-		// optimization).
-		if err := p.persistPark(job, o.park.snap); err != nil {
+		// A park whose files do not land is no park: retire the admission
+		// and drop the checkpoints, so a restart cannot re-run a cancelled
+		// job, and the key goes absent.
+		if err := p.persistPark(job, o.snap); err != nil {
 			p.counters.Add("persist_errors", 1)
 			p.removeJobFiles(job.ID, job.ckpt)
+			o.park = ""
+		} else {
+			p.counters.Add("jobs_parked", 1)
 		}
-		p.counters.Add("jobs_parked", 1)
 	}
 
 	var evictedPark string
@@ -240,8 +236,8 @@ func (p *Pool) settle(job *Job, o outcome, gauge *int) {
 			if p.seatKeyLocked(&p.cachedKeys, e) != nil {
 				p.counters.Add("cache_evictions", 1)
 			}
-		case o.park != nil:
-			evictedPark = p.parkLocked(e, *o.park)
+		case o.park != "":
+			evictedPark = p.parkLocked(e, o.park)
 		default:
 			delete(p.keys, e.key)
 		}

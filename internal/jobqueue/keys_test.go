@@ -35,6 +35,9 @@ type memFS struct {
 	mu    sync.Mutex
 	files map[string][]byte
 	dirs  map[string]bool
+	// noRoomForCkpts fails every write to a checkpoint file with ENOSPC,
+	// as a disk with room left for a log record but not for a checkpoint.
+	noRoomForCkpts bool
 }
 
 func newMemFS() *memFS {
@@ -58,6 +61,9 @@ type memFile struct {
 func (f *memFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
+	if f.fs.noRoomForCkpts && strings.HasSuffix(f.name, ".ckpt"+durable.TmpSuffix) {
+		return 0, syscall.ENOSPC
+	}
 	f.fs.files[f.name] = append(f.fs.files[f.name], p...)
 	return len(p), nil
 }
@@ -332,6 +338,7 @@ const (
 	vBare                     // obeys the stop with nothing captured
 	vDrain                    // checkpoints at the drain's boundary
 	vDrainLost                // the same, while the disk refuses the write
+	vParkLost                 // obeys a cancel or deadline with a checkpoint the disk has no room for
 )
 
 const (
@@ -470,7 +477,7 @@ func (m *keyMachine) run(b *boot, rc experiment.RunConfig) (*experiment.RunStats
 	if !rc.Supervisor.Stop.Load() {
 		fail("stop verdict delivered but the supervisor's stop flag is not set")
 	}
-	if v == vPreempt {
+	if v == vPreempt || v == vParkLost {
 		rc.OnPreempt(&checkpoint.Snapshot{})
 	}
 	return &experiment.RunStats{Preempted: true}, nil
@@ -703,7 +710,7 @@ func (m *keyMachine) ended(j *modelJob, want State, text string) {
 		t.Fatalf("job %s: result %+v, want one that reports resumed %v", job.ID, res, j.resumed)
 	}
 	job.mu.Lock()
-	live := job.spec != nil || job.resume != nil || job.ckpt != "" || job.done != nil || job.super != nil || job.subs != nil
+	live := job.spec != nil || job.ckpt != "" || job.done != nil || job.super != nil || job.subs != nil
 	job.mu.Unlock()
 	if live {
 		t.Fatalf("job %s ended %s still holding the state only a live job reads", job.ID, want)
@@ -735,10 +742,12 @@ func (m *keyMachine) stopQueued(j *modelJob, want State, text string) {
 // classify. It returns once the pool has caught up, so the job has retired
 // before the next verdict can end another.
 func (m *keyMachine) end(j *modelJob, v verdict, cause CancelCause) {
+	m.setNoRoomForCkpts(v == vParkLost)
 	m.b.gates[j.key] <- v
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	j.job.Wait(ctx)
+	m.setNoRoomForCkpts(false)
 	if m.b.ffs.Crashed() {
 		return
 	}
@@ -755,10 +764,16 @@ func (m *keyMachine) end(j *modelJob, v verdict, cause CancelCause) {
 		text = "watchdog"
 		m.count("watchdog_preemptions")
 	case cause == CauseCancel || cause == CauseDeadline:
-		to, want, text = mParked, StateCancelled, "cancelled"
+		want, text = StateCancelled, "cancelled"
 		if cause == CauseDeadline {
 			want, text = StateDeadline, "deadline"
 		}
+		if v == vParkLost { // a park whose checkpoint does not land is no park: the key goes absent
+			m.count("persist_errors")
+			m.reached["parks_lost"]++
+			break
+		}
+		to = mParked
 		m.count("jobs_parked")
 		rec.parked, rec.ckpt, rec.claims = true, true, ""
 		m.disk[id] = rec
@@ -781,9 +796,18 @@ func (m *keyMachine) end(j *modelJob, v verdict, cause CancelCause) {
 	m.settleDown()
 }
 
+// setNoRoomForCkpts makes the disk refuse checkpoint writes, or take
+// them again.
+func (m *keyMachine) setNoRoomForCkpts(on bool) {
+	m.mem.mu.Lock()
+	m.mem.noRoomForCkpts = on
+	m.mem.mu.Unlock()
+}
+
 // stopRunning releases a run whose supervisor was told to stop: it
 // preempts with a checkpoint, or — stalled — possibly with none, or it
-// completes regardless.
+// completes regardless. A cancelled or deadline-killed run's checkpoint
+// may find no room on the disk.
 func (m *keyMachine) stopRunning(j *modelJob, cause CancelCause) {
 	if !j.job.CancelRequested() {
 		m.t.Fatalf("job %s: a %s stop was requested, CancelRequested says none", j.job.ID, cause)
@@ -791,6 +815,8 @@ func (m *keyMachine) stopRunning(j *modelJob, cause CancelCause) {
 	vs := []verdict{vPreempt, vFinish}
 	if cause == CauseWatchdog {
 		vs = append(vs, vBare)
+	} else { // one stop in five: parks stay common enough to evict one another
+		vs = append(vs, vPreempt, vFinish, vParkLost)
 	}
 	m.end(j, vs[m.rng.Intn(len(vs))], cause)
 }
@@ -1223,11 +1249,11 @@ func (m *keyMachine) check() {
 		case mAbsent:
 			ok = e == nil
 		case mActive:
-			ok = e != nil && e.state == keyActive && e.job == m.active[k].job && e.res == nil && e.park.snap == nil && e.elem == nil
+			ok = e != nil && e.state == keyActive && e.job == m.active[k].job && e.res == nil && e.park == "" && e.elem == nil
 		case mParked:
-			ok = e != nil && e.state == keyParked && e.job == nil && e.res == nil && e.park.snap != nil && e.park.id == m.parkedID[k]
+			ok = e != nil && e.state == keyParked && e.job == nil && e.res == nil && e.park == m.parkedID[k]
 		case mCached:
-			ok = e != nil && e.state == keyCached && e.job == nil && e.res != nil && e.park.snap == nil
+			ok = e != nil && e.state == keyCached && e.job == nil && e.res != nil && e.park == ""
 		}
 		if !ok {
 			p.mu.Unlock()
@@ -1256,6 +1282,12 @@ func (m *keyMachine) check() {
 		t.Fatalf("body index holds %d digests, model %d", len(p.bodies), digests)
 	}
 	tableSize := len(p.keys)
+	var parkIDs []string
+	for _, e := range p.keys {
+		if e.state == keyParked {
+			parkIDs = append(parkIDs, e.park)
+		}
+	}
 	// The bounded populations hold the model's members, oldest first.
 	keyOf := func(e *entry) string { return e.key }
 	gotCached, gotParked := members(&p.cachedKeys, keyOf), members(&p.parkedKeys, keyOf)
@@ -1355,6 +1387,14 @@ func (m *keyMachine) check() {
 	if torn != nil || !maps.Equal(parked, wantParked) {
 		t.Fatalf("admission log: records %v, parked or not (torn tail %v); want %v", parked, torn, wantParked)
 	}
+	// A park in memory is one on disk: a resubmission claims only what a
+	// restart would find.
+	files := m.mem.names(propDir)
+	for _, id := range parkIDs {
+		if !parked[id] || !slices.Contains(files, id+".ckpt") {
+			t.Fatalf("key parked as %s in memory; the log holds it parked %v, the state dir holds %v", id, parked[id], files)
+		}
+	}
 }
 
 // finish runs every job to completion and checks that the terminal-state
@@ -1419,7 +1459,7 @@ func TestKeyStateMachineProperty(t *testing.T) {
 		"jobs_recovered", "jobs_recovered_dup", "jobs_parked_recovered", "recover_left_on_disk",
 		"tmp_files_swept", "checkpoints_quarantined", "parked_resumed", "parked_evicted",
 		"cache_evictions", "persist_errors", "watchdog_preemptions", "jobs_deadline_exceeded",
-		"queue_full_rejected", "body_hits",
+		"queue_full_rejected", "body_hits", "parks_lost",
 	} {
 		if reached[name] < max(1, floor[name]) {
 			t.Errorf("sequences reached %s %d times, want at least %d", name, reached[name], max(1, floor[name]))

@@ -251,22 +251,30 @@ func TestEndingDoesNotWaitForAnAdmissionSync(t *testing.T) {
 	}
 }
 
-// TestRecoverOnARunningPool: Recover sets a recovered job's resume
-// snapshot before the job joins the queue, so a worker already waiting
-// for work resumes it bit-exactly. Under -race an unordered write of the
-// snapshot is a reported race.
+// TestRecoverOnARunningPool: Recover names the checkpoint a recovered job
+// resumes from before the job joins the queue, so a worker already
+// waiting for work reads that checkpoint and resumes the job bit-exactly.
+// The test takes the job from the worker that runs it, not from Get,
+// whose lock would order a name written after Recover's critical section
+// before the worker's read; so under -race such a write is a reported
+// race, and a worker that reads first runs the job from scratch.
 func TestRecoverOnARunningPool(t *testing.T) {
 	srcDir, id, want := buildDrainState(t)
 	dir := t.TempDir()
 	copyFile(t, filepath.Join(srcDir, logName), filepath.Join(dir, logName))
 	copyFile(t, filepath.Join(srcDir, id+".ckpt"), filepath.Join(dir, id+".ckpt"))
-	pool := New(Config{Workers: 2, QueueDepth: 4, StateDir: dir, CheckpointEvery: 200})
+	running := make(chan *Job, 1)
+	pool := New(Config{Workers: 2, QueueDepth: 4, StateDir: dir, CheckpointEvery: 200,
+		BeforeRun: func(j *Job) { running <- j }})
 	pool.Start()
 	defer pool.Shutdown(context.Background())
 	if n, err := pool.Recover(); err != nil || n != 1 {
 		t.Fatalf("Recover = %d, %v; want 1 job", n, err)
 	}
-	j, _ := pool.Get(id)
+	j := <-running
+	if j.ID != id {
+		t.Fatalf("the worker ran %s, want the recovered %s", j.ID, id)
+	}
 	if res := waitResult(t, j); !res.Resumed || res.StateHash != want {
 		t.Fatalf("resumed %v, hash %s; want a resumed run ending in %s", res.Resumed, res.StateHash, want)
 	}

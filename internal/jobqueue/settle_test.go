@@ -3,6 +3,8 @@ package jobqueue
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -15,8 +17,11 @@ import (
 // TestResumeIsBitExact interrupts a real run in each way a run can be
 // interrupted, resumes it, and requires the end state of the uninterrupted
 // run. A cancel or a deadline parks the run's checkpoint for a resubmission
-// to claim; a drain checkpoints it beside its spec for the next boot, or,
-// when that write fails, leaves the spec to restart from. The engine's
+// to claim, or, when that write fails, leaves nothing: the resubmission
+// runs from scratch, as it does when the claimed file turns out damaged.
+// A drain checkpoints the run beside its spec for the
+// next boot, or, when that write fails, leaves the spec to restart from.
+// The engine's
 // work is counted however a segment ended: engine_events summed over every
 // boot is the sum of the segments, and the finished job's Result.Events is
 // the last one.
@@ -30,11 +35,14 @@ func TestResumeIsBitExact(t *testing.T) {
 		// stop ends the first segment once it passes 600 simulated s: a
 		// cancel, a deadline expiry, or ("") a drain past its budget.
 		stop         CancelCause
-		lostWrite    bool // the disk refuses the drain's checkpoint
+		lostWrite    bool // the disk refuses the park's or the drain's checkpoint
 		restart      bool // a restart comes between the segments
 		persistFault bool // the first claim cannot log its admission and is rolled back
+		damaged      bool // the parked checkpoint is damaged on disk before the claim
 	}{
 		{name: "cancel/claim", stop: CauseCancel},
+		{name: "cancel-write-fails/claim", stop: CauseCancel, lostWrite: true},
+		{name: "cancel/damaged/claim", stop: CauseCancel, damaged: true},
 		{name: "cancel/restart/claim", stop: CauseCancel, restart: true},
 		{name: "deadline/claim", stop: CauseDeadline},
 		{name: "drain/restart", restart: true},
@@ -42,7 +50,8 @@ func TestResumeIsBitExact(t *testing.T) {
 		{name: "claim-persist-fault/rollback/claim", stop: CauseCancel, persistFault: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fsys := durable.NewFaultFS(newMemFS())
+			mem := newMemFS()
+			fsys := durable.NewFaultFS(mem)
 			var (
 				pool     *Pool
 				current  *Job        // the job on the one worker
@@ -52,15 +61,15 @@ func TestResumeIsBitExact(t *testing.T) {
 				events   uint64   // engine_events summed over the boots so far
 			)
 			stop := func() {
+				if tc.lostWrite {
+					fsys.FailWrites(syscall.ENOSPC)
+				}
 				switch tc.stop {
 				case CauseCancel:
 					pool.Cancel(current.ID)
 				case CauseDeadline:
 					pool.superviseOnce(time.Now().Add(2 * time.Hour))
 				default: // the run checkpoints at its next boundary
-					if tc.lostWrite {
-						fsys.FailWrites(syscall.ENOSPC)
-					}
 					ctx, cancel := context.WithCancel(context.Background())
 					cancel()
 					go func() { drained <- pool.Shutdown(ctx) }()
@@ -115,12 +124,27 @@ func TestResumeIsBitExact(t *testing.T) {
 				if err := <-drained; !errors.Is(err, context.Canceled) {
 					t.Fatalf("Shutdown past its budget = %v, want context.Canceled", err)
 				}
-				fsys.FailWrites(nil)
+			}
+			fsys.FailWrites(nil)
+			lostPark := tc.lostWrite && tc.stop != ""
+			if c := pool.Counters(); lostPark && (c.Get("persist_errors") != 1 || c.Get("jobs_parked") != 0) {
+				t.Errorf("a park whose checkpoint write failed: persist_errors %d, jobs_parked %d; want 1 and 0",
+					c.Get("persist_errors"), c.Get("jobs_parked"))
 			}
 			if tc.restart {
 				pool.Shutdown(context.Background())
 				events += pool.Counters().Get("engine_events")
 				boot()
+			}
+			if tc.damaged { // flip a bit in the parked checkpoint, which only the claim's run reads
+				name := "/state/" + j1.ID + ".ckpt"
+				mem.mu.Lock()
+				if data := mem.files[name]; len(data) > 0 {
+					data[len(data)/2] ^= 0x10
+				} else {
+					t.Errorf("no parked checkpoint %s to damage", name)
+				}
+				mem.mu.Unlock()
 			}
 
 			var j2 *Job
@@ -146,9 +170,21 @@ func TestResumeIsBitExact(t *testing.T) {
 			}
 			res := waitResult(t, j2)
 			events += pool.Counters().Get("engine_events")
+			if lostPark { // the failed park left nothing to claim, on disk or in memory
+				recs, _, _ := replayLog(t, mem, "/state")
+				if _, ok := recs[j1.ID]; ok || slices.Contains(mem.names("/state"), j1.ID+".ckpt") {
+					t.Errorf("the lost park %s is still in the state dir: log records %v, files %v", j1.ID, recs, mem.names("/state"))
+				}
+			}
+			if tc.damaged {
+				q := filepath.Join(QuarantineDir, j1.ID+".ckpt")
+				if got := pool.Counters().Get("checkpoints_quarantined"); got != 1 || !slices.Contains(mem.names("/state"), q) {
+					t.Errorf("checkpoints_quarantined = %d, state dir %v; want 1, and %s", got, mem.names("/state"), q)
+				}
+			}
 			pool.Shutdown(context.Background())
-			if res.StateHash != want || res.Resumed == tc.lostWrite {
-				t.Errorf("final hash %s (resumed %v), want %s (resumed %v)", res.StateHash, res.Resumed, want, !tc.lostWrite)
+			if wantResumed := !tc.lostWrite && !tc.damaged; res.StateHash != want || res.Resumed != wantResumed {
+				t.Errorf("final hash %s (resumed %v), want %s (resumed %v)", res.StateHash, res.Resumed, want, wantResumed)
 			}
 			if len(segments) != 2 || segments[0] == 0 || segments[1] == 0 {
 				t.Fatalf("run segments executed %v events, want two non-empty segments", segments)

@@ -490,25 +490,17 @@ func (p *Pool) Recover() (int, error) {
 	recovered := 0
 	for _, id := range ids {
 		r, c := recs[id], from[id]
-		var snap *checkpoint.Snapshot
-		if c != "" {
-			raw, err := durable.ReadFile(fsys, p.ckptPath(c))
-			if err == nil {
-				snap, err = checkpoint.DecodeBytes(raw)
-			}
-			if err != nil {
-				// Damaged checkpoint, healthy spec: the resume is lost but
-				// the job is not — restart it from scratch.
-				p.quarantine(c+".ckpt", "checkpoints_quarantined")
-				snap, c = nil, ""
-			}
+		if c != "" && p.loadCheckpoint(c) == nil {
+			// Damaged checkpoint, healthy spec: the resume is lost but the
+			// job is not — restart it from scratch.
+			c = ""
 		}
 		key := r.Spec.Key()
 
 		p.mu.Lock()
 		e := p.keys[key]
 		switch {
-		case e != nil && (r.Parked || e.state != keyParked), r.Parked && snap == nil:
+		case e != nil && (r.Parked || e.state != keyParked), r.Parked && c == "":
 			// The key already has a state this record cannot add to: an
 			// earlier record of the same spec is active or parked (or, when
 			// Recover runs on a live pool, its result is cached). Or a park
@@ -523,7 +515,7 @@ func (p *Pool) Recover() (int, error) {
 			// cancelled job must not resurrect as runnable work.
 			e = &entry{key: key}
 			p.keys[key] = e
-			evicted := p.parkLocked(e, parked{id: id, snap: snap})
+			evicted := p.parkLocked(e, id)
 			p.mu.Unlock()
 			p.counters.Add("jobs_parked_recovered", 1)
 			p.dropPark(evicted)
@@ -531,11 +523,7 @@ func (p *Pool) Recover() (int, error) {
 			p.mu.Unlock() // it stays in the log for the next restart
 		default:
 			job, claimed := p.admitLocked(id, key, r.Spec, time.Now())
-			if snap != nil {
-				job.resume, job.ckpt = snap, c
-			} else if claimed != nil {
-				job.ckpt = claimed.id
-			}
+			job.ckpt = cmp.Or(c, claimed)
 			p.counters.Add("jobs_recovered", 1)
 			p.enqueueLocked(job)
 			p.mu.Unlock()
@@ -543,6 +531,22 @@ func (p *Pool) Recover() (int, error) {
 		}
 	}
 	return recovered, nil
+}
+
+// loadCheckpoint reads and decodes the checkpoint filed under id. One
+// that cannot be read or decoded is quarantined (checkpoints_quarantined)
+// and nil returned: the job that holds it starts from its spec.
+func (p *Pool) loadCheckpoint(id string) *checkpoint.Snapshot {
+	raw, err := durable.ReadFile(p.cfg.FS, p.ckptPath(id))
+	var snap *checkpoint.Snapshot
+	if err == nil {
+		snap, err = checkpoint.DecodeBytes(raw)
+	}
+	if err != nil {
+		p.quarantine(id+".ckpt", "checkpoints_quarantined")
+		return nil
+	}
+	return snap
 }
 
 // decodeRecord validates one job record, from the log or a spec file. It

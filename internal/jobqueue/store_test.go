@@ -223,10 +223,10 @@ func TestTornWriteSweep(t *testing.T) {
 				t.Fatal("damaged ckpt: job not tracked after recovery")
 			}
 			j.mu.Lock()
-			resume := j.resume
+			resume := j.ckpt != ""
 			j.mu.Unlock()
-			if resume != nil {
-				t.Fatal("damaged ckpt: job carries a resume snapshot from a corrupt checkpoint")
+			if resume {
+				t.Fatal("damaged ckpt: job names a corrupt checkpoint to resume from")
 			}
 		}
 	}

@@ -1,11 +1,15 @@
 package jobqueue
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"peas/internal/checkpoint"
+	"peas/internal/experiment"
 )
 
 // jobIDs lists the jobs' IDs.
@@ -199,5 +203,92 @@ func TestFinishedJobFootprint(t *testing.T) {
 	t.Logf("%.0f B of live heap per finished job (budget %d), %d jobs in the table", per, budget, len(p.Jobs()))
 	if per > budget {
 		t.Errorf("a finished job holds %.0f B of live heap, budget %d B", per, budget)
+	}
+}
+
+// TestParkedKeyFootprint holds the live heap one parked key costs the
+// pool: the key table's entry and its seat among the parked keys, the
+// parked record the log keeps, and the cancelled job's record in the job
+// table, read after a collection. Every run parks a real capture at
+// t = 1000 s of a 40-node deployment, decoded afresh from one encoding,
+// on a state dir on disk, so the checkpoint's bytes are in its file and
+// not on the heap. The heap is read once the pool has shut down, so no
+// worker's stack still holds the last run's snapshot. The figure is the one measured when it was set plus 10
+// %; it is only ever lowered.
+func TestParkedKeyFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what the heap holds")
+	}
+	const (
+		parks  = 64
+		budget = 1800 // bytes per parked key
+	)
+	capture := testSpec(1)
+	capture.Horizon = 2000
+	if err := capture.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	rc := capture.RunConfig()
+	rc.CheckpointEvery = 1000
+	var raw []byte
+	rc.OnCheckpoint = func(s *checkpoint.Snapshot) bool {
+		raw = s.EncodeBytes()
+		return true
+	}
+	if _, err := experiment.Run(rc); err != nil || raw == nil {
+		t.Fatalf("capturing at t = 1000 s: %v (captured %v)", err, raw != nil)
+	}
+
+	running := make(chan *Job, 1)
+	p := New(Config{Workers: 1, QueueDepth: 4, CacheCap: parks, StateDir: t.TempDir(),
+		BeforeRun: func(j *Job) { running <- j },
+		Run: func(rc experiment.RunConfig) (*experiment.RunStats, error) {
+			for !rc.Supervisor.Stop.Load() {
+				time.Sleep(50 * time.Microsecond)
+			}
+			snap, err := checkpoint.DecodeBytes(raw)
+			if err != nil {
+				return nil, err
+			}
+			rc.OnPreempt(snap)
+			return &experiment.RunStats{Preempted: true}, nil
+		}})
+	p.Start()
+	park := func(spec *Spec) {
+		j, _, err := p.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-running
+		cancelAndWait(t, p, j)
+	}
+	park(testSpec(1999)) // opens the log and builds what the first write builds once
+	specs := make([]*Spec, parks)
+	for i := range specs {
+		specs[i] = testSpec(int64(2000 + i))
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	heap() // a second collection frees what the first only finalized
+	base := heap()
+	for _, spec := range specs {
+		park(spec)
+	}
+	if err := p.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	heap() // the closed files' finalizers
+	per := float64(int64(heap())-int64(base)) / parks
+	runtime.KeepAlive(specs)
+	if got := p.Counters().Get("jobs_parked"); got != parks+1 {
+		t.Fatalf("jobs_parked = %d, want %d", got, parks+1)
+	}
+	t.Logf("%.0f B of live heap per parked key (budget %d; the checkpoint file holds %d B)", per, budget, len(raw))
+	if per > budget {
+		t.Errorf("a parked key holds %.0f B of live heap, budget %d B", per, budget)
 	}
 }
