@@ -59,7 +59,7 @@ func run() error {
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "queued-job capacity before submissions get 429")
-		cacheCap  = flag.Int("cache", 1024, "capacity of the result cache, of the parked checkpoints and of the finished jobs kept readable by ID (a finished job with its cached result holds about 1.1 KB)")
+		cacheCap  = flag.Int("cache", 1024, "capacity of the result cache, of the parked checkpoints and of the finished jobs kept readable by ID (a finished job with its cached result holds about 1.1 KB, a park about 1.6 KB; its checkpoint stays on disk)")
 		stateDir  = flag.String("state-dir", "", "persist specs and drain checkpoints here (enables resume across restarts)")
 		ckptEvery = flag.Float64("checkpoint-every", 250, "spacing, in simulated seconds, of the boundaries at which a drain past its budget may checkpoint a running job (with -state-dir)")
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for running jobs")
