@@ -107,17 +107,15 @@ type Job struct {
 	// Recover or a claim), or the one its run last wrote. It goes with the
 	// job's record. Set before the job is queued, then by settle.
 	ckpt string
-	// done is closed by finish; the first Wait on a live job makes it.
-	done chan struct{}
+	// changed closes at the view's next change (see Watch); the first
+	// watcher after a change makes it.
+	changed chan struct{}
 	// super is the engine supervisor of the current run (nil unless a
 	// supervised run is executing). lastBeat/lastBeatAt track watchdog
 	// stall detection.
 	super      *sim.Supervisor
 	lastBeat   uint64
 	lastBeatAt time.Time
-	// subs holds the live subscribers; the first Subscribe to a live job
-	// makes it.
-	subs map[chan Event]struct{}
 }
 
 func newJob(id, key string, spec *Spec, now time.Time) *Job {
@@ -133,63 +131,69 @@ func (j *Job) deadline() time.Time {
 	return j.enqueuedAt.Add(time.Duration(j.Summary.DeadlineSeconds * float64(time.Second)))
 }
 
-// State returns the current lifecycle stage.
-func (j *Job) State() State {
+// View is one instant of a job: everything its readers read, taken under
+// the job's lock at once, so no reader mixes two instants.
+type View struct {
+	State State
+	// Err is the failure (nil unless the job failed or was stopped);
+	// Result the outcome (nil until done).
+	Err    error
+	Result *Result
+	// SimT and Working are the last observed simulated time and
+	// working-node count.
+	SimT    float64
+	Working int
+	// The enqueue, start and finish instants (zero when the stage has not
+	// been reached).
+	EnqueuedAt, StartedAt, FinishedAt time.Time
+	// QueueWait is how long the job sat admitted but not running. A job
+	// still queued reports the wait so far, so it is observable (and
+	// monotone) before a worker picks the job up; a job stopped in the
+	// queue waited from admission to its end, which for a cache hit, born
+	// done at its admission instant, is zero.
+	QueueWait time.Duration
+	// CancelRequested reports that a stop was requested (or has taken
+	// effect): every cancelled or deadline-killed job had its cause
+	// recorded first.
+	CancelRequested bool
+}
+
+// View returns the job's current view.
+func (j *Job) View() View {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	return j.viewLocked()
 }
+
+func (j *Job) viewLocked() View {
+	v := View{State: j.state, Err: j.err, Result: j.result, SimT: j.simT, Working: j.working,
+		EnqueuedAt: j.enqueuedAt, StartedAt: j.startedAt, FinishedAt: j.finishedAt,
+		CancelRequested: j.cancelCause != ""}
+	switch {
+	case !j.startedAt.IsZero():
+		v.QueueWait = j.startedAt.Sub(j.enqueuedAt)
+	case j.state == StateQueued:
+		v.QueueWait = time.Since(j.enqueuedAt)
+	default:
+		v.QueueWait = j.finishedAt.Sub(j.enqueuedAt)
+	}
+	return v
+}
+
+// State returns the current lifecycle stage.
+func (j *Job) State() State { return j.View().State }
 
 // Result returns the outcome (nil until done).
-func (j *Job) Result() *Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
+func (j *Job) Result() *Result { return j.View().Result }
 
-// Err returns the failure (nil unless failed).
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// CancelRequested reports whether a stop has been requested (or already
-// taken effect) for this job: every cancelled or deadline-killed job had
-// its cause recorded first.
-func (j *Job) CancelRequested() bool { return j.stopCause() != "" }
-
-// Progress returns the last observed simulated time and working-node
-// count.
-func (j *Job) Progress() (simT float64, working int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.simT, j.working
-}
+// Err returns the failure (nil unless failed or stopped).
+func (j *Job) Err() error { return j.View().Err }
 
 // Times returns the enqueue, start and finish instants (zero when the
 // stage has not been reached).
 func (j *Job) Times() (enqueued, started, finished time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.enqueuedAt, j.startedAt, j.finishedAt
-}
-
-// QueueWait returns how long the job sat admitted-but-not-running and
-// whether it has started. Jobs still queued report the wait so far, so
-// the value is observable (and monotone) before a worker picks the job
-// up; a job stopped in the queue waited from admission to its end, which
-// for a cache hit, born done at its admission instant, is zero.
-func (j *Job) QueueWait() (time.Duration, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case !j.startedAt.IsZero():
-		return j.startedAt.Sub(j.enqueuedAt), true
-	case j.state == StateQueued:
-		return time.Since(j.enqueuedAt), false
-	}
-	return j.finishedAt.Sub(j.enqueuedAt), false
+	v := j.View()
+	return v.EnqueuedAt, v.StartedAt, v.FinishedAt
 }
 
 // beginRun moves a queued job to running. The pool calls it under p.mu
@@ -200,7 +204,7 @@ func (j *Job) beginRun(now time.Time) {
 	j.state = StateRunning
 	j.startedAt = now
 	j.lastBeatAt = now
-	j.publishLocked(Event{Type: EventStarted, JobID: j.ID, Horizon: j.Summary.Horizon}, false)
+	j.changeLocked()
 }
 
 // attachSupervisor installs the engine supervisor of the job's current
@@ -263,17 +267,13 @@ func (j *Job) checkStall(now time.Time, window time.Duration) bool {
 }
 
 // finish is the one terminal transition: state, outcome, finish instant,
-// terminal event (rendered by the same mapping late subscribers replay),
-// waiters released, and the live job's fields dropped. Every path that
+// watchers woken to the terminal view, and the live job's fields dropped. Every path that
 // ends a job — cache hit, worker acknowledgement, queued stop, rolled-back
 // admission — calls it exactly once.
 func (j *Job) finish(state State, res *Result, err error, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state, j.result, j.err, j.finishedAt = state, res, err, now
-	j.publishLocked(j.snapshotEventLocked(), true)
-	if j.done != nil {
-		close(j.done)
-	}
-	j.spec, j.ckpt, j.done, j.super, j.subs = nil, "", nil, nil, nil
+	j.changeLocked()
+	j.spec, j.ckpt, j.super = nil, "", nil
 }

@@ -314,7 +314,10 @@ type modelJob struct {
 	key      int
 	deadline bool // carries a DeadlineSeconds budget
 	resumed  bool // its run continues from a checkpoint
-	events   <-chan Event
+	// opened and changed are what Watch returned as the job was admitted:
+	// a follower's stream from there.
+	opened  View
+	changed <-chan struct{}
 }
 
 // diskRec is what the state dir holds under one job ID: a live admission
@@ -593,8 +596,8 @@ func (m *keyMachine) submit(k int, deadline, fault, raw bool) *Job {
 		if err != nil || outcome != OutcomeCached || job.State() != StateDone {
 			t.Fatalf("submit of cached key: %v, %v; want cached", outcome, err)
 		}
-		if wait, started := job.QueueWait(); wait != 0 || started {
-			t.Fatalf("cache hit %s reports queue wait %s (started %v); it was born done", job.ID, wait, started)
+		if v := job.View(); v.QueueWait != 0 || !v.StartedAt.IsZero() {
+			t.Fatalf("cache hit %s reports queue wait %s (started at %v); it was born done", job.ID, v.QueueWait, v.StartedAt)
 		}
 		m.count("cache_hits")
 		m.retire(job)
@@ -639,7 +642,7 @@ func (m *keyMachine) submit(k int, deadline, fault, raw bool) *Job {
 			t.Fatalf("submit of %v key: %v, %v; want accepted", m.state[k], outcome, err)
 		}
 		j := &modelJob{job: job, key: k, deadline: deadline, resumed: m.state[k] == mParked}
-		j.events, _ = job.Subscribe()
+		j.opened, j.changed = job.Watch()
 		rec := diskRec{key: k, deadline: deadline}
 		if j.resumed { // the claim's record consumes the parked one, and its checkpoint
 			m.count("parked_resumed")
@@ -694,7 +697,7 @@ func (m *keyMachine) ended(j *modelJob, want State, text string) {
 		t.Fatalf("job %s: state %s, want %s", job.ID, st, want)
 	}
 	terminal := 0
-	for ev := range j.events { // closed by the terminal event
+	for _, ev := range follow(t, job, j.opened, j.changed) {
 		if st := State(ev.Type); st.Terminal() {
 			terminal++
 			if st != want {
@@ -710,7 +713,7 @@ func (m *keyMachine) ended(j *modelJob, want State, text string) {
 		t.Fatalf("job %s: result %+v, want one that reports resumed %v", job.ID, res, j.resumed)
 	}
 	job.mu.Lock()
-	live := job.spec != nil || job.ckpt != "" || job.done != nil || job.super != nil || job.subs != nil
+	live := job.spec != nil || job.ckpt != "" || job.changed != nil || job.super != nil
 	job.mu.Unlock()
 	if live {
 		t.Fatalf("job %s ended %s still holding the state only a live job reads", job.ID, want)
@@ -724,11 +727,10 @@ func (m *keyMachine) ended(j *modelJob, want State, text string) {
 // stopQueued checks a job stopped while queued: terminal at once, its whole
 // life spent waiting, its files gone, its queue slot free.
 func (m *keyMachine) stopQueued(j *modelJob, want State, text string) {
-	wait, started := j.job.QueueWait()
-	enqueued, _, finished := j.job.Times()
-	if started || wait != finished.Sub(enqueued) {
-		m.t.Fatalf("job %s stopped in the queue reports queue wait %s (started %v), want %s",
-			j.job.ID, wait, started, finished.Sub(enqueued))
+	v := j.job.View()
+	if !v.StartedAt.IsZero() || v.QueueWait != v.FinishedAt.Sub(v.EnqueuedAt) {
+		m.t.Fatalf("job %s stopped in the queue reports queue wait %s (started at %v), want %s",
+			j.job.ID, v.QueueWait, v.StartedAt, v.FinishedAt.Sub(v.EnqueuedAt))
 	}
 	m.ended(j, want, text)
 	delete(m.disk, j.job.ID)
@@ -809,7 +811,7 @@ func (m *keyMachine) setNoRoomForCkpts(on bool) {
 // completes regardless. A cancelled or deadline-killed run's checkpoint
 // may find no room on the disk.
 func (m *keyMachine) stopRunning(j *modelJob, cause CancelCause) {
-	if !j.job.CancelRequested() {
+	if !j.job.View().CancelRequested {
 		m.t.Fatalf("job %s: a %s stop was requested, CancelRequested says none", j.job.ID, cause)
 	}
 	vs := []verdict{vPreempt, vFinish}
@@ -1100,7 +1102,7 @@ func (m *keyMachine) restart(touched map[string]diskRec) {
 			if j.job, ok = m.pool.Get(id); !ok {
 				t.Fatalf("Recover did not admit %s", id)
 			}
-			j.events, _ = j.job.Subscribe()
+			j.opened, j.changed = j.job.Watch()
 			m.b.wantResume[k].Store(j.resumed)
 			m.state[k], m.active[k] = mActive, j
 			m.queue = append(m.queue, j)

@@ -3,6 +3,7 @@ package jobqueue
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -235,78 +236,90 @@ func TestCheckJobArmsOracle(t *testing.T) {
 	}
 }
 
-// TestEventStream checks the SSE-facing event feed: a subscriber sees
-// started -> progress -> done in order, with monotonic progress.
+// follow reads j as a stream follower does, from the view v and the
+// channel changed that Watch returned when the stream opened: that view,
+// then the latest view at each change, until the terminal one. It returns
+// the events of the views that differ from the one before.
+func follow(t *testing.T, j *Job, v View, changed <-chan struct{}) []Event {
+	t.Helper()
+	timeout := time.After(60 * time.Second)
+	var events []Event
+	for {
+		if ev := j.Event(v); len(events) == 0 || ev != events[len(events)-1] {
+			events = append(events, ev)
+		}
+		if changed == nil {
+			return events
+		}
+		select {
+		case <-changed:
+			v, changed = j.Watch()
+		case <-timeout:
+			t.Fatalf("job %s: no terminal view within a minute, after %+v", j.ID, events)
+		}
+	}
+}
+
+// TestEventStream checks the SSE-facing view of a job: a follower that
+// keeps up with a paced run sees queued -> started -> progress -> done in
+// order, with monotonic progress.
 func TestEventStream(t *testing.T) {
-	pool := New(Config{Workers: 1, QueueDepth: 4})
+	pool := New(Config{Workers: 1, QueueDepth: 4,
+		Run: func(rc experiment.RunConfig) (*experiment.RunStats, error) {
+			sample := rc.OnSample
+			rc.OnSample = func(t float64, working int, byK []float64) {
+				sample(t, working, byK)
+				time.Sleep(2 * time.Millisecond) // a sample's view outlasts the follower's wake-up
+			}
+			return experiment.Run(rc)
+		}})
 	defer pool.Shutdown(context.Background())
 
 	j, _, err := pool.Submit(testSpec(51))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancelSub := j.Subscribe()
-	defer cancelSub()
 	// Workers start only now: a job already past t = 0 when the stream
-	// opens would greet it with a progress snapshot instead of a start.
+	// opens would greet it with a progress view instead of a queued one.
+	v, changed := j.Watch()
 	pool.Start()
+	events := follow(t, j, v, changed)
 
-	var sawStart, sawProgress, sawDone bool
+	var types []EventType
 	lastT := -1.0
-	deadline := time.After(60 * time.Second)
-	for !sawDone {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				if !sawDone {
-					t.Fatal("stream closed before done event")
-				}
-				break
-			}
-			switch ev.Type {
-			case EventQueued, EventStarted:
-				sawStart = true
-			case EventProgress:
-				sawProgress = true
-				if ev.SimT < lastT {
-					t.Errorf("progress went backwards: %v after %v", ev.SimT, lastT)
-				}
-				lastT = ev.SimT
-			case EventDone:
-				sawDone = true
-				if ev.Result == nil || ev.Result.StateHash == "" {
-					t.Error("done event carries no result hash")
-				}
-			case EventFailed:
-				t.Fatalf("job failed: %s", ev.Error)
-			}
-		case <-deadline:
-			t.Fatal("timed out waiting for events")
+	for _, ev := range events {
+		if len(types) == 0 || types[len(types)-1] != ev.Type {
+			types = append(types, ev.Type)
 		}
+		if ev.SimT < lastT {
+			t.Errorf("progress went backwards: %v after %v", ev.SimT, lastT)
+		}
+		lastT = ev.SimT
 	}
-	if !sawStart || !sawProgress {
-		t.Errorf("stream incomplete: start=%v progress=%v", sawStart, sawProgress)
+	if !slices.Equal(types, []EventType{EventQueued, EventStarted, EventProgress, EventDone}) {
+		t.Fatalf("stream of %d events runs %v, want queued, started, progress, done", len(events), types)
+	}
+	if done := events[len(events)-1]; done.Result == nil || done.Result.StateHash == "" {
+		t.Error("done event carries no result hash")
 	}
 }
 
-// TestSlowFollowerGetsTerminalEvent checks that a subscriber which reads
-// nothing while progress overflows its buffer still finds the terminal
-// event at the end of its stream.
+// TestSlowFollowerGetsTerminalEvent checks that a follower which reads
+// nothing while the run makes progress and ends finds one terminal view,
+// and nothing after it: the views it missed coalesce into that one.
 func TestSlowFollowerGetsTerminalEvent(t *testing.T) {
 	j := newJob("slow", "key", testSpec(1), time.Now())
-	ch, cancelSub := j.Subscribe()
-	defer cancelSub()
+	v, changed := j.Watch()
 	for i := 1; i <= 100; i++ {
 		j.observeProgress(progressStride*j.Summary.Horizon*float64(i), 20)
 	}
 	j.finish(StateDone, &Result{StateHash: "h"}, nil, time.Now())
-	var events []Event
-	for ev := range ch {
-		events = append(events, ev)
+	events := follow(t, j, v, changed)
+	if len(events) != 2 || events[0].Type != EventQueued || events[1].Type != EventDone || events[1].Result == nil {
+		t.Fatalf("slow follower's stream %+v, want the queued view and then the done view", events)
 	}
-	if len(events) != subscriberBuffer || events[len(events)-1].Type != EventDone {
-		t.Fatalf("stream of %d events ends with %q, want %d ending with %q",
-			len(events), events[len(events)-1].Type, subscriberBuffer, EventDone)
+	if _, changed := j.Watch(); changed != nil {
+		t.Fatal("a terminal job's Watch returned a channel to wait on")
 	}
 }
 
