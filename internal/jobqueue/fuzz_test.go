@@ -8,13 +8,15 @@ import (
 	"path/filepath"
 	"testing"
 
+	"peas/internal/coverage"
 	"peas/internal/node"
 )
 
 // FuzzSpecNormalize feeds arbitrary submission bodies through the door
 // every spec passes — DecodeSpec, then Normalize — and checks the
 // properties "no aliased result" rests on: whatever Normalize accepts,
-// node.NewNetwork builds; Normalize is idempotent; and the content key
+// node.NewNetwork builds, and its coverage lattice holds at most
+// maxLatticePoints points; Normalize is idempotent; and the content key
 // survives a JSON round trip of the normalized spec.
 // The seed corpus is testdata/fuzz/FuzzSpecNormalize.
 func FuzzSpecNormalize(f *testing.F) {
@@ -45,8 +47,12 @@ func FuzzSpecNormalize(f *testing.F) {
 			t.Fatalf("Normalize is not idempotent:\n%s\n%s", normalized, again)
 		}
 
-		// How much memory one job may take is not this door's rule yet:
-		// skip deployments whose node count or spatial grids are large.
+		if l := coverage.NewLattice(spec.Network.Field, spec.CoverageSpacing); l.Len() > maxLatticePoints {
+			t.Fatalf("Normalize accepted a coverage lattice of %d points\n%s", l.Len(), normalized)
+		}
+		// How much memory one job may take is not otherwise this door's
+		// rule yet: skip deployments whose node count or spatial grids are
+		// large.
 		if spec.Network.N > 2000 || gridCells(spec.Network) > 1<<20 {
 			return
 		}

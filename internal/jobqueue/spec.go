@@ -63,7 +63,9 @@ type Spec struct {
 	Horizon float64 `json:"horizon,omitempty"`
 	// Forwarding enables the source/sink data workload.
 	Forwarding bool `json:"forwarding,omitempty"`
-	// CoverageSpacing is the coverage lattice spacing in meters (0 = 1).
+	// CoverageSpacing is the coverage lattice spacing in meters (0 = 1;
+	// Normalize writes an explicit 1 as 0). Its lattice over the field may
+	// hold at most maxLatticePoints points.
 	CoverageSpacing float64 `json:"coverageSpacing,omitempty"`
 	// Check arms the runtime invariant oracle; any violation fails the
 	// job.
@@ -115,11 +117,13 @@ func DecodeSpec(r io.Reader) (*Spec, error) {
 // Normalize fills defaults in place so that two submissions that mean
 // the same simulation produce the same canonical encoding: the kind is
 // resolved, zero-valued configuration sections take the paper defaults,
-// and the horizon is made explicit. It returns an error for invalid
+// the horizon is made explicit, and an explicit 1 m coverage spacing is
+// written as its default 0. It returns an error for invalid
 // specs (these are rejected at admission, before anything is persisted):
 // an unknown kind, a kind its chaos plan contradicts, a network
 // node.Config.Validate refuses — a partly filled section is refused, not
-// completed field by field — a bad deadline or an invalid chaos plan.
+// completed field by field — a bad deadline, a coverage spacing that is
+// negative or too fine for the field, or an invalid chaos plan.
 func (s *Spec) Normalize() error {
 	switch s.Kind {
 	case "":
@@ -165,10 +169,42 @@ func (s *Spec) Normalize() error {
 	if s.Horizon <= 0 {
 		s.Horizon = experiment.DefaultHorizon(s.Network.N)
 	}
+	if err := s.normalizeSpacing(); err != nil {
+		return err
+	}
 	if s.Chaos != nil {
 		if err := s.Chaos.Validate(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// maxLatticePoints bounds the coverage lattice a spec may ask for: its
+// counts take a worker 4 bytes a point, and coverage indexes them as
+// int32. The paper's 1 m over a 50 m field is 2,601 points (2,704 of
+// capacity).
+const maxLatticePoints = 1 << 22
+
+// normalizeSpacing writes an explicit 1 m coverage spacing as 0, its
+// default, so the two key alike, and refuses a spacing that is negative,
+// not finite, or makes a lattice of more than maxLatticePoints over the
+// field.
+func (s *Spec) normalizeSpacing() error {
+	sp := s.CoverageSpacing
+	if math.IsNaN(sp) || math.IsInf(sp, 0) || sp < 0 {
+		return fmt.Errorf("jobqueue: coverageSpacing must be a finite non-negative number, got %v", sp)
+	}
+	if sp == 1 {
+		s.CoverageSpacing = 0
+	}
+	if sp == 0 {
+		sp = 1
+	}
+	f := s.Network.Field
+	if n := (f.Width/sp + 2) * (f.Height/sp + 2); n > maxLatticePoints { // the lattice's capacity, as Lattice.Reset sizes it
+		return fmt.Errorf("jobqueue: coverageSpacing %v m makes a lattice of %.3g points over the %vx%v m field, over the %d allowed",
+			sp, n, f.Width, f.Height, maxLatticePoints)
 	}
 	return nil
 }

@@ -249,8 +249,9 @@ func TestSubmitBodyLimits(t *testing.T) {
 // TestSubmitRefusesWhatCannotRun: a spec is refused at the door with a
 // 400 that names what is wrong, before anything is persisted, when its
 // kind is retired, when it asks for a fault (faults are not a spec's to
-// ask for), or when a configuration section is only partly filled —
-// which would otherwise run with zeros in the fields left out.
+// ask for), when a configuration section is only partly filled —
+// which would otherwise run with zeros in the fields left out — or when
+// its coverage spacing is negative or makes too large a lattice.
 func TestSubmitRefusesWhatCannotRun(t *testing.T) {
 	dir := t.TempDir()
 	pool := jobqueue.New(jobqueue.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
@@ -270,6 +271,8 @@ func TestSubmitRefusesWhatCannotRun(t *testing.T) {
 		{`{"network":{"N":40,"Seed":1,"Radio":{"LossRate":0.1}}}`, "Radio.BitsPerSecond"},
 		{`{"network":{"N":40,"Seed":1,"Energy":{"IdleW":0.012}}}`, "Energy.TransmitW"},
 		{`{"network":{"N":40,"Seed":1,"Protocol":{"ProbingRange":5}}}`, "initial rate"},
+		{`{` + net + `,"coverageSpacing":0.001}`, "coverageSpacing"},
+		{`{` + net + `,"coverageSpacing":-5}`, "coverageSpacing"},
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
