@@ -78,9 +78,6 @@ func AttachSim(net *node.Network, plan *Plan) (*Controller, error) {
 	return ctl, nil
 }
 
-// Channel returns the fault decision engine (read-mostly; tests use it).
-func (c *Controller) Channel() *Channel { return c.channel }
-
 // Counters returns the per-fault-class counters.
 func (c *Controller) Counters() *metrics.Counters { return c.counters }
 

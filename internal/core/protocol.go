@@ -147,9 +147,6 @@ func (p *Protocol) Reset(id NodeID, cfg Config, platform Platform) {
 	}
 }
 
-// ID returns the node identifier.
-func (p *Protocol) ID() NodeID { return p.id }
-
 // State returns the current operation mode.
 func (p *Protocol) State() State { return p.state }
 

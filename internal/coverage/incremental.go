@@ -145,9 +145,6 @@ func (l *Lattice) rowRun(s geom.Point, r2 float64, row, c0, c1 int) (first, n in
 	return a, b - a + 1
 }
 
-// Len returns the number of tracked sensors.
-func (inc *Incremental) Len() int { return len(inc.working) }
-
 // MaxK returns the highest tracked coverage degree.
 func (inc *Incremental) MaxK() int { return inc.maxK }
 

@@ -260,8 +260,3 @@ func (h *Harness) generate() {
 
 // Ratio exposes the cumulative delivery recorder.
 func (h *Harness) Ratio() *metrics.Ratio { return h.ratio }
-
-// DeliveryLifetime returns the 90% cumulative-success crossing.
-func (h *Harness) DeliveryLifetime(threshold float64) (float64, bool) {
-	return h.ratio.Series().FirstBelow(threshold, 1)
-}

@@ -110,13 +110,6 @@ func (h *Histogram) Max() float64 {
 	return h.max
 }
 
-// Min returns the smallest observed value (0 when empty).
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
 // Mean returns the arithmetic mean (0 when empty).
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
