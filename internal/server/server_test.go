@@ -231,14 +231,27 @@ func TestEndToEndBackpressure(t *testing.T) {
 	}
 }
 
-// TestEndToEndSSE follows a job's event stream over real HTTP.
+// pacedRun runs the simulation with a pause after each coverage sample, so
+// a follower that keeps up with the run wakes to its progress views
+// instead of finding them coalesced into the end.
+func pacedRun(rc experiment.RunConfig) (*experiment.RunStats, error) {
+	sample := rc.OnSample
+	rc.OnSample = func(t float64, working int, byK []float64) {
+		sample(t, working, byK)
+		time.Sleep(2 * time.Millisecond)
+	}
+	return experiment.Run(rc)
+}
+
+// TestEndToEndSSE follows a job's event stream over real HTTP. The run is
+// paced so that the follower, which keeps up, sees its progress.
 func TestEndToEndSSE(t *testing.T) {
-	c, _, _ := startService(t, jobqueue.Config{Workers: 1, QueueDepth: 8})
+	c, _, _ := startService(t, jobqueue.Config{Workers: 1, QueueDepth: 8, Run: pacedRun})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	// A 40-node job can finish before the stream opens, and a late
-	// subscriber is replayed the terminal snapshot alone. So a full-lifetime
+	// follower sees the terminal view alone. So a full-lifetime
 	// job holds the only worker until the subscriber is attached to the
 	// queued job behind it.
 	blocker, err := c.Submit(ctx, &jobqueue.Spec{
